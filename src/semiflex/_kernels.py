@@ -1,9 +1,8 @@
-"""Pure-Python fraction-free row echelon over arbitrary-precision integers.
+"""Fraction-free row echelon over arbitrary-precision integers.
 
 Bareiss one-step elimination: every intermediate entry is an exact integer
-and the division by the previous pivot is exact.  This is the hot kernel of
-the whole package (every rank / kernel / image computation funnels through
-it); semiflex._kernels.elim_c is the compiled twin with identical semantics.
+and the division by the previous pivot is exact.  Every rank / kernel /
+image computation of the package funnels through this kernel.
 """
 
 

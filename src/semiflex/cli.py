@@ -234,10 +234,7 @@ def _run(spec: JobSpec) -> int:
     if spec.command == "wakimoto":
         base = _load_algebra("affine_sl2")
         _with_cache(base, spec)
-        if not spec.lam:
-            click.echo(f"warning: no --lambda given, using default {DEFAULT_LAMBDA}", err=True)
-            spec.lam = _default_lambda(base)
-        module = wakimoto(base, spec.lam, spec.depth)
+        module = wakimoto(base, spec.lam or _default_lambda(base), spec.depth)
         rows = output.module_rows(module)
         _emit(spec, base, rows)
         if spec.dump:
@@ -437,9 +434,10 @@ def semiinf_cohomology_cmd(algebra, depth, out, fmt, jobs, lam_text, module, dum
 def wakimoto_cmd(algebra, depth, out, fmt, jobs, lam_text, dump):
     """Construct the Wakimoto module and emit its weight-space dimensions."""
     spec = JobSpec("wakimoto", algebra=algebra, depth=depth, out=out, fmt=fmt, jobs=jobs, dump=dump)
+    if not lam_text:
+        click.echo(f"warning: no --lambda given, using default {DEFAULT_LAMBDA}", err=True)
     try:
-        if lam_text:
-            spec.lam = parse_lambda(lam_text, _load_algebra("affine_sl2"))
+        spec.lam = parse_lambda(lam_text or DEFAULT_LAMBDA, _load_algebra("affine_sl2"))
     except InputError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
@@ -467,57 +465,6 @@ def verify_us(algebra, depth, out, fmt, jobs):
 def verify_univ(algebra, depth, out, fmt, jobs, module):
     """Semi-invariants of N ⊗ US reproduce N (graded dims + equivariance)."""
     sys.exit(run_job(JobSpec("verify-univ", algebra=algebra, depth=depth, out=out, fmt=fmt, jobs=jobs, module=module)))
-
-
-def parse_job(argv) -> JobSpec:
-    """Parse CLI arguments into a JobSpec without executing the job."""
-    cmd = argv[0] if argv else ""
-    spec = JobSpec(cmd)
-    it = iter(argv[1:])
-    for tok in it:
-        if tok == "--algebra":
-            spec.algebra = next(it)
-        elif tok == "--sub":
-            spec.sub = next(it)
-        elif tok == "--module":
-            spec.module = next(it)
-        elif tok == "--depth":
-            spec.depth = int(next(it))
-        elif tok == "--lambda":
-            base = _load_algebra("affine_sl2" if cmd in ("wakimoto",) or spec.module == "wakimoto" else spec.algebra)
-            spec.lam = parse_lambda(next(it), base)
-        elif tok == "--out":
-            spec.out = next(it)
-        elif tok == "--format":
-            spec.fmt = next(it)
-        elif tok == "--dump":
-            spec.dump = next(it)
-        elif tok == "--jobs":
-            spec.jobs = int(next(it))
-        elif tok == "--which":
-            spec.which = next(it)
-        elif tok == "--window":
-            spec.window = (int(next(it)), int(next(it)))
-        else:
-            raise InputError(f"unknown option {tok!r}")
-    known = {
-        "algebra-check",
-        "character",
-        "lie-cohomology",
-        "semiinf-cohomology",
-        "wakimoto",
-        "verify-shapiro",
-        "verify-us",
-        "verify-univ",
-    }
-    if cmd not in known:
-        raise InputError(f"unknown command {cmd!r}")
-    if cmd == "wakimoto" and not spec.lam:
-        click.echo(f"warning: no --lambda given, using default {DEFAULT_LAMBDA}", err=True)
-        spec.lam = parse_lambda(DEFAULT_LAMBDA, _load_algebra("affine_sl2"))
-    if spec.depth < 1:
-        raise InputError(f"depth must be positive, got {spec.depth}")
-    return spec
 
 
 if __name__ == "__main__":

@@ -415,11 +415,10 @@ def semiinf_cohomology(alg, module, depth: int, weights=None, check_square=True)
                 comp = mats[n + 1].matmul(mats[n])
                 if not comp.is_zero():
                     raise AnomalyError(w, n, comp)
+        ranks = {n: mat.rank() for n, mat in mats.items()}
         for n in ns:
             cdim = len(cx.basis(n))
-            rk = mats[n].rank() if n in mats else 0
-            rk_prev = mats[n - 1].rank() if n - 1 in mats else 0
-            table.set(w, n, cdim - rk - rk_prev, cdim)
+            table.set(w, n, cdim - ranks[n] - ranks[n - 1], cdim)
     return table
 
 
@@ -460,40 +459,60 @@ class SemiInvariants:
 
 
 def semiinvariants(alg, module, depth: int, weights=None) -> SemiInvariants:
-    """Image of the g_+-invariants of M ⊗ L_beta in the g_--coinvariants.
-
-    Invariants: common kernel of the positive generators (beta vanishes
-    there); coinvariants: quotient by images of xi + beta(xi) for xi in the
-    nonpositive part.  Both are finite per weight for modules bounded above.
-    """
+    """Image of the g_+-invariants of M ⊗ L_beta in the g_--coinvariants."""
     if depth > getattr(module, "depth", depth):
         raise WindowError(f"semiinvariants to depth {depth} exceeds module depth {module.depth}")
     alg.ensure_window(-2 * depth - 4, 2 * depth + 4)
     if weights is None:
         weights = [w for w in module.weights if -depth <= alg.ell(w) <= 0]
-    dims = {}
-    bases = {}
+    images = semiinvariant_images(
+        alg,
+        module,
+        module.action,
+        weights,
+        alg.elements_in_degrees(1, depth),
+        alg.elements_in_degrees(-depth, 0),
+        module.depth,
+    )
+    bases = {w: img for w, (img, _rels) in images.items()}
+    return SemiInvariants({w: len(img) for w, img in bases.items()}, bases)
+
+
+def semiinvariant_images(alg, space, act, weights, hplus, hminus, src_depth: int) -> dict:
+    """{w: (image basis, relation columns)} for every w in ``weights`` with
+    space.dim(w) > 0: the invariants under ``hplus`` projected to the
+    coinvariants under ``hminus``, with ``act(x, w)`` the action matrix.
+
+    Invariants: common kernel of the positive elements of degree at most
+    -ell(w) (beta vanishes there); coinvariants: quotient by the images of
+    xi + beta(xi) from source weights with -src_depth <= ell <= 0.  One
+    elimination over relation columns followed by kernel vectors reads off
+    the image: the pivots past the relations.
+    """
+    out = {}
     for w in sorted(weights):
-        dim_w = module.dim(w)
+        dim_w = space.dim(w)
         if dim_w == 0:
             continue
         budget = -alg.ell(w)
         inv_rows = []
-        for eta in alg.elements_in_degrees(1, budget) if budget >= 1 else []:
-            act = module.action(eta, w)
-            inv_rows.extend(act.rows)
+        for eta in hplus:
+            if alg.degree(eta) <= budget:
+                inv_rows.extend(act(eta, w).rows)
         inv = SparseMatrix.from_rows(inv_rows, dim_w) if inv_rows else SparseMatrix(0, dim_w)
         kernel = inv.nullspace()
         rel_cols = []
-        for xi in alg.elements_in_degrees(max(alg.ell(w), -depth), 0):
-            src = wt_sub(w, alg.weight(xi))
-            if alg.ell(src) > 0 or alg.ell(src) < -module.depth or module.dim(src) == 0:
+        for xi in hminus:
+            if alg.degree(xi) < alg.ell(w):
                 continue
-            act = module.action(xi, src)
+            src = wt_sub(w, alg.weight(xi))
+            if alg.ell(src) > 0 or alg.ell(src) < -src_depth or space.dim(src) == 0:
+                continue
+            mat = act(xi, src)
             bv = alg.beta_value(xi)
-            for col in range(act.ncols):
+            for col in range(mat.ncols):
                 vec = [Fraction(0)] * dim_w
-                for r, row in enumerate(act.rows):
+                for r, row in enumerate(mat.rows):
                     v = row.get(col)
                     if v:
                         vec[r] += v
@@ -502,16 +521,8 @@ def semiinvariants(alg, module, depth: int, weights=None) -> SemiInvariants:
                     vec[col] += bv
                 rel_cols.append(tuple(vec))
         combined = rel_cols + [tuple(k) for k in kernel]
-        m_rel = SparseMatrix.from_dense([list(col) for col in zip(*rel_cols)]) if rel_cols else SparseMatrix(dim_w, 0)
-        m_all = (
-            SparseMatrix.from_dense([list(col) for col in zip(*combined)])
-            if combined
-            else SparseMatrix(dim_w, 0)
-        )
-        r_rel = m_rel.rank() if rel_cols else 0
-        r_all = m_all.rank()
-        d = r_all - r_rel
-        dims[w] = d
-        pivots = m_all.pivot_columns()
-        bases[w] = [combined[p] for p in pivots if p >= len(rel_cols)]
-    return SemiInvariants(dims, bases)
+        pivots = []
+        if combined:
+            pivots = SparseMatrix.from_dense([list(col) for col in zip(*combined)]).pivot_columns()
+        out[w] = ([combined[p] for p in pivots if p >= len(rel_cols)], rel_cols)
+    return out

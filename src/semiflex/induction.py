@@ -26,11 +26,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .forms import semiinf_cohomology, semiinvariant_images
 from .liealg import SubalgebraSpec, WindowError, subalgebra, wt_add, wt_neg, wt_sub, wt_zero
 from .linalg import SparseMatrix, solve_in_span
-from .modules import WeightModule, product_formula_character
+from .modules import WeightModule, _lam_str, check_commutators, product_formula_character
 from .pbw import (
     Order,
+    compress,
     descending_order,
     enumerate_pbw_weights,
     flatten,
@@ -94,23 +96,22 @@ def _split_pos(alg, mon):
     return mon, ()
 
 
-class SemiregularModel:
-    """US(g) on pair coordinates, with cached left/right action matrices."""
+class _PairSpace:
+    """Pairs (q, m) of a dual PBW monomial of U(g+) and a PBW monomial of a
+    negative part, bucketed by weight wt(m) - wt(q) to the given depth, with
+    the left action on equivariant values and the right action through the
+    antipode.  US takes the whole negative part; Q (the Wakimoto quotient)
+    takes a- and reduces the peeled abar- factors to scalars."""
 
-    def __init__(self, alg, depth: int, order: Order | None = None):
-        alg.ensure_window(-2 * depth - 4, 2 * depth + 4)
-        if alg.elements_of_degree(0):
-            raise InductionError(
-                f"{alg.name}: universal semijective materialization needs a vanishing "
-                "degree-0 part; use the staged semi-induction constructors instead"
-            )
+    # US raises WindowError when an action leaves the depth; Q leaves it zero
+    strict_depth = False
+
+    def __init__(self, alg, depth: int, order: Order, negative):
         self.alg = alg
         self.depth = depth
-        self.order = order or descending_order(alg)
-        gplus = subalgebra(alg, "gplus")
-        gminus = subalgebra(alg, "gminus")
-        self.qtab = enumerate_pbw_weights(gplus, depth, self.order)
-        self.mtab = enumerate_pbw_weights(gminus, depth, self.order)
+        self.order = order
+        self.qtab = enumerate_pbw_weights(subalgebra(alg, "gplus"), depth, order)
+        self.mtab = enumerate_pbw_weights(negative, depth, order)
         self.weights: dict = {}
         for qw, qs in self.qtab.items():
             for mw, ms in self.mtab.items():
@@ -125,7 +126,6 @@ class SemiregularModel:
             bucket.sort()
         self._index = {w: {pair: i for i, pair in enumerate(b)} for w, b in self.weights.items()}
         self._left: dict = {}
-        self._right: dict = {}
 
     def dim(self, w) -> int:
         return len(self.weights.get(tuple(w), ()))
@@ -133,14 +133,12 @@ class SemiregularModel:
     def basis(self, w):
         return self.weights.get(tuple(w), [])
 
-    def pair_label(self, pair) -> str:
-        q, m = pair
-        return f"({monomial_label(self.alg, q)})*⊗{monomial_label(self.alg, m)}"
-
     def in_depth(self, w) -> bool:
         return -self.depth <= self.alg.ell(w) <= 0
 
-    # -- the two multiplications ------------------------------------------------
+    def _check_target(self, side: str, target, cols) -> None:
+        if self.alg.ell(target) <= 0 and not self.in_depth(target) and cols:
+            raise WindowError(f"US: {side} action target {target} outside depth {self.depth}")
 
     def _peel(self, word, vec: dict) -> dict:
         """Apply f(u y) = -y f(u) + beta(y) f(u) across a negative word."""
@@ -164,49 +162,9 @@ class SemiregularModel:
             vec = out
         return vec
 
-    def _slide_coeff(self, q0, qprime, pword) -> Fraction:
-        """<q0, q' · S(p)> with S the antipode of the positive word p."""
-        word = flatten(qprime) + tuple(reversed(pword))
-        res = normal_order_word(self.alg, word, self.order)
-        c = res.get(q0, Fraction(0))
-        if len(pword) % 2:
-            c = -c
-        return c
-
-    def right_matrix(self, z: int, w) -> SparseMatrix:
-        w = tuple(w)
-        key = (z, w)
-        got = self._right.get(key)
-        if got is not None:
-            return got
-        alg, order = self.alg, self.order
-        target = wt_add(w, alg.weight(z))
-        rows = self._index.get(target, {})
-        cols = self.basis(w)
-        mat = SparseMatrix(len(rows), len(cols))
-        if self.alg.ell(target) <= 0 and not self.in_depth(target) and cols:
-            raise WindowError(f"US: right action target {target} outside depth {self.depth}")
-        for ci, (q0, m0) in enumerate(cols):
-            word = flatten(m0) + (z,)
-            for mon, c in normal_order_word(alg, word, order).items():
-                p, m = _split_pos(alg, mon)
-                if not p:
-                    r = rows.get((q0, m))
-                    if r is not None:
-                        mat.add(r, ci, c)
-                    continue
-                pw = flatten(p)
-                qw = wt_sub(monomial_weight(alg, q0), monomial_weight(alg, p))
-                for qprime in self.qtab.get(qw, ()):
-                    c2 = self._slide_coeff(q0, qprime, pw)
-                    if c2:
-                        r = rows.get((qprime, m))
-                        if r is not None:
-                            mat.add(r, ci, c * c2)
-        self._right[key] = mat
-        return mat
-
-    def left_matrix(self, z: int, w) -> SparseMatrix:
+    def _left_action(self, z: int, w, reduce_m=None) -> SparseMatrix:
+        """Matrix of the left action of z on weight w; ``reduce_m`` maps a
+        peeled monomial to (coefficient, basis monomial) in a quotient."""
         w = tuple(w)
         key = (z, w)
         got = self._left.get(key)
@@ -217,8 +175,8 @@ class SemiregularModel:
         rows = self._index.get(target, {})
         cols = self.basis(w)
         mat = SparseMatrix(len(rows), len(cols))
-        if self.alg.ell(target) <= 0 and not self.in_depth(target) and cols:
-            raise WindowError(f"US: left action target {target} outside depth {self.depth}")
+        if self.strict_depth:
+            self._check_target("left", target, cols)
         ell_z = alg.ell(alg.weight(z))
         by_q0: dict = {}
         for ci, (q0, m0) in enumerate(cols):
@@ -237,62 +195,101 @@ class SemiregularModel:
                     for ci, m0 in hits:
                         peeled = self._peel(flatten(m), {m0: Fraction(1)})
                         for m2, c2 in peeled.items():
+                            if reduce_m is not None:
+                                coeff, m2 = reduce_m(m2)
+                                if not coeff:
+                                    continue
+                                c2 *= coeff
                             r = rows.get((qprime, m2))
                             if r is not None:
                                 mat.add(r, ci, -c * c2)
         self._left[key] = mat
         return mat
 
+    def _right_terms(self, q0, m0, z):
+        """(q', m, coefficient) of the pair (q0, m0) times z on the right: m0 z
+        straightened, its positive factor p slid onto the dual side as
+        <q0, q' · S(p)> with S the antipode."""
+        alg, order = self.alg, self.order
+        for mon, c in normal_order_word(alg, flatten(m0) + (z,), order).items():
+            p, m = _split_pos(alg, mon)
+            if not p:
+                yield q0, m, c
+                continue
+            pw = flatten(p)
+            qw = wt_sub(monomial_weight(alg, q0), monomial_weight(alg, p))
+            for qprime in self.qtab.get(qw, ()):
+                c2 = normal_order_word(alg, flatten(qprime) + tuple(reversed(pw)), order).get(q0, Fraction(0))
+                if len(pw) % 2:
+                    c2 = -c2
+                if c2:
+                    yield qprime, m, c * c2
+
+
+class SemiregularModel(_PairSpace):
+    """US(g) on pair coordinates, with cached left/right action matrices."""
+
+    strict_depth = True
+
+    def __init__(self, alg, depth: int, order: Order | None = None):
+        alg.ensure_window(-2 * depth - 4, 2 * depth + 4)
+        if alg.elements_of_degree(0):
+            raise InductionError(
+                f"{alg.name}: universal semijective materialization needs a vanishing "
+                "degree-0 part; use the staged semi-induction constructors instead"
+            )
+        super().__init__(alg, depth, order or descending_order(alg), subalgebra(alg, "gminus"))
+        self._right: dict = {}
+
+    def pair_label(self, pair) -> str:
+        q, m = pair
+        return f"({monomial_label(self.alg, q)})*⊗{monomial_label(self.alg, m)}"
+
+    # -- the two multiplications ------------------------------------------------
+
+    def right_matrix(self, z: int, w) -> SparseMatrix:
+        w = tuple(w)
+        key = (z, w)
+        got = self._right.get(key)
+        if got is not None:
+            return got
+        target = wt_add(w, self.alg.weight(z))
+        rows = self._index.get(target, {})
+        cols = self.basis(w)
+        mat = SparseMatrix(len(rows), len(cols))
+        self._check_target("right", target, cols)
+        for ci, (q0, m0) in enumerate(cols):
+            for q, m, c in self._right_terms(q0, m0, z):
+                r = rows.get((q, m))
+                if r is not None:
+                    mat.add(r, ci, c)
+        self._right[key] = mat
+        return mat
+
+    def left_matrix(self, z: int, w) -> SparseMatrix:
+        return self._left_action(z, w)
+
     def left_module(self) -> WeightModule:
+        return self._module(f"US({self.alg.name})", self.left_matrix)
+
+    def _module(self, name, rule) -> WeightModule:
         labels = {w: [self.pair_label(p) for p in basis] for w, basis in self.weights.items()}
-        return WeightModule(self.alg, f"US({self.alg.name})", labels, self.left_matrix, self.depth)
+        return WeightModule(self.alg, name, labels, rule, self.depth)
 
     def right_oracle_failures(self, gen_window, weights=None) -> list:
-        """Right-module property: action of [x,y] = r_y r_x - r_x r_y."""
-        return self._oracle(self.right_matrix, gen_window, weights, right=True)
+        """Right-module property, checked on the left module z -> -r_z (a left
+        module exactly when r is a right module)."""
+
+        def rule(z, w):
+            mat = self.right_matrix(z, w)
+            neg = SparseMatrix(mat.nrows, mat.ncols)
+            neg.rows = [{c: -v for c, v in row.items()} for row in mat.rows]
+            return neg
+
+        return check_commutators(self._module(f"US({self.alg.name})^op", rule), gen_window, weights)
 
     def left_oracle_failures(self, gen_window, weights=None) -> list:
-        return self._oracle(self.left_matrix, gen_window, weights, right=False)
-
-    def _oracle(self, matrix_of, gen_window, weights, right: bool) -> list:
-        alg = self.alg
-        lo, hi = gen_window
-        alg.ensure_window(min(2 * lo, lo), max(2 * hi, hi))
-        gens = alg.elements_in_degrees(lo, hi)
-        if weights is None:
-            weights = sorted(self.weights)
-        failures = []
-        for w in weights:
-            for x in gens:
-                wx = wt_add(w, alg.weight(x))
-                for y in gens:
-                    if y < x:
-                        continue
-                    wy = wt_add(w, alg.weight(y))
-                    wxy = wt_add(wx, alg.weight(y))
-                    if not all(self.in_depth(v) or alg.ell(v) > 0 for v in (wx, wy, wxy)):
-                        continue
-                    after_x = matrix_of(y, wx).matmul(matrix_of(x, w))  # x first, then y
-                    after_y = matrix_of(x, wy).matmul(matrix_of(y, w))  # y first, then x
-                    expected = SparseMatrix(after_x.nrows, after_x.ncols)
-                    for k, cf in alg.bracket_ids(x, y).items():
-                        mk = matrix_of(k, w)
-                        for i, row in enumerate(mk.rows):
-                            for c, v in row.items():
-                                expected.add(i, c, cf * v)
-                    # left modules: rho([x,y]) = rho(x)rho(y) - rho(y)rho(x);
-                    # right modules compose the other way round.
-                    first, second = (after_x, after_y) if right else (after_y, after_x)
-                    comm = SparseMatrix(after_x.nrows, after_x.ncols)
-                    for i, row in enumerate(first.rows):
-                        for c, v in row.items():
-                            comm.add(i, c, v)
-                    for i, row in enumerate(second.rows):
-                        for c, v in row.items():
-                            comm.add(i, c, -v)
-                    if comm.rows != expected.rows:
-                        failures.append((alg.label(x), alg.label(y), w))
-        return failures
+        return check_commutators(self.left_module(), gen_window, weights)
 
 
 def universal_semijective(alg, depth: int) -> SemiregularModel:
@@ -371,22 +368,24 @@ def check_prop_iso1(alg, depth: int) -> Verdict:
 
 
 class _TensorSpace:
-    """US ⊗ M materialized per weight: basis quadruples (w1, i, w2, j)."""
+    """A two-factor tensor product of the US model and a weight module, in
+    the caller's factor order (US ⊗ M or N ⊗ US), materialized per weight on
+    basis quadruples (w1, i, w2, j): basis vector i of the first factor at
+    w1, basis vector j of the second at w2."""
 
-    def __init__(self, model: SemiregularModel, module: WeightModule, depth: int):
-        self.model = model
-        self.module = module
-        self.depth = depth
-        self.alg = model.alg
+    def __init__(self, first, second, depth: int):
+        self.us_first = isinstance(first, SemiregularModel)
+        self.model, self.module = (first, second) if self.us_first else (second, first)
+        self.alg = self.model.alg
         self.weights: dict = {}
-        for w1 in model.weights:
-            for w2 in module.weights:
+        for w1 in first.weights:
+            for w2 in second.weights:
                 w = wt_add(w1, w2)
                 if self.alg.ell(w) < -depth:
                     continue
                 bucket = self.weights.setdefault(w, [])
-                for i in range(model.dim(w1)):
-                    for j in range(module.dim(w2)):
+                for i in range(first.dim(w1)):
+                    for j in range(second.dim(w2)):
                         bucket.append((w1, i, w2, j))
         for b in self.weights.values():
             b.sort()
@@ -395,85 +394,81 @@ class _TensorSpace:
     def dim(self, w):
         return len(self.weights.get(tuple(w), ()))
 
-    def action(self, xi: int, w, side: str) -> SparseMatrix:
-        """a_xi = -(right on US) ⊗ 1 + 1 ⊗ rho_M(xi)   (side 'diag'),
-        or the descending left action on the US factor (side 'left')."""
+    def diag(self, xi: int, w) -> SparseMatrix:
+        """xi acting as -(right multiplication) on US plus rho_M(xi) on M."""
+        us, mod = (self.model.right_matrix, True), (self.module.action, False)
+        return self._action(xi, w, (us, mod) if self.us_first else (mod, us))
+
+    def left(self, xi: int, w) -> SparseMatrix:
+        """The left action of xi on the US factor."""
+        us = (self.model.left_matrix, False)
+        return self._action(xi, w, (us, None) if self.us_first else (None, us))
+
+    def _action(self, xi: int, w, ops) -> SparseMatrix:
+        """Sum over the factors of 1 ⊗ matrix_of(xi) ⊗ 1, factor by factor in
+        order; ops[slot] is (matrix_of, negate) or None."""
         w = tuple(w)
-        target = wt_add(w, self.alg.weight(xi))
-        rows = self._index.get(target, {})
+        shift = self.alg.weight(xi)
+        rows = self._index.get(wt_add(w, shift), {})
         cols = self.weights.get(w, [])
         mat = SparseMatrix(len(rows), len(cols))
         for ci, (w1, i, w2, j) in enumerate(cols):
-            if side == "left":
-                us_mat = self.model.left_matrix(xi, w1)
-                for r, row in enumerate(us_mat.rows):
-                    v = row.get(i)
+            for slot, op in enumerate(ops):
+                if op is None:
+                    continue
+                matrix_of, negate = op
+                wf, k = (w1, i) if slot == 0 else (w2, j)
+                tw = wt_add(wf, shift)
+                for r, row in enumerate(matrix_of(xi, wf).rows):
+                    v = row.get(k)
                     if v:
-                        rr = rows.get((wt_add(w1, self.alg.weight(xi)), r, w2, j))
+                        rr = rows.get((tw, r, w2, j) if slot == 0 else (w1, i, tw, r))
                         if rr is not None:
-                            mat.add(rr, ci, v)
-                continue
-            us_mat = self.model.right_matrix(xi, w1)
-            for r, row in enumerate(us_mat.rows):
-                v = row.get(i)
-                if v:
-                    rr = rows.get((wt_add(w1, self.alg.weight(xi)), r, w2, j))
-                    if rr is not None:
-                        mat.add(rr, ci, -v)
-            m_mat = self.module.action(xi, w2)
-            for r, row in enumerate(m_mat.rows):
-                v = row.get(j)
-                if v:
-                    rr = rows.get((w1, i, wt_add(w2, self.alg.weight(xi)), r))
-                    if rr is not None:
-                        mat.add(rr, ci, v)
+                            mat.add(rr, ci, -v if negate else v)
         return mat
 
 
-def _semiinvariants_of(space, hplus_elems, hminus_elems, alg, depth, beta_of):
-    """Per-weight (dim, image basis vectors, relation columns) of the
-    semi-invariants of a _TensorSpace-like object under the diagonal action."""
-    out = {}
-    for w in sorted(space.weights):
-        dim_w = space.dim(w)
-        if dim_w == 0:
-            continue
-        budget = -alg.ell(w)
-        inv_rows = []
-        for eta in hplus_elems:
-            if alg.degree(eta) > budget:
-                continue
-            act = space.action(eta, w, "diag")
-            inv_rows.extend(act.rows)
-        inv = SparseMatrix.from_rows(inv_rows, dim_w) if inv_rows else SparseMatrix(0, dim_w)
-        kernel = inv.nullspace()
-        rel_cols = []
-        for xi in hminus_elems:
-            if alg.degree(xi) < alg.ell(w):
-                continue
-            src = wt_sub(w, alg.weight(xi))
-            if alg.ell(src) > 0 or alg.ell(src) < -depth or space.dim(src) == 0:
-                continue
-            act = space.action(xi, src, "diag")
-            bv = beta_of(xi)
-            for col in range(act.ncols):
-                vec = [Fraction(0)] * dim_w
-                for r, row in enumerate(act.rows):
-                    v = row.get(col)
-                    if v:
-                        vec[r] += v
-                if bv and alg.weight(xi) == wt_zero(alg.rank):
-                    vec[col] += bv
-                rel_cols.append(tuple(vec))
-        combined = rel_cols + [tuple(k) for k in kernel]
-        if combined:
-            m_all = SparseMatrix.from_dense([list(col) for col in zip(*combined)])
-            pivots = m_all.pivot_columns()
-        else:
-            pivots = []
-        image = [combined[p] for p in pivots if p >= len(rel_cols)]
-        out[w] = (len(image), image, rel_cols)
-    return out
+def _tensor_semiinvariants(space, sub, depth: int) -> dict:
+    """Nonzero semi-invariants of a tensor space under ``sub`` (the diagonal
+    action): {w: (image basis, relation columns)}."""
+    sub.ensure_window(-2 * depth - 4, 2 * depth + 4)
+    hplus = sub.elements_in_degrees(1, 2 * depth + 4)
+    hminus = sub.elements_in_degrees(-depth, 0)
+    semi = semiinvariant_images(space.alg, space, space.diag, space.weights, hplus, hminus, depth)
+    return {w: data for w, data in semi.items() if data[0]}
+
+
+def _descended_module(alg, name, prefix, data, left, escaped, depth, lam=None) -> WeightModule:
+    """Descend a left action to per-weight subquotients.
+
+    ``data[w]`` is (image basis, relation columns); ``left(z, w)`` acts on
+    the ambient coordinates.  Each image vector's image is solved for in
+    relations + target image, and its image coordinates form the matrix.
+    An image outside that span raises InductionError("<escaped> <w>").
+    """
+
+    def rule(z, w):
+        w = tuple(w)
+        target = wt_add(w, alg.weight(z))
+        image, _ = data.get(w, ((), ()))
+        t_image, t_rels = data.get(target, ((), ()))
+        mat = SparseMatrix(len(t_image), len(image))
+        if not image or not t_image:
+            return mat
+        lz = left(z, w)
+        span = list(t_rels) + list(t_image)
+        for ci, vec in enumerate(image):
+            coords = solve_in_span(span, lz.apply(list(vec)))
+            if coords is None:
+                raise InductionError(f"{escaped} {w}")
+            for r in range(len(t_image)):
+                v = coords[len(t_rels) + r]
+                if v:
+                    mat.add(r, ci, v)
+        return mat
+
+    weights = {w: [f"{prefix}{i}" for i in range(len(img))] for w, (img, _rels) in data.items()}
+    return WeightModule(alg, name, weights, rule, depth, lam)
 
 
 def s_ind(alg, sub, module: WeightModule, depth: int) -> WeightModule:
@@ -484,59 +479,23 @@ def s_ind(alg, sub, module: WeightModule, depth: int) -> WeightModule:
     ``module`` is a weight module over the view.  The big algebra must have a
     vanishing degree-0 part (the affine case goes through ``wakimoto``).
     """
-    model = universal_semijective(alg, depth)
-    space = _TensorSpace(model, module, depth)
-    sub.ensure_window(-2 * depth - 4, 2 * depth + 4)
-    hplus = sub.elements_in_degrees(1, 2 * depth + 4)
-    hminus = sub.elements_in_degrees(-depth, 0)
-    semi = _semiinvariants_of(space, hplus, hminus, alg, depth, sub.beta_value)
-    weights = {}
-    data = {}
-    for w, (dim, image, rels) in semi.items():
-        if dim:
-            weights[w] = [f"s{i}" for i in range(dim)]
-            data[w] = (image, rels)
-
-    def rule(z, w):
-        w = tuple(w)
-        target = wt_add(w, alg.weight(z))
-        image, _ = data.get(w, ((), ()))
-        t_image, t_rels = data.get(target, ((), ()))
-        nrows = len(t_image)
-        mat = SparseMatrix(nrows, len(image))
-        if not image or not nrows:
-            return mat
-        lz = space.action(z, w, "left")
-        span = list(t_rels) + list(t_image)
-        for ci, vec in enumerate(image):
-            out = lz.apply(list(vec))
-            coords = solve_in_span(span, out)
-            if coords is None:
-                raise InductionError(
-                    f"s_ind: left action left the semi-invariant subspace at weight {w}"
-                )
-            for r in range(nrows):
-                v = coords[len(t_rels) + r]
-                if v:
-                    mat.add(r, ci, v)
-        return mat
-
+    space = _TensorSpace(universal_semijective(alg, depth), module, depth)
+    data = _tensor_semiinvariants(space, sub, depth)
+    escaped = "s_ind: left action left the semi-invariant subspace at weight"
     name = f"S-ind[{sub.name}]({module.name})"
-    return WeightModule(alg, name, weights, rule, depth, module.lam)
+    return _descended_module(alg, name, "s", data, space.left, escaped, depth, module.lam)
 
 
 # -- Wakimoto ---------------------------------------------------------------------------
 
 
-class WakimotoSpace:
+class WakimotoSpace(_PairSpace):
     """Q = US(g) ⊗_{U(abar-)} C_{lambda+beta} on pairs (q, m_a), with the
     descended left action of the affine algebra."""
 
     def __init__(self, alg, lam: dict, depth: int):
         alg.ensure_window(-2 * depth - 4, 2 * depth + 4)
-        self.alg = alg
         self.lam = dict(lam)
-        self.depth = depth
         a_view = subalgebra(alg, "a")
         abar_view = subalgebra(alg, "abar")
         self.a_view = a_view
@@ -551,43 +510,16 @@ class WakimotoSpace:
             d, wgt, i = alg.key(e)
             return (block(e), (-d, tuple(-x for x in wgt), -i))
 
-        self.order = Order(f"wak:{alg.fingerprint()}", key)
-        gplus = subalgebra(alg, "gplus")
         aminus = SubalgebraSpec(alg, "aminus", lambda e: a_view.is_member(e) and alg.degree(e) <= 0)
-        self.qtab = enumerate_pbw_weights(gplus, depth, self.order)
-        self.mtab = enumerate_pbw_weights(aminus, depth, self.order)
-        self.weights: dict = {}
-        for qw, qs in self.qtab.items():
-            for mw, ms in self.mtab.items():
-                w = wt_sub(mw, qw)
-                if alg.ell(w) < -depth:
-                    continue
-                bucket = self.weights.setdefault(w, [])
-                for q in qs:
-                    for m in ms:
-                        bucket.append((q, m))
-        for b in self.weights.values():
-            b.sort()
-        self._index = {w: {p: i for i, p in enumerate(b)} for w, b in self.weights.items()}
-        self._left: dict = {}
+        super().__init__(alg, depth, Order(f"wak:{alg.fingerprint()}", key), aminus)
         self._lam_tilde = {}
         for e in alg.elements_in_degrees(-2 * depth - 4, 0):
             if abar_view.is_member(e):
                 self._lam_tilde[e] = Fraction(lam.get(alg.label(e), 0)) + alg.beta_value(e)
 
-    def dim(self, w):
-        return len(self.weights.get(tuple(w), ()))
-
-    def basis(self, w):
-        return self.weights.get(tuple(w), [])
-
-    def in_depth(self, w):
-        return -self.depth <= self.alg.ell(w) <= 0
-
     def reduce_m(self, mon) -> tuple:
         """Class of a U(g-) monomial (a- block then abar- block) in the
         lambda-tilde quotient: (coefficient, a- part monomial)."""
-        alg = self.alg
         split = len(mon)
         for i, (eid, _) in enumerate(mon):
             if not self.a_view.is_member(eid):
@@ -601,64 +533,8 @@ class WakimotoSpace:
             coeff *= lt**exp
         return coeff, mon[:split]
 
-    def _peel(self, word, vec: dict) -> dict:
-        alg, order = self.alg, self.order
-        for y in word:
-            bv = alg.beta_value(y)
-            out: dict = {}
-            for m, c in vec.items():
-                for mon, c2 in normal_order_word(alg, (y,) + flatten(m), order).items():
-                    v = out.get(mon, 0) - c * c2
-                    if v:
-                        out[mon] = v
-                    elif mon in out:
-                        del out[mon]
-                if bv:
-                    v = out.get(m, 0) + bv * c
-                    if v:
-                        out[m] = v
-                    elif m in out:
-                        del out[m]
-            vec = out
-        return vec
-
     def left_matrix(self, z: int, w) -> SparseMatrix:
-        w = tuple(w)
-        key = (z, w)
-        got = self._left.get(key)
-        if got is not None:
-            return got
-        alg, order = self.alg, self.order
-        target = wt_add(w, alg.weight(z))
-        rows = self._index.get(target, {})
-        cols = self.basis(w)
-        mat = SparseMatrix(len(rows), len(cols))
-        ell_z = alg.ell(alg.weight(z))
-        by_q0: dict = {}
-        for ci, (q0, m0) in enumerate(cols):
-            by_q0.setdefault(q0, []).append((ci, m0))
-        max_q0 = max((alg.ell(monomial_weight(alg, q0)) for q0 in by_q0), default=0)
-        for qw, qprimes in self.qtab.items():
-            if alg.ell(qw) > max_q0 - ell_z:
-                continue
-            for qprime in qprimes:
-                st = normal_order_word(alg, (z,) + flatten(qprime), order)
-                for mon, c in st.items():
-                    p, m = _split_pos(alg, mon)
-                    hits = by_q0.get(p)
-                    if not hits:
-                        continue
-                    for ci, m0 in hits:
-                        peeled = self._peel(flatten(m), {m0: Fraction(1)})
-                        for m2, c2 in peeled.items():
-                            coeff, m3 = self.reduce_m(m2)
-                            if not coeff:
-                                continue
-                            r = rows.get((qprime, m3))
-                            if r is not None:
-                                mat.add(r, ci, -c * c2 * coeff)
-        self._left[key] = mat
-        return mat
+        return self._left_action(z, w, self.reduce_m)
 
 
 def wakimoto(alg, lam: dict, depth: int, allow_incomplete: bool = False) -> WeightModule:
@@ -701,32 +577,9 @@ def wakimoto(alg, lam: dict, depth: int, allow_incomplete: bool = False) -> Weig
                 )
         if got:
             spans[w] = got
-    weights = {w: [f"w{i}" for i in range(len(v))] for w, v in spans.items()}
-
-    def rule(z, w):
-        w = tuple(w)
-        target = wt_add(w, alg.weight(z))
-        image = spans.get(w, ())
-        t_image = spans.get(target, ())
-        mat = SparseMatrix(len(t_image), len(image))
-        if not image or not t_image:
-            return mat
-        lz = space.left_matrix(z, w)
-        for ci, vec in enumerate(image):
-            out = lz.apply(list(vec))
-            coords = solve_in_span(list(t_image), out)
-            if coords is None:
-                raise InductionError(f"wakimoto: action escaped the constructed submodule at {w}")
-            for r, v in enumerate(coords):
-                if v:
-                    mat.add(r, ci, v)
-        return mat
-
-    return WeightModule(alg, f"W({_lam_str(lam)})", weights, rule, depth, lam)
-
-
-def _lam_str(lam):
-    return ",".join(f"{k}={v}" for k, v in sorted(lam.items())) if lam else "0"
+    data = {w: (vecs, ()) for w, vecs in spans.items()}
+    escaped = "wakimoto: action escaped the constructed submodule at"
+    return _descended_module(alg, f"W({_lam_str(lam)})", "w", data, space.left_matrix, escaped, depth, lam)
 
 
 def _unit_vec(space, w, pair):
@@ -820,19 +673,9 @@ def _truncated_x_basis(space, w, tail_len: int):
                     continue
                 for q in qs:
                     for m in ms:
-                        out.append((q, m, _compress_tail(tail)))
+                        out.append((q, m, compress(tail)))
     out = sorted(set(out))
     return out, {t: i for i, t in enumerate(out)}
-
-
-def _compress_tail(tail):
-    mon = []
-    for e in tail:
-        if mon and mon[-1][0] == e:
-            mon[-1] = (e, mon[-1][1] + 1)
-        else:
-            mon.append((e, 1))
-    return tuple(mon)
 
 
 def _right_action_rows(space, w, eta, xbasis, tail_len):
@@ -841,30 +684,13 @@ def _right_action_rows(space, w, eta, xbasis, tail_len):
     The action may lengthen the abar tail by bounded amounts; output
     coordinates are indexed on the fly so the conditions stay exact.
     """
-    alg, order = space.alg, space.order
     out_index: dict = {}
     rows_by_out: dict = {}
     for ci, (q0, ma, mbar) in enumerate(xbasis):
-        m0 = ma + mbar
-        word = flatten(m0) + (eta,)
-        for mon, c in normal_order_word(alg, word, order).items():
-            p, m = _split_pos(alg, mon)
-            if not p:
-                key = (q0, m)
-                r = out_index.setdefault(key, len(out_index))
-                rows_by_out.setdefault(r, {})[ci] = rows_by_out.get(r, {}).get(ci, Fraction(0)) + c
-                continue
-            pw = flatten(p)
-            qw = wt_sub(monomial_weight(alg, q0), monomial_weight(alg, p))
-            for qprime in space.qtab.get(qw, ()):
-                word2 = flatten(qprime) + tuple(reversed(pw))
-                c2 = normal_order_word(alg, word2, order).get(q0, Fraction(0))
-                if len(pw) % 2:
-                    c2 = -c2
-                if c2:
-                    key = (qprime, m)
-                    r = out_index.setdefault(key, len(out_index))
-                    rows_by_out.setdefault(r, {})[ci] = rows_by_out.get(r, {}).get(ci, Fraction(0)) + c * c2
+        for q, m, c in space._right_terms(q0, ma + mbar, eta):
+            r = out_index.setdefault((q, m), len(out_index))
+            row = rows_by_out.setdefault(r, {})
+            row[ci] = row.get(ci, Fraction(0)) + c
     return [
         {c: v for c, v in row.items() if v}
         for _, row in sorted(rows_by_out.items())
@@ -880,65 +706,9 @@ def check_universal_property(alg, module: WeightModule, depth: int) -> Verdict:
     Checks graded dimensions, and that the canonical classes n ⊗ (vacuum
     pair) transform under the residual left action exactly as N does.
     """
-    model = universal_semijective(alg, depth)
-
-    class _NTensorUS:
-        def __init__(self):
-            self.weights = {}
-            for w2 in module.weights:
-                for w1 in model.weights:
-                    w = wt_add(w2, w1)
-                    if alg.ell(w) < -depth:
-                        continue
-                    bucket = self.weights.setdefault(w, [])
-                    for j in range(module.dim(w2)):
-                        for i in range(model.dim(w1)):
-                            bucket.append((w2, j, w1, i))
-            for b in self.weights.values():
-                b.sort()
-            self._index = {w: {t: i for i, t in enumerate(b)} for w, b in self.weights.items()}
-
-        def dim(self, w):
-            return len(self.weights.get(tuple(w), ()))
-
-        def action(self, xi, w, side):
-            w = tuple(w)
-            target = wt_add(w, alg.weight(xi))
-            rows = self._index.get(target, {})
-            cols = self.weights.get(w, [])
-            mat = SparseMatrix(len(rows), len(cols))
-            for ci, (w2, j, w1, i) in enumerate(cols):
-                if side == "left":
-                    us = model.left_matrix(xi, w1)
-                    for r, row in enumerate(us.rows):
-                        v = row.get(i)
-                        if v:
-                            rr = rows.get((w2, j, wt_add(w1, alg.weight(xi)), r))
-                            if rr is not None:
-                                mat.add(rr, ci, v)
-                    continue
-                m_mat = module.action(xi, w2)
-                for r, row in enumerate(m_mat.rows):
-                    v = row.get(j)
-                    if v:
-                        rr = rows.get((wt_add(w2, alg.weight(xi)), r, w1, i))
-                        if rr is not None:
-                            mat.add(rr, ci, v)
-                us = model.right_matrix(xi, w1)
-                for r, row in enumerate(us.rows):
-                    v = row.get(i)
-                    if v:
-                        rr = rows.get((w2, j, wt_add(w1, alg.weight(xi)), r))
-                        if rr is not None:
-                            mat.add(rr, ci, -v)
-            return mat
-
-    space = _NTensorUS()
-    alg.ensure_window(-2 * depth - 4, 2 * depth + 4)
-    hplus = alg.elements_in_degrees(1, 2 * depth + 4)
-    hminus = alg.elements_in_degrees(-depth, 0)
-    semi = _semiinvariants_of(space, hplus, hminus, alg, depth, alg.beta_value)
-    dims = {w: d for w, (d, _img, _r) in semi.items() if d}
+    space = _TensorSpace(module, universal_semijective(alg, depth), depth)
+    data = _tensor_semiinvariants(space, alg, depth)
+    dims = {w: len(img) for w, (img, _rels) in data.items()}
     ndims = {w: module.dim(w) for w in module.weights if alg.ell(w) >= -depth}
     dim_diffs = {
         w: (dims.get(w, 0), ndims.get(w, 0))
@@ -947,32 +717,8 @@ def check_universal_property(alg, module: WeightModule, depth: int) -> Verdict:
     }
     # the residual action on the semi-invariants must be a g-representation:
     # that is the computable equivariance content of the isomorphism
-    data = {w: (img, rels) for w, (d, img, rels) in semi.items() if d}
-    weights = {w: [f"u{i}" for i in range(len(img))] for w, (img, _r) in data.items()}
-
-    def rule(z, w):
-        w = tuple(w)
-        target = wt_add(w, alg.weight(z))
-        image, _ = data.get(w, ((), ()))
-        t_image, t_rels = data.get(target, ((), ()))
-        mat = SparseMatrix(len(t_image), len(image))
-        if not image or not t_image:
-            return mat
-        lz = space.action(z, w, "left")
-        span = list(t_rels) + list(t_image)
-        for ci, vec in enumerate(image):
-            coords = solve_in_span(span, lz.apply(list(vec)))
-            if coords is None:
-                raise InductionError(f"universal property: action escaped the image at {w}")
-            for r in range(len(t_image)):
-                v = coords[len(t_rels) + r]
-                if v:
-                    mat.add(r, ci, v)
-        return mat
-
-    residual = WeightModule(alg, "N⊗US-semiinv", weights, rule, depth)
-    from .modules import check_commutators
-
+    escaped = "universal property: action escaped the image at"
+    residual = _descended_module(alg, "N⊗US-semiinv", "u", data, space.left, escaped, depth)
     gen_bound = min(depth, 2)
     equi_failures = check_commutators(residual, (-gen_bound, gen_bound))
     passed = not dim_diffs and not equi_failures
@@ -981,8 +727,6 @@ def check_universal_property(alg, module: WeightModule, depth: int) -> Verdict:
 
 def check_shapiro(alg, sub, module: WeightModule, depth: int):
     """Semi-infinite cohomology of (sub, M) versus (alg, S-ind M), per cell."""
-    from .forms import semiinf_cohomology
-
     induced = s_ind(alg, sub, module, depth)
     table_h = semiinf_cohomology(sub, module, depth)
     table_g = semiinf_cohomology(alg, induced, depth)

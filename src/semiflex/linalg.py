@@ -12,9 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from ._kernels import BACKEND, row_echelon_int
+from ._kernels import row_echelon_int
 
-__all__ = ["SparseMatrix", "BACKEND", "solve_in_span"]
+__all__ = ["SparseMatrix", "solve_in_span"]
 
 
 class SparseMatrix:

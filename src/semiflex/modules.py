@@ -582,11 +582,10 @@ def ce_cohomology(npart, module: WeightModule, depth: int, weights=None) -> Coho
                             if c is not None:
                                 mat.add(r, c, (-1) ** (i + j) * cf * sgn)
             mats[n] = mat
+        ranks = {n: mat.rank() for n, mat in mats.items()}
         for n in range(0, n_top + 1):
-            rank_n = mats[n].rank()
-            rank_prev = mats[n - 1].rank() if n - 1 in mats else 0
             cdim = len(bases[n])
-            table.set(w, n, cdim - rank_n - rank_prev, cdim)
+            table.set(w, n, cdim - ranks[n] - ranks.get(n - 1, 0), cdim)
     return table
 
 
@@ -660,11 +659,10 @@ def ce_homology(negpart, module: WeightModule, depth: int, weights=None) -> Coho
                             if rdx is not None:
                                 mat.add(rdx, c, (-1) ** (i + j + 1) * cf * sgn)
             mats[n] = mat
+        ranks = {n: mat.rank() for n, mat in mats.items()}
         for n in range(0, n_top + 1):
             cdim = len(bases[n])
-            rank_in = mats[n + 1].rank() if n + 1 in mats else 0
-            rank_out = mats[n].rank() if n in mats else 0
-            table.set(w, n, cdim - rank_in - rank_out, cdim)
+            table.set(w, n, cdim - ranks[n + 1] - ranks.get(n, 0), cdim)
     return table
 
 

@@ -10,6 +10,8 @@ import csv
 import json
 from fractions import Fraction
 
+from .liealg import WindowError
+
 
 def character_rows(alg, char):
     rows = []
@@ -61,8 +63,8 @@ def dump_module_jsonl(path, module, gen_window):
             for z in gens:
                 try:
                     mat = module.action(z, w)
-                except Exception:
-                    continue
+                except WindowError:
+                    continue  # the target weight lies beyond the module's depth
                 entries = [
                     [r, c, f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else str(v)]
                     for r, row in enumerate(mat.rows)

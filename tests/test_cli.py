@@ -5,8 +5,11 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from semiflex.cli import InputError, JobSpec, main, parse_job, run_job
+from semiflex import cli, output
+from semiflex.cli import JobSpec, main, run_job
+from semiflex.induction import InductionError
 from semiflex.liealg import build_affine_sl2, dump_algebra
+from semiflex.modules import WeightModule
 
 
 @pytest.fixture()
@@ -14,44 +17,61 @@ def runner():
     return CliRunner()
 
 
-def test_parse_job_wakimoto_defaults():
-    spec = parse_job(["wakimoto", "--lambda", "h=0,K=1,d=0", "--depth", "4", "--out", "w.csv"])
+@pytest.fixture()
+def built_specs(monkeypatch):
+    """JobSpecs the click commands build, captured instead of run."""
+    specs = []
+
+    def capture(spec):
+        specs.append(spec)
+        return 0
+
+    monkeypatch.setattr(cli, "run_job", capture)
+    return specs
+
+
+def test_parse_job_wakimoto_defaults(runner, built_specs):
+    res = runner.invoke(main, ["wakimoto", "--lambda", "h=0,K=1,d=0", "--depth", "4", "--out", "w.csv"])
+    assert res.exit_code == 0, res.output
+    (spec,) = built_specs
     assert spec.command == "wakimoto"
     assert spec.depth == 4
     assert spec.out == "w.csv"
     assert spec.lam["K"] == 1 and spec.lam["1⊗h"] == 0
 
 
-def test_parse_job_shapiro():
-    spec = parse_job(["verify-shapiro", "--algebra", "a", "--sub", "loop-nminus", "--depth", "3"])
+def test_parse_job_shapiro(runner, built_specs):
+    res = runner.invoke(main, ["verify-shapiro", "--algebra", "a", "--sub", "loop-nminus", "--depth", "3"])
+    assert res.exit_code == 0, res.output
+    (spec,) = built_specs
     assert spec.command == "verify-shapiro"
     assert spec.sub == "loop-nminus"
     assert spec.depth == 3
 
 
-def test_parse_job_defaults_lambda_with_warning(capsys):
-    spec = parse_job(["wakimoto"])
+def test_parse_job_defaults_lambda_with_warning(runner, built_specs):
+    res = runner.invoke(main, ["wakimoto"])
+    assert res.exit_code == 0, res.output
+    (spec,) = built_specs
     assert spec.lam["K"] == 1  # documented default
     assert spec.depth == 4
+    assert "warning: no --lambda given" in res.stderr
 
 
-def test_parse_job_rejects_unknown():
-    with pytest.raises(InputError):
-        parse_job(["frobnicate"])
-    with pytest.raises(InputError):
-        parse_job(["wakimoto", "--no-such-flag", "1"])
+def test_parse_job_rejects_unknown(runner):
+    assert runner.invoke(main, ["frobnicate"]).exit_code == 2
+    assert runner.invoke(main, ["wakimoto", "--no-such-flag", "1"]).exit_code == 2
 
 
-def test_parse_job_rejects_bad_lambda():
-    with pytest.raises(InputError):
-        parse_job(["wakimoto", "--lambda", "h=zero"])
-    with pytest.raises(InputError):
-        parse_job(["wakimoto", "--lambda", "q=1"])
+def test_parse_job_rejects_bad_lambda(runner):
+    assert runner.invoke(main, ["wakimoto", "--lambda", "h=zero"]).exit_code == 2
+    assert runner.invoke(main, ["wakimoto", "--lambda", "q=1"]).exit_code == 2
 
 
-def test_parse_job_rejects_bad_depth():
-    with pytest.raises(InputError):
-        parse_job(["wakimoto", "--depth", "0"])
+def test_parse_job_rejects_bad_depth(runner):
+    res = runner.invoke(main, ["wakimoto", "--depth", "0"])
+    assert res.exit_code == 2
+    assert "depth must be positive" in res.stderr
 
 
 def test_wakimoto_csv_spot_value(runner, tmp_path):
@@ -163,6 +183,15 @@ def test_dump_flags(runner, tmp_path):
     assert res2.exit_code == 0, res2.output
     lines = [json.loads(line) for line in fdump.read_text().strip().splitlines()]
     assert all({"weight", "ghost", "basis"} <= set(e) for e in lines)
+
+
+def test_dump_raises_construction_errors(sl2, tmp_path):
+    def rule(eid, w):
+        raise InductionError("action escaped")
+
+    broken = WeightModule(sl2, "broken", {(0, 0): ["v"]}, rule, 2)
+    with pytest.raises(InductionError):
+        output.dump_module_jsonl(tmp_path / "m.jsonl", broken, (-2, 2))
 
 
 def test_cache_dir_round_trip(runner, tmp_path, monkeypatch):

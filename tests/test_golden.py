@@ -1,0 +1,78 @@
+"""Golden outputs: CLI jobs and one module dump compared byte for byte with
+the fixtures in tests/golden/.
+
+Regenerate the fixtures (only from a commit whose outputs are trusted) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import os
+import sys
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from semiflex import output
+from semiflex.cli import main
+from semiflex.induction import s_ind
+from semiflex.liealg import load_algebra, subalgebra
+from semiflex.modules import trivial_module
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# (command line, files it writes); file names are relative to the job's cwd
+JOBS = [
+    (["semiinf-cohomology", "--algebra", "a", "--module", "us", "--depth", "4", "--jobs", "1", "--out", "semiinf_us.csv"], ["semiinf_us.csv"]),
+    (["semiinf-cohomology", "--algebra", "a", "--module", "wakimoto", "--depth", "4", "--jobs", "1", "--out", "semiinf_wakimoto.csv"], ["semiinf_wakimoto.csv"]),
+    (["wakimoto", "--lambda", "h=1/2,K=1,d=0", "--depth", "4", "--out", "wakimoto.csv", "--dump", "wakimoto.jsonl"], ["wakimoto.csv", "wakimoto.jsonl"]),
+    (["verify-univ", "--algebra", "a", "--module", "induced", "--depth", "3", "--out", "verify_univ.json"], ["verify_univ.json"]),
+    (["verify-us", "--algebra", "a", "--depth", "3", "--out", "verify_us.json"], ["verify_us.json"]),
+    (["verify-shapiro", "--algebra", "a", "--depth", "3", "--out", "verify_shapiro.json"], ["verify_shapiro.json"]),
+    (["character", "--module", "verma", "--depth", "6", "--out", "character_verma.csv"], ["character_verma.csv"]),
+    (["lie-cohomology", "--depth", "4", "--out", "lie_cohomology.csv"], ["lie_cohomology.csv"]),
+]
+
+S_IND_DUMP = "s_ind_loop_nminus.jsonl"
+
+
+def run_cli(argv, cwd):
+    """Run one CLI job with ``cwd`` as working directory; returns its exit code."""
+    here = os.getcwd()
+    os.chdir(cwd)
+    try:
+        return CliRunner().invoke(main, argv).exit_code
+    finally:
+        os.chdir(here)
+
+
+def dump_s_ind(path):
+    """Basis and action matrices of S-ind from loop-nminus of the trivial module."""
+    a = load_algebra("subalgebra_a")
+    module = s_ind(a, subalgebra(a, "loop-nminus"), trivial_module(a, 6), 6)
+    output.dump_module_jsonl(path, module, (-6, 6))
+
+
+@pytest.mark.parametrize("argv,files", JOBS, ids=[f[0] for _a, f in JOBS])
+def test_cli_job_matches_golden(argv, files, tmp_path):
+    assert run_cli(argv, tmp_path) == 0
+    for name in files:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def test_s_ind_dump_matches_golden(tmp_path):
+    dump_s_ind(tmp_path / S_IND_DUMP)
+    assert (tmp_path / S_IND_DUMP).read_bytes() == (GOLDEN / S_IND_DUMP).read_bytes()
+
+
+def regenerate(dest=GOLDEN):
+    dest.mkdir(parents=True, exist_ok=True)
+    for argv, _files in JOBS:
+        code = run_cli(argv, dest)
+        if code != 0:
+            sys.exit(f"{' '.join(argv)} exited {code}")
+    dump_s_ind(dest / S_IND_DUMP)
+
+
+if __name__ == "__main__":
+    regenerate()
