@@ -327,19 +327,22 @@ def _with_cache(alg, spec: JobSpec):
         try:
             with open(path, "rb") as fh:
                 stored = pickle.load(fh)
+            if not isinstance(stored, dict):
+                raise pickle.UnpicklingError(f"holds a {type(stored).__name__}, not a memo cache")
+        except (OSError, EOFError, pickle.UnpicklingError) as exc:
+            click.echo(f"warning: ignoring unreadable memo cache {path}: {exc}", err=True)
+        else:
             labels = stored.get("labels", [])
             if labels == alg.labels[: len(labels)]:
                 alg._memos.update(stored.get("memos", {}))
-        except Exception:
-            pass
     import atexit
 
     def save():
         try:
             with open(path, "wb") as fh:
                 pickle.dump({"labels": list(alg.labels), "memos": alg._memos}, fh)
-        except Exception:
-            pass
+        except (OSError, pickle.PicklingError) as exc:
+            click.echo(f"warning: could not write memo cache {path}: {exc}", err=True)
 
     atexit.register(save)
 

@@ -7,6 +7,9 @@ basis ids wedged in, removed a sorted tuple of nonpositive-degree ids
 deleted from the tail.  Slots are ordered by descending canonical key (the
 added part on top, then the whole nonpositive part of the algebra); moving
 an operator past k occupied slots costs (-1)^k, which fixes every sign.
+The monomials of each ell(mu) come from a per-(algebra, ell) index, built
+once from the budgeted subset enumerator the Chevalley-Eilenberg complexes
+share.
 
 The differential has two terms.  The single-slot term removes an occupied
 slot y with its position sign and applies the module action of y plus, for
@@ -28,7 +31,7 @@ from fractions import Fraction
 
 from .liealg import WindowError, wt_add, wt_sub, wt_zero
 from .linalg import SparseMatrix
-from .modules import CohomologyTable
+from .modules import CohomologyTable, _subsets_by_weight
 
 __all__ = [
     "vacuum",
@@ -179,50 +182,57 @@ def contract_element(alg, x, form: dict) -> dict:
     return out
 
 
-def _subsets_exact(alg, elems):
-    """{(weight, count): [sorted id tuples]} over subsets of distinct elems."""
-    table: dict = {}
-    elems = sorted(elems, key=alg.key)
-    n = len(elems)
+def _forms_at(alg, ell: int) -> dict:
+    """{mu: {n: sorted monomials}} for every relative weight mu with
+    ell(mu) == ell, built once per algebra and ell under the algebra's lock
+    (the --jobs pool threads share it) and read-only afterwards."""
+    index = alg._form_index
+    got = index.get(ell)
+    if got is None:
+        with alg._form_lock:
+            got = index.get(ell)
+            if got is None:
+                got = index[ell] = _build_forms(alg, ell)
+    return got
 
-    def rec(idx, acc, w):
-        table.setdefault((w, len(acc)), []).append(tuple(sorted(acc)))
-        if idx >= n:
-            return
-        for nxt in range(idx, n):
-            acc.append(elems[nxt])
-            rec(nxt + 1, acc, wt_add(w, alg.weight(elems[nxt])))
-            acc.pop()
 
-    rec(0, [], wt_zero(alg.rank))
-    return table
+def _build_forms(alg, ell: int) -> dict:
+    """ell(mu) = total degree of the added part + total |degree| of the
+    removed part, so both subset tables are exact under the budget ell
+    (degree-0 removals are free).  The enumerator returns tuples in key
+    order; monomials keep their parts sorted by id, as _insert does."""
+    alg.ensure_window(-ell - 1, ell + 1)
+    pos = _subsets_by_weight(alg, alg.elements_in_degrees(1, ell), ell)
+    neg = _subsets_by_weight(alg, alg.elements_in_degrees(-ell, 0), ell)
+    rems_by_ell: dict = {}
+    for wr, rems in neg.items():
+        rems_by_ell.setdefault(alg.ell(wr), []).append((wr, [tuple(sorted(r)) for r in rems]))
+    out: dict = {}
+    for wa, adds in pos.items():
+        adds = [tuple(sorted(a)) for a in adds]
+        for wr, rems in rems_by_ell.get(alg.ell(wa) - ell, ()):
+            cells = out.setdefault(wt_sub(wa, wr), {})
+            for a in adds:
+                for r in rems:
+                    cells.setdefault(len(a) - len(r), []).append((a, r))
+    for cells in out.values():
+        for monos in cells.values():
+            monos.sort()
+    return out
 
 
 def enumerate_forms(alg, mu, n: int) -> list:
-    """All monomials of relative weight mu and ghost degree n.
+    """All monomials of relative weight mu and ghost degree n, sorted.
 
     Finite: added subsets satisfy ell >= |added|, removed subsets live in
-    degrees [-ell(mu), 0].  Requires the window [-ell(mu), ell(mu)].
+    degrees [-ell(mu), 0].  Read from the per-ell index (which extends the
+    window to [-ell(mu) - 1, ell(mu) + 1] when first built); the list is
+    the caller's own.
     """
     ell = alg.ell(mu)
     if ell < 0:
         return []
-    alg.ensure_window(-ell - 1, ell + 1)
-    pos = alg.elements_in_degrees(1, ell) if ell >= 1 else []
-    neg = alg.elements_in_degrees(-ell, 0)
-    pos_subs = _subsets_exact(alg, pos)
-    neg_subs = _subsets_exact(alg, neg)
-    out = []
-    for (wa, ca), adds in pos_subs.items():
-        for (wr, cr), rems in neg_subs.items():
-            if ca - cr != n:
-                continue
-            if wt_sub(wa, wr) != tuple(mu):
-                continue
-            for a in adds:
-                for r in rems:
-                    out.append((a, r))
-    return sorted(out)
+    return list(_forms_at(alg, ell).get(tuple(mu), {}).get(n, ()))
 
 
 # -- the standard complex ------------------------------------------------------------
@@ -268,14 +278,11 @@ class SemiInfComplex:
         return got
 
     def ghost_range(self):
-        ns = [n for n in range(-self._max_removals() - 1, self.lmax + 2) if self.basis(n)]
-        return ns
-
-    def _max_removals(self) -> int:
-        count = 0
-        for d in range(-self.lmax, 1):
-            count += len(self.alg.elements_of_degree(d))
-        return count
+        """Ghost degrees with a nonempty basis, in increasing order."""
+        ns = set()
+        for mu in self._mus:
+            ns.update(_forms_at(self.alg, self.alg.ell(mu)).get(mu, ()))
+        return sorted(ns)
 
     def matrix(self, n: int) -> SparseMatrix:
         """The differential C^n_w -> C^{n+1}_w."""
@@ -424,14 +431,7 @@ def semiinf_cohomology(alg, module, depth: int, weights=None, check_square=True)
 
 def _active_weights(alg, module, depth: int):
     alg.ensure_window(-depth - 1, depth + 1)
-    pos = alg.elements_in_degrees(1, depth) if depth >= 1 else []
-    neg = alg.elements_in_degrees(-depth, 0)
-    mus = set()
-    for (wa, _), _subs in _subsets_exact(alg, pos).items():
-        for (wr, _), _s2 in _subsets_exact(alg, neg).items():
-            mu = wt_sub(wa, wr)
-            if 0 <= alg.ell(mu) <= depth:
-                mus.add(mu)
+    mus = [mu for ell in range(depth + 1) for mu in _forms_at(alg, ell)]
     out = set()
     for nu in module.weights:
         for mu in mus:

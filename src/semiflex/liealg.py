@@ -14,6 +14,7 @@ test algebra, and the loop-nilpotent subalgebra "a" of affine sl2.
 from __future__ import annotations
 
 import json
+import threading
 from fractions import Fraction
 
 Weight = tuple  # integer coordinate tuples
@@ -72,6 +73,9 @@ class GradedLieAlgebra:
         self._win_lo = 0
         self._win_hi = -1  # empty window
         self._memos: dict = {}
+        # semi-infinite form monomials per ell, built once (see forms._forms_at)
+        self._form_index: dict = {}
+        self._form_lock = threading.Lock()
 
     # -- materialization ---------------------------------------------------
 
@@ -416,6 +420,8 @@ class SubalgebraSpec:
         self.rank = parent.rank
         self.degree_functional = parent.degree_functional
         self._member = member
+        self._form_index: dict = {}
+        self._form_lock = threading.Lock()
 
     def is_member(self, eid: int) -> bool:
         return self._member(eid)

@@ -485,8 +485,9 @@ class CohomologyTable:
 
 
 def _subsets_by_weight(alg, elems, max_ell, predicate=None):
-    """{weight: [sorted id-tuples]} of subsets of distinct elements with
-    |ell(weight)| <= max_ell; elems must be strictly one-signed in degree."""
+    """{weight: [key-sorted id-tuples]} of subsets of distinct elements with
+    |ell(weight)| <= max_ell; elems must be one-signed in degree (degree-0
+    elements cost nothing against the budget)."""
     elems = sorted(elems, key=alg.key)
     table: dict = {wt_zero(alg.rank): [()]}
 

@@ -1,6 +1,8 @@
 """The command-line driver: parsing, outputs, exit codes, determinism."""
 
 import json
+import pickle
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -209,3 +211,28 @@ def test_cache_dir_round_trip(runner, tmp_path, monkeypatch):
     res2 = runner.invoke(main, ["semiinf-cohomology", "--algebra", "a", "--module", "us", "--depth", "2", "--out", str(out2)])
     assert res2.exit_code == 0, res2.output
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("content", [b"garbage", pickle.dumps([1, 2])], ids=["garbage", "list"])
+def test_corrupt_cache_warns_and_is_ignored(content, runner, tmp_path, monkeypatch, capsys):
+    import atexit
+
+    argv = ["semiinf-cohomology", "--algebra", "a", "--module", "us", "--depth", "2", "--out"]
+    plain = tmp_path / "plain.csv"
+    assert runner.invoke(main, argv + [str(plain)]).exit_code == 0
+    monkeypatch.setenv("SEMIFLEX_CACHE_DIR", str(tmp_path / "cache"))
+    pkl = Path(cli._cache_path(cli._load_algebra("a")))
+    pkl.write_bytes(content)
+    saves = []
+    monkeypatch.setattr(atexit, "register", saves.append)
+    cached = tmp_path / "cached.csv"
+    res = runner.invoke(main, argv + [str(cached)])
+    assert res.exit_code == 0, res.output
+    assert f"warning: ignoring unreadable memo cache {pkl}: " in res.stderr
+    assert cached.read_bytes() == plain.read_bytes()
+    # a save that cannot write warns instead of failing silently
+    pkl.unlink()
+    pkl.mkdir()
+    (save,) = saves
+    save()
+    assert f"warning: could not write memo cache {pkl}: " in capsys.readouterr().err

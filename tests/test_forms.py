@@ -2,6 +2,10 @@
 and the semi-invariants functor."""
 
 import random
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -20,7 +24,7 @@ from semiflex.forms import (
     wedge_element,
 )
 from semiflex.induction import universal_semijective, wakimoto
-from semiflex.liealg import build_affine_sl2, load_algebra, subalgebra
+from semiflex.liealg import build_affine_sl2, build_test_algebra, load_algebra, subalgebra, wt_add, wt_sub, wt_zero
 from semiflex.modules import direct_sum, trivial_module, verma
 
 
@@ -81,6 +85,97 @@ def test_enumerate_forms_includes_degree_zero_removals(sl2):
     monos = enumerate_forms(sl2, (0, 0), -1)
     labels = {tuple(sl2.label(e) for e in rem) for (_a, rem) in monos}
     assert ("1⊗h",) in labels and ("K",) in labels and ("d",) in labels
+
+
+def _subsets_exact(alg, elems):
+    """Oracle: {(weight, count): [sorted id tuples]} over all subsets of elems."""
+    table: dict = {}
+    elems = sorted(elems, key=alg.key)
+    n = len(elems)
+
+    def rec(idx, acc, w):
+        table.setdefault((w, len(acc)), []).append(tuple(sorted(acc)))
+        if idx >= n:
+            return
+        for nxt in range(idx, n):
+            acc.append(elems[nxt])
+            rec(nxt + 1, acc, wt_add(w, alg.weight(elems[nxt])))
+            acc.pop()
+
+    rec(0, [], wt_zero(alg.rank))
+    return table
+
+
+def _oracle_forms(alg, ell):
+    """Oracle: {(mu, n): sorted monomials} over ell(mu) == ell, paired from
+    the unbudgeted subset tables of degrees [1, ell] and [-ell, 0]."""
+    pos = alg.elements_in_degrees(1, ell)
+    neg = alg.elements_in_degrees(-ell, 0)
+    out: dict = {}
+    for (wa, ca), adds in _subsets_exact(alg, pos).items():
+        for (wr, cr), rems in _subsets_exact(alg, neg).items():
+            mu = wt_sub(wa, wr)
+            if alg.ell(mu) == ell:
+                out.setdefault((mu, ca - cr), []).extend((a, r) for a in adds for r in rems)
+    return {cell: sorted(monos) for cell, monos in out.items()}
+
+
+@pytest.mark.parametrize("name,max_ell", [("abelian", 6), ("sl2", 4), ("loop_a", 9)])
+def test_enumerate_forms_matches_unbudgeted_oracle(request, name, max_ell):
+    alg = request.getfixturevalue(name)
+    cells = 0
+    for ell in range(max_ell + 1):
+        oracle = _oracle_forms(alg, ell)
+        cells += len(oracle)
+        removable = len(alg.elements_in_degrees(-ell, 0))
+        for mu in sorted({mu for mu, _n in oracle}):
+            for n in range(-removable - 1, ell + 2):
+                assert enumerate_forms(alg, mu, n) == oracle.get((mu, n), []), (mu, n)
+    assert cells > 0
+
+
+def test_enumerate_forms_returns_a_fresh_list(loop_a):
+    mu, n = (-1, 2), 1
+    first = enumerate_forms(loop_a, mu, n)
+    assert first
+    expected = list(first)
+    first.clear()
+    assert enumerate_forms(loop_a, mu, n) == expected
+
+
+def test_form_index_built_once_per_ell_across_threads(monkeypatch):
+    """Threads racing on a fresh algebra share one build per ell."""
+    from semiflex import forms
+
+    calls = []
+    real = forms._subsets_by_weight
+
+    def counting(alg, elems, max_ell, predicate=None):
+        calls.append(max_ell)
+        time.sleep(0.002)  # widen the window for a second build
+        return real(alg, elems, max_ell, predicate)
+
+    monkeypatch.setattr(forms, "_subsets_by_weight", counting)
+    alg = build_test_algebra("loop-nilpotent-a")
+    cells = [((-1, k), n) for k in range(1, 5) for n in range(-3, 4)]
+    barrier = threading.Barrier(4, timeout=30)
+
+    def touch(_i):
+        barrier.wait()
+        return [enumerate_forms(alg, mu, n) for mu, n in cells]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(touch, range(4), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r == results[0] for r in results)
+    assert any(results[0])
+    # one build per ell = one positive plus one nonpositive subset table
+    ells = sorted({alg.ell(mu) for mu, _n in cells})
+    assert sorted(calls) == sorted(2 * ells)
 
 
 def test_abelian_trivial_differential_vanishes(abelian):
@@ -165,6 +260,8 @@ def test_d_squared_zero_affine_sl2_wakimoto(sl2, lam01):
     for w in sorted(_active_weights(sl2, W, 3)):
         cx = SemiInfComplex(sl2, W, w)
         ns = cx.ghost_range()
+        removable = len(sl2.elements_in_degrees(-cx.lmax, 0))
+        assert ns == [n for n in range(-removable - 1, cx.lmax + 2) if cx.basis(n)]
         if not ns:
             continue
         for n in range(min(ns) - 1, max(ns)):

@@ -1,5 +1,6 @@
 """Golden outputs: CLI jobs and one module dump compared byte for byte with
-the fixtures in tests/golden/.
+the fixtures in tests/golden/, and the benchmark's US(a) depth-9 job with
+perfbench/golden/uscoh_cli.csv.
 
 Regenerate the fixtures (only from a commit whose outputs are trusted) with
 
@@ -20,6 +21,8 @@ from semiflex.liealg import load_algebra, subalgebra
 from semiflex.modules import trivial_module
 
 GOLDEN = Path(__file__).parent / "golden"
+# read-only: owned by the benchmark, regenerated only with it
+BENCH_GOLDEN = Path(__file__).parent.parent / "perfbench" / "golden" / "uscoh_cli.csv"
 
 # (command line, files it writes); file names are relative to the job's cwd
 JOBS = [
@@ -58,6 +61,14 @@ def test_cli_job_matches_golden(argv, files, tmp_path):
     assert run_cli(argv, tmp_path) == 0
     for name in files:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_us_cohomology_depth_9_matches_benchmark_answer(jobs, tmp_path):
+    """The benchmark's uscoh_cli job, serial and pooled, against its golden CSV."""
+    argv = ["semiinf-cohomology", "--algebra", "a", "--module", "us", "--depth", "9", "--jobs", jobs, "--out", "us9.csv"]
+    assert run_cli(argv, tmp_path) == 0
+    assert (tmp_path / "us9.csv").read_bytes() == BENCH_GOLDEN.read_bytes()
 
 
 def test_s_ind_dump_matches_golden(tmp_path):
