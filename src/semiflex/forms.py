@@ -48,16 +48,13 @@ VACUUM = ((), ())
 
 
 class AnomalyError(Exception):
-    """d^2 != 0: the (algebra, beta, module) triple is not consistent."""
+    """The (algebra, beta, module) triple is not consistent at one (weight,
+    ghost) cell: d^2 != 0 there, or a charged degree-0 slot of nonzero weight."""
 
-    def __init__(self, weight, ghost, residual):
+    def __init__(self, weight, ghost, problem):
         self.weight = weight
         self.ghost = ghost
-        self.residual = residual
-        super().__init__(
-            f"differential does not square to zero at weight {weight}, ghost {ghost} "
-            f"(residual has {residual.nnz} nonzero entries)"
-        )
+        super().__init__(f"{problem} at weight {weight}, ghost {ghost}")
 
 
 def vacuum(alg=None):
@@ -318,7 +315,9 @@ class SemiInfComplex:
                         charge += alg.bracket_ids(y, rem).get(rem, Fraction(0))
                     if charge:
                         if alg.weight(y) != wt_zero(alg.rank):
-                            raise AnomalyError(w, n, SparseMatrix(0, 0))
+                            raise AnomalyError(
+                                w, n, f"degree-0 slot {alg.label(y)} of nonzero weight {alg.weight(y)} carries charge {charge}"
+                            )
                         for b, r in brs:
                             c = cols.get((sub, mu, b))
                             if c is not None:
@@ -421,7 +420,7 @@ def semiinf_cohomology(alg, module, depth: int, weights=None, check_square=True)
             for n in range(min(ns) - 1, max(ns)):
                 comp = mats[n + 1].matmul(mats[n])
                 if not comp.is_zero():
-                    raise AnomalyError(w, n, comp)
+                    raise AnomalyError(w, n, f"differential does not square to zero (residual has {comp.nnz} nonzero entries)")
         ranks = {n: mat.rank() for n, mat in mats.items()}
         for n in ns:
             cdim = len(cx.basis(n))

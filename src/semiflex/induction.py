@@ -442,9 +442,10 @@ def _descended_module(alg, name, prefix, data, left, escaped, depth, lam=None) -
     """Descend a left action to per-weight subquotients.
 
     ``data[w]`` is (image basis, relation columns); ``left(z, w)`` acts on
-    the ambient coordinates.  Each image vector's image is solved for in
-    relations + target image, and its image coordinates form the matrix.
-    An image outside that span raises InductionError("<escaped> <w>").
+    the ambient coordinates.  The images of all image vectors are solved for
+    in relations + target image in one batched solve, and their image
+    coordinates form the matrix.  Any image outside that span raises
+    InductionError("<escaped> <w>").
     """
 
     def rule(z, w):
@@ -456,13 +457,11 @@ def _descended_module(alg, name, prefix, data, left, escaped, depth, lam=None) -
         if not image or not t_image:
             return mat
         lz = left(z, w)
-        span = list(t_rels) + list(t_image)
-        for ci, vec in enumerate(image):
-            coords = solve_in_span(span, lz.apply(list(vec)))
-            if coords is None:
-                raise InductionError(f"{escaped} {w}")
-            for r in range(len(t_image)):
-                v = coords[len(t_rels) + r]
+        solved = solve_in_span(list(t_rels) + list(t_image), [lz.apply(list(vec)) for vec in image])
+        if solved is None:
+            raise InductionError(f"{escaped} {w}")
+        for ci, coords in enumerate(solved):
+            for r, v in enumerate(coords[len(t_rels):]):
                 if v:
                     mat.add(r, ci, v)
         return mat

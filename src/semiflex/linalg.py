@@ -1,10 +1,11 @@
 """Exact sparse rational linear algebra.
 
-Matrices are sparse dict-of-column rows over fractions.Fraction.  Rank and
-echelon forms go through the fraction-free integer kernel (semiflex._kernels)
-after clearing denominators row by row; row scaling changes neither the rank,
-the right kernel, nor column dependencies, so every derived quantity stays
-exact.
+Matrices are sparse dict-of-column rows over fractions.Fraction.  Rank,
+echelon forms, kernels and span solves all go through the fraction-free
+integer kernel (semiflex._kernels) after clearing denominators row by row;
+row scaling changes neither the rank, the right kernel, nor column
+dependencies, so every derived quantity stays exact.  Kernels and span
+solves share one back-substitution on the integer echelon form.
 """
 
 from __future__ import annotations
@@ -139,24 +140,7 @@ class SparseMatrix:
         rows = self._int_rows()
         rank, pivots = row_echelon_int(rows, n)
         pivset = set(pivots)
-        basis = []
-        for free in range(n):
-            if free in pivset:
-                continue
-            x = [Fraction(0)] * n
-            x[free] = Fraction(1)
-            for r in range(rank - 1, -1, -1):
-                p = pivots[r]
-                if p > free:
-                    continue
-                s = Fraction(0)
-                row = rows[r]
-                for j in range(p + 1, free + 1):
-                    if row[j] and x[j]:
-                        s += Fraction(row[j]) * x[j]
-                x[p] = -s / row[p]
-            basis.append(_primitive(x))
-        return basis
+        return [_primitive(_kernel_vector(rows, rank, pivots, free, n)) for free in range(n) if free not in pivset]
 
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
@@ -188,40 +172,43 @@ def _primitive(x):
     return tuple(Fraction(v) for v in ints)
 
 
-def solve_in_span(columns, target):
-    """Exact coordinates of ``target`` in the span of ``columns``.
-
-    ``columns`` is a list of equal-length coordinate tuples; returns a list
-    of Fractions c with sum(c_i * columns[i]) == target, or None if target
-    is outside the span.  Dense Gaussian elimination; intended for the small
-    per-weight solves.
-    """
-    m = len(target)
-    k = len(columns)
-    aug = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(m)]
-    piv_of_col = {}
-    r = 0
-    for c in range(k):
-        pr = None
-        for i in range(r, m):
-            if aug[i][c]:
-                pr = i
-                break
-        if pr is None:
+def _kernel_vector(rows, rank, pivots, free, n):
+    """The kernel vector of an integer echelon form (``row_echelon_int``
+    output) that is 1 in the free column ``free`` and 0 in the other free
+    columns; its pivot entries are back-substituted exactly."""
+    x = [Fraction(0)] * n
+    x[free] = Fraction(1)
+    for r in range(rank - 1, -1, -1):
+        p = pivots[r]
+        if p > free:
             continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [v / pv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        piv_of_col[c] = r
-        r += 1
-    for i in range(r, m):
-        if aug[i][k]:
-            return None
-    sol = [Fraction(0)] * k
-    for c, rr in piv_of_col.items():
-        sol[c] = aug[rr][k]
-    return sol
+        row = rows[r]
+        s = Fraction(0)
+        for j in range(p + 1, free + 1):
+            if row[j] and x[j]:
+                s += row[j] * x[j]
+        x[p] = -s / row[p]
+    return x
+
+
+def solve_in_span(columns, targets):
+    """Exact coordinates of each of ``targets`` in the span of ``columns``.
+
+    ``columns`` and ``targets`` are lists of equal-length coordinate vectors;
+    returns one list of Fractions c per target, with sum(c_i * columns[i]) ==
+    target, or None if any target is outside the span.  One integer echelon
+    of [columns | targets]: a target outside the span shows up as a pivot
+    past the span columns, and otherwise its coordinates are the negated
+    span part of the kernel vector for its column (0 on dependent columns).
+    """
+    k = len(columns)
+    vectors = list(columns) + list(targets)
+    if not vectors:
+        return []
+    n = len(vectors)
+    m = SparseMatrix.from_rows([{j: v[i] for j, v in enumerate(vectors)} for i in range(len(vectors[0]))], n)
+    rows = m._int_rows()
+    rank, pivots = row_echelon_int(rows, n)
+    if rank and pivots[-1] >= k:
+        return None
+    return [[-c for c in _kernel_vector(rows, rank, pivots, free, n)[:k]] for free in range(k, n)]

@@ -365,3 +365,23 @@ def test_finite_sl2_toy_wrong_beta_diagnosed():
     V = verma(toy, {"h": Fraction(3)}, 3)
     with pytest.raises(AnomalyError):
         semiinf_cohomology(toy, V, 3)
+
+
+def test_charged_slot_of_nonzero_weight_is_named():
+    """beta on a degree-0 slot of nonzero weight: the charge term cannot keep
+    the weight, and the error names the slot, not a d^2 residual."""
+    toy = load_algebra(
+        {
+            "grading": {"rank": 2, "degree_functional": [1, 0]},
+            "basis": [
+                {"label": "e", "weight": [1, 0], "index": 0},
+                {"label": "x", "weight": [0, 1], "index": 0},
+            ],
+            "brackets": [],
+            "beta": [{"label": "x", "num": 1}],
+        }
+    )
+    with pytest.raises(AnomalyError) as exc:
+        semiinf_cohomology(toy, trivial_module(toy, depth=2), 2)
+    assert (exc.value.weight, exc.value.ghost) == ((-1, 0), 0)
+    assert str(exc.value) == "degree-0 slot x of nonzero weight (0, 1) carries charge 1 at weight (-1, 0), ghost 0"

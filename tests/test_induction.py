@@ -8,6 +8,7 @@ import pytest
 from semiflex.forms import semiinf_cohomology
 from semiflex.induction import (
     InductionError,
+    _descended_module,
     bimodule_commutes,
     check_prop_iso,
     check_prop_iso1,
@@ -18,6 +19,7 @@ from semiflex.induction import (
     wakimoto,
 )
 from semiflex.liealg import load_algebra, subalgebra
+from semiflex.linalg import SparseMatrix
 from semiflex.modules import (
     ce_cohomology,
     character,
@@ -53,6 +55,31 @@ POS_HEIS = {
     "brackets": [{"i": 0, "j": 1, "terms": [{"k": 2, "num": 1}]}],
     "beta": [],
 }
+
+
+def test_descended_action_reads_image_coordinates_and_detects_escapes():
+    """A hand-built subquotient: relation (1,0,0,0) and image (1,1,0,0),
+    (0,0,1,0) at the target weight, so (0,0,0,1) lies outside."""
+    neg = load_algebra(NEG_HEIS)
+    a = neg.by_label("a")
+    src, tgt = (0, 0), (-1, 0)
+    data = {
+        src: ([(1, 0), (0, 1)], ()),
+        tgt: ([(1, 1, 0, 0), (0, 0, 1, 0)], [(1, 0, 0, 0)]),
+    }
+
+    def descend(images):
+        left = SparseMatrix.from_dense([list(col) for col in zip(*images)])
+        return _descended_module(neg, "toy", "t", data, lambda z, w: left, "escaped at", 2).action(a, src)
+
+    # e0 -> 1 rel + 2 img0, e1 -> 4 rel + 5 img1: only image coordinates land
+    mat = descend([(3, 2, 0, 0), (4, 0, 5, 0)])
+    assert [[mat.get(r, c) for c in range(2)] for r in range(2)] == [[2, 0], [0, 5]]
+    with pytest.raises(InductionError, match=r"escaped at \(0, 0\)"):
+        descend([(0, 0, 0, 1), (4, 0, 5, 0)])
+    # only the second target of the batch escapes
+    with pytest.raises(InductionError, match=r"escaped at \(0, 0\)"):
+        descend([(3, 2, 0, 0), (0, 0, 0, 7)])
 
 
 def test_us_requires_vanishing_degree_zero(sl2):

@@ -46,6 +46,8 @@ def random_matrix(rng, nrows, ncols, density=0.5):
 
 def test_echelon_matches_naive_oracle():
     rng = random.Random(20240817)
+    coeff_rng = random.Random(7)  # separate, so the matrices stay the same
+    deficient = outside = 0
     for trial in range(60):
         nrows = rng.randint(1, 8)
         ncols = rng.randint(1, 8)
@@ -59,8 +61,24 @@ def test_echelon_matches_naive_oracle():
             out = m.apply(list(v))
             assert all(x == 0 for x in out)
         # nullspaces span the same space: each oracle vector solvable in ours
-        for v in want_null:
-            assert solve_in_span([tuple(x) for x in null], tuple(v)) is not None
+        assert solve_in_span([tuple(x) for x in null], [tuple(v) for v in want_null]) is not None
+        # batched span solves: random combinations of the columns (dependent
+        # columns when rank-deficient) in one call, exact coordinates back
+        cols = [tuple(row[c] for row in dense) for c in range(ncols)]
+        combos = [[coeff_rng.randint(-3, 3) for _ in range(ncols)] for _ in range(3)]
+        targets = [tuple(sum(a * col[i] for a, col in zip(combo, cols)) for i in range(nrows)) for combo in combos]
+        solved = solve_in_span(cols, targets)
+        assert len(solved) == len(targets)
+        for coords, target in zip(solved, targets):
+            assert tuple(sum(c * col[i] for c, col in zip(coords, cols)) for i in range(nrows)) == target
+        deficient += want_rank < ncols
+        # a target that raises the oracle's rank is outside: the batch fails
+        for i in range(nrows):
+            unit = tuple(Fraction(int(r == i)) for r in range(nrows))
+            if naive_rank_nullspace([row + [unit[r]] for r, row in enumerate(dense)])[0] > want_rank:
+                assert solve_in_span(cols, targets + [unit]) is None
+                outside += 1
+    assert deficient and outside
 
 
 def test_pivot_columns_are_image_basis():
@@ -73,16 +91,14 @@ def test_pivot_columns_are_image_basis():
     piv = m.pivot_columns()
     assert m.rank() == len(piv) == 2
     cols = [tuple(Fraction(dense[r][c]) for r in range(3)) for c in piv]
-    for c in range(4):
-        target = tuple(Fraction(dense[r][c]) for r in range(3))
-        assert solve_in_span(cols, target) is not None
+    targets = [tuple(Fraction(dense[r][c]) for r in range(3)) for c in range(4)]
+    assert solve_in_span(cols, targets) is not None
 
 
 def test_solve_in_span_detects_outside():
     cols = [(Fraction(1), Fraction(0)), (Fraction(2), Fraction(0))]
-    assert solve_in_span(cols, (Fraction(0), Fraction(1))) is None
-    sol = solve_in_span(cols, (Fraction(3), Fraction(0)))
-    assert sol is not None
+    assert solve_in_span(cols, [(Fraction(0), Fraction(1))]) is None
+    (sol,) = solve_in_span(cols, [(Fraction(3), Fraction(0))])
     assert sol[0] * cols[0][0] + sol[1] * cols[1][0] == 3
 
 
