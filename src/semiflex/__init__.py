@@ -30,7 +30,6 @@ from .pbw import (
 )
 from .modules import (
     Character,
-    CohomologyTable,
     WeightModule,
     ce_cohomology,
     ce_homology,
@@ -46,6 +45,7 @@ from .modules import (
 )
 from .forms import (
     AnomalyError,
+    CohomologyTable,
     contract,
     differential,
     enumerate_forms,

@@ -7,6 +7,7 @@ Outputs are deterministic: identical jobs yield byte-identical files.
 
 from __future__ import annotations
 
+import atexit
 import json
 import os
 import pickle
@@ -18,18 +19,18 @@ from fractions import Fraction
 import click
 
 from . import output
-from .forms import AnomalyError, semiinf_cohomology
+from .forms import AnomalyError, CohomologyTable, _active_weights, semiinf_cohomology
 from .induction import (
     InductionError,
     check_prop_iso,
     check_prop_iso1,
     check_shapiro,
     check_universal_property,
+    universal_semijective,
     wakimoto,
 )
 from .liealg import AlgebraError, WindowError, check_jacobi, load_algebra, subalgebra
 from .modules import (
-    CohomologyTable,
     ce_cohomology,
     ce_homology,
     character,
@@ -42,6 +43,7 @@ from .pbw import InfiniteEnumerationError
 
 LAMBDA_KEYS = {"h": "1⊗h", "K": "K", "d": "d"}
 DEFAULT_LAMBDA = "h=0,K=1,d=0"
+A_ALIASES = ("a", "subalgebra_a", "loop-nilpotent-a")
 
 
 @dataclass
@@ -86,11 +88,25 @@ def parse_lambda(text: str, alg) -> dict:
 
 
 def _load_algebra(name: str):
-    aliases = {"a": "subalgebra_a", "loop-nilpotent-a": "subalgebra_a"}
     try:
-        return load_algebra(aliases.get(name, name))
+        return load_algebra("subalgebra_a" if name in A_ALIASES else name)
     except (OSError, json.JSONDecodeError, AlgebraError) as exc:
         raise InputError(f"cannot load algebra {name!r}: {exc}") from exc
+
+
+def _module_algebra(spec: JobSpec):
+    """Load the algebra the job's module is built on, with its memo cache.
+
+    The Wakimoto module always lives on affine sl2; ``--algebra`` then only
+    picks the complex (all of affine sl2, or its subalgebra a)."""
+    if spec.module != "wakimoto":
+        alg = _load_algebra(spec.algebra)
+    elif spec.algebra in ("affine_sl2",) + A_ALIASES:
+        alg = _load_algebra("affine_sl2")
+    else:
+        raise InputError(f"the Wakimoto module is built on affine_sl2; --algebra must be affine_sl2 or a, not {spec.algebra!r}")
+    _with_cache(alg, spec)
+    return alg
 
 
 def _build_module(alg, spec: JobSpec):
@@ -103,12 +119,9 @@ def _build_module(alg, spec: JobSpec):
     if kind == "trivial":
         return trivial_module(alg, depth=spec.depth)
     if kind == "us":
-        from .induction import universal_semijective
-
         return universal_semijective(alg, spec.depth).left_module()
     if kind == "wakimoto":
-        base = _load_algebra("affine_sl2")
-        return wakimoto(base, spec.lam or _default_lambda(base), spec.depth)
+        return wakimoto(alg, spec.lam or _default_lambda(alg), spec.depth)
     raise InputError(f"unknown module kind {kind!r}")
 
 
@@ -176,14 +189,11 @@ def _run(spec: JobSpec) -> int:
         return 0
 
     if spec.command == "character":
-        alg = _load_algebra(spec.algebra)
-        _with_cache(alg, spec)
+        alg = _module_algebra(spec)
         if spec.module == "product":
             char = product_formula_character(alg, spec.depth)
         else:
-            module = _build_module(alg, spec)
-            alg = module.alg
-            char = character(module, spec.depth)
+            char = character(_build_module(alg, spec), spec.depth)
         rows = output.character_rows(alg, char)
         _emit(spec, alg, rows)
         click.echo(f"character: {len(rows)} weights to depth {spec.depth}")
@@ -192,8 +202,7 @@ def _run(spec: JobSpec) -> int:
         return 0
 
     if spec.command == "lie-cohomology":
-        alg = _load_algebra(spec.algebra)
-        _with_cache(alg, spec)
+        alg = _module_algebra(spec)
         module = _build_module(alg, spec)
         if spec.which == "homology":
             part = subalgebra(alg, "g_below_zero")
@@ -206,22 +215,13 @@ def _run(spec: JobSpec) -> int:
         return 0
 
     if spec.command == "semiinf-cohomology":
-        alg = _load_algebra(spec.algebra)
-        _with_cache(alg, spec)
-        if spec.module == "wakimoto":
-            base = _load_algebra("affine_sl2")
-            module = wakimoto(base, spec.lam or _default_lambda(base), spec.depth)
-            if spec.algebra in ("a", "subalgebra_a", "loop-nilpotent-a"):
-                alg = subalgebra(base, "a")
-            else:
-                alg = base
-        else:
-            module = _build_module(alg, spec)
+        alg = _module_algebra(spec)
+        module = _build_module(alg, spec)
+        if spec.module == "wakimoto" and spec.algebra in A_ALIASES:
+            alg = subalgebra(alg, "a")
 
         def one(w):
             return semiinf_cohomology(alg, module, spec.depth, weights=[w])
-
-        from .forms import _active_weights
 
         weights = _active_weights(alg, module, spec.depth)
         table = _parallel_table(one, weights, jobs)
@@ -335,7 +335,6 @@ def _with_cache(alg, spec: JobSpec):
             labels = stored.get("labels", [])
             if labels == alg.labels[: len(labels)]:
                 alg._memos.update(stored.get("memos", {}))
-    import atexit
 
     def save():
         try:
@@ -356,12 +355,17 @@ def main():
 
 
 def _common(fn):
-    fn = click.option("--algebra", default="affine_sl2", show_default=True, help="builtin name or JSON path")(fn)
     fn = click.option("--depth", default=4, show_default=True, type=int)(fn)
-    fn = click.option("--out", default=None, type=click.Path(), help="write CSV/JSON-lines here")(fn)
-    fn = click.option("--format", "fmt", default="csv", type=click.Choice(["csv", "jsonl"]), show_default=True)(fn)
-    fn = click.option("--jobs", default=0, type=int, help="per-weight parallelism (default: cpu count)")(fn)
+    fn = click.option("--out", default=None, type=click.Path(), help="write the result here")(fn)
     return fn
+
+
+def _algebra_option(fn):
+    return click.option("--algebra", default="affine_sl2", show_default=True, help="builtin name or JSON path")(fn)
+
+
+def _format_option(fn):
+    return click.option("--format", "fmt", default="csv", type=click.Choice(["csv", "jsonl"]), show_default=True)(fn)
 
 
 def _lambda_option(fn):
@@ -378,11 +382,13 @@ def algebra_check(algebra, window):
 
 @main.command("character")
 @_common
+@_algebra_option
+@_format_option
 @_lambda_option
 @click.option("--module", default="verma", type=click.Choice(["verma", "coverma", "wakimoto", "product"]), show_default=True)
-def character_cmd(algebra, depth, out, fmt, jobs, lam_text, module):
+def character_cmd(depth, out, algebra, fmt, lam_text, module):
     """Formal character of a highest-weight module (or the product formula)."""
-    spec = JobSpec("character", algebra=algebra, depth=depth, out=out, fmt=fmt, jobs=jobs, module=module)
+    spec = JobSpec("character", algebra=algebra, depth=depth, out=out, fmt=fmt, module=module)
     try:
         base = _load_algebra("affine_sl2" if module in ("wakimoto",) else algebra)
         spec.lam = parse_lambda(lam_text or DEFAULT_LAMBDA, base) if base.name == "affine_sl2" else parse_lambda(lam_text, base)
@@ -394,14 +400,16 @@ def character_cmd(algebra, depth, out, fmt, jobs, lam_text, module):
 
 @main.command("lie-cohomology")
 @_common
+@_algebra_option
+@_format_option
 @_lambda_option
 @click.option("--which", default="cohomology", type=click.Choice(["cohomology", "homology"]), show_default=True)
 @click.option("--module", default=None, type=click.Choice(["verma", "coverma", "trivial"]))
-def lie_cohomology(algebra, depth, out, fmt, jobs, lam_text, which, module):
+def lie_cohomology(depth, out, algebra, fmt, lam_text, which, module):
     """Classical Lie algebra (co)homology of the positive/negative part."""
     if module is None:
         module = "coverma" if which == "cohomology" else "verma"
-    spec = JobSpec("lie-cohomology", algebra=algebra, depth=depth, out=out, fmt=fmt, jobs=jobs, which=which, module=module)
+    spec = JobSpec("lie-cohomology", algebra=algebra, depth=depth, out=out, fmt=fmt, which=which, module=module)
     try:
         base = _load_algebra(algebra)
         spec.lam = parse_lambda(lam_text or (DEFAULT_LAMBDA if base.name == "affine_sl2" else ""), base)
@@ -413,10 +421,13 @@ def lie_cohomology(algebra, depth, out, fmt, jobs, lam_text, which, module):
 
 @main.command("semiinf-cohomology")
 @_common
+@_algebra_option
+@_format_option
+@click.option("--jobs", default=0, type=int, help="per-weight parallelism (default: cpu count)")
 @_lambda_option
 @click.option("--module", default="trivial", type=click.Choice(["trivial", "verma", "coverma", "us", "wakimoto"]), show_default=True)
 @click.option("--dump", default=None, type=click.Path(), help="basis dump (JSON-lines)")
-def semiinf_cohomology_cmd(algebra, depth, out, fmt, jobs, lam_text, module, dump):
+def semiinf_cohomology_cmd(depth, out, algebra, fmt, jobs, lam_text, module, dump):
     """Semi-infinite cohomology table per (weight, ghost degree)."""
     spec = JobSpec("semiinf-cohomology", algebra=algebra, depth=depth, out=out, fmt=fmt, jobs=jobs, module=module, dump=dump)
     try:
@@ -432,11 +443,12 @@ def semiinf_cohomology_cmd(algebra, depth, out, fmt, jobs, lam_text, module, dum
 
 @main.command("wakimoto")
 @_common
+@_format_option
 @_lambda_option
 @click.option("--dump", default=None, type=click.Path(), help="module dump (JSON-lines)")
-def wakimoto_cmd(algebra, depth, out, fmt, jobs, lam_text, dump):
-    """Construct the Wakimoto module and emit its weight-space dimensions."""
-    spec = JobSpec("wakimoto", algebra=algebra, depth=depth, out=out, fmt=fmt, jobs=jobs, dump=dump)
+def wakimoto_cmd(depth, out, fmt, lam_text, dump):
+    """Construct the Wakimoto module over affine sl2 and emit its weight-space dimensions."""
+    spec = JobSpec("wakimoto", depth=depth, out=out, fmt=fmt, dump=dump)
     if not lam_text:
         click.echo(f"warning: no --lambda given, using default {DEFAULT_LAMBDA}", err=True)
     try:
@@ -449,25 +461,28 @@ def wakimoto_cmd(algebra, depth, out, fmt, jobs, lam_text, dump):
 
 @main.command("verify-shapiro")
 @_common
+@_algebra_option
 @click.option("--sub", default="loop-nminus", show_default=True, help="subalgebra selector (or 'self')")
-def verify_shapiro(algebra, depth, out, fmt, jobs, sub):
+def verify_shapiro(depth, out, algebra, sub):
     """Per-cell equality of H(h, M) and H(g, S-ind M)."""
-    sys.exit(run_job(JobSpec("verify-shapiro", algebra=algebra, depth=depth, out=out, fmt=fmt, jobs=jobs, sub=sub)))
+    sys.exit(run_job(JobSpec("verify-shapiro", algebra=algebra, depth=depth, out=out, sub=sub)))
 
 
 @main.command("verify-us")
 @_common
-def verify_us(algebra, depth, out, fmt, jobs):
+@_algebra_option
+def verify_us(depth, out, algebra):
     """Graded dimensions and module oracles of the semiregular bimodule."""
-    sys.exit(run_job(JobSpec("verify-us", algebra=algebra, depth=depth, out=out, fmt=fmt, jobs=jobs)))
+    sys.exit(run_job(JobSpec("verify-us", algebra=algebra, depth=depth, out=out)))
 
 
 @main.command("verify-univ")
 @_common
+@_algebra_option
 @click.option("--module", "module", default="trivial", type=click.Choice(["trivial", "induced"]), show_default=True)
-def verify_univ(algebra, depth, out, fmt, jobs, module):
+def verify_univ(depth, out, algebra, module):
     """Semi-invariants of N ⊗ US reproduce N (graded dims + equivariance)."""
-    sys.exit(run_job(JobSpec("verify-univ", algebra=algebra, depth=depth, out=out, fmt=fmt, jobs=jobs, module=module)))
+    sys.exit(run_job(JobSpec("verify-univ", algebra=algebra, depth=depth, out=out, module=module)))
 
 
 if __name__ == "__main__":

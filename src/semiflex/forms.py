@@ -8,8 +8,7 @@ deleted from the tail.  Slots are ordered by descending canonical key (the
 added part on top, then the whole nonpositive part of the algebra); moving
 an operator past k occupied slots costs (-1)^k, which fixes every sign.
 The monomials of each ell(mu) come from a per-(algebra, ell) index, built
-once from the budgeted subset enumerator the Chevalley-Eilenberg complexes
-share.
+once from a budgeted subset enumerator.
 
 The differential has two terms.  The single-slot term removes an occupied
 slot y with its position sign and applies the module action of y plus, for
@@ -23,6 +22,13 @@ of every removed tail slot.  Both terms are finite at fixed total weight
 because the coefficient module is bounded above.  d^2 = 0 is checked cell
 by cell and a failure is reported as a structured AnomalyError carrying the
 offending (weight, ghost) cell, not as an assertion.
+
+Over a one-sided algebra the complex is classical: a strictly positive
+algebra has no tail, so the forms are wedges of members and the complex is
+the Chevalley-Eilenberg cochain complex; a strictly negative one has
+nothing to add, so the forms are removals and the complex is the CE chain
+complex with ghost -n in chain degree n.  modules.ce_cohomology and
+modules.ce_homology are this complex, so d^2 = 0 is checked there too.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from fractions import Fraction
 
 from .liealg import WindowError, wt_add, wt_sub, wt_zero
 from .linalg import SparseMatrix
-from .modules import CohomologyTable, _subsets_by_weight
 
 __all__ = [
     "vacuum",
@@ -42,6 +47,7 @@ __all__ = [
     "semiinf_cohomology",
     "semiinvariants",
     "AnomalyError",
+    "CohomologyTable",
 ]
 
 VACUUM = ((), ())
@@ -59,21 +65,6 @@ class AnomalyError(Exception):
 
 def vacuum(alg=None):
     return VACUUM
-
-
-def ghost_degree(mono) -> int:
-    added, removed = mono
-    return len(added) - len(removed)
-
-
-def relative_weight(alg, mono):
-    added, removed = mono
-    w = wt_zero(alg.rank)
-    for e in added:
-        w = wt_add(w, alg.weight(e))
-    for e in removed:
-        w = wt_sub(w, alg.weight(e))
-    return w
 
 
 def monomial_str(alg, mono) -> str:
@@ -177,6 +168,30 @@ def contract_element(alg, x, form: dict) -> dict:
             elif m in out:
                 del out[m]
     return out
+
+
+def _subsets_by_weight(alg, elems, max_ell):
+    """{weight: [key-sorted id-tuples]} of subsets of distinct elements with
+    |ell(weight)| <= max_ell; elems must be one-signed in degree (degree-0
+    elements cost nothing against the budget)."""
+    elems = sorted(elems, key=alg.key)
+    table: dict = {wt_zero(alg.rank): [()]}
+
+    def rec(idx, acc, w, budget):
+        if idx >= len(elems):
+            return
+        e = elems[idx]
+        d = abs(alg.degree(e))
+        if d <= budget:
+            acc.append(e)
+            w2 = wt_add(w, alg.weight(e))
+            table.setdefault(w2, []).append(tuple(acc))
+            rec(idx + 1, acc, w2, budget - d)
+            acc.pop()
+        rec(idx + 1, acc, w, budget)
+
+    rec(0, [], wt_zero(alg.rank), max_ell)
+    return table
 
 
 def _forms_at(alg, ell: int) -> dict:
@@ -396,11 +411,61 @@ def differential(alg, module, w, n: int):
     return cx.matrix(n), cx.basis(n), cx.basis(n + 1)
 
 
-def semiinf_cohomology(alg, module, depth: int, weights=None, check_square=True) -> CohomologyTable:
+class CohomologyTable:
+    """Dimensions of (co)homology per (weight, degree) with Euler metadata."""
+
+    def __init__(self, kind: str):
+        self.kind = kind
+        self.cells: dict = {}
+        self.complex_dims: dict = {}
+
+    def set(self, w, n, dim, cdim):
+        self.cells[(tuple(w), n)] = dim
+        self.complex_dims[(tuple(w), n)] = cdim
+
+    def dim(self, w, n) -> int:
+        return self.cells.get((tuple(w), n), 0)
+
+    def nonzero(self):
+        return sorted((w, n, d) for (w, n), d in self.cells.items() if d)
+
+    def euler_consistent(self) -> bool:
+        weights = {w for (w, _) in self.cells}
+        for w in weights:
+            h = sum((-1) ** n * d for (ww, n), d in self.cells.items() if ww == w)
+            c = sum((-1) ** n * d for (ww, n), d in self.complex_dims.items() if ww == w)
+            if h != c:
+                return False
+        return True
+
+    def rows(self):
+        out = []
+        for (w, n) in sorted(self.cells):
+            out.append((w, n, self.cells[(w, n)], self.complex_dims[(w, n)]))
+        return out
+
+    def same_dims(self, other) -> tuple:
+        """(equal, diffs) comparing nonzero cells of two tables."""
+        keys = set(self.cells) | set(other.cells)
+        diffs = []
+        for k in sorted(keys):
+            a = self.cells.get(k, 0)
+            b = other.cells.get(k, 0)
+            if a != b:
+                diffs.append((k[0], k[1], a, b))
+        return (not diffs, diffs)
+
+    def __repr__(self):
+        nz = self.nonzero()
+        return f"CohomologyTable({self.kind}, {len(nz)} nonzero cells)"
+
+
+def semiinf_cohomology(alg, module, depth: int, weights=None) -> CohomologyTable:
     """Exact cohomology of the standard complex per (weight, ghost degree).
 
     Raises AnomalyError when d^2 != 0 on some cell (reporting the cell), as
-    happens for inconsistent user-supplied beta data.
+    happens for inconsistent user-supplied beta data, and WindowError for a
+    requested weight w with ell(w) < -depth.
     """
     if depth > getattr(module, "depth", depth):
         raise WindowError(
@@ -410,17 +475,20 @@ def semiinf_cohomology(alg, module, depth: int, weights=None, check_square=True)
     table = CohomologyTable("semiinf")
     if weights is None:
         weights = _active_weights(alg, module, depth)
-    for w in sorted(weights):
+    weights = sorted(tuple(w) for w in weights)
+    low = [w for w in weights if alg.ell(w) < -depth]
+    if low:
+        raise WindowError(f"weights {low} lie below depth {depth}: their complexes would be truncated")
+    for w in weights:
         cx = SemiInfComplex(alg, module, w)
         ns = cx.ghost_range()
         if not ns:
             continue
         mats = {n: cx.matrix(n) for n in range(min(ns) - 1, max(ns) + 1)}
-        if check_square:
-            for n in range(min(ns) - 1, max(ns)):
-                comp = mats[n + 1].matmul(mats[n])
-                if not comp.is_zero():
-                    raise AnomalyError(w, n, f"differential does not square to zero (residual has {comp.nnz} nonzero entries)")
+        for n in range(min(ns) - 1, max(ns)):
+            comp = mats[n + 1].matmul(mats[n])
+            if not comp.is_zero():
+                raise AnomalyError(w, n, f"differential does not square to zero (residual has {comp.nnz} nonzero entries)")
         ranks = {n: mat.rank() for n, mat in mats.items()}
         for n in ns:
             cdim = len(cx.basis(n))

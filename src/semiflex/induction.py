@@ -536,7 +536,7 @@ class WakimotoSpace(_PairSpace):
         return self._left_action(z, w, self.reduce_m)
 
 
-def wakimoto(alg, lam: dict, depth: int, allow_incomplete: bool = False) -> WeightModule:
+def wakimoto(alg, lam: dict, depth: int) -> WeightModule:
     """The semi-induced module from the twisted Borel subalgebra.
 
     Constructed inside the quotient Q (pairs of a dual positive monomial and
@@ -570,10 +570,7 @@ def wakimoto(alg, lam: dict, depth: int, allow_incomplete: bool = False) -> Weig
             extra = _invariant_completion(space, w, got, want)
             got = _independent(got + extra)
         if len(got) != want:
-            if not allow_incomplete:
-                raise InductionError(
-                    f"wakimoto: weight {w}: spanned {len(got)} of {want} expected dimensions"
-                )
+            raise InductionError(f"wakimoto: weight {w}: spanned {len(got)} of {want} expected dimensions")
         if got:
             spans[w] = got
     data = {w: (vecs, ()) for w, vecs in spans.items()}

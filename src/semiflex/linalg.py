@@ -64,11 +64,6 @@ class SparseMatrix:
     def is_zero(self) -> bool:
         return all(not r for r in self.rows)
 
-    def copy(self) -> "SparseMatrix":
-        m = SparseMatrix(self.nrows, self.ncols)
-        m.rows = [dict(r) for r in self.rows]
-        return m
-
     def transpose(self) -> "SparseMatrix":
         m = SparseMatrix(self.ncols, self.nrows)
         for i, row in enumerate(self.rows):

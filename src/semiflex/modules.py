@@ -1,5 +1,5 @@
-"""Category-O modules as per-weight action matrices, characters, and the
-classical Lie algebra (co)homology complexes.
+"""Category-O modules as per-weight action matrices, characters, and
+classical Lie algebra (co)homology.
 
 Module weights are stored relative to the highest weight: integer lattice
 tuples w with ell(w) <= 0, the highest weight itself sitting at the zero
@@ -9,12 +9,18 @@ lambda(label) on the degree-0 basis; everything else is PBW straightening.
 The correctness oracle for every constructor is the representation property
 (commutator of action matrices = action of the bracket), exposed as
 check_commutators and exercised relentlessly by the test suite.
+
+Chevalley-Eilenberg (co)homology has no complex of its own: it is the
+semi-infinite complex (forms.semiinf_cohomology) of a strictly positive or
+strictly negative subalgebra, d^2 = 0 checked per cell, with the table
+relabelled to CE degrees.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .forms import CohomologyTable, semiinf_cohomology
 from .liealg import WindowError, subalgebra, wt_add, wt_neg, wt_sub, wt_zero
 from .linalg import SparseMatrix
 from .pbw import (
@@ -432,250 +438,47 @@ def product_formula_character(alg, depth: int) -> Character:
     return Character(depth, poly)
 
 
-# -- cohomology tables ---------------------------------------------------------------
-
-
-class CohomologyTable:
-    """Dimensions of (co)homology per (weight, degree) with Euler metadata."""
-
-    def __init__(self, kind: str):
-        self.kind = kind
-        self.cells: dict = {}
-        self.complex_dims: dict = {}
-
-    def set(self, w, n, dim, cdim):
-        self.cells[(tuple(w), n)] = dim
-        self.complex_dims[(tuple(w), n)] = cdim
-
-    def dim(self, w, n) -> int:
-        return self.cells.get((tuple(w), n), 0)
-
-    def nonzero(self):
-        return sorted((w, n, d) for (w, n), d in self.cells.items() if d)
-
-    def euler_consistent(self) -> bool:
-        weights = {w for (w, _) in self.cells}
-        for w in weights:
-            h = sum((-1) ** n * d for (ww, n), d in self.cells.items() if ww == w)
-            c = sum((-1) ** n * d for (ww, n), d in self.complex_dims.items() if ww == w)
-            if h != c:
-                return False
-        return True
-
-    def rows(self):
-        out = []
-        for (w, n) in sorted(self.cells):
-            out.append((w, n, self.cells[(w, n)], self.complex_dims[(w, n)]))
-        return out
-
-    def same_dims(self, other) -> tuple:
-        """(equal, diffs) comparing nonzero cells of two tables."""
-        keys = set(self.cells) | set(other.cells)
-        diffs = []
-        for k in sorted(keys):
-            a = self.cells.get(k, 0)
-            b = other.cells.get(k, 0)
-            if a != b:
-                diffs.append((k[0], k[1], a, b))
-        return (not diffs, diffs)
-
-    def __repr__(self):
-        nz = self.nonzero()
-        return f"CohomologyTable({self.kind}, {len(nz)} nonzero cells)"
-
-
-def _subsets_by_weight(alg, elems, max_ell, predicate=None):
-    """{weight: [key-sorted id-tuples]} of subsets of distinct elements with
-    |ell(weight)| <= max_ell; elems must be one-signed in degree (degree-0
-    elements cost nothing against the budget)."""
-    elems = sorted(elems, key=alg.key)
-    table: dict = {wt_zero(alg.rank): [()]}
-
-    def rec(idx, acc, w, budget):
-        if idx >= len(elems):
-            return
-        e = elems[idx]
-        d = abs(alg.degree(e))
-        if d <= budget:
-            acc.append(e)
-            w2 = wt_add(w, alg.weight(e))
-            table.setdefault(w2, []).append(tuple(acc))
-            rec(idx + 1, acc, w2, budget - d)
-            acc.pop()
-        rec(idx + 1, acc, w, budget)
-
-    rec(0, [], wt_zero(alg.rank), max_ell)
-    if predicate:
-        table = {w: [s for s in subs if predicate(w, s)] for w, subs in table.items()}
-    return {w: subs for w, subs in table.items() if subs}
-
-
-def _insert_sign(alg, subset, k):
-    """Sorted insert of k into an id-tuple; returns (position sign, tuple) or None."""
-    if k in subset:
-        return None
-    kk = alg.key(k)
-    pos = 0
-    while pos < len(subset) and alg.key(subset[pos]) < kk:
-        pos += 1
-    return ((-1) ** pos, subset[:pos] + (k,) + subset[pos:])
-
-
-def _ce_bases(subs, dims_at, n_top):
-    """Index maps {(subset, mu, module basis index) -> position} per degree."""
-    bases = {}
-    for n in range(0, n_top + 2):
-        basis = []
-        for mu in sorted(subs):
-            for s in subs[mu]:
-                if len(s) == n:
-                    for b in range(dims_at(mu)):
-                        basis.append((s, mu, b))
-        bases[n] = {t: i for i, t in enumerate(basis)}
-    return bases
+# -- Chevalley-Eilenberg (co)homology ----------------------------------------------
 
 
 def ce_cohomology(npart, module: WeightModule, depth: int, weights=None) -> CohomologyTable:
     """Chevalley-Eilenberg cohomology of a strictly positive subalgebra.
 
-    Computes the full finite complex at every relative weight w with
-    -depth <= ell(w) <= 0 where it is nonzero; per weight the cohomological
-    degree is bounded by -ell(w), so the Euler check is exact.
+    The semi-infinite complex of a strictly positive algebra has no
+    nonpositive slots: its forms are the wedges of members, so it is the CE
+    cochain complex with the ghost as cohomological degree, and d^2 = 0 is
+    checked per cell.  Every relative weight w with -depth <= ell(w) <= 0
+    where the complex is nonzero is computed in full (degrees up to -ell(w)).
     """
-    alg = module.alg
-    if depth > module.depth:
-        raise WindowError(f"ce_cohomology to depth {depth} exceeds module depth {module.depth}")
-    npart.ensure_window(-1, depth + 1)
-    if npart.elements_in_degrees(-1, 0):
+    npart.ensure_window(-depth, 0)
+    if npart.elements_in_degrees(-depth, 0):
         raise ModuleError("ce_cohomology needs a strictly positively graded subalgebra")
-    table = CohomologyTable("ce-cohomology")
-    if weights is None:
-        weights = _active_weights_cohomology(npart, module, depth)
-    for w in sorted(weights):
-        budget = -alg.ell(w)
-        elems = npart.elements_in_degrees(1, budget) if budget >= 1 else []
-        subs = _subsets_by_weight(alg, elems, budget, predicate=lambda mu, s: module.dim(wt_add(w, mu)) > 0)
-        n_top = max((len(s) for ss in subs.values() for s in ss), default=0)
-        bases = _ce_bases(subs, lambda mu: module.dim(wt_add(w, mu)), n_top)
-        mats = {}
-        for n in range(0, n_top + 1):
-            rows = bases[n + 1]
-            cols = bases[n]
-            mat = SparseMatrix(len(rows), len(cols))
-            for (tup, nu, bprime), r in rows.items():
-                for i, x in enumerate(tup):
-                    rest = tup[:i] + tup[i + 1 :]
-                    mu = wt_sub(nu, alg.weight(x))
-                    act = module.action(x, wt_add(w, mu))
-                    for b, v in act.rows[bprime].items():
-                        c = cols.get((rest, mu, b))
-                        if c is not None:
-                            mat.add(r, c, (-1) ** i * v)
-                for i in range(len(tup)):
-                    for j in range(i + 1, len(tup)):
-                        rest = tuple(e for idx, e in enumerate(tup) if idx not in (i, j))
-                        for k, cf in npart.bracket_ids(tup[i], tup[j]).items():
-                            ins = _insert_sign(alg, rest, k)
-                            if ins is None:
-                                continue
-                            sgn, merged = ins
-                            c = cols.get((merged, nu, bprime))
-                            if c is not None:
-                                mat.add(r, c, (-1) ** (i + j) * cf * sgn)
-            mats[n] = mat
-        ranks = {n: mat.rank() for n, mat in mats.items()}
-        for n in range(0, n_top + 1):
-            cdim = len(bases[n])
-            table.set(w, n, cdim - ranks[n] - ranks.get(n - 1, 0), cdim)
-    return table
-
-
-def _active_weights_cohomology(npart, module, depth):
-    alg = module.alg
-    npart.ensure_window(1, depth + 1)
-    elems = npart.elements_in_degrees(1, depth)
-    subs = _subsets_by_weight(alg, elems, depth)
-    out = set()
-    for nu in module.weights:
-        for mu in subs:
-            w = wt_sub(nu, mu)
-            if -depth <= alg.ell(w) <= 0:
-                out.add(w)
-    return out
+    return _ce_table("ce-cohomology", semiinf_cohomology(npart, module, depth, weights), weights, 1)
 
 
 def ce_homology(negpart, module: WeightModule, depth: int, weights=None) -> CohomologyTable:
     """Chevalley-Eilenberg homology of a strictly negative subalgebra.
 
-    The homological differential carries the opposite relative sign between
-    its module and bracket terms (otherwise the square is the module action
-    of twice the bracket, not zero).
+    The semi-infinite forms of a strictly negative algebra are removals
+    only: removing n members is the chain x_1 ^ ... ^ x_n at ghost -n, and
+    the semi-infinite differential is the CE boundary.  Degree n of the
+    table is ghost -n of that complex, d^2 = 0 checked per cell.
     """
-    alg = module.alg
-    if depth > module.depth:
-        raise WindowError(f"ce_homology to depth {depth} exceeds module depth {module.depth}")
-    negpart.ensure_window(-depth - 1, -1)
-    if negpart.in_window(0) and negpart.elements_in_degrees(0, 0):
+    negpart.ensure_window(0, depth)
+    if negpart.elements_in_degrees(0, depth):
         raise ModuleError("ce_homology needs a strictly negatively graded subalgebra")
-    table = CohomologyTable("ce-homology")
-    if weights is None:
-        weights = _active_weights_homology(negpart, module, depth)
-    for w in sorted(weights):
-        ell_w = alg.ell(w)
-        elems = negpart.elements_in_degrees(max(ell_w, -depth), -1)
-        subs = _subsets_by_weight(
-            alg,
-            elems,
-            -max(ell_w, -depth),
-            predicate=lambda mu, s: module.dim(wt_sub(w, mu)) > 0,
-        )
-        n_top = max((len(s) for ss in subs.values() for s in ss), default=0)
-        bases = _ce_bases(subs, lambda mu: module.dim(wt_sub(w, mu)), n_top)
-        mats = {}
-        for n in range(1, n_top + 2):
-            rows = bases[n - 1]
-            cols = bases[n]
-            mat = SparseMatrix(len(rows), len(cols))
-            for (tup, mu, b), c in cols.items():
-                src = wt_sub(w, mu)
-                for i, x in enumerate(tup):
-                    rest = tup[:i] + tup[i + 1 :]
-                    mu2 = wt_sub(mu, alg.weight(x))
-                    act = module.action(x, src)
-                    for rr, row_vals in enumerate(act.rows):
-                        v = row_vals.get(b)
-                        if v:
-                            rdx = rows.get((rest, mu2, rr))
-                            if rdx is not None:
-                                mat.add(rdx, c, (-1) ** i * v)
-                for i in range(len(tup)):
-                    for j in range(i + 1, len(tup)):
-                        rest = tuple(e for idx, e in enumerate(tup) if idx not in (i, j))
-                        for k, cf in negpart.bracket_ids(tup[i], tup[j]).items():
-                            ins = _insert_sign(alg, rest, k)
-                            if ins is None:
-                                continue
-                            sgn, merged = ins
-                            rdx = rows.get((merged, mu, b))
-                            if rdx is not None:
-                                mat.add(rdx, c, (-1) ** (i + j + 1) * cf * sgn)
-            mats[n] = mat
-        ranks = {n: mat.rank() for n, mat in mats.items()}
-        for n in range(0, n_top + 1):
-            cdim = len(bases[n])
-            table.set(w, n, cdim - ranks[n + 1] - ranks.get(n, 0), cdim)
+    return _ce_table("ce-homology", semiinf_cohomology(negpart, module, depth, weights), weights, -1)
+
+
+def _ce_table(kind: str, semiinf: CohomologyTable, weights, sign: int) -> CohomologyTable:
+    """Degree n is ghost sign * n; each weight lists every degree from 0 to
+    its top one, empty ones included, and a requested weight without
+    cochains gets the row (w, 0) with dimension 0."""
+    tops = {tuple(w): 0 for w in weights or ()}
+    for w, n in semiinf.cells:
+        tops[w] = max(tops.get(w, 0), sign * n)
+    table = CohomologyTable(kind)
+    for w, top in tops.items():
+        for n in range(top + 1):
+            table.set(w, n, semiinf.dim(w, sign * n), semiinf.complex_dims.get((w, sign * n), 0))
     return table
-
-
-def _active_weights_homology(negpart, module, depth):
-    alg = module.alg
-    negpart.ensure_window(-depth - 1, -1)
-    elems = negpart.elements_in_degrees(-depth, -1)
-    subs = _subsets_by_weight(alg, elems, depth)
-    out = set()
-    for nu in module.weights:
-        for mu in subs:
-            w = wt_add(nu, mu)
-            if -depth <= alg.ell(w) <= 0:
-                out.add(w)
-    return out

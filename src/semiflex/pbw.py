@@ -7,9 +7,9 @@ adjacent pair x·y -> y·x + [x,y] recursively and is memoized per (algebra,
 order); by the PBW theorem the result is independent of the rewriting path,
 which the tests exercise against an independent right-to-left straightener.
 
-Orders: the canonical order (degree, weight, index) from the algebra, and
-block orders (e.g. positive part first) used for the factorizations behind
-coinduced and semiregular modules.
+Orders: the canonical order (degree, weight, index) from the algebra and
+its reverse (positive part first); any Order(tag, key) works, as the
+Wakimoto block order in induction does.
 """
 
 from __future__ import annotations
@@ -56,11 +56,6 @@ def descending_order(alg) -> Order:
     return Order("desc", key)
 
 
-def block_order(alg, tag: str, block) -> Order:
-    """Factors sorted by (block(eid), canonical key)."""
-    return Order(f"block:{tag}", lambda e: (block(e), alg.key(e)))
-
-
 # -- monomial helpers ----------------------------------------------------------
 
 
@@ -87,10 +82,6 @@ def monomial_weight(alg, mon):
         we = alg.weight(eid)
         w = tuple(a + exp * b for a, b in zip(w, we))
     return w
-
-
-def monomial_degree(alg, mon) -> int:
-    return sum(alg.degree(eid) * exp for eid, exp in mon)
 
 
 def monomial_label(alg, mon) -> str:
@@ -299,7 +290,3 @@ def dual_pair(phi: dict, u: dict) -> Fraction:
         if v:
             total += c * v
     return total
-
-
-def pbw_coefficient(terms: dict, mon) -> Fraction:
-    return terms.get(mon, Fraction(0))

@@ -236,3 +236,59 @@ def test_corrupt_cache_warns_and_is_ignored(content, runner, tmp_path, monkeypat
     (save,) = saves
     save()
     assert f"warning: could not write memo cache {pkl}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["character", "--jobs", "1"],
+        ["lie-cohomology", "--jobs", "1"],
+        ["wakimoto", "--jobs", "1"],
+        ["wakimoto", "--algebra", "abelian"],
+        ["verify-shapiro", "--jobs", "1"],
+        ["verify-shapiro", "--format", "jsonl"],
+        ["verify-us", "--jobs", "1"],
+        ["verify-us", "--format", "jsonl"],
+        ["verify-univ", "--jobs", "1"],
+        ["verify-univ", "--format", "jsonl"],
+    ],
+    ids=" ".join,
+)
+def test_options_a_command_ignores_are_rejected(argv, runner, built_specs):
+    res = runner.invoke(main, argv + ["--depth", "2"])
+    assert res.exit_code == 2
+    assert "No such option" in res.output
+    assert built_specs == []
+
+
+def test_wakimoto_complex_needs_affine_sl2_or_a(runner):
+    argv = ["semiinf-cohomology", "--algebra", "abelian", "--module", "wakimoto", "--depth", "2"]
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 2
+    assert "--algebra must be affine_sl2 or a" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["semiinf-cohomology", "--algebra", "a", "--module", "wakimoto", "--depth", "2"],
+        ["character", "--module", "wakimoto", "--depth", "2"],
+    ],
+    ids=["semiinf-cohomology", "character"],
+)
+def test_cache_holds_the_wakimoto_memo(argv, runner, tmp_path, monkeypatch):
+    """W is built on affine sl2: that algebra's memo is the one saved."""
+    import atexit
+
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("SEMIFLEX_CACHE_DIR", str(cache))
+    saves = []
+    monkeypatch.setattr(atexit, "register", saves.append)
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 0, res.output
+    (save,) = saves
+    save()
+    assert sorted(p.name for p in cache.iterdir()) == ["affine_sl2_r2.pkl"]
+    with open(cache / "affine_sl2_r2.pkl", "rb") as fh:
+        memos = pickle.load(fh)["memos"]
+    assert memos[("no", "wak:affine_sl2/r2")]

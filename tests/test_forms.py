@@ -150,10 +150,10 @@ def test_form_index_built_once_per_ell_across_threads(monkeypatch):
     calls = []
     real = forms._subsets_by_weight
 
-    def counting(alg, elems, max_ell, predicate=None):
+    def counting(alg, elems, max_ell):
         calls.append(max_ell)
         time.sleep(0.002)  # widen the window for a second build
-        return real(alg, elems, max_ell, predicate)
+        return real(alg, elems, max_ell)
 
     monkeypatch.setattr(forms, "_subsets_by_weight", counting)
     alg = build_test_algebra("loop-nilpotent-a")

@@ -34,6 +34,9 @@ JOBS = [
     (["verify-shapiro", "--algebra", "a", "--depth", "3", "--out", "verify_shapiro.json"], ["verify_shapiro.json"]),
     (["character", "--module", "verma", "--depth", "6", "--out", "character_verma.csv"], ["character_verma.csv"]),
     (["lie-cohomology", "--depth", "4", "--out", "lie_cohomology.csv"], ["lie_cohomology.csv"]),
+    (["lie-cohomology", "--which", "homology", "--depth", "4", "--out", "lie_homology.csv"], ["lie_homology.csv"]),
+    # trivial coefficients: empty degrees are listed as rows of dimension 0
+    (["lie-cohomology", "--algebra", "abelian", "--module", "trivial", "--depth", "5", "--out", "lie_cohomology_abelian.csv"], ["lie_cohomology_abelian.csv"]),
 ]
 
 S_IND_DUMP = "s_ind_loop_nminus.jsonl"

@@ -2,9 +2,15 @@
 
 from fractions import Fraction
 
+import pytest
+
 from conftest import kostant_count
-from semiflex.liealg import load_algebra, subalgebra
+from semiflex.forms import AnomalyError, semiinf_cohomology
+from semiflex.liealg import WindowError, load_algebra, subalgebra, wt_add
+from semiflex.linalg import SparseMatrix
 from semiflex.modules import (
+    ModuleError,
+    WeightModule,
     ce_cohomology,
     ce_homology,
     character,
@@ -204,6 +210,66 @@ def test_nonabelian_homology_euler(sl2, lam01):
     V = verma(sl2, lam01, 3)
     table = ce_homology(subalgebra(sl2, "g_below_zero"), V, 3)
     assert table.euler_consistent()
+
+
+def test_ce_rejects_members_of_the_wrong_sign(sl2, lam01, abelian):
+    """A member the complex can reach must have the right sign: z⊗f has
+    degree 1 in loop-nminus, x_-2 degree -2 in a positive custom view."""
+    with pytest.raises(ModuleError, match="strictly negatively"):
+        ce_homology(subalgebra(sl2, "loop-nminus"), verma(sl2, lam01, 3), 3)
+    view = subalgebra(abelian, "custom", custom=[abelian.by_label("x_1"), abelian.by_label("x_-2")])
+    with pytest.raises(ModuleError, match="strictly positively"):
+        ce_cohomology(view, trivial_module(abelian, 3), 3)
+
+
+def test_requested_weights_below_the_depth_are_an_error(sl2, lam01):
+    """At ell(w) = -4 the depth-3 modules lack weight spaces the complex
+    needs, so the answer would be a truncation."""
+    V = verma(sl2, lam01, 3)
+    with pytest.raises(WindowError, match="below depth 3"):
+        semiinf_cohomology(sl2, V, 3, weights=[(0, 0), (-4, 0)])
+    with pytest.raises(WindowError, match="below depth 3"):
+        ce_cohomology(subalgebra(sl2, "gplus"), coverma(sl2, lam01, 3), 3, weights=[(-4, 0)])
+    with pytest.raises(WindowError, match="below depth 3"):
+        ce_homology(subalgebra(sl2, "g_below_zero"), V, 3, weights=[(-4, 0)])
+
+
+def test_requested_weight_without_cochains_is_a_zero_row(sl2):
+    table = ce_cohomology(subalgebra(sl2, "gplus"), trivial_module(sl2, 3), 3, weights=[(5, -3), (0, 0)])
+    assert table.rows() == [((0, 0), 0, 1, 1), ((5, -3), 0, 0, 0)]
+
+
+def test_ce_cohomology_detects_a_non_module():
+    """x and y act on v, a, b, c, but [x, y] = z acts by 0 while
+    x(y c) - y(x c) = -v: d^2 != 0 on the cochain c at the bottom weight."""
+    heis = load_algebra(
+        {
+            "name": "heis",
+            "grading": {"rank": 2, "degree_functional": [1, 1]},
+            "basis": [
+                {"label": "x", "weight": [1, 0], "index": 0},
+                {"label": "y", "weight": [0, 1], "index": 0},
+                {"label": "z", "weight": [1, 1], "index": 0},
+            ],
+            "brackets": [{"i": 0, "j": 1, "terms": [{"k": 2, "num": 1}]}],
+            "beta": [],
+        }
+    )
+    weights = {(0, 0): ["v"], (-1, 0): ["a"], (0, -1): ["b"], (-1, -1): ["c"]}
+    # x: a -> v, c -> 2b;  y: b -> v, c -> a
+    acts = {("x", (-1, 0)): 1, ("x", (-1, -1)): 2, ("y", (0, -1)): 1, ("y", (-1, -1)): 1}
+
+    def rule(eid, w):
+        mat = SparseMatrix(len(weights.get(wt_add(w, heis.weight(eid)), ())), len(weights.get(w, ())))
+        if (heis.label(eid), w) in acts:
+            mat.add(0, 0, acts[(heis.label(eid), w)])
+        return mat
+
+    M = WeightModule(heis, "not a module", weights, rule, 2)
+    assert check_commutators(M, (1, 2)) == [("y", "x", (-1, -1))]
+    with pytest.raises(AnomalyError) as exc:
+        ce_cohomology(subalgebra(heis, "gplus"), M, 2)
+    assert (exc.value.weight, exc.value.ghost) == ((-1, -1), 0)
 
 
 def test_direct_sum_dims_and_oracle(sl2, lam01):
