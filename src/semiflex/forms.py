@@ -33,8 +33,6 @@ modules.ce_homology are this complex, so d^2 = 0 is checked there too.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .liealg import WindowError, wt_add, wt_sub, wt_zero
 from .linalg import SparseMatrix
 
@@ -74,16 +72,16 @@ def monomial_str(alg, mono) -> str:
 
 
 def _tail_above(alg, x) -> int:
-    """Number of tail slots (nonpositive degree) with key strictly above x."""
-    dx = alg.degree(x)
-    kx = alg.key(x)
-    count = 0
-    for d in range(dx, 1):
-        if d > 0:
-            break
-        for e in alg.elements_of_degree(d):
-            if alg.key(e) > kx:
-                count += 1
+    """Number of tail slots (nonpositive degree) with key strictly above x.
+
+    Counted once per (algebra or view, x): windows are contiguous and hold
+    degree 0, and materialized degrees never change, so the count is fixed
+    once x exists."""
+    count = alg._tail_counts.get(x)
+    if count is None:
+        kx = alg.key(x)
+        count = sum(1 for d in range(alg.degree(x), 1) for e in alg.elements_of_degree(d) if alg.key(e) > kx)
+        alg._tail_counts[x] = count
     return count
 
 
@@ -327,7 +325,7 @@ class SemiInfComplex:
                 if alg.degree(y) == 0:
                     charge = alg.beta_value(y)
                     for rem in removed:
-                        charge += alg.bracket_ids(y, rem).get(rem, Fraction(0))
+                        charge += alg.bracket_ids(y, rem).get(rem, 0)
                     if charge:
                         if alg.weight(y) != wt_zero(alg.rank):
                             raise AnomalyError(
@@ -578,7 +576,7 @@ def semiinvariant_images(alg, space, act, weights, hplus, hminus, src_depth: int
             mat = act(xi, src)
             bv = alg.beta_value(xi)
             for col in range(mat.ncols):
-                vec = [Fraction(0)] * dim_w
+                vec = [0] * dim_w
                 for r, row in enumerate(mat.rows):
                     v = row.get(col)
                     if v:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .forms import semiinf_cohomology, semiinvariant_images
-from .liealg import SubalgebraSpec, WindowError, subalgebra, wt_add, wt_neg, wt_sub, wt_zero
+from .liealg import SubalgebraSpec, WindowError, exact, subalgebra, wt_add, wt_neg, wt_sub, wt_zero
 from .linalg import SparseMatrix, solve_in_span
 from .modules import WeightModule, _lam_str, check_commutators, product_formula_character
 from .pbw import (
@@ -193,7 +193,7 @@ class _PairSpace:
                     if not hits:
                         continue
                     for ci, m0 in hits:
-                        peeled = self._peel(flatten(m), {m0: Fraction(1)})
+                        peeled = self._peel(flatten(m), {m0: 1})
                         for m2, c2 in peeled.items():
                             if reduce_m is not None:
                                 coeff, m2 = reduce_m(m2)
@@ -219,7 +219,7 @@ class _PairSpace:
             pw = flatten(p)
             qw = wt_sub(monomial_weight(alg, q0), monomial_weight(alg, p))
             for qprime in self.qtab.get(qw, ()):
-                c2 = normal_order_word(alg, flatten(qprime) + tuple(reversed(pw)), order).get(q0, Fraction(0))
+                c2 = normal_order_word(alg, flatten(qprime) + tuple(reversed(pw)), order).get(q0, 0)
                 if len(pw) % 2:
                     c2 = -c2
                 if c2:
@@ -514,7 +514,7 @@ class WakimotoSpace(_PairSpace):
         self._lam_tilde = {}
         for e in alg.elements_in_degrees(-2 * depth - 4, 0):
             if abar_view.is_member(e):
-                self._lam_tilde[e] = Fraction(lam.get(alg.label(e), 0)) + alg.beta_value(e)
+                self._lam_tilde[e] = exact(lam.get(alg.label(e), 0)) + alg.beta_value(e)
 
     def reduce_m(self, mon) -> tuple:
         """Class of a U(g-) monomial (a- block then abar- block) in the
@@ -524,11 +524,11 @@ class WakimotoSpace(_PairSpace):
             if not self.a_view.is_member(eid):
                 split = i
                 break
-        coeff = Fraction(1)
+        coeff = 1
         for eid, exp in mon[split:]:
-            lt = self._lam_tilde.get(eid, Fraction(0))
+            lt = self._lam_tilde.get(eid, 0)
             if not lt:
-                return Fraction(0), ()
+                return 0, ()
             coeff *= lt**exp
         return coeff, mon[:split]
 
@@ -581,8 +581,8 @@ def wakimoto(alg, lam: dict, depth: int) -> WeightModule:
 def _unit_vec(space, w, pair):
     n = space.dim(w)
     i = space._index[w][pair]
-    v = [Fraction(0)] * n
-    v[i] = Fraction(1)
+    v = [0] * n
+    v[i] = 1
     return tuple(v)
 
 
@@ -595,6 +595,10 @@ def _independent(vectors):
     return [vectors[p] for p in mat.pivot_columns()]
 
 
+# longest abar- tail the invariant completion tries before giving up
+_TAIL_CAP = 3
+
+
 def _invariant_completion(space, w, have, want):
     """Exact finitely-supported abar+ invariants of US ⊗ C_lambda projecting
     to new directions of Q at weight w (expanding truncation solve).
@@ -603,11 +607,13 @@ def _invariant_completion(space, w, have, want):
     abar- tail length.  Invariance under every relevant positive abar
     element is imposed exactly (conditions land in a once-extended
     truncation), so every solution projects into the Wakimoto subspace.
+    Raises InductionError when tails of length _TAIL_CAP still fall short.
     """
     alg = space.alg
     budget = -alg.ell(w)
     etas = [e for e in alg.elements_in_degrees(1, max(budget, 1)) if space.abar_view.is_member(e)]
-    for tail_len in (1, 2, 3):
+    found = len(have)
+    for tail_len in range(1, _TAIL_CAP + 1):
         xbasis, xindex = _truncated_x_basis(space, w, tail_len)
         if not xbasis:
             continue
@@ -621,14 +627,14 @@ def _invariant_completion(space, w, have, want):
             continue
         proj = []
         for k in kernel:
-            vec = [Fraction(0)] * space.dim(w)
+            vec = [0] * space.dim(w)
             for idx, c in enumerate(k):
                 if not c:
                     continue
                 q, ma, mbar = xbasis[idx]
-                coeff = Fraction(1)
+                coeff = 1
                 for eid, exp in mbar:
-                    lt = space._lam_tilde.get(eid, Fraction(0))
+                    lt = space._lam_tilde.get(eid, 0)
                     coeff *= lt**exp
                 if coeff:
                     vec[space._index[w][(q, ma)]] += c * coeff
@@ -637,7 +643,11 @@ def _invariant_completion(space, w, have, want):
         cand = _independent(list(have) + proj)
         if len(cand) >= want:
             return [v for v in cand if v not in have]
-    return []
+        found = len(cand)
+    raise InductionError(
+        f"wakimoto: weight {w}: invariant completion spans {found} of {want} dimensions "
+        f"with abar- tails up to the cap of length {_TAIL_CAP}"
+    )
 
 
 def _truncated_x_basis(space, w, tail_len: int):
@@ -686,7 +696,7 @@ def _right_action_rows(space, w, eta, xbasis, tail_len):
         for q, m, c in space._right_terms(q0, ma + mbar, eta):
             r = out_index.setdefault((q, m), len(out_index))
             row = rows_by_out.setdefault(r, {})
-            row[ci] = row.get(ci, Fraction(0)) + c
+            row[ci] = row.get(ci, 0) + c
     return [
         {c: v for c, v in row.items() if v}
         for _, row in sorted(rows_by_out.items())

@@ -5,6 +5,9 @@ degree of an element is the dot product of its weight with the algebra's
 degree functional.  Algebras are materialized lazily per degree window and
 immutable once a window is built; all downstream arithmetic (PBW, modules,
 complexes) refers to basis elements by their integer id within an algebra.
+Coefficients are exact: an int wherever the value is integral (every
+built-in structure constant and beta value), a Fraction otherwise; mixed
+int/Fraction arithmetic stays exact and never produces a float.
 
 Built-in constructors: the untwisted affine algebra of sl2 (with its central
 element K, derivation d, affine cocycle and the functional beta), the abelian
@@ -46,6 +49,15 @@ def wt_zero(rank: int) -> Weight:
     return (0,) * rank
 
 
+def exact(x):
+    """``x`` as an exact coefficient: an int when integral, else a Fraction.
+
+    Used where numbers enter (lambda, user structure constants), so integral
+    data stay int through every later product and sum."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 class GradedLieAlgebra:
     """Basis-indexed graded Lie algebra over exact rationals.
 
@@ -67,22 +79,23 @@ class GradedLieAlgebra:
         self._by_degree: dict[int, list[int]] = {}
         self._by_wi: dict[tuple, int] = {}
         self._by_label: dict[str, int] = {}
-        self._brackets: dict[tuple, dict[int, Fraction]] = {}
+        self._brackets: dict[tuple, dict] = {}
         self.central: set[int] = set()
-        self._beta: dict[int, Fraction] = {}
+        self._beta: dict = {}
         self._win_lo = 0
         self._win_hi = -1  # empty window
         self._memos: dict = {}
         # semi-infinite form monomials per ell, built once (see forms._forms_at)
         self._form_index: dict = {}
         self._form_lock = threading.Lock()
+        self._tail_counts: dict = {}  # see forms._tail_above
 
     # -- materialization ---------------------------------------------------
 
     def _realize(self, degree: int):
         return []
 
-    def _bracket_rule(self, i: int, j: int) -> dict[int, Fraction]:
+    def _bracket_rule(self, i: int, j: int) -> dict:
         return {}
 
     def _materialize_degree(self, d: int) -> None:
@@ -169,8 +182,8 @@ class GradedLieAlgebra:
             raise AlgebraError(f"{self.name}: no basis element labelled {label!r}")
         return self._by_label[label]
 
-    def beta_value(self, eid: int) -> Fraction:
-        v = self._beta.get(eid, Fraction(0))
+    def beta_value(self, eid: int):
+        v = self._beta.get(eid, 0)
         if v and self.degrees[eid] != 0:
             raise AlgebraError(f"beta supported outside degree 0 (at {self.labels[eid]})")
         return v
@@ -180,7 +193,7 @@ class GradedLieAlgebra:
 
     # -- bracket -------------------------------------------------------------
 
-    def bracket_ids(self, i: int, j: int) -> dict[int, Fraction]:
+    def bracket_ids(self, i: int, j: int) -> dict:
         """Structure constants [x_i, x_j] as {eid: coefficient}."""
         if i == j:
             return {}
@@ -216,7 +229,7 @@ class GradedLieAlgebra:
 
 def bracket(alg, x: dict, y: dict) -> dict:
     """Bracket of two linear combinations {eid: coeff}; bilinear expansion."""
-    out: dict[int, Fraction] = {}
+    out: dict = {}
     for i, a in x.items():
         if not a:
             continue
@@ -291,15 +304,15 @@ class AffineSL2(GradedLieAlgebra):
             if self.degrees[eid] == 0 and self.indices[eid] == 1:
                 self.meta.append(("K",))
                 self.central.add(eid)
-                self._beta[eid] = Fraction(4)
+                self._beta[eid] = 4
             elif self.degrees[eid] == 0 and self.indices[eid] == 2:
                 self.meta.append(("d",))
-                self._beta[eid] = Fraction(1)
+                self._beta[eid] = 1
             else:
                 x = {1: "e", 0: "h", -1: "f"}[a]
                 self.meta.append(("loop", x, n))
                 if x == "h" and n == 0:
-                    self._beta[eid] = Fraction(2)
+                    self._beta[eid] = 2
 
     def _bracket_rule(self, i, j):
         mi, mj = self.meta[i], self.meta[j]
@@ -309,19 +322,19 @@ class AffineSL2(GradedLieAlgebra):
             sign = 1 if mi[0] == "d" else -1
             other = j if mi[0] == "d" else i
             n = self.meta[other][2]
-            return {other: Fraction(sign * n)} if n else {}
+            return {other: sign * n} if n else {}
         _, x, m = mi
         _, y, n = mj
-        out: dict[int, Fraction] = {}
+        out: dict = {}
         for zsym, c in _SL2_BRACKET.get((x, y), {}).items():
             eid = self.eid_by_weight_index(self._loop_weight(zsym, m + n), 0)
             if eid is None:
                 raise WindowError(f"affine_sl2: z^{m+n}⊗{zsym} not materialized")
-            out[eid] = out.get(eid, Fraction(0)) + Fraction(c)
+            out[eid] = out.get(eid, 0) + c
         pairing = _SL2_FORM.get((x, y))
         if pairing and m + n == 0 and m:
             k_eid = self.eid_by_weight_index((0, 0), 1)
-            out[k_eid] = out.get(k_eid, Fraction(0)) + Fraction(m * pairing)
+            out[k_eid] = out.get(k_eid, 0) + m * pairing
         return {k: v for k, v in out.items() if v}
 
     @staticmethod
@@ -369,12 +382,12 @@ class LoopNilpotentA(GradedLieAlgebra):
             target = self.eid_by_weight_index((-1, ni + nj), 0)
             if target is None:
                 raise WindowError(f"subalgebra_a: z^{ni+nj}⊗f not materialized")
-            return {target: Fraction(-2)}
+            return {target: -2}
         if ai == -1 and aj == 0:
             target = self.eid_by_weight_index((-1, ni + nj), 0)
             if target is None:
                 raise WindowError(f"subalgebra_a: z^{ni+nj}⊗f not materialized")
-            return {target: Fraction(2)}
+            return {target: 2}
         return {}
 
 
@@ -389,20 +402,20 @@ class UserAlgebra(GradedLieAlgebra):
         degs = [self.ell(tuple(b["weight"])) for b in basis]
         for deg, b in zip(degs, basis):
             self._table.setdefault(deg, []).append((tuple(b["weight"]), b["index"], b["label"]))
-        self._rules: dict[tuple, dict[int, Fraction]] = {}
+        self._rules: dict[tuple, dict] = {}
         self.ensure_window(min(degs, default=0), max(degs, default=0))
         self._win_lo, self._win_hi = -BIG, BIG
         for entry in brackets:
             i = self.by_label(basis[entry["i"]]["label"])
             j = self.by_label(basis[entry["j"]]["label"])
             terms = {
-                self.by_label(basis[t["k"]]["label"]): Fraction(t["num"], t.get("den", 1))
+                self.by_label(basis[t["k"]]["label"]): exact(Fraction(t["num"], t.get("den", 1)))
                 for t in entry["terms"]
             }
             lo, hi = (i, j) if i < j else (j, i)
             self._rules[(lo, hi)] = terms if (lo, hi) == (i, j) else {k: -v for k, v in terms.items()}
         for entry in beta:
-            self._beta[self.by_label(entry["label"])] = Fraction(entry["num"], entry.get("den", 1))
+            self._beta[self.by_label(entry["label"])] = exact(Fraction(entry["num"], entry.get("den", 1)))
 
     def _realize(self, d):
         return self._table.get(d, [])
@@ -422,6 +435,7 @@ class SubalgebraSpec:
         self._member = member
         self._form_index: dict = {}
         self._form_lock = threading.Lock()
+        self._tail_counts: dict = {}  # see forms._tail_above
 
     def is_member(self, eid: int) -> bool:
         return self._member(eid)
@@ -571,7 +585,7 @@ def check_closure(view: SubalgebraSpec, lo: int, hi: int) -> None:
 
 
 def beta_functional(alg) -> dict:
-    """beta as {label: Fraction} on the degree-0 basis."""
+    """beta as {label: exact value} on the degree-0 basis."""
     return alg.beta_items()
 
 
@@ -618,9 +632,9 @@ def check_jacobi(alg, lo: int, hi: int) -> JacobiReport:
                 if not all(lo <= s <= hi for s in sums):
                     continue
                 checked += 1
-                acc: dict[int, Fraction] = {}
+                acc: dict = {}
                 for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
-                    for m, v in bracket(alg, alg.bracket_ids(x, y), {z: Fraction(1)}).items():
+                    for m, v in bracket(alg, alg.bracket_ids(x, y), {z: 1}).items():
                         w = acc.get(m, 0) + v
                         if w:
                             acc[m] = w

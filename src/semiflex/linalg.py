@@ -1,6 +1,7 @@
 """Exact sparse rational linear algebra.
 
-Matrices are sparse dict-of-column rows over fractions.Fraction.  Rank,
+Matrices are sparse dict-of-column rows of exact entries, stored as given:
+an int wherever the value is integral, a fractions.Fraction otherwise.  Rank,
 echelon forms, kernels and span solves all go through the fraction-free
 integer kernel (semiflex._kernels) after clearing denominators row by row;
 row scaling changes neither the rank, the right kernel, nor column
@@ -19,12 +20,12 @@ __all__ = ["SparseMatrix", "solve_in_span"]
 
 
 class SparseMatrix:
-    """A nrows x ncols matrix, rows stored as {col: nonzero Fraction}."""
+    """A nrows x ncols matrix, rows stored as {col: nonzero int or Fraction}."""
 
     def __init__(self, nrows: int, ncols: int):
         self.nrows = nrows
         self.ncols = ncols
-        self.rows: list[dict[int, Fraction]] = [{} for _ in range(nrows)]
+        self.rows: list[dict] = [{} for _ in range(nrows)]
 
     @classmethod
     def from_rows(cls, rows, ncols):
@@ -32,7 +33,7 @@ class SparseMatrix:
         for i, row in enumerate(rows):
             for c, v in row.items():
                 if v:
-                    m.rows[i][c] = Fraction(v)
+                    m.rows[i][c] = v
         return m
 
     @classmethod
@@ -43,7 +44,7 @@ class SparseMatrix:
         for i, row in enumerate(dense):
             for c, v in enumerate(row):
                 if v:
-                    m.rows[i][c] = Fraction(v)
+                    m.rows[i][c] = v
         return m
 
     def add(self, r: int, c: int, v) -> None:
@@ -54,8 +55,8 @@ class SparseMatrix:
         elif c in row:
             del row[c]
 
-    def get(self, r: int, c: int) -> Fraction:
-        return self.rows[r].get(c, Fraction(0))
+    def get(self, r: int, c: int):
+        return self.rows[r].get(c, 0)
 
     @property
     def nnz(self) -> int:
@@ -76,7 +77,7 @@ class SparseMatrix:
             raise ValueError("shape mismatch in matmul")
         out = SparseMatrix(self.nrows, other.ncols)
         for i, row in enumerate(self.rows):
-            acc: dict[int, Fraction] = {}
+            acc: dict = {}
             for k, v in row.items():
                 for c, w in other.rows[k].items():
                     s = acc.get(c, 0) + v * w
@@ -89,9 +90,9 @@ class SparseMatrix:
 
     def apply(self, vec):
         """Matrix times a dense coordinate vector."""
-        out = [Fraction(0)] * self.nrows
+        out = [0] * self.nrows
         for i, row in enumerate(self.rows):
-            s = Fraction(0)
+            s = 0
             for c, v in row.items():
                 if vec[c]:
                     s += v * vec[c]
@@ -125,8 +126,9 @@ class SparseMatrix:
         _, pivots = row_echelon_int(self._int_rows(), self.ncols)
         return pivots
 
-    def nullspace(self) -> list[tuple[Fraction, ...]]:
-        """Deterministic basis of {x : Mx = 0}, one vector per free column."""
+    def nullspace(self) -> list[tuple[int, ...]]:
+        """Deterministic basis of {x : Mx = 0}, one primitive integer vector
+        per free column."""
         n = self.ncols
         if n == 0:
             return []
@@ -142,8 +144,8 @@ class SparseMatrix:
 
 
 def _unit(n, j):
-    v = [Fraction(0)] * n
-    v[j] = Fraction(1)
+    v = [0] * n
+    v[j] = 1
     return tuple(v)
 
 
@@ -164,25 +166,28 @@ def _primitive(x):
             if v < 0:
                 ints = [-w for w in ints]
             break
-    return tuple(Fraction(v) for v in ints)
+    return tuple(ints)
 
 
 def _kernel_vector(rows, rank, pivots, free, n):
     """The kernel vector of an integer echelon form (``row_echelon_int``
     output) that is 1 in the free column ``free`` and 0 in the other free
-    columns; its pivot entries are back-substituted exactly."""
-    x = [Fraction(0)] * n
-    x[free] = Fraction(1)
+    columns; its pivot entries are back-substituted exactly, each an int
+    when it is integral (Fraction(s, pivot) divides exactly, never to a
+    float)."""
+    x = [0] * n
+    x[free] = 1
     for r in range(rank - 1, -1, -1):
         p = pivots[r]
         if p > free:
             continue
         row = rows[r]
-        s = Fraction(0)
+        s = 0
         for j in range(p + 1, free + 1):
             if row[j] and x[j]:
                 s += row[j] * x[j]
-        x[p] = -s / row[p]
+        q = Fraction(-s, row[p])
+        x[p] = q.numerator if q.denominator == 1 else q
     return x
 
 
@@ -190,11 +195,12 @@ def solve_in_span(columns, targets):
     """Exact coordinates of each of ``targets`` in the span of ``columns``.
 
     ``columns`` and ``targets`` are lists of equal-length coordinate vectors;
-    returns one list of Fractions c per target, with sum(c_i * columns[i]) ==
-    target, or None if any target is outside the span.  One integer echelon
-    of [columns | targets]: a target outside the span shows up as a pivot
-    past the span columns, and otherwise its coordinates are the negated
-    span part of the kernel vector for its column (0 on dependent columns).
+    returns one list of exact coordinates c per target, with
+    sum(c_i * columns[i]) == target, or None if any target is outside the
+    span.  One integer echelon of [columns | targets]: a target outside the
+    span shows up as a pivot past the span columns, and otherwise its
+    coordinates are the negated span part of the kernel vector for its
+    column (0 on dependent columns).
     """
     k = len(columns)
     vectors = list(columns) + list(targets)

@@ -5,6 +5,9 @@ Module weights are stored relative to the highest weight: integer lattice
 tuples w with ell(w) <= 0, the highest weight itself sitting at the zero
 tuple.  The character of the inducing datum enters only through the scalars
 lambda(label) on the degree-0 basis; everything else is PBW straightening.
+Matrix entries are exact: an int wherever the value is integral, a Fraction
+otherwise.  The constructors turn lambda into such values once per module,
+so an integral lambda (given as int or Fraction) yields all-int matrices.
 
 The correctness oracle for every constructor is the representation property
 (commutator of action matrices = action of the bracket), exposed as
@@ -18,10 +21,8 @@ relabelled to CE degrees.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .forms import CohomologyTable, semiinf_cohomology
-from .liealg import WindowError, subalgebra, wt_add, wt_neg, wt_sub, wt_zero
+from .liealg import WindowError, exact, subalgebra, wt_add, wt_neg, wt_sub, wt_zero
 from .linalg import SparseMatrix
 from .pbw import (
     canonical_order,
@@ -108,8 +109,8 @@ class WeightModule:
     def apply(self, eid: int, w, vec):
         return self.action(eid, w).apply(vec)
 
-    def lam_value(self, eid: int) -> Fraction:
-        return Fraction(self.lam.get(self.alg.label(eid), 0))
+    def lam_value(self, eid: int):
+        return exact(self.lam.get(self.alg.label(eid), 0))
 
     def __repr__(self):
         total = sum(len(b) for b in self.weights.values())
@@ -119,15 +120,19 @@ class WeightModule:
 # -- constructors ---------------------------------------------------------------
 
 
-def _lambda_scalar(alg, lam: dict, factors) -> Fraction:
+def _exact_lambda(lam: dict) -> dict:
+    return {label: exact(v) for label, v in lam.items()}
+
+
+def _lambda_scalar(alg, lam: dict, factors):
     """Product of lambda over a PBW suffix; positive factors kill the term."""
-    out = Fraction(1)
+    out = 1
     for eid, exp in factors:
         if alg.degree(eid) > 0:
-            return Fraction(0)
-        v = Fraction(lam.get(alg.label(eid), 0))
+            return 0
+        v = lam.get(alg.label(eid), 0)
         if not v:
-            return Fraction(0)
+            return 0
         out *= v**exp
     return out
 
@@ -147,6 +152,7 @@ def verma(alg, lam: dict, depth: int) -> WeightModule:
     highest-weight vector; actions by straightening in the canonical order
     and evaluating the nonnegative suffix on the vector.
     """
+    lam = _exact_lambda(lam)
     alg.ensure_window(-2 * depth - 4, 2 * depth + 4)
     neg = subalgebra(alg, "g_below_zero")
     order = canonical_order(alg)
@@ -183,6 +189,7 @@ def coverma(alg, lam: dict, depth: int) -> WeightModule:
     U(g_-) U(g_+) factorization and lambda applied to the left factor
     (strictly negative factors kill the term).
     """
+    lam = _exact_lambda(lam)
     alg.ensure_window(-2 * depth - 4, 2 * depth + 4)
     pos = subalgebra(alg, "gplus")
     order = canonical_order(alg)
@@ -220,12 +227,12 @@ def _split_strict_negative(alg, mon):
     return mon, ()
 
 
-def _lambda_scalar_left(alg, lam: dict, factors) -> Fraction:
-    out = Fraction(1)
+def _lambda_scalar_left(alg, lam: dict, factors):
+    out = 1
     for eid, exp in factors:
         if alg.degree(eid) < 0:
-            return Fraction(0)
-        out *= Fraction(lam.get(alg.label(eid), 0)) ** exp
+            return 0
+        out *= lam.get(alg.label(eid), 0) ** exp
     return out
 
 
@@ -258,13 +265,14 @@ def character_module(alg, lam: dict, depth: int = 0) -> WeightModule:
     Degree-0 members act by lambda, everything else by zero; the caller is
     responsible for lambda vanishing on brackets (checked by the oracle).
     """
+    lam = _exact_lambda(lam)
     zero = wt_zero(alg.rank)
 
     def rule(eid, w):
         target = wt_add(w, alg.weight(eid))
         mat = SparseMatrix(1 if target == zero else 0, 1 if tuple(w) == zero else 0)
         if target == zero and tuple(w) == zero:
-            v = Fraction(lam.get(alg.label(eid), 0))
+            v = lam.get(alg.label(eid), 0)
             if v:
                 mat.add(0, 0, v)
         return mat

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import csv
 import json
-from fractions import Fraction
-
 from .liealg import WindowError
 
 
@@ -66,7 +64,7 @@ def dump_module_jsonl(path, module, gen_window):
                 except WindowError:
                     continue  # the target weight lies beyond the module's depth
                 entries = [
-                    [r, c, f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else str(v)]
+                    [r, c, f"{v.numerator}/{v.denominator}"]
                     for r, row in enumerate(mat.rows)
                     for c, v in sorted(row.items())
                 ]

@@ -2,7 +2,9 @@
 
 A monomial is a tuple of (basis id, exponent) pairs, strictly increasing in
 the chosen total order on basis elements; an enveloping element is a sparse
-{monomial: Fraction} map.  Straightening rewrites the leftmost out-of-order
+{monomial: coefficient} map, each coefficient an int where it is integral and
+a Fraction otherwise (integral structure constants keep every straightened
+coefficient an int).  Straightening rewrites the leftmost out-of-order
 adjacent pair x·y -> y·x + [x,y] recursively and is memoized per (algebra,
 order); by the PBW theorem the result is independent of the rewriting path,
 which the tests exercise against an independent right-to-left straightener.
@@ -14,9 +16,7 @@ Wakimoto block order in induction does.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .liealg import wt_zero
+from .liealg import exact, wt_zero
 
 EMPTY = ()
 
@@ -103,7 +103,7 @@ def _add_scaled(acc: dict, terms: dict, c) -> None:
 
 
 def normal_order_word(alg, word: tuple, order: Order) -> dict:
-    """Straighten a word of basis ids into PBW form: {monomial: Fraction}."""
+    """Straighten a word of basis ids into PBW form: {monomial: coefficient}."""
     memo = alg._memos.setdefault(("no", order.tag), {})
     return _straighten(alg, tuple(word), order, memo)
 
@@ -119,13 +119,13 @@ def _straighten(alg, word, order, memo):
             bad = i
             break
     if bad < 0:
-        res = {compress(word): Fraction(1)}
+        res = {compress(word): 1}
         memo[word] = res
         return res
     i = bad
     swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2 :]
     acc: dict = {}
-    _add_scaled(acc, _straighten(alg, swapped, order, memo), Fraction(1))
+    _add_scaled(acc, _straighten(alg, swapped, order, memo), 1)
     for k, c in alg.bracket_ids(word[i], word[i + 1]).items():
         shorter = word[:i] + (k,) + word[i + 2 :]
         _add_scaled(acc, _straighten(alg, shorter, order, memo), c)
@@ -154,7 +154,7 @@ def multiply(alg, a: dict, b: dict, order: Order | None = None) -> dict:
 
 
 def scalar(c) -> dict:
-    c = Fraction(c)
+    c = exact(c)
     return {EMPTY: c} if c else {}
 
 
@@ -281,9 +281,9 @@ def enumerate_pbw_weights(sub, depth: int, order: Order | None = None) -> dict:
 # -- restricted duals ---------------------------------------------------------------
 
 
-def dual_pair(phi: dict, u: dict) -> Fraction:
+def dual_pair(phi: dict, u: dict):
     """Kronecker pairing of a restricted dual element with a PBW element."""
-    total = Fraction(0)
+    total = 0
     small, big = (phi, u) if len(phi) <= len(u) else (u, phi)
     for m, c in small.items():
         v = big.get(m)

@@ -13,6 +13,7 @@ import pytest
 from semiflex.forms import (
     AnomalyError,
     SemiInfComplex,
+    _tail_above,
     contract,
     contract_element,
     differential,
@@ -176,6 +177,25 @@ def test_form_index_built_once_per_ell_across_threads(monkeypatch):
     # one build per ell = one positive plus one nonpositive subset table
     ells = sorted({alg.ell(mu) for mu, _n in cells})
     assert sorted(calls) == sorted(2 * ells)
+
+
+def test_tail_counts_are_cached_per_algebra_and_view():
+    def scan(alg, x):  # the uncached count: every tail slot with key above x
+        kx = alg.key(x)
+        return sum(1 for d in range(alg.degree(x), 1) for e in alg.elements_of_degree(d) if alg.key(e) > kx)
+
+    g = build_affine_sl2()
+    g.ensure_window(-8, 8)
+    a = build_test_algebra("loop-nilpotent-a")
+    a.ensure_window(-8, 8)
+    # the parent first: a view must not read the parent's counts
+    for alg in (g, a, subalgebra(g, "a"), subalgebra(g, "g_below_zero")):
+        tail = alg.elements_in_degrees(-8, 0)
+        assert tail
+        for x in tail:
+            assert _tail_above(alg, x) == scan(alg, x)
+        assert alg._tail_counts == {x: scan(alg, x) for x in tail}
+        assert [_tail_above(alg, x) for x in tail] == [scan(alg, x) for x in tail]
 
 
 def test_abelian_trivial_differential_vanishes(abelian):

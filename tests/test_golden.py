@@ -29,6 +29,8 @@ JOBS = [
     (["semiinf-cohomology", "--algebra", "a", "--module", "us", "--depth", "4", "--jobs", "1", "--out", "semiinf_us.csv"], ["semiinf_us.csv"]),
     (["semiinf-cohomology", "--algebra", "a", "--module", "wakimoto", "--depth", "4", "--jobs", "1", "--out", "semiinf_wakimoto.csv"], ["semiinf_wakimoto.csv"]),
     (["wakimoto", "--lambda", "h=1/2,K=1,d=0", "--depth", "4", "--out", "wakimoto.csv", "--dump", "wakimoto.jsonl"], ["wakimoto.csv", "wakimoto.jsonl"]),
+    # integral lambda: every entry is an int, still written as "n/1"
+    (["wakimoto", "--lambda", "h=2,K=1,d=0", "--depth", "4", "--dump", "wakimoto_integral.jsonl"], ["wakimoto_integral.jsonl"]),
     (["verify-univ", "--algebra", "a", "--module", "induced", "--depth", "3", "--out", "verify_univ.json"], ["verify_univ.json"]),
     (["verify-us", "--algebra", "a", "--depth", "3", "--out", "verify_us.json"], ["verify_us.json"]),
     (["verify-shapiro", "--algebra", "a", "--depth", "3", "--out", "verify_shapiro.json"], ["verify_shapiro.json"]),

@@ -8,7 +8,9 @@ import pytest
 from semiflex.forms import semiinf_cohomology
 from semiflex.induction import (
     InductionError,
+    WakimotoSpace,
     _descended_module,
+    _invariant_completion,
     bimodule_commutes,
     check_prop_iso,
     check_prop_iso1,
@@ -275,6 +277,14 @@ def test_wakimoto_critical_level(sl2):
     assert check_commutators(W, (-3, 3)) == []
     table = semiinf_cohomology(subalgebra(sl2, "a"), W, 4)
     assert table.nonzero() == [((0, 0), 0, 1)]
+
+
+def test_invariant_completion_names_weight_and_cap_when_it_runs_out(sl2, lam01):
+    space = WakimotoSpace(sl2, lam01, 3)
+    w = (2, -2)  # where the co-singular direction of lambda = (0, 1) is completed
+    want = space.dim(w) + 1
+    with pytest.raises(InductionError, match=rf"weight \(2, -2\): .* of {want} dimensions .*cap of length 3"):
+        _invariant_completion(space, w, [], want)
 
 
 def test_universal_property_cases(loop_a, abelian):
