@@ -8,7 +8,7 @@ deleted from the tail.  Slots are ordered by descending canonical key (the
 added part on top, then the whole nonpositive part of the algebra); moving
 an operator past k occupied slots costs (-1)^k, which fixes every sign.
 The monomials of each ell(mu) come from a per-(algebra, ell) index, built
-once from a budgeted subset enumerator.
+once from the PBW monomial enumerator with exponents capped at 1.
 
 The differential has two terms.  The single-slot term removes an occupied
 slot y with its position sign and applies the module action of y plus, for
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from .liealg import WindowError, wt_add, wt_sub, wt_zero
 from .linalg import SparseMatrix
+from .pbw import monomials_by_weight
 
 __all__ = [
     "vacuum",
@@ -168,30 +169,6 @@ def contract_element(alg, x, form: dict) -> dict:
     return out
 
 
-def _subsets_by_weight(alg, elems, max_ell):
-    """{weight: [key-sorted id-tuples]} of subsets of distinct elements with
-    |ell(weight)| <= max_ell; elems must be one-signed in degree (degree-0
-    elements cost nothing against the budget)."""
-    elems = sorted(elems, key=alg.key)
-    table: dict = {wt_zero(alg.rank): [()]}
-
-    def rec(idx, acc, w, budget):
-        if idx >= len(elems):
-            return
-        e = elems[idx]
-        d = abs(alg.degree(e))
-        if d <= budget:
-            acc.append(e)
-            w2 = wt_add(w, alg.weight(e))
-            table.setdefault(w2, []).append(tuple(acc))
-            rec(idx + 1, acc, w2, budget - d)
-            acc.pop()
-        rec(idx + 1, acc, w, budget)
-
-    rec(0, [], wt_zero(alg.rank), max_ell)
-    return table
-
-
 def _forms_at(alg, ell: int) -> dict:
     """{mu: {n: sorted monomials}} for every relative weight mu with
     ell(mu) == ell, built once per algebra and ell under the algebra's lock
@@ -209,17 +186,17 @@ def _forms_at(alg, ell: int) -> dict:
 def _build_forms(alg, ell: int) -> dict:
     """ell(mu) = total degree of the added part + total |degree| of the
     removed part, so both subset tables are exact under the budget ell
-    (degree-0 removals are free).  The enumerator returns tuples in key
-    order; monomials keep their parts sorted by id, as _insert does."""
+    (degree-0 removals are free).  The parts are wedges, exponents capped at
+    1; monomials keep them sorted by id, as _insert does."""
     alg.ensure_window(-ell - 1, ell + 1)
-    pos = _subsets_by_weight(alg, alg.elements_in_degrees(1, ell), ell)
-    neg = _subsets_by_weight(alg, alg.elements_in_degrees(-ell, 0), ell)
+    pos = monomials_by_weight(alg, sorted(alg.elements_in_degrees(1, ell), key=alg.key), ell, 1)
+    neg = monomials_by_weight(alg, sorted(alg.elements_in_degrees(-ell, 0), key=alg.key), ell, 1)
     rems_by_ell: dict = {}
     for wr, rems in neg.items():
-        rems_by_ell.setdefault(alg.ell(wr), []).append((wr, [tuple(sorted(r)) for r in rems]))
+        rems_by_ell.setdefault(alg.ell(wr), []).append((wr, [tuple(sorted(e for e, _ in r)) for r in rems]))
     out: dict = {}
     for wa, adds in pos.items():
-        adds = [tuple(sorted(a)) for a in adds]
+        adds = [tuple(sorted(e for e, _ in a)) for a in adds]
         for wr, rems in rems_by_ell.get(alg.ell(wa) - ell, ()):
             cells = out.setdefault(wt_sub(wa, wr), {})
             for a in adds:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .forms import semiinf_cohomology, semiinvariant_images
-from .liealg import SubalgebraSpec, WindowError, exact, subalgebra, wt_add, wt_neg, wt_sub, wt_zero
+from .liealg import SubalgebraSpec, WindowError, exact, subalgebra, wt_add, wt_sub, wt_zero
 from .linalg import SparseMatrix, solve_in_span
 from .modules import WeightModule, _lam_str, check_commutators, product_formula_character
 from .pbw import (
@@ -35,10 +35,12 @@ from .pbw import (
     compress,
     descending_order,
     enumerate_pbw_weights,
+    evaluate,
     flatten,
     monomial_label,
     monomial_weight,
     normal_order_word,
+    split,
 )
 
 __all__ = [
@@ -88,14 +90,6 @@ def _jsonable(x):
     return x
 
 
-def _split_pos(alg, mon):
-    """Split an order-sorted monomial into (positive-degree part, rest)."""
-    for i, (eid, _) in enumerate(mon):
-        if alg.degree(eid) <= 0:
-            return mon[:i], mon[i:]
-    return mon, ()
-
-
 class _PairSpace:
     """Pairs (q, m) of a dual PBW monomial of U(g+) and a PBW monomial of a
     negative part, bucketed by weight wt(m) - wt(q) to the given depth, with
@@ -126,6 +120,9 @@ class _PairSpace:
             bucket.sort()
         self._index = {w: {pair: i for i, pair in enumerate(b)} for w, b in self.weights.items()}
         self._left: dict = {}
+
+    def _positive(self, eid) -> bool:
+        return self.alg.degree(eid) > 0
 
     def dim(self, w) -> int:
         return len(self.weights.get(tuple(w), ()))
@@ -188,7 +185,7 @@ class _PairSpace:
             for qprime in qprimes:
                 st = normal_order_word(alg, (z,) + flatten(qprime), order)
                 for mon, c in st.items():
-                    p, m = _split_pos(alg, mon)
+                    p, m = split(mon, self._positive)
                     hits = by_q0.get(p)
                     if not hits:
                         continue
@@ -212,7 +209,7 @@ class _PairSpace:
         <q0, q' · S(p)> with S the antipode."""
         alg, order = self.alg, self.order
         for mon, c in normal_order_word(alg, flatten(m0) + (z,), order).items():
-            p, m = _split_pos(alg, mon)
+            p, m = split(mon, self._positive)
             if not p:
                 yield q0, m, c
                 continue
@@ -322,24 +319,25 @@ def bimodule_commutes(model: SemiregularModel, gen_window, weights=None) -> list
 # -- structural checks for US ---------------------------------------------------------
 
 
-def _convolve_dims(alg, a: dict, b: dict, depth: int) -> dict:
-    out: dict = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            w = wt_add(wa, wb)
-            if alg.ell(w) >= -depth:
-                out[w] = out.get(w, 0) + ca * cb
-    return out
+def _dim_diffs(model: SemiregularModel) -> dict:
+    """{w: (got, expected)} wherever the pair space's graded dimensions
+    differ from the convolution of those of U(g+)* (at negated weights) and
+    U(g-): the expected dimension at w counts the (q, m) with
+    wt(m) - wt(q) = w."""
+    expected: dict = {}
+    for qw, qs in model.qtab.items():
+        for mw, ms in model.mtab.items():
+            w = wt_sub(mw, qw)
+            if model.alg.ell(w) >= -model.depth:
+                expected[w] = expected.get(w, 0) + len(qs) * len(ms)
+    got = {w: len(b) for w, b in model.weights.items()}
+    return {w: (got.get(w, 0), expected.get(w, 0)) for w in set(got) | set(expected) if got.get(w, 0) != expected.get(w, 0)}
 
 
 def check_prop_iso(alg, depth: int) -> Verdict:
     """Right-module model: graded dims of U(g+)* ⊗ U(g-) and the right oracle."""
     model = universal_semijective(alg, depth)
-    dualdims = {wt_neg(w): len(ms) for w, ms in model.qtab.items()}
-    negdims = {w: len(ms) for w, ms in model.mtab.items()}
-    expected = _convolve_dims(alg, dualdims, negdims, depth)
-    got = {w: len(b) for w, b in model.weights.items()}
-    diffs = {w: (got.get(w, 0), expected.get(w, 0)) for w in set(got) | set(expected) if got.get(w, 0) != expected.get(w, 0)}
+    diffs = _dim_diffs(model)
     lo, hi = -min(depth, 3), min(depth, 3)
     oracle = model.right_oracle_failures((lo, hi))
     passed = not diffs and not oracle
@@ -349,14 +347,7 @@ def check_prop_iso(alg, depth: int) -> Verdict:
 def check_prop_iso1(alg, depth: int) -> Verdict:
     """Left-module model: graded dims of Hom(U(g+), U(g-)) and the left oracle."""
     model = universal_semijective(alg, depth)
-    expected: dict = {}
-    for qw, qs in model.qtab.items():
-        for mw, ms in model.mtab.items():
-            w = wt_sub(mw, qw)
-            if alg.ell(w) >= -depth:
-                expected[w] = expected.get(w, 0) + len(qs) * len(ms)
-    got = {w: len(b) for w, b in model.weights.items()}
-    diffs = {w: (got.get(w, 0), expected.get(w, 0)) for w in set(got) | set(expected) if got.get(w, 0) != expected.get(w, 0)}
+    diffs = _dim_diffs(model)
     lo, hi = -min(depth, 3), min(depth, 3)
     oracle = model.left_oracle_failures((lo, hi))
     commute = bimodule_commutes(model, (lo, hi))
@@ -519,18 +510,8 @@ class WakimotoSpace(_PairSpace):
     def reduce_m(self, mon) -> tuple:
         """Class of a U(g-) monomial (a- block then abar- block) in the
         lambda-tilde quotient: (coefficient, a- part monomial)."""
-        split = len(mon)
-        for i, (eid, _) in enumerate(mon):
-            if not self.a_view.is_member(eid):
-                split = i
-                break
-        coeff = 1
-        for eid, exp in mon[split:]:
-            lt = self._lam_tilde.get(eid, 0)
-            if not lt:
-                return 0, ()
-            coeff *= lt**exp
-        return coeff, mon[:split]
+        ma, tail = split(mon, self.a_view.is_member)
+        return evaluate(self._lam_tilde, tail), ma
 
     def left_matrix(self, z: int, w) -> SparseMatrix:
         return self._left_action(z, w, self.reduce_m)
@@ -632,10 +613,7 @@ def _invariant_completion(space, w, have, want):
                 if not c:
                     continue
                 q, ma, mbar = xbasis[idx]
-                coeff = 1
-                for eid, exp in mbar:
-                    lt = space._lam_tilde.get(eid, 0)
-                    coeff *= lt**exp
+                coeff = evaluate(space._lam_tilde, mbar)
                 if coeff:
                     vec[space._index[w][(q, ma)]] += c * coeff
             if any(vec):

@@ -27,9 +27,11 @@ from .linalg import SparseMatrix
 from .pbw import (
     canonical_order,
     enumerate_pbw_weights,
+    evaluate,
     flatten,
     monomial_label,
     normal_order_word,
+    split,
 )
 
 __all__ = [
@@ -124,41 +126,22 @@ def _exact_lambda(lam: dict) -> dict:
     return {label: exact(v) for label, v in lam.items()}
 
 
-def _lambda_scalar(alg, lam: dict, factors):
-    """Product of lambda over a PBW suffix; positive factors kill the term."""
-    out = 1
-    for eid, exp in factors:
-        if alg.degree(eid) > 0:
-            return 0
-        v = lam.get(alg.label(eid), 0)
-        if not v:
-            return 0
-        out *= v**exp
-    return out
+def _lambda_values(alg, lam: dict) -> dict:
+    """lambda as {degree-0 eid: exact nonzero value}: evaluating it on a
+    factor of nonzero degree gives 0."""
+    values = {e: exact(lam.get(alg.label(e), 0)) for e in alg.elements_of_degree(0)}
+    return {e: v for e, v in values.items() if v}
 
 
-def _split_canonical(alg, mon):
-    """Split a canonical-order monomial into (deg<0 prefix, deg>=0 suffix)."""
-    for i, (eid, _) in enumerate(mon):
-        if alg.degree(eid) >= 0:
-            return mon[:i], mon[i:]
-    return mon, ()
-
-
-def verma(alg, lam: dict, depth: int) -> WeightModule:
-    """Highest-weight module induced from the character ``lam`` of g_0.
-
-    Basis: PBW monomials in the strictly negative part applied to the
-    highest-weight vector; actions by straightening in the canonical order
-    and evaluating the nonnegative suffix on the vector.
-    """
-    lam = _exact_lambda(lam)
-    alg.ensure_window(-2 * depth - 4, 2 * depth + 4)
-    neg = subalgebra(alg, "g_below_zero")
-    order = canonical_order(alg)
-    tab = enumerate_pbw_weights(neg, depth, order)
+def _induced_module(alg, name, tab, order, values, depth, lam=None) -> WeightModule:
+    """U(alg) ⊗ C_values on the PBW monomials ``tab`` of a strictly negative
+    part: an action straightens z · mon in ``order`` and evaluates ``values``
+    on the suffix after the strictly negative prefix."""
     weights = {w: [monomial_label(alg, m) for m in mons] for w, mons in tab.items()}
     index = {w: {m: i for i, m in enumerate(mons)} for w, mons in tab.items()}
+
+    def negative(e):
+        return alg.degree(e) < 0
 
     def rule(eid, w):
         target = wt_add(w, alg.weight(eid))
@@ -169,34 +152,52 @@ def verma(alg, lam: dict, depth: int) -> WeightModule:
         for c, mon in enumerate(cols):
             word = (eid,) + flatten(mon)
             for out_mon, coeff in normal_order_word(alg, word, order).items():
-                negpart, rest = _split_canonical(alg, out_mon)
-                scalar = _lambda_scalar(alg, lam, rest)
+                negpart, rest = split(out_mon, negative)
+                scalar = evaluate(values, rest)
                 if not scalar:
                     continue
                 r = tindex.get(negpart)
                 if r is None:
-                    raise ModuleError(f"verma: monomial escaped basis at weight {target}")
+                    raise ModuleError(f"{name}: monomial escaped the basis at weight {target}")
                 mat.add(r, c, coeff * scalar)
         return mat
 
-    return WeightModule(alg, f"V({_lam_str(lam)})", weights, rule, depth, lam)
+    return WeightModule(alg, name, weights, rule, depth, lam)
+
+
+def verma(alg, lam: dict, depth: int) -> WeightModule:
+    """Highest-weight module induced from the character ``lam`` of g_0.
+
+    Basis: PBW monomials in the strictly negative part applied to the
+    highest-weight vector; actions by straightening in the canonical order
+    and evaluating lambda on the nonnegative suffix (positive factors kill
+    the term).
+    """
+    lam = _exact_lambda(lam)
+    alg.ensure_window(-2 * depth - 4, 2 * depth + 4)
+    order = canonical_order(alg)
+    tab = enumerate_pbw_weights(subalgebra(alg, "g_below_zero"), depth, order)
+    return _induced_module(alg, f"V({_lam_str(lam)})", tab, order, _lambda_values(alg, lam), depth, lam)
 
 
 def coverma(alg, lam: dict, depth: int) -> WeightModule:
     """Contragredient Verma module realized on dual PBW monomials of U(g_+).
 
     The action is (z·phi)(p) = phi(p z) with p z straightened into the
-    U(g_-) U(g_+) factorization and lambda applied to the left factor
+    U(g_-) U(g_+) factorization and lambda evaluated on the left factor
     (strictly negative factors kill the term).
     """
     lam = _exact_lambda(lam)
     alg.ensure_window(-2 * depth - 4, 2 * depth + 4)
-    pos = subalgebra(alg, "gplus")
+    values = _lambda_values(alg, lam)
     order = canonical_order(alg)
-    ptab = enumerate_pbw_weights(pos, depth, order)
+    ptab = enumerate_pbw_weights(subalgebra(alg, "gplus"), depth, order)
     tab = {wt_neg(w): mons for w, mons in ptab.items()}
     weights = {w: [monomial_label(alg, m) + "*" for m in mons] for w, mons in tab.items()}
     index = {w: {m: i for i, m in enumerate(mons)} for w, mons in tab.items()}
+
+    def nonpositive(e):
+        return alg.degree(e) <= 0
 
     def rule(eid, w):
         target = wt_add(w, alg.weight(eid))
@@ -207,8 +208,8 @@ def coverma(alg, lam: dict, depth: int) -> WeightModule:
         for r, p in enumerate(rows):
             word = flatten(p) + (eid,)
             for out_mon, coeff in normal_order_word(alg, word, order).items():
-                mpart, ppart = _split_strict_negative(alg, out_mon)
-                scalar = _lambda_scalar_left(alg, lam, mpart)
+                mpart, ppart = split(out_mon, nonpositive)
+                scalar = evaluate(values, mpart)
                 if not scalar:
                     continue
                 c = cindex.get(ppart)
@@ -217,23 +218,6 @@ def coverma(alg, lam: dict, depth: int) -> WeightModule:
         return mat
 
     return WeightModule(alg, f"V*({_lam_str(lam)})", weights, rule, depth, lam)
-
-
-def _split_strict_negative(alg, mon):
-    """Split a canonical monomial into (deg<=0 prefix, deg>0 suffix)."""
-    for i, (eid, _) in enumerate(mon):
-        if alg.degree(eid) > 0:
-            return mon[:i], mon[i:]
-    return mon, ()
-
-
-def _lambda_scalar_left(alg, lam: dict, factors):
-    out = 1
-    for eid, exp in factors:
-        if alg.degree(eid) < 0:
-            return 0
-        out *= lam.get(alg.label(eid), 0) ** exp
-    return out
 
 
 def _lam_str(lam: dict) -> str:
@@ -284,25 +268,7 @@ def free_negative_module(sub, depth: int) -> WeightModule:
     """U(sub) as a module over sub by left multiplication (sub strictly negative)."""
     order = canonical_order(sub)
     tab = enumerate_pbw_weights(sub, depth, order)
-    weights = {w: [monomial_label(sub, m) for m in mons] for w, mons in tab.items()}
-    index = {w: {m: i for i, m in enumerate(mons)} for w, mons in tab.items()}
-
-    def rule(eid, w):
-        target = wt_add(w, sub.weight(eid))
-        rows = tab.get(target, [])
-        cols = tab.get(tuple(w), [])
-        mat = SparseMatrix(len(rows), len(cols))
-        tindex = index.get(target, {})
-        for c, mon in enumerate(cols):
-            word = (eid,) + flatten(mon)
-            for out_mon, coeff in normal_order_word(sub, word, order).items():
-                r = tindex.get(out_mon)
-                if r is None:
-                    raise ModuleError("free module: monomial escaped the materialized depth")
-                mat.add(r, c, coeff)
-        return mat
-
-    return WeightModule(sub, f"U({sub.name})", weights, rule, depth)
+    return _induced_module(sub, f"U({sub.name})", tab, order, {}, depth)
 
 
 def direct_sum(m1: WeightModule, m2: WeightModule) -> WeightModule:
@@ -339,7 +305,8 @@ def check_commutators(module: WeightModule, gen_window: tuple, weights=None) -> 
 
     For every generator pair in the degree window and every module weight
     where all intermediate weights stay within depth, compare the commutator
-    of action matrices with the action of the bracket.
+    of action matrices with the action of the bracket.  A WindowError from
+    an action propagates: skipping the pair would report an unchecked pass.
     """
     alg = module.alg
     lo, hi = gen_window
@@ -358,11 +325,8 @@ def check_commutators(module: WeightModule, gen_window: tuple, weights=None) -> 
                 wxy = wt_add(wx, alg.weight(y))
                 if not all(module.in_depth(v) or module.ell(v) > 0 for v in (wx, wy, wxy)):
                     continue
-                try:
-                    x_after_y = module.action(x, wy).matmul(module.action(y, w))
-                    y_after_x = module.action(y, wx).matmul(module.action(x, w))
-                except WindowError:
-                    continue
+                x_after_y = module.action(x, wy).matmul(module.action(y, w))
+                y_after_x = module.action(y, wx).matmul(module.action(x, w))
                 comm = SparseMatrix(x_after_y.nrows, x_after_y.ncols)
                 for i, row in enumerate(x_after_y.rows):
                     for c, v in row.items():

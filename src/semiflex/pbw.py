@@ -11,7 +11,14 @@ which the tests exercise against an independent right-to-left straightener.
 
 Orders: the canonical order (degree, weight, index) from the algebra and
 its reverse (positive part first); any Order(tag, key) works, as the
-Wakimoto block order in induction does.
+Wakimoto block order in induction does.  An order caches its key per basis
+id.
+
+Every induced module is built from three monomial operations, each defined
+once here: ``monomials_by_weight`` is the one enumerator (PBW monomials, and
+wedges with exponents capped at 1), ``split`` cuts a straightened monomial
+at a block boundary of the order, and ``evaluate`` applies a character to
+the part split off.
 """
 
 from __future__ import annotations
@@ -25,12 +32,24 @@ class InfiniteEnumerationError(Exception):
     """The requested PBW enumeration is not finite."""
 
 
+class _KeyCache(dict):
+    """{basis id: sort key}, filled on first lookup.  A key is a pure
+    function of a materialized id, so concurrent fills write equal values."""
+
+    def __init__(self, key):
+        self._key = key
+
+    def __missing__(self, eid):
+        k = self[eid] = self._key(eid)
+        return k
+
+
 class Order:
     """Total order on basis elements: sort key plus a memoization tag."""
 
     def __init__(self, tag: str, key):
         self.tag = tag
-        self.key = key
+        self.key = _KeyCache(key).__getitem__
 
 
 def canonical_order(alg) -> Order:
@@ -88,6 +107,26 @@ def monomial_label(alg, mon) -> str:
     if not mon:
         return "1"
     return "·".join(alg.label(e) + (f"^{k}" if k > 1 else "") for e, k in mon)
+
+
+def split(mon, keep) -> tuple:
+    """(longest prefix of ``mon`` whose factors satisfy ``keep``, the rest)."""
+    for i, (eid, _) in enumerate(mon):
+        if not keep(eid):
+            return mon[:i], mon[i:]
+    return mon, EMPTY
+
+
+def evaluate(values: dict, mon):
+    """Product of values[eid] ** exp over the factors of ``mon``: 0 as soon
+    as a factor has no value or a zero one."""
+    out = 1
+    for eid, exp in mon:
+        v = values.get(eid)
+        if not v:
+            return 0
+        out *= v**exp
+    return out
 
 
 def _add_scaled(acc: dict, terms: dict, c) -> None:
@@ -161,75 +200,46 @@ def scalar(c) -> dict:
 # -- enumeration -------------------------------------------------------------------
 
 
-def _sign_profile(sub, lo: int, hi: int):
-    has_pos = has_nonpos = False
-    sub.ensure_window(lo, hi)
-    for e in sub.elements_in_degrees(lo, hi):
-        if sub.degree(e) > 0:
-            has_pos = True
-        else:
-            has_nonpos = True
-    return has_pos, has_nonpos
+def monomials_by_weight(alg, elems, budget: int, max_exp=None) -> dict:
+    """{weight: [monomials]} of the products of ``elems``, in the given order,
+    with total |degree| at most ``budget`` and no exponent above ``max_exp``
+    (None for PBW monomials, 1 for wedges; a degree-0 element costs nothing,
+    so it needs the cap).  Lists are in enumeration order."""
+    table: dict = {wt_zero(alg.rank): [EMPTY]}
+
+    def rec(idx, acc, w, budget):
+        if idx >= len(elems):
+            return
+        e = elems[idx]
+        d = abs(alg.degree(e))
+        top = budget // d if d else max_exp
+        if max_exp is not None:
+            top = min(top, max_exp)
+        we = alg.weight(e)
+        for exp in range(1, top + 1):
+            acc.append((e, exp))
+            w2 = tuple(a + exp * b for a, b in zip(w, we))
+            table.setdefault(w2, []).append(tuple(acc))
+            rec(idx + 1, acc, w2, budget - exp * d)
+            acc.pop()
+        rec(idx + 1, acc, w, budget)
+
+    rec(0, [], wt_zero(alg.rank), budget)
+    return table
 
 
 def enumerate_pbw(sub, weight, order: Order | None = None) -> list:
     """All PBW monomials of the subalgebra with the given total weight.
 
     Requires a strictly positively or strictly negatively graded subalgebra
-    (the mixed case can be infinite and is rejected).
+    (the mixed case can be infinite and is rejected); a weight on a side of
+    zero where the subalgebra has no elements has none.
     """
-    if order is None:
-        order = canonical_order(sub)
     ell = sub.ell(weight)
-    probe = max(abs(ell), 1)
-    has_pos, has_nonpos = _sign_profile(sub, -probe, probe)
-    if has_pos and has_nonpos:
-        raise InfiniteEnumerationError(
-            f"{sub.name}: mixed positive/negative grading, PBW enumeration by weight may be infinite"
-        )
-    if not tuple(weight) == wt_zero(sub.rank) and ell == 0:
+    sub.ensure_window(-abs(ell), abs(ell))
+    if ell > 0 and not sub.elements_in_degrees(1, ell):
         return []
-    if ell == 0:
-        return [EMPTY]
-    if (ell > 0 and not has_pos) or (ell < 0 and not has_nonpos):
-        return []
-    if ell < 0:
-        if sub.elements_of_degree(0):
-            e = sub.elements_of_degree(0)[0]
-            raise InfiniteEnumerationError(f"{sub.name}: degree-0 element {sub.label(e)} in enumeration")
-        elems = sub.elements_in_degrees(ell, -1)
-    else:
-        elems = sub.elements_in_degrees(1, ell)
-    elems = sorted(elems, key=order.key)
-    target = tuple(weight)
-    out = []
-
-    def rec(idx, acc, remaining):
-        rell = sub.ell(remaining)
-        if rell == 0:
-            if all(x == 0 for x in remaining):
-                out.append(tuple(acc))
-            return
-        if idx >= len(elems):
-            return
-        if ell < 0 and rell > 0:
-            return
-        if ell > 0 and rell < 0:
-            return
-        e = elems[idx]
-        d = sub.degree(e)
-        maxexp = rell // d if rell and (rell < 0) == (d < 0) else 0
-        we = sub.weight(e)
-        for exp in range(maxexp + 1):
-            if exp:
-                acc.append((e, exp))
-            rem = tuple(a - exp * b for a, b in zip(remaining, we))
-            rec(idx + 1, acc, rem)
-            if exp:
-                acc.pop()
-
-    rec(0, [], target)
-    return sorted(out)
+    return enumerate_pbw_weights(sub, abs(ell), order).get(tuple(weight), [])
 
 
 def enumerate_pbw_weights(sub, depth: int, order: Order | None = None) -> dict:
@@ -240,39 +250,21 @@ def enumerate_pbw_weights(sub, depth: int, order: Order | None = None) -> dict:
     """
     if order is None:
         order = canonical_order(sub)
-    has_pos, has_nonpos = _sign_profile(sub, -max(depth, 1), max(depth, 1))
+    probe = max(depth, 1)
+    sub.ensure_window(-probe, probe)
+    degrees = [sub.degree(e) for e in sub.elements_in_degrees(-probe, probe)]
+    has_pos, has_nonpos = any(d > 0 for d in degrees), any(d <= 0 for d in degrees)
     if has_pos and has_nonpos:
-        raise InfiniteEnumerationError(f"{sub.name}: mixed grading")
-    table: dict = {wt_zero(sub.rank): [EMPTY]}
-    if depth <= 0:
-        return table
-    if has_pos:
-        elems = sub.elements_in_degrees(1, depth)
-    elif has_nonpos:
-        if sub.elements_of_degree(0):
-            e = sub.elements_of_degree(0)[0]
-            raise InfiniteEnumerationError(f"{sub.name}: degree-0 element {sub.label(e)}")
-        elems = sub.elements_in_degrees(-depth, -1)
-    else:
-        return table
-    elems = sorted(elems, key=order.key)
-
-    def rec(idx, acc, w, budget):
-        if idx >= len(elems):
-            return
-        e = elems[idx]
-        d = abs(sub.degree(e))
-        we = sub.weight(e)
-        maxexp = budget // d
-        for exp in range(1, maxexp + 1):
-            acc.append((e, exp))
-            w2 = tuple(a + exp * b for a, b in zip(w, we))
-            table.setdefault(w2, []).append(tuple(acc))
-            rec(idx + 1, acc, w2, budget - exp * d)
-            acc.pop()
-        rec(idx + 1, acc, w, budget)
-
-    rec(0, [], wt_zero(sub.rank), depth)
+        raise InfiniteEnumerationError(
+            f"{sub.name}: mixed positive/negative grading, PBW enumeration by weight may be infinite"
+        )
+    if has_nonpos and sub.elements_of_degree(0):
+        e = sub.elements_of_degree(0)[0]
+        raise InfiniteEnumerationError(f"{sub.name}: degree-0 element {sub.label(e)} in enumeration")
+    if depth <= 0 or not (has_pos or has_nonpos):
+        return {wt_zero(sub.rank): [EMPTY]}
+    elems = sub.elements_in_degrees(1, depth) if has_pos else sub.elements_in_degrees(-depth, -1)
+    table = monomials_by_weight(sub, sorted(elems, key=order.key), depth)
     for mons in table.values():
         mons.sort()
     return table

@@ -149,14 +149,14 @@ def test_form_index_built_once_per_ell_across_threads(monkeypatch):
     from semiflex import forms
 
     calls = []
-    real = forms._subsets_by_weight
+    real = forms.monomials_by_weight
 
-    def counting(alg, elems, max_ell):
-        calls.append(max_ell)
+    def counting(alg, elems, budget, max_exp=None):
+        calls.append(budget)
         time.sleep(0.002)  # widen the window for a second build
-        return real(alg, elems, max_ell)
+        return real(alg, elems, budget, max_exp)
 
-    monkeypatch.setattr(forms, "_subsets_by_weight", counting)
+    monkeypatch.setattr(forms, "monomials_by_weight", counting)
     alg = build_test_algebra("loop-nilpotent-a")
     cells = [((-1, k), n) for k in range(1, 5) for n in range(-3, 4)]
     barrier = threading.Barrier(4, timeout=30)

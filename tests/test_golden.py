@@ -1,5 +1,5 @@
-"""Golden outputs: CLI jobs and one module dump compared byte for byte with
-the fixtures in tests/golden/, and the benchmark's US(a) depth-9 job with
+"""Golden outputs: CLI jobs and three module dumps (S-ind, Verma and
+contragredient Verma) compared byte for byte with the fixtures in tests/golden/, and the benchmark's US(a) depth-9 job with
 perfbench/golden/uscoh_cli.csv.
 
 Regenerate the fixtures (only from a commit whose outputs are trusted) with
@@ -9,6 +9,7 @@ Regenerate the fixtures (only from a commit whose outputs are trusted) with
 
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,8 +18,8 @@ from click.testing import CliRunner
 from semiflex import output
 from semiflex.cli import main
 from semiflex.induction import s_ind
-from semiflex.liealg import load_algebra, subalgebra
-from semiflex.modules import trivial_module
+from semiflex.liealg import build_affine_sl2, load_algebra, subalgebra
+from semiflex.modules import coverma, trivial_module, verma
 
 GOLDEN = Path(__file__).parent / "golden"
 # read-only: owned by the benchmark, regenerated only with it
@@ -42,6 +43,9 @@ JOBS = [
 ]
 
 S_IND_DUMP = "s_ind_loop_nminus.jsonl"
+# a non-integral lambda, so every straightened coefficient meets a Fraction
+LAMBDA = {"1⊗h": Fraction(2, 3), "K": Fraction(1, 2), "d": Fraction(0)}
+VERMA_DUMPS = {"verma_affine_sl2.jsonl": verma, "coverma_affine_sl2.jsonl": coverma}
 
 
 def run_cli(argv, cwd):
@@ -59,6 +63,11 @@ def dump_s_ind(path):
     a = load_algebra("subalgebra_a")
     module = s_ind(a, subalgebra(a, "loop-nminus"), trivial_module(a, 6), 6)
     output.dump_module_jsonl(path, module, (-6, 6))
+
+
+def dump_verma_type(path, ctor):
+    """Basis and action matrices of verma or coverma on affine sl2 at LAMBDA, depth 4."""
+    output.dump_module_jsonl(path, ctor(build_affine_sl2(), LAMBDA, 4), (-4, 4))
 
 
 @pytest.mark.parametrize("argv,files", JOBS, ids=[f[0] for _a, f in JOBS])
@@ -81,6 +90,12 @@ def test_s_ind_dump_matches_golden(tmp_path):
     assert (tmp_path / S_IND_DUMP).read_bytes() == (GOLDEN / S_IND_DUMP).read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(VERMA_DUMPS))
+def test_verma_type_dump_matches_golden(name, tmp_path):
+    dump_verma_type(tmp_path / name, VERMA_DUMPS[name])
+    assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
 def regenerate(dest=GOLDEN):
     dest.mkdir(parents=True, exist_ok=True)
     for argv, _files in JOBS:
@@ -88,6 +103,8 @@ def regenerate(dest=GOLDEN):
         if code != 0:
             sys.exit(f"{' '.join(argv)} exited {code}")
     dump_s_ind(dest / S_IND_DUMP)
+    for name, ctor in VERMA_DUMPS.items():
+        dump_verma_type(dest / name, ctor)
 
 
 if __name__ == "__main__":

@@ -300,3 +300,18 @@ def test_raising_bound(sl2, lam01):
     for d in range(1, 3):
         for z in sl2.elements_of_degree(d):
             assert V.action(z, (0, 0)).is_zero()
+
+
+def test_check_commutators_lets_a_window_error_through(sl2, lam01):
+    """A pair the module cannot evaluate is an error, not a silent pass."""
+    V = verma(sl2, lam01, 3)
+    f = sl2.by_label("1⊗f")
+
+    def rule(eid, w):
+        if eid == f and w == (0, 0):
+            raise WindowError("f at the top weight")
+        return V.action(eid, w)
+
+    M = WeightModule(sl2, "V with a hole", V.weights, rule, 3)
+    with pytest.raises(WindowError, match="f at the top weight"):
+        check_commutators(M, (-1, 1))

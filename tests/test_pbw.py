@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from semiflex.liealg import subalgebra
+from semiflex.liealg import SubalgebraSpec, load_algebra, subalgebra
 from semiflex.pbw import (
     EMPTY,
     InfiniteEnumerationError,
@@ -166,8 +167,65 @@ def test_mixed_grading_rejected(sl2):
 
 def test_degree_zero_tower_rejected(sl2):
     gminus = subalgebra(sl2, "gminus")
+    for weight in ((0, -1), (0, 0)):
+        with pytest.raises(InfiniteEnumerationError):
+            enumerate_pbw(gminus, weight)
     with pytest.raises(InfiniteEnumerationError):
-        enumerate_pbw(gminus, (0, -1))
+        enumerate_pbw_weights(gminus, 0)
+    # nothing on the positive side, whatever sits at degree 0
+    assert enumerate_pbw(gminus, (1, 0)) == []
+
+
+def target_weight_pbw(sub, weight, order):
+    """Independent enumeration: spend the remaining weight factor by factor
+    (the recursion enumerate_pbw used before it read the weight table)."""
+    ell = sub.ell(weight)
+    elems = sorted(sub.elements_in_degrees(1, ell) if ell > 0 else sub.elements_in_degrees(ell, -1), key=order.key)
+    out = []
+
+    def rec(idx, acc, remaining):
+        rell = sub.ell(remaining)
+        if rell == 0:
+            if all(x == 0 for x in remaining):
+                out.append(tuple(acc))
+            return
+        if idx >= len(elems) or (rell > 0) != (ell > 0):
+            return
+        e = elems[idx]
+        d = sub.degree(e)
+        we = sub.weight(e)
+        for exp in range(rell // d + 1):
+            if exp:
+                acc.append((e, exp))
+            rec(idx + 1, acc, tuple(a - exp * b for a, b in zip(remaining, we)))
+            if exp:
+                acc.pop()
+
+    rec(0, [], tuple(weight))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("which", ["aminus", "gplus of a"])
+def test_enumerate_pbw_matches_target_weight_recursion(sl2, which):
+    if which == "aminus":
+        a = subalgebra(sl2, "a")
+        sub = SubalgebraSpec(sl2, "aminus", lambda e: a.is_member(e) and sl2.degree(e) <= 0)
+        alg = sl2
+    else:
+        alg = load_algebra("subalgebra_a")
+        sub = subalgebra(alg, "gplus")
+    alg.ensure_window(-14, 14)
+    depth = 6
+    for order in (canonical_order(alg), descending_order(alg)):
+        nonempty = 0
+        for weight in product(range(-depth, depth + 1), repeat=alg.rank):
+            ell = alg.ell(weight)
+            if not ell or abs(ell) > depth:
+                continue
+            got = enumerate_pbw(sub, weight, order)
+            assert got == target_weight_pbw(sub, weight, order), weight
+            nonempty += bool(got)
+        assert nonempty > 10
 
 
 def test_dual_pairing(sl2):
