@@ -12,14 +12,13 @@ import json
 import os
 import pickle
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import click
 
 from . import output
-from .forms import AnomalyError, CohomologyTable, _active_weights, semiinf_cohomology
+from .forms import AnomalyError, semiinf_cohomology
 from .induction import (
     InductionError,
     check_prop_iso,
@@ -59,7 +58,7 @@ class JobSpec:
     out: str | None = None
     fmt: str = "csv"
     dump: str | None = None
-    jobs: int = 0
+    jobs: int = 0  # unused; kept only because perfbench/workloads.py still builds JobSpec(..., jobs=...)
 
 
 class InputError(Exception):
@@ -129,22 +128,6 @@ def _default_lambda(alg) -> dict:
     return parse_lambda(DEFAULT_LAMBDA, alg)
 
 
-def _parallel_table(compute_one, weights, jobs: int) -> CohomologyTable:
-    """Merge per-weight tables computed with the requested parallelism."""
-    merged = None
-    if jobs <= 1 or len(weights) <= 1:
-        parts = [compute_one(w) for w in sorted(weights)]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(compute_one, sorted(weights)))
-    for part in parts:
-        if merged is None:
-            merged = CohomologyTable(part.kind)
-        merged.cells.update(part.cells)
-        merged.complex_dims.update(part.complex_dims)
-    return merged if merged is not None else CohomologyTable("empty")
-
-
 def run_job(spec: JobSpec) -> int:
     """Dispatch a parsed job; returns the process exit code."""
     try:
@@ -172,7 +155,6 @@ def _emit(spec: JobSpec, alg, rows):
 def _run(spec: JobSpec) -> int:
     if spec.depth < 1:
         raise InputError(f"depth must be positive, got {spec.depth}")
-    jobs = spec.jobs or (os.cpu_count() or 1)
 
     if spec.command == "algebra-check":
         alg = _load_algebra(spec.algebra)
@@ -219,15 +201,10 @@ def _run(spec: JobSpec) -> int:
         module = _build_module(alg, spec)
         if spec.module == "wakimoto" and spec.algebra in A_ALIASES:
             alg = subalgebra(alg, "a")
-
-        def one(w):
-            return semiinf_cohomology(alg, module, spec.depth, weights=[w])
-
-        weights = _active_weights(alg, module, spec.depth)
-        table = _parallel_table(one, weights, jobs)
+        table = semiinf_cohomology(alg, module, spec.depth)
         _emit(spec, alg, output.table_rows(table))
         if spec.dump:
-            output.dump_forms_jsonl(spec.dump, alg, table, module, spec.depth)
+            output.dump_forms_jsonl(spec.dump, alg, table, module)
         _table_summary(table)
         return 0
 
@@ -423,18 +400,16 @@ def lie_cohomology(depth, out, algebra, fmt, lam_text, which, module):
 @_common
 @_algebra_option
 @_format_option
-@click.option("--jobs", default=0, type=int, help="per-weight parallelism (default: cpu count)")
 @_lambda_option
 @click.option("--module", default="trivial", type=click.Choice(["trivial", "verma", "coverma", "us", "wakimoto"]), show_default=True)
 @click.option("--dump", default=None, type=click.Path(), help="basis dump (JSON-lines)")
-def semiinf_cohomology_cmd(depth, out, algebra, fmt, jobs, lam_text, module, dump):
+def semiinf_cohomology_cmd(depth, out, algebra, fmt, lam_text, module, dump):
     """Semi-infinite cohomology table per (weight, ghost degree)."""
-    spec = JobSpec("semiinf-cohomology", algebra=algebra, depth=depth, out=out, fmt=fmt, jobs=jobs, module=module, dump=dump)
+    spec = JobSpec("semiinf-cohomology", algebra=algebra, depth=depth, out=out, fmt=fmt, module=module, dump=dump)
     try:
         if lam_text or module in ("wakimoto", "verma", "coverma"):
             base = _load_algebra("affine_sl2" if module == "wakimoto" else algebra)
-            if base.name == "affine_sl2":
-                spec.lam = parse_lambda(lam_text or DEFAULT_LAMBDA, base)
+            spec.lam = parse_lambda(lam_text or (DEFAULT_LAMBDA if base.name == "affine_sl2" else ""), base)
     except InputError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)

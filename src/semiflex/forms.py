@@ -171,15 +171,10 @@ def contract_element(alg, x, form: dict) -> dict:
 
 def _forms_at(alg, ell: int) -> dict:
     """{mu: {n: sorted monomials}} for every relative weight mu with
-    ell(mu) == ell, built once per algebra and ell under the algebra's lock
-    (the --jobs pool threads share it) and read-only afterwards."""
-    index = alg._form_index
-    got = index.get(ell)
+    ell(mu) == ell, built once per algebra and ell and read-only afterwards."""
+    got = alg._form_index.get(ell)
     if got is None:
-        with alg._form_lock:
-            got = index.get(ell)
-            if got is None:
-                got = index[ell] = _build_forms(alg, ell)
+        got = alg._form_index[ell] = _build_forms(alg, ell)
     return got
 
 

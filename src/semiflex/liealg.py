@@ -17,7 +17,6 @@ test algebra, and the loop-nilpotent subalgebra "a" of affine sl2.
 from __future__ import annotations
 
 import json
-import threading
 from fractions import Fraction
 
 Weight = tuple  # integer coordinate tuples
@@ -87,7 +86,6 @@ class GradedLieAlgebra:
         self._memos: dict = {}
         # semi-infinite form monomials per ell, built once (see forms._forms_at)
         self._form_index: dict = {}
-        self._form_lock = threading.Lock()
         self._tail_counts: dict = {}  # see forms._tail_above
 
     # -- materialization ---------------------------------------------------
@@ -434,7 +432,6 @@ class SubalgebraSpec:
         self.degree_functional = parent.degree_functional
         self._member = member
         self._form_index: dict = {}
-        self._form_lock = threading.Lock()
         self._tail_counts: dict = {}  # see forms._tail_above
 
     def is_member(self, eid: int) -> bool:

@@ -227,20 +227,14 @@ def _lam_str(lam: dict) -> str:
 
 
 def trivial_module(alg, depth: int = 0) -> WeightModule:
-    """The one-dimensional trivial module."""
-    zero = wt_zero(alg.rank)
+    """The one-dimensional trivial module: every element acts by zero."""
+    weights = {wt_zero(alg.rank): ["1"]}
 
     def rule(eid, w):
-        return SparseMatrix(0, 0)
-
-    m = WeightModule(alg, "C", {zero: ["1"]}, rule, depth)
-
-    def rule2(eid, w):
         target = wt_add(w, alg.weight(eid))
-        return SparseMatrix(m.dim(target), m.dim(w))
+        return SparseMatrix(len(weights.get(target, ())), len(weights.get(tuple(w), ())))
 
-    m._rule = rule2
-    return m
+    return WeightModule(alg, "C", weights, rule, depth)
 
 
 def character_module(alg, lam: dict, depth: int = 0) -> WeightModule:

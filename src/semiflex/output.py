@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import csv
 import json
+
+from .forms import SemiInfComplex, monomial_str
 from .liealg import WindowError
 
 
@@ -83,10 +85,8 @@ def dump_module_jsonl(path, module, gen_window):
             )
 
 
-def dump_forms_jsonl(path, alg, table, module, depth):
+def dump_forms_jsonl(path, alg, table, module):
     """Optional basis dump for cohomology tables: monomial labels per cell."""
-    from .forms import SemiInfComplex, monomial_str
-
     with open(path, "w") as fh:
         weights = sorted({w for (w, _n) in table.cells})
         for w in weights:

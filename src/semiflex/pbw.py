@@ -33,8 +33,7 @@ class InfiniteEnumerationError(Exception):
 
 
 class _KeyCache(dict):
-    """{basis id: sort key}, filled on first lookup.  A key is a pure
-    function of a materialized id, so concurrent fills write equal values."""
+    """{basis id: sort key}, filled on first lookup."""
 
     def __init__(self, key):
         self._key = key

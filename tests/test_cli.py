@@ -70,6 +70,16 @@ def test_parse_job_rejects_bad_lambda(runner):
     assert runner.invoke(main, ["wakimoto", "--lambda", "q=1"]).exit_code == 2
 
 
+def test_semiinf_lambda_is_parsed_off_affine_sl2(runner, tmp_path):
+    """--lambda is parsed against the module's algebra, as lie-cohomology does."""
+    out = tmp_path / "o.csv"
+    argv = ["semiinf-cohomology", "--algebra", "a", "--module", "us", "--depth", "2", "--lambda", "bogus=1", "--out", str(out)]
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 2
+    assert "no basis element labelled 'bogus'" in res.stderr
+    assert not out.exists()
+
+
 def test_parse_job_rejects_bad_depth(runner):
     res = runner.invoke(main, ["wakimoto", "--depth", "0"])
     assert res.exit_code == 2
@@ -163,14 +173,6 @@ def test_run_job_bad_depth_exits_two():
     assert run_job(JobSpec("character", depth=-1)) == 2
 
 
-def test_jobs_flag_parallel_matches_serial(runner, tmp_path):
-    a, b = tmp_path / "s.csv", tmp_path / "p.csv"
-    base = ["semiinf-cohomology", "--algebra", "a", "--module", "us", "--depth", "3"]
-    assert runner.invoke(main, base + ["--jobs", "1", "--out", str(a)]).exit_code == 0
-    assert runner.invoke(main, base + ["--jobs", "4", "--out", str(b)]).exit_code == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_dump_flags(runner, tmp_path):
     wdump = tmp_path / "w.jsonl"
     res = runner.invoke(main, ["wakimoto", "--lambda", "h=0,K=1,d=0", "--depth", "3", "--dump", str(wdump)])
@@ -251,6 +253,7 @@ def test_corrupt_cache_warns_and_is_ignored(content, runner, tmp_path, monkeypat
         ["verify-us", "--format", "jsonl"],
         ["verify-univ", "--jobs", "1"],
         ["verify-univ", "--format", "jsonl"],
+        ["semiinf-cohomology", "--jobs", "1"],
     ],
     ids=" ".join,
 )

@@ -1,4 +1,5 @@
-"""Golden outputs: CLI jobs and three module dumps (S-ind, Verma and
+"""Golden outputs: CLI jobs (with the summary lines of the two
+semi-infinite cohomology jobs) and three module dumps (S-ind, Verma and
 contragredient Verma) compared byte for byte with the fixtures in tests/golden/, and the benchmark's US(a) depth-9 job with
 perfbench/golden/uscoh_cli.csv.
 
@@ -27,8 +28,8 @@ BENCH_GOLDEN = Path(__file__).parent.parent / "perfbench" / "golden" / "uscoh_cl
 
 # (command line, files it writes); file names are relative to the job's cwd
 JOBS = [
-    (["semiinf-cohomology", "--algebra", "a", "--module", "us", "--depth", "4", "--jobs", "1", "--out", "semiinf_us.csv"], ["semiinf_us.csv"]),
-    (["semiinf-cohomology", "--algebra", "a", "--module", "wakimoto", "--depth", "4", "--jobs", "1", "--out", "semiinf_wakimoto.csv"], ["semiinf_wakimoto.csv"]),
+    (["semiinf-cohomology", "--algebra", "a", "--module", "us", "--depth", "4", "--out", "semiinf_us.csv"], ["semiinf_us.csv"]),
+    (["semiinf-cohomology", "--algebra", "a", "--module", "wakimoto", "--depth", "4", "--out", "semiinf_wakimoto.csv"], ["semiinf_wakimoto.csv"]),
     (["wakimoto", "--lambda", "h=1/2,K=1,d=0", "--depth", "4", "--out", "wakimoto.csv", "--dump", "wakimoto.jsonl"], ["wakimoto.csv", "wakimoto.jsonl"]),
     # integral lambda: every entry is an int, still written as "n/1"
     (["wakimoto", "--lambda", "h=2,K=1,d=0", "--depth", "4", "--dump", "wakimoto_integral.jsonl"], ["wakimoto_integral.jsonl"]),
@@ -42,6 +43,9 @@ JOBS = [
     (["lie-cohomology", "--algebra", "abelian", "--module", "trivial", "--depth", "5", "--out", "lie_cohomology_abelian.csv"], ["lie_cohomology_abelian.csv"]),
 ]
 
+# jobs whose stdout (the summary lines) is pinned too: first output file -> stdout fixture
+SUMMARIES = {"semiinf_us.csv": "semiinf_us.stdout", "semiinf_wakimoto.csv": "semiinf_wakimoto.stdout"}
+
 S_IND_DUMP = "s_ind_loop_nminus.jsonl"
 # a non-integral lambda, so every straightened coefficient meets a Fraction
 LAMBDA = {"1⊗h": Fraction(2, 3), "K": Fraction(1, 2), "d": Fraction(0)}
@@ -49,11 +53,11 @@ VERMA_DUMPS = {"verma_affine_sl2.jsonl": verma, "coverma_affine_sl2.jsonl": cove
 
 
 def run_cli(argv, cwd):
-    """Run one CLI job with ``cwd`` as working directory; returns its exit code."""
+    """Run one CLI job with ``cwd`` as working directory; returns its click Result."""
     here = os.getcwd()
     os.chdir(cwd)
     try:
-        return CliRunner().invoke(main, argv).exit_code
+        return CliRunner().invoke(main, argv)
     finally:
         os.chdir(here)
 
@@ -72,16 +76,18 @@ def dump_verma_type(path, ctor):
 
 @pytest.mark.parametrize("argv,files", JOBS, ids=[f[0] for _a, f in JOBS])
 def test_cli_job_matches_golden(argv, files, tmp_path):
-    assert run_cli(argv, tmp_path) == 0
+    res = run_cli(argv, tmp_path)
+    assert res.exit_code == 0
     for name in files:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+    if files[0] in SUMMARIES:
+        assert res.stdout_bytes == (GOLDEN / SUMMARIES[files[0]]).read_bytes()
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_us_cohomology_depth_9_matches_benchmark_answer(jobs, tmp_path):
-    """The benchmark's uscoh_cli job, serial and pooled, against its golden CSV."""
-    argv = ["semiinf-cohomology", "--algebra", "a", "--module", "us", "--depth", "9", "--jobs", jobs, "--out", "us9.csv"]
-    assert run_cli(argv, tmp_path) == 0
+def test_us_cohomology_depth_9_matches_benchmark_answer(tmp_path):
+    """The benchmark's uscoh_cli job against its golden CSV."""
+    argv = ["semiinf-cohomology", "--algebra", "a", "--module", "us", "--depth", "9", "--out", "us9.csv"]
+    assert run_cli(argv, tmp_path).exit_code == 0
     assert (tmp_path / "us9.csv").read_bytes() == BENCH_GOLDEN.read_bytes()
 
 
@@ -98,10 +104,12 @@ def test_verma_type_dump_matches_golden(name, tmp_path):
 
 def regenerate(dest=GOLDEN):
     dest.mkdir(parents=True, exist_ok=True)
-    for argv, _files in JOBS:
-        code = run_cli(argv, dest)
-        if code != 0:
-            sys.exit(f"{' '.join(argv)} exited {code}")
+    for argv, files in JOBS:
+        res = run_cli(argv, dest)
+        if res.exit_code != 0:
+            sys.exit(f"{' '.join(argv)} exited {res.exit_code}")
+        if files[0] in SUMMARIES:
+            (dest / SUMMARIES[files[0]]).write_bytes(res.stdout_bytes)
     dump_s_ind(dest / S_IND_DUMP)
     for name, ctor in VERMA_DUMPS.items():
         dump_verma_type(dest / name, ctor)
