@@ -84,11 +84,14 @@ def test_cli_job_matches_golden(argv, files, tmp_path):
         assert res.stdout_bytes == (GOLDEN / SUMMARIES[files[0]]).read_bytes()
 
 
-def test_us_cohomology_depth_9_matches_benchmark_answer(tmp_path):
-    """The benchmark's uscoh_cli job against its golden CSV."""
+@pytest.mark.parametrize("runs", ["1", "2"])
+def test_us_cohomology_depth_9_matches_benchmark_answer(runs, tmp_path):
+    """The benchmark's uscoh_cli job against its golden CSV, run once and
+    run twice in one process (the second run reuses the warm caches)."""
     argv = ["semiinf-cohomology", "--algebra", "a", "--module", "us", "--depth", "9", "--out", "us9.csv"]
-    assert run_cli(argv, tmp_path).exit_code == 0
-    assert (tmp_path / "us9.csv").read_bytes() == BENCH_GOLDEN.read_bytes()
+    for _ in range(int(runs)):
+        assert run_cli(argv, tmp_path).exit_code == 0
+        assert (tmp_path / "us9.csv").read_bytes() == BENCH_GOLDEN.read_bytes()
 
 
 def test_s_ind_dump_matches_golden(tmp_path):
