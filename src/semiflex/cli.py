@@ -12,7 +12,7 @@ import json
 import os
 import pickle
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import click
@@ -43,6 +43,7 @@ from .pbw import InfiniteEnumerationError
 LAMBDA_KEYS = {"h": "1⊗h", "K": "K", "d": "d"}
 DEFAULT_LAMBDA = "h=0,K=1,d=0"
 A_ALIASES = ("a", "subalgebra_a", "loop-nilpotent-a")
+US_COMMANDS = ("verify-shapiro", "verify-us", "verify-univ")  # plus any job with --module us
 
 
 @dataclass
@@ -51,7 +52,7 @@ class JobSpec:
     algebra: str = "affine_sl2"
     sub: str | None = None
     module: str | None = None
-    lam: dict = field(default_factory=dict)
+    lam: str = ""  # the --lambda text; see _module_algebra for the default
     depth: int = 4
     window: tuple | None = None
     which: str = "cohomology"
@@ -66,6 +67,7 @@ class InputError(Exception):
 
 
 def parse_lambda(text: str, alg) -> dict:
+    """λ as {label: value}; every key must name a distinct degree-0 element of ``alg``."""
     lam = {}
     if not text:
         return lam
@@ -76,9 +78,13 @@ def parse_lambda(text: str, alg) -> dict:
         key = key.strip()
         label = LAMBDA_KEYS.get(key, key)
         try:
-            alg.by_label(label)
+            eid = alg.by_label(label)
         except AlgebraError as exc:
             raise InputError(str(exc)) from exc
+        if alg.degree(eid) != 0:
+            raise InputError(f"lambda key {key!r}: {label!r} has degree {alg.degree(eid)}, not 0")
+        if label in lam:
+            raise InputError(f"lambda key {key!r} given twice")
         try:
             lam[label] = Fraction(val.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -94,38 +100,40 @@ def _load_algebra(name: str):
 
 
 def _module_algebra(spec: JobSpec):
-    """Load the algebra the job's module is built on, with its memo cache.
+    """``(alg, lam)``: the algebra the job's module is built on, with λ parsed against it.
 
+    An empty ``spec.lam`` means DEFAULT_LAMBDA on affine sl2 and no λ elsewhere.
     The Wakimoto module always lives on affine sl2; ``--algebra`` then only
-    picks the complex (all of affine sl2, or its subalgebra a)."""
-    if spec.module != "wakimoto":
+    picks the complex (all of affine sl2, or its subalgebra a).  The memo
+    cache is attached last, so a rejected job registers no save."""
+    if "wakimoto" not in (spec.command, spec.module):
         alg = _load_algebra(spec.algebra)
     elif spec.algebra in ("affine_sl2",) + A_ALIASES:
         alg = _load_algebra("affine_sl2")
     else:
         raise InputError(f"the Wakimoto module is built on affine_sl2; --algebra must be affine_sl2 or a, not {spec.algebra!r}")
+    lam = parse_lambda(spec.lam or (DEFAULT_LAMBDA if alg.name == "affine_sl2" else ""), alg)
+    if (spec.command in US_COMMANDS or spec.module == "us") and alg.elements_of_degree(0):
+        job = f"{spec.command} --module us" if spec.module == "us" else spec.command
+        raise InputError(f"{job} needs an algebra with vanishing degree-0 part; {alg.name} has one")
     _with_cache(alg, spec)
-    return alg
+    return alg, lam
 
 
-def _build_module(alg, spec: JobSpec):
+def _build_module(alg, lam, spec: JobSpec):
     kind = spec.module or "verma"
     if kind in ("verma", "coverma"):
         ctor = verma if kind == "verma" else coverma
-        if alg.name != "affine_sl2" and spec.lam:
+        if alg.name != "affine_sl2" and lam:
             raise InputError(f"lambda values are only meaningful on the degree-0 basis of {alg.name}")
-        return ctor(alg, spec.lam, spec.depth)
+        return ctor(alg, lam, spec.depth)
     if kind == "trivial":
         return trivial_module(alg, depth=spec.depth)
     if kind == "us":
         return universal_semijective(alg, spec.depth).left_module()
     if kind == "wakimoto":
-        return wakimoto(alg, spec.lam or _default_lambda(alg), spec.depth)
+        return wakimoto(alg, lam, spec.depth)
     raise InputError(f"unknown module kind {kind!r}")
-
-
-def _default_lambda(alg) -> dict:
-    return parse_lambda(DEFAULT_LAMBDA, alg)
 
 
 def run_job(spec: JobSpec) -> int:
@@ -170,12 +178,13 @@ def _run(spec: JobSpec) -> int:
         click.echo("pass")
         return 0
 
+    alg, lam = _module_algebra(spec)
+
     if spec.command == "character":
-        alg = _module_algebra(spec)
         if spec.module == "product":
             char = product_formula_character(alg, spec.depth)
         else:
-            char = character(_build_module(alg, spec), spec.depth)
+            char = character(_build_module(alg, lam, spec), spec.depth)
         rows = output.character_rows(alg, char)
         _emit(spec, alg, rows)
         click.echo(f"character: {len(rows)} weights to depth {spec.depth}")
@@ -184,8 +193,7 @@ def _run(spec: JobSpec) -> int:
         return 0
 
     if spec.command == "lie-cohomology":
-        alg = _module_algebra(spec)
-        module = _build_module(alg, spec)
+        module = _build_module(alg, lam, spec)
         if spec.which == "homology":
             part = subalgebra(alg, "g_below_zero")
             table = ce_homology(part, module, spec.depth)
@@ -197,8 +205,7 @@ def _run(spec: JobSpec) -> int:
         return 0
 
     if spec.command == "semiinf-cohomology":
-        alg = _module_algebra(spec)
-        module = _build_module(alg, spec)
+        module = _build_module(alg, lam, spec)
         if spec.module == "wakimoto" and spec.algebra in A_ALIASES:
             alg = subalgebra(alg, "a")
         table = semiinf_cohomology(alg, module, spec.depth)
@@ -209,11 +216,9 @@ def _run(spec: JobSpec) -> int:
         return 0
 
     if spec.command == "wakimoto":
-        base = _load_algebra("affine_sl2")
-        _with_cache(base, spec)
-        module = wakimoto(base, spec.lam or _default_lambda(base), spec.depth)
+        module = wakimoto(alg, lam, spec.depth)
         rows = output.module_rows(module)
-        _emit(spec, base, rows)
+        _emit(spec, alg, rows)
         if spec.dump:
             output.dump_module_jsonl(spec.dump, module, (-spec.depth, spec.depth))
         total = sum(module.dim(w) for w in module.weights)
@@ -221,11 +226,6 @@ def _run(spec: JobSpec) -> int:
         return 0
 
     if spec.command == "verify-shapiro":
-        alg = _load_algebra(spec.algebra)
-        _with_cache(alg, spec)
-        alg.ensure_window(-1, 1)
-        if alg.elements_of_degree(0):
-            raise InputError("verify-shapiro needs an algebra with vanishing degree-0 part")
         subname = spec.sub or "loop-nminus"
         sub = subalgebra(alg, "gminus") if subname == "self" else subalgebra(alg, subname)
         module = trivial_module(alg, depth=spec.depth)
@@ -234,8 +234,6 @@ def _run(spec: JobSpec) -> int:
         return _verdict_exit(spec, verdict)
 
     if spec.command == "verify-us":
-        alg = _load_algebra(spec.algebra)
-        _with_cache(alg, spec)
         v1 = check_prop_iso(alg, spec.depth)
         v2 = check_prop_iso1(alg, spec.depth)
         click.echo(repr(v1))
@@ -246,8 +244,6 @@ def _run(spec: JobSpec) -> int:
         return 0 if (v1.passed and v2.passed) else 1
 
     if spec.command == "verify-univ":
-        alg = _load_algebra(spec.algebra)
-        _with_cache(alg, spec)
         if spec.module == "induced":
             module = verma(alg, {}, spec.depth)
         else:
@@ -346,7 +342,7 @@ def _format_option(fn):
 
 
 def _lambda_option(fn):
-    return click.option("--lambda", "lam_text", default="", help="e.g. h=0,K=1,d=0")(fn)
+    return click.option("--lambda", "lam", default="", help="e.g. h=0,K=1,d=0")(fn)
 
 
 @main.command("algebra-check")
@@ -363,16 +359,9 @@ def algebra_check(algebra, window):
 @_format_option
 @_lambda_option
 @click.option("--module", default="verma", type=click.Choice(["verma", "coverma", "wakimoto", "product"]), show_default=True)
-def character_cmd(depth, out, algebra, fmt, lam_text, module):
+def character_cmd(**opts):
     """Formal character of a highest-weight module (or the product formula)."""
-    spec = JobSpec("character", algebra=algebra, depth=depth, out=out, fmt=fmt, module=module)
-    try:
-        base = _load_algebra("affine_sl2" if module in ("wakimoto",) else algebra)
-        spec.lam = parse_lambda(lam_text or DEFAULT_LAMBDA, base) if base.name == "affine_sl2" else parse_lambda(lam_text, base)
-    except InputError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    sys.exit(run_job(spec))
+    sys.exit(run_job(JobSpec("character", **opts)))
 
 
 @main.command("lie-cohomology")
@@ -382,18 +371,11 @@ def character_cmd(depth, out, algebra, fmt, lam_text, module):
 @_lambda_option
 @click.option("--which", default="cohomology", type=click.Choice(["cohomology", "homology"]), show_default=True)
 @click.option("--module", default=None, type=click.Choice(["verma", "coverma", "trivial"]))
-def lie_cohomology(depth, out, algebra, fmt, lam_text, which, module):
+def lie_cohomology(which, module, **opts):
     """Classical Lie algebra (co)homology of the positive/negative part."""
     if module is None:
         module = "coverma" if which == "cohomology" else "verma"
-    spec = JobSpec("lie-cohomology", algebra=algebra, depth=depth, out=out, fmt=fmt, which=which, module=module)
-    try:
-        base = _load_algebra(algebra)
-        spec.lam = parse_lambda(lam_text or (DEFAULT_LAMBDA if base.name == "affine_sl2" else ""), base)
-    except InputError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    sys.exit(run_job(spec))
+    sys.exit(run_job(JobSpec("lie-cohomology", which=which, module=module, **opts)))
 
 
 @main.command("semiinf-cohomology")
@@ -403,17 +385,9 @@ def lie_cohomology(depth, out, algebra, fmt, lam_text, which, module):
 @_lambda_option
 @click.option("--module", default="trivial", type=click.Choice(["trivial", "verma", "coverma", "us", "wakimoto"]), show_default=True)
 @click.option("--dump", default=None, type=click.Path(), help="basis dump (JSON-lines)")
-def semiinf_cohomology_cmd(depth, out, algebra, fmt, lam_text, module, dump):
+def semiinf_cohomology_cmd(**opts):
     """Semi-infinite cohomology table per (weight, ghost degree)."""
-    spec = JobSpec("semiinf-cohomology", algebra=algebra, depth=depth, out=out, fmt=fmt, module=module, dump=dump)
-    try:
-        if lam_text or module in ("wakimoto", "verma", "coverma"):
-            base = _load_algebra("affine_sl2" if module == "wakimoto" else algebra)
-            spec.lam = parse_lambda(lam_text or (DEFAULT_LAMBDA if base.name == "affine_sl2" else ""), base)
-    except InputError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    sys.exit(run_job(spec))
+    sys.exit(run_job(JobSpec("semiinf-cohomology", **opts)))
 
 
 @main.command("wakimoto")
@@ -421,43 +395,37 @@ def semiinf_cohomology_cmd(depth, out, algebra, fmt, lam_text, module, dump):
 @_format_option
 @_lambda_option
 @click.option("--dump", default=None, type=click.Path(), help="module dump (JSON-lines)")
-def wakimoto_cmd(depth, out, fmt, lam_text, dump):
+def wakimoto_cmd(**opts):
     """Construct the Wakimoto module over affine sl2 and emit its weight-space dimensions."""
-    spec = JobSpec("wakimoto", depth=depth, out=out, fmt=fmt, dump=dump)
-    if not lam_text:
+    if not opts["lam"]:
         click.echo(f"warning: no --lambda given, using default {DEFAULT_LAMBDA}", err=True)
-    try:
-        spec.lam = parse_lambda(lam_text or DEFAULT_LAMBDA, _load_algebra("affine_sl2"))
-    except InputError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    sys.exit(run_job(spec))
+    sys.exit(run_job(JobSpec("wakimoto", **opts)))
 
 
 @main.command("verify-shapiro")
 @_common
 @_algebra_option
 @click.option("--sub", default="loop-nminus", show_default=True, help="subalgebra selector (or 'self')")
-def verify_shapiro(depth, out, algebra, sub):
+def verify_shapiro(**opts):
     """Per-cell equality of H(h, M) and H(g, S-ind M)."""
-    sys.exit(run_job(JobSpec("verify-shapiro", algebra=algebra, depth=depth, out=out, sub=sub)))
+    sys.exit(run_job(JobSpec("verify-shapiro", **opts)))
 
 
 @main.command("verify-us")
 @_common
 @_algebra_option
-def verify_us(depth, out, algebra):
+def verify_us(**opts):
     """Graded dimensions and module oracles of the semiregular bimodule."""
-    sys.exit(run_job(JobSpec("verify-us", algebra=algebra, depth=depth, out=out)))
+    sys.exit(run_job(JobSpec("verify-us", **opts)))
 
 
 @main.command("verify-univ")
 @_common
 @_algebra_option
 @click.option("--module", "module", default="trivial", type=click.Choice(["trivial", "induced"]), show_default=True)
-def verify_univ(depth, out, algebra, module):
+def verify_univ(**opts):
     """Semi-invariants of N ⊗ US reproduce N (graded dims + equivariance)."""
-    sys.exit(run_job(JobSpec("verify-univ", algebra=algebra, depth=depth, out=out, module=module)))
+    sys.exit(run_job(JobSpec("verify-univ", **opts)))
 
 
 if __name__ == "__main__":

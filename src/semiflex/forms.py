@@ -227,11 +227,11 @@ class SemiInfComplex:
     at w+mu) over the finitely many contributing relative weights mu.
     """
 
-    def __init__(self, alg, module, w, lmax=None):
+    def __init__(self, alg, module, w):
         self.alg = alg
         self.module = module
         self.w = tuple(w)
-        self.lmax = -alg.ell(w) if lmax is None else lmax
+        self.lmax = -alg.ell(w)
         alg.ensure_window(-2 * self.lmax - 4, 2 * self.lmax + 4)
         self._mus = []
         seen = set()

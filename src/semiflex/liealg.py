@@ -526,9 +526,7 @@ def build_test_algebra(kind: str) -> GradedLieAlgebra:
 
 def split_semiinfinite(alg) -> tuple:
     """(g_plus, g_minus) by the sign of the degree; both closed under bracket."""
-    gp = SubalgebraSpec(alg, "gplus", lambda e: alg.degree(e) > 0)
-    gm = SubalgebraSpec(alg, "gminus", lambda e: alg.degree(e) <= 0)
-    return gp, gm
+    return subalgebra(alg, "gplus"), subalgebra(alg, "gminus")
 
 
 def subalgebra(alg, selector, custom=None) -> SubalgebraSpec:

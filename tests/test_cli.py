@@ -39,7 +39,7 @@ def test_parse_job_wakimoto_defaults(runner, built_specs):
     assert spec.command == "wakimoto"
     assert spec.depth == 4
     assert spec.out == "w.csv"
-    assert spec.lam["K"] == 1 and spec.lam["1⊗h"] == 0
+    assert spec.lam == "h=0,K=1,d=0"
 
 
 def test_parse_job_shapiro(runner, built_specs):
@@ -55,7 +55,7 @@ def test_parse_job_defaults_lambda_with_warning(runner, built_specs):
     res = runner.invoke(main, ["wakimoto"])
     assert res.exit_code == 0, res.output
     (spec,) = built_specs
-    assert spec.lam["K"] == 1  # documented default
+    assert spec.lam == ""  # run_job applies the documented default
     assert spec.depth == 4
     assert "warning: no --lambda given" in res.stderr
 
@@ -67,7 +67,6 @@ def test_parse_job_rejects_unknown(runner):
 
 def test_parse_job_rejects_bad_lambda(runner):
     assert runner.invoke(main, ["wakimoto", "--lambda", "h=zero"]).exit_code == 2
-    assert runner.invoke(main, ["wakimoto", "--lambda", "q=1"]).exit_code == 2
 
 
 def test_semiinf_lambda_is_parsed_off_affine_sl2(runner, tmp_path):
@@ -78,6 +77,63 @@ def test_semiinf_lambda_is_parsed_off_affine_sl2(runner, tmp_path):
     assert res.exit_code == 2
     assert "no basis element labelled 'bogus'" in res.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,why",
+    [
+        (["character", "--module", "verma", "--lambda", "z^-1⊗h=1"], "'z^-1⊗h' has degree -2, not 0"),
+        (["lie-cohomology", "--lambda", "h=1,K=1,d=0,z^-1⊗e=7"], "'z^-1⊗e' has degree -1, not 0"),
+        (["wakimoto", "--lambda", "z^-1⊗h=1"], "'z^-1⊗h' has degree -2, not 0"),
+        (["semiinf-cohomology", "--algebra", "a", "--module", "trivial", "--lambda", "z⊗h=1"], "'z⊗h' has degree 2, not 0"),
+        (["wakimoto", "--lambda", "h=5,h=1,K=1,d=0"], "lambda key 'h' given twice"),
+        (["character", "--lambda", "1⊗h=5,h=1,K=1,d=0"], "lambda key 'h' given twice"),
+    ],
+    ids=["character", "lie-cohomology", "wakimoto", "semiinf-cohomology", "repeated", "repeated-alias"],
+)
+def test_lambda_outside_degree_zero_or_repeated_exits_two(argv, why, runner):
+    res = runner.invoke(main, argv + ["--depth", "3"])
+    assert res.exit_code == 2
+    (line,) = res.stderr.splitlines()
+    assert line.startswith("error: ") and why in line
+
+
+@pytest.mark.parametrize("command", ["character", "lie-cohomology", "semiinf-cohomology", "wakimoto"])
+def test_unknown_lambda_label_exits_two_and_leaves_nothing(command, runner, tmp_path, monkeypatch):
+    import atexit
+
+    monkeypatch.setenv("SEMIFLEX_CACHE_DIR", str(tmp_path / "cache"))
+    saves = []
+    monkeypatch.setattr(atexit, "register", saves.append)
+    out = tmp_path / "o.csv"
+    res = runner.invoke(main, [command, "--lambda", "q=1", "--depth", "2", "--out", str(out)])
+    assert res.exit_code == 2
+    assert "error: affine_sl2: no basis element labelled 'q'" in res.stderr
+    assert not out.exists()
+    assert saves == []
+
+
+def test_wakimoto_default_lambda_is_documented_one(runner, tmp_path):
+    """A job without λ on affine sl2 runs at h=0,K=1,d=0 (the dump shows λ; the CSV does not)."""
+    default = [tmp_path / "default.csv", tmp_path / "default.jsonl"]
+    given = [tmp_path / "given.csv", tmp_path / "given.jsonl"]
+    assert run_job(JobSpec("wakimoto", depth=3, out=str(default[0]), dump=str(default[1]))) == 0
+    argv = ["wakimoto", "--lambda", "h=0,K=1,d=0", "--depth", "3", "--out", str(given[0]), "--dump", str(given[1])]
+    assert runner.invoke(main, argv).exit_code == 0
+    assert [p.read_bytes() for p in default] == [p.read_bytes() for p in given]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["semiinf-cohomology", "--module", "us"], ["verify-shapiro"], ["verify-us"], ["verify-univ"]],
+    ids=" ".join,
+)
+def test_us_commands_reject_a_degree_zero_part(argv, runner):
+    """US needs a vanishing degree-0 part: affine sl2 is an input error, named after the job."""
+    res = runner.invoke(main, argv + ["--depth", "2"])
+    assert res.exit_code == 2
+    job = " ".join(argv)
+    assert res.stderr == f"error: {job} needs an algebra with vanishing degree-0 part; affine_sl2 has one\n"
 
 
 def test_parse_job_rejects_bad_depth(runner):
