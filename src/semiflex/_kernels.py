@@ -1,52 +1,72 @@
-"""Fraction-free row echelon over arbitrary-precision integers.
+"""Sparse fraction-free row echelon over arbitrary-precision integers.
 
-Bareiss one-step elimination: every intermediate entry is an exact integer
-and the division by the previous pivot is exact.  Every rank / kernel /
-image computation of the package funnels through this kernel.
+Rows are sparse ``{col: nonzero int}`` dicts.  The pending rows sit in
+buckets keyed by their leading column, so each column only looks at the
+rows that start there; a row is touched only when it holds the pivot
+column, and no zero entry is ever visited.  Eliminating row r against
+the pivot row p at column c computes ``(p[c]/g)·r − (r[c]/g)·p`` with
+g = gcd(p[c], r[c]) and divides the result by its content (the gcd of its
+entries), so every entry stays an exact, content-normalized integer.
+
+Only row operations are used, and they change neither the rank, the pivot
+columns (a column is a pivot iff it is independent of the columns before
+it), nor the right kernel.  So every derived quantity -- rank, image basis,
+the kernel vector that is 1 at one free column and 0 at the others, and
+span-solve coordinates -- is independent of the pivot choice and of the
+row scaling.  Every rank / kernel / image computation of the package
+funnels through this kernel.
 """
+
+from math import gcd
 
 
 def row_echelon_int(rows, ncols):
-    """Reduce ``rows`` (list of list-of-int, modified in place) to an
-    upper-echelon form.
+    """Reduce ``rows`` (a list of ``{col: nonzero int}``, rewritten in place)
+    to an upper-echelon form: ``rows[:rank]`` are the echelon rows in pivot
+    order, the rest are empty.
 
-    Returns (rank, pivot_columns).  Pivot choice: smallest |entry| among the
-    candidate rows (ties by row index), which keeps integer growth down and
-    is deterministic.
+    Returns (rank, pivot_columns).  Pivot choice among the rows that lead at
+    a column: fewest entries, then smallest |entry|, then lowest input row
+    index, which keeps fill-in and integer growth down and is deterministic.
     """
-    nrows = len(rows)
+    buckets = {}
+    for i, row in enumerate(rows):
+        if row:
+            buckets.setdefault(min(row), []).append((i, row))
+    echelon = []
     pivots = []
-    prev = 1
-    r = 0
     for c in range(ncols):
-        if r >= nrows:
+        if not buckets:
             break
-        best = -1
-        best_abs = 0
-        for i in range(r, nrows):
-            v = rows[i][c]
-            if v:
-                a = -v if v < 0 else v
-                if best < 0 or a < best_abs:
-                    best = i
-                    best_abs = a
-        if best < 0:
+        bucket = buckets.pop(c, None)
+        if bucket is None:
             continue
-        if best != r:
-            rows[best], rows[r] = rows[r], rows[best]
-        piv = rows[r][c]
-        pr = rows[r]
-        for i in range(r + 1, nrows):
-            ri = rows[i]
-            f = ri[c]
-            if f:
-                for j in range(c, ncols):
-                    ri[j] = (piv * ri[j] - f * pr[j]) // prev
-            elif prev != 1 or piv != 1:
-                for j in range(c, ncols):
-                    if ri[j]:
-                        ri[j] = (piv * ri[j]) // prev
         pivots.append(c)
-        prev = piv
-        r += 1
-    return r, pivots
+        if len(bucket) == 1:
+            echelon.append(bucket[0][1])
+            continue
+        p = min(bucket, key=lambda t: (len(t[1]), abs(t[1][c]), t[0]))[1]
+        echelon.append(p)
+        piv = p[c]
+        for i, r in bucket:
+            if r is p:
+                continue
+            f = r[c]
+            g = gcd(piv, f)
+            a, b = piv // g, f // g
+            new = {j: a * v for j, v in r.items()} if a != 1 else dict(r)
+            for j, v in p.items():  # column c cancels exactly and is dropped here
+                w = new.get(j, 0) - b * v
+                if w:
+                    new[j] = w
+                else:
+                    del new[j]
+            if not new:
+                continue
+            content = gcd(*new.values())
+            if content != 1:
+                new = {j: v // content for j, v in new.items()}
+            buckets.setdefault(min(new), []).append((i, new))
+    rank = len(echelon)
+    rows[:] = echelon + [{} for _ in range(len(rows) - rank)]
+    return rank, pivots

@@ -44,6 +44,7 @@ LAMBDA_KEYS = {"h": "1⊗h", "K": "K", "d": "d"}
 DEFAULT_LAMBDA = "h=0,K=1,d=0"
 A_ALIASES = ("a", "subalgebra_a", "loop-nilpotent-a")
 US_COMMANDS = ("verify-shapiro", "verify-us", "verify-univ")  # plus any job with --module us
+NO_LAMBDA_MODULES = ("product", "trivial", "us")  # modules that take no λ
 
 
 @dataclass
@@ -102,7 +103,8 @@ def _load_algebra(name: str):
 def _module_algebra(spec: JobSpec):
     """``(alg, lam)``: the algebra the job's module is built on, with λ parsed against it.
 
-    An empty ``spec.lam`` means DEFAULT_LAMBDA on affine sl2 and no λ elsewhere.
+    An empty ``spec.lam`` means DEFAULT_LAMBDA on affine sl2 and no λ elsewhere;
+    a λ given to a module that takes none is an input error.
     The Wakimoto module always lives on affine sl2; ``--algebra`` then only
     picks the complex (all of affine sl2, or its subalgebra a).  The memo
     cache is attached last, so a rejected job registers no save."""
@@ -113,6 +115,8 @@ def _module_algebra(spec: JobSpec):
     else:
         raise InputError(f"the Wakimoto module is built on affine_sl2; --algebra must be affine_sl2 or a, not {spec.algebra!r}")
     lam = parse_lambda(spec.lam or (DEFAULT_LAMBDA if alg.name == "affine_sl2" else ""), alg)
+    if spec.lam and spec.module in NO_LAMBDA_MODULES:
+        raise InputError(f"{spec.command} --module {spec.module} takes no --lambda")
     if (spec.command in US_COMMANDS or spec.module == "us") and alg.elements_of_degree(0):
         job = f"{spec.command} --module us" if spec.module == "us" else spec.command
         raise InputError(f"{job} needs an algebra with vanishing degree-0 part; {alg.name} has one")

@@ -547,19 +547,15 @@ def semiinvariant_images(alg, space, act, weights, hplus, hminus, src_depth: int
                 continue
             mat = act(xi, src)
             bv = alg.beta_value(xi)
-            for col in range(mat.ncols):
+            for col, entries in enumerate(mat.transpose().rows):
                 vec = [0] * dim_w
-                for r, row in enumerate(mat.rows):
-                    v = row.get(col)
-                    if v:
-                        vec[r] += v
+                for r, v in entries.items():
+                    vec[r] += v
                 # beta twist: xi acts as xi + beta(xi) on M ⊗ L_beta
                 if bv and alg.weight(xi) == wt_zero(alg.rank):
                     vec[col] += bv
                 rel_cols.append(tuple(vec))
         combined = rel_cols + [tuple(k) for k in kernel]
-        pivots = []
-        if combined:
-            pivots = SparseMatrix.from_dense([list(col) for col in zip(*combined)]).pivot_columns()
+        pivots = SparseMatrix.from_columns(combined).pivot_columns() if combined else []
         out[w] = ([combined[p] for p in pivots if p >= len(rel_cols)], rel_cols)
     return out

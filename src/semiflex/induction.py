@@ -403,19 +403,21 @@ class _TensorSpace:
         rows = self._index.get(wt_add(w, shift), {})
         cols = self.weights.get(w, [])
         mat = SparseMatrix(len(rows), len(cols))
+        factors = {}  # (slot, wf) -> (target weight, columns of matrix_of(xi, wf))
         for ci, (w1, i, w2, j) in enumerate(cols):
             for slot, op in enumerate(ops):
                 if op is None:
                     continue
                 matrix_of, negate = op
                 wf, k = (w1, i) if slot == 0 else (w2, j)
-                tw = wt_add(wf, shift)
-                for r, row in enumerate(matrix_of(xi, wf).rows):
-                    v = row.get(k)
-                    if v:
-                        rr = rows.get((tw, r, w2, j) if slot == 0 else (w1, i, tw, r))
-                        if rr is not None:
-                            mat.add(rr, ci, -v if negate else v)
+                factor = factors.get((slot, wf))
+                if factor is None:
+                    factor = factors[slot, wf] = (wt_add(wf, shift), matrix_of(xi, wf).transpose().rows)
+                tw, columns = factor
+                for r, v in columns[k].items():
+                    rr = rows.get((tw, r, w2, j) if slot == 0 else (w1, i, tw, r))
+                    if rr is not None:
+                        mat.add(rr, ci, -v if negate else v)
         return mat
 
 
@@ -571,9 +573,7 @@ def _independent(vectors):
     """Deterministic maximal independent subset of coordinate vectors."""
     if not vectors:
         return []
-    cols = [list(v) for v in vectors]
-    mat = SparseMatrix.from_dense([[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))])
-    return [vectors[p] for p in mat.pivot_columns()]
+    return [vectors[p] for p in SparseMatrix.from_columns(vectors).pivot_columns()]
 
 
 # longest abar- tail the invariant completion tries before giving up

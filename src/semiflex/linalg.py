@@ -2,11 +2,14 @@
 
 Matrices are sparse dict-of-column rows of exact entries, stored as given:
 an int wherever the value is integral, a fractions.Fraction otherwise.  Rank,
-echelon forms, kernels and span solves all go through the fraction-free
-integer kernel (semiflex._kernels) after clearing denominators row by row;
-row scaling changes neither the rank, the right kernel, nor column
-dependencies, so every derived quantity stays exact.  Kernels and span
-solves share one back-substitution on the integer echelon form.
+echelon forms, kernels and span solves all go through the sparse
+fraction-free integer kernel (semiflex._kernels) after clearing
+denominators row by row, so elimination never visits a zero entry.  Row
+scaling and the kernel's row operations change neither the rank, the pivot
+columns, the right kernel nor column dependencies, so every derived quantity
+is exact and does not depend on how the kernel picks its pivots.  Kernels
+and span solves share one back-substitution on the sparse integer echelon
+form.
 """
 
 from __future__ import annotations
@@ -37,14 +40,13 @@ class SparseMatrix:
         return m
 
     @classmethod
-    def from_dense(cls, dense):
-        nrows = len(dense)
-        ncols = len(dense[0]) if nrows else 0
-        m = cls(nrows, ncols)
-        for i, row in enumerate(dense):
-            for c, v in enumerate(row):
+    def from_columns(cls, vectors):
+        """The matrix whose columns are the given equal-length coordinate vectors."""
+        m = cls(len(vectors[0]) if vectors else 0, len(vectors))
+        for j, vec in enumerate(vectors):
+            for i, v in enumerate(vec):
                 if v:
-                    m.rows[i][c] = v
+                    m.rows[i][j] = v
         return m
 
     def add(self, r: int, c: int, v) -> None:
@@ -102,15 +104,11 @@ class SparseMatrix:
     # -- echelon-backed queries ------------------------------------------
 
     def _int_rows(self):
-        """Denominator-cleared integer copies of the rows (dense lists)."""
+        """Denominator-cleared sparse integer copies of the rows."""
         out = []
         for row in self.rows:
-            dense = [0] * self.ncols
-            if row:
-                mult = lcm(*(v.denominator for v in row.values())) if len(row) > 1 else next(iter(row.values())).denominator
-                for c, v in row.items():
-                    dense[c] = int(v * mult)
-            out.append(dense)
+            mult = lcm(*(v.denominator for v in row.values()))
+            out.append({c: int(v * mult) for c, v in row.items()})
         return out
 
     def rank(self) -> int:
@@ -170,7 +168,7 @@ def _primitive(x):
 
 
 def _kernel_vector(rows, rank, pivots, free, n):
-    """The kernel vector of an integer echelon form (``row_echelon_int``
+    """The kernel vector of a sparse integer echelon form (``row_echelon_int``
     output) that is 1 in the free column ``free`` and 0 in the other free
     columns; its pivot entries are back-substituted exactly, each an int
     when it is integral (Fraction(s, pivot) divides exactly, never to a
@@ -183,9 +181,9 @@ def _kernel_vector(rows, rank, pivots, free, n):
             continue
         row = rows[r]
         s = 0
-        for j in range(p + 1, free + 1):
-            if row[j] and x[j]:
-                s += row[j] * x[j]
+        for j, v in row.items():
+            if j != p and x[j]:
+                s += v * x[j]
         q = Fraction(-s, row[p])
         x[p] = q.numerator if q.denominator == 1 else q
     return x
@@ -207,8 +205,7 @@ def solve_in_span(columns, targets):
     if not vectors:
         return []
     n = len(vectors)
-    m = SparseMatrix.from_rows([{j: v[i] for j, v in enumerate(vectors)} for i in range(len(vectors[0]))], n)
-    rows = m._int_rows()
+    rows = SparseMatrix.from_columns(vectors)._int_rows()
     rank, pivots = row_echelon_int(rows, n)
     if rank and pivots[-1] >= k:
         return None

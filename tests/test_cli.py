@@ -136,6 +136,27 @@ def test_us_commands_reject_a_degree_zero_part(argv, runner):
     assert res.stderr == f"error: {job} needs an algebra with vanishing degree-0 part; affine_sl2 has one\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["character", "--module", "product"],
+        ["semiinf-cohomology", "--module", "trivial"],
+        ["semiinf-cohomology", "--module", "us"],
+        ["lie-cohomology", "--module", "trivial"],
+    ],
+    ids=" ".join,
+)
+def test_lambda_for_a_module_without_one_exits_two(argv, runner, tmp_path):
+    """A λ the module would not read is an input error; without one the job runs."""
+    out = tmp_path / "o.csv"
+    res = runner.invoke(main, argv + ["--lambda", "h=5,K=1,d=0", "--depth", "2", "--out", str(out)])
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {argv[0]} --module {argv[2]} takes no --lambda\n"
+    assert not out.exists()
+    if argv[2] != "us":  # US needs an algebra without a degree-0 part, where no λ key exists
+        assert runner.invoke(main, argv + ["--depth", "2"]).exit_code == 0
+
+
 def test_parse_job_rejects_bad_depth(runner):
     res = runner.invoke(main, ["wakimoto", "--depth", "0"])
     assert res.exit_code == 2

@@ -77,7 +77,7 @@ def test_matrix_entries_stay_int_for_integral_data(sl2):
 def test_sparse_matrix_keeps_entry_types():
     m = SparseMatrix.from_rows([{0: 2, 2: -1}, {1: Fraction(1, 3)}], 3)
     assert type(m.rows[0][0]) is int and type(m.rows[1][1]) is Fraction
-    d = SparseMatrix.from_dense([[2, 0, -1], [0, 4, 2]])
+    d = SparseMatrix.from_columns([(2, 0), (0, 4), (-1, 2)])
     assert {type(v) for row in d.rows for v in row.values()} == {int}
     assert type(d.get(0, 1)) is int and [type(v) for v in d.apply([1, 1, 1])] == [int, int]
     kernel = d.nullspace()

@@ -9,6 +9,7 @@ from semiflex.forms import semiinf_cohomology
 from semiflex.induction import (
     InductionError,
     WakimotoSpace,
+    _TensorSpace,
     _descended_module,
     _invariant_completion,
     bimodule_commutes,
@@ -20,7 +21,7 @@ from semiflex.induction import (
     universal_semijective,
     wakimoto,
 )
-from semiflex.liealg import load_algebra, subalgebra
+from semiflex.liealg import WindowError, load_algebra, subalgebra, wt_add
 from semiflex.linalg import SparseMatrix
 from semiflex.modules import (
     ce_cohomology,
@@ -71,7 +72,7 @@ def test_descended_action_reads_image_coordinates_and_detects_escapes():
     }
 
     def descend(images):
-        left = SparseMatrix.from_dense([list(col) for col in zip(*images)])
+        left = SparseMatrix.from_columns(images)
         return _descended_module(neg, "toy", "t", data, lambda z, w: left, "escaped at", 2).action(a, src)
 
     # e0 -> 1 rel + 2 img0, e1 -> 4 rel + 5 img1: only image coordinates land
@@ -292,3 +293,51 @@ def test_universal_property_cases(loop_a, abelian):
     assert check_universal_property(abelian, trivial_module(abelian, 3), 3).passed
     N = verma(loop_a, {}, 3)  # induced module over a at depth 3
     assert check_universal_property(loop_a, N, 3).passed
+
+
+def _row_scan_action(space, xi, w, ops):
+    """The tensor action as it was first written: fetch the factor matrix
+    once per basis column and scan every row of it for that column."""
+    w = tuple(w)
+    shift = space.alg.weight(xi)
+    rows = space._index.get(wt_add(w, shift), {})
+    cols = space.weights.get(w, [])
+    mat = SparseMatrix(len(rows), len(cols))
+    for ci, (w1, i, w2, j) in enumerate(cols):
+        for slot, op in enumerate(ops):
+            if op is None:
+                continue
+            matrix_of, negate = op
+            wf, k = (w1, i) if slot == 0 else (w2, j)
+            tw = wt_add(wf, shift)
+            for r, row in enumerate(matrix_of(xi, wf).rows):
+                v = row.get(k)
+                if v:
+                    rr = rows.get((tw, r, w2, j) if slot == 0 else (w1, i, tw, r))
+                    if rr is not None:
+                        mat.add(rr, ci, -v if negate else v)
+    return mat
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).rows
+    except WindowError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("us_first", [True, False])
+def test_tensor_action_reads_columns_like_the_row_scan(loop_a, us_first):
+    us, module = universal_semijective(loop_a, 4), verma(loop_a, {}, 4)
+    space = _TensorSpace(us, module, 4) if us_first else _TensorSpace(module, us, 4)
+    right, act, left = (us.right_matrix, True), (module.action, False), (us.left_matrix, False)
+    diag_ops = (right, act) if us_first else (act, right)
+    left_ops = (left, None) if us_first else (None, left)
+    checked = 0
+    for w in space.weights:
+        for xi in loop_a.elements_in_degrees(-4, 4):
+            got = _outcome(space.diag, xi, w)
+            assert got == _outcome(_row_scan_action, space, xi, w, diag_ops), (w, xi)
+            assert _outcome(space.left, xi, w) == _outcome(_row_scan_action, space, xi, w, left_ops), (w, xi)
+            checked += not isinstance(got, str) and any(got)
+    assert checked

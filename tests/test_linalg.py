@@ -2,8 +2,15 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
+from semiflex._kernels import row_echelon_int
 from semiflex.linalg import SparseMatrix, solve_in_span
+
+
+def matrix(dense):
+    """A SparseMatrix from a non-empty list of equal-length rows."""
+    return SparseMatrix.from_rows([dict(enumerate(row)) for row in dense], len(dense[0]))
 
 
 def naive_rank_nullspace(dense):
@@ -52,7 +59,7 @@ def test_echelon_matches_naive_oracle():
         nrows = rng.randint(1, 8)
         ncols = rng.randint(1, 8)
         dense = random_matrix(rng, nrows, ncols)
-        m = SparseMatrix.from_dense(dense)
+        m = matrix(dense)
         want_rank, want_null = naive_rank_nullspace(dense)
         assert m.rank() == want_rank
         null = m.nullspace()
@@ -87,7 +94,7 @@ def test_pivot_columns_are_image_basis():
         [2, 4, 6, 10],
         [0, 1, 1, 2],
     ]
-    m = SparseMatrix.from_dense(dense)
+    m = matrix(dense)
     piv = m.pivot_columns()
     assert m.rank() == len(piv) == 2
     cols = [tuple(Fraction(dense[r][c]) for r in range(3)) for c in piv]
@@ -103,10 +110,159 @@ def test_solve_in_span_detects_outside():
 
 
 def test_matmul_and_transpose():
-    a = SparseMatrix.from_dense([[1, 2], [0, 1]])
-    b = SparseMatrix.from_dense([[1, 0], [3, 1]])
+    a = matrix([[1, 2], [0, 1]])
+    b = matrix([[1, 0], [3, 1]])
     ab = a.matmul(b)
     assert ab.get(0, 0) == 7 and ab.get(0, 1) == 2 and ab.get(1, 0) == 3
     t = a.transpose()
     assert t.get(1, 0) == 2
 
+
+# -- the sparse kernel against the dense Bareiss it replaced -----------------------
+
+
+def dense_bareiss(rows, ncols):
+    """Dense one-step Bareiss on list-of-int rows (modified in place): the
+    kernel the package used before its sparse one, kept as an oracle.
+    Returns (rank, pivot_columns); rows[:rank] is an echelon form."""
+    nrows = len(rows)
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        best = -1
+        best_abs = 0
+        for i in range(r, nrows):
+            v = rows[i][c]
+            if v and (best < 0 or abs(v) < best_abs):
+                best, best_abs = i, abs(v)
+        if best < 0:
+            continue
+        rows[best], rows[r] = rows[r], rows[best]
+        piv = rows[r][c]
+        pr = rows[r]
+        for i in range(r + 1, nrows):
+            ri = rows[i]
+            f = ri[c]
+            for j in range(c, ncols):
+                ri[j] = (piv * ri[j] - f * pr[j]) // prev
+        pivots.append(c)
+        prev = piv
+        r += 1
+    return r, pivots
+
+
+def dense_kernel_vector(rows, rank, pivots, free, ncols):
+    """Back-substitution on a dense echelon form: 1 at ``free``, 0 at the
+    other free columns."""
+    x = [Fraction(0)] * ncols
+    x[free] = Fraction(1)
+    for r in range(rank - 1, -1, -1):
+        p = pivots[r]
+        if p < free:
+            x[p] = -sum(rows[r][j] * x[j] for j in range(p + 1, ncols) if x[j]) / rows[r][p]
+    return x
+
+
+def primitive(x):
+    den = 1
+    for v in x:
+        den = den * v.denominator // gcd(den, v.denominator)
+    ints = [int(v * den) for v in x]
+    g = 0
+    for v in ints:
+        g = gcd(g, v)
+    ints = [v // g for v in ints]
+    lead = next(v for v in ints if v)
+    return tuple(-v for v in ints) if lead < 0 else tuple(ints)
+
+
+def random_int_matrix(rng, nrows, ncols, density, lo, hi):
+    return [[rng.choice((-1, 1)) * rng.randint(lo, hi) if rng.random() < density else 0 for _ in range(ncols)] for _ in range(nrows)]
+
+
+def kernel_cases():
+    """(name, dense integer matrix) pairs, fixed seed."""
+    rng = random.Random(1010)
+    cases = []
+    for trial in range(40):  # sparse: 1-5 % dense, small entries, tall and wide
+        nrows, ncols = rng.choice([(60, 60), (60, 25), (25, 60), (rng.randint(1, 60), rng.randint(1, 60))])
+        cases.append((f"sparse{trial}", random_int_matrix(rng, nrows, ncols, rng.uniform(0.01, 0.05), 1, 6)))
+    for trial in range(25):  # dense: 50 %, about 20-bit entries, some dependent columns
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+        dense = random_int_matrix(rng, nrows, ncols, 0.5, 1, 2**20)
+        for _ in range(rng.randint(0, 2)):
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            i, j = rng.randrange(ncols), rng.randrange(ncols)
+            for row in dense:
+                row.append(a * row[i] + b * row[j])
+        cases.append((f"dense{trial}", dense))
+    for trial in range(10):  # zero rows and zero columns spliced in
+        dense = random_int_matrix(rng, rng.randint(2, 15), rng.randint(2, 15), 0.3, 1, 6)
+        ncols = len(dense[0])
+        for _ in range(rng.randint(1, 3)):
+            dense.insert(rng.randint(0, len(dense)), [0] * ncols)
+        for _ in range(rng.randint(1, 3)):
+            c = rng.randint(0, len(dense[0]))
+            for row in dense:
+                row.insert(c, 0)
+        cases.append((f"zeros{trial}", dense))
+    cases.append(("all-zero", [[0] * 7 for _ in range(5)]))
+    return cases
+
+
+def sparse_rows(dense):
+    return [{c: v for c, v in enumerate(row) if v} for row in dense]
+
+
+def test_sparse_kernel_matches_dense_bareiss():
+    for name, dense in kernel_cases():
+        ncols = len(dense[0])
+        want = dense_bareiss([list(row) for row in dense], ncols)
+        rows = sparse_rows(dense)
+        got = row_echelon_int(rows, ncols)
+        assert got == want, name
+        rank, pivots = got
+        assert len(rows) == len(dense) and not any(rows[rank:]), name
+        for row, p in zip(rows[:rank], pivots):
+            assert min(row) == p and all(isinstance(v, int) and v for v in row.values()), name
+
+
+def test_empty_shapes():
+    assert row_echelon_int([], 5) == (0, [])
+    assert row_echelon_int([{} for _ in range(4)], 0) == (0, [])
+    wide, tall = SparseMatrix(0, 3), SparseMatrix(3, 0)
+    assert wide.rank() == tall.rank() == 0
+    assert wide.nullspace() == [(1, 0, 0), (0, 1, 0), (0, 0, 1)] and tall.nullspace() == []
+    assert wide.pivot_columns() == tall.pivot_columns() == []
+    assert solve_in_span([(), ()], [()]) == [[0, 0]]
+    assert solve_in_span([], [(0, 0)]) == [[]] and solve_in_span([], [(0, 1)]) is None
+
+
+def test_nullspace_and_span_solves_match_dense_echelon():
+    rng = random.Random(77)
+    outside = inside = 0
+    for name, dense in kernel_cases():
+        nrows, ncols = len(dense), len(dense[0])
+        echelon = [list(row) for row in dense]
+        rank, pivots = dense_bareiss(echelon, ncols)
+        want = [primitive(dense_kernel_vector(echelon, rank, pivots, f, ncols)) for f in range(ncols) if f not in pivots]
+        assert matrix(dense).nullspace() == want, name
+        # span solves: targets that are combinations of the columns, and one
+        # random vector, which may or may not lie in the span
+        cols = [tuple(row[c] for row in dense) for c in range(ncols)]
+        combos = [[rng.randint(-2, 2) for _ in range(ncols)] for _ in range(2)]
+        targets = [tuple(sum(a * v for a, v in zip(combo, row)) for row in dense) for combo in combos]
+        targets.append(tuple(rng.randint(-6, 6) for _ in range(nrows)))
+        joined = [list(row) + [t[i] for t in targets] for i, row in enumerate(dense)]
+        jrank, jpivots = dense_bareiss(joined, ncols + len(targets))
+        got = solve_in_span(cols, targets)
+        if jrank and jpivots[-1] >= ncols:
+            assert got is None, name
+            outside += 1
+            continue
+        inside += 1
+        assert got == [[-v for v in dense_kernel_vector(joined, jrank, jpivots, ncols + t, ncols + len(targets))[:ncols]] for t in range(len(targets))], name
+    assert outside and inside
