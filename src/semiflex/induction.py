@@ -10,6 +10,10 @@ antipode), and as equivariant values f(q) ∈ U(g-) ⊗ L_{-beta} they carry the
 left action (z·f)(q) = f(-z q), the negative factors peeled off the right of
 the argument by f(u y) = -y·f(u) + beta(y) f(u).  Left and right actions
 commute; the test suite checks this together with both module oracles.
+Each pair space straightens, splits, peels and pairs once per key (z·q',
+a negative word on m0, m0·z, and q0 against a positive p), so building an
+action matrix only joins cached terms and looks up rows; an entry is the
+same exact sum in another order, so every matrix is unchanged.
 
 Semi-induction takes semi-invariants of US ⊗ M under h(u ⊗ m) = -u h ⊗ m +
 u ⊗ h m: invariants are an exact kernel, coinvariants an exact quotient, the
@@ -95,7 +99,27 @@ class _PairSpace:
     negative part, bucketed by weight wt(m) - wt(q) to the given depth, with
     the left action on equivariant values and the right action through the
     antipode.  US takes the whole negative part; Q (the Wakimoto quotient)
-    takes a- and reduces the peeled abar- factors to scalars."""
+    takes a- and reduces the peeled abar- factors to scalars (``reduce_m``).
+
+    Every product the two actions need is computed once per key and kept,
+    as tuples sharing their objects, for the life of the instance:
+
+    * ``_zq``: (z, q') -> ((p, negative word, c), ...), z·q' straightened
+      and split, keeping only the p that are dual monomials of ``qtab``
+      (no other p meets a column); p is the ``qtab`` object and each
+      negative word is interned in ``_words``.
+    * ``_peels``: (negative word, m0) -> ((m, c), ...), the word peeled off
+      m0 and reduced by ``reduce_m``.
+    * ``_mz``: (m0, z) -> ((p, m, c), ...), m0·z straightened and split.
+    * ``_pairings``: (q0, p) -> ((q', <q0, q'·S(p)>), ...), the sign
+      (-1)^|p| of the antipode folded in, nonzero entries only.
+
+    z ranges over the generators asked for, q', q0 over ``qtab`` and m0
+    over the negative monomials of the pair space (and of the truncated
+    invariant space of the Wakimoto completion), so each cache is bounded
+    by the space it serves.  A matrix entry is the same exact sum of the
+    same terms as without the caches, added in another order, so every
+    matrix is unchanged."""
 
     # US raises WindowError when an action leaves the depth; Q leaves it zero
     strict_depth = False
@@ -119,7 +143,15 @@ class _PairSpace:
         for bucket in self.weights.values():
             bucket.sort()
         self._index = {w: {pair: i for i, pair in enumerate(b)} for w, b in self.weights.items()}
+        self._qtab_ell = {qw: alg.ell(qw) for qw in self.qtab}
+        # dual monomial q -> (the qtab object q, its weight, its ell)
+        self._duals = {q: (q, qw, self._qtab_ell[qw]) for qw, qs in self.qtab.items() for q in qs}
         self._left: dict = {}
+        self._words: dict = {}
+        self._zq: dict = {}
+        self._peels: dict = {}
+        self._mz: dict = {}
+        self._pairings: dict = {}
 
     def _positive(self, eid) -> bool:
         return self.alg.degree(eid) > 0
@@ -136,6 +168,10 @@ class _PairSpace:
     def _check_target(self, side: str, target, cols) -> None:
         if self.alg.ell(target) <= 0 and not self.in_depth(target) and cols:
             raise WindowError(f"US: {side} action target {target} outside depth {self.depth}")
+
+    def reduce_m(self, mon) -> tuple:
+        """(coefficient, basis monomial) of a peeled monomial: the identity on US."""
+        return 1, mon
 
     def _peel(self, word, vec: dict) -> dict:
         """Apply f(u y) = -y f(u) + beta(y) f(u) across a negative word."""
@@ -159,68 +195,102 @@ class _PairSpace:
             vec = out
         return vec
 
-    def _left_action(self, z: int, w, reduce_m=None) -> SparseMatrix:
-        """Matrix of the left action of z on weight w; ``reduce_m`` maps a
-        peeled monomial to (coefficient, basis monomial) in a quotient."""
+    def _zq_terms(self, z: int, qprime) -> tuple:
+        """(p, negative word, c) of z·q' straightened, p a dual monomial."""
+        key = (z, qprime)
+        got = self._zq.get(key)
+        if got is None:
+            terms = []
+            for mon, c in normal_order_word(self.alg, (z,) + flatten(qprime), self.order).items():
+                p, m = split(mon, self._positive)
+                dual = self._duals.get(p)
+                if dual is not None:
+                    word = flatten(m)
+                    terms.append((dual[0], self._words.setdefault(word, word), c))
+            got = self._zq[key] = tuple(terms)
+        return got
+
+    def _peeled(self, word, m0) -> tuple:
+        """(m, c) of ``word`` peeled off m0, reduced by ``reduce_m``."""
+        key = (word, m0)
+        got = self._peels.get(key)
+        if got is None:
+            acc: dict = {}
+            for m2, c2 in self._peel(word, {m0: 1}).items():
+                coeff, m = self.reduce_m(m2)
+                if coeff:
+                    acc[m] = acc.get(m, 0) + coeff * c2
+            got = self._peels[key] = tuple((m, c) for m, c in acc.items() if c)
+        return got
+
+    def _left_action(self, z: int, w) -> SparseMatrix:
+        """Matrix of the left action of z on weight w."""
         w = tuple(w)
         key = (z, w)
         got = self._left.get(key)
         if got is not None:
             return got
-        alg, order = self.alg, self.order
+        alg = self.alg
         target = wt_add(w, alg.weight(z))
         rows = self._index.get(target, {})
         cols = self.basis(w)
         mat = SparseMatrix(len(rows), len(cols))
         if self.strict_depth:
             self._check_target("left", target, cols)
-        ell_z = alg.ell(alg.weight(z))
         by_q0: dict = {}
         for ci, (q0, m0) in enumerate(cols):
             by_q0.setdefault(q0, []).append((ci, m0))
-        max_q0 = max((alg.ell(monomial_weight(alg, q0)) for q0 in by_q0), default=0)
+        # z·q' has a positive part of ell at least ell(q') + ell(z)
+        bound = max((self._duals[q0][2] for q0 in by_q0), default=0) - alg.ell(alg.weight(z))
         for qw, qprimes in self.qtab.items():
-            if alg.ell(qw) > max_q0 - ell_z:
+            if self._qtab_ell[qw] > bound:
                 continue
             for qprime in qprimes:
-                st = normal_order_word(alg, (z,) + flatten(qprime), order)
-                for mon, c in st.items():
-                    p, m = split(mon, self._positive)
-                    hits = by_q0.get(p)
-                    if not hits:
-                        continue
-                    for ci, m0 in hits:
-                        peeled = self._peel(flatten(m), {m0: 1})
-                        for m2, c2 in peeled.items():
-                            if reduce_m is not None:
-                                coeff, m2 = reduce_m(m2)
-                                if not coeff:
-                                    continue
-                                c2 *= coeff
-                            r = rows.get((qprime, m2))
+                for p, word, c in self._zq_terms(z, qprime):
+                    for ci, m0 in by_q0.get(p, ()):
+                        for m, c2 in self._peeled(word, m0):
+                            r = rows.get((qprime, m))
                             if r is not None:
                                 mat.add(r, ci, -c * c2)
         self._left[key] = mat
         return mat
 
+    def _mz_terms(self, m0, z: int) -> tuple:
+        """(p, m, c) of m0·z straightened and split."""
+        key = (m0, z)
+        got = self._mz.get(key)
+        if got is None:
+            st = normal_order_word(self.alg, flatten(m0) + (z,), self.order)
+            got = self._mz[key] = tuple((*split(mon, self._positive), c) for mon, c in st.items())
+        return got
+
+    def _pairing(self, q0, p) -> tuple:
+        """(q', (-1)^|p| <q0, q'·S(p)>) over the dual monomials q', nonzero only."""
+        key = (q0, p)
+        got = self._pairings.get(key)
+        if got is None:
+            alg, order = self.alg, self.order
+            back = tuple(reversed(flatten(p)))
+            sign = -1 if len(back) % 2 else 1
+            qw = wt_sub(self._duals[q0][1], monomial_weight(alg, p))
+            terms = []
+            for qprime in self.qtab.get(qw, ()):
+                c = normal_order_word(alg, flatten(qprime) + back, order).get(q0, 0)
+                if c:
+                    terms.append((qprime, sign * c))
+            got = self._pairings[key] = tuple(terms)
+        return got
+
     def _right_terms(self, q0, m0, z):
         """(q', m, coefficient) of the pair (q0, m0) times z on the right: m0 z
         straightened, its positive factor p slid onto the dual side as
         <q0, q' · S(p)> with S the antipode."""
-        alg, order = self.alg, self.order
-        for mon, c in normal_order_word(alg, flatten(m0) + (z,), order).items():
-            p, m = split(mon, self._positive)
+        for p, m, c in self._mz_terms(m0, z):
             if not p:
                 yield q0, m, c
                 continue
-            pw = flatten(p)
-            qw = wt_sub(monomial_weight(alg, q0), monomial_weight(alg, p))
-            for qprime in self.qtab.get(qw, ()):
-                c2 = normal_order_word(alg, flatten(qprime) + tuple(reversed(pw)), order).get(q0, 0)
-                if len(pw) % 2:
-                    c2 = -c2
-                if c2:
-                    yield qprime, m, c * c2
+            for qprime, c2 in self._pairing(q0, p):
+                yield qprime, m, c * c2
 
 
 class SemiregularModel(_PairSpace):
@@ -516,7 +586,7 @@ class WakimotoSpace(_PairSpace):
         return evaluate(self._lam_tilde, tail), ma
 
     def left_matrix(self, z: int, w) -> SparseMatrix:
-        return self._left_action(z, w, self.reduce_m)
+        return self._left_action(z, w)
 
 
 def wakimoto(alg, lam: dict, depth: int) -> WeightModule:
@@ -595,13 +665,12 @@ def _invariant_completion(space, w, have, want):
     etas = [e for e in alg.elements_in_degrees(1, max(budget, 1)) if space.abar_view.is_member(e)]
     found = len(have)
     for tail_len in range(1, _TAIL_CAP + 1):
-        xbasis, xindex = _truncated_x_basis(space, w, tail_len)
+        xbasis = _truncated_x_basis(space, w, tail_len)
         if not xbasis:
             continue
         cond_rows = []
         for eta in etas:
-            rows = _right_action_rows(space, w, eta, xbasis, tail_len)
-            cond_rows.extend(rows)
+            cond_rows.extend(_right_action_rows(space, eta, xbasis))
         mat = SparseMatrix.from_rows(cond_rows, len(xbasis)) if cond_rows else SparseMatrix(0, len(xbasis))
         kernel = mat.nullspace()
         if not kernel:
@@ -629,41 +698,37 @@ def _invariant_completion(space, w, have, want):
 
 
 def _truncated_x_basis(space, w, tail_len: int):
-    """Triples (q, m_a, m_abar) of weight w with bounded abar- tail."""
+    """Sorted triples (q, m_a, m_abar) of weight w with abar- tail of
+    length at most ``tail_len``."""
     alg = space.alg
-    depth = space.depth
     abar_neg = sorted(
-        (e for e in alg.elements_in_degrees(-depth, 0) if space.abar_view.is_member(e)),
+        (e for e in alg.elements_in_degrees(-space.depth, 0) if space.abar_view.is_member(e)),
         key=space.order.key,
     )
-    tails = [()]
-    frontier = [()]
+    tails_by_weight = {wt_zero(alg.rank): [()]}
+    frontier = [((), wt_zero(alg.rank))]
     for _ in range(tail_len):
         new = []
-        for t in frontier:
+        for t, tw in frontier:
             start = abar_neg.index(t[-1]) if t else 0
-            for k in range(start, len(abar_neg)):
-                new.append(t + (abar_neg[k],))
-        tails.extend(new)
+            for e in abar_neg[start:]:
+                new.append((t + (e,), wt_add(tw, alg.weight(e))))
+        for t, tw in new:
+            tails_by_weight.setdefault(tw, []).append(compress(t))
         frontier = new
-    out = []
+    out = set()
     for qw, qs in space.qtab.items():
         for mw, ms in space.mtab.items():
+            tails = tails_by_weight.get(wt_sub(wt_add(tuple(w), qw), mw), ())
             for tail in tails:
-                tw = wt_zero(alg.rank)
-                for e in tail:
-                    tw = wt_add(tw, alg.weight(e))
-                if wt_sub(wt_add(mw, tw), qw) != tuple(w):
-                    continue
                 for q in qs:
                     for m in ms:
-                        out.append((q, m, compress(tail)))
-    out = sorted(set(out))
-    return out, {t: i for i, t in enumerate(out)}
+                        out.add((q, m, tail))
+    return sorted(out)
 
 
-def _right_action_rows(space, w, eta, xbasis, tail_len):
-    """Rows of -r_eta on the truncated X at weight w, exact conditions.
+def _right_action_rows(space, eta, xbasis):
+    """Rows of -r_eta on the truncated X, exact conditions.
 
     The action may lengthen the abar tail by bounded amounts; output
     coordinates are indexed on the fly so the conditions stay exact.

@@ -1,6 +1,8 @@
 """Golden outputs: CLI jobs (with the summary lines of the two
-semi-infinite cohomology jobs) and three module dumps (S-ind, Verma and
-contragredient Verma) compared byte for byte with the fixtures in tests/golden/, and the benchmark's US(a) depth-9 job with
+semi-infinite cohomology jobs, and three Wakimoto dumps, one of them at a
+lambda where the invariant completion runs) and three module dumps (S-ind,
+Verma and contragredient Verma) compared byte for byte with the fixtures in
+tests/golden/, and the benchmark's US(a) depth-9 job with
 perfbench/golden/uscoh_cli.csv.
 
 Regenerate the fixtures (only from a commit whose outputs are trusted) with
@@ -33,6 +35,8 @@ JOBS = [
     (["wakimoto", "--lambda", "h=1/2,K=1,d=0", "--depth", "4", "--out", "wakimoto.csv", "--dump", "wakimoto.jsonl"], ["wakimoto.csv", "wakimoto.jsonl"]),
     # integral lambda: every entry is an int, still written as "n/1"
     (["wakimoto", "--lambda", "h=2,K=1,d=0", "--depth", "4", "--dump", "wakimoto_integral.jsonl"], ["wakimoto_integral.jsonl"]),
+    # reducible lambda: the invariant completion fills weight (2, -2)
+    (["wakimoto", "--lambda", "h=0,K=1,d=0", "--depth", "4", "--dump", "wakimoto_reducible.jsonl"], ["wakimoto_reducible.jsonl"]),
     (["verify-univ", "--algebra", "a", "--module", "induced", "--depth", "3", "--out", "verify_univ.json"], ["verify_univ.json"]),
     (["verify-us", "--algebra", "a", "--depth", "3", "--out", "verify_us.json"], ["verify_us.json"]),
     (["verify-shapiro", "--algebra", "a", "--depth", "3", "--out", "verify_shapiro.json"], ["verify_shapiro.json"]),

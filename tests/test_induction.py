@@ -6,12 +6,15 @@ from fractions import Fraction
 import pytest
 
 from semiflex.forms import semiinf_cohomology
+from semiflex import induction
 from semiflex.induction import (
     InductionError,
     WakimotoSpace,
     _TensorSpace,
     _descended_module,
     _invariant_completion,
+    _right_action_rows,
+    _truncated_x_basis,
     bimodule_commutes,
     check_prop_iso,
     check_prop_iso1,
@@ -21,7 +24,7 @@ from semiflex.induction import (
     universal_semijective,
     wakimoto,
 )
-from semiflex.liealg import WindowError, load_algebra, subalgebra, wt_add
+from semiflex.liealg import WindowError, load_algebra, subalgebra, wt_add, wt_sub, wt_zero
 from semiflex.linalg import SparseMatrix
 from semiflex.modules import (
     ce_cohomology,
@@ -32,7 +35,7 @@ from semiflex.modules import (
     trivial_module,
     verma,
 )
-from semiflex.pbw import enumerate_pbw_weights
+from semiflex.pbw import compress, enumerate_pbw_weights, flatten, monomial_weight, normal_order_word, split
 
 
 NEG_HEIS = {
@@ -341,3 +344,237 @@ def test_tensor_action_reads_columns_like_the_row_scan(loop_a, us_first):
             assert _outcome(space.left, xi, w) == _outcome(_row_scan_action, space, xi, w, left_ops), (w, xi)
             checked += not isinstance(got, str) and any(got)
     assert checked
+
+
+# -- the pair space's caches against the loops they replace ----------------------------
+
+
+def _uncached_left_action(space, z, w, reduce_m=None):
+    """The left action as it was first written: straighten z·q' for every q'
+    and every column, split it, and peel every column again."""
+    alg, order = space.alg, space.order
+    w = tuple(w)
+    target = wt_add(w, alg.weight(z))
+    rows = space._index.get(target, {})
+    cols = space.basis(w)
+    mat = SparseMatrix(len(rows), len(cols))
+    if space.strict_depth:
+        space._check_target("left", target, cols)
+    ell_z = alg.ell(alg.weight(z))
+    by_q0: dict = {}
+    for ci, (q0, m0) in enumerate(cols):
+        by_q0.setdefault(q0, []).append((ci, m0))
+    max_q0 = max((alg.ell(monomial_weight(alg, q0)) for q0 in by_q0), default=0)
+    for qw, qprimes in space.qtab.items():
+        if alg.ell(qw) > max_q0 - ell_z:
+            continue
+        for qprime in qprimes:
+            st = normal_order_word(alg, (z,) + flatten(qprime), order)
+            for mon, c in st.items():
+                p, m = split(mon, space._positive)
+                hits = by_q0.get(p)
+                if not hits:
+                    continue
+                for ci, m0 in hits:
+                    peeled = space._peel(flatten(m), {m0: 1})
+                    for m2, c2 in peeled.items():
+                        if reduce_m is not None:
+                            coeff, m2 = reduce_m(m2)
+                            if not coeff:
+                                continue
+                            c2 *= coeff
+                        r = rows.get((qprime, m2))
+                        if r is not None:
+                            mat.add(r, ci, -c * c2)
+    return mat
+
+
+def _uncached_right_terms(space, q0, m0, z):
+    """Right multiplication as it was first written: m0·z straightened and
+    every antipode pairing recomputed on each call."""
+    alg, order = space.alg, space.order
+    for mon, c in normal_order_word(alg, flatten(m0) + (z,), order).items():
+        p, m = split(mon, space._positive)
+        if not p:
+            yield q0, m, c
+            continue
+        pw = flatten(p)
+        qw = wt_sub(monomial_weight(alg, q0), monomial_weight(alg, p))
+        for qprime in space.qtab.get(qw, ()):
+            c2 = normal_order_word(alg, flatten(qprime) + tuple(reversed(pw)), order).get(q0, 0)
+            if len(pw) % 2:
+                c2 = -c2
+            if c2:
+                yield qprime, m, c * c2
+
+
+def _uncached_right_matrix(model, z, w):
+    w = tuple(w)
+    target = wt_add(w, model.alg.weight(z))
+    rows = model._index.get(target, {})
+    cols = model.basis(w)
+    mat = SparseMatrix(len(rows), len(cols))
+    model._check_target("right", target, cols)
+    for ci, (q0, m0) in enumerate(cols):
+        for q, m, c in _uncached_right_terms(model, q0, m0, z):
+            r = rows.get((q, m))
+            if r is not None:
+                mat.add(r, ci, c)
+    return mat
+
+
+def _uncached_right_action_rows(space, eta, xbasis):
+    rows_by_out: dict = {}
+    for ci, (q0, ma, mbar) in enumerate(xbasis):
+        for q, m, c in _uncached_right_terms(space, q0, ma + mbar, eta):
+            row = rows_by_out.setdefault((q, m), {})
+            row[ci] = row.get(ci, 0) + c
+    return [{c: v for c, v in row.items() if v} for row in rows_by_out.values()]
+
+
+def _uncached_truncated_x_basis(space, w, tail_len):
+    """The truncated X basis as it was first written: every tail's weight
+    re-summed for every (q, m) weight pair."""
+    alg = space.alg
+    abar_neg = sorted(
+        (e for e in alg.elements_in_degrees(-space.depth, 0) if space.abar_view.is_member(e)),
+        key=space.order.key,
+    )
+    tails = [()]
+    frontier = [()]
+    for _ in range(tail_len):
+        new = []
+        for t in frontier:
+            start = abar_neg.index(t[-1]) if t else 0
+            for k in range(start, len(abar_neg)):
+                new.append(t + (abar_neg[k],))
+        tails.extend(new)
+        frontier = new
+    out = []
+    for qw, qs in space.qtab.items():
+        for mw, ms in space.mtab.items():
+            for tail in tails:
+                tw = wt_zero(alg.rank)
+                for e in tail:
+                    tw = wt_add(tw, alg.weight(e))
+                if wt_sub(wt_add(mw, tw), qw) != tuple(w):
+                    continue
+                for q in qs:
+                    for m in ms:
+                        out.append((q, m, compress(tail)))
+    return sorted(set(out))
+
+
+def _lam(h, k):
+    return {"1⊗h": Fraction(h), "K": Fraction(k), "d": Fraction(0)}
+
+
+def _completion_weights(monkeypatch, alg, lam, depth):
+    """Weights at which wakimoto(alg, lam, depth) runs the invariant completion."""
+    fired = []
+
+    def spy(space, w, have, want):
+        fired.append(w)
+        return _invariant_completion(space, w, have, want)
+
+    with monkeypatch.context() as m:
+        m.setattr(induction, "_invariant_completion", spy)
+        wakimoto(alg, lam, depth)
+    return fired
+
+
+def _assert_caches_bounded(space):
+    """Every cache key lies in the pair space (or, for m0·z, in the
+    truncated X of the completion), every cached p is a qtab object and
+    every cached word is interned."""
+    alg = space.alg
+    mons = {m for ms in space.mtab.values() for m in ms}
+    for (_z, qprime), terms in space._zq.items():
+        assert qprime in space._duals
+        for p, word, _c in terms:
+            assert p is space._duals[p][0]
+            assert space._words[word] is word
+            assert all(alg.degree(y) <= 0 for y in word)
+    for word, m0 in space._peels:
+        assert space._words[word] is word and m0 in mons
+    for m0, _z in space._mz:
+        if m0 not in mons:  # a triple (q, m_a, m_abar) of the completion's X
+            ma, tail = split(m0, space.a_view.is_member)
+            assert ma in mons and all(space.abar_view.is_member(e) and alg.degree(e) <= 0 for e, _k in tail)
+    for q0, p in space._pairings:
+        assert q0 in space._duals and p and all(alg.degree(e) > 0 for e, _k in p)
+
+
+def test_us_actions_match_the_uncached_loops(loop_a):
+    us = universal_semijective(loop_a, 5)
+    checked = 0
+    for w in us.weights:
+        for z in loop_a.elements_in_degrees(-5, 5):
+            got = _outcome(us.left_matrix, z, w)
+            assert got == _outcome(_uncached_left_action, us, z, w), (z, w)
+            assert _outcome(us.right_matrix, z, w) == _outcome(_uncached_right_matrix, us, z, w), (z, w)
+            checked += not isinstance(got, str) and any(got)
+    assert checked
+    _assert_caches_bounded(us)
+
+
+@pytest.mark.parametrize("lam", [_lam(Fraction(2, 3), Fraction(1, 2)), _lam(0, 1)], ids=["2/3,1/2", "0,1"])
+def test_wakimoto_left_action_matches_the_uncached_loop(sl2, lam):
+    space = WakimotoSpace(sl2, lam, 5)
+    checked = 0
+    for w in space.weights:
+        for z in sl2.elements_in_degrees(-5, 5):
+            got = space.left_matrix(z, w).rows
+            assert got == _uncached_left_action(space, z, w, space.reduce_m).rows, (z, w)
+            checked += any(got)
+    assert checked
+    _assert_caches_bounded(space)
+
+
+@pytest.mark.parametrize("hk", [(0, 1), (1, 1), (-1, 2)])
+def test_truncated_x_basis_and_right_rows_match_the_uncached_loops(sl2, monkeypatch, hk):
+    lam = _lam(*hk)
+    weights = _completion_weights(monkeypatch, sl2, lam, 6)
+    assert weights
+    space = WakimotoSpace(sl2, lam, 6)
+    for w in weights:
+        etas = [e for e in sl2.elements_in_degrees(1, -sl2.ell(w)) if space.abar_view.is_member(e)]
+        for tail_len in (1, 2, 3):
+            xbasis = _truncated_x_basis(space, w, tail_len)
+            assert xbasis == _uncached_truncated_x_basis(space, w, tail_len), (w, tail_len)
+            for eta in etas:
+                got = _right_action_rows(space, eta, xbasis)
+                assert got == _uncached_right_action_rows(space, eta, xbasis), (w, tail_len, eta)
+    _assert_caches_bounded(space)
+
+
+def test_left_action_straightens_nothing_it_has_seen(sl2, monkeypatch):
+    """Once every (z, q') and every peel a left action needs is cached,
+    building it again straightens nothing."""
+    calls = []
+
+    def counting(alg, word, order):
+        calls.append(word)
+        return normal_order_word(alg, word, order)
+
+    monkeypatch.setattr(induction, "normal_order_word", counting)
+    space = WakimotoSpace(sl2, _lam(Fraction(2, 3), Fraction(1, 2)), 5)
+    z = sl2.by_label("z^-1⊗f")
+    first, *others = sorted(space.weights, key=lambda w: -sl2.ell(w))
+    space.left_matrix(z, first)
+    assert calls
+    quiet = 0
+    for w in others:
+        sizes = len(space._zq), len(space._peels)
+        del calls[:]
+        mat = space.left_matrix(z, w)
+        if sizes == (len(space._zq), len(space._peels)):
+            assert not calls, w
+            quiet += any(mat.rows)
+    assert quiet
+    built = dict(space._left)
+    space._left.clear()
+    del calls[:]
+    for (zz, w), mat in built.items():
+        assert space.left_matrix(zz, w).rows == mat.rows
+    assert not calls
