@@ -516,15 +516,18 @@ def semiinvariants(alg, module, depth: int, weights=None) -> SemiInvariants:
 
 
 def semiinvariant_images(alg, space, act, weights, hplus, hminus, src_depth: int) -> dict:
-    """{w: (image basis, relation columns)} for every w in ``weights`` with
-    space.dim(w) > 0: the invariants under ``hplus`` projected to the
-    coinvariants under ``hminus``, with ``act(x, w)`` the action matrix.
+    """{w: (image basis, independent relation columns)} for every w in
+    ``weights`` with space.dim(w) > 0: the invariants under ``hplus``
+    projected to the coinvariants under ``hminus``, with ``act(x, w)`` the
+    action matrix.
 
     Invariants: common kernel of the positive elements of degree at most
     -ell(w) (beta vanishes there); coinvariants: quotient by the images of
     xi + beta(xi) from source weights with -src_depth <= ell <= 0.  One
     elimination over relation columns followed by kernel vectors reads off
-    the image: the pivots past the relations.
+    the image, the pivots past the relations, and keeps the relations at
+    the pivots before them: they span the same coinvariant relations, so
+    image coordinates solved against them are unchanged.
     """
     out = {}
     for w in sorted(weights):
@@ -536,8 +539,7 @@ def semiinvariant_images(alg, space, act, weights, hplus, hminus, src_depth: int
         for eta in hplus:
             if alg.degree(eta) <= budget:
                 inv_rows.extend(act(eta, w).rows)
-        inv = SparseMatrix.from_rows(inv_rows, dim_w) if inv_rows else SparseMatrix(0, dim_w)
-        kernel = inv.nullspace()
+        kernel = SparseMatrix.from_rows(inv_rows, dim_w).nullspace()
         rel_cols = []
         for xi in hminus:
             if alg.degree(xi) < alg.ell(w):
@@ -556,6 +558,7 @@ def semiinvariant_images(alg, space, act, weights, hplus, hminus, src_depth: int
                     vec[col] += bv
                 rel_cols.append(tuple(vec))
         combined = rel_cols + [tuple(k) for k in kernel]
-        pivots = SparseMatrix.from_columns(combined).pivot_columns() if combined else []
-        out[w] = ([combined[p] for p in pivots if p >= len(rel_cols)], rel_cols)
+        pivots = SparseMatrix.from_columns(combined).pivot_columns()
+        nrel = len(rel_cols)
+        out[w] = ([combined[p] for p in pivots if p >= nrel], [combined[p] for p in pivots if p < nrel])
     return out

@@ -33,7 +33,7 @@ from fractions import Fraction
 from .forms import semiinf_cohomology, semiinvariant_images
 from .liealg import SubalgebraSpec, WindowError, exact, subalgebra, wt_add, wt_sub, wt_zero
 from .linalg import SparseMatrix, solve_in_span
-from .modules import WeightModule, _lam_str, check_commutators, product_formula_character
+from .modules import WeightModule, _commutator_failures, _lam_str, check_commutators, product_formula_character
 from .pbw import (
     Order,
     compress,
@@ -337,26 +337,15 @@ class SemiregularModel(_PairSpace):
         return self._left_action(z, w)
 
     def left_module(self) -> WeightModule:
-        return self._module(f"US({self.alg.name})", self.left_matrix)
-
-    def _module(self, name, rule) -> WeightModule:
         labels = {w: [self.pair_label(p) for p in basis] for w, basis in self.weights.items()}
-        return WeightModule(self.alg, name, labels, rule, self.depth)
+        return WeightModule(self.alg, f"US({self.alg.name})", labels, self.left_matrix, self.depth)
 
     def right_oracle_failures(self, gen_window, weights=None) -> list:
-        """Right-module property, checked on the left module z -> -r_z (a left
-        module exactly when r is a right module)."""
-
-        def rule(z, w):
-            mat = self.right_matrix(z, w)
-            neg = SparseMatrix(mat.nrows, mat.ncols)
-            neg.rows = [{c: -v for c, v in row.items()} for row in mat.rows]
-            return neg
-
-        return check_commutators(self._module(f"US({self.alg.name})^op", rule), gen_window, weights)
+        """Right-module property: r_x r_y = r_y r_x - r_[x,y]."""
+        return _commutator_failures(self, gen_window, weights, self.right_matrix, sign=-1)
 
     def left_oracle_failures(self, gen_window, weights=None) -> list:
-        return check_commutators(self.left_module(), gen_window, weights)
+        return _commutator_failures(self, gen_window, weights, self.left_matrix)
 
 
 def universal_semijective(alg, depth: int) -> SemiregularModel:
@@ -364,26 +353,8 @@ def universal_semijective(alg, depth: int) -> SemiregularModel:
 
 
 def bimodule_commutes(model: SemiregularModel, gen_window, weights=None) -> list:
-    """[left_z, right_y] = 0 failures on materialized weights."""
-    alg = model.alg
-    lo, hi = gen_window
-    gens = alg.elements_in_degrees(lo, hi)
-    if weights is None:
-        weights = sorted(model.weights)
-    failures = []
-    for w in weights:
-        for x in gens:
-            wx = wt_add(w, alg.weight(x))
-            for y in gens:
-                wy = wt_add(w, alg.weight(y))
-                wxy = wt_add(wx, alg.weight(y))
-                if not all(model.in_depth(v) or alg.ell(v) > 0 for v in (wx, wy, wxy)):
-                    continue
-                lr = model.left_matrix(x, wy).matmul(model.right_matrix(y, w))
-                rl = model.right_matrix(y, wx).matmul(model.left_matrix(x, w))
-                if lr.rows != rl.rows:
-                    failures.append((alg.label(x), alg.label(y), w))
-    return failures
+    """[left_x, right_y] = 0 failures on materialized weights, every ordered pair."""
+    return _commutator_failures(model, gen_window, weights, model.left_matrix, model.right_matrix, sign=0)
 
 
 # -- structural checks for US ---------------------------------------------------------
@@ -493,7 +464,7 @@ class _TensorSpace:
 
 def _tensor_semiinvariants(space, sub, depth: int) -> dict:
     """Nonzero semi-invariants of a tensor space under ``sub`` (the diagonal
-    action): {w: (image basis, relation columns)}."""
+    action): {w: (image basis, independent relation columns)}."""
     sub.ensure_window(-2 * depth - 4, 2 * depth + 4)
     hplus = sub.elements_in_degrees(1, 2 * depth + 4)
     hminus = sub.elements_in_degrees(-depth, 0)
@@ -620,8 +591,7 @@ def wakimoto(alg, lam: dict, depth: int) -> WeightModule:
         got = _independent(vecs)
         want = target_char.coefficient(w)
         if len(got) < want:
-            extra = _invariant_completion(space, w, got, want)
-            got = _independent(got + extra)
+            got = _invariant_completion(space, w, got, want)
         if len(got) != want:
             raise InductionError(f"wakimoto: weight {w}: spanned {len(got)} of {want} expected dimensions")
         if got:
@@ -641,8 +611,6 @@ def _unit_vec(space, w, pair):
 
 def _independent(vectors):
     """Deterministic maximal independent subset of coordinate vectors."""
-    if not vectors:
-        return []
     return [vectors[p] for p in SparseMatrix.from_columns(vectors).pivot_columns()]
 
 
@@ -651,8 +619,10 @@ _TAIL_CAP = 3
 
 
 def _invariant_completion(space, w, have, want):
-    """Exact finitely-supported abar+ invariants of US ⊗ C_lambda projecting
-    to new directions of Q at weight w (expanding truncation solve).
+    """An independent basis of at least ``want`` vectors of Q at weight w:
+    the independent ``have`` first, then projections of exact
+    finitely-supported abar+ invariants of US ⊗ C_lambda (expanding
+    truncation solve).
 
     X is spanned by triples (q, m_a, m_abar); the truncation bounds the
     abar- tail length.  Invariance under every relevant positive abar
@@ -671,8 +641,7 @@ def _invariant_completion(space, w, have, want):
         cond_rows = []
         for eta in etas:
             cond_rows.extend(_right_action_rows(space, eta, xbasis))
-        mat = SparseMatrix.from_rows(cond_rows, len(xbasis)) if cond_rows else SparseMatrix(0, len(xbasis))
-        kernel = mat.nullspace()
+        kernel = SparseMatrix.from_rows(cond_rows, len(xbasis)).nullspace()
         if not kernel:
             continue
         proj = []
@@ -687,9 +656,10 @@ def _invariant_completion(space, w, have, want):
                     vec[space._index[w][(q, ma)]] += c * coeff
             if any(vec):
                 proj.append(tuple(vec))
+        # ``have`` is independent and comes first: its vectors lead ``cand``
         cand = _independent(list(have) + proj)
         if len(cand) >= want:
-            return [v for v in cand if v not in have]
+            return cand
         found = len(cand)
     raise InductionError(
         f"wakimoto: weight {w}: invariant completion spans {found} of {want} dimensions "

@@ -10,8 +10,11 @@ otherwise.  The constructors turn lambda into such values once per module,
 so an integral lambda (given as int or Fraction) yields all-int matrices.
 
 The correctness oracle for every constructor is the representation property
-(commutator of action matrices = action of the bracket), exposed as
-check_commutators and exercised relentlessly by the test suite.
+(commutator of action matrices = action of the bracket).  One loop checks
+a(x) b(y) = b(y) a(x) + s * b([x, y]) on action matrices and serves three
+uses: check_commutators (a = b = the module action, s = +1), the right-module
+check of US (a = b = right multiplication, s = -1) and the bimodule check of
+US (a = left, b = right, s = 0).  The test suite exercises it relentlessly.
 
 Chevalley-Eilenberg (co)homology has no complex of its own: it is the
 semi-infinite complex (forms.semiinf_cohomology) of a strictly positive or
@@ -295,46 +298,52 @@ def direct_sum(m1: WeightModule, m2: WeightModule) -> WeightModule:
 
 
 def check_commutators(module: WeightModule, gen_window: tuple, weights=None) -> list:
-    """Representation-property failures [(x, y, weight)] on materialized data.
+    """Representation-property failures [(x, y, weight)] on materialized data:
+    the one oracle with the module action on both sides and sign +1."""
+    return _commutator_failures(module, gen_window, weights, module.action)
 
-    For every generator pair in the degree window and every module weight
-    where all intermediate weights stay within depth, compare the commutator
-    of action matrices with the action of the bracket.  A WindowError from
-    an action propagates: skipping the pair would report an unchecked pass.
+
+def _commutator_failures(space, gen_window: tuple, weights, a, b=None, sign: int = 1) -> list:
+    """Failures [(x, y, weight)] of a(x) b(y) = b(y) a(x) + sign * b([x, y]).
+
+    ``a`` and ``b`` map (eid, w) to the matrix M_w -> M_{w + wt(eid)} of
+    ``space`` (anything with ``alg``, ``depth`` and ``weights``).  b defaults
+    to a, and then the pair (x, y) with y < x, the same identity mirrored, is
+    skipped.  Checked for every weight in ``weights`` (default: all of the
+    space's, sorted) and generator pair in the degree window whose three
+    intermediate weights lie within depth or above the top.  b(y) a(x) is a
+    fresh product, so the bracket is summed into it in place and the rows
+    compared.  A WindowError from an action propagates: skipping the pair
+    would report an unchecked pass.
     """
-    alg = module.alg
+    alg, depth = space.alg, space.depth
     lo, hi = gen_window
     alg.ensure_window(min(lo + lo, lo), max(hi + hi, hi))
     gens = alg.elements_in_degrees(lo, hi)
     if weights is None:
-        weights = module.weights_list()
+        weights = sorted(space.weights)
+    mirrored = b is None
+    if mirrored:
+        b = a
     failures = []
     for w in weights:
         for x in gens:
             wx = wt_add(w, alg.weight(x))
             for y in gens:
-                if y < x:
+                if mirrored and y < x:
                     continue
                 wy = wt_add(w, alg.weight(y))
                 wxy = wt_add(wx, alg.weight(y))
-                if not all(module.in_depth(v) or module.ell(v) > 0 for v in (wx, wy, wxy)):
+                if min(alg.ell(wx), alg.ell(wy), alg.ell(wxy)) < -depth:
                     continue
-                x_after_y = module.action(x, wy).matmul(module.action(y, w))
-                y_after_x = module.action(y, wx).matmul(module.action(x, w))
-                comm = SparseMatrix(x_after_y.nrows, x_after_y.ncols)
-                for i, row in enumerate(x_after_y.rows):
-                    for c, v in row.items():
-                        comm.add(i, c, v)
-                for i, row in enumerate(y_after_x.rows):
-                    for c, v in row.items():
-                        comm.add(i, c, -v)
-                expected = SparseMatrix(comm.nrows, comm.ncols)
-                for k, cf in alg.bracket_ids(x, y).items():
-                    mk = module.action(k, w)
-                    for i, row in enumerate(mk.rows):
-                        for c, v in row.items():
-                            expected.add(i, c, cf * v)
-                if comm.rows != expected.rows:
+                xy = a(x, wy).matmul(b(y, w))
+                yx = b(y, wx).matmul(a(x, w))
+                if sign:
+                    for k, cf in alg.bracket_ids(x, y).items():
+                        for i, row in enumerate(b(k, w).rows):
+                            for c, v in row.items():
+                                yx.add(i, c, sign * cf * v)
+                if xy.rows != yx.rows:
                     failures.append((alg.label(x), alg.label(y), w))
     return failures
 

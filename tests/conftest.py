@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from semiflex.liealg import build_affine_sl2, build_test_algebra
+from semiflex.liealg import build_affine_sl2, build_test_algebra, wt_add
+from semiflex.linalg import SparseMatrix
+from semiflex.modules import WeightModule
 
 
 @pytest.fixture(scope="session")
@@ -50,3 +52,75 @@ def kostant_count(roots, ell, target):
         return total
 
     return rec(0, tuple(target))
+
+
+# -- the commutator checks as three separate loops ---------------------------------
+# An independent reference for the single oracle behind check_commutators,
+# bimodule_commutes and the US left/right oracles: each builds XY - YX and the
+# bracket action as separate matrices, and the right oracle checks the left
+# module z -> -r_z.
+
+
+def reference_check_commutators(module, gen_window, weights=None):
+    alg = module.alg
+    lo, hi = gen_window
+    alg.ensure_window(min(lo + lo, lo), max(hi + hi, hi))
+    gens = alg.elements_in_degrees(lo, hi)
+    if weights is None:
+        weights = module.weights_list()
+    failures = []
+    for w in weights:
+        for x in gens:
+            wx = wt_add(w, alg.weight(x))
+            for y in gens:
+                if y < x:
+                    continue
+                wy = wt_add(w, alg.weight(y))
+                wxy = wt_add(wx, alg.weight(y))
+                if not all(module.in_depth(v) or module.ell(v) > 0 for v in (wx, wy, wxy)):
+                    continue
+                x_after_y = module.action(x, wy).matmul(module.action(y, w))
+                y_after_x = module.action(y, wx).matmul(module.action(x, w))
+                comm = SparseMatrix(x_after_y.nrows, x_after_y.ncols)
+                for i, row in enumerate(x_after_y.rows):
+                    for c, v in row.items():
+                        comm.add(i, c, v)
+                for i, row in enumerate(y_after_x.rows):
+                    for c, v in row.items():
+                        comm.add(i, c, -v)
+                expected = SparseMatrix(comm.nrows, comm.ncols)
+                for k, cf in alg.bracket_ids(x, y).items():
+                    for i, row in enumerate(module.action(k, w).rows):
+                        for c, v in row.items():
+                            expected.add(i, c, cf * v)
+                if comm.rows != expected.rows:
+                    failures.append((alg.label(x), alg.label(y), w))
+    return failures
+
+
+def reference_right_oracle(model, gen_window, weights=None):
+    def rule(z, w):
+        mat = model.right_matrix(z, w)
+        return SparseMatrix.from_rows([{c: -v for c, v in row.items()} for row in mat.rows], mat.ncols)
+
+    labels = {w: [str(i) for i in range(len(b))] for w, b in model.weights.items()}
+    return reference_check_commutators(WeightModule(model.alg, "US^op", labels, rule, model.depth), gen_window, weights)
+
+
+def reference_bimodule(model, gen_window, weights=None):
+    alg = model.alg
+    gens = alg.elements_in_degrees(*gen_window)
+    failures = []
+    for w in sorted(model.weights) if weights is None else weights:
+        for x in gens:
+            wx = wt_add(w, alg.weight(x))
+            for y in gens:
+                wy = wt_add(w, alg.weight(y))
+                wxy = wt_add(wx, alg.weight(y))
+                if not all(model.in_depth(v) or alg.ell(v) > 0 for v in (wx, wy, wxy)):
+                    continue
+                lr = model.left_matrix(x, wy).matmul(model.right_matrix(y, w))
+                rl = model.right_matrix(y, wx).matmul(model.left_matrix(x, w))
+                if lr.rows != rl.rows:
+                    failures.append((alg.label(x), alg.label(y), w))
+    return failures

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import reference_bimodule, reference_check_commutators, reference_right_oracle
 from semiflex.forms import semiinf_cohomology
 from semiflex import induction
 from semiflex.induction import (
@@ -113,6 +114,60 @@ def test_us_left_right_oracles_and_bimodule(loop_a):
     assert us.left_oracle_failures((-3, 3)) == []
     assert us.right_oracle_failures((-3, 3)) == []
     assert bimodule_commutes(us, (-3, 3)) == []
+
+
+def _corrupted_us(alg, side: str):
+    """US(alg) to depth 3 with one entry of the ``side`` action of 1⊗f at the
+    vacuum weight raised by one (a fresh matrix: the cache stays intact)."""
+    us = universal_semijective(alg, 3)
+    f = alg.by_label("1⊗f")
+    attr = f"{side}_matrix"
+    original = getattr(us, attr)
+
+    def corrupted(z, w):
+        mat = original(z, w)
+        if z == f and tuple(w) == (0, 0):
+            mat = SparseMatrix.from_rows(mat.rows, mat.ncols)
+            mat.add(0, 0, 1)
+        return mat
+
+    setattr(us, attr, corrupted)
+    return us
+
+
+def test_us_oracles_report_a_corrupted_right_action(loop_a):
+    """r_{1⊗f} at the vacuum weight off by one: the right oracle and the
+    bimodule check each report exactly the pairs whose products use it."""
+    us = _corrupted_us(loop_a, "right")
+    assert us.right_oracle_failures((-3, 3)) == [
+        ("1⊗f", "z⊗h", (0, -1)),
+        ("z⊗h", "z^-1⊗f", (0, 0)),
+        ("1⊗f", "z⊗f", (1, -1)),
+    ]
+    # every ordered pair: x = y = 1⊗f is checked, and the right factor is y
+    assert bimodule_commutes(us, (-3, 3)) == [
+        ("z⊗h", "1⊗f", (0, -1)),
+        ("1⊗f", "1⊗f", (0, 0)),
+        ("z⊗f", "1⊗f", (1, -1)),
+    ]
+    assert us.left_oracle_failures((-3, 3)) == []
+
+
+@pytest.mark.parametrize("side", [None, "left", "right"])
+def test_us_oracles_match_the_reference_loops(loop_a, side):
+    """Left, right and bimodule failures equal those of the separate loops
+    (the right one on the left module z -> -r_z), on a correct US model and
+    on one with either action corrupted."""
+    us = universal_semijective(loop_a, 3) if side is None else _corrupted_us(loop_a, side)
+    window = (-3, 3)
+    got = (us.left_oracle_failures(window), us.right_oracle_failures(window), bimodule_commutes(us, window))
+    want = (
+        reference_check_commutators(us.left_module(), window),
+        reference_right_oracle(us, window),
+        reference_bimodule(us, window),
+    )
+    assert got == want
+    assert [bool(f) for f in got] == [side == "left", side == "right", side is not None]
 
 
 def test_us_left_action_hand_values(loop_a):

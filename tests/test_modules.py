@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import kostant_count
+from conftest import kostant_count, reference_check_commutators
 from semiflex.forms import AnomalyError, semiinf_cohomology
 from semiflex.liealg import WindowError, load_algebra, subalgebra, wt_add
 from semiflex.linalg import SparseMatrix
@@ -239,9 +239,9 @@ def test_requested_weight_without_cochains_is_a_zero_row(sl2):
     assert table.rows() == [((0, 0), 0, 1, 1), ((5, -3), 0, 0, 0)]
 
 
-def test_ce_cohomology_detects_a_non_module():
+def _broken_heisenberg():
     """x and y act on v, a, b, c, but [x, y] = z acts by 0 while
-    x(y c) - y(x c) = -v: d^2 != 0 on the cochain c at the bottom weight."""
+    x(y c) - y(x c) = -v."""
     heis = load_algebra(
         {
             "name": "heis",
@@ -265,11 +265,37 @@ def test_ce_cohomology_detects_a_non_module():
             mat.add(0, 0, acts[(heis.label(eid), w)])
         return mat
 
-    M = WeightModule(heis, "not a module", weights, rule, 2)
+    return heis, WeightModule(heis, "not a module", weights, rule, 2)
+
+
+def test_ce_cohomology_detects_a_non_module():
+    """The broken Heisenberg module: d^2 != 0 on the cochain c at the bottom weight."""
+    heis, M = _broken_heisenberg()
     assert check_commutators(M, (1, 2)) == [("y", "x", (-1, -1))]
     with pytest.raises(AnomalyError) as exc:
         ce_cohomology(subalgebra(heis, "gplus"), M, 2)
     assert (exc.value.weight, exc.value.ghost) == ((-1, -1), 0)
+
+
+@pytest.mark.parametrize("case", ["broken heisenberg", "verma", "coverma", "direct sum", "sub-window"])
+def test_check_commutators_matches_the_reference_loop(case, sl2, lam01):
+    """The one oracle reports what the separate loop with XY - YX and the
+    bracket action as their own matrices reports, failures and order alike."""
+    window, weights = (-2, 2), None
+    if case == "broken heisenberg":
+        M, window = _broken_heisenberg()[1], (1, 2)
+    elif case == "verma":
+        M = verma(sl2, {"1⊗h": Fraction(2, 3), "K": Fraction(1, 2)}, 4)
+    elif case == "coverma":
+        M = coverma(sl2, lam01, 3)
+    elif case == "direct sum":
+        M = direct_sum(verma(sl2, lam01, 2), coverma(sl2, lam01, 2))
+    else:
+        M = verma(sl2, lam01, 4)
+        window, weights = (-1, 3), [(0, -1), (-1, 0), (0, 0)]
+    got = check_commutators(M, window, weights)
+    assert got == reference_check_commutators(M, window, weights)
+    assert (got != []) == (case == "broken heisenberg")
 
 
 def test_direct_sum_dims_and_oracle(sl2, lam01):
