@@ -112,61 +112,55 @@ def _delete(tup, x):
     return tuple(e for e in tup if e != x)
 
 
-def wedge(alg, x, mono):
-    """x wedge mono; returns (sign, monomial) or None when the slot is full."""
+def _flip(alg, x, mono, create: bool):
+    """Clifford creation (wedge) or annihilation (contract) at the slot of x:
+    (sign, monomial), or None when the slot is already full, resp. empty.
+    A positive slot is occupied when x is added, a nonpositive one unless x
+    is removed; the sign counts the occupied slots above x."""
     added, removed = mono
     if alg.degree(x) > 0:
-        if x in added:
+        if (x in added) == create:
             return None
-        sign = (-1) ** sum(1 for e in added if alg.key(e) > alg.key(x))
-        return sign, (_insert(added, x), removed)
-    if x not in removed:
-        return None
-    sign = (-1) ** _slots_above(alg, mono, x)
-    return sign, (added, _delete(removed, x))
+        added = _insert(added, x) if create else _delete(added, x)
+    else:
+        if (x in removed) != create:
+            return None
+        removed = _delete(removed, x) if create else _insert(removed, x)
+    return (-1) ** _slots_above(alg, mono, x), (added, removed)
+
+
+def wedge(alg, x, mono):
+    """x wedge mono; returns (sign, monomial) or None when the slot is full."""
+    return _flip(alg, x, mono, True)
 
 
 def contract(alg, x, mono):
     """Interior product with the dual of x; None when the slot is empty."""
-    added, removed = mono
-    if alg.degree(x) > 0:
-        if x not in added:
-            return None
-        sign = (-1) ** sum(1 for e in added if alg.key(e) > alg.key(x))
-        return sign, (_delete(added, x), removed)
-    if x in removed:
-        return None
-    sign = (-1) ** _slots_above(alg, mono, x)
-    return sign, (added, _insert(removed, x))
+    return _flip(alg, x, mono, False)
+
+
+def _flip_element(alg, x, form: dict, create: bool) -> dict:
+    out: dict = {}
+    for mono, c in form.items():
+        res = _flip(alg, x, mono, create)
+        if res:
+            s, m = res
+            v = out.get(m, 0) + s * c
+            if v:
+                out[m] = v
+            elif m in out:
+                del out[m]
+    return out
 
 
 def wedge_element(alg, x, form: dict) -> dict:
     """Clifford creation on a {monomial: coeff} combination."""
-    out: dict = {}
-    for mono, c in form.items():
-        res = wedge(alg, x, mono)
-        if res:
-            s, m = res
-            v = out.get(m, 0) + s * c
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
-    return out
+    return _flip_element(alg, x, form, True)
 
 
 def contract_element(alg, x, form: dict) -> dict:
-    out: dict = {}
-    for mono, c in form.items():
-        res = contract(alg, x, mono)
-        if res:
-            s, m = res
-            v = out.get(m, 0) + s * c
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
-    return out
+    """Clifford annihilation on a {monomial: coeff} combination."""
+    return _flip_element(alg, x, form, False)
 
 
 def _forms_at(alg, ell: int) -> dict:
@@ -482,11 +476,15 @@ def _active_weights(alg, module, depth: int):
 
 
 class SemiInvariants:
-    """Per-weight image of invariants inside coinvariants of M ⊗ L_beta."""
+    """Per-weight image of invariants inside coinvariants of M ⊗ L_beta.
 
-    def __init__(self, dims: dict, bases: dict):
-        self.dims = {tuple(w): d for w, d in dims.items()}
-        self.bases = bases
+    ``images[w]`` is (image basis, independent relation columns); ``bases``
+    and ``dims`` read off the image basis and its length."""
+
+    def __init__(self, images: dict):
+        self.images = images
+        self.bases = {w: img for w, (img, _rels) in images.items()}
+        self.dims = {w: len(img) for w, img in self.bases.items()}
 
     def dim(self, w) -> int:
         return self.dims.get(tuple(w), 0)
@@ -495,59 +493,45 @@ class SemiInvariants:
         return sorted(self.dims.items())
 
 
-def semiinvariants(alg, module, depth: int, weights=None) -> SemiInvariants:
-    """Image of the g_+-invariants of M ⊗ L_beta in the g_--coinvariants."""
-    if depth > getattr(module, "depth", depth):
+def semiinvariants(alg, module, depth: int) -> SemiInvariants:
+    """Image of the g_+-invariants of M ⊗ L_beta in the g_--coinvariants, at
+    every weight w of M with -depth <= ell(w) <= 0 and M_w nonzero.
+
+    ``module`` is anything with ``action``, ``weights``, ``dim`` and
+    ``depth``: a weight module, or US ⊗ M under the diagonal action (which
+    is how semi-induction calls it).  Invariants: common kernel of the
+    positive elements of degree at most -ell(w) (beta vanishes there);
+    coinvariants: quotient by the images of xi + beta(xi) from source
+    weights with -module.depth <= ell <= 0.  One elimination over relation
+    columns followed by kernel vectors reads off the image, the pivots past
+    the relations, and keeps the relations at the pivots before them: they
+    span the same coinvariant relations, so image coordinates solved
+    against them are unchanged.
+    """
+    if depth > module.depth:
         raise WindowError(f"semiinvariants to depth {depth} exceeds module depth {module.depth}")
     alg.ensure_window(-2 * depth - 4, 2 * depth + 4)
-    if weights is None:
-        weights = [w for w in module.weights if -depth <= alg.ell(w) <= 0]
-    images = semiinvariant_images(
-        alg,
-        module,
-        module.action,
-        weights,
-        alg.elements_in_degrees(1, depth),
-        alg.elements_in_degrees(-depth, 0),
-        module.depth,
-    )
-    bases = {w: img for w, (img, _rels) in images.items()}
-    return SemiInvariants({w: len(img) for w, img in bases.items()}, bases)
-
-
-def semiinvariant_images(alg, space, act, weights, hplus, hminus, src_depth: int) -> dict:
-    """{w: (image basis, independent relation columns)} for every w in
-    ``weights`` with space.dim(w) > 0: the invariants under ``hplus``
-    projected to the coinvariants under ``hminus``, with ``act(x, w)`` the
-    action matrix.
-
-    Invariants: common kernel of the positive elements of degree at most
-    -ell(w) (beta vanishes there); coinvariants: quotient by the images of
-    xi + beta(xi) from source weights with -src_depth <= ell <= 0.  One
-    elimination over relation columns followed by kernel vectors reads off
-    the image, the pivots past the relations, and keeps the relations at
-    the pivots before them: they span the same coinvariant relations, so
-    image coordinates solved against them are unchanged.
-    """
-    out = {}
-    for w in sorted(weights):
-        dim_w = space.dim(w)
-        if dim_w == 0:
+    hplus = alg.elements_in_degrees(1, depth)
+    hminus = alg.elements_in_degrees(-depth, 0)
+    images = {}
+    for w in sorted(module.weights):
+        dim_w = module.dim(w)
+        if not -depth <= alg.ell(w) <= 0 or dim_w == 0:
             continue
         budget = -alg.ell(w)
         inv_rows = []
         for eta in hplus:
             if alg.degree(eta) <= budget:
-                inv_rows.extend(act(eta, w).rows)
+                inv_rows.extend(module.action(eta, w).rows)
         kernel = SparseMatrix.from_rows(inv_rows, dim_w).nullspace()
         rel_cols = []
         for xi in hminus:
             if alg.degree(xi) < alg.ell(w):
                 continue
             src = wt_sub(w, alg.weight(xi))
-            if alg.ell(src) > 0 or alg.ell(src) < -src_depth or space.dim(src) == 0:
+            if alg.ell(src) > 0 or alg.ell(src) < -module.depth or module.dim(src) == 0:
                 continue
-            mat = act(xi, src)
+            mat = module.action(xi, src)
             bv = alg.beta_value(xi)
             for col, entries in enumerate(mat.transpose().rows):
                 vec = [0] * dim_w
@@ -560,5 +544,5 @@ def semiinvariant_images(alg, space, act, weights, hplus, hminus, src_depth: int
         combined = rel_cols + [tuple(k) for k in kernel]
         pivots = SparseMatrix.from_columns(combined).pivot_columns()
         nrel = len(rel_cols)
-        out[w] = ([combined[p] for p in pivots if p >= nrel], [combined[p] for p in pivots if p < nrel])
-    return out
+        images[w] = ([combined[p] for p in pivots if p >= nrel], [combined[p] for p in pivots if p < nrel])
+    return SemiInvariants(images)

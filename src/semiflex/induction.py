@@ -16,8 +16,10 @@ action matrix only joins cached terms and looks up rows; an entry is the
 same exact sum in another order, so every matrix is unchanged.
 
 Semi-induction takes semi-invariants of US ⊗ M under h(u ⊗ m) = -u h ⊗ m +
-u ⊗ h m: invariants are an exact kernel, coinvariants an exact quotient, the
-image is read off one elimination, and the left action descends to it.  The
+u ⊗ h m (forms.semiinvariants on the tensor space): invariants are an exact
+kernel, coinvariants an exact quotient, the image is read off one
+elimination, and the left action descends to it.  The universal property is
+the case h = g, checked on S-ind from g to g of N.  The
 Wakimoto module (over the affine algebra, whose degree-0 part is not zero)
 is carved out of the per-weight-finite quotient Q = US ⊗_{abar-} C_lambda:
 the submodule generated by the top vector is spanned first, and any missing
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .forms import semiinf_cohomology, semiinvariant_images
+from .forms import semiinf_cohomology, semiinvariants
 from .liealg import SubalgebraSpec, WindowError, exact, subalgebra, wt_add, wt_sub, wt_zero
 from .linalg import SparseMatrix, solve_in_span
 from .modules import WeightModule, _commutator_failures, _lam_str, check_commutators, product_formula_character
@@ -400,24 +402,23 @@ def check_prop_iso1(alg, depth: int) -> Verdict:
 
 
 class _TensorSpace:
-    """A two-factor tensor product of the US model and a weight module, in
-    the caller's factor order (US ⊗ M or N ⊗ US), materialized per weight on
-    basis quadruples (w1, i, w2, j): basis vector i of the first factor at
-    w1, basis vector j of the second at w2."""
+    """US ⊗ M for the US model and a weight module M, materialized per
+    weight on basis quadruples (w1, i, w2, j): basis vector i of US at w1,
+    basis vector j of M at w2."""
 
-    def __init__(self, first, second, depth: int):
-        self.us_first = isinstance(first, SemiregularModel)
-        self.model, self.module = (first, second) if self.us_first else (second, first)
-        self.alg = self.model.alg
+    def __init__(self, model, module, depth: int):
+        self.model, self.module = model, module
+        self.alg = model.alg
+        self.depth = depth
         self.weights: dict = {}
-        for w1 in first.weights:
-            for w2 in second.weights:
+        for w1 in model.weights:
+            for w2 in module.weights:
                 w = wt_add(w1, w2)
                 if self.alg.ell(w) < -depth:
                     continue
                 bucket = self.weights.setdefault(w, [])
-                for i in range(first.dim(w1)):
-                    for j in range(second.dim(w2)):
+                for i in range(model.dim(w1)):
+                    for j in range(module.dim(w2)):
                         bucket.append((w1, i, w2, j))
         for b in self.weights.values():
             b.sort()
@@ -426,15 +427,14 @@ class _TensorSpace:
     def dim(self, w):
         return len(self.weights.get(tuple(w), ()))
 
-    def diag(self, xi: int, w) -> SparseMatrix:
-        """xi acting as -(right multiplication) on US plus rho_M(xi) on M."""
-        us, mod = (self.model.right_matrix, True), (self.module.action, False)
-        return self._action(xi, w, (us, mod) if self.us_first else (mod, us))
+    def action(self, xi: int, w) -> SparseMatrix:
+        """The diagonal action: xi acting as -(right multiplication) on US
+        plus rho_M(xi) on M."""
+        return self._action(xi, w, ((self.model.right_matrix, True), (self.module.action, False)))
 
     def left(self, xi: int, w) -> SparseMatrix:
         """The left action of xi on the US factor."""
-        us = (self.model.left_matrix, False)
-        return self._action(xi, w, (us, None) if self.us_first else (None, us))
+        return self._action(xi, w, ((self.model.left_matrix, False), None))
 
     def _action(self, xi: int, w, ops) -> SparseMatrix:
         """Sum over the factors of 1 ⊗ matrix_of(xi) ⊗ 1, factor by factor in
@@ -460,16 +460,6 @@ class _TensorSpace:
                     if rr is not None:
                         mat.add(rr, ci, -v if negate else v)
         return mat
-
-
-def _tensor_semiinvariants(space, sub, depth: int) -> dict:
-    """Nonzero semi-invariants of a tensor space under ``sub`` (the diagonal
-    action): {w: (image basis, independent relation columns)}."""
-    sub.ensure_window(-2 * depth - 4, 2 * depth + 4)
-    hplus = sub.elements_in_degrees(1, 2 * depth + 4)
-    hminus = sub.elements_in_degrees(-depth, 0)
-    semi = semiinvariant_images(space.alg, space, space.diag, space.weights, hplus, hminus, depth)
-    return {w: data for w, data in semi.items() if data[0]}
 
 
 def _descended_module(alg, name, prefix, data, left, escaped, depth, lam=None) -> WeightModule:
@@ -513,10 +503,10 @@ def s_ind(alg, sub, module: WeightModule, depth: int) -> WeightModule:
     vanishing degree-0 part (the affine case goes through ``wakimoto``).
     """
     space = _TensorSpace(universal_semijective(alg, depth), module, depth)
-    data = _tensor_semiinvariants(space, sub, depth)
+    images = semiinvariants(sub, space, depth).images
     escaped = "s_ind: left action left the semi-invariant subspace at weight"
     name = f"S-ind[{sub.name}]({module.name})"
-    return _descended_module(alg, name, "s", data, space.left, escaped, depth, module.lam)
+    return _descended_module(alg, name, "s", images, space.left, escaped, depth, module.lam)
 
 
 # -- Wakimoto ---------------------------------------------------------------------------
@@ -720,24 +710,20 @@ def _right_action_rows(space, eta, xbasis):
 
 
 def check_universal_property(alg, module: WeightModule, depth: int) -> Verdict:
-    """Semi-invariants of N ⊗ US under xi(n⊗u) = xi n ⊗ u - n ⊗ u xi equal N.
+    """S-ind from g to g gives back N: the semi-invariants of US ⊗ N under
+    xi(u⊗n) = -u xi ⊗ n + u ⊗ xi n, with the residual left action of g.
 
-    Checks graded dimensions, and that the canonical classes n ⊗ (vacuum
-    pair) transform under the residual left action exactly as N does.
+    Checks that their graded dimensions equal N's and that the residual
+    action passes the commutator oracle, i.e. is a g-representation.  It
+    does not compare that action with rho_N through the canonical map.
     """
-    space = _TensorSpace(module, universal_semijective(alg, depth), depth)
-    data = _tensor_semiinvariants(space, alg, depth)
-    dims = {w: len(img) for w, (img, _rels) in data.items()}
+    residual = s_ind(alg, alg, module, depth)
     ndims = {w: module.dim(w) for w in module.weights if alg.ell(w) >= -depth}
     dim_diffs = {
-        w: (dims.get(w, 0), ndims.get(w, 0))
-        for w in set(dims) | set(ndims)
-        if dims.get(w, 0) != ndims.get(w, 0)
+        w: (residual.dim(w), ndims.get(w, 0))
+        for w in set(residual.weights) | set(ndims)
+        if residual.dim(w) != ndims.get(w, 0)
     }
-    # the residual action on the semi-invariants must be a g-representation:
-    # that is the computable equivariance content of the isomorphism
-    escaped = "universal property: action escaped the image at"
-    residual = _descended_module(alg, "N⊗US-semiinv", "u", data, space.left, escaped, depth)
     gen_bound = min(depth, 2)
     equi_failures = check_commutators(residual, (-gen_bound, gen_bound))
     passed = not dim_diffs and not equi_failures

@@ -389,6 +389,14 @@ class LoopNilpotentA(GradedLieAlgebra):
         return {}
 
 
+def _coefficient(entry):
+    """The exact value num/den of a file entry (den defaults to 1)."""
+    den = entry.get("den", 1)
+    if den == 0:
+        raise AlgebraError(f"coefficient {entry['num']}/0 has a zero denominator")
+    return exact(Fraction(entry["num"], den))
+
+
 class UserAlgebra(GradedLieAlgebra):
     """Finite algebra defined by an explicit basis/bracket/beta table."""
 
@@ -397,23 +405,29 @@ class UserAlgebra(GradedLieAlgebra):
         self._table: dict[int, list] = {}
         self._given_basis = basis
         self._given_brackets = brackets
+        for b in basis:
+            if len(b["weight"]) != rank:
+                raise AlgebraError(f"element {b['label']}: weight {b['weight']} does not have rank {rank}")
         degs = [self.ell(tuple(b["weight"])) for b in basis]
         for deg, b in zip(degs, basis):
             self._table.setdefault(deg, []).append((tuple(b["weight"]), b["index"], b["label"]))
         self._rules: dict[tuple, dict] = {}
         self.ensure_window(min(degs, default=0), max(degs, default=0))
         self._win_lo, self._win_hi = -BIG, BIG
+
+        def element(entry, key):
+            pos = entry[key]
+            if not isinstance(pos, int) or not 0 <= pos < len(basis):
+                raise AlgebraError(f"bracket {key} = {pos!r} is not a basis position in 0..{len(basis) - 1}")
+            return self.by_label(basis[pos]["label"])
+
         for entry in brackets:
-            i = self.by_label(basis[entry["i"]]["label"])
-            j = self.by_label(basis[entry["j"]]["label"])
-            terms = {
-                self.by_label(basis[t["k"]]["label"]): exact(Fraction(t["num"], t.get("den", 1)))
-                for t in entry["terms"]
-            }
+            i, j = element(entry, "i"), element(entry, "j")
+            terms = {element(t, "k"): _coefficient(t) for t in entry["terms"]}
             lo, hi = (i, j) if i < j else (j, i)
             self._rules[(lo, hi)] = terms if (lo, hi) == (i, j) else {k: -v for k, v in terms.items()}
         for entry in beta:
-            self._beta[self.by_label(entry["label"])] = exact(Fraction(entry["num"], entry.get("den", 1)))
+            self._beta[self.by_label(entry["label"])] = _coefficient(entry)
 
     def _realize(self, d):
         return self._table.get(d, [])

@@ -111,9 +111,6 @@ class WeightModule:
             self._cache[key] = m
         return m
 
-    def apply(self, eid: int, w, vec):
-        return self.action(eid, w).apply(vec)
-
     def lam_value(self, eid: int):
         return exact(self.lam.get(self.alg.label(eid), 0))
 
@@ -366,9 +363,6 @@ class Character:
 
     def items(self):
         return sorted(self.coefficients.items())
-
-    def to_csv_rows(self):
-        return [list(w) + [c] for w, c in self.items()]
 
     def __repr__(self):
         return f"Character(depth={self.depth}, {len(self.coefficients)} weights)"

@@ -246,6 +246,20 @@ def test_malformed_file_exits_two(runner, tmp_path):
     assert res.exit_code == 2
 
 
+def test_inconsistent_algebra_file_exits_two(runner, tmp_path):
+    # a bracket naming basis position 5 of 2: an input error, not a traceback
+    bad = tmp_path / "bad.json"
+    data = {
+        "grading": {"rank": 1, "degree_functional": [1]},
+        "basis": [{"label": "x", "weight": [1], "index": 0}, {"label": "y", "weight": [0], "index": 0}],
+        "brackets": [{"i": 1, "j": 5, "terms": [{"k": 0, "num": 1}]}],
+    }
+    bad.write_text(json.dumps(data))
+    res = runner.invoke(main, ["algebra-check", "--algebra", str(bad)])
+    assert res.exit_code == 2, res.output
+    assert "basis position" in res.output
+
+
 def test_run_job_bad_depth_exits_two():
     assert run_job(JobSpec("character", depth=-1)) == 2
 

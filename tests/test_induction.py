@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import reference_bimodule, reference_check_commutators, reference_right_oracle
-from semiflex.forms import semiinf_cohomology
+from semiflex.forms import semiinf_cohomology, semiinvariants
 from semiflex import induction
 from semiflex.induction import (
     InductionError,
@@ -28,6 +28,7 @@ from semiflex.induction import (
 from semiflex.liealg import WindowError, load_algebra, subalgebra, wt_add, wt_sub, wt_zero
 from semiflex.linalg import SparseMatrix
 from semiflex.modules import (
+    WeightModule,
     ce_cohomology,
     character,
     check_commutators,
@@ -384,21 +385,113 @@ def _outcome(fn, *args):
         return str(exc)
 
 
-@pytest.mark.parametrize("us_first", [True, False])
-def test_tensor_action_reads_columns_like_the_row_scan(loop_a, us_first):
+def test_tensor_action_reads_columns_like_the_row_scan(loop_a):
     us, module = universal_semijective(loop_a, 4), verma(loop_a, {}, 4)
-    space = _TensorSpace(us, module, 4) if us_first else _TensorSpace(module, us, 4)
-    right, act, left = (us.right_matrix, True), (module.action, False), (us.left_matrix, False)
-    diag_ops = (right, act) if us_first else (act, right)
-    left_ops = (left, None) if us_first else (None, left)
+    space = _TensorSpace(us, module, 4)
+    diag_ops = ((us.right_matrix, True), (module.action, False))
+    left_ops = ((us.left_matrix, False), None)
     checked = 0
     for w in space.weights:
         for xi in loop_a.elements_in_degrees(-4, 4):
-            got = _outcome(space.diag, xi, w)
+            got = _outcome(space.action, xi, w)
             assert got == _outcome(_row_scan_action, space, xi, w, diag_ops), (w, xi)
             assert _outcome(space.left, xi, w) == _outcome(_row_scan_action, space, xi, w, left_ops), (w, xi)
             checked += not isinstance(got, str) and any(got)
     assert checked
+
+
+class _ModuleFirstSpace:
+    """N ⊗ US, the factor order the universal property was first checked
+    in: basis quadruples (w1, i, w2, j) with i a basis vector of N at w1 and
+    j one of US at w2, both actions by the row scan."""
+
+    def __init__(self, module, us, depth):
+        self.alg, self.depth = us.alg, depth
+        self.weights = {}
+        for w1 in module.weights:
+            for w2 in us.weights:
+                w = wt_add(w1, w2)
+                if self.alg.ell(w) >= -depth:
+                    bucket = self.weights.setdefault(w, [])
+                    bucket.extend((w1, i, w2, j) for i in range(module.dim(w1)) for j in range(us.dim(w2)))
+        for b in self.weights.values():
+            b.sort()
+        self._index = {w: {t: i for i, t in enumerate(b)} for w, b in self.weights.items()}
+        self._diag_ops = ((module.action, False), (us.right_matrix, True))
+        self._left_ops = (None, (us.left_matrix, False))
+
+    def dim(self, w):
+        return len(self.weights.get(tuple(w), ()))
+
+    def action(self, xi, w):
+        return _row_scan_action(self, xi, w, self._diag_ops)
+
+    def left(self, xi, w):
+        return _row_scan_action(self, xi, w, self._left_ops)
+
+
+def _module_first_outcome(alg, module, depth):
+    """(dim_diffs, equivariance) of the universal property over N ⊗ US, or
+    the error it raises as (type, message)."""
+    space = _ModuleFirstSpace(module, universal_semijective(alg, depth), depth)
+    try:
+        images = semiinvariants(alg, space, depth).images
+        escaped = "s_ind: left action left the semi-invariant subspace at weight"
+        residual = _descended_module(alg, "N⊗US", "u", images, space.left, escaped, depth)
+        dims = {w: len(img) for w, (img, _rels) in images.items() if img}
+        ndims = {w: module.dim(w) for w in module.weights if alg.ell(w) >= -depth}
+        dim_diffs = {
+            w: (dims.get(w, 0), ndims.get(w, 0)) for w in set(dims) | set(ndims) if dims.get(w, 0) != ndims.get(w, 0)
+        }
+        return dim_diffs, check_commutators(residual, (-min(depth, 2), min(depth, 2)))
+    except (InductionError, WindowError) as exc:
+        return type(exc), str(exc)
+
+
+def _universal_property_outcome(alg, module, depth):
+    try:
+        details = check_universal_property(alg, module, depth).details
+        return details["dim_diffs"], details["equivariance"]
+    except (InductionError, WindowError) as exc:
+        return type(exc), str(exc)
+
+
+def _corrupted_verma(alg, depth, label, w0):
+    """The Verma module over ``alg`` with entry (0, 0) of the action of
+    ``label`` at weight w0 raised by one."""
+    V = verma(alg, {}, depth)
+    z = alg.by_label(label)
+
+    def rule(e, w):
+        mat = V.action(e, w)
+        if e == z and tuple(w) == w0:
+            mat = SparseMatrix.from_rows(mat.rows, mat.ncols)
+            mat.add(0, 0, 1)
+        return mat
+
+    return WeightModule(alg, "V-corrupted", V.weights, rule, depth)
+
+
+@pytest.mark.parametrize("depth", [3, 4, 5])
+def test_universal_property_matches_the_module_first_order(loop_a, abelian, depth):
+    """US ⊗ N (through s_ind) and N ⊗ US are intertwined by the factor swap:
+    the same dimension diffs and the same equivariance failures."""
+    for alg in (loop_a, abelian):
+        for module in (trivial_module(alg, depth), verma(alg, {}, depth)):
+            got = _universal_property_outcome(alg, module, depth)
+            assert got == _module_first_outcome(alg, module, depth), (alg.name, module.name)
+            assert got == ({}, [])
+
+
+@pytest.mark.parametrize(
+    "label, w0", [("1⊗f", (0, 0)), ("1⊗f", (-1, 0)), ("z⊗f", (-1, -1))], ids=["f-top", "f-below", "zf"]
+)
+def test_universal_property_fails_alike_on_a_corrupted_verma(loop_a, label, w0):
+    module = _corrupted_verma(loop_a, 4, label, w0)
+    got = _universal_property_outcome(loop_a, module, 4)
+    assert got == _module_first_outcome(loop_a, module, 4)
+    dim_diffs, _equivariance = got
+    assert dim_diffs  # the corrupted entry changes the invariants
 
 
 # -- the pair space's caches against the loops they replace ----------------------------

@@ -238,11 +238,34 @@ def test_json_round_trip(tmp_path):
     assert g2.beta_items() == g.beta_items()
 
 
+def _two_element_algebra(bracket=None, term=None, weight=None):
+    """The rank-2 algebra [y, x] = x, with entries of the bracket, its term
+    or the weight of x overridden."""
+    return {
+        "grading": {"rank": 2, "degree_functional": [1, 1]},
+        "basis": [
+            {"label": "x", "weight": weight or [1, 0], "index": 0},
+            {"label": "y", "weight": [0, 0], "index": 0},
+        ],
+        "brackets": [{"i": 1, "j": 0, "terms": [{"k": 0, "num": 1, **(term or {})}], **(bracket or {})}],
+    }
+
+
 def test_malformed_file_raises(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"grading": {"rank": 1}}))
-    with pytest.raises(AlgebraError):
-        load_algebra(str(path))
+    load_algebra(_two_element_algebra())  # the unmodified table is well formed
+    bad = [
+        {"grading": {"rank": 1}},
+        _two_element_algebra(bracket={"j": 5}),
+        _two_element_algebra(bracket={"i": -1}),
+        _two_element_algebra(term={"k": 2}),
+        _two_element_algebra(term={"den": 0}),
+        _two_element_algebra(weight=[1]),
+    ]
+    for k, data in enumerate(bad):
+        path = tmp_path / f"bad{k}.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(AlgebraError):
+            load_algebra(str(path))
 
 
 def test_unknown_selector(sl2, abelian):
