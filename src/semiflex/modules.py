@@ -3,11 +3,15 @@ classical Lie algebra (co)homology.
 
 Module weights are stored relative to the highest weight: integer lattice
 tuples w with ell(w) <= 0, the highest weight itself sitting at the zero
-tuple.  The character of the inducing datum enters only through the scalars
-lambda(label) on the degree-0 basis; everything else is PBW straightening.
-Matrix entries are exact: an int wherever the value is integral, a Fraction
-otherwise.  The constructors turn lambda into such values once per module,
-so an integral lambda (given as int or Fraction) yields all-int matrices.
+tuple.  The induced modules (verma, coverma, free_negative_module) act on
+their PBW basis vectors by one memoized recursion, the Verma recursion
+x·(y·u) = y·(x·u) + [x, y]·u on the first factor y (mirrored for coverma's
+right module), so no word of U(g) is straightened here.  The character of
+the inducing datum enters only through the scalars lambda(label) on the
+degree-0 basis, where the recursion reaches the top vector.  Matrix entries
+are exact: an int wherever the value is integral, a Fraction otherwise.
+The constructors turn lambda into such values once per module, so an
+integral lambda (given as int or Fraction) yields all-int matrices.
 
 The correctness oracle for every constructor is the representation property
 (commutator of action matrices = action of the bracket).  One loop checks
@@ -27,15 +31,7 @@ from __future__ import annotations
 from .forms import CohomologyTable, semiinf_cohomology
 from .liealg import WindowError, exact, subalgebra, wt_add, wt_neg, wt_sub, wt_zero
 from .linalg import SparseMatrix
-from .pbw import (
-    canonical_order,
-    enumerate_pbw_weights,
-    evaluate,
-    flatten,
-    monomial_label,
-    normal_order_word,
-    split,
-)
+from .pbw import EMPTY, add_scaled, canonical_order, descending_order, enumerate_pbw_weights, monomial_label
 
 __all__ = [
     "WeightModule",
@@ -133,91 +129,118 @@ def _lambda_values(alg, lam: dict) -> dict:
     return {e: v for e, v in values.items() if v}
 
 
-def _induced_module(alg, name, tab, order, values, depth, lam=None) -> WeightModule:
-    """U(alg) ⊗ C_values on the PBW monomials ``tab`` of a strictly negative
-    part: an action straightens z · mon in ``order`` and evaluates ``values``
-    on the suffix after the strictly negative prefix."""
-    weights = {w: [monomial_label(alg, m) for m in mons] for w, mons in tab.items()}
-    index = {w: {m: i for i, m in enumerate(mons)} for w, mons in tab.items()}
+def _induced_action(alg, values, right):
+    """Memoized act(e, mon) -> {mon': coeff}: the basis element ``e`` applied
+    to the basis vector mon·v of an induced module, in that basis.
 
-    def negative(e):
-        return alg.degree(e) < 0
+    On the left (U(g) ⊗ C_values), ``mon`` is a PBW monomial of the strictly
+    negative part, increasing in the canonical order.  The Verma recursion
+    acts on its first factor y: a negative e that sorts before y is
+    prepended, and any other e is commuted past it,
+    e·(y·u) = y·(e·u) + [e, y]·u.  On the empty monomial, v itself, a
+    negative e gives e·v, a degree-0 e gives values[e]·v and a positive e
+    gives 0.  On the right (C_values ⊗ U(g), v·mon·e) the same recursion runs
+    in the opposite algebra: the free part is strictly positive, the
+    monomials are stored reversed so that their last factor comes first, the
+    order is descending and the bracket changes sign.  The recursion is as
+    deep as ``mon`` is long plus a few frames, and the memo lives as long as
+    the module that calls it.
+    """
+    sign, key = (-1, descending_order(alg).key) if right else (1, canonical_order(alg).key)
+
+    def free(e):
+        return alg.degree(e) > 0 if right else alg.degree(e) < 0
+
+    memo: dict = {}
+
+    def act(e, mon):
+        res = memo.get((e, mon))
+        if res is not None:
+            return res
+        if not mon:
+            if free(e):
+                res = {((e, 1),): 1}
+            else:
+                v = values.get(e)
+                res = {EMPTY: v} if v else {}
+        else:
+            y, a = mon[0]
+            if free(e) and key(e) <= key(y):
+                res = {((e, a + 1),) + mon[1:] if e == y else ((e, 1),) + mon: 1}
+            else:
+                rest = ((y, a - 1),) + mon[1:] if a > 1 else mon[1:]
+                res = {}
+                for m, c in act(e, rest).items():
+                    add_scaled(res, act(y, m), c)
+                for k, c in alg.bracket_ids(e, y).items():
+                    add_scaled(res, act(k, rest), sign * c)
+        memo[(e, mon)] = res
+        return res
+
+    return act
+
+
+def _induced_module(alg, name, tab, values, depth, lam=None, right=False) -> WeightModule:
+    """U(alg) ⊗ C_values on ``tab``, {weight: PBW monomials of the strictly
+    negative part, increasing in the canonical order}.  With ``right``, the
+    monomials span the strictly positive part, listed at negated weights,
+    and the module is the dual of C_values ⊗ U(alg): row p of the matrix of
+    z holds p·z in the column basis."""
+    labels = {w: [monomial_label(alg, m) + ("*" if right else "") for m in mons] for w, mons in tab.items()}
+    if right:
+        tab = {w: [m[::-1] for m in mons] for w, mons in tab.items()}
+    act = _induced_action(alg, values, right)
+    index = {w: {m: i for i, m in enumerate(mons)} for w, mons in tab.items()}
 
     def rule(eid, w):
         target = wt_add(w, alg.weight(eid))
-        rows = tab.get(target, [])
-        cols = tab.get(tuple(w), [])
-        mat = SparseMatrix(len(rows), len(cols))
-        tindex = index.get(target, {})
-        for c, mon in enumerate(cols):
-            word = (eid,) + flatten(mon)
-            for out_mon, coeff in normal_order_word(alg, word, order).items():
-                negpart, rest = split(out_mon, negative)
-                scalar = evaluate(values, rest)
-                if not scalar:
-                    continue
-                r = tindex.get(negpart)
-                if r is None:
-                    raise ModuleError(f"{name}: monomial escaped the basis at weight {target}")
-                mat.add(r, c, coeff * scalar)
+        mat = SparseMatrix(len(tab.get(target, ())), len(tab.get(w, ())))
+        at, to = (target, w) if right else (w, target)
+        to_index = index.get(to, {})
+        for i, mon in enumerate(tab.get(at, ())):
+            for out, coeff in act(eid, mon).items():
+                j = to_index.get(out)
+                if j is None:
+                    raise ModuleError(f"{name}: {alg.label(eid)} from weight {w} to weight {target} leaves the basis")
+                if right:
+                    mat.add(i, j, coeff)
+                else:
+                    mat.add(j, i, coeff)
         return mat
 
-    return WeightModule(alg, name, weights, rule, depth, lam)
+    return WeightModule(alg, name, labels, rule, depth, lam)
 
 
 def verma(alg, lam: dict, depth: int) -> WeightModule:
     """Highest-weight module induced from the character ``lam`` of g_0.
 
-    Basis: PBW monomials in the strictly negative part applied to the
-    highest-weight vector; actions by straightening in the canonical order
-    and evaluating lambda on the nonnegative suffix (positive factors kill
-    the term).
+    Basis: PBW monomials in the strictly negative part, in the canonical
+    order, applied to the highest-weight vector v.  An element acts by the
+    Verma recursion on basis vectors: a negative element that sorts before
+    the first factor is prepended, and otherwise it is commuted past that
+    factor, x·(y·u) = y·(x·u) + [x, y]·u, down to x·v, which is x·v itself
+    for negative x, lambda(x) v in degree 0 and 0 for positive x.
     """
     lam = _exact_lambda(lam)
     alg.ensure_window(-2 * depth - 4, 2 * depth + 4)
-    order = canonical_order(alg)
-    tab = enumerate_pbw_weights(subalgebra(alg, "g_below_zero"), depth, order)
-    return _induced_module(alg, f"V({_lam_str(lam)})", tab, order, _lambda_values(alg, lam), depth, lam)
+    tab = enumerate_pbw_weights(subalgebra(alg, "g_below_zero"), depth, canonical_order(alg))
+    return _induced_module(alg, f"V({_lam_str(lam)})", tab, _lambda_values(alg, lam), depth, lam)
 
 
 def coverma(alg, lam: dict, depth: int) -> WeightModule:
     """Contragredient Verma module realized on dual PBW monomials of U(g_+).
 
-    The action is (z·phi)(p) = phi(p z) with p z straightened into the
-    U(g_-) U(g_+) factorization and lambda evaluated on the left factor
-    (strictly negative factors kill the term).
+    The action is (z·phi)(p) = phi(p z), where p z is read in the right
+    module C_lambda ⊗ U(g_+) induced from g_{<=0}: the mirror of the Verma
+    recursion peels the last factor y of p, (u·y)·z = (u·z)·y + u·[y, z],
+    down to v·z, which is v·z for positive z, lambda(z) v in degree 0 and 0
+    for negative z.
     """
     lam = _exact_lambda(lam)
     alg.ensure_window(-2 * depth - 4, 2 * depth + 4)
-    values = _lambda_values(alg, lam)
-    order = canonical_order(alg)
-    ptab = enumerate_pbw_weights(subalgebra(alg, "gplus"), depth, order)
+    ptab = enumerate_pbw_weights(subalgebra(alg, "gplus"), depth, canonical_order(alg))
     tab = {wt_neg(w): mons for w, mons in ptab.items()}
-    weights = {w: [monomial_label(alg, m) + "*" for m in mons] for w, mons in tab.items()}
-    index = {w: {m: i for i, m in enumerate(mons)} for w, mons in tab.items()}
-
-    def nonpositive(e):
-        return alg.degree(e) <= 0
-
-    def rule(eid, w):
-        target = wt_add(w, alg.weight(eid))
-        rows = tab.get(target, [])
-        cols = tab.get(tuple(w), [])
-        mat = SparseMatrix(len(rows), len(cols))
-        cindex = index.get(tuple(w), {})
-        for r, p in enumerate(rows):
-            word = flatten(p) + (eid,)
-            for out_mon, coeff in normal_order_word(alg, word, order).items():
-                mpart, ppart = split(out_mon, nonpositive)
-                scalar = evaluate(values, mpart)
-                if not scalar:
-                    continue
-                c = cindex.get(ppart)
-                if c is not None:
-                    mat.add(r, c, coeff * scalar)
-        return mat
-
-    return WeightModule(alg, f"V*({_lam_str(lam)})", weights, rule, depth, lam)
+    return _induced_module(alg, f"V*({_lam_str(lam)})", tab, _lambda_values(alg, lam), depth, lam, right=True)
 
 
 def _lam_str(lam: dict) -> str:
@@ -260,9 +283,8 @@ def character_module(alg, lam: dict, depth: int = 0) -> WeightModule:
 
 def free_negative_module(sub, depth: int) -> WeightModule:
     """U(sub) as a module over sub by left multiplication (sub strictly negative)."""
-    order = canonical_order(sub)
-    tab = enumerate_pbw_weights(sub, depth, order)
-    return _induced_module(sub, f"U({sub.name})", tab, order, {}, depth)
+    tab = enumerate_pbw_weights(sub, depth, canonical_order(sub))
+    return _induced_module(sub, f"U({sub.name})", tab, {}, depth)
 
 
 def direct_sum(m1: WeightModule, m2: WeightModule) -> WeightModule:

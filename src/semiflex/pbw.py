@@ -14,11 +14,12 @@ its reverse (positive part first); any Order(tag, key) works, as the
 Wakimoto block order in induction does.  An order caches its key per basis
 id.
 
-Every induced module is built from three monomial operations, each defined
-once here: ``monomials_by_weight`` is the one enumerator (PBW monomials, and
-wedges with exponents capped at 1), ``split`` cuts a straightened monomial
-at a block boundary of the order, and ``evaluate`` applies a character to
-the part split off.
+``monomials_by_weight`` is the one monomial enumerator (PBW monomials, and
+wedges with exponents capped at 1).  Two monomial operations serve the
+pair spaces of semi-induction: ``split`` cuts a straightened monomial at a
+block boundary of the order, and ``evaluate`` applies a character to the
+part split off.  Verma-type modules do not straighten words: they act on
+basis vectors by the recursion in ``modules``.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ def evaluate(values: dict, mon):
     return out
 
 
-def _add_scaled(acc: dict, terms: dict, c) -> None:
+def add_scaled(acc: dict, terms: dict, c) -> None:
     for m, v in terms.items():
         w = acc.get(m, 0) + c * v
         if w:
@@ -163,10 +164,10 @@ def _straighten(alg, word, order, memo):
     i = bad
     swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2 :]
     acc: dict = {}
-    _add_scaled(acc, _straighten(alg, swapped, order, memo), 1)
+    add_scaled(acc, _straighten(alg, swapped, order, memo), 1)
     for k, c in alg.bracket_ids(word[i], word[i + 1]).items():
         shorter = word[:i] + (k,) + word[i + 2 :]
-        _add_scaled(acc, _straighten(alg, shorter, order, memo), c)
+        add_scaled(acc, _straighten(alg, shorter, order, memo), c)
     memo[word] = acc
     return acc
 
@@ -187,7 +188,7 @@ def multiply(alg, a: dict, b: dict, order: Order | None = None) -> dict:
         wa = flatten(ma)
         for mb, cb in b.items():
             terms = normal_order_word(alg, wa + flatten(mb), order)
-            _add_scaled(out, terms, ca * cb)
+            add_scaled(out, terms, ca * cb)
     return out
 
 

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from semiflex.liealg import build_affine_sl2, build_test_algebra, wt_add
+from semiflex.liealg import build_affine_sl2, build_test_algebra, exact, subalgebra, wt_add, wt_neg
 from semiflex.linalg import SparseMatrix
-from semiflex.modules import WeightModule
+from semiflex.modules import ModuleError, WeightModule
+from semiflex.pbw import canonical_order, enumerate_pbw_weights, evaluate, flatten, normal_order_word, split
 
 
 @pytest.fixture(scope="session")
@@ -124,3 +125,61 @@ def reference_bimodule(model, gen_window, weights=None):
                 if lr.rows != rl.rows:
                     failures.append((alg.label(x), alg.label(y), w))
     return failures
+
+
+# -- induced modules by straightening whole words ----------------------------------
+# An independent reference for the Verma recursion behind verma, coverma and
+# free_negative_module: each action straightens the word z·mon (or p·z) in
+# U(g) in the canonical order, splits off the factors outside the free part
+# and evaluates lambda on them.
+
+
+def _reference_induced(alg, tab, values, depth, right):
+    order = canonical_order(alg)
+    index = {w: {m: i for i, m in enumerate(mons)} for w, mons in tab.items()}
+
+    def rule(eid, w):
+        target = wt_add(w, alg.weight(eid))
+        rows, cols = tab.get(target, []), tab.get(w, [])
+        mat = SparseMatrix(len(rows), len(cols))
+        mons, to = (rows, w) if right else (cols, target)
+        for i, mon in enumerate(mons):
+            word = flatten(mon) + (eid,) if right else (eid,) + flatten(mon)
+            for out, coeff in normal_order_word(alg, word, order).items():
+                if right:
+                    rest, basis = split(out, lambda e: alg.degree(e) <= 0)
+                else:
+                    basis, rest = split(out, lambda e: alg.degree(e) < 0)
+                scalar = evaluate(values, rest)
+                if not scalar:
+                    continue
+                j = index.get(to, {}).get(basis)
+                if j is None:
+                    raise ModuleError(f"{alg.label(eid)} from weight {w} to weight {target} leaves the basis")
+                if right:
+                    mat.add(i, j, coeff * scalar)
+                else:
+                    mat.add(j, i, coeff * scalar)
+        return mat
+
+    return WeightModule(alg, "reference", {w: [str(m) for m in mons] for w, mons in tab.items()}, rule, depth)
+
+
+def _reference_values(alg, lam):
+    values = {e: exact(lam.get(alg.label(e), 0)) for e in alg.elements_of_degree(0)}
+    return {e: v for e, v in values.items() if v}
+
+
+def reference_verma(alg, lam, depth):
+    tab = enumerate_pbw_weights(subalgebra(alg, "g_below_zero"), depth, canonical_order(alg))
+    return _reference_induced(alg, tab, _reference_values(alg, lam), depth, False)
+
+
+def reference_coverma(alg, lam, depth):
+    ptab = enumerate_pbw_weights(subalgebra(alg, "gplus"), depth, canonical_order(alg))
+    tab = {wt_neg(w): mons for w, mons in ptab.items()}
+    return _reference_induced(alg, tab, _reference_values(alg, lam), depth, True)
+
+
+def reference_free_negative_module(sub, depth):
+    return _reference_induced(sub, enumerate_pbw_weights(sub, depth, canonical_order(sub)), {}, depth, False)

@@ -1,14 +1,23 @@
 """Verma-type modules, characters, Chevalley-Eilenberg (co)homology."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
-from conftest import kostant_count, reference_check_commutators
+from conftest import (
+    kostant_count,
+    reference_check_commutators,
+    reference_coverma,
+    reference_free_negative_module,
+    reference_verma,
+)
 from semiflex.forms import AnomalyError, semiinf_cohomology
-from semiflex.liealg import WindowError, load_algebra, subalgebra, wt_add
+from semiflex.liealg import WindowError, load_algebra, subalgebra, wt_add, wt_neg
 from semiflex.linalg import SparseMatrix
+from semiflex.pbw import canonical_order, enumerate_pbw_weights
 from semiflex.modules import (
+    _induced_module,
     ModuleError,
     WeightModule,
     ce_cohomology,
@@ -341,3 +350,60 @@ def test_check_commutators_lets_a_window_error_through(sl2, lam01):
     M = WeightModule(sl2, "V with a hole", V.weights, rule, 3)
     with pytest.raises(WindowError, match="f at the top weight"):
         check_commutators(M, (-1, 1))
+
+
+def _actions(module, window):
+    """Every action matrix of the window's generators as rows of {col: (type,
+    value)}, or the class of the error it raises."""
+    out = {}
+    for w in module.weights_list():
+        for e in module.alg.elements_in_degrees(*window):
+            try:
+                mat = module.action(e, w)
+            except (WindowError, ModuleError) as exc:
+                out[e, w] = type(exc)
+            else:
+                out[e, w] = (mat.nrows, mat.ncols, [{c: (type(v), v) for c, v in row.items()} for row in mat.rows])
+    return out
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["verma (0,1)", "verma (2/3,1/2)", "verma (1/2,-2)", "verma (2,1)",
+     "coverma (0,1)", "coverma (2/3,1/2)", "coverma (1/2,-2)", "coverma (2,1)",
+     "verma over a", "free negative"],
+)
+def test_induced_actions_match_straightening(case, sl2, loop_a):
+    """The Verma recursion gives the matrices of straightening the whole word
+    in U(g): rows, values, int/Fraction types and raised errors, at depth 6
+    on the generators of degrees -3..3 (K = -2 is the critical level)."""
+    depth = 6
+    if case == "verma over a":
+        got, ref = verma(loop_a, {}, depth), reference_verma(loop_a, {}, depth)
+    elif case == "free negative":
+        sub = subalgebra(sl2, "g_below_zero")
+        got, ref = free_negative_module(sub, depth), reference_free_negative_module(sub, depth)
+    else:
+        kind, pair = case.split()
+        h, k = (Fraction(x) for x in pair.strip("()").split(","))
+        lam = {"1⊗h": h, "K": k}
+        ctor, reference = (verma, reference_verma) if kind == "verma" else (coverma, reference_coverma)
+        got, ref = ctor(sl2, lam, depth), reference(sl2, lam, depth)
+    assert got.weights.keys() == ref.weights.keys()
+    assert _actions(got, (-3, 3)) == _actions(ref, (-3, 3))
+
+
+@pytest.mark.parametrize("right", [False, True])
+def test_a_monomial_outside_the_basis_is_an_error(right, sl2):
+    """An action landing on a monomial the basis lacks raises a ModuleError
+    naming the element and both weights, on both sides (coverma used to drop
+    the term silently)."""
+    sub = subalgebra(sl2, "gplus" if right else "g_below_zero")
+    tab = enumerate_pbw_weights(sub, 3, canonical_order(sl2))
+    if right:
+        tab = {wt_neg(w): mons for w, mons in tab.items()}
+    tab[(0, -1)] = tab[(0, -1)][:-1]  # drops 1⊗f·z^-1⊗e on the left, z⊗h on the right
+    M = _induced_module(sl2, "holed", tab, {}, 3, right=right)
+    label, src, dst = ("z⊗h", (0, -1), (0, 0)) if right else ("1⊗f", (1, -1), (0, -1))
+    with pytest.raises(ModuleError, match=re.escape(f"holed: {label} from weight {src} to weight {dst} leaves the basis")):
+        M.action(sl2.by_label(label), src)
