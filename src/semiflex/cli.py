@@ -291,11 +291,18 @@ def _cache_path(alg):
     return os.path.join(root, f"{safe}.pkl")
 
 
+# tags the pickled memo layout: product memos keyed by (basis id, PBW monomial)
+_CACHE_FORMAT = "semiflex-memo-2"
+
+
 def _with_cache(alg, spec: JobSpec):
-    """Preload the straightening memo when SEMIFLEX_CACHE_DIR is set.
+    """Preload the product memo when SEMIFLEX_CACHE_DIR is set.
 
     The memo keys are basis ids, which are only stable for an identical
-    materialization history; the stored label list must match as a prefix."""
+    materialization history; the stored label list must match as a prefix.
+    A file that does not unpickle to a dict tagged ``_CACHE_FORMAT`` (an
+    older cache held whole words) is reported as unreadable, ignored and
+    overwritten at exit."""
     path = _cache_path(alg)
     if not path:
         return
@@ -306,6 +313,8 @@ def _with_cache(alg, spec: JobSpec):
                 stored = pickle.load(fh)
             if not isinstance(stored, dict):
                 raise pickle.UnpicklingError(f"holds a {type(stored).__name__}, not a memo cache")
+            if stored.get("format") != _CACHE_FORMAT:
+                raise pickle.UnpicklingError(f"format {stored.get('format')!r}, not {_CACHE_FORMAT!r}")
         except (OSError, EOFError, pickle.UnpicklingError) as exc:
             click.echo(f"warning: ignoring unreadable memo cache {path}: {exc}", err=True)
         else:
@@ -316,7 +325,7 @@ def _with_cache(alg, spec: JobSpec):
     def save():
         try:
             with open(path, "wb") as fh:
-                pickle.dump({"labels": list(alg.labels), "memos": alg._memos}, fh)
+                pickle.dump({"format": _CACHE_FORMAT, "labels": list(alg.labels), "memos": alg._memos}, fh)
         except (OSError, pickle.PicklingError) as exc:
             click.echo(f"warning: could not write memo cache {path}: {exc}", err=True)
 

@@ -10,10 +10,12 @@ antipode), and as equivariant values f(q) ∈ U(g-) ⊗ L_{-beta} they carry the
 left action (z·f)(q) = f(-z q), the negative factors peeled off the right of
 the argument by f(u y) = -y·f(u) + beta(y) f(u).  Left and right actions
 commute; the test suite checks this together with both module oracles.
-Each pair space straightens, splits, peels and pairs once per key (z·q',
+Each pair space multiplies, splits, peels and pairs once per key (z·q',
 a negative word on m0, m0·z, and q0 against a positive p), so building an
 action matrix only joins cached terms and looks up rows; an entry is the
-same exact sum in another order, so every matrix is unchanged.
+same exact sum in another order, so every matrix is unchanged.  z·q' and
+each peeled y·m are one call of the pair space's multiplier, the product
+recursion of ``pbw``.
 
 Semi-induction takes semi-invariants of US ⊗ M under h(u ⊗ m) = -u h ⊗ m +
 u ⊗ h m (forms.semiinvariants on the tensor space): invariants are an exact
@@ -38,6 +40,7 @@ from .linalg import SparseMatrix, solve_in_span
 from .modules import WeightModule, _commutator_failures, _lam_str, check_commutators, product_formula_character
 from .pbw import (
     Order,
+    add_scaled,
     compress,
     descending_order,
     enumerate_pbw_weights,
@@ -45,6 +48,7 @@ from .pbw import (
     flatten,
     monomial_label,
     monomial_weight,
+    multiplier,
     normal_order_word,
     split,
 )
@@ -114,7 +118,8 @@ class _PairSpace:
       m0 and reduced by ``reduce_m``.
     * ``_mz``: (m0, z) -> ((p, m, c), ...), m0·z straightened and split.
     * ``_pairings``: (q0, p) -> ((q', <q0, q'·S(p)>), ...), the sign
-      (-1)^|p| of the antipode folded in, nonzero entries only.
+      (-1)^|p| of the antipode folded in, nonzero entries only, filled for
+      every q0 of a weight at once.
 
     z ranges over the generators asked for, q', q0 over ``qtab`` and m0
     over the negative monomials of the pair space (and of the truncated
@@ -130,6 +135,7 @@ class _PairSpace:
         self.alg = alg
         self.depth = depth
         self.order = order
+        self._mul = multiplier(alg, order)
         self.qtab = enumerate_pbw_weights(subalgebra(alg, "gplus"), depth, order)
         self.mtab = enumerate_pbw_weights(negative, depth, order)
         self.weights: dict = {}
@@ -177,23 +183,13 @@ class _PairSpace:
 
     def _peel(self, word, vec: dict) -> dict:
         """Apply f(u y) = -y f(u) + beta(y) f(u) across a negative word."""
-        alg, order = self.alg, self.order
         for y in word:
-            bv = alg.beta_value(y)
+            bv = self.alg.beta_value(y)
             out: dict = {}
             for m, c in vec.items():
-                for mon, c2 in normal_order_word(alg, (y,) + flatten(m), order).items():
-                    v = out.get(mon, 0) - c * c2
-                    if v:
-                        out[mon] = v
-                    elif mon in out:
-                        del out[mon]
+                add_scaled(out, self._mul(y, m), -c)
                 if bv:
-                    v = out.get(m, 0) + bv * c
-                    if v:
-                        out[m] = v
-                    elif m in out:
-                        del out[m]
+                    add_scaled(out, {m: bv}, c)
             vec = out
         return vec
 
@@ -203,7 +199,7 @@ class _PairSpace:
         got = self._zq.get(key)
         if got is None:
             terms = []
-            for mon, c in normal_order_word(self.alg, (z,) + flatten(qprime), self.order).items():
+            for mon, c in self._mul(z, qprime).items():
                 p, m = split(mon, self._positive)
                 dual = self._duals.get(p)
                 if dual is not None:
@@ -271,16 +267,18 @@ class _PairSpace:
         key = (q0, p)
         got = self._pairings.get(key)
         if got is None:
+            # each q'·S(p) is straightened once, for every q0 of its weight
             alg, order = self.alg, self.order
             back = tuple(reversed(flatten(p)))
             sign = -1 if len(back) % 2 else 1
-            qw = wt_sub(self._duals[q0][1], monomial_weight(alg, p))
-            terms = []
-            for qprime in self.qtab.get(qw, ()):
-                c = normal_order_word(alg, flatten(qprime) + back, order).get(q0, 0)
-                if c:
-                    terms.append((qprime, sign * c))
-            got = self._pairings[key] = tuple(terms)
+            w0 = self._duals[q0][1]
+            terms: dict = {q: [] for q in self.qtab[w0]}
+            for qprime in self.qtab.get(wt_sub(w0, monomial_weight(alg, p)), ()):
+                for q, c in normal_order_word(alg, flatten(qprime) + back, order).items():
+                    terms[q].append((qprime, sign * c))
+            for q, t in terms.items():
+                self._pairings[q, p] = tuple(t)
+            got = self._pairings[key]
         return got
 
     def _right_terms(self, q0, m0, z):

@@ -4,14 +4,16 @@ classical Lie algebra (co)homology.
 Module weights are stored relative to the highest weight: integer lattice
 tuples w with ell(w) <= 0, the highest weight itself sitting at the zero
 tuple.  The induced modules (verma, coverma, free_negative_module) act on
-their PBW basis vectors by one memoized recursion, the Verma recursion
-x·(y·u) = y·(x·u) + [x, y]·u on the first factor y (mirrored for coverma's
-right module), so no word of U(g) is straightened here.  The character of
-the inducing datum enters only through the scalars lambda(label) on the
-degree-0 basis, where the recursion reaches the top vector.  Matrix entries
-are exact: an int wherever the value is integral, a Fraction otherwise.
-The constructors turn lambda into such values once per module, so an
-integral lambda (given as int or Fraction) yields all-int matrices.
+their PBW basis vectors by pbw.induced_action, the Verma recursion
+x·(y·u) = y·(x·u) + [x, y]·u on the first factor y (run in the opposite
+algebra for coverma's right module), with a memo per module; it is the
+recursion that multiplies in U(g), and this module has none of its own.
+The character of the inducing datum enters only through the scalars
+lambda(label) on the degree-0 basis, where the recursion reaches the top
+vector.  Matrix entries are exact: an int wherever the value is integral,
+a Fraction otherwise.  The constructors turn lambda into such values once
+per module, so an integral lambda (given as int or Fraction) yields
+all-int matrices.
 
 The correctness oracle for every constructor is the representation property
 (commutator of action matrices = action of the bracket).  One loop checks
@@ -31,7 +33,7 @@ from __future__ import annotations
 from .forms import CohomologyTable, semiinf_cohomology
 from .liealg import WindowError, exact, subalgebra, wt_add, wt_neg, wt_sub, wt_zero
 from .linalg import SparseMatrix
-from .pbw import EMPTY, add_scaled, canonical_order, descending_order, enumerate_pbw_weights, monomial_label
+from .pbw import canonical_order, descending_order, enumerate_pbw_weights, induced_action, monomial_label
 
 __all__ = [
     "WeightModule",
@@ -129,57 +131,6 @@ def _lambda_values(alg, lam: dict) -> dict:
     return {e: v for e, v in values.items() if v}
 
 
-def _induced_action(alg, values, right):
-    """Memoized act(e, mon) -> {mon': coeff}: the basis element ``e`` applied
-    to the basis vector mon·v of an induced module, in that basis.
-
-    On the left (U(g) ⊗ C_values), ``mon`` is a PBW monomial of the strictly
-    negative part, increasing in the canonical order.  The Verma recursion
-    acts on its first factor y: a negative e that sorts before y is
-    prepended, and any other e is commuted past it,
-    e·(y·u) = y·(e·u) + [e, y]·u.  On the empty monomial, v itself, a
-    negative e gives e·v, a degree-0 e gives values[e]·v and a positive e
-    gives 0.  On the right (C_values ⊗ U(g), v·mon·e) the same recursion runs
-    in the opposite algebra: the free part is strictly positive, the
-    monomials are stored reversed so that their last factor comes first, the
-    order is descending and the bracket changes sign.  The recursion is as
-    deep as ``mon`` is long plus a few frames, and the memo lives as long as
-    the module that calls it.
-    """
-    sign, key = (-1, descending_order(alg).key) if right else (1, canonical_order(alg).key)
-
-    def free(e):
-        return alg.degree(e) > 0 if right else alg.degree(e) < 0
-
-    memo: dict = {}
-
-    def act(e, mon):
-        res = memo.get((e, mon))
-        if res is not None:
-            return res
-        if not mon:
-            if free(e):
-                res = {((e, 1),): 1}
-            else:
-                v = values.get(e)
-                res = {EMPTY: v} if v else {}
-        else:
-            y, a = mon[0]
-            if free(e) and key(e) <= key(y):
-                res = {((e, a + 1),) + mon[1:] if e == y else ((e, 1),) + mon: 1}
-            else:
-                rest = ((y, a - 1),) + mon[1:] if a > 1 else mon[1:]
-                res = {}
-                for m, c in act(e, rest).items():
-                    add_scaled(res, act(y, m), c)
-                for k, c in alg.bracket_ids(e, y).items():
-                    add_scaled(res, act(k, rest), sign * c)
-        memo[(e, mon)] = res
-        return res
-
-    return act
-
-
 def _induced_module(alg, name, tab, values, depth, lam=None, right=False) -> WeightModule:
     """U(alg) ⊗ C_values on ``tab``, {weight: PBW monomials of the strictly
     negative part, increasing in the canonical order}.  With ``right``, the
@@ -188,8 +139,11 @@ def _induced_module(alg, name, tab, values, depth, lam=None, right=False) -> Wei
     z holds p·z in the column basis."""
     labels = {w: [monomial_label(alg, m) + ("*" if right else "") for m in mons] for w, mons in tab.items()}
     if right:
+        # the right module runs the recursion in the opposite algebra, on reversed monomials
         tab = {w: [m[::-1] for m in mons] for w, mons in tab.items()}
-    act = _induced_action(alg, values, right)
+        act = induced_action(alg, lambda e: alg.degree(e) > 0, descending_order(alg), values, -1, {})
+    else:
+        act = induced_action(alg, lambda e: alg.degree(e) < 0, canonical_order(alg), values, 1, {})
     index = {w: {m: i for i, m in enumerate(mons)} for w, mons in tab.items()}
 
     def rule(eid, w):

@@ -1,13 +1,16 @@
-"""Universal enveloping algebra arithmetic: PBW monomials and straightening.
+"""Universal enveloping algebra arithmetic: PBW monomials and products.
 
 A monomial is a tuple of (basis id, exponent) pairs, strictly increasing in
 the chosen total order on basis elements; an enveloping element is a sparse
 {monomial: coefficient} map, each coefficient an int where it is integral and
 a Fraction otherwise (integral structure constants keep every straightened
-coefficient an int).  Straightening rewrites the leftmost out-of-order
-adjacent pair x·y -> y·x + [x,y] recursively and is memoized per (algebra,
-order); by the PBW theorem the result is independent of the rewriting path,
-which the tests exercise against an independent right-to-left straightener.
+coefficient an int).  Every product is one recursion, ``induced_action``,
+on the PBW basis vectors of an induced module.  U(g) is induced from the
+zero subalgebra, so ``multiplier`` gives e·mon in U(g), memoized per
+(algebra, order), and a word straightens as a right-to-left fold of it;
+the Verma-type modules of ``modules`` run it with a character.  The PBW
+form is unique, which the tests check against two straighteners that
+rewrite whole words.
 
 Orders: the canonical order (degree, weight, index) from the algebra and
 its reverse (positive part first); any Order(tag, key) works, as the
@@ -18,8 +21,7 @@ id.
 wedges with exponents capped at 1).  Two monomial operations serve the
 pair spaces of semi-induction: ``split`` cuts a straightened monomial at a
 block boundary of the order, and ``evaluate`` applies a character to the
-part split off.  Verma-type modules do not straighten words: they act on
-basis vectors by the recursion in ``modules``.
+part split off.
 """
 
 from __future__ import annotations
@@ -138,38 +140,74 @@ def add_scaled(acc: dict, terms: dict, c) -> None:
             del acc[m]
 
 
-# -- straightening ---------------------------------------------------------------
+# -- the product recursion ----------------------------------------------------------
+
+
+def induced_action(alg, free, order: Order, values: dict, sign: int, memo: dict):
+    """Memoized act(e, mon) -> {mon': coeff}: the basis element ``e`` on the
+    basis vector mon·v of U(g) ⊗ C_values, ``mon`` a PBW monomial of the
+    free part, increasing in ``order``.
+
+    A free e (``free`` is a predicate; None frees every element, which gives
+    U(g) itself) that sorts before the first factor y is prepended, and any
+    other e is commuted past y, e·(y·u) = y·(e·u) + sign·[e, y]·u (Humphreys
+    2008, §1.3), down to v: e·v for a free e, values[e]·v otherwise.  Sign -1
+    runs in the opposite algebra.  The recursion is one frame per factor
+    deep, and ``memo`` is keyed by (e, mon).
+    """
+    key = order.key
+
+    def act(e, mon):
+        res = memo.get((e, mon))
+        if res is not None:
+            return res
+        if not mon:
+            if free is None or free(e):
+                res = {((e, 1),): 1}
+            else:
+                v = values.get(e)
+                res = {EMPTY: v} if v else {}
+        else:
+            y, a = mon[0]
+            if (free is None or free(e)) and key(e) <= key(y):
+                res = {((e, a + 1),) + mon[1:] if e == y else ((e, 1),) + mon: 1}
+            else:
+                rest = ((y, a - 1),) + mon[1:] if a > 1 else mon[1:]
+                res = {}
+                for m, c in act(e, rest).items():
+                    add_scaled(res, act(y, m), c)
+                for k, c in alg.bracket_ids(e, y).items():
+                    add_scaled(res, act(k, rest), sign * c)
+        memo[(e, mon)] = res
+        return res
+
+    return act
+
+
+def multiplier(alg, order: Order):
+    """act(e, mon) = e·mon in U(g), PBW form in ``order``, memoized per
+    (algebra, order) in ``alg._memos``."""
+    return induced_action(alg, None, order, {}, 1, alg._memos.setdefault(("no", order.tag), {}))
+
+
+def _fold(act, word, vec: dict) -> dict:
+    """word·vec: the letters of ``word`` applied right to left."""
+    for e in reversed(word):
+        if len(vec) == 1:
+            ((m, c),) = vec.items()
+            got = act(e, m)
+            vec = got if c == 1 else {k: c * v for k, v in got.items()}
+        else:
+            out: dict = {}
+            for m, c in vec.items():
+                add_scaled(out, act(e, m), c)
+            vec = out
+    return vec
 
 
 def normal_order_word(alg, word: tuple, order: Order) -> dict:
     """Straighten a word of basis ids into PBW form: {monomial: coefficient}."""
-    memo = alg._memos.setdefault(("no", order.tag), {})
-    return _straighten(alg, tuple(word), order, memo)
-
-
-def _straighten(alg, word, order, memo):
-    cached = memo.get(word)
-    if cached is not None:
-        return cached
-    key = order.key
-    bad = -1
-    for i in range(len(word) - 1):
-        if key(word[i]) > key(word[i + 1]):
-            bad = i
-            break
-    if bad < 0:
-        res = {compress(word): 1}
-        memo[word] = res
-        return res
-    i = bad
-    swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2 :]
-    acc: dict = {}
-    add_scaled(acc, _straighten(alg, swapped, order, memo), 1)
-    for k, c in alg.bracket_ids(word[i], word[i + 1]).items():
-        shorter = word[:i] + (k,) + word[i + 2 :]
-        add_scaled(acc, _straighten(alg, shorter, order, memo), c)
-    memo[word] = acc
-    return acc
+    return _fold(multiplier(alg, order), word, {EMPTY: 1})
 
 
 def normal_order(alg, word, order: Order | None = None) -> dict:
@@ -183,12 +221,10 @@ def multiply(alg, a: dict, b: dict, order: Order | None = None) -> dict:
     """Product in U(g) of two PBW-form elements, result in PBW form."""
     if order is None:
         order = canonical_order(alg)
+    act = multiplier(alg, order)
     out: dict = {}
     for ma, ca in a.items():
-        wa = flatten(ma)
-        for mb, cb in b.items():
-            terms = normal_order_word(alg, wa + flatten(mb), order)
-            add_scaled(out, terms, ca * cb)
+        add_scaled(out, _fold(act, flatten(ma), b), ca)
     return out
 
 

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from weakref import WeakKeyDictionary
 
 import pytest
 
 from semiflex.liealg import build_affine_sl2, build_test_algebra, exact, subalgebra, wt_add, wt_neg
 from semiflex.linalg import SparseMatrix
 from semiflex.modules import ModuleError, WeightModule
-from semiflex.pbw import canonical_order, enumerate_pbw_weights, evaluate, flatten, normal_order_word, split
+from semiflex.pbw import add_scaled, canonical_order, compress, enumerate_pbw_weights, evaluate, flatten, split
 
 
 @pytest.fixture(scope="session")
@@ -127,6 +128,40 @@ def reference_bimodule(model, gen_window, weights=None):
     return failures
 
 
+# -- straightening whole words -------------------------------------------------------
+# An independent reference for the product recursion behind normal_order_word,
+# the pair spaces of induction and the induced modules: it rewrites the
+# leftmost out-of-order adjacent pair x·y -> y·x + [x, y] of a whole word,
+# memoized per (algebra, order) on every intermediate word.  test_pbw's
+# slow_straighten rewrites the rightmost pair first.
+
+_STRAIGHTEN_MEMOS: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def straighten(alg, word, order):
+    """PBW form {monomial: coefficient} of a word of basis ids in ``order``."""
+    memo = _STRAIGHTEN_MEMOS.setdefault(alg, {}).setdefault(order.tag, {})
+    return _straighten(alg, tuple(word), order.key, memo)
+
+
+def _straighten(alg, word, key, memo):
+    cached = memo.get(word)
+    if cached is not None:
+        return cached
+    for i in range(len(word) - 1):
+        if key(word[i]) > key(word[i + 1]):
+            break
+    else:
+        res = memo[word] = {compress(word): 1}
+        return res
+    acc: dict = {}
+    add_scaled(acc, _straighten(alg, word[:i] + (word[i + 1], word[i]) + word[i + 2 :], key, memo), 1)
+    for k, c in alg.bracket_ids(word[i], word[i + 1]).items():
+        add_scaled(acc, _straighten(alg, word[:i] + (k,) + word[i + 2 :], key, memo), c)
+    memo[word] = acc
+    return acc
+
+
 # -- induced modules by straightening whole words ----------------------------------
 # An independent reference for the Verma recursion behind verma, coverma and
 # free_negative_module: each action straightens the word z·mon (or p·z) in
@@ -145,7 +180,7 @@ def _reference_induced(alg, tab, values, depth, right):
         mons, to = (rows, w) if right else (cols, target)
         for i, mon in enumerate(mons):
             word = flatten(mon) + (eid,) if right else (eid,) + flatten(mon)
-            for out, coeff in normal_order_word(alg, word, order).items():
+            for out, coeff in straighten(alg, word, order).items():
                 if right:
                     rest, basis = split(out, lambda e: alg.degree(e) <= 0)
                 else:

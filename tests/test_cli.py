@@ -331,6 +331,34 @@ def test_corrupt_cache_warns_and_is_ignored(content, runner, tmp_path, monkeypat
     assert f"warning: could not write memo cache {pkl}: " in capsys.readouterr().err
 
 
+def test_a_cache_without_the_format_tag_is_ignored_and_overwritten(runner, tmp_path, monkeypatch):
+    """An older cache (no format tag, its memo keyed by whole words) warns
+    like an unreadable one, leaves the CSV unchanged and is replaced at exit
+    by a tagged cache keyed by (basis id, monomial)."""
+    import atexit
+
+    argv = ["semiinf-cohomology", "--algebra", "a", "--module", "us", "--depth", "2", "--out"]
+    plain = tmp_path / "plain.csv"
+    assert runner.invoke(main, argv + [str(plain)]).exit_code == 0
+    monkeypatch.setenv("SEMIFLEX_CACHE_DIR", str(tmp_path / "cache"))
+    pkl = Path(cli._cache_path(cli._load_algebra("a")))
+    words = {("no", "desc"): {(1, 0): {((0, 1), (1, 1)): 1}, (0,): {((0, 1),): 1}}}
+    pkl.write_bytes(pickle.dumps({"labels": [], "memos": words}))
+    saves = []
+    monkeypatch.setattr(atexit, "register", saves.append)
+    cached = tmp_path / "cached.csv"
+    res = runner.invoke(main, argv + [str(cached)])
+    assert res.exit_code == 0, res.output
+    assert f"warning: ignoring unreadable memo cache {pkl}: format None" in res.stderr
+    assert cached.read_bytes() == plain.read_bytes()
+    (save,) = saves
+    save()
+    stored = pickle.loads(pkl.read_bytes())
+    assert stored["format"] == cli._CACHE_FORMAT
+    keys = [key for memo in stored["memos"].values() for key in memo]
+    assert keys and all(len(key) == 2 and isinstance(key[1], tuple) for key in keys)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import reference_bimodule, reference_check_commutators, reference_right_oracle
+from conftest import reference_bimodule, reference_check_commutators, reference_right_oracle, straighten
 from semiflex.forms import semiinf_cohomology, semiinvariants
 from semiflex import induction
 from semiflex.induction import (
@@ -37,7 +37,7 @@ from semiflex.modules import (
     trivial_module,
     verma,
 )
-from semiflex.pbw import compress, enumerate_pbw_weights, flatten, monomial_weight, normal_order_word, split
+from semiflex.pbw import compress, enumerate_pbw_weights, flatten, monomial_weight, multiplier, normal_order_word, split
 
 
 NEG_HEIS = {
@@ -497,9 +497,25 @@ def test_universal_property_fails_alike_on_a_corrupted_verma(loop_a, label, w0):
 # -- the pair space's caches against the loops they replace ----------------------------
 
 
+def _uncached_peel(space, word, vec):
+    """f(u y) = -y f(u) + beta(y) f(u) across a negative word, each y·m
+    straightened as a whole word."""
+    for y in word:
+        bv = space.alg.beta_value(y)
+        out: dict = {}
+        for m, c in vec.items():
+            for mon, c2 in straighten(space.alg, (y,) + flatten(m), space.order).items():
+                out[mon] = out.get(mon, 0) - c * c2
+            if bv:
+                out[m] = out.get(m, 0) + bv * c
+        vec = {m: c for m, c in out.items() if c}
+    return vec
+
+
 def _uncached_left_action(space, z, w, reduce_m=None):
     """The left action as it was first written: straighten z·q' for every q'
-    and every column, split it, and peel every column again."""
+    and every column, split it, and peel every column again, every product
+    by the test-local straightener."""
     alg, order = space.alg, space.order
     w = tuple(w)
     target = wt_add(w, alg.weight(z))
@@ -517,14 +533,14 @@ def _uncached_left_action(space, z, w, reduce_m=None):
         if alg.ell(qw) > max_q0 - ell_z:
             continue
         for qprime in qprimes:
-            st = normal_order_word(alg, (z,) + flatten(qprime), order)
+            st = straighten(alg, (z,) + flatten(qprime), order)
             for mon, c in st.items():
                 p, m = split(mon, space._positive)
                 hits = by_q0.get(p)
                 if not hits:
                     continue
                 for ci, m0 in hits:
-                    peeled = space._peel(flatten(m), {m0: 1})
+                    peeled = _uncached_peel(space, flatten(m), {m0: 1})
                     for m2, c2 in peeled.items():
                         if reduce_m is not None:
                             coeff, m2 = reduce_m(m2)
@@ -539,9 +555,10 @@ def _uncached_left_action(space, z, w, reduce_m=None):
 
 def _uncached_right_terms(space, q0, m0, z):
     """Right multiplication as it was first written: m0·z straightened and
-    every antipode pairing recomputed on each call."""
+    every antipode pairing recomputed on each call, by the test-local
+    straightener."""
     alg, order = space.alg, space.order
-    for mon, c in normal_order_word(alg, flatten(m0) + (z,), order).items():
+    for mon, c in straighten(alg, flatten(m0) + (z,), order).items():
         p, m = split(mon, space._positive)
         if not p:
             yield q0, m, c
@@ -549,7 +566,7 @@ def _uncached_right_terms(space, q0, m0, z):
         pw = flatten(p)
         qw = wt_sub(monomial_weight(alg, q0), monomial_weight(alg, p))
         for qprime in space.qtab.get(qw, ()):
-            c2 = normal_order_word(alg, flatten(qprime) + tuple(reversed(pw)), order).get(q0, 0)
+            c2 = straighten(alg, flatten(qprime) + tuple(reversed(pw)), order).get(q0, 0)
             if len(pw) % 2:
                 c2 = -c2
             if c2:
@@ -698,14 +715,25 @@ def test_truncated_x_basis_and_right_rows_match_the_uncached_loops(sl2, monkeypa
 
 def test_left_action_straightens_nothing_it_has_seen(sl2, monkeypatch):
     """Once every (z, q') and every peel a left action needs is cached,
-    building it again straightens nothing."""
+    building it again computes no product: neither the pair space's
+    multiplier nor normal_order_word is called."""
     calls = []
 
     def counting(alg, word, order):
         calls.append(word)
         return normal_order_word(alg, word, order)
 
+    def counting_multiplier(alg, order):
+        act = multiplier(alg, order)
+
+        def mul(e, mon):
+            calls.append((e, mon))
+            return act(e, mon)
+
+        return mul
+
     monkeypatch.setattr(induction, "normal_order_word", counting)
+    monkeypatch.setattr(induction, "multiplier", counting_multiplier)
     space = WakimotoSpace(sl2, _lam(Fraction(2, 3), Fraction(1, 2)), 5)
     z = sl2.by_label("z^-1⊗f")
     first, *others = sorted(space.weights, key=lambda w: -sl2.ell(w))

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from semiflex.liealg import SubalgebraSpec, load_algebra, subalgebra
+from semiflex.liealg import SubalgebraSpec, WindowError, build_affine_sl2, load_algebra, subalgebra
 from semiflex.pbw import (
     EMPTY,
     InfiniteEnumerationError,
@@ -20,6 +20,7 @@ from semiflex.pbw import (
     monomial_label,
     multiply,
     normal_order,
+    normal_order_word,
     scalar,
 )
 
@@ -84,6 +85,36 @@ def test_confluence_against_independent_strategy(sl2):
         fast = normal_order(sl2, word, order)
         slow = slow_straighten(sl2, word, order)
         assert fast == slow
+
+
+def _reversed_loop_word(hi):
+    """The word z^60⊗h ··· z^2⊗h z⊗h, every pair out of canonical order, on
+    affine sl2 materialized in degrees [-2, hi]."""
+    alg = build_affine_sl2()
+    alg.ensure_window(-2, hi)
+    hs = [alg.by_label("z⊗h" if k == 1 else f"z^{k}⊗h") for k in range(1, 61)]
+    return alg, tuple(reversed(hs))
+
+
+def test_a_long_reversed_word_straightens():
+    """1770 out-of-order pairs: the recursion is one frame per letter deep,
+    so the word straightens, and its memo is keyed by (basis id, monomial)."""
+    alg, word = _reversed_loop_word(250)
+    order = canonical_order(alg)
+    got = normal_order_word(alg, word, order)
+    assert got == {tuple((e, 1) for e in reversed(word)): 1}
+    memo = alg._memos[("no", order.tag)]
+    assert memo
+    for key in memo:
+        eid, mon = key
+        assert isinstance(eid, int) and isinstance(mon, tuple)
+        assert all(isinstance(f, int) and k >= 1 for f, k in mon)
+
+
+def test_a_long_word_outside_the_window_is_a_window_error():
+    alg, word = _reversed_loop_word(130)
+    with pytest.raises(WindowError, match="outside window"):
+        normal_order_word(alg, word, canonical_order(alg))
 
 
 def test_confluence_permutations_agree_after_straightening(sl2):
