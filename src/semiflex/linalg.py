@@ -10,6 +10,12 @@ columns, the right kernel nor column dependencies, so every derived quantity
 is exact and does not depend on how the kernel picks its pivots.  Kernels
 and span solves share one back-substitution on the sparse integer echelon
 form.
+
+Sums of products are checked on cleared integers too: ``cleared`` scales a
+matrix once by the lcm of its denominators (an all-int matrix is used as it
+is), and ``residual_nnz`` brings every term of sum(c * A * B) to one common
+denominator and sums each output row in int arithmetic, so the commutator
+oracle builds no Fraction per entry.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from math import gcd, lcm
 
 from ._kernels import row_echelon_int
 
-__all__ = ["SparseMatrix", "solve_in_span"]
+__all__ = ["SparseMatrix", "cleared", "residual_nnz", "solve_in_span"]
 
 
 class SparseMatrix:
@@ -139,6 +145,52 @@ class SparseMatrix:
 
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
+
+
+def cleared(m: SparseMatrix):
+    """(d, rows): d the lcm of the denominators of ``m``'s entries and rows
+    its rows scaled by d, sparse ints, so m = rows / d.  A matrix with no
+    denominator is returned as it is (d = 1, its own rows, no copy)."""
+    d = 1
+    for row in m.rows:
+        for v in row.values():
+            if type(v) is not int:
+                d = lcm(d, v.denominator)
+    if d == 1:
+        return 1, m.rows
+    return d, [{c: v.numerator * (d // v.denominator) for c, v in row.items()} for row in m.rows]
+
+
+def residual_nnz(terms) -> int:
+    """The number of nonzero entries of sum(c * A * B) over ``terms``, exactly.
+
+    Each term is (c, A, B) with c an exact scalar (int or Fraction) and A, B
+    cleared matrices as ``cleared`` returns them, B None for the term c * A.
+    Every term is scaled to the common denominator L of all of them, so row
+    i of L times the sum is summed in int arithmetic.  The terms share the
+    shape of the result, A's rows by B's (or A's) columns.
+    """
+    den = 1
+    for c, (da, _), b in terms:
+        den = lcm(den, c.denominator * da * (b[0] if b else 1))
+    scaled = []
+    for c, (da, arows), b in terms:
+        db, brows = b if b else (1, None)
+        scaled.append((den // (c.denominator * da * db) * c.numerator, arows, brows))
+    count = 0
+    for i in range(len(terms[0][1][1])):
+        acc: dict = {}
+        for f, arows, brows in scaled:
+            if brows is None:
+                for j, v in arows[i].items():
+                    acc[j] = acc.get(j, 0) + f * v
+                continue
+            for k, v in arows[i].items():
+                fv = f * v
+                for j, w in brows[k].items():
+                    acc[j] = acc.get(j, 0) + fv * w
+        count += sum(map(bool, acc.values()))
+    return count
 
 
 def _unit(n, j):

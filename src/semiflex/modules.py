@@ -20,7 +20,11 @@ The correctness oracle for every constructor is the representation property
 a(x) b(y) = b(y) a(x) + s * b([x, y]) on action matrices and serves three
 uses: check_commutators (a = b = the module action, s = +1), the right-module
 check of US (a = b = right multiplication, s = -1) and the bimodule check of
-US (a = left, b = right, s = 0).  The test suite exercises it relentlessly.
+US (a = left, b = right, s = 0).  It clears each action matrix of its
+denominators once per weight and tests the sum of the three terms for zero
+in exact integers (linalg.residual_nnz), so a non-integral lambda adds no
+Fraction arithmetic to the check; the matrices themselves keep their
+entries and types.  The test suite exercises it relentlessly.
 
 Chevalley-Eilenberg (co)homology has no complex of its own: it is the
 semi-infinite complex (forms.semiinf_cohomology) of a strictly positive or
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 from .forms import CohomologyTable, semiinf_cohomology
 from .liealg import WindowError, exact, subalgebra, wt_add, wt_neg, wt_sub, wt_zero
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, cleared, residual_nnz
 from .pbw import canonical_order, descending_order, enumerate_pbw_weights, induced_action, monomial_label
 
 __all__ = [
@@ -284,10 +288,12 @@ def _commutator_failures(space, gen_window: tuple, weights, a, b=None, sign: int
     to a, and then the pair (x, y) with y < x, the same identity mirrored, is
     skipped.  Checked for every weight in ``weights`` (default: all of the
     space's, sorted) and generator pair in the degree window whose three
-    intermediate weights lie within depth or above the top.  b(y) a(x) is a
-    fresh product, so the bracket is summed into it in place and the rows
-    compared.  A WindowError from an action propagates: skipping the pair
-    would report an unchecked pass.
+    intermediate weights lie within depth or above the top.  Each matrix is
+    cleared of its denominators once per outer weight (linalg.cleared, kept
+    only while that weight is checked), and linalg.residual_nnz sums
+    a(x) b(y) - b(y) a(x) - sign * b([x, y]) in exact integers: a pair fails
+    when the residual has a nonzero entry.  A WindowError from an action
+    propagates: skipping the pair would report an unchecked pass.
     """
     alg, depth = space.alg, space.depth
     lo, hi = gen_window
@@ -298,8 +304,18 @@ def _commutator_failures(space, gen_window: tuple, weights, a, b=None, sign: int
     mirrored = b is None
     if mirrored:
         b = a
+    memo: dict = {}  # (action, eid, weight) -> cleared matrix, emptied at each outer weight
+
+    def clear(act, eid, v):
+        key = (act, eid, v)
+        m = memo.get(key)
+        if m is None:
+            m = memo[key] = cleared(act(eid, v))
+        return m
+
     failures = []
     for w in weights:
+        memo.clear()
         for x in gens:
             wx = wt_add(w, alg.weight(x))
             for y in gens:
@@ -309,14 +325,10 @@ def _commutator_failures(space, gen_window: tuple, weights, a, b=None, sign: int
                 wxy = wt_add(wx, alg.weight(y))
                 if min(alg.ell(wx), alg.ell(wy), alg.ell(wxy)) < -depth:
                     continue
-                xy = a(x, wy).matmul(b(y, w))
-                yx = b(y, wx).matmul(a(x, w))
+                terms = [(1, clear(a, x, wy), clear(b, y, w)), (-1, clear(b, y, wx), clear(a, x, w))]
                 if sign:
-                    for k, cf in alg.bracket_ids(x, y).items():
-                        for i, row in enumerate(b(k, w).rows):
-                            for c, v in row.items():
-                                yx.add(i, c, sign * cf * v)
-                if xy.rows != yx.rows:
+                    terms += [(-sign * cf, clear(b, k, w), None) for k, cf in alg.bracket_ids(x, y).items()]
+                if residual_nnz(terms):
                     failures.append((alg.label(x), alg.label(y), w))
     return failures
 

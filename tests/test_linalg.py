@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 from semiflex._kernels import row_echelon_int
-from semiflex.linalg import SparseMatrix, solve_in_span
+from semiflex.linalg import SparseMatrix, cleared, residual_nnz, solve_in_span
 
 
 def matrix(dense):
@@ -116,6 +116,43 @@ def test_matmul_and_transpose():
     assert ab.get(0, 0) == 7 and ab.get(0, 1) == 2 and ab.get(1, 0) == 3
     t = a.transpose()
     assert t.get(1, 0) == 2
+
+
+def test_cleared_scales_by_the_lcm_and_leaves_int_matrices_alone():
+    m = matrix([[1, 2], [0, 3]])
+    d, rows = cleared(m)
+    assert d == 1 and rows is m.rows
+    f = matrix([[Fraction(1, 2), 1], [0, Fraction(2, 3)]])
+    d, rows = cleared(f)
+    assert d == 6 and rows == [{0: 3, 1: 6}, {1: 4}]
+    assert all(type(v) is int for row in rows for v in row.values())
+
+
+def test_residual_nnz_is_the_nnz_of_the_fraction_sum():
+    """sum(c * A * B) in cleared integers against the same sum of matmul
+    products in Fraction arithmetic, on random matrices whose rows have
+    different denominators, with Fraction scalars and single-matrix terms;
+    every third case is shifted to vanish exactly."""
+    rng = random.Random(1717)
+    for trial in range(60):
+        n, k, m = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        terms, dense_sum = [], SparseMatrix(n, m)
+        for _ in range(rng.randint(1, 3)):
+            c = Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 4))
+            if rng.random() < 0.3:
+                prod = matrix(random_matrix(rng, n, m))
+                terms.append((c, cleared(prod), None))
+            else:
+                a, b = matrix(random_matrix(rng, n, k)), matrix(random_matrix(rng, k, m))
+                terms.append((c, cleared(a), cleared(b)))
+                prod = a.matmul(b)
+            for i, row in enumerate(prod.rows):
+                for j, v in row.items():
+                    dense_sum.add(i, j, c * v)
+        if trial % 3 == 0:
+            terms.append((Fraction(-1, 3), cleared(SparseMatrix.from_rows([{j: 3 * v for j, v in row.items()} for row in dense_sum.rows], m)), None))
+            dense_sum = SparseMatrix(n, m)
+        assert residual_nnz(terms) == dense_sum.nnz, trial
 
 
 # -- the sparse kernel against the dense Bareiss it replaced -----------------------

@@ -13,7 +13,7 @@ from conftest import (
     reference_verma,
 )
 from semiflex.forms import AnomalyError, semiinf_cohomology
-from semiflex.liealg import WindowError, load_algebra, subalgebra, wt_add, wt_neg
+from semiflex.liealg import WindowError, exact, load_algebra, subalgebra, wt_add, wt_neg
 from semiflex.linalg import SparseMatrix
 from semiflex.pbw import canonical_order, enumerate_pbw_weights
 from semiflex.modules import (
@@ -248,9 +248,11 @@ def test_requested_weight_without_cochains_is_a_zero_row(sl2):
     assert table.rows() == [((0, 0), 0, 1, 1), ((5, -3), 0, 0, 0)]
 
 
-def _broken_heisenberg():
-    """x and y act on v, a, b, c, but [x, y] = z acts by 0 while
-    x(y c) - y(x c) = -v."""
+def _heisenberg(bracket=1, z_on_c=0):
+    """x and y act on v, a, b, c with x(y c) - y(x c) = -v, [x, y] =
+    bracket * z, and z takes c to z_on_c * v: a module exactly when
+    bracket * z_on_c = -1."""
+    bracket = Fraction(bracket)
     heis = load_algebra(
         {
             "name": "heis",
@@ -260,51 +262,100 @@ def _broken_heisenberg():
                 {"label": "y", "weight": [0, 1], "index": 0},
                 {"label": "z", "weight": [1, 1], "index": 0},
             ],
-            "brackets": [{"i": 0, "j": 1, "terms": [{"k": 2, "num": 1}]}],
+            "brackets": [{"i": 0, "j": 1, "terms": [{"k": 2, "num": bracket.numerator, "den": bracket.denominator}]}],
             "beta": [],
         }
     )
     weights = {(0, 0): ["v"], (-1, 0): ["a"], (0, -1): ["b"], (-1, -1): ["c"]}
     # x: a -> v, c -> 2b;  y: b -> v, c -> a
-    acts = {("x", (-1, 0)): 1, ("x", (-1, -1)): 2, ("y", (0, -1)): 1, ("y", (-1, -1)): 1}
+    acts = {("x", (-1, 0)): 1, ("x", (-1, -1)): 2, ("y", (0, -1)): 1, ("y", (-1, -1)): 1, ("z", (-1, -1)): z_on_c}
 
     def rule(eid, w):
         mat = SparseMatrix(len(weights.get(wt_add(w, heis.weight(eid)), ())), len(weights.get(w, ())))
-        if (heis.label(eid), w) in acts:
+        if acts.get((heis.label(eid), w)):
             mat.add(0, 0, acts[(heis.label(eid), w)])
         return mat
 
-    return heis, WeightModule(heis, "not a module", weights, rule, 2)
+    return heis, WeightModule(heis, "heis module", weights, rule, 2)
 
 
 def test_ce_cohomology_detects_a_non_module():
-    """The broken Heisenberg module: d^2 != 0 on the cochain c at the bottom weight."""
-    heis, M = _broken_heisenberg()
+    """The broken Heisenberg module ([x, y] = z acts by 0): d^2 != 0 on the
+    cochain c at the bottom weight."""
+    heis, M = _heisenberg()
     assert check_commutators(M, (1, 2)) == [("y", "x", (-1, -1))]
     with pytest.raises(AnomalyError) as exc:
         ce_cohomology(subalgebra(heis, "gplus"), M, 2)
     assert (exc.value.weight, exc.value.ghost) == ((-1, -1), 0)
 
 
-@pytest.mark.parametrize("case", ["broken heisenberg", "verma", "coverma", "direct sum", "sub-window"])
+def _corrupted_fractional_verma(sl2, delta):
+    """The Verma module over affine sl2 at lambda = (2/3, 1/2), depth 4,
+    with entry (0, 0) of the action of 1⊗e at weight (-1, 0) raised by
+    ``delta``."""
+    V = verma(sl2, {"1⊗h": Fraction(2, 3), "K": Fraction(1, 2)}, 4)
+    e = sl2.by_label("1⊗e")
+
+    def rule(eid, w):
+        mat = V.action(eid, w)
+        if eid == e and tuple(w) == (-1, 0):
+            mat = SparseMatrix.from_rows(mat.rows, mat.ncols)
+            mat.rows[0][0] = exact(mat.get(0, 0) + delta)
+        return mat
+
+    return WeightModule(sl2, "V-corrupted", V.weights, rule, 4)
+
+
+FAILING = {"broken heisenberg", "heisenberg [x, y] = z/2, z c = -v", "verma + 1/3", "verma + 1/6", "verma + 1"}
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "broken heisenberg",
+        "heisenberg [x, y] = z/2, z c = -2v",
+        "heisenberg [x, y] = z/2, z c = -v",
+        "verma",
+        "verma + 1/3",
+        "verma + 1/6",
+        "verma + 1",
+        "coverma",
+        "fractional coverma",
+        "direct sum",
+        "fractional direct sum",
+        "sub-window",
+    ],
+)
 def test_check_commutators_matches_the_reference_loop(case, sl2, lam01):
     """The one oracle reports what the separate loop with XY - YX and the
-    bracket action as their own matrices reports, failures and order alike."""
+    bracket action as their own matrices reports, failures and order alike.
+    The Heisenberg cases have a Fraction bracket constant; "verma + delta"
+    is the Verma module at lambda = (2/3, 1/2) with one entry 2/3 raised by
+    delta to 1, 5/6 or 5/3: the matrix turns all-int, gains a denominator
+    or keeps its own, and each is caught alike."""
     window, weights = (-2, 2), None
     if case == "broken heisenberg":
-        M, window = _broken_heisenberg()[1], (1, 2)
+        M, window = _heisenberg()[1], (1, 2)
+    elif case.startswith("heisenberg"):
+        M, window = _heisenberg(Fraction(1, 2), -2 if case.endswith("-2v") else -1)[1], (1, 2)
     elif case == "verma":
         M = verma(sl2, {"1⊗h": Fraction(2, 3), "K": Fraction(1, 2)}, 4)
+    elif case.startswith("verma + "):
+        M = _corrupted_fractional_verma(sl2, Fraction(case.removeprefix("verma + ")))
     elif case == "coverma":
         M = coverma(sl2, lam01, 3)
+    elif case == "fractional coverma":
+        M = coverma(sl2, {"1⊗h": Fraction(2, 3), "K": Fraction(1, 2)}, 3)
     elif case == "direct sum":
         M = direct_sum(verma(sl2, lam01, 2), coverma(sl2, lam01, 2))
+    elif case == "fractional direct sum":
+        M = direct_sum(verma(sl2, {"1⊗h": Fraction(2, 3), "K": Fraction(1, 2)}, 2), coverma(sl2, {"1⊗h": 2, "K": Fraction(1, 3)}, 2))
     else:
         M = verma(sl2, lam01, 4)
         window, weights = (-1, 3), [(0, -1), (-1, 0), (0, 0)]
     got = check_commutators(M, window, weights)
     assert got == reference_check_commutators(M, window, weights)
-    assert (got != []) == (case == "broken heisenberg")
+    assert (got != []) == (case in FAILING)
 
 
 def test_direct_sum_dims_and_oracle(sl2, lam01):
