@@ -532,7 +532,7 @@ class WakimotoSpace(_PairSpace):
             return (block(e), (-d, tuple(-x for x in wgt), -i))
 
         aminus = SubalgebraSpec(alg, "aminus", lambda e: a_view.is_member(e) and alg.degree(e) <= 0)
-        super().__init__(alg, depth, Order(f"wak:{alg.fingerprint()}", key), aminus)
+        super().__init__(alg, depth, Order("wak", key), aminus)
         self._lam_tilde = {}
         for e in alg.elements_in_degrees(-2 * depth - 4, 0):
             if abar_view.is_member(e):

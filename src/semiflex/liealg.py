@@ -221,9 +221,6 @@ class GradedLieAlgebra:
     def eid_by_weight_index(self, weight: Weight, index: int):
         return self._by_wi.get((tuple(weight), index))
 
-    def fingerprint(self) -> str:
-        return f"{self.name}/r{self.rank}"
-
 
 def bracket(alg, x: dict, y: dict) -> dict:
     """Bracket of two linear combinations {eid: coeff}; bilinear expansion."""
@@ -509,9 +506,6 @@ class SubalgebraSpec:
                     f"leaves the subalgebra (term {self.parent.label(k)})"
                 )
         return res
-
-    def fingerprint(self):
-        return f"{self.parent.fingerprint()}:{self.name}"
 
     @property
     def _memos(self):

@@ -1,12 +1,15 @@
 """The command-line driver: parsing, outputs, exit codes, determinism."""
 
 import json
-import pickle
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import semiflex
 from semiflex import cli, output
 from semiflex.cli import JobSpec, main, run_job
 from semiflex.induction import InductionError
@@ -99,18 +102,12 @@ def test_lambda_outside_degree_zero_or_repeated_exits_two(argv, why, runner):
 
 
 @pytest.mark.parametrize("command", ["character", "lie-cohomology", "semiinf-cohomology", "wakimoto"])
-def test_unknown_lambda_label_exits_two_and_leaves_nothing(command, runner, tmp_path, monkeypatch):
-    import atexit
-
-    monkeypatch.setenv("SEMIFLEX_CACHE_DIR", str(tmp_path / "cache"))
-    saves = []
-    monkeypatch.setattr(atexit, "register", saves.append)
+def test_unknown_lambda_label_exits_two_and_leaves_nothing(command, runner, tmp_path):
     out = tmp_path / "o.csv"
     res = runner.invoke(main, [command, "--lambda", "q=1", "--depth", "2", "--out", str(out)])
     assert res.exit_code == 2
     assert "error: affine_sl2: no basis element labelled 'q'" in res.stderr
     assert not out.exists()
-    assert saves == []
 
 
 def test_wakimoto_default_lambda_is_documented_one(runner, tmp_path):
@@ -289,76 +286,6 @@ def test_dump_raises_construction_errors(sl2, tmp_path):
         output.dump_module_jsonl(tmp_path / "m.jsonl", broken, (-2, 2))
 
 
-def test_cache_dir_round_trip(runner, tmp_path, monkeypatch):
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("SEMIFLEX_CACHE_DIR", str(cache))
-    out1 = tmp_path / "o1.csv"
-    res = runner.invoke(main, ["semiinf-cohomology", "--algebra", "a", "--module", "us", "--depth", "2", "--out", str(out1)])
-    assert res.exit_code == 0, res.output
-    import atexit
-
-    # the save hook is registered via atexit; trigger persistence manually
-    atexit._run_exitfuncs()
-    assert list(cache.glob("*.pkl"))
-    out2 = tmp_path / "o2.csv"
-    res2 = runner.invoke(main, ["semiinf-cohomology", "--algebra", "a", "--module", "us", "--depth", "2", "--out", str(out2)])
-    assert res2.exit_code == 0, res2.output
-    assert out1.read_bytes() == out2.read_bytes()
-
-
-@pytest.mark.parametrize("content", [b"garbage", pickle.dumps([1, 2])], ids=["garbage", "list"])
-def test_corrupt_cache_warns_and_is_ignored(content, runner, tmp_path, monkeypatch, capsys):
-    import atexit
-
-    argv = ["semiinf-cohomology", "--algebra", "a", "--module", "us", "--depth", "2", "--out"]
-    plain = tmp_path / "plain.csv"
-    assert runner.invoke(main, argv + [str(plain)]).exit_code == 0
-    monkeypatch.setenv("SEMIFLEX_CACHE_DIR", str(tmp_path / "cache"))
-    pkl = Path(cli._cache_path(cli._load_algebra("a")))
-    pkl.write_bytes(content)
-    saves = []
-    monkeypatch.setattr(atexit, "register", saves.append)
-    cached = tmp_path / "cached.csv"
-    res = runner.invoke(main, argv + [str(cached)])
-    assert res.exit_code == 0, res.output
-    assert f"warning: ignoring unreadable memo cache {pkl}: " in res.stderr
-    assert cached.read_bytes() == plain.read_bytes()
-    # a save that cannot write warns instead of failing silently
-    pkl.unlink()
-    pkl.mkdir()
-    (save,) = saves
-    save()
-    assert f"warning: could not write memo cache {pkl}: " in capsys.readouterr().err
-
-
-def test_a_cache_without_the_format_tag_is_ignored_and_overwritten(runner, tmp_path, monkeypatch):
-    """An older cache (no format tag, its memo keyed by whole words) warns
-    like an unreadable one, leaves the CSV unchanged and is replaced at exit
-    by a tagged cache keyed by (basis id, monomial)."""
-    import atexit
-
-    argv = ["semiinf-cohomology", "--algebra", "a", "--module", "us", "--depth", "2", "--out"]
-    plain = tmp_path / "plain.csv"
-    assert runner.invoke(main, argv + [str(plain)]).exit_code == 0
-    monkeypatch.setenv("SEMIFLEX_CACHE_DIR", str(tmp_path / "cache"))
-    pkl = Path(cli._cache_path(cli._load_algebra("a")))
-    words = {("no", "desc"): {(1, 0): {((0, 1), (1, 1)): 1}, (0,): {((0, 1),): 1}}}
-    pkl.write_bytes(pickle.dumps({"labels": [], "memos": words}))
-    saves = []
-    monkeypatch.setattr(atexit, "register", saves.append)
-    cached = tmp_path / "cached.csv"
-    res = runner.invoke(main, argv + [str(cached)])
-    assert res.exit_code == 0, res.output
-    assert f"warning: ignoring unreadable memo cache {pkl}: format None" in res.stderr
-    assert cached.read_bytes() == plain.read_bytes()
-    (save,) = saves
-    save()
-    stored = pickle.loads(pkl.read_bytes())
-    assert stored["format"] == cli._CACHE_FORMAT
-    keys = [key for memo in stored["memos"].values() for key in memo]
-    assert keys and all(len(key) == 2 and isinstance(key[1], tuple) for key in keys)
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -390,27 +317,15 @@ def test_wakimoto_complex_needs_affine_sl2_or_a(runner):
     assert "--algebra must be affine_sl2 or a" in res.stderr
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["semiinf-cohomology", "--algebra", "a", "--module", "wakimoto", "--depth", "2"],
-        ["character", "--module", "wakimoto", "--depth", "2"],
-    ],
-    ids=["semiinf-cohomology", "character"],
-)
-def test_cache_holds_the_wakimoto_memo(argv, runner, tmp_path, monkeypatch):
-    """W is built on affine sl2: that algebra's memo is the one saved."""
-    import atexit
-
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("SEMIFLEX_CACHE_DIR", str(cache))
-    saves = []
-    monkeypatch.setattr(atexit, "register", saves.append)
-    res = runner.invoke(main, argv)
-    assert res.exit_code == 0, res.output
-    (save,) = saves
-    save()
-    assert sorted(p.name for p in cache.iterdir()) == ["affine_sl2_r2.pkl"]
-    with open(cache / "affine_sl2_r2.pkl", "rb") as fh:
-        memos = pickle.load(fh)["memos"]
-    assert memos[("no", "wak:affine_sl2/r2")]
+def test_a_cli_job_writes_only_the_files_it_is_asked_for(tmp_path):
+    """A whole process, since a file written at interpreter exit would escape CliRunner."""
+    env = dict(os.environ, SEMIFLEX_CACHE_DIR=str(tmp_path / "cache"))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(semiflex.__file__).parents[1]), env.get("PYTHONPATH")]))
+    argv = ["semiinf-cohomology", "--algebra", "a", "--module", "us", "--depth", "2", "--out", "o.csv"]
+    res = subprocess.run([sys.executable, "-m", "semiflex.cli", *argv], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == ["o.csv"]
+    written = (tmp_path / "o.csv").read_bytes()
+    ref = tmp_path / "ref.csv"
+    assert run_job(JobSpec("semiinf-cohomology", algebra="a", module="us", depth=2, out=str(ref))) == 0
+    assert written == ref.read_bytes()
