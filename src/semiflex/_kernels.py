@@ -6,7 +6,9 @@ rows that start there; a row is touched only when it holds the pivot
 column, and no zero entry is ever visited.  Eliminating row r against
 the pivot row p at column c computes ``(p[c]/g)·r − (r[c]/g)·p`` with
 g = gcd(p[c], r[c]) and divides the result by its content (the gcd of its
-entries), so every entry stays an exact, content-normalized integer.
+entries), so every entry stays an exact, content-normalized integer.  An
+eliminated row is a new dict and no input row dict is ever mutated, so
+callers hand over a matrix's own rows without a copy.
 
 Only row operations are used, and they change neither the rank, the pivot
 columns (a column is a pivot iff it is independent of the columns before
@@ -21,9 +23,9 @@ from math import gcd
 
 
 def row_echelon_int(rows, ncols):
-    """Reduce ``rows`` (a list of ``{col: nonzero int}``, rewritten in place)
-    to an upper-echelon form: ``rows[:rank]`` are the echelon rows in pivot
-    order, the rest are empty.
+    """Reduce ``rows`` (a list of ``{col: nonzero int}``, rewritten in place
+    but none of its dicts mutated) to an upper-echelon form: ``rows[:rank]``
+    are the echelon rows in pivot order, the rest are empty.
 
     Returns (rank, pivot_columns).  Pivot choice among the rows that lead at
     a column: fewest entries, then smallest |entry|, then lowest input row

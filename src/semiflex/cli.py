@@ -65,7 +65,8 @@ class InputError(Exception):
 
 
 def parse_lambda(text: str, alg) -> dict:
-    """λ as {label: value}; every key must name a distinct degree-0 element of ``alg``."""
+    """λ as {label: value}; every key must name a distinct degree-0 element of ``alg``
+    by its label (on affine sl2, h, K and d are shorthand for 1⊗h, K and d)."""
     lam = {}
     if not text:
         return lam
@@ -74,7 +75,7 @@ def parse_lambda(text: str, alg) -> dict:
             raise InputError(f"malformed lambda entry {part!r} (expected key=value)")
         key, val = part.split("=", 1)
         key = key.strip()
-        label = LAMBDA_KEYS.get(key, key)
+        label = LAMBDA_KEYS.get(key, key) if alg.name == "affine_sl2" else key
         try:
             eid = alg.by_label(label)
         except AlgebraError as exc:
@@ -123,8 +124,6 @@ def _build_module(alg, lam, spec: JobSpec):
     kind = spec.module or "verma"
     if kind in ("verma", "coverma"):
         ctor = verma if kind == "verma" else coverma
-        if alg.name != "affine_sl2" and lam:
-            raise InputError(f"lambda values are only meaningful on the degree-0 basis of {alg.name}")
         return ctor(alg, lam, spec.depth)
     if kind == "trivial":
         return trivial_module(alg, depth=spec.depth)

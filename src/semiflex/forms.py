@@ -20,8 +20,9 @@ are an infinite, occupancy-independent sum, and the charge is exactly their
 regularized value: beta on the vacuum, corrected by the bracket eigenvalue
 of every removed tail slot.  Both terms are finite at fixed total weight
 because the coefficient module is bounded above.  d^2 = 0 is checked cell
-by cell and a failure is reported as a structured AnomalyError carrying the
-offending (weight, ghost) cell, not as an assertion.
+by cell in exact integers (linalg.residual_nnz on the differentials, each
+cleared once per weight), and a failure is reported as a structured
+AnomalyError carrying the offending (weight, ghost) cell, not an assertion.
 
 Over a one-sided algebra the complex is classical: a strictly positive
 algebra has no tail, so the forms are wedges of members and the complex is
@@ -34,7 +35,7 @@ modules.ce_homology are this complex, so d^2 = 0 is checked there too.
 from __future__ import annotations
 
 from .liealg import WindowError, wt_add, wt_sub, wt_zero
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, cleared, residual_nnz
 from .pbw import monomials_by_weight
 
 __all__ = [
@@ -449,10 +450,11 @@ def semiinf_cohomology(alg, module, depth: int, weights=None) -> CohomologyTable
         if not ns:
             continue
         mats = {n: cx.matrix(n) for n in range(min(ns) - 1, max(ns) + 1)}
+        ints = {n: cleared(mat) for n, mat in mats.items()}
         for n in range(min(ns) - 1, max(ns)):
-            comp = mats[n + 1].matmul(mats[n])
-            if not comp.is_zero():
-                raise AnomalyError(w, n, f"differential does not square to zero (residual has {comp.nnz} nonzero entries)")
+            nnz = residual_nnz([(1, ints[n + 1], ints[n])])
+            if nnz:
+                raise AnomalyError(w, n, f"differential does not square to zero (residual has {nnz} nonzero entries)")
         ranks = {n: mat.rank() for n, mat in mats.items()}
         for n in ns:
             cdim = len(cx.basis(n))

@@ -37,7 +37,7 @@ from fractions import Fraction
 from .forms import semiinf_cohomology, semiinvariants
 from .liealg import SubalgebraSpec, WindowError, exact, subalgebra, wt_add, wt_sub, wt_zero
 from .linalg import SparseMatrix, solve_in_span
-from .modules import WeightModule, _commutator_failures, _lam_str, check_commutators, product_formula_character
+from .modules import WeightModule, _commutator_failures, _lam_str, _pbw_dims, check_commutators, product_formula_character
 from .pbw import (
     Order,
     add_scaled,
@@ -362,15 +362,19 @@ def bimodule_commutes(model: SemiregularModel, gen_window, weights=None) -> list
 
 def _dim_diffs(model: SemiregularModel) -> dict:
     """{w: (got, expected)} wherever the pair space's graded dimensions
-    differ from the convolution of those of U(g+)* (at negated weights) and
-    U(g-): the expected dimension at w counts the (q, m) with
-    wt(m) - wt(q) = w."""
+    differ from those of U(g+)* (at negated weights) ⊗ U(g-): each factor is
+    expanded by PBW from the basis of g+ or g- (``_pbw_dims``, independent
+    of the monomial tables the pair space is built from), and the expected
+    dimension at w sums the products at wt(m) - wt(q) = w."""
+    alg, depth = model.alg, model.depth
+    plus = _pbw_dims(alg, [alg.weight(e) for e in alg.elements_in_degrees(1, depth)], depth)
+    minus = _pbw_dims(alg, [alg.weight(e) for e in alg.elements_in_degrees(-depth, -1)], depth)
     expected: dict = {}
-    for qw, qs in model.qtab.items():
-        for mw, ms in model.mtab.items():
+    for qw, qdim in plus.items():
+        for mw, mdim in minus.items():
             w = wt_sub(mw, qw)
-            if model.alg.ell(w) >= -model.depth:
-                expected[w] = expected.get(w, 0) + len(qs) * len(ms)
+            if alg.ell(w) >= -depth:
+                expected[w] = expected.get(w, 0) + qdim * mdim
     got = {w: len(b) for w, b in model.weights.items()}
     return {w: (got.get(w, 0), expected.get(w, 0)) for w in set(got) | set(expected) if got.get(w, 0) != expected.get(w, 0)}
 

@@ -1,21 +1,23 @@
 """Exact sparse rational linear algebra.
 
 Matrices are sparse dict-of-column rows of exact entries, stored as given:
-an int wherever the value is integral, a fractions.Fraction otherwise.  Rank,
-echelon forms, kernels and span solves all go through the sparse
-fraction-free integer kernel (semiflex._kernels) after clearing
-denominators row by row, so elimination never visits a zero entry.  Row
-scaling and the kernel's row operations change neither the rank, the pivot
-columns, the right kernel nor column dependencies, so every derived quantity
-is exact and does not depend on how the kernel picks its pivots.  Kernels
-and span solves share one back-substitution on the sparse integer echelon
-form.
+an int wherever the value is integral, a fractions.Fraction otherwise.
+``cleared`` is the one way from such a matrix to integers: it scales the
+matrix once by the lcm of its denominators into sparse int rows (an all-int
+matrix is used as it is, rows and all).  Rank, echelon forms, kernels and
+span solves all run the sparse fraction-free integer kernel
+(semiflex._kernels) on those rows, so elimination never visits a zero
+entry; the kernel rewrites its list but never a row dict, so it may be
+handed a matrix's own rows.  Scaling and the kernel's row operations change
+neither the rank, the pivot columns, the right kernel nor column
+dependencies, so every derived quantity is exact and does not depend on how
+the kernel picks its pivots.  Kernels and span solves share one
+back-substitution on the sparse integer echelon form.
 
-Sums of products are checked on cleared integers too: ``cleared`` scales a
-matrix once by the lcm of its denominators (an all-int matrix is used as it
-is), and ``residual_nnz`` brings every term of sum(c * A * B) to one common
-denominator and sums each output row in int arithmetic, so the commutator
-oracle builds no Fraction per entry.
+Sums of products are checked on cleared integers too: ``residual_nnz``
+brings every term of sum(c * A * B) to one common denominator and sums each
+output row in int arithmetic, so neither the commutator oracle nor the
+d^2 = 0 check builds a Fraction per entry.
 """
 
 from __future__ import annotations
@@ -109,25 +111,17 @@ class SparseMatrix:
 
     # -- echelon-backed queries ------------------------------------------
 
-    def _int_rows(self):
-        """Denominator-cleared sparse integer copies of the rows."""
-        out = []
-        for row in self.rows:
-            mult = lcm(*(v.denominator for v in row.values()))
-            out.append({c: int(v * mult) for c, v in row.items()})
-        return out
-
     def rank(self) -> int:
         if self.ncols == 0 or self.nrows == 0:
             return 0
-        r, _ = row_echelon_int(self._int_rows(), self.ncols)
+        r, _ = row_echelon_int(list(cleared(self)[1]), self.ncols)
         return r
 
     def pivot_columns(self) -> list[int]:
         """Indices of a maximal independent set of columns (image basis)."""
         if self.ncols == 0 or self.nrows == 0:
             return []
-        _, pivots = row_echelon_int(self._int_rows(), self.ncols)
+        _, pivots = row_echelon_int(list(cleared(self)[1]), self.ncols)
         return pivots
 
     def nullspace(self) -> list[tuple[int, ...]]:
@@ -138,7 +132,7 @@ class SparseMatrix:
             return []
         if self.nrows == 0 or self.is_zero():
             return [_unit(n, j) for j in range(n)]
-        rows = self._int_rows()
+        rows = list(cleared(self)[1])
         rank, pivots = row_echelon_int(rows, n)
         pivset = set(pivots)
         return [_primitive(_kernel_vector(rows, rank, pivots, free, n)) for free in range(n) if free not in pivset]
@@ -149,15 +143,13 @@ class SparseMatrix:
 
 def cleared(m: SparseMatrix):
     """(d, rows): d the lcm of the denominators of ``m``'s entries and rows
-    its rows scaled by d, sparse ints, so m = rows / d.  A matrix with no
-    denominator is returned as it is (d = 1, its own rows, no copy)."""
-    d = 1
-    for row in m.rows:
-        for v in row.values():
-            if type(v) is not int:
-                d = lcm(d, v.denominator)
-    if d == 1:
+    its rows scaled by d, sparse ints, so m = rows / d.  An all-int matrix
+    is returned as it is (d = 1, its own rows, no copy); any Fraction entry,
+    integral or not, makes a copy of int rows."""
+    dens = {v.denominator for row in m.rows for v in row.values() if type(v) is not int}
+    if not dens:
         return 1, m.rows
+    d = lcm(*dens)
     return d, [{c: v.numerator * (d // v.denominator) for c, v in row.items()} for row in m.rows]
 
 
@@ -257,7 +249,7 @@ def solve_in_span(columns, targets):
     if not vectors:
         return []
     n = len(vectors)
-    rows = SparseMatrix.from_columns(vectors)._int_rows()
+    rows = cleared(SparseMatrix.from_columns(vectors))[1]
     rank, pivots = row_echelon_int(rows, n)
     if rank and pivots[-1] >= k:
         return None

@@ -35,7 +35,7 @@ relabelled to CE degrees.
 from __future__ import annotations
 
 from .forms import CohomologyTable, semiinf_cohomology
-from .liealg import WindowError, exact, subalgebra, wt_add, wt_neg, wt_sub, wt_zero
+from .liealg import WindowError, exact, subalgebra, wt_add, wt_neg, wt_zero
 from .linalg import SparseMatrix, cleared, residual_nnz
 from .pbw import canonical_order, descending_order, enumerate_pbw_weights, induced_action, monomial_label
 
@@ -376,23 +376,22 @@ def product_formula_character(alg, depth: int) -> Character:
     the algebra; coefficients are exact integers.
     """
     alg.ensure_window(-depth, depth)
-    mult: dict = {}
-    for e in alg.elements_in_degrees(1, depth):
-        mult[alg.weight(e)] = mult.get(alg.weight(e), 0) + 1
+    return Character(depth, _pbw_dims(alg, [wt_neg(alg.weight(e)) for e in alg.elements_in_degrees(1, depth)], depth))
+
+
+def _pbw_dims(alg, weights, depth: int) -> dict:
+    """{weight: dimension} of prod over ``weights`` of 1/(1-e^w), to
+    |ell| <= depth: by PBW, the graded dimensions of U(n) for n with a basis
+    of those weights.  The weights all have ell of one sign, never 0."""
     poly = {wt_zero(alg.rank): 1}
-    for root in sorted(mult):
-        d = alg.ell(root)
-        for _ in range(mult[root]):
-            out: dict = {}
-            for w, c in poly.items():
-                k = 0
-                wk = w
-                while alg.ell(wk) >= -depth:
-                    out[wk] = out.get(wk, 0) + c
-                    k += 1
-                    wk = wt_sub(w, tuple(k * x for x in root))
-            poly = out
-    return Character(depth, poly)
+    for root in sorted(weights):
+        out: dict = {}
+        for w, c in poly.items():
+            while abs(alg.ell(w)) <= depth:
+                out[w] = out.get(w, 0) + c
+                w = wt_add(w, root)
+        poly = out
+    return poly
 
 
 # -- Chevalley-Eilenberg (co)homology ----------------------------------------------

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,8 +14,8 @@ import semiflex
 from semiflex import cli, output
 from semiflex.cli import JobSpec, main, run_job
 from semiflex.induction import InductionError
-from semiflex.liealg import build_affine_sl2, dump_algebra
-from semiflex.modules import WeightModule
+from semiflex.liealg import build_affine_sl2, dump_algebra, load_algebra
+from semiflex.modules import WeightModule, character, verma
 
 
 @pytest.fixture()
@@ -108,6 +109,39 @@ def test_unknown_lambda_label_exits_two_and_leaves_nothing(command, runner, tmp_
     assert res.exit_code == 2
     assert "error: affine_sl2: no basis element labelled 'q'" in res.stderr
     assert not out.exists()
+
+
+def _sl2_toy(h_label):
+    """The three-dimensional sl2, e | h, f, with its degree-0 element labelled ``h_label``."""
+    return {
+        "name": "sl2toy",
+        "grading": {"rank": 1, "degree_functional": [1]},
+        "basis": [
+            {"label": "e", "weight": [1], "index": 0},
+            {"label": h_label, "weight": [0], "index": 0},
+            {"label": "f", "weight": [-1], "index": 0},
+        ],
+        "brackets": [
+            {"i": 0, "j": 1, "terms": [{"k": 0, "num": -2}]},
+            {"i": 0, "j": 2, "terms": [{"k": 1, "num": 1}]},
+            {"i": 1, "j": 2, "terms": [{"k": 2, "num": -2}]},
+        ],
+    }
+
+
+@pytest.mark.parametrize("h_label", ["h", "H"])
+def test_lambda_on_a_user_algebra_names_its_own_degree_zero_label(h_label, runner, tmp_path):
+    """Off affine sl2 a λ key is the label itself (h is not read as 1⊗h),
+    and a Verma module takes it."""
+    data = _sl2_toy(h_label)
+    path, out, want = tmp_path / "toy.json", tmp_path / "c.csv", tmp_path / "want.csv"
+    path.write_text(json.dumps(data))
+    argv = ["character", "--algebra", str(path), "--module", "verma", "--lambda", f"{h_label}=1", "--depth", "3", "--out", str(out)]
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 0, res.output
+    toy = load_algebra(data)
+    output.write_csv(str(want), output.character_rows(toy, character(verma(toy, {h_label: Fraction(1)}, 3))), toy.rank)
+    assert out.read_bytes() == want.read_bytes()
 
 
 def test_wakimoto_default_lambda_is_documented_one(runner, tmp_path):

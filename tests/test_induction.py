@@ -196,6 +196,29 @@ def test_prop_iso_checks(loop_a, abelian):
     assert check_prop_iso1(abelian, 3).passed
 
 
+@pytest.mark.parametrize("check", [check_prop_iso, check_prop_iso1])
+@pytest.mark.parametrize("name", ["loop_a", "abelian"])
+def test_prop_iso_dims_are_counted_apart_from_the_monomial_tables(name, check, request, monkeypatch):
+    """The expected graded dimensions come from the bases of g+ and g-, not
+    from the PBW tables the pair space is built from: a U(g-) table short
+    of its deepest monomial fails the verdict, in its dimensions."""
+    alg = request.getfixturevalue(name)
+    assert check(alg, 3).details["dim_diffs"] == {}
+    real = induction.enumerate_pbw_weights
+
+    def short_of_the_deepest(sub, depth, order=None):
+        table = real(sub, depth, order)
+        deepest = min(table, key=sub.ell)
+        if sub.ell(deepest) < 0:
+            table[deepest] = table[deepest][:-1]
+        return table
+
+    monkeypatch.setattr(induction, "enumerate_pbw_weights", short_of_the_deepest)
+    verdict = check(alg, 3)
+    assert not verdict.passed
+    assert verdict.details["dim_diffs"]
+
+
 def test_us_purely_negative_is_enveloping():
     neg = load_algebra(NEG_HEIS)
     us = universal_semijective(neg, 3)

@@ -126,6 +126,25 @@ def test_cleared_scales_by_the_lcm_and_leaves_int_matrices_alone():
     d, rows = cleared(f)
     assert d == 6 and rows == [{0: 3, 1: 6}, {1: 4}]
     assert all(type(v) is int for row in rows for v in row.values())
+    # an integral Fraction is no int: the kernel gets a copy of int rows
+    g = matrix([[Fraction(2), 1]])
+    d, rows = cleared(g)
+    assert d == 1 and rows == [{0: 2, 1: 1}] and rows is not g.rows
+    assert all(type(v) is int for row in rows for v in row.values())
+
+
+def test_echelon_queries_leave_an_int_matrix_as_it_was():
+    """The kernel gets an all-int matrix's own row dicts, three of them
+    leading at column 0, and must not rewrite them."""
+    dense = [[2, 4, 0, 6], [3, 6, 1, 9], [1, 2, 1, 3], [0, 0, 5, 0]]
+    m = matrix(dense)
+    before = [dict(row) for row in m.rows]
+    dicts = list(m.rows)
+    assert [m.rank(), m.pivot_columns(), m.nullspace()] == [2, [0, 2], [(2, -1, 0, 0), (3, 0, 0, -1)]]
+    columns = [[row[c] for row in dense] for c in range(4)]
+    assert solve_in_span(columns[:3], [columns[3]]) == [[3, 0, 0]]
+    assert columns == [[row[c] for row in dense] for c in range(4)]
+    assert m.rows == before and all(a is b for a, b in zip(m.rows, dicts))
 
 
 def test_residual_nnz_is_the_nnz_of_the_fraction_sum():

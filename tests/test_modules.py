@@ -306,6 +306,19 @@ def _corrupted_fractional_verma(sl2, delta):
     return WeightModule(sl2, "V-corrupted", V.weights, rule, 4)
 
 
+@pytest.mark.parametrize("delta", ["1/3", "1/6", "1"])
+def test_d_squared_check_on_fractional_differentials(delta, sl2):
+    """d^2 = 0 is checked on cleared integers: a Fraction-valued Verma module
+    with one corrupted entry (turned all-int, given a new denominator, or
+    keeping its own) fails at the cell, and with the residual count, that
+    the Fraction product ``matmul`` of the differentials gives."""
+    M = _corrupted_fractional_verma(sl2, Fraction(delta))
+    with pytest.raises(AnomalyError) as exc:
+        ce_cohomology(subalgebra(sl2, "gplus"), M, 2)
+    assert (exc.value.weight, exc.value.ghost) == ((0, -1), 0)
+    assert str(exc.value) == "differential does not square to zero (residual has 2 nonzero entries) at weight (0, -1), ghost 0"
+
+
 FAILING = {"broken heisenberg", "heisenberg [x, y] = z/2, z c = -v", "verma + 1/3", "verma + 1/6", "verma + 1"}
 
 
