@@ -20,11 +20,13 @@ The correctness oracle for every constructor is the representation property
 a(x) b(y) = b(y) a(x) + s * b([x, y]) on action matrices and serves three
 uses: check_commutators (a = b = the module action, s = +1), the right-module
 check of US (a = b = right multiplication, s = -1) and the bimodule check of
-US (a = left, b = right, s = 0).  It clears each action matrix of its
-denominators once per weight and tests the sum of the three terms for zero
-in exact integers (linalg.residual_nnz), so a non-integral lambda adds no
-Fraction arithmetic to the check; the matrices themselves keep their
-entries and types.  The test suite exercises it relentlessly.
+US (a = left, b = right, s = 0).  With a = b it skips the mirrored pairs
+and the pairs x = y, a tautology since [x, x] = 0.  It clears each action
+matrix of its denominators once per check, dropped after the last weight
+that reads it, and tests the sum of the three terms for zero in exact
+integers (linalg.residual_nnz), so a non-integral lambda adds no Fraction
+arithmetic to the check; the matrices themselves keep their entries and
+types.  The test suite exercises it relentlessly.
 
 Chevalley-Eilenberg (co)homology has no complex of its own: it is the
 semi-infinite complex (forms.semiinf_cohomology) of a strictly positive or
@@ -285,15 +287,17 @@ def _commutator_failures(space, gen_window: tuple, weights, a, b=None, sign: int
 
     ``a`` and ``b`` map (eid, w) to the matrix M_w -> M_{w + wt(eid)} of
     ``space`` (anything with ``alg``, ``depth`` and ``weights``).  b defaults
-    to a, and then the pair (x, y) with y < x, the same identity mirrored, is
-    skipped.  Checked for every weight in ``weights`` (default: all of the
-    space's, sorted) and generator pair in the degree window whose three
-    intermediate weights lie within depth or above the top.  Each matrix is
-    cleared of its denominators once per outer weight (linalg.cleared, kept
-    only while that weight is checked), and linalg.residual_nnz sums
-    a(x) b(y) - b(y) a(x) - sign * b([x, y]) in exact integers: a pair fails
-    when the residual has a nonzero entry.  A WindowError from an action
-    propagates: skipping the pair would report an unchecked pass.
+    to a, and then only pairs (x, y) with x < y are checked: y < x is the
+    same identity mirrored, and x = y a tautology, since [x, x] = 0.
+    Checked for every weight in ``weights`` (default: all of the space's,
+    sorted) and generator pair in the degree window whose three
+    intermediate weights lie within depth or above the top (ell is linear,
+    so ell(w + wt x + wt y) = ell(w) + ell(wt x) + ell(wt y)).  Each matrix
+    is cleared of its denominators once per check (linalg.cleared) and
+    dropped after the last weight that reads it, and linalg.residual_nnz
+    sums a(x) b(y) - b(y) a(x) - sign * b([x, y]) in exact integers: a pair
+    fails when the residual has a nonzero entry.  A WindowError from an
+    action propagates: skipping the pair would report an unchecked pass.
     """
     alg, depth = space.alg, space.depth
     lo, hi = gen_window
@@ -304,32 +308,36 @@ def _commutator_failures(space, gen_window: tuple, weights, a, b=None, sign: int
     mirrored = b is None
     if mirrored:
         b = a
-    memo: dict = {}  # (action, eid, weight) -> cleared matrix, emptied at each outer weight
+    ells = {g: alg.ell(alg.weight(g)) for g in gens}
+    # outer weight i reads matrices at weights[i] and at shifted[i][g] = weights[i] + wt(g)
+    shifted = [{g: wt_add(w, alg.weight(g)) for g in gens} for w in weights]
+    last = {v: i for i, w in enumerate(weights) for v in (w, *shifted[i].values())}
+    memo: dict = {}  # source weight v -> {(action, eid): cleared matrix}, dropped after outer weight last[v]
 
     def clear(act, eid, v):
-        key = (act, eid, v)
-        m = memo.get(key)
+        at = memo.get(v)
+        if at is None:
+            at = memo[v] = {}
+        m = at.get((act, eid))
         if m is None:
-            m = memo[key] = cleared(act(eid, v))
+            m = at[act, eid] = cleared(act(eid, v))
         return m
 
     failures = []
-    for w in weights:
-        memo.clear()
+    for i, w in enumerate(weights):
+        shift = shifted[i]
+        floor = -depth - alg.ell(w)  # ell(w + v) < -depth iff ell(v) < floor
         for x in gens:
-            wx = wt_add(w, alg.weight(x))
             for y in gens:
-                if mirrored and y < x:
+                if mirrored and y <= x or min(ells[x], ells[y], ells[x] + ells[y]) < floor:
                     continue
-                wy = wt_add(w, alg.weight(y))
-                wxy = wt_add(wx, alg.weight(y))
-                if min(alg.ell(wx), alg.ell(wy), alg.ell(wxy)) < -depth:
-                    continue
-                terms = [(1, clear(a, x, wy), clear(b, y, w)), (-1, clear(b, y, wx), clear(a, x, w))]
+                terms = [(1, clear(a, x, shift[y]), clear(b, y, w)), (-1, clear(b, y, shift[x]), clear(a, x, w))]
                 if sign:
                     terms += [(-sign * cf, clear(b, k, w), None) for k, cf in alg.bracket_ids(x, y).items()]
                 if residual_nnz(terms):
                     failures.append((alg.label(x), alg.label(y), w))
+        for v in [v for v in memo if last[v] == i]:
+            del memo[v]
     return failures
 
 

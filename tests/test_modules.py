@@ -1,6 +1,8 @@
 """Verma-type modules, characters, Chevalley-Eilenberg (co)homology."""
 
+import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,8 +17,10 @@ from conftest import (
 from semiflex.forms import AnomalyError, semiinf_cohomology
 from semiflex.liealg import WindowError, exact, load_algebra, subalgebra, wt_add, wt_neg
 from semiflex.linalg import SparseMatrix
+from semiflex import modules
 from semiflex.pbw import canonical_order, enumerate_pbw_weights
 from semiflex.modules import (
+    _commutator_failures,
     _induced_module,
     ModuleError,
     WeightModule,
@@ -289,21 +293,21 @@ def test_ce_cohomology_detects_a_non_module():
     assert (exc.value.weight, exc.value.ghost) == ((-1, -1), 0)
 
 
-def _corrupted_fractional_verma(sl2, delta):
-    """The Verma module over affine sl2 at lambda = (2/3, 1/2), depth 4,
-    with entry (0, 0) of the action of 1⊗e at weight (-1, 0) raised by
+def _corrupted_fractional_verma(sl2, delta, depth=4, weight=(-1, 0)):
+    """The Verma module over affine sl2 at lambda = (2/3, 1/2) to ``depth``,
+    with entry (0, 0) of the action of 1⊗e at ``weight`` raised by
     ``delta``."""
-    V = verma(sl2, {"1⊗h": Fraction(2, 3), "K": Fraction(1, 2)}, 4)
+    V = verma(sl2, {"1⊗h": Fraction(2, 3), "K": Fraction(1, 2)}, depth)
     e = sl2.by_label("1⊗e")
 
     def rule(eid, w):
         mat = V.action(eid, w)
-        if eid == e and tuple(w) == (-1, 0):
+        if eid == e and tuple(w) == weight:
             mat = SparseMatrix.from_rows(mat.rows, mat.ncols)
             mat.rows[0][0] = exact(mat.get(0, 0) + delta)
         return mat
 
-    return WeightModule(sl2, "V-corrupted", V.weights, rule, 4)
+    return WeightModule(sl2, "V-corrupted", V.weights, rule, depth)
 
 
 @pytest.mark.parametrize("delta", ["1/3", "1/6", "1"])
@@ -319,7 +323,15 @@ def test_d_squared_check_on_fractional_differentials(delta, sl2):
     assert str(exc.value) == "differential does not square to zero (residual has 2 nonzero entries) at weight (0, -1), ghost 0"
 
 
-FAILING = {"broken heisenberg", "heisenberg [x, y] = z/2, z c = -v", "verma + 1/3", "verma + 1/6", "verma + 1"}
+FAILING = {
+    "broken heisenberg",
+    "heisenberg [x, y] = z/2, z c = -v",
+    "verma + 1/3",
+    "verma + 1/6",
+    "verma + 1",
+    "depth-6 verma + 1/3 at (-1, -1)",
+    "depth-6 verma + 1/3 at (-1, -1), shuffled weights",
+}
 
 
 @pytest.mark.parametrize(
@@ -332,6 +344,8 @@ FAILING = {"broken heisenberg", "heisenberg [x, y] = z/2, z c = -v", "verma + 1/
         "verma + 1/3",
         "verma + 1/6",
         "verma + 1",
+        "depth-6 verma + 1/3 at (-1, -1)",
+        "depth-6 verma + 1/3 at (-1, -1), shuffled weights",
         "coverma",
         "fractional coverma",
         "direct sum",
@@ -345,7 +359,10 @@ def test_check_commutators_matches_the_reference_loop(case, sl2, lam01):
     The Heisenberg cases have a Fraction bracket constant; "verma + delta"
     is the Verma module at lambda = (2/3, 1/2) with one entry 2/3 raised by
     delta to 1, 5/6 or 5/3: the matrix turns all-int, gains a denominator
-    or keeps its own, and each is caught alike."""
+    or keeps its own, and each is caught alike.  The depth-6 cases corrupt
+    a matrix at a middle weight, (-1, -1), that the checks at six outer
+    weights read and fail on, so one cleared form serves them all; the
+    shuffled case gives the weights in a caller's order, one of them twice."""
     window, weights = (-2, 2), None
     if case == "broken heisenberg":
         M, window = _heisenberg()[1], (1, 2)
@@ -353,6 +370,12 @@ def test_check_commutators_matches_the_reference_loop(case, sl2, lam01):
         M, window = _heisenberg(Fraction(1, 2), -2 if case.endswith("-2v") else -1)[1], (1, 2)
     elif case == "verma":
         M = verma(sl2, {"1⊗h": Fraction(2, 3), "K": Fraction(1, 2)}, 4)
+    elif case.startswith("depth-6 verma"):
+        M = _corrupted_fractional_verma(sl2, Fraction(1, 3), 6, (-1, -1))
+        if case.endswith("shuffled weights"):
+            weights = sorted(M.weights)
+            random.Random(6).shuffle(weights)
+            weights.insert(len(weights) // 3, (-1, -1))
     elif case.startswith("verma + "):
         M = _corrupted_fractional_verma(sl2, Fraction(case.removeprefix("verma + ")))
     elif case == "coverma":
@@ -369,6 +392,57 @@ def test_check_commutators_matches_the_reference_loop(case, sl2, lam01):
     got = check_commutators(M, window, weights)
     assert got == reference_check_commutators(M, window, weights)
     assert (got != []) == (case in FAILING)
+
+
+def test_one_check_clears_each_matrix_once_and_skips_x_with_itself(sl2, monkeypatch):
+    """One check clears each (action, eid, weight) once, although a matrix
+    is read at several outer weights: a fractional Verma module at depth 5,
+    window (-2, 2), its matrices fetched by a first check and counted by
+    identity in a second.  The mirrored check never hands residual_nnz an
+    (x, x) pair, read off the first term a(x, w + wt y) b(y, w)."""
+    V = verma(sl2, {"1⊗h": Fraction(2, 3), "K": Fraction(1, 2)}, 5)
+    assert check_commutators(V, (-2, 2)) == []
+    key_of = {id(m): key for key, m in V._cache.items()}
+    counts, forms, pairs = Counter(), {}, []
+    real_cleared, real_residual = modules.cleared, modules.residual_nnz
+
+    def counting_cleared(m):
+        form = real_cleared(m)
+        counts[key_of[id(m)]] += 1
+        forms[id(form)] = (key_of[id(m)], form)  # the form is kept alive, so its id stays its own
+        return form
+
+    def recording_residual(terms):
+        _, a_form, b_form = terms[0]
+        pairs.append((forms[id(a_form)][0][0], forms[id(b_form)][0][0]))
+        return real_residual(terms)
+
+    monkeypatch.setattr(modules, "cleared", counting_cleared)
+    monkeypatch.setattr(modules, "residual_nnz", recording_residual)
+    assert check_commutators(V, (-2, 2)) == []
+    assert len(counts) > 100 and set(counts.values()) == {1}
+    assert pairs and all(x < y for x, y in pairs)
+
+
+def test_a_two_sided_check_keeps_x_with_itself(abelian):
+    """With b given (a != b, sign 0), a(x) b(x) = b(x) a(x) is a real
+    identity.  A and B act on the chain t -> u -> v by x_1 alone and differ
+    only on u, so (x_1, x_1) at t is the one failure; A on its own passes."""
+    weights = {(0,): ["v"], (-1,): ["u"], (-2,): ["t"]}
+    x1 = abelian.by_label("x_1")
+
+    def chain(on_u):
+        def rule(eid, w):
+            mat = SparseMatrix(len(weights.get(wt_add(w, abelian.weight(eid)), ())), 1)
+            if eid == x1:
+                mat.add(0, 0, on_u if w == (-1,) else 1)
+            return mat
+
+        return WeightModule(abelian, f"chain({on_u})", weights, rule, 2)
+
+    A, B = chain(1), chain(2)
+    assert _commutator_failures(A, (-2, 2), None, A.action, B.action, sign=0) == [("x_1", "x_1", (-2,))]
+    assert check_commutators(A, (-2, 2)) == []
 
 
 def test_direct_sum_dims_and_oracle(sl2, lam01):
