@@ -140,30 +140,6 @@ def contract(alg, x, mono):
     return _flip(alg, x, mono, False)
 
 
-def _flip_element(alg, x, form: dict, create: bool) -> dict:
-    out: dict = {}
-    for mono, c in form.items():
-        res = _flip(alg, x, mono, create)
-        if res:
-            s, m = res
-            v = out.get(m, 0) + s * c
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
-    return out
-
-
-def wedge_element(alg, x, form: dict) -> dict:
-    """Clifford creation on a {monomial: coeff} combination."""
-    return _flip_element(alg, x, form, True)
-
-
-def contract_element(alg, x, form: dict) -> dict:
-    """Clifford annihilation on a {monomial: coeff} combination."""
-    return _flip_element(alg, x, form, False)
-
-
 def _forms_at(alg, ell: int) -> dict:
     """{mu: {n: sorted monomials}} for every relative weight mu with
     ell(mu) == ell, built once per algebra and ell and read-only afterwards."""

@@ -27,7 +27,10 @@ is carved out of the per-weight-finite quotient Q = US ⊗_{abar-} C_lambda:
 the submodule generated by the top vector is spanned first, and any missing
 directions are recovered as exact finitely-supported abar+-invariants found
 by an expanding truncation solve; the result is validated against the
-product-formula character and the commutator oracle.
+product-formula character and the commutator oracle.  Both the span loop
+and the descended action take images of a whole batch of vectors under one
+action matrix in a single ``SparseMatrix.images`` call, which clears the
+matrix once and sums in exact integers.
 """
 
 from __future__ import annotations
@@ -482,8 +485,7 @@ def _descended_module(alg, name, prefix, data, left, escaped, depth, lam=None) -
         mat = SparseMatrix(len(t_image), len(image))
         if not image or not t_image:
             return mat
-        lz = left(z, w)
-        solved = solve_in_span(list(t_rels) + list(t_image), [lz.apply(list(vec)) for vec in image])
+        solved = solve_in_span(list(t_rels) + list(t_image), left(z, w).images(image))
         if solved is None:
             raise InductionError(f"{escaped} {w}")
         for ci, coords in enumerate(solved):
@@ -575,9 +577,7 @@ def wakimoto(alg, lam: dict, depth: int) -> WeightModule:
             src = wt_sub(w, alg.weight(z))
             if src not in spans:
                 continue
-            lz = space.left_matrix(z, src)
-            for v in spans[src]:
-                out = lz.apply(list(v))
+            for out in space.left_matrix(z, src).images(spans[src]):
                 if any(out):
                     vecs.append(tuple(out))
         got = _independent(vecs)

@@ -17,7 +17,10 @@ back-substitution on the sparse integer echelon form.
 Sums of products are checked on cleared integers too: ``residual_nnz``
 brings every term of sum(c * A * B) to one common denominator and sums each
 output row in int arithmetic, so neither the commutator oracle nor the
-d^2 = 0 check builds a Fraction per entry.
+d^2 = 0 check builds a Fraction per entry.  Matrix-vector images run on the
+same cleared rows: ``SparseMatrix.images`` clears the matrix once for a whole
+batch of vectors, scales each vector by the lcm of its denominators, sums
+each row in int arithmetic and divides each nonzero sum once.
 """
 
 from __future__ import annotations
@@ -98,15 +101,31 @@ class SparseMatrix:
             out.rows[i] = acc
         return out
 
-    def apply(self, vec):
-        """Matrix times a dense coordinate vector."""
-        out = [0] * self.nrows
-        for i, row in enumerate(self.rows):
-            s = 0
-            for c, v in row.items():
-                if vec[c]:
+    def images(self, vectors) -> list[list]:
+        """The products of the matrix with each of ``vectors`` (dense
+        coordinate vectors), exactly, each entry an int when it is integral.
+
+        The matrix is cleared once (m = rows / d) and each vector scaled by
+        the lcm d_v of its denominators, so every row is summed in int
+        arithmetic and each nonzero sum divided once by d * d_v."""
+        d, rows = cleared(self)
+        out = []
+        for vec in vectors:
+            dv = 1
+            dens = {x.denominator for x in vec if type(x) is not int}
+            if dens:
+                dv = lcm(*dens)
+                vec = [x.numerator * (dv // x.denominator) for x in vec]
+            image = []
+            for row in rows:
+                s = 0
+                for c, v in row.items():
                     s += v * vec[c]
-            out[i] = s
+                image.append(s)
+            den = d * dv
+            if den != 1:
+                image = [_exact_quotient(s, den) if s else 0 for s in image]
+            out.append(image)
         return out
 
     # -- echelon-backed queries ------------------------------------------
@@ -185,6 +204,12 @@ def residual_nnz(terms) -> int:
     return count
 
 
+def _exact_quotient(s: int, den: int):
+    """s / den as an int when it is integral, else a Fraction."""
+    q = Fraction(s, den)
+    return q.numerator if q.denominator == 1 else q
+
+
 def _unit(n, j):
     v = [0] * n
     v[j] = 1
@@ -228,8 +253,7 @@ def _kernel_vector(rows, rank, pivots, free, n):
         for j, v in row.items():
             if j != p and x[j]:
                 s += v * x[j]
-        q = Fraction(-s, row[p])
-        x[p] = q.numerator if q.denominator == 1 else q
+        x[p] = _exact_quotient(-s, row[p])
     return x
 
 

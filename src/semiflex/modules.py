@@ -115,9 +115,6 @@ class WeightModule:
             self._cache[key] = m
         return m
 
-    def lam_value(self, eid: int):
-        return exact(self.lam.get(self.alg.label(eid), 0))
-
     def __repr__(self):
         total = sum(len(b) for b in self.weights.values())
         return f"WeightModule({self.name}, depth={self.depth}, total dim={total})"

@@ -56,6 +56,22 @@ def kostant_count(roots, ell, target):
     return rec(0, tuple(target))
 
 
+# -- matrix times vector in Fraction arithmetic ----------------------------------------
+
+
+def reference_apply(m, vec):
+    """m times a dense coordinate vector, entry by entry in mixed int/Fraction
+    arithmetic: the reference for SparseMatrix.images."""
+    out = [0] * m.nrows
+    for i, row in enumerate(m.rows):
+        s = 0
+        for c, v in row.items():
+            if vec[c]:
+                s += v * vec[c]
+        out[i] = s
+    return out
+
+
 # -- the commutator checks as three separate loops ---------------------------------
 # An independent reference for the single oracle behind check_commutators,
 # bimodule_commutes and the US left/right oracles: each builds XY - YX and the

@@ -74,12 +74,23 @@ def test_matrix_entries_stay_int_for_integral_data(sl2):
     assert entry_types(w01) == {int}
 
 
+def test_images_of_an_integral_fraction_sum_are_ints():
+    """[[1/2, 1/2]] times (1, 1) is the int 1, not Fraction(1, 1)."""
+    m = SparseMatrix.from_rows([{0: Fraction(1, 2), 1: Fraction(1, 2)}, {0: Fraction(2, 3)}], 2)
+    assert m.images([(1, 1), (Fraction(3, 2), 5)]) == [[1, Fraction(2, 3)], [Fraction(13, 4), 1]]
+    assert [[type(x) for x in out] for out in m.images([(1, 1), (Fraction(3, 2), 5), (Fraction(6), 0)])] == [
+        [int, Fraction],
+        [Fraction, int],
+        [int, int],
+    ]
+
+
 def test_sparse_matrix_keeps_entry_types():
     m = SparseMatrix.from_rows([{0: 2, 2: -1}, {1: Fraction(1, 3)}], 3)
     assert type(m.rows[0][0]) is int and type(m.rows[1][1]) is Fraction
     d = SparseMatrix.from_columns([(2, 0), (0, 4), (-1, 2)])
     assert {type(v) for row in d.rows for v in row.values()} == {int}
-    assert type(d.get(0, 1)) is int and [type(v) for v in d.apply([1, 1, 1])] == [int, int]
+    assert type(d.get(0, 1)) is int and [type(v) for v in d.images([(1, 1, 1)])[0]] == [int, int]
     kernel = d.nullspace()
     assert kernel == [(1, -1, 2)]
     assert {type(v) for vec in kernel for v in vec} == {int}

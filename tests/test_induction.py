@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import reference_bimodule, reference_check_commutators, reference_right_oracle, straighten
+from conftest import reference_apply, reference_bimodule, reference_check_commutators, reference_right_oracle, straighten
 from semiflex.forms import semiinf_cohomology, semiinvariants
 from semiflex import induction
 from semiflex.induction import (
@@ -717,6 +717,37 @@ def test_wakimoto_left_action_matches_the_uncached_loop(sl2, lam):
             checked += any(got)
     assert checked
     _assert_caches_bounded(space)
+
+
+def _typed_action_entries(module, depth):
+    """{(z, w): sorted (row, col, value, type)} of every action matrix of
+    ``module`` that stays inside its depth."""
+    alg = module.alg
+    out = {}
+    for w in module.weights_list():
+        for z in alg.elements_in_degrees(-depth, depth):
+            try:
+                rows = module.action(z, w).rows
+            except WindowError:
+                continue
+            out[z, w] = sorted((r, c, v, type(v)) for r, row in enumerate(rows) for c, v in row.items())
+    return out
+
+
+@pytest.mark.parametrize("hk", [(Fraction(2, 3), Fraction(1, 2)), (Fraction(-1, 3), 1)], ids=["2/3,1/2", "-1/3,1"])
+def test_wakimoto_images_match_the_fraction_loop(sl2, monkeypatch, hk):
+    """W at a non-integral lambda is the same module, entry values and types
+    alike, whether its spans and descended action take images in cleared
+    integers or in the Fraction loop."""
+    lam = _lam(*hk)
+    monkeypatch.setattr(SparseMatrix, "images", lambda m, vectors: [reference_apply(m, v) for v in vectors])
+    want = _typed_action_entries(wakimoto(sl2, lam, 5), 5)
+    monkeypatch.undo()
+    W = wakimoto(sl2, lam, 5)
+    got = _typed_action_entries(W, 5)
+    assert got == want
+    assert any(t is Fraction for entries in got.values() for *_, t in entries)
+    assert check_commutators(W, (-3, 3)) == []
 
 
 @pytest.mark.parametrize("hk", [(0, 1), (1, 1), (-1, 2)])

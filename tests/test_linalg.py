@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+from conftest import reference_apply
 from semiflex._kernels import row_echelon_int
 from semiflex.linalg import SparseMatrix, cleared, residual_nnz, solve_in_span
 
@@ -64,8 +65,7 @@ def test_echelon_matches_naive_oracle():
         assert m.rank() == want_rank
         null = m.nullspace()
         assert len(null) == len(want_null)
-        for v in null:
-            out = m.apply(list(v))
+        for out in m.images(null):
             assert all(x == 0 for x in out)
         # nullspaces span the same space: each oracle vector solvable in ours
         assert solve_in_span([tuple(x) for x in null], [tuple(v) for v in want_null]) is not None
@@ -107,6 +107,29 @@ def test_solve_in_span_detects_outside():
     assert solve_in_span(cols, [(Fraction(0), Fraction(1))]) is None
     (sol,) = solve_in_span(cols, [(Fraction(3), Fraction(0))])
     assert sol[0] * cols[0][0] + sol[1] * cols[1][0] == 3
+
+
+def random_entry(rng):
+    """An int, a Fraction, or an integral Fraction such as Fraction(4, 2)."""
+    return rng.choice((rng.randint(-5, 5), Fraction(rng.randint(-6, 6), rng.randint(1, 6)), Fraction(2 * rng.randint(-3, 3), 2)))
+
+
+def test_images_match_the_fraction_loop():
+    rng = random.Random(20261019)
+    shapes = [(0, 3), (3, 0), (0, 0)] + [(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(80)]
+    fractions = 0
+    for nrows, ncols in shapes:
+        m = SparseMatrix.from_rows([{c: random_entry(rng) for c in range(ncols) if rng.random() < 0.5} for _ in range(nrows)], ncols)
+        vectors = [tuple(random_entry(rng) if rng.random() < 0.6 else 0 for _ in range(ncols)) for _ in range(4)]
+        vectors += [(0,) * ncols, [Fraction(0)] * ncols]
+        got = m.images(vectors)
+        assert got == [reference_apply(m, v) for v in vectors]
+        for out in got:
+            assert len(out) == nrows
+            for x in out:
+                assert type(x) is (int if x.denominator == 1 else Fraction)
+                fractions += type(x) is Fraction
+    assert fractions
 
 
 def test_matmul_and_transpose():

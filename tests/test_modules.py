@@ -463,7 +463,7 @@ def test_character_module_over_abar(sl2, lam01):
                 continue
             lhs = Fraction(0)
             for k, cf in sl2.bracket_ids(x, y).items():
-                lhs += cf * C.lam_value(k) if sl2.degree(k) == 0 else 0
+                lhs += cf * exact(C.lam.get(sl2.label(k), 0)) if sl2.degree(k) == 0 else 0
             # scalars commute, so the bracket must act by zero
             assert lhs == 0
 
