@@ -10,13 +10,16 @@ entries), so every entry stays an exact, content-normalized integer.  An
 eliminated row is a new dict and no input row dict is ever mutated, so
 callers hand over a matrix's own rows without a copy.
 
-Only row operations are used, and they change neither the rank, the pivot
-columns (a column is a pivot iff it is independent of the columns before
-it), nor the right kernel.  So every derived quantity -- rank, image basis,
-the kernel vector that is 1 at one free column and 0 at the others, and
-span-solve coordinates -- is independent of the pivot choice and of the
-row scaling.  Every rank / kernel / image computation of the package
-funnels through this kernel.
+Only row operations are used, and they change neither the rank nor the
+pivot columns (a column is a pivot iff it is independent of the columns
+before it), so both are independent of the pivot choice and of the row
+scaling.  ``SparseMatrix.rank`` and ``SparseMatrix.pivot_columns`` run
+here; bases, kernels and span solves run on ``linalg.Subspace``, which
+reduces one vector at a time in a fixed order.  Rank stays on these
+buckets because its free pivot choice is cheaper: with rank read off a
+``Subspace`` of the rows, the cohomology phase of US(a) at depth 13 took
+1.77-2.04 s against 1.06-1.16 s here (three runs each, Python 3.11 on a
+2-core VM).
 """
 
 from math import gcd

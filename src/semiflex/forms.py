@@ -35,7 +35,7 @@ modules.ce_homology are this complex, so d^2 = 0 is checked there too.
 from __future__ import annotations
 
 from .liealg import WindowError, wt_add, wt_sub, wt_zero
-from .linalg import SparseMatrix, cleared, residual_nnz
+from .linalg import SparseMatrix, Subspace, cleared, residual_nnz
 from .pbw import monomials_by_weight
 
 __all__ = [
@@ -456,13 +456,12 @@ def _active_weights(alg, module, depth: int):
 class SemiInvariants:
     """Per-weight image of invariants inside coinvariants of M ⊗ L_beta.
 
-    ``images[w]`` is (image basis, independent relation columns); ``bases``
-    and ``dims`` read off the image basis and its length."""
+    ``images[w]`` is a ``linalg.Subspace``: the image basis modulo the
+    coinvariant relations; ``dims`` reads off its length."""
 
     def __init__(self, images: dict):
         self.images = images
-        self.bases = {w: img for w, (img, _rels) in images.items()}
-        self.dims = {w: len(img) for w, img in self.bases.items()}
+        self.dims = {w: len(span) for w, span in images.items()}
 
     def dim(self, w) -> int:
         return self.dims.get(tuple(w), 0)
@@ -480,11 +479,10 @@ def semiinvariants(alg, module, depth: int) -> SemiInvariants:
     is how semi-induction calls it).  Invariants: common kernel of the
     positive elements of degree at most -ell(w) (beta vanishes there);
     coinvariants: quotient by the images of xi + beta(xi) from source
-    weights with -module.depth <= ell <= 0.  One elimination over relation
-    columns followed by kernel vectors reads off the image, the pivots past
-    the relations, and keeps the relations at the pivots before them: they
-    span the same coinvariant relations, so image coordinates solved
-    against them are unchanged.
+    weights with -module.depth <= ell <= 0.  The image at w is
+    ``Subspace(relations).extend(kernel)``: the kernel vectors independent
+    modulo the relations, first ones first, on one echelon that
+    ``solve_in_span`` later reads image coordinates from.
     """
     if depth > module.depth:
         raise WindowError(f"semiinvariants to depth {depth} exceeds module depth {module.depth}")
@@ -502,7 +500,7 @@ def semiinvariants(alg, module, depth: int) -> SemiInvariants:
             if alg.degree(eta) <= budget:
                 inv_rows.extend(module.action(eta, w).rows)
         kernel = SparseMatrix.from_rows(inv_rows, dim_w).nullspace()
-        rel_cols = []
+        relations = []
         for xi in hminus:
             if alg.degree(xi) < alg.ell(w):
                 continue
@@ -511,16 +509,10 @@ def semiinvariants(alg, module, depth: int) -> SemiInvariants:
                 continue
             mat = module.action(xi, src)
             bv = alg.beta_value(xi)
-            for col, entries in enumerate(mat.transpose().rows):
-                vec = [0] * dim_w
-                for r, v in entries.items():
-                    vec[r] += v
+            for col, rel in enumerate(mat.transpose().rows):
                 # beta twist: xi acts as xi + beta(xi) on M ⊗ L_beta
                 if bv and alg.weight(xi) == wt_zero(alg.rank):
-                    vec[col] += bv
-                rel_cols.append(tuple(vec))
-        combined = rel_cols + [tuple(k) for k in kernel]
-        pivots = SparseMatrix.from_columns(combined).pivot_columns()
-        nrel = len(rel_cols)
-        images[w] = ([combined[p] for p in pivots if p >= nrel], [combined[p] for p in pivots if p < nrel])
+                    rel[col] = rel.get(col, 0) + bv
+                relations.append(rel)
+        images[w] = Subspace(relations).extend(kernel)
     return SemiInvariants(images)

@@ -19,18 +19,21 @@ recursion of ``pbw``.
 
 Semi-induction takes semi-invariants of US ⊗ M under h(u ⊗ m) = -u h ⊗ m +
 u ⊗ h m (forms.semiinvariants on the tensor space): invariants are an exact
-kernel, coinvariants an exact quotient, the image is read off one
-elimination, and the left action descends to it.  The universal property is
-the case h = g, checked on S-ind from g to g of N.  The
-Wakimoto module (over the affine algebra, whose degree-0 part is not zero)
-is carved out of the per-weight-finite quotient Q = US ⊗_{abar-} C_lambda:
-the submodule generated by the top vector is spanned first, and any missing
-directions are recovered as exact finitely-supported abar+-invariants found
-by an expanding truncation solve; the result is validated against the
-product-formula character and the commutator oracle.  Both the span loop
-and the descended action take images of a whole batch of vectors under one
-action matrix in a single ``SparseMatrix.images`` call, which clears the
-matrix once and sums in exact integers.
+kernel, coinvariants an exact quotient, and the image at each weight is a
+``linalg.Subspace`` of the kernel modulo the relations.  The left action
+descends to it.  The universal property is the case h = g, checked on S-ind
+from g to g of N.  The Wakimoto module (over the affine algebra, whose
+degree-0 part is not zero) is carved out of the per-weight-finite quotient
+Q = US ⊗_{abar-} C_lambda: the submodule generated by the top vector is
+spanned first, and any missing directions are recovered as exact
+finitely-supported abar+-invariants found by an expanding truncation solve;
+the result is validated against the product-formula character and the
+commutator oracle.  Both constructions build one Subspace per weight: it
+picks the basis, and the descended action reads every image coordinate off
+the same echelon with ``solve_in_span``.  Both the span loop and the
+descended action take images of a whole batch of vectors under one action
+matrix in a single ``SparseMatrix.images`` call, which clears the matrix
+once and sums in exact integers.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from fractions import Fraction
 
 from .forms import semiinf_cohomology, semiinvariants
 from .liealg import SubalgebraSpec, WindowError, exact, subalgebra, wt_add, wt_sub, wt_zero
-from .linalg import SparseMatrix, solve_in_span
+from .linalg import SparseMatrix, Subspace, solve_in_span
 from .modules import WeightModule, _commutator_failures, _lam_str, _pbw_dims, check_commutators, product_formula_character
 from .pbw import (
     Order,
@@ -467,34 +470,29 @@ class _TensorSpace:
         return mat
 
 
-def _descended_module(alg, name, prefix, data, left, escaped, depth, lam=None) -> WeightModule:
+def _descended_module(alg, name, prefix, spans, left, escaped, depth, lam=None) -> WeightModule:
     """Descend a left action to per-weight subquotients.
 
-    ``data[w]`` is (image basis, relation columns); ``left(z, w)`` acts on
-    the ambient coordinates.  The images of all image vectors are solved for
-    in relations + target image in one batched solve, and their image
-    coordinates form the matrix.  Any image outside that span raises
+    ``spans[w]`` is a ``linalg.Subspace``: the basis of the subquotient at w,
+    modulo its relations; ``left(z, w)`` acts on the ambient coordinates.
+    The images of a weight's basis vectors are read off the target weight's
+    span in one ``solve_in_span`` call, which reduces each image against the
+    echelon that span built once, and their coordinates are the matrix
+    columns.  Any image outside that span raises
     InductionError("<escaped> <w>").
     """
 
     def rule(z, w):
         w = tuple(w)
-        target = wt_add(w, alg.weight(z))
-        image, _ = data.get(w, ((), ()))
-        t_image, t_rels = data.get(target, ((), ()))
-        mat = SparseMatrix(len(t_image), len(image))
-        if not image or not t_image:
-            return mat
-        solved = solve_in_span(list(t_rels) + list(t_image), left(z, w).images(image))
+        span, t_span = spans.get(w, ()), spans.get(wt_add(w, alg.weight(z)), ())
+        if not span or not t_span:
+            return SparseMatrix(len(t_span), len(span))
+        solved = solve_in_span(t_span, left(z, w).images(span.basis))
         if solved is None:
             raise InductionError(f"{escaped} {w}")
-        for ci, coords in enumerate(solved):
-            for r, v in enumerate(coords[len(t_rels):]):
-                if v:
-                    mat.add(r, ci, v)
-        return mat
+        return SparseMatrix.from_columns(solved)
 
-    weights = {w: [f"{prefix}{i}" for i in range(len(img))] for w, (img, _rels) in data.items()}
+    weights = {w: [f"{prefix}{i}" for i in range(len(span))] for w, span in spans.items()}
     return WeightModule(alg, name, weights, rule, depth, lam)
 
 
@@ -566,66 +564,52 @@ def wakimoto(alg, lam: dict, depth: int) -> WeightModule:
     """
     space = WakimotoSpace(alg, lam, depth)
     target_char = product_formula_character(alg, depth)
-    spans: dict = {wt_zero(alg.rank): [_unit_vec(space, wt_zero(alg.rank), ((), ()))]}
+    zero = wt_zero(alg.rank)
+    spans = {zero: Subspace().extend([[int(pair == ((), ())) for pair in space.basis(zero)]])}
     lowering = [e for e in alg.elements_in_degrees(-depth, -1)]
     order_weights = sorted(space.weights, key=lambda w: -alg.ell(w))
     for w in order_weights:
-        if w == wt_zero(alg.rank):
+        if w == zero:
             continue
-        vecs = []
+        # one echelon per weight: it picks the basis here and reads every
+        # image coordinate of the descended action later
+        span = Subspace()
         for z in lowering:
             src = wt_sub(w, alg.weight(z))
-            if src not in spans:
-                continue
-            for out in space.left_matrix(z, src).images(spans[src]):
-                if any(out):
-                    vecs.append(tuple(out))
-        got = _independent(vecs)
+            if src in spans:
+                span.extend(space.left_matrix(z, src).images(spans[src].basis))
         want = target_char.coefficient(w)
-        if len(got) < want:
-            got = _invariant_completion(space, w, got, want)
-        if len(got) != want:
-            raise InductionError(f"wakimoto: weight {w}: spanned {len(got)} of {want} expected dimensions")
-        if got:
-            spans[w] = got
-    data = {w: (vecs, ()) for w, vecs in spans.items()}
+        if len(span) < want:
+            _invariant_completion(space, w, span, want)
+        if len(span) != want:
+            raise InductionError(f"wakimoto: weight {w}: spanned {len(span)} of {want} expected dimensions")
+        if span:
+            spans[w] = span
     escaped = "wakimoto: action escaped the constructed submodule at"
-    return _descended_module(alg, f"W({_lam_str(lam)})", "w", data, space.left_matrix, escaped, depth, lam)
-
-
-def _unit_vec(space, w, pair):
-    n = space.dim(w)
-    i = space._index[w][pair]
-    v = [0] * n
-    v[i] = 1
-    return tuple(v)
-
-
-def _independent(vectors):
-    """Deterministic maximal independent subset of coordinate vectors."""
-    return [vectors[p] for p in SparseMatrix.from_columns(vectors).pivot_columns()]
+    return _descended_module(alg, f"W({_lam_str(lam)})", "w", spans, space.left_matrix, escaped, depth, lam)
 
 
 # longest abar- tail the invariant completion tries before giving up
 _TAIL_CAP = 3
 
 
-def _invariant_completion(space, w, have, want):
-    """An independent basis of at least ``want`` vectors of Q at weight w:
-    the independent ``have`` first, then projections of exact
-    finitely-supported abar+ invariants of US ⊗ C_lambda (expanding
-    truncation solve).
+def _invariant_completion(space, w, span, want):
+    """Extend ``span``, the Subspace of Q at weight w, to at least ``want``
+    vectors with projections of exact finitely-supported abar+ invariants
+    of US ⊗ C_lambda (expanding truncation solve).  The span keeps its
+    basis first and adds the independent projections after it.
 
     X is spanned by triples (q, m_a, m_abar); the truncation bounds the
     abar- tail length.  Invariance under every relevant positive abar
     element is imposed exactly (conditions land in a once-extended
     truncation), so every solution projects into the Wakimoto subspace.
-    Raises InductionError when tails of length _TAIL_CAP still fall short.
+    A tail's kernel holds every shorter tail's kernel, so the projections a
+    short tail adds stay in the span that a longer one reaches.  Raises
+    InductionError when tails of length _TAIL_CAP still fall short.
     """
     alg = space.alg
     budget = -alg.ell(w)
     etas = [e for e in alg.elements_in_degrees(1, max(budget, 1)) if space.abar_view.is_member(e)]
-    found = len(have)
     for tail_len in range(1, _TAIL_CAP + 1):
         xbasis = _truncated_x_basis(space, w, tail_len)
         if not xbasis:
@@ -636,7 +620,6 @@ def _invariant_completion(space, w, have, want):
         kernel = SparseMatrix.from_rows(cond_rows, len(xbasis)).nullspace()
         if not kernel:
             continue
-        proj = []
         for k in kernel:
             vec = [0] * space.dim(w)
             for idx, c in enumerate(k):
@@ -646,15 +629,11 @@ def _invariant_completion(space, w, have, want):
                 coeff = evaluate(space._lam_tilde, mbar)
                 if coeff:
                     vec[space._index[w][(q, ma)]] += c * coeff
-            if any(vec):
-                proj.append(tuple(vec))
-        # ``have`` is independent and comes first: its vectors lead ``cand``
-        cand = _independent(list(have) + proj)
-        if len(cand) >= want:
-            return cand
-        found = len(cand)
+            span.extend([vec])  # a zero projection is dropped
+        if len(span) >= want:
+            return
     raise InductionError(
-        f"wakimoto: weight {w}: invariant completion spans {found} of {want} dimensions "
+        f"wakimoto: weight {w}: invariant completion spans {len(span)} of {want} dimensions "
         f"with abar- tails up to the cap of length {_TAIL_CAP}"
     )
 

@@ -4,15 +4,17 @@ Matrices are sparse dict-of-column rows of exact entries, stored as given:
 an int wherever the value is integral, a fractions.Fraction otherwise.
 ``cleared`` is the one way from such a matrix to integers: it scales the
 matrix once by the lcm of its denominators into sparse int rows (an all-int
-matrix is used as it is, rows and all).  Rank, echelon forms, kernels and
-span solves all run the sparse fraction-free integer kernel
-(semiflex._kernels) on those rows, so elimination never visits a zero
-entry; the kernel rewrites its list but never a row dict, so it may be
-handed a matrix's own rows.  Scaling and the kernel's row operations change
-neither the rank, the pivot columns, the right kernel nor column
-dependencies, so every derived quantity is exact and does not depend on how
-the kernel picks its pivots.  Kernels and span solves share one
-back-substitution on the sparse integer echelon form.
+matrix is used as it is, rows and all).  Rank and pivot columns run the
+sparse fraction-free integer kernel (semiflex._kernels) on those rows, so
+elimination never visits a zero entry; the kernel rewrites its list but
+never a row dict, so it may be handed a matrix's own rows.
+
+Every basis choice and every coordinate read goes through one span layer,
+``Subspace``, a sparse fraction-free echelon built once and read many
+times: it picks bases, ``solve_in_span`` reads coordinates off it, and
+``SparseMatrix.nullspace`` reads kernel vectors off the same reduction of
+the matrix's columns.  Scaling and row operations change no column
+dependency, so every derived quantity is exact.
 
 Sums of products are checked on cleared integers too: ``residual_nnz``
 brings every term of sum(c * A * B) to one common denominator and sums each
@@ -30,7 +32,7 @@ from math import gcd, lcm
 
 from ._kernels import row_echelon_int
 
-__all__ = ["SparseMatrix", "cleared", "residual_nnz", "solve_in_span"]
+__all__ = ["SparseMatrix", "Subspace", "cleared", "residual_nnz", "solve_in_span"]
 
 
 class SparseMatrix:
@@ -137,24 +139,34 @@ class SparseMatrix:
         return r
 
     def pivot_columns(self) -> list[int]:
-        """Indices of a maximal independent set of columns (image basis)."""
+        """Indices of a maximal independent set of columns (image basis).
+
+        The package picks bases with ``Subspace``; this stays as the tests'
+        reference for it and as a benchmark trace target."""
         if self.ncols == 0 or self.nrows == 0:
             return []
         _, pivots = row_echelon_int(list(cleared(self)[1]), self.ncols)
         return pivots
 
     def nullspace(self) -> list[tuple[int, ...]]:
-        """Deterministic basis of {x : Mx = 0}, one primitive integer vector
-        per free column."""
-        n = self.ncols
-        if n == 0:
-            return []
-        if self.nrows == 0 or self.is_zero():
-            return [_unit(n, j) for j in range(n)]
-        rows = list(cleared(self)[1])
-        rank, pivots = row_echelon_int(rows, n)
-        pivset = set(pivots)
-        return [_primitive(_kernel_vector(rows, rank, pivots, free, n)) for free in range(n) if free not in pivset]
+        """Deterministic basis of {x : Mx = 0}: one primitive integer vector
+        per column that depends on the columns before it, read off a
+        ``Subspace`` of the columns.  It is nonzero at that column and at
+        the independent columns before it only, leading entry > 0."""
+        span = Subspace()
+        kept, kernel = [], []
+        for j, column in enumerate(self.transpose().rows):
+            dependent = span._add(column)
+            if dependent is None:
+                kept.append(j)
+                continue
+            scale, steps = dependent
+            x = [0] * self.ncols
+            x[j] = scale
+            for i, c in _fold(steps).items():
+                x[kept[i]] = -c
+            kernel.append(_primitive(x))
+        return kernel
 
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
@@ -210,71 +222,130 @@ def _exact_quotient(s: int, den: int):
     return q.numerator if q.denominator == 1 else q
 
 
-def _unit(n, j):
-    v = [0] * n
-    v[j] = 1
-    return tuple(v)
-
-
 def _primitive(x):
-    """Scale an exact vector to a primitive integer vector, leading entry > 0."""
-    den = 1
-    for v in x:
-        if v:
-            den = lcm(den, v.denominator)
-    ints = [int(v * den) for v in x]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return tuple(ints)
+    """An integer vector divided by its content, leading entry > 0."""
+    g = gcd(*x)
+    if next(v for v in x if v) < 0:
+        g = -g
+    return tuple(v // g for v in x)
 
 
-def _kernel_vector(rows, rank, pivots, free, n):
-    """The kernel vector of a sparse integer echelon form (``row_echelon_int``
-    output) that is 1 in the free column ``free`` and 0 in the other free
-    columns; its pivot entries are back-substituted exactly, each an int
-    when it is integral (Fraction(s, pivot) divides exactly, never to a
-    float)."""
-    x = [0] * n
-    x[free] = 1
-    for r in range(rank - 1, -1, -1):
-        p = pivots[r]
-        if p > free:
-            continue
-        row = rows[r]
-        s = 0
-        for j, v in row.items():
-            if j != p and x[j]:
-                s += v * x[j]
-        x[p] = _exact_quotient(-s, row[p])
-    return x
 
 
-def solve_in_span(columns, targets):
-    """Exact coordinates of each of ``targets`` in the span of ``columns``.
+class Subspace:
+    """The span of exact vectors modulo optional relations, kept as a sparse
+    fraction-free integer echelon.
 
-    ``columns`` and ``targets`` are lists of equal-length coordinate vectors;
-    returns one list of exact coordinates c per target, with
-    sum(c_i * columns[i]) == target, or None if any target is outside the
-    span.  One integer echelon of [columns | targets]: a target outside the
-    span shows up as a pivot past the span columns, and otherwise its
-    coordinates are the negated span part of the kernel vector for its
-    column (0 on dependent columns).
+    Vectors are dense sequences or sparse ``{index: value}`` dicts of ints
+    and Fractions; no input is mutated.  ``extend`` clears each vector of
+    its denominators and reduces it, in order, against the rows built so
+    far, and keeps it in ``basis`` (as given) only if a remainder is left:
+    the greedy first-independent subset, so ``basis`` is what
+    ``SparseMatrix.pivot_columns`` picks from the vectors as columns.  A
+    remainder becomes a row, divided by its content, with its smallest
+    index as pivot.  It is zero at every earlier pivot, so reducing against
+    the rows in the order they were stored clears every pivot for good.  A
+    kept vector's row carries its integer combination of the ``basis``
+    vectors, modulo the relations; relation rows carry none.  The
+    combination is folded only when a vector is kept or solved, never for a
+    dropped one.  ``solve_in_span`` reads coordinates off the same rows.
     """
-    k = len(columns)
-    vectors = list(columns) + list(targets)
-    if not vectors:
-        return []
-    n = len(vectors)
-    rows = cleared(SparseMatrix.from_columns(vectors))[1]
-    rank, pivots = row_echelon_int(rows, n)
-    if rank and pivots[-1] >= k:
-        return None
-    return [[-c for c in _kernel_vector(rows, rank, pivots, free, n)[:k]] for free in range(k, n)]
+
+    def __init__(self, relations=()):
+        self.basis: list = []
+        self._rows: dict = {}  # pivot -> (row, combination or None), in the order stored
+        for vec in relations:
+            _scale, rest, _steps = self._reduce(vec)
+            if rest:
+                self._store(rest, None)
+
+    def __len__(self) -> int:
+        return len(self.basis)
+
+    def extend(self, vectors) -> "Subspace":
+        for vec in vectors:
+            self._add(vec)
+        return self
+
+    def _add(self, vec):
+        """Keep ``vec`` if it is independent of the span, or else return
+        (s, steps): s * vec = sum(c[i] * basis[i]) modulo the relations, with
+        c = _fold(steps)."""
+        scale, rest, steps = self._reduce(vec)
+        if not rest:
+            return scale, steps
+        comb = {i: -c for i, c in _fold(steps).items()}
+        comb[len(self.basis)] = scale
+        self._store(rest, comb)
+        self.basis.append(vec)
+
+    def _reduce(self, vec):
+        """(s, rest, steps) with rest = s * vec minus a combination of the
+        rows, zero at every pivot: each step is rest <- a * rest - b * row,
+        recorded as (a, b, the row's combination)."""
+        rest = {i: v for i, v in (vec.items() if isinstance(vec, dict) else enumerate(vec)) if v}
+        scale = 1
+        dens = {v.denominator for v in rest.values() if type(v) is not int}
+        if dens:
+            scale = lcm(*dens)
+            rest = {i: v.numerator * (scale // v.denominator) for i, v in rest.items()}
+        steps = []
+        for p, (row, comb) in self._rows.items():
+            f = rest.get(p)
+            if f is None:
+                continue
+            piv = row[p]
+            g = gcd(piv, f)
+            a, b = piv // g, f // g
+            if a != 1:
+                scale *= a
+                for i in rest:
+                    rest[i] *= a
+            for i, v in row.items():  # index p cancels exactly and is dropped here
+                w = rest.get(i, 0) - b * v
+                if w:
+                    rest[i] = w
+                else:
+                    del rest[i]
+            steps.append((a, b, comb))
+            if not rest:
+                break
+        return scale, rest, steps
+
+    def _store(self, row, comb) -> None:
+        content = gcd(*row.values(), *(comb or {}).values())
+        if content != 1:
+            row = {i: v // content for i, v in row.items()}
+            comb = comb and {i: v // content for i, v in comb.items()}
+        self._rows[min(row)] = (row, comb)
+
+
+def _fold(steps) -> dict:
+    """The combination c of the rows that ``Subspace._reduce`` took off:
+    s * vec - rest = sum(c[i] * basis[i]) modulo the relations.  An entry
+    that cancels stays as a 0."""
+    c: dict = {}
+    for a, b, comb in steps:
+        if a != 1:
+            for i in c:
+                c[i] *= a
+        if comb:
+            for i, v in comb.items():
+                c[i] = c.get(i, 0) + b * v
+    return c
+
+
+def solve_in_span(span: Subspace, targets):
+    """Exact coordinates over ``span.basis`` of each of ``targets`` (dense or
+    sparse vectors), each an int where it is integral, or None if any
+    target lies outside the span and its relations.  Each target is reduced
+    against the span's echelon and its coordinates are the folded
+    combination divided once by the reduction's scale."""
+    out = []
+    for target in targets:
+        scale, rest, steps = span._reduce(target)
+        if rest:
+            return None
+        c = _fold(steps)
+        out.append([_exact_quotient(c[i], scale) if i in c else 0 for i in range(len(span))])
+    return out

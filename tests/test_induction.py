@@ -7,7 +7,8 @@ import pytest
 
 from conftest import reference_apply, reference_bimodule, reference_check_commutators, reference_right_oracle, straighten
 from semiflex.forms import semiinf_cohomology, semiinvariants
-from semiflex import induction
+from semiflex import induction, linalg
+from semiflex._kernels import row_echelon_int
 from semiflex.induction import (
     InductionError,
     WakimotoSpace,
@@ -26,7 +27,7 @@ from semiflex.induction import (
     wakimoto,
 )
 from semiflex.liealg import WindowError, load_algebra, subalgebra, wt_add, wt_sub, wt_zero
-from semiflex.linalg import SparseMatrix
+from semiflex.linalg import SparseMatrix, Subspace
 from semiflex.modules import (
     WeightModule,
     ce_cohomology,
@@ -71,14 +72,14 @@ def test_descended_action_reads_image_coordinates_and_detects_escapes():
     neg = load_algebra(NEG_HEIS)
     a = neg.by_label("a")
     src, tgt = (0, 0), (-1, 0)
-    data = {
-        src: ([(1, 0), (0, 1)], ()),
-        tgt: ([(1, 1, 0, 0), (0, 0, 1, 0)], [(1, 0, 0, 0)]),
+    spans = {
+        src: Subspace().extend([(1, 0), (0, 1)]),
+        tgt: Subspace([(1, 0, 0, 0)]).extend([(1, 1, 0, 0), (0, 0, 1, 0)]),
     }
 
     def descend(images):
         left = SparseMatrix.from_columns(images)
-        return _descended_module(neg, "toy", "t", data, lambda z, w: left, "escaped at", 2).action(a, src)
+        return _descended_module(neg, "toy", "t", spans, lambda z, w: left, "escaped at", 2).action(a, src)
 
     # e0 -> 1 rel + 2 img0, e1 -> 4 rel + 5 img1: only image coordinates land
     mat = descend([(3, 2, 0, 0), (4, 0, 5, 0)])
@@ -367,7 +368,7 @@ def test_invariant_completion_names_weight_and_cap_when_it_runs_out(sl2, lam01):
     w = (2, -2)  # where the co-singular direction of lambda = (0, 1) is completed
     want = space.dim(w) + 1
     with pytest.raises(InductionError, match=rf"weight \(2, -2\): .* of {want} dimensions .*cap of length 3"):
-        _invariant_completion(space, w, [], want)
+        _invariant_completion(space, w, Subspace(), want)
 
 
 def test_universal_property_cases(loop_a, abelian):
@@ -461,7 +462,7 @@ def _module_first_outcome(alg, module, depth):
         images = semiinvariants(alg, space, depth).images
         escaped = "s_ind: left action left the semi-invariant subspace at weight"
         residual = _descended_module(alg, "N⊗US", "u", images, space.left, escaped, depth)
-        dims = {w: len(img) for w, (img, _rels) in images.items() if img}
+        dims = {w: len(span) for w, span in images.items() if span}
         ndims = {w: module.dim(w) for w in module.weights if alg.ell(w) >= -depth}
         dim_diffs = {
             w: (dims.get(w, 0), ndims.get(w, 0)) for w in set(dims) | set(ndims) if dims.get(w, 0) != ndims.get(w, 0)
@@ -661,9 +662,9 @@ def _completion_weights(monkeypatch, alg, lam, depth):
     """Weights at which wakimoto(alg, lam, depth) runs the invariant completion."""
     fired = []
 
-    def spy(space, w, have, want):
+    def spy(space, w, span, want):
         fired.append(w)
-        return _invariant_completion(space, w, have, want)
+        return _invariant_completion(space, w, span, want)
 
     with monkeypatch.context() as m:
         m.setattr(induction, "_invariant_completion", spy)
@@ -808,3 +809,22 @@ def test_left_action_straightens_nothing_it_has_seen(sl2, monkeypatch):
     for (zz, w), mat in built.items():
         assert space.left_matrix(zz, w).rows == mat.rows
     assert not calls
+
+
+@pytest.mark.parametrize("hk", [(0, 1), (Fraction(2, 3), Fraction(1, 2))], ids=["0,1", "2/3,1/2"])
+def test_wakimoto_runs_no_elimination_kernel(sl2, monkeypatch, hk):
+    """W's spans, its invariant completion (which runs at (0, 1)) and every
+    action matrix in degrees -2..2 go through linalg.Subspace: the bucket
+    kernel behind rank and pivot_columns is never called."""
+    lam = _lam(*hk)
+    assert bool(_completion_weights(monkeypatch, sl2, lam, 5)) == (hk == (0, 1))
+    calls = []
+
+    def counting(rows, ncols):
+        calls.append(ncols)
+        return row_echelon_int(rows, ncols)
+
+    monkeypatch.setattr(linalg, "row_echelon_int", counting)
+    W = wakimoto(sl2, lam, 5)
+    assert any(entries for entries in _typed_action_entries(W, 2).values())
+    assert calls == []

@@ -1,4 +1,4 @@
-"""The elimination kernel against a naive dense oracle."""
+"""The elimination kernel and the span layer against naive dense oracles."""
 
 import random
 from fractions import Fraction
@@ -6,7 +6,7 @@ from math import gcd
 
 from conftest import reference_apply
 from semiflex._kernels import row_echelon_int
-from semiflex.linalg import SparseMatrix, cleared, residual_nnz, solve_in_span
+from semiflex.linalg import SparseMatrix, Subspace, cleared, residual_nnz, solve_in_span
 
 
 def matrix(dense):
@@ -68,22 +68,24 @@ def test_echelon_matches_naive_oracle():
         for out in m.images(null):
             assert all(x == 0 for x in out)
         # nullspaces span the same space: each oracle vector solvable in ours
-        assert solve_in_span([tuple(x) for x in null], [tuple(v) for v in want_null]) is not None
+        assert solve_in_span(Subspace().extend(null), [tuple(v) for v in want_null]) is not None
         # batched span solves: random combinations of the columns (dependent
         # columns when rank-deficient) in one call, exact coordinates back
         cols = [tuple(row[c] for row in dense) for c in range(ncols)]
+        span = Subspace().extend(cols)
+        assert len(span) == want_rank
         combos = [[coeff_rng.randint(-3, 3) for _ in range(ncols)] for _ in range(3)]
         targets = [tuple(sum(a * col[i] for a, col in zip(combo, cols)) for i in range(nrows)) for combo in combos]
-        solved = solve_in_span(cols, targets)
+        solved = solve_in_span(span, targets)
         assert len(solved) == len(targets)
         for coords, target in zip(solved, targets):
-            assert tuple(sum(c * col[i] for c, col in zip(coords, cols)) for i in range(nrows)) == target
+            assert tuple(sum(c * col[i] for c, col in zip(coords, span.basis)) for i in range(nrows)) == target
         deficient += want_rank < ncols
         # a target that raises the oracle's rank is outside: the batch fails
         for i in range(nrows):
             unit = tuple(Fraction(int(r == i)) for r in range(nrows))
             if naive_rank_nullspace([row + [unit[r]] for r, row in enumerate(dense)])[0] > want_rank:
-                assert solve_in_span(cols, targets + [unit]) is None
+                assert solve_in_span(span, targets + [unit]) is None
                 outside += 1
     assert deficient and outside
 
@@ -99,14 +101,16 @@ def test_pivot_columns_are_image_basis():
     assert m.rank() == len(piv) == 2
     cols = [tuple(Fraction(dense[r][c]) for r in range(3)) for c in piv]
     targets = [tuple(Fraction(dense[r][c]) for r in range(3)) for c in range(4)]
-    assert solve_in_span(cols, targets) is not None
+    assert solve_in_span(Subspace().extend(cols), targets) is not None
 
 
 def test_solve_in_span_detects_outside():
     cols = [(Fraction(1), Fraction(0)), (Fraction(2), Fraction(0))]
-    assert solve_in_span(cols, [(Fraction(0), Fraction(1))]) is None
-    (sol,) = solve_in_span(cols, [(Fraction(3), Fraction(0))])
-    assert sol[0] * cols[0][0] + sol[1] * cols[1][0] == 3
+    span = Subspace().extend(cols)
+    assert span.basis == cols[:1]
+    assert solve_in_span(span, [(Fraction(0), Fraction(1))]) is None
+    (sol,) = solve_in_span(span, [(Fraction(3), Fraction(0))])
+    assert sol == [3] and sol[0] * cols[0][0] == 3
 
 
 def random_entry(rng):
@@ -165,9 +169,23 @@ def test_echelon_queries_leave_an_int_matrix_as_it_was():
     dicts = list(m.rows)
     assert [m.rank(), m.pivot_columns(), m.nullspace()] == [2, [0, 2], [(2, -1, 0, 0), (3, 0, 0, -1)]]
     columns = [[row[c] for row in dense] for c in range(4)]
-    assert solve_in_span(columns[:3], [columns[3]]) == [[3, 0, 0]]
+    span = Subspace().extend(columns[:3])
+    assert span.basis == [columns[0], columns[2]] and solve_in_span(span, [columns[3]]) == [[3, 0]]
     assert columns == [[row[c] for row in dense] for c in range(4)]
     assert m.rows == before and all(a is b for a, b in zip(m.rows, dicts))
+
+
+def test_subspace_mutates_no_input():
+    """Sparse dict relations, vectors and targets, Fraction entries among
+    them, are read and never rewritten; ``basis`` holds the kept inputs."""
+    relations = [{0: 2, 2: Fraction(1, 2)}, {1: 3}]
+    vectors = [{0: 4, 2: 1}, {2: Fraction(2, 3), 3: 1}, {3: 5}]
+    targets = [{2: Fraction(4, 3), 3: 2, 1: 6}]
+    copies = [[dict(v) for v in vs] for vs in (relations, vectors, targets)]
+    span = Subspace(relations).extend(vectors)
+    assert span.basis == vectors[1:] and span.basis[0] is vectors[1]
+    assert solve_in_span(span, targets) == [[2, 0]]
+    assert [relations, vectors, targets] == copies
 
 
 def test_residual_nnz_is_the_nnz_of_the_fraction_sum():
@@ -316,8 +334,9 @@ def test_empty_shapes():
     assert wide.rank() == tall.rank() == 0
     assert wide.nullspace() == [(1, 0, 0), (0, 1, 0), (0, 0, 1)] and tall.nullspace() == []
     assert wide.pivot_columns() == tall.pivot_columns() == []
-    assert solve_in_span([(), ()], [()]) == [[0, 0]]
-    assert solve_in_span([], [(0, 0)]) == [[]] and solve_in_span([], [(0, 1)]) is None
+    assert len(Subspace().extend([(), ()])) == 0 and solve_in_span(Subspace().extend([(), ()]), [()]) == [[]]
+    assert solve_in_span(Subspace(), [(0, 0)]) == [[]] and solve_in_span(Subspace(), [(0, 1)]) is None
+    assert solve_in_span(Subspace([(0, 1)]), [(0, 5)]) == [[]]
 
 
 def test_nullspace_and_span_solves_match_dense_echelon():
@@ -337,11 +356,70 @@ def test_nullspace_and_span_solves_match_dense_echelon():
         targets.append(tuple(rng.randint(-6, 6) for _ in range(nrows)))
         joined = [list(row) + [t[i] for t in targets] for i, row in enumerate(dense)]
         jrank, jpivots = dense_bareiss(joined, ncols + len(targets))
-        got = solve_in_span(cols, targets)
+        span = Subspace().extend(cols)
+        assert span.basis == [cols[p] for p in pivots], name
+        got = solve_in_span(span, targets)
         if jrank and jpivots[-1] >= ncols:
             assert got is None, name
             outside += 1
             continue
         inside += 1
-        assert got == [[-v for v in dense_kernel_vector(joined, jrank, jpivots, ncols + t, ncols + len(targets))[:ncols]] for t in range(len(targets))], name
+        # the old kernel-vector coordinates, 0 on the dependent columns, at the pivots
+        want = [-v for t in range(len(targets)) for v in dense_kernel_vector(joined, jrank, jpivots, ncols + t, ncols + len(targets))[:ncols]]
+        assert got == [[want[t * ncols + p] for p in pivots] for t in range(len(targets))], name
+        # int input gives int coordinates wherever they are integral
+        assert all(type(x) is (int if x.denominator == 1 else Fraction) for coords in got for x in coords), name
     assert outside and inside
+
+
+# -- the span layer against pivot_columns and a dense solve ---------------------------
+
+
+def test_subspace_basis_is_the_pivot_columns_and_solves_modulo_relations():
+    """Random int, Fraction, rank-deficient, zero and sparse-dict vectors:
+    ``basis`` is what pivot_columns picks from the vectors as columns, and
+    with relations it is the pivot columns past the relations of
+    [relations | vectors], with coordinates as the dense Fraction oracle
+    solves them over the independent relations and the basis."""
+    rng = random.Random(2022)
+    kinds = {"int": 0, "fraction": 0, "deficient": 0, "zero": 0, "dict": 0, "relations": 0}
+    for trial in range(120):
+        n, k = rng.randint(1, 7), rng.randint(1, 8)
+        integral = trial % 2 == 0
+        vectors = [[random_entry(rng) if not integral else rng.randint(-4, 4) for _ in range(n)] if rng.random() < 0.85 else [0] * n for _ in range(k)]
+        for _ in range(rng.randint(0, 2)):  # dependent vectors
+            a, b = rng.randint(-2, 2), Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            i, j = rng.randrange(len(vectors)), rng.randrange(len(vectors))
+            vectors.insert(rng.randint(0, len(vectors)), [a * x + b * y for x, y in zip(vectors[i], vectors[j])])
+        relations = [[rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(n)] for _ in range(rng.randint(0, 3) if trial % 3 == 0 else 0)]
+        sparse = trial % 4 == 1
+        given = [{i: x for i, x in enumerate(v) if x} for v in vectors] if sparse else vectors
+        span = Subspace(relations).extend(given)
+        pivots = SparseMatrix.from_columns(relations + vectors).pivot_columns()
+        nrel = len(relations)
+        assert span.basis == [given[p - nrel] for p in pivots if p >= nrel], trial
+        if not relations:
+            assert span.basis == [given[p] for p in SparseMatrix.from_columns(vectors).pivot_columns()], trial
+        kinds["int" if integral else "fraction"] += 1
+        kinds["deficient"] += len(span) < len(vectors)
+        kinds["zero"] += any(not any(v) for v in vectors)
+        kinds["dict"] += sparse
+        kinds["relations"] += bool(relations)
+        # targets: combinations of relations and vectors, and one unit vector
+        combos = [[rng.randint(-2, 2) for _ in relations + vectors] for _ in range(2)]
+        targets = [[sum(c * v[i] for c, v in zip(combo, relations + vectors)) for i in range(n)] for combo in combos]
+        unit = rng.randrange(n)
+        targets.append([int(i == unit) for i in range(n)])
+        independent = [(relations + vectors)[p] for p in pivots]
+        got = solve_in_span(span, targets)
+        want = []
+        for t in targets:
+            dense = [[Fraction(col[i]) for col in independent] + [Fraction(t[i])] for i in range(n)]
+            rank, null = naive_rank_nullspace(dense)
+            if rank > len(independent):
+                want = None
+                break
+            (x,) = null  # 1 at the target, minus its coordinates before it
+            want.append([-x[len(independent) - len(span) + j] for j in range(len(span))])
+        assert got == want, trial
+    assert all(kinds.values()), kinds
