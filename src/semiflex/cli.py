@@ -128,7 +128,7 @@ def _build_module(alg, lam, spec: JobSpec):
     if kind == "trivial":
         return trivial_module(alg, depth=spec.depth)
     if kind == "us":
-        return universal_semijective(alg, spec.depth).left_module()
+        return universal_semijective(alg, spec.depth).left
     if kind == "wakimoto":
         return wakimoto(alg, lam, spec.depth)
     raise InputError(f"unknown module kind {kind!r}")

@@ -214,28 +214,29 @@ class SemiInfComplex:
             if 0 <= alg.ell(mu) <= self.lmax and module.dim(nu) > 0:
                 self._mus.append(mu)
         self._mus.sort()
-        self._bases: dict = {}
+        self._bases: dict | None = None
         self._mats: dict = {}
 
-    def basis(self, n: int) -> dict:
-        got = self._bases.get(n)
-        if got is None:
-            basis = []
+    def _all_bases(self) -> dict:
+        """{n: {(monomial, mu, b): index}} for every nonempty ghost degree,
+        built in one pass over each mu's cells, mu in sorted order."""
+        if self._bases is None:
+            bases: dict = {}
             for mu in self._mus:
                 dim = self.module.dim(wt_add(self.w, mu))
-                for mono in enumerate_forms(self.alg, mu, n):
-                    for b in range(dim):
-                        basis.append((mono, mu, b))
-            got = {t: i for i, t in enumerate(basis)}
-            self._bases[n] = got
-        return got
+                for n in _forms_at(self.alg, self.alg.ell(mu)).get(mu, ()):
+                    basis = bases.setdefault(n, [])
+                    for mono in enumerate_forms(self.alg, mu, n):
+                        basis.extend((mono, mu, b) for b in range(dim))
+            self._bases = {n: {t: i for i, t in enumerate(basis)} for n, basis in bases.items()}
+        return self._bases
+
+    def basis(self, n: int) -> dict:
+        return self._all_bases().get(n, {})
 
     def ghost_range(self):
         """Ghost degrees with a nonempty basis, in increasing order."""
-        ns = set()
-        for mu in self._mus:
-            ns.update(_forms_at(self.alg, self.alg.ell(mu)).get(mu, ()))
-        return sorted(ns)
+        return sorted(self._all_bases())
 
     def matrix(self, n: int) -> SparseMatrix:
         """The differential C^n_w -> C^{n+1}_w."""

@@ -10,12 +10,16 @@ antipode), and as equivariant values f(q) ∈ U(g-) ⊗ L_{-beta} they carry the
 left action (z·f)(q) = f(-z q), the negative factors peeled off the right of
 the argument by f(u y) = -y·f(u) + beta(y) f(u).  Left and right actions
 commute; the test suite checks this together with both module oracles.
-Each pair space multiplies, splits, peels and pairs once per key (z·q',
-a negative word on m0, m0·z, and q0 against a positive p), so building an
-action matrix only joins cached terms and looks up rows; an entry is the
-same exact sum in another order, so every matrix is unchanged.  z·q' and
-each peeled y·m are one call of the pair space's multiplier, the product
-recursion of ``pbw``.
+Each action is a ``WeightModule`` (``model.left``, ``model.right``, and
+the left action ``left`` of the Wakimoto quotient Q below), so every
+action matrix has one cache and one depth guard: it is built once per
+(element, weight), and an action whose target lies below the depth raises
+WindowError on US and Q alike.  Each pair space multiplies, splits, peels
+and pairs once per key (z·q', a negative word on m0, m0·z, and q0 against
+a positive p), so building an action matrix only joins cached terms and
+looks up rows; an entry is the same exact sum in another order, so every
+matrix is unchanged.  z·q' and each peeled y·m are one call of the pair
+space's multiplier, the product recursion of ``pbw``.
 
 Semi-induction takes semi-invariants of US ⊗ M under h(u ⊗ m) = -u h ⊗ m +
 u ⊗ h m (forms.semiinvariants on the tensor space): invariants are an exact
@@ -41,7 +45,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .forms import semiinf_cohomology, semiinvariants
-from .liealg import SubalgebraSpec, WindowError, exact, subalgebra, wt_add, wt_sub, wt_zero
+from .liealg import SubalgebraSpec, exact, subalgebra, wt_add, wt_sub, wt_zero
 from .linalg import SparseMatrix, Subspace, solve_in_span
 from .modules import WeightModule, _commutator_failures, _lam_str, _pbw_dims, check_commutators, product_formula_character
 from .pbw import (
@@ -52,7 +56,6 @@ from .pbw import (
     enumerate_pbw_weights,
     evaluate,
     flatten,
-    monomial_label,
     monomial_weight,
     multiplier,
     normal_order_word,
@@ -132,12 +135,15 @@ class _PairSpace:
     invariant space of the Wakimoto completion), so each cache is bounded
     by the space it serves.  A matrix entry is the same exact sum of the
     same terms as without the caches, added in another order, so every
-    matrix is unchanged."""
+    matrix is unchanged.
 
-    # US raises WindowError when an action leaves the depth; Q leaves it zero
-    strict_depth = False
+    ``left_matrix`` (and US's ``right_matrix``) builds one matrix and keeps
+    none: the space's ``left`` (and US's ``right``) is the ``WeightModule``
+    with that builder as its rule, which caches each matrix once and
+    raises WindowError for an action that leaves the depth.  Every reader
+    goes through their ``action``."""
 
-    def __init__(self, alg, depth: int, order: Order, negative):
+    def __init__(self, alg, name: str, depth: int, order: Order, negative):
         self.alg = alg
         self.depth = depth
         self.order = order
@@ -160,12 +166,12 @@ class _PairSpace:
         self._qtab_ell = {qw: alg.ell(qw) for qw in self.qtab}
         # dual monomial q -> (the qtab object q, its weight, its ell)
         self._duals = {q: (q, qw, self._qtab_ell[qw]) for qw, qs in self.qtab.items() for q in qs}
-        self._left: dict = {}
         self._words: dict = {}
         self._zq: dict = {}
         self._peels: dict = {}
         self._mz: dict = {}
         self._pairings: dict = {}
+        self.left = WeightModule(alg, name, self.weights, self.left_matrix, depth)
 
     def _positive(self, eid) -> bool:
         return self.alg.degree(eid) > 0
@@ -175,13 +181,6 @@ class _PairSpace:
 
     def basis(self, w):
         return self.weights.get(tuple(w), [])
-
-    def in_depth(self, w) -> bool:
-        return -self.depth <= self.alg.ell(w) <= 0
-
-    def _check_target(self, side: str, target, cols) -> None:
-        if self.alg.ell(target) <= 0 and not self.in_depth(target) and cols:
-            raise WindowError(f"US: {side} action target {target} outside depth {self.depth}")
 
     def reduce_m(self, mon) -> tuple:
         """(coefficient, basis monomial) of a peeled monomial: the identity on US."""
@@ -227,20 +226,13 @@ class _PairSpace:
             got = self._peels[key] = tuple((m, c) for m, c in acc.items() if c)
         return got
 
-    def _left_action(self, z: int, w) -> SparseMatrix:
-        """Matrix of the left action of z on weight w."""
-        w = tuple(w)
-        key = (z, w)
-        got = self._left.get(key)
-        if got is not None:
-            return got
+    def left_matrix(self, z: int, w) -> SparseMatrix:
+        """Matrix of the left action of z on weight w, built afresh."""
         alg = self.alg
         target = wt_add(w, alg.weight(z))
         rows = self._index.get(target, {})
         cols = self.basis(w)
         mat = SparseMatrix(len(rows), len(cols))
-        if self.strict_depth:
-            self._check_target("left", target, cols)
         by_q0: dict = {}
         for ci, (q0, m0) in enumerate(cols):
             by_q0.setdefault(q0, []).append((ci, m0))
@@ -256,7 +248,6 @@ class _PairSpace:
                             r = rows.get((qprime, m))
                             if r is not None:
                                 mat.add(r, ci, -c * c2)
-        self._left[key] = mat
         return mat
 
     def _mz_terms(self, m0, z: int) -> tuple:
@@ -300,9 +291,8 @@ class _PairSpace:
 
 
 class SemiregularModel(_PairSpace):
-    """US(g) on pair coordinates, with cached left/right action matrices."""
-
-    strict_depth = True
+    """US(g) on pair coordinates; ``left`` and ``right`` are its two actions
+    as weight modules (the right one as r_z, not as the left module -r_z)."""
 
     def __init__(self, alg, depth: int, order: Order | None = None):
         alg.ensure_window(-2 * depth - 4, 2 * depth + 4)
@@ -311,47 +301,27 @@ class SemiregularModel(_PairSpace):
                 f"{alg.name}: universal semijective materialization needs a vanishing "
                 "degree-0 part; use the staged semi-induction constructors instead"
             )
-        super().__init__(alg, depth, order or descending_order(alg), subalgebra(alg, "gminus"))
-        self._right: dict = {}
+        super().__init__(alg, f"US({alg.name})", depth, order or descending_order(alg), subalgebra(alg, "gminus"))
+        self.right = WeightModule(alg, f"US({alg.name}) right", self.weights, self.right_matrix, depth)
 
-    def pair_label(self, pair) -> str:
-        q, m = pair
-        return f"({monomial_label(self.alg, q)})*⊗{monomial_label(self.alg, m)}"
-
-    # -- the two multiplications ------------------------------------------------
+    # the builders sit in each class's own dict, where perfbench/spans.py wraps them
+    left_matrix = _PairSpace.left_matrix
 
     def right_matrix(self, z: int, w) -> SparseMatrix:
-        w = tuple(w)
-        key = (z, w)
-        got = self._right.get(key)
-        if got is not None:
-            return got
-        target = wt_add(w, self.alg.weight(z))
-        rows = self._index.get(target, {})
+        """Matrix of the right multiplication by z on weight w, built afresh."""
+        rows = self._index.get(wt_add(w, self.alg.weight(z)), {})
         cols = self.basis(w)
         mat = SparseMatrix(len(rows), len(cols))
-        self._check_target("right", target, cols)
         for ci, (q0, m0) in enumerate(cols):
             for q, m, c in self._right_terms(q0, m0, z):
                 r = rows.get((q, m))
                 if r is not None:
                     mat.add(r, ci, c)
-        self._right[key] = mat
         return mat
-
-    def left_matrix(self, z: int, w) -> SparseMatrix:
-        return self._left_action(z, w)
-
-    def left_module(self) -> WeightModule:
-        labels = {w: [self.pair_label(p) for p in basis] for w, basis in self.weights.items()}
-        return WeightModule(self.alg, f"US({self.alg.name})", labels, self.left_matrix, self.depth)
 
     def right_oracle_failures(self, gen_window, weights=None) -> list:
         """Right-module property: r_x r_y = r_y r_x - r_[x,y]."""
-        return _commutator_failures(self, gen_window, weights, self.right_matrix, sign=-1)
-
-    def left_oracle_failures(self, gen_window, weights=None) -> list:
-        return _commutator_failures(self, gen_window, weights, self.left_matrix)
+        return _commutator_failures(self.right, gen_window, weights, sign=-1)
 
 
 def universal_semijective(alg, depth: int) -> SemiregularModel:
@@ -360,7 +330,7 @@ def universal_semijective(alg, depth: int) -> SemiregularModel:
 
 def bimodule_commutes(model: SemiregularModel, gen_window, weights=None) -> list:
     """[left_x, right_y] = 0 failures on materialized weights, every ordered pair."""
-    return _commutator_failures(model, gen_window, weights, model.left_matrix, model.right_matrix, sign=0)
+    return _commutator_failures(model.left, gen_window, weights, model.right, sign=0)
 
 
 # -- structural checks for US ---------------------------------------------------------
@@ -400,7 +370,7 @@ def check_prop_iso1(alg, depth: int) -> Verdict:
     model = universal_semijective(alg, depth)
     diffs = _dim_diffs(model)
     lo, hi = -min(depth, 3), min(depth, 3)
-    oracle = model.left_oracle_failures((lo, hi))
+    oracle = check_commutators(model.left, (lo, hi))
     commute = bimodule_commutes(model, (lo, hi))
     passed = not diffs and not oracle and not commute
     return Verdict("prop-iso-1", passed, {"dim_diffs": diffs, "oracle_failures": oracle, "bimodule_failures": commute})
@@ -438,11 +408,11 @@ class _TensorSpace:
     def action(self, xi: int, w) -> SparseMatrix:
         """The diagonal action: xi acting as -(right multiplication) on US
         plus rho_M(xi) on M."""
-        return self._action(xi, w, ((self.model.right_matrix, True), (self.module.action, False)))
+        return self._action(xi, w, ((self.model.right.action, True), (self.module.action, False)))
 
     def left(self, xi: int, w) -> SparseMatrix:
         """The left action of xi on the US factor."""
-        return self._action(xi, w, ((self.model.left_matrix, False), None))
+        return self._action(xi, w, ((self.model.left.action, False), None))
 
     def _action(self, xi: int, w, ops) -> SparseMatrix:
         """Sum over the factors of 1 ⊗ matrix_of(xi) ⊗ 1, factor by factor in
@@ -470,7 +440,7 @@ class _TensorSpace:
         return mat
 
 
-def _descended_module(alg, name, prefix, spans, left, escaped, depth, lam=None) -> WeightModule:
+def _descended_module(alg, name, prefix, spans, left, escaped, depth) -> WeightModule:
     """Descend a left action to per-weight subquotients.
 
     ``spans[w]`` is a ``linalg.Subspace``: the basis of the subquotient at w,
@@ -493,7 +463,7 @@ def _descended_module(alg, name, prefix, spans, left, escaped, depth, lam=None) 
         return SparseMatrix.from_columns(solved)
 
     weights = {w: [f"{prefix}{i}" for i in range(len(span))] for w, span in spans.items()}
-    return WeightModule(alg, name, weights, rule, depth, lam)
+    return WeightModule(alg, name, weights, rule, depth)
 
 
 def s_ind(alg, sub, module: WeightModule, depth: int) -> WeightModule:
@@ -508,19 +478,18 @@ def s_ind(alg, sub, module: WeightModule, depth: int) -> WeightModule:
     images = semiinvariants(sub, space, depth).images
     escaped = "s_ind: left action left the semi-invariant subspace at weight"
     name = f"S-ind[{sub.name}]({module.name})"
-    return _descended_module(alg, name, "s", images, space.left, escaped, depth, module.lam)
+    return _descended_module(alg, name, "s", images, space.left, escaped, depth)
 
 
 # -- Wakimoto ---------------------------------------------------------------------------
 
 
 class WakimotoSpace(_PairSpace):
-    """Q = US(g) ⊗_{U(abar-)} C_{lambda+beta} on pairs (q, m_a), with the
-    descended left action of the affine algebra."""
+    """Q = US(g) ⊗_{U(abar-)} C_{lambda+beta} on pairs (q, m_a); ``left`` is
+    the descended left action of the affine algebra."""
 
     def __init__(self, alg, lam: dict, depth: int):
         alg.ensure_window(-2 * depth - 4, 2 * depth + 4)
-        self.lam = dict(lam)
         a_view = subalgebra(alg, "a")
         abar_view = subalgebra(alg, "abar")
         self.a_view = a_view
@@ -536,7 +505,7 @@ class WakimotoSpace(_PairSpace):
             return (block(e), (-d, tuple(-x for x in wgt), -i))
 
         aminus = SubalgebraSpec(alg, "aminus", lambda e: a_view.is_member(e) and alg.degree(e) <= 0)
-        super().__init__(alg, depth, Order("wak", key), aminus)
+        super().__init__(alg, f"Q({_lam_str(lam)})", depth, Order("wak", key), aminus)
         self._lam_tilde = {}
         for e in alg.elements_in_degrees(-2 * depth - 4, 0):
             if abar_view.is_member(e):
@@ -548,8 +517,7 @@ class WakimotoSpace(_PairSpace):
         ma, tail = split(mon, self.a_view.is_member)
         return evaluate(self._lam_tilde, tail), ma
 
-    def left_matrix(self, z: int, w) -> SparseMatrix:
-        return self._left_action(z, w)
+    left_matrix = _PairSpace.left_matrix
 
 
 def wakimoto(alg, lam: dict, depth: int) -> WeightModule:
@@ -577,7 +545,7 @@ def wakimoto(alg, lam: dict, depth: int) -> WeightModule:
         for z in lowering:
             src = wt_sub(w, alg.weight(z))
             if src in spans:
-                span.extend(space.left_matrix(z, src).images(spans[src].basis))
+                span.extend(space.left.action(z, src).images(spans[src].basis))
         want = target_char.coefficient(w)
         if len(span) < want:
             _invariant_completion(space, w, span, want)
@@ -586,7 +554,7 @@ def wakimoto(alg, lam: dict, depth: int) -> WeightModule:
         if span:
             spans[w] = span
     escaped = "wakimoto: action escaped the constructed submodule at"
-    return _descended_module(alg, f"W({_lam_str(lam)})", "w", spans, space.left_matrix, escaped, depth, lam)
+    return _descended_module(alg, f"W({_lam_str(lam)})", "w", spans, space.left.action, escaped, depth)
 
 
 # longest abar- tail the invariant completion tries before giving up

@@ -77,9 +77,6 @@ class SparseMatrix:
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows)
 
-    def is_zero(self) -> bool:
-        return all(not r for r in self.rows)
-
     def transpose(self) -> "SparseMatrix":
         m = SparseMatrix(self.ncols, self.nrows)
         for i, row in enumerate(self.rows):

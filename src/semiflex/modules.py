@@ -15,12 +15,19 @@ a Fraction otherwise.  The constructors turn lambda into such values once
 per module, so an integral lambda (given as int or Fraction) yields
 all-int matrices.
 
+Every action matrix in the package, the left and right actions of US and
+the left action of the Wakimoto quotient included, is read through
+WeightModule.action: one cache per module, built once per (element,
+weight), and one depth guard, a WindowError for any action that leaves the
+materialized depth.
+
 The correctness oracle for every constructor is the representation property
 (commutator of action matrices = action of the bracket).  One loop checks
-a(x) b(y) = b(y) a(x) + s * b([x, y]) on action matrices and serves three
-uses: check_commutators (a = b = the module action, s = +1), the right-module
-check of US (a = b = right multiplication, s = -1) and the bimodule check of
-US (a = left, b = right, s = 0).  With a = b it skips the mirrored pairs
+a(x) b(y) = b(y) a(x) + s * b([x, y]) on the action matrices of two modules
+a and b over one weight space and serves three uses: check_commutators
+(a = b = the module, s = +1), the right-module check of US (a = b =
+model.right, s = -1) and the bimodule check of US (a = model.left,
+b = model.right, s = 0).  With a = b it skips the mirrored pairs
 and the pairs x = y, a tautology since [x, x] = 0.  It clears each action
 matrix of its denominators once per check, dropped after the last weight
 that reads it, and tests the sum of the three terms for zero in exact
@@ -68,15 +75,17 @@ class WeightModule:
 
     ``weights`` maps each relative weight (ell in [-depth, 0]) to its list of
     basis labels; ``rule(eid, w)`` produces the action matrix M_w -> M_{w+wt}.
-    Matrices are cached; every module weight with ell >= -depth is present,
-    so a missing key means the weight space is zero.
+    ``action`` calls the rule at most once per (eid, w) and keeps the
+    matrix; it never calls it for a zero source or a target above the top,
+    and raises WindowError for a target below the depth.  Every module
+    weight with ell >= -depth is present, so a missing key means the weight
+    space is zero.
     """
 
-    def __init__(self, alg, name, weights, rule, depth, lam=None):
+    def __init__(self, alg, name, weights, rule, depth):
         self.alg = alg
         self.name = name
         self.depth = depth
-        self.lam = dict(lam or {})
         self.weights = {tuple(w): list(basis) for w, basis in weights.items() if basis}
         self._rule = rule
         self._cache: dict = {}
@@ -134,7 +143,7 @@ def _lambda_values(alg, lam: dict) -> dict:
     return {e: v for e, v in values.items() if v}
 
 
-def _induced_module(alg, name, tab, values, depth, lam=None, right=False) -> WeightModule:
+def _induced_module(alg, name, tab, values, depth, right=False) -> WeightModule:
     """U(alg) ⊗ C_values on ``tab``, {weight: PBW monomials of the strictly
     negative part, increasing in the canonical order}.  With ``right``, the
     monomials span the strictly positive part, listed at negated weights,
@@ -165,7 +174,7 @@ def _induced_module(alg, name, tab, values, depth, lam=None, right=False) -> Wei
                     mat.add(j, i, coeff)
         return mat
 
-    return WeightModule(alg, name, labels, rule, depth, lam)
+    return WeightModule(alg, name, labels, rule, depth)
 
 
 def verma(alg, lam: dict, depth: int) -> WeightModule:
@@ -181,7 +190,7 @@ def verma(alg, lam: dict, depth: int) -> WeightModule:
     lam = _exact_lambda(lam)
     alg.ensure_window(-2 * depth - 4, 2 * depth + 4)
     tab = enumerate_pbw_weights(subalgebra(alg, "g_below_zero"), depth, canonical_order(alg))
-    return _induced_module(alg, f"V({_lam_str(lam)})", tab, _lambda_values(alg, lam), depth, lam)
+    return _induced_module(alg, f"V({_lam_str(lam)})", tab, _lambda_values(alg, lam), depth)
 
 
 def coverma(alg, lam: dict, depth: int) -> WeightModule:
@@ -197,7 +206,7 @@ def coverma(alg, lam: dict, depth: int) -> WeightModule:
     alg.ensure_window(-2 * depth - 4, 2 * depth + 4)
     ptab = enumerate_pbw_weights(subalgebra(alg, "gplus"), depth, canonical_order(alg))
     tab = {wt_neg(w): mons for w, mons in ptab.items()}
-    return _induced_module(alg, f"V*({_lam_str(lam)})", tab, _lambda_values(alg, lam), depth, lam, right=True)
+    return _induced_module(alg, f"V*({_lam_str(lam)})", tab, _lambda_values(alg, lam), depth, right=True)
 
 
 def _lam_str(lam: dict) -> str:
@@ -235,7 +244,7 @@ def character_module(alg, lam: dict, depth: int = 0) -> WeightModule:
                 mat.add(0, 0, v)
         return mat
 
-    return WeightModule(alg, f"C_({_lam_str(lam)})", {zero: ["1"]}, rule, depth, lam)
+    return WeightModule(alg, f"C_({_lam_str(lam)})", {zero: ["1"]}, rule, depth)
 
 
 def free_negative_module(sub, depth: int) -> WeightModule:
@@ -276,32 +285,32 @@ def direct_sum(m1: WeightModule, m2: WeightModule) -> WeightModule:
 def check_commutators(module: WeightModule, gen_window: tuple, weights=None) -> list:
     """Representation-property failures [(x, y, weight)] on materialized data:
     the one oracle with the module action on both sides and sign +1."""
-    return _commutator_failures(module, gen_window, weights, module.action)
+    return _commutator_failures(module, gen_window, weights)
 
 
-def _commutator_failures(space, gen_window: tuple, weights, a, b=None, sign: int = 1) -> list:
+def _commutator_failures(a: WeightModule, gen_window: tuple, weights=None, b=None, sign: int = 1) -> list:
     """Failures [(x, y, weight)] of a(x) b(y) = b(y) a(x) + sign * b([x, y]).
 
-    ``a`` and ``b`` map (eid, w) to the matrix M_w -> M_{w + wt(eid)} of
-    ``space`` (anything with ``alg``, ``depth`` and ``weights``).  b defaults
-    to a, and then only pairs (x, y) with x < y are checked: y < x is the
-    same identity mirrored, and x = y a tautology, since [x, x] = 0.
-    Checked for every weight in ``weights`` (default: all of the space's,
-    sorted) and generator pair in the degree window whose three
-    intermediate weights lie within depth or above the top (ell is linear,
-    so ell(w + wt x + wt y) = ell(w) + ell(wt x) + ell(wt y)).  Each matrix
-    is cleared of its denominators once per check (linalg.cleared) and
-    dropped after the last weight that reads it, and linalg.residual_nnz
-    sums a(x) b(y) - b(y) a(x) - sign * b([x, y]) in exact integers: a pair
+    ``a`` and ``b`` are modules over one algebra on one weight space (US
+    with its left and right actions, say), read through ``action``.  b
+    defaults to a, and then only pairs (x, y) with x < y are checked: y < x
+    is the same identity mirrored, and x = y a tautology, since [x, x] = 0.
+    Checked for every weight in ``weights`` (default: all of a's, sorted)
+    and generator pair in the degree window whose three intermediate
+    weights lie within a's depth or above the top (ell is linear, so
+    ell(w + wt x + wt y) = ell(w) + ell(wt x) + ell(wt y)).  Each matrix is
+    cleared of its denominators once per check (linalg.cleared) and dropped
+    after the last weight that reads it, and linalg.residual_nnz sums
+    a(x) b(y) - b(y) a(x) - sign * b([x, y]) in exact integers: a pair
     fails when the residual has a nonzero entry.  A WindowError from an
     action propagates: skipping the pair would report an unchecked pass.
     """
-    alg, depth = space.alg, space.depth
+    alg, depth = a.alg, a.depth
     lo, hi = gen_window
     alg.ensure_window(min(lo + lo, lo), max(hi + hi, hi))
     gens = alg.elements_in_degrees(lo, hi)
     if weights is None:
-        weights = sorted(space.weights)
+        weights = sorted(a.weights)
     mirrored = b is None
     if mirrored:
         b = a
@@ -309,15 +318,15 @@ def _commutator_failures(space, gen_window: tuple, weights, a, b=None, sign: int
     # outer weight i reads matrices at weights[i] and at shifted[i][g] = weights[i] + wt(g)
     shifted = [{g: wt_add(w, alg.weight(g)) for g in gens} for w in weights]
     last = {v: i for i, w in enumerate(weights) for v in (w, *shifted[i].values())}
-    memo: dict = {}  # source weight v -> {(action, eid): cleared matrix}, dropped after outer weight last[v]
+    memo: dict = {}  # source weight v -> {(module, eid): cleared matrix}, dropped after outer weight last[v]
 
-    def clear(act, eid, v):
+    def clear(module, eid, v):
         at = memo.get(v)
         if at is None:
             at = memo[v] = {}
-        m = at.get((act, eid))
+        m = at.get((module, eid))
         if m is None:
-            m = at[act, eid] = cleared(act(eid, v))
+            m = at[module, eid] = cleared(module.action(eid, v))
         return m
 
     failures = []

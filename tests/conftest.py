@@ -74,9 +74,9 @@ def reference_apply(m, vec):
 
 # -- the commutator checks as three separate loops ---------------------------------
 # An independent reference for the single oracle behind check_commutators,
-# bimodule_commutes and the US left/right oracles: each builds XY - YX and the
+# bimodule_commutes and the US right oracle: each builds XY - YX and the
 # bracket action as separate matrices, and the right oracle checks the left
-# module z -> -r_z.
+# module z -> -r_z.  Both US loops read model.left and model.right.
 
 
 def reference_check_commutators(module, gen_window, weights=None):
@@ -118,7 +118,7 @@ def reference_check_commutators(module, gen_window, weights=None):
 
 def reference_right_oracle(model, gen_window, weights=None):
     def rule(z, w):
-        mat = model.right_matrix(z, w)
+        mat = model.right.action(z, w)
         return SparseMatrix.from_rows([{c: -v for c, v in row.items()} for row in mat.rows], mat.ncols)
 
     labels = {w: [str(i) for i in range(len(b))] for w, b in model.weights.items()}
@@ -135,10 +135,10 @@ def reference_bimodule(model, gen_window, weights=None):
             for y in gens:
                 wy = wt_add(w, alg.weight(y))
                 wxy = wt_add(wx, alg.weight(y))
-                if not all(model.in_depth(v) or alg.ell(v) > 0 for v in (wx, wy, wxy)):
+                if not all(model.left.in_depth(v) or alg.ell(v) > 0 for v in (wx, wy, wxy)):
                     continue
-                lr = model.left_matrix(x, wy).matmul(model.right_matrix(y, w))
-                rl = model.right_matrix(y, wx).matmul(model.left_matrix(x, w))
+                lr = model.left.action(x, wy).matmul(model.right.action(y, w))
+                rl = model.right.action(y, wx).matmul(model.left.action(x, w))
                 if lr.rows != rl.rows:
                     failures.append((alg.label(x), alg.label(y), w))
     return failures

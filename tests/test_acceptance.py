@@ -79,7 +79,7 @@ def test_criterion_2_anomaly_cancellation(g, a_alg):
     depth = 4
     W = wakimoto(g, LAM, depth)
     a_view = subalgebra(g, "a")
-    us = universal_semijective(a_alg, depth).left_module()
+    us = universal_semijective(a_alg, depth).left
     cells = 0
     for alg, module in ((a_view, W), (a_alg, us)):
         weights = {w for w in module.weights if alg.ell(w) >= -depth}
@@ -92,7 +92,7 @@ def test_criterion_2_anomaly_cancellation(g, a_alg):
                 continue
             for n in range(min(ns) - 1, max(ns)):
                 comp = cx.matrix(n + 1).matmul(cx.matrix(n))
-                assert comp.is_zero(), (module.name, w, n)
+                assert comp.nnz == 0, (module.name, w, n)
                 cells += 1
     took = time.time() - start
     assert took < 300
@@ -264,13 +264,13 @@ def test_criterion_8_infrastructure(g, a_alg):
         (verma(g, LAM, 3), (-3, 3)),
         (coverma(g, LAM, 3), (-3, 3)),
         (wakimoto(g, LAM, 3), (-3, 3)),
-        (universal_semijective(a_alg, 3).left_module(), (-3, 3)),
+        (universal_semijective(a_alg, 3).left, (-3, 3)),
     ):
         assert check_commutators(module, window) == [], module.name
 
     # Euler consistency on every produced table
     tables = [
-        semiinf_cohomology(a_alg, universal_semijective(a_alg, 3).left_module(), 3),
+        semiinf_cohomology(a_alg, universal_semijective(a_alg, 3).left, 3),
         ce_cohomology(subalgebra(g, "gplus"), coverma(g, LAM, 3), 3),
         ce_homology(subalgebra(g, "g_below_zero"), verma(g, LAM, 3), 3),
     ]

@@ -1,6 +1,7 @@
 """The semiregular bimodule, semi-induction, Wakimoto, Shapiro, and the
 universal property."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from semiflex import induction, linalg
 from semiflex._kernels import row_echelon_int
 from semiflex.induction import (
     InductionError,
+    SemiregularModel,
     WakimotoSpace,
     _TensorSpace,
     _descended_module,
@@ -113,27 +115,26 @@ def test_us_dims_pair_count(loop_a):
 
 def test_us_left_right_oracles_and_bimodule(loop_a):
     us = universal_semijective(loop_a, 3)
-    assert us.left_oracle_failures((-3, 3)) == []
+    assert check_commutators(us.left, (-3, 3)) == []
     assert us.right_oracle_failures((-3, 3)) == []
     assert bimodule_commutes(us, (-3, 3)) == []
 
 
 def _corrupted_us(alg, side: str):
     """US(alg) to depth 3 with one entry of the ``side`` action of 1⊗f at the
-    vacuum weight raised by one (a fresh matrix: the cache stays intact)."""
+    vacuum weight raised by one, in the rule of the module ``us.<side>``."""
     us = universal_semijective(alg, 3)
     f = alg.by_label("1⊗f")
-    attr = f"{side}_matrix"
-    original = getattr(us, attr)
+    module = getattr(us, side)
+    original = module._rule
 
     def corrupted(z, w):
         mat = original(z, w)
         if z == f and tuple(w) == (0, 0):
-            mat = SparseMatrix.from_rows(mat.rows, mat.ncols)
             mat.add(0, 0, 1)
         return mat
 
-    setattr(us, attr, corrupted)
+    module._rule = corrupted
     return us
 
 
@@ -152,7 +153,7 @@ def test_us_oracles_report_a_corrupted_right_action(loop_a):
         ("1⊗f", "1⊗f", (0, 0)),
         ("z⊗f", "1⊗f", (1, -1)),
     ]
-    assert us.left_oracle_failures((-3, 3)) == []
+    assert check_commutators(us.left, (-3, 3)) == []
 
 
 @pytest.mark.parametrize("side", [None, "left", "right"])
@@ -162,9 +163,9 @@ def test_us_oracles_match_the_reference_loops(loop_a, side):
     on one with either action corrupted."""
     us = universal_semijective(loop_a, 3) if side is None else _corrupted_us(loop_a, side)
     window = (-3, 3)
-    got = (us.left_oracle_failures(window), us.right_oracle_failures(window), bimodule_commutes(us, window))
+    got = (check_commutators(us.left, window), us.right_oracle_failures(window), bimodule_commutes(us, window))
     want = (
-        reference_check_commutators(us.left_module(), window),
+        reference_check_commutators(us.left, window),
         reference_right_oracle(us, window),
         reference_bimodule(us, window),
     )
@@ -177,7 +178,7 @@ def test_us_left_action_hand_values(loop_a):
     dual side; frozen from a hand straightening."""
     us = universal_semijective(loop_a, 2)
     f = loop_a.by_label("1⊗f")
-    mat = us.left_matrix(f, (0, 0))
+    mat = us.left.action(f, (0, 0))
     target = tuple(a + b for a, b in zip((0, 0), loop_a.weight(f)))
     basis = us.basis(target)
     col = {}
@@ -227,7 +228,7 @@ def test_us_purely_negative_is_enveloping():
     assert {w: len(b) for w, b in us.weights.items()} == {w: len(m) for w, m in tab.items()}
     assert check_prop_iso(neg, 3).passed and check_prop_iso1(neg, 3).passed
     # left action = left multiplication: U(g) is generated from the pair (1*, 1)
-    L = us.left_module()
+    L = us.left
     assert check_commutators(L, (-3, -1)) == []
 
 
@@ -300,7 +301,7 @@ def test_wakimoto_dims_and_top(sl2, lam01):
     assert W.dim((-1, -1)) == 3
     for d in range(1, 4):
         for z in sl2.elements_of_degree(d):
-            assert W.action(z, (0, 0)).is_zero()
+            assert W.action(z, (0, 0)).nnz == 0
 
 
 def test_wakimoto_character_triple(sl2, lam01):
@@ -412,8 +413,8 @@ def _outcome(fn, *args):
 def test_tensor_action_reads_columns_like_the_row_scan(loop_a):
     us, module = universal_semijective(loop_a, 4), verma(loop_a, {}, 4)
     space = _TensorSpace(us, module, 4)
-    diag_ops = ((us.right_matrix, True), (module.action, False))
-    left_ops = ((us.left_matrix, False), None)
+    diag_ops = ((us.right.action, True), (module.action, False))
+    left_ops = ((us.left.action, False), None)
     checked = 0
     for w in space.weights:
         for xi in loop_a.elements_in_degrees(-4, 4):
@@ -441,8 +442,8 @@ class _ModuleFirstSpace:
         for b in self.weights.values():
             b.sort()
         self._index = {w: {t: i for i, t in enumerate(b)} for w, b in self.weights.items()}
-        self._diag_ops = ((module.action, False), (us.right_matrix, True))
-        self._left_ops = (None, (us.left_matrix, False))
+        self._diag_ops = ((module.action, False), (us.right.action, True))
+        self._left_ops = (None, (us.left.action, False))
 
     def dim(self, w):
         return len(self.weights.get(tuple(w), ()))
@@ -542,12 +543,9 @@ def _uncached_left_action(space, z, w, reduce_m=None):
     by the test-local straightener."""
     alg, order = space.alg, space.order
     w = tuple(w)
-    target = wt_add(w, alg.weight(z))
-    rows = space._index.get(target, {})
+    rows = space._index.get(wt_add(w, alg.weight(z)), {})
     cols = space.basis(w)
     mat = SparseMatrix(len(rows), len(cols))
-    if space.strict_depth:
-        space._check_target("left", target, cols)
     ell_z = alg.ell(alg.weight(z))
     by_q0: dict = {}
     for ci, (q0, m0) in enumerate(cols):
@@ -599,11 +597,9 @@ def _uncached_right_terms(space, q0, m0, z):
 
 def _uncached_right_matrix(model, z, w):
     w = tuple(w)
-    target = wt_add(w, model.alg.weight(z))
-    rows = model._index.get(target, {})
+    rows = model._index.get(wt_add(w, model.alg.weight(z)), {})
     cols = model.basis(w)
     mat = SparseMatrix(len(rows), len(cols))
-    model._check_target("right", target, cols)
     for ci, (q0, m0) in enumerate(cols):
         for q, m, c in _uncached_right_terms(model, q0, m0, z):
             r = rows.get((q, m))
@@ -694,14 +690,22 @@ def _assert_caches_bounded(space):
         assert q0 in space._duals and p and all(alg.degree(e) > 0 for e, _k in p)
 
 
+def _uncached_module(module, builder):
+    """``module`` with an uncached reference loop as its rule: the same depth
+    guard, so ``_outcome`` compares the matrices and the errors alike."""
+    return WeightModule(module.alg, module.name, module.weights, builder, module.depth)
+
+
 def test_us_actions_match_the_uncached_loops(loop_a):
     us = universal_semijective(loop_a, 5)
+    left = _uncached_module(us.left, lambda z, w: _uncached_left_action(us, z, w))
+    right = _uncached_module(us.right, lambda z, w: _uncached_right_matrix(us, z, w))
     checked = 0
     for w in us.weights:
         for z in loop_a.elements_in_degrees(-5, 5):
-            got = _outcome(us.left_matrix, z, w)
-            assert got == _outcome(_uncached_left_action, us, z, w), (z, w)
-            assert _outcome(us.right_matrix, z, w) == _outcome(_uncached_right_matrix, us, z, w), (z, w)
+            got = _outcome(us.left.action, z, w)
+            assert got == _outcome(left.action, z, w), (z, w)
+            assert _outcome(us.right.action, z, w) == _outcome(right.action, z, w), (z, w)
             checked += not isinstance(got, str) and any(got)
     assert checked
     _assert_caches_bounded(us)
@@ -710,12 +714,13 @@ def test_us_actions_match_the_uncached_loops(loop_a):
 @pytest.mark.parametrize("lam", [_lam(Fraction(2, 3), Fraction(1, 2)), _lam(0, 1)], ids=["2/3,1/2", "0,1"])
 def test_wakimoto_left_action_matches_the_uncached_loop(sl2, lam):
     space = WakimotoSpace(sl2, lam, 5)
+    left = _uncached_module(space.left, lambda z, w: _uncached_left_action(space, z, w, space.reduce_m))
     checked = 0
     for w in space.weights:
         for z in sl2.elements_in_degrees(-5, 5):
-            got = space.left_matrix(z, w).rows
-            assert got == _uncached_left_action(space, z, w, space.reduce_m).rows, (z, w)
-            checked += any(got)
+            got = _outcome(space.left.action, z, w)
+            assert got == _outcome(left.action, z, w), (z, w)
+            checked += not isinstance(got, str) and any(got)
     assert checked
     _assert_caches_bounded(space)
 
@@ -791,24 +796,72 @@ def test_left_action_straightens_nothing_it_has_seen(sl2, monkeypatch):
     monkeypatch.setattr(induction, "multiplier", counting_multiplier)
     space = WakimotoSpace(sl2, _lam(Fraction(2, 3), Fraction(1, 2)), 5)
     z = sl2.by_label("z^-1⊗f")
-    first, *others = sorted(space.weights, key=lambda w: -sl2.ell(w))
-    space.left_matrix(z, first)
+    # the weights whose image under z stays within the depth, top first
+    inside = [w for w in space.weights if space.left.in_depth(wt_add(w, sl2.weight(z)))]
+    first, *others = sorted(inside, key=lambda w: -sl2.ell(w))
+    space.left.action(z, first)
     assert calls
     quiet = 0
     for w in others:
         sizes = len(space._zq), len(space._peels)
         del calls[:]
-        mat = space.left_matrix(z, w)
+        mat = space.left.action(z, w)
         if sizes == (len(space._zq), len(space._peels)):
             assert not calls, w
             quiet += any(mat.rows)
     assert quiet
-    built = dict(space._left)
-    space._left.clear()
+    built = dict(space.left._cache)
+    space.left._cache.clear()
     del calls[:]
     for (zz, w), mat in built.items():
-        assert space.left_matrix(zz, w).rows == mat.rows
+        assert space.left.action(zz, w).rows == mat.rows
     assert not calls
+
+
+def test_pair_space_actions_below_the_depth_are_errors(sl2, loop_a, lam01):
+    """An action whose target lies below the depth raises WindowError on US
+    (left and right) and on the Wakimoto quotient Q alike; Q used to return
+    the matrix with every row of the target cut off."""
+    us, q = universal_semijective(loop_a, 3), WakimotoSpace(sl2, lam01, 3)
+    for module, dim in ((us.left, 1), (us.right, 1), (q.left, 4)):
+        alg = module.alg
+        z = alg.by_label("z^-1⊗f")
+        w = (-3, 0)
+        assert module.dim(w) == dim and alg.ell(wt_add(w, alg.weight(z))) == -6
+        with pytest.raises(WindowError, match=r"at weight \(-3, 0\) needs weights outside depth 3"):
+            module.action(z, w)
+
+
+def test_each_action_matrix_is_built_once(sl2, loop_a, lam01, monkeypatch):
+    """US's left and right actions and Q's left action each have one cache
+    that every reader shares: across the three US oracles, semi-induction
+    and the Wakimoto module with its oracle, each builder runs at most once
+    per (space, z, w), and reading a matrix again returns the same object."""
+    built = Counter()
+
+    def counting(builder):
+        def build(space, z, w):
+            built[builder.__qualname__, id(space), z, tuple(w)] += 1
+            return builder(space, z, w)
+
+        return build
+
+    for cls, name in ((SemiregularModel, "left_matrix"), (SemiregularModel, "right_matrix"), (WakimotoSpace, "left_matrix")):
+        monkeypatch.setattr(cls, name, counting(cls.__dict__[name]))
+    us = universal_semijective(loop_a, 3)
+    assert check_commutators(us.left, (-3, 3)) == []
+    assert us.right_oracle_failures((-3, 3)) == []
+    assert bimodule_commutes(us, (-3, 3)) == []
+    assert check_commutators(s_ind(loop_a, subalgebra(loop_a, "loop-nminus"), trivial_module(loop_a, 3), 3), (-3, 3)) == []
+    assert check_commutators(wakimoto(sl2, lam01, 4), (-3, 3)) == []
+    for module in (us.left, us.right):
+        for w in us.weights:
+            for z in loop_a.elements_in_degrees(-3, 3):
+                if module.in_depth(wt_add(w, loop_a.weight(z))):
+                    assert module.action(z, w) is module.action(z, w)
+    assert {name for name, *_ in built} == {"_PairSpace.left_matrix", "SemiregularModel.right_matrix"}
+    assert len({space for _, space, *_ in built}) == 3  # us, the US inside s_ind, and Q
+    assert max(built.values()) == 1
 
 
 @pytest.mark.parametrize("hk", [(0, 1), (Fraction(2, 3), Fraction(1, 2))], ids=["0,1", "2/3,1/2"])
