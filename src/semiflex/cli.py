@@ -18,10 +18,9 @@ from . import output
 from .forms import AnomalyError, semiinf_cohomology
 from .induction import (
     InductionError,
-    check_prop_iso,
-    check_prop_iso1,
     check_shapiro,
     check_universal_property,
+    check_us,
     universal_semijective,
     wakimoto,
 )
@@ -232,8 +231,7 @@ def _run(spec: JobSpec) -> int:
         return _verdict_exit(spec, verdict)
 
     if spec.command == "verify-us":
-        v1 = check_prop_iso(alg, spec.depth)
-        v2 = check_prop_iso1(alg, spec.depth)
+        v1, v2 = check_us(alg, spec.depth)
         click.echo(repr(v1))
         click.echo(repr(v2))
         if spec.out:

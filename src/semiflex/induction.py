@@ -19,13 +19,19 @@ and pairs once per key (z·q', a negative word on m0, m0·z, and q0 against
 a positive p), so building an action matrix only joins cached terms and
 looks up rows; an entry is the same exact sum in another order, so every
 matrix is unchanged.  z·q' and each peeled y·m are one call of the pair
-space's multiplier, the product recursion of ``pbw``.
+space's multiplier, the product recursion of ``pbw``.  A left action
+visits only the q' of its target weight's basis: a row (q', m) can take a
+term of z·q' only for such a q'.
 
 Semi-induction takes semi-invariants of US ⊗ M under h(u ⊗ m) = -u h ⊗ m +
 u ⊗ h m (forms.semiinvariants on the tensor space): invariants are an exact
 kernel, coinvariants an exact quotient, and the image at each weight is a
 ``linalg.Subspace`` of the kernel modulo the relations.  The left action
-descends to it.  The universal property is the case h = g, checked on S-ind
+descends to it.  At each weight w the tensor space's basis is a run of
+blocks US_{w1} ⊗ M_{w-w1}, one per w1 in increasing order, each row-major;
+an action of xi reads rho_US(xi) and rho_M(xi) once per block and writes
+rho(xi) ⊗ 1 and 1 ⊗ rho(xi) from their rows into the target's blocks by
+index arithmetic.  The universal property is the case h = g, checked on S-ind
 from g to g of N.  The Wakimoto module (over the affine algebra, whose
 degree-0 part is not zero) is carved out of the per-weight-finite quotient
 Q = US ⊗_{abar-} C_lambda: the submodule generated by the top vector is
@@ -69,6 +75,7 @@ __all__ = [
     "wakimoto",
     "check_prop_iso",
     "check_prop_iso1",
+    "check_us",
     "bimodule_commutes",
     "check_universal_property",
     "check_shapiro",
@@ -163,9 +170,8 @@ class _PairSpace:
         for bucket in self.weights.values():
             bucket.sort()
         self._index = {w: {pair: i for i, pair in enumerate(b)} for w, b in self.weights.items()}
-        self._qtab_ell = {qw: alg.ell(qw) for qw in self.qtab}
         # dual monomial q -> (the qtab object q, its weight, its ell)
-        self._duals = {q: (q, qw, self._qtab_ell[qw]) for qw, qs in self.qtab.items() for q in qs}
+        self._duals = {q: (q, qw, alg.ell(qw)) for qw, qs in self.qtab.items() for q in qs}
         self._words: dict = {}
         self._zq: dict = {}
         self._peels: dict = {}
@@ -227,7 +233,14 @@ class _PairSpace:
         return got
 
     def left_matrix(self, z: int, w) -> SparseMatrix:
-        """Matrix of the left action of z on weight w, built afresh."""
+        """Matrix of the left action of z on weight w, built afresh.
+
+        Row (q', m) of the target takes -c * c2 for every term (p, word, c)
+        of z·q' whose p is the dual part q0 of a column (q0, m0) and every
+        (m, c2) of the word peeled off m0.  So only the distinct q' of the
+        target weight's basis are visited, and of those only the q' within
+        the ell bound below; every other q' would only miss its row lookup,
+        so the matrix is the same exact sum."""
         alg = self.alg
         target = wt_add(w, alg.weight(z))
         rows = self._index.get(target, {})
@@ -238,16 +251,15 @@ class _PairSpace:
             by_q0.setdefault(q0, []).append((ci, m0))
         # z·q' has a positive part of ell at least ell(q') + ell(z)
         bound = max((self._duals[q0][2] for q0 in by_q0), default=0) - alg.ell(alg.weight(z))
-        for qw, qprimes in self.qtab.items():
-            if self._qtab_ell[qw] > bound:
+        for qprime in dict.fromkeys(q for q, _m in rows):
+            if self._duals[qprime][2] > bound:
                 continue
-            for qprime in qprimes:
-                for p, word, c in self._zq_terms(z, qprime):
-                    for ci, m0 in by_q0.get(p, ()):
-                        for m, c2 in self._peeled(word, m0):
-                            r = rows.get((qprime, m))
-                            if r is not None:
-                                mat.add(r, ci, -c * c2)
+            for p, word, c in self._zq_terms(z, qprime):
+                for ci, m0 in by_q0.get(p, ()):
+                    for m, c2 in self._peeled(word, m0):
+                        r = rows.get((qprime, m))
+                        if r is not None:
+                            mat.add(r, ci, -c * c2)
         return mat
 
     def _mz_terms(self, m0, z: int) -> tuple:
@@ -357,19 +369,32 @@ def _dim_diffs(model: SemiregularModel) -> dict:
 
 def check_prop_iso(alg, depth: int) -> Verdict:
     """Right-module model: graded dims of U(g+)* ⊗ U(g-) and the right oracle."""
+    return _prop_iso(universal_semijective(alg, depth))
+
+
+def check_prop_iso1(alg, depth: int) -> Verdict:
+    """Left-module model: graded dims of Hom(U(g+), U(g-)) and the left oracle."""
+    return _prop_iso1(universal_semijective(alg, depth))
+
+
+def check_us(alg, depth: int) -> tuple[Verdict, Verdict]:
+    """``check_prop_iso`` and ``check_prop_iso1`` on one model, so the
+    bimodule check reads the right-action matrices the right oracle built."""
     model = universal_semijective(alg, depth)
+    return _prop_iso(model), _prop_iso1(model)
+
+
+def _prop_iso(model: SemiregularModel) -> Verdict:
     diffs = _dim_diffs(model)
-    lo, hi = -min(depth, 3), min(depth, 3)
+    lo, hi = -min(model.depth, 3), min(model.depth, 3)
     oracle = model.right_oracle_failures((lo, hi))
     passed = not diffs and not oracle
     return Verdict("prop-iso", passed, {"dim_diffs": diffs, "oracle_failures": oracle})
 
 
-def check_prop_iso1(alg, depth: int) -> Verdict:
-    """Left-module model: graded dims of Hom(U(g+), U(g-)) and the left oracle."""
-    model = universal_semijective(alg, depth)
+def _prop_iso1(model: SemiregularModel) -> Verdict:
     diffs = _dim_diffs(model)
-    lo, hi = -min(depth, 3), min(depth, 3)
+    lo, hi = -min(model.depth, 3), min(model.depth, 3)
     oracle = check_commutators(model.left, (lo, hi))
     commute = bimodule_commutes(model, (lo, hi))
     passed = not diffs and not oracle and not commute
@@ -382,7 +407,13 @@ def check_prop_iso1(alg, depth: int) -> Verdict:
 class _TensorSpace:
     """US ⊗ M for the US model and a weight module M, materialized per
     weight on basis quadruples (w1, i, w2, j): basis vector i of US at w1,
-    basis vector j of M at w2."""
+    basis vector j of M at w2.
+
+    A weight's quadruples are sorted, and w2 = w - w1 is fixed by w1, so the
+    basis at w is a run of blocks US_{w1} ⊗ M_{w2}, one per w1 in increasing
+    order, each row-major in (i, j): (w1, i, w2, j) sits at
+    start + i * dim M_{w2} + j.  ``_blocks[w]`` maps each w1 to
+    (start, w2)."""
 
     def __init__(self, model, module, depth: int):
         self.model, self.module = model, module
@@ -398,9 +429,10 @@ class _TensorSpace:
                 for i in range(model.dim(w1)):
                     for j in range(module.dim(w2)):
                         bucket.append((w1, i, w2, j))
-        for b in self.weights.values():
+        self._blocks: dict = {}
+        for w, b in self.weights.items():
             b.sort()
-        self._index = {w: {t: i for i, t in enumerate(b)} for w, b in self.weights.items()}
+            self._blocks[w] = {w1: (start, w2) for start, (w1, i, w2, j) in enumerate(b) if i == j == 0}
 
     def dim(self, w):
         return len(self.weights.get(tuple(w), ()))
@@ -408,35 +440,57 @@ class _TensorSpace:
     def action(self, xi: int, w) -> SparseMatrix:
         """The diagonal action: xi acting as -(right multiplication) on US
         plus rho_M(xi) on M."""
-        return self._action(xi, w, ((self.model.right.action, True), (self.module.action, False)))
+        return self._action(xi, w, (self.model.right.action, True), self.module.action)
 
     def left(self, xi: int, w) -> SparseMatrix:
         """The left action of xi on the US factor."""
-        return self._action(xi, w, ((self.model.left.action, False), None))
+        return self._action(xi, w, (self.model.left.action, False), None)
 
-    def _action(self, xi: int, w, ops) -> SparseMatrix:
-        """Sum over the factors of 1 ⊗ matrix_of(xi) ⊗ 1, factor by factor in
-        order; ops[slot] is (matrix_of, negate) or None."""
+    def _action(self, xi: int, w, us_op, module_op) -> SparseMatrix:
+        """rho(xi) ⊗ 1 (negated if asked) plus, unless ``module_op`` is None,
+        1 ⊗ rho(xi), written block by block.  ``us_op`` is (matrix_of,
+        negate) for US.  Each source block reads its US factor matrix once
+        and then its M factor matrix once, in block order, and writes it
+        from the factor's rows into the target blocks US_{w1+wt} ⊗ M_{w2}
+        and US_{w1} ⊗ M_{w2+wt}; a factor whose target block is missing
+        (below the depth) adds nothing.  The two target blocks are distinct,
+        since US has no degree-0 part and so wt(xi) is never 0: every entry
+        is written once."""
         w = tuple(w)
         shift = self.alg.weight(xi)
-        rows = self._index.get(wt_add(w, shift), {})
-        cols = self.weights.get(w, [])
-        mat = SparseMatrix(len(rows), len(cols))
-        factors = {}  # (slot, wf) -> (target weight, columns of matrix_of(xi, wf))
-        for ci, (w1, i, w2, j) in enumerate(cols):
-            for slot, op in enumerate(ops):
-                if op is None:
-                    continue
-                matrix_of, negate = op
-                wf, k = (w1, i) if slot == 0 else (w2, j)
-                factor = factors.get((slot, wf))
-                if factor is None:
-                    factor = factors[slot, wf] = (wt_add(wf, shift), matrix_of(xi, wf).transpose().rows)
-                tw, columns = factor
-                for r, v in columns[k].items():
-                    rr = rows.get((tw, r, w2, j) if slot == 0 else (w1, i, tw, r))
-                    if rr is not None:
-                        mat.add(rr, ci, -v if negate else v)
+        target = wt_add(w, shift)
+        t_blocks = self._blocks.get(target, {})
+        mat = SparseMatrix(self.dim(target), self.dim(w))
+        rows = mat.rows
+        us_of, negate = us_op
+        us_dim, m_dim = self.model.dim, self.module.dim
+        for w1, (start, w2) in self._blocks.get(w, {}).items():
+            d2 = m_dim(w2)
+            factor = us_of(xi, w1)
+            block = t_blocks.get(wt_add(w1, shift))
+            if block is not None:
+                # (w1, i, w2, j) -> (w1 + wt, r, w2, j): the same width d2
+                t_start = block[0]
+                for r, row in enumerate(factor.rows):
+                    out = rows[t_start + r * d2 : t_start + (r + 1) * d2]
+                    for i, v in row.items():
+                        v = -v if negate else v
+                        for c, out_row in enumerate(out, start + i * d2):
+                            out_row[c] = v
+            if module_op is None:
+                continue
+            factor = module_op(xi, w2)
+            block = t_blocks.get(w1)
+            if block is not None:
+                # (w1, i, w2, j) -> (w1, i, w2 + wt, r): width d2 to width td2
+                t_start, t2 = block
+                td2 = m_dim(t2)
+                for i in range(us_dim(w1)):
+                    base = start + i * d2
+                    for r, row in enumerate(factor.rows, t_start + i * td2):
+                        out_row = rows[r]
+                        for j, v in row.items():
+                            out_row[base + j] = v
         return mat
 
 

@@ -1,6 +1,7 @@
 """The semiregular bimodule, semi-induction, Wakimoto, Shapiro, and the
 universal property."""
 
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from conftest import reference_apply, reference_bimodule, reference_check_commutators, reference_right_oracle, straighten
 from semiflex.forms import semiinf_cohomology, semiinvariants
 from semiflex import induction, linalg
+from semiflex.cli import JobSpec, run_job
 from semiflex._kernels import row_echelon_int
 from semiflex.induction import (
     InductionError,
@@ -36,6 +38,7 @@ from semiflex.modules import (
     character,
     check_commutators,
     coverma,
+    direct_sum,
     product_formula_character,
     trivial_module,
     verma,
@@ -196,6 +199,29 @@ def test_prop_iso_checks(loop_a, abelian):
     assert check_prop_iso1(loop_a, 3).passed
     assert check_prop_iso(abelian, 3).passed
     assert check_prop_iso1(abelian, 3).passed
+
+
+def test_verify_us_builds_one_model(loop_a, monkeypatch, tmp_path):
+    """verify-us gives both verdicts of the separate checks from one US
+    model, so no right-action matrix is built twice."""
+    alone = [check_prop_iso(loop_a, 3).to_json(), check_prop_iso1(loop_a, 3).to_json()]
+    models, builds = [], Counter()
+    real_model, real_right = induction.universal_semijective, SemiregularModel.right_matrix
+
+    def counting_model(alg, depth):
+        models.append(real_model(alg, depth))
+        return models[-1]
+
+    def counting_right(self, z, w):
+        builds[id(self), z, w] += 1
+        return real_right(self, z, w)
+
+    monkeypatch.setattr(induction, "universal_semijective", counting_model)
+    monkeypatch.setattr(SemiregularModel, "right_matrix", counting_right)
+    out = tmp_path / "us.json"
+    assert run_job(JobSpec("verify-us", algebra="a", depth=3, out=str(out))) == 0
+    assert len(models) == 1 and builds and set(builds.values()) == {1}
+    assert json.loads(out.read_text()) == json.loads(json.dumps(alone))
 
 
 @pytest.mark.parametrize("check", [check_prop_iso, check_prop_iso1])
@@ -381,10 +407,11 @@ def test_universal_property_cases(loop_a, abelian):
 
 def _row_scan_action(space, xi, w, ops):
     """The tensor action as it was first written: fetch the factor matrix
-    once per basis column and scan every row of it for that column."""
+    once per basis column and scan every row of it for that column, each
+    target quadruple looked up in an index of ``space.weights``."""
     w = tuple(w)
     shift = space.alg.weight(xi)
-    rows = space._index.get(wt_add(w, shift), {})
+    rows = {t: i for i, t in enumerate(space.weights.get(wt_add(w, shift), []))}
     cols = space.weights.get(w, [])
     mat = SparseMatrix(len(rows), len(cols))
     for ci, (w1, i, w2, j) in enumerate(cols):
@@ -410,19 +437,71 @@ def _outcome(fn, *args):
         return str(exc)
 
 
-def test_tensor_action_reads_columns_like_the_row_scan(loop_a):
+def _tensor_modules(alg):
+    """Verma, coverma, trivial and direct-sum modules over ``alg``, each one
+    step shallower than the US model, so targets below the module's depth
+    raise where US's do not."""
+    return [
+        verma(alg, {}, 3),
+        coverma(alg, {}, 3),
+        trivial_module(alg, 3),
+        direct_sum(verma(alg, {}, 3), coverma(alg, {}, 3)),
+    ]
+
+
+def test_tensor_action_reads_columns_like_the_row_scan(loop_a, abelian):
+    for alg in (loop_a, abelian):
+        us = universal_semijective(alg, 4)
+        left_ops = ((us.left.action, False), None)
+        for module in _tensor_modules(alg):
+            space = _TensorSpace(us, module, 4)
+            diag_ops = ((us.right.action, True), (module.action, False))
+            checked = errors = 0
+            for w in space.weights:
+                for xi in alg.elements_in_degrees(-4, 4):
+                    got = _outcome(space.action, xi, w)
+                    assert got == _outcome(_row_scan_action, space, xi, w, diag_ops), (module.name, w, xi)
+                    assert _outcome(space.left, xi, w) == _outcome(_row_scan_action, space, xi, w, left_ops), (w, xi)
+                    checked += not isinstance(got, str) and any(got)
+                    errors += isinstance(got, str)
+            assert checked and errors, (alg.name, module.name)
+
+
+def test_tensor_action_reads_each_factor_once_per_block(loop_a, monkeypatch):
+    """Each source block US_{w1} ⊗ M_{w2} reads rho_US(xi) at w1 once and
+    then rho_M(xi) at w2 once, in block order, and no matrix is transposed."""
     us, module = universal_semijective(loop_a, 4), verma(loop_a, {}, 4)
     space = _TensorSpace(us, module, 4)
-    diag_ops = ((us.right.action, True), (module.action, False))
-    left_ops = ((us.left.action, False), None)
-    checked = 0
+    reads = []
+
+    def counting(side, action):
+        def read(xi, w):
+            reads.append((side, xi, w))
+            return action(xi, w)
+
+        return read
+
+    def no_transpose(self):
+        raise AssertionError("transpose called")
+
+    monkeypatch.setattr(us.right, "action", counting("us", us.right.action))
+    monkeypatch.setattr(us.left, "action", counting("us", us.left.action))
+    monkeypatch.setattr(module, "action", counting("m", module.action))
+    monkeypatch.setattr(SparseMatrix, "transpose", no_transpose)
+    built = 0
     for w in space.weights:
-        for xi in loop_a.elements_in_degrees(-4, 4):
-            got = _outcome(space.action, xi, w)
-            assert got == _outcome(_row_scan_action, space, xi, w, diag_ops), (w, xi)
-            assert _outcome(space.left, xi, w) == _outcome(_row_scan_action, space, xi, w, left_ops), (w, xi)
-            checked += not isinstance(got, str) and any(got)
-    assert checked
+        blocks = sorted({(w1, w2) for w1, _i, w2, _j in space.weights[w]})
+        for xi in loop_a.elements_in_degrees(-2, 2):
+            for fn, sides in ((space.action, ("us", "m")), (space.left, ("us",))):
+                del reads[:]
+                try:
+                    fn(xi, w)
+                except WindowError:
+                    continue
+                built += 1
+                wanted = [(side, xi, w1 if side == "us" else w2) for w1, w2 in blocks for side in sides]
+                assert reads == wanted, (w, xi)
+    assert built
 
 
 class _ModuleFirstSpace:
@@ -441,7 +520,6 @@ class _ModuleFirstSpace:
                     bucket.extend((w1, i, w2, j) for i in range(module.dim(w1)) for j in range(us.dim(w2)))
         for b in self.weights.values():
             b.sort()
-        self._index = {w: {t: i for i, t in enumerate(b)} for w, b in self.weights.items()}
         self._diag_ops = ((module.action, False), (us.right.action, True))
         self._left_ops = (None, (us.left.action, False))
 
@@ -774,9 +852,10 @@ def test_truncated_x_basis_and_right_rows_match_the_uncached_loops(sl2, monkeypa
 
 
 def test_left_action_straightens_nothing_it_has_seen(sl2, monkeypatch):
-    """Once every (z, q') and every peel a left action needs is cached,
-    building it again computes no product: neither the pair space's
-    multiplier nor normal_order_word is called."""
+    """Building z's action visits only the q' of the target's basis that
+    lie within the ell bound, so once it is built at every weight the z·q'
+    cache holds exactly those q'; building it again computes no product:
+    neither the pair space's multiplier nor normal_order_word is called."""
     calls = []
 
     def counting(alg, word, order):
@@ -796,20 +875,18 @@ def test_left_action_straightens_nothing_it_has_seen(sl2, monkeypatch):
     monkeypatch.setattr(induction, "multiplier", counting_multiplier)
     space = WakimotoSpace(sl2, _lam(Fraction(2, 3), Fraction(1, 2)), 5)
     z = sl2.by_label("z^-1⊗f")
-    # the weights whose image under z stays within the depth, top first
+    ell_z = sl2.ell(sl2.weight(z))
+    # the weights whose image under z stays within the depth
     inside = [w for w in space.weights if space.left.in_depth(wt_add(w, sl2.weight(z)))]
-    first, *others = sorted(inside, key=lambda w: -sl2.ell(w))
-    space.left.action(z, first)
-    assert calls
-    quiet = 0
-    for w in others:
-        sizes = len(space._zq), len(space._peels)
-        del calls[:]
-        mat = space.left.action(z, w)
-        if sizes == (len(space._zq), len(space._peels)):
-            assert not calls, w
-            quiet += any(mat.rows)
-    assert quiet
+    wanted = set()
+    for w in inside:
+        bound = max(sl2.ell(monomial_weight(sl2, q0)) for q0, _m0 in space.basis(w)) - ell_z
+        target = space.basis(wt_add(w, sl2.weight(z)))
+        wanted |= {q for q, _m in target if sl2.ell(monomial_weight(sl2, q)) <= bound}
+        space.left.action(z, w)
+    assert calls and wanted
+    assert {qprime for zz, qprime in space._zq if zz == z} == wanted
+    assert wanted < {q for qs in space.qtab.values() for q in qs}
     built = dict(space.left._cache)
     space.left._cache.clear()
     del calls[:]
