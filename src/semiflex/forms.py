@@ -19,7 +19,12 @@ projected away (orthonormal basis convention) — those slot-restoring pieces
 are an infinite, occupancy-independent sum, and the charge is exactly their
 regularized value: beta on the vacuum, corrected by the bracket eigenvalue
 of every removed tail slot.  Both terms are finite at fixed total weight
-because the coefficient module is bounded above.  d^2 = 0 is checked cell
+because the coefficient module is bounded above.  Everything in a row but
+the module action (the contraction signs, the sub-monomials, the degree-0
+charges and the pair terms) depends on the form monomial alone, and the
+single-slot list also on the lowest slot degree the complex reaches; it is
+built once per algebra (or view) in a memo next to the form index and read
+at every weight where the monomial comes back.  d^2 = 0 is checked cell
 by cell in exact integers (linalg.residual_nnz on the differentials, each
 cleared once per weight), and a failure is reported as a structured
 AnomalyError carrying the offending (weight, ghost) cell, not an assertion.
@@ -195,7 +200,13 @@ class SemiInfComplex:
     """The standard complex at one total weight, all ghost degrees.
 
     Cochains at (w, n) are indexed by pairs (monomial at mu, module basis b
-    at w+mu) over the finitely many contributing relative weights mu.
+    at w+mu) over the finitely many contributing relative weights mu.  A row
+    of the differential reads its form side from the algebra's row-term memo
+    ``alg._row_terms`` (see ``_row_terms``): the pair terms keyed by the
+    monomial, each single-slot term by (monomial, slot), and a row's list of
+    slots by (monomial, dmin) with dmin = ell(mu) - lmax.  Only the module
+    action and the column lookups are read per weight, and an anomalous
+    charge is raised at this complex's own (w, n).
     """
 
     def __init__(self, alg, module, w):
@@ -205,12 +216,8 @@ class SemiInfComplex:
         self.lmax = -alg.ell(w)
         alg.ensure_window(-2 * self.lmax - 4, 2 * self.lmax + 4)
         self._mus = []
-        seen = set()
         for nu in module.weights:
             mu = wt_sub(nu, self.w)
-            if mu in seen:
-                continue
-            seen.add(mu)
             if 0 <= alg.ell(mu) <= self.lmax and module.dim(nu) > 0:
                 self._mus.append(mu)
         self._mus.sort()
@@ -251,36 +258,26 @@ class SemiInfComplex:
         for (mono, mu, b), r in rows.items():
             row_monos.setdefault((mono, mu), []).append((b, r))
         for (mono, mu), brs in row_monos.items():
-            removed = mono[1]
-            # single-slot term: (y + charge(y)) phi(iota_y omega), where the
-            # charge of an occupied degree-0 slot is beta(y) adjusted for the
-            # deviation of the occupancy from the vacuum: normal ordering of
-            # the quadratic term pushes the slot-restoring bracket components
-            # into exactly this shift, beta being its regularized vacuum value
-            for y, s, sub in self._occupied_removals(mono, mu):
-                mu2 = wt_sub(mu, alg.weight(y))
-                src_w = wt_add(w, mu2)
-                act = module.action(y, src_w)
+            slots, pairs = _row_terms(alg, mono, mu, alg.ell(mu) - self.lmax)
+            # single-slot term: (y + charge(y)) phi(iota_y omega)
+            for y, s, sub, mu2, charge in slots:
+                act = module.action(y, wt_add(w, mu2))
                 for b, r in brs:
                     for bb, v in act.rows[b].items():
                         c = cols.get((sub, mu2, bb))
                         if c is not None:
                             mat.add(r, c, s * v)
-                if alg.degree(y) == 0:
-                    charge = alg.beta_value(y)
-                    for rem in removed:
-                        charge += alg.bracket_ids(y, rem).get(rem, 0)
-                    if charge:
-                        if alg.weight(y) != wt_zero(alg.rank):
-                            raise AnomalyError(
-                                w, n, f"degree-0 slot {alg.label(y)} of nonzero weight {alg.weight(y)} carries charge {charge}"
-                            )
-                        for b, r in brs:
-                            c = cols.get((sub, mu, b))
-                            if c is not None:
-                                mat.add(r, c, s * charge)
+                if charge:
+                    if alg.weight(y) != wt_zero(alg.rank):
+                        raise AnomalyError(
+                            w, n, f"degree-0 slot {alg.label(y)} of nonzero weight {alg.weight(y)} carries charge {charge}"
+                        )
+                    for b, r in brs:
+                        c = cols.get((sub, mu, b))
+                        if c is not None:
+                            mat.add(r, c, s * charge)
             # pair term: -phi(:[y_i,y_j]: ^ iota_j iota_i omega)
-            for coeff, sub in self._pair_terms(mono, mu):
+            for coeff, sub in pairs:
                 for b, r in brs:
                     c = cols.get((sub, mu, b))
                     if c is not None:
@@ -288,63 +285,99 @@ class SemiInfComplex:
         self._mats[n] = mat
         return mat
 
-    def _occupied_removals(self, mono, mu):
-        """(y, contraction sign, monomial minus y) for relevant occupied y."""
-        alg = self.alg
-        added, removed = mono
-        out = []
-        dmin = alg.ell(mu) - self.lmax
-        for y in added:
-            s, sub = contract(alg, y, mono)
-            out.append((y, s, sub))
-        for d in range(max(dmin, -2 * self.lmax - 4), 1):
-            for y in alg.elements_of_degree(d):
-                if y in removed:
-                    continue
-                s, sub = contract(alg, y, mono)
-                out.append((y, s, sub))
-        return out
 
-    def _pair_terms(self, mono, mu):
-        """Contributions of the normally ordered bracket term on one row."""
-        alg = self.alg
-        added, removed = mono
-        maxdeg_occ = max([alg.degree(e) for e in added], default=0)
-        maxdeg_occ = max(maxdeg_occ, 0)
-        dmin_b = 1
-        if removed:
-            dmin_b = min(dmin_b, min(alg.degree(e) for e in removed))
-        dmin = dmin_b - maxdeg_occ
-        lo, hi = alg.window()
-        dmin = max(dmin, lo)
-        cands = list(added)
-        for d in range(dmin, 1):
-            for y in alg.elements_of_degree(d):
-                if y not in removed:
-                    cands.append(y)
-        cands.sort(key=alg.key, reverse=True)  # descending: slot order
-        out = []
-        for ii in range(len(cands)):
-            yi = cands[ii]
-            for jj in range(ii + 1, len(cands)):
-                yj = cands[jj]
-                dsum = alg.degree(yi) + alg.degree(yj)
-                if not alg.in_window(dsum):
+def _row_terms(alg, mono, mu, dmin):
+    """(single-slot terms, pair terms) of a row monomial ``mono`` of weight
+    ``mu``, read from the algebra's memo ``alg._row_terms`` (one per algebra
+    or view, like ``_form_index``): ``{mono: (pair terms, {dmin: single-slot
+    terms}, {y: single-slot term})}``.  Each part is keyed by exactly what it
+    reads: the pair terms by the monomial alone, the term of slot y by the
+    monomial and y, and the list of terms also by dmin = ell(mu) - lmax, the
+    lowest slot degree whose removal still lands in the complex (mu is fixed
+    by the monomial).  Lists for different dmin share their terms."""
+    entry = alg._row_terms.get(mono)
+    if entry is None:
+        entry = alg._row_terms[mono] = (_pair_terms(alg, mono), {}, {})
+    pairs, slots_by_dmin, slot_of = entry
+    slots = slots_by_dmin.get(dmin)
+    if slots is None:
+        slots = slots_by_dmin[dmin] = []
+        for y in _occupied(alg, mono, dmin):
+            term = slot_of.get(y)
+            if term is None:
+                term = slot_of[y] = _slot_term(alg, mono, mu, y)
+            slots.append(term)
+    return slots, pairs
+
+
+def _occupied(alg, mono, dmin):
+    """The occupied slots of degree at least ``dmin``: the added members,
+    then the unremoved tail slots by ascending degree."""
+    added, removed = mono
+    yield from added
+    for d in range(dmin, 1):
+        for y in alg.elements_of_degree(d):
+            if y not in removed:
+                yield y
+
+
+def _slot_term(alg, mono, mu, y):
+    """(y, contraction sign, monomial minus y, mu - wt y, charge) for an
+    occupied slot y.  charge is None off degree 0; on a degree-0 slot it is
+    beta(y) adjusted for the deviation of the occupancy from the vacuum:
+    normal ordering of the quadratic term pushes the slot-restoring bracket
+    components into exactly this shift, beta being its regularized vacuum
+    value.  A nonzero charge on a slot of nonzero weight is an anomaly,
+    raised by ``matrix`` at its own cell."""
+    s, sub = contract(alg, y, mono)
+    charge = None
+    if alg.degree(y) == 0:
+        charge = alg.beta_value(y)
+        for rem in mono[1]:
+            charge += alg.bracket_ids(y, rem).get(rem, 0)
+    return y, s, sub, wt_sub(mu, alg.weight(y)), charge
+
+
+def _pair_terms(alg, mono):
+    """(coefficient, monomial) contributions of the normally ordered bracket
+    term on one row: a function of the monomial alone.  With ell the ell of
+    its weight (the total degree of the added part plus the total |degree|
+    of the removed part), every candidate slot has degree in [-ell, ell] and
+    every bracket lands in degrees [-2 ell, 2 ell], inside the window that
+    ``SemiInfComplex`` ensures; the window never cuts a candidate or a
+    bracket, and a later, wider window gives the same terms."""
+    added, removed = mono
+    maxdeg_occ = max([alg.degree(e) for e in added], default=0)
+    maxdeg_occ = max(maxdeg_occ, 0)
+    dmin_b = 1
+    if removed:
+        dmin_b = min(dmin_b, min(alg.degree(e) for e in removed))
+    cands = list(added)
+    for d in range(dmin_b - maxdeg_occ, 1):
+        for y in alg.elements_of_degree(d):
+            if y not in removed:
+                cands.append(y)
+    cands.sort(key=alg.key, reverse=True)  # descending: slot order
+    out = []
+    for ii in range(len(cands)):
+        yi = cands[ii]
+        for jj in range(ii + 1, len(cands)):
+            yj = cands[jj]
+            terms = alg.bracket_ids(yi, yj)
+            if not terms:
+                continue
+            dsum = alg.degree(yi) + alg.degree(yj)
+            s1, m1 = contract(alg, yi, mono)
+            s2, m2 = contract(alg, yj, m1)
+            for z, cf in terms.items():
+                if dsum <= 0 and (z == yi or z == yj):
+                    continue  # normal ordering projection
+                res = wedge(alg, z, m2)
+                if res is None:
                     continue
-                terms = alg.bracket_ids(yi, yj)
-                if not terms:
-                    continue
-                s1, m1 = contract(alg, yi, mono)
-                s2, m2 = contract(alg, yj, m1)
-                for z, cf in terms.items():
-                    if dsum <= 0 and (z == yi or z == yj):
-                        continue  # normal ordering projection
-                    res = wedge(alg, z, m2)
-                    if res is None:
-                        continue
-                    s3, m3 = res
-                    out.append((-(s1 * s2 * s3) * cf, m3))
-        return out
+                s3, m3 = res
+                out.append((-(s1 * s2 * s3) * cf, m3))
+    return out
 
 
 def differential(alg, module, w, n: int):

@@ -406,36 +406,32 @@ def _prop_iso1(model: SemiregularModel) -> Verdict:
 
 class _TensorSpace:
     """US ⊗ M for the US model and a weight module M, materialized per
-    weight on basis quadruples (w1, i, w2, j): basis vector i of US at w1,
-    basis vector j of M at w2.
-
-    A weight's quadruples are sorted, and w2 = w - w1 is fixed by w1, so the
-    basis at w is a run of blocks US_{w1} ⊗ M_{w2}, one per w1 in increasing
-    order, each row-major in (i, j): (w1, i, w2, j) sits at
-    start + i * dim M_{w2} + j.  ``_blocks[w]`` maps each w1 to
-    (start, w2)."""
+    weight w as a run of blocks US_{w1} ⊗ M_{w2}, w2 = w - w1, one per w1
+    in increasing order, each row-major in (i, j) for basis vector i of US
+    at w1 and j of M at w2: (i, j) sits at start + i * dim M_{w2} + j.
+    ``_blocks[w]`` maps each w1 to (start, w2) and ``weights[w]`` is the
+    dimension at w."""
 
     def __init__(self, model, module, depth: int):
         self.model, self.module = model, module
         self.alg = model.alg
         self.depth = depth
         self.weights: dict = {}
-        for w1 in model.weights:
+        self._blocks: dict = {}
+        for w1 in sorted(model.weights):
             for w2 in module.weights:
                 w = wt_add(w1, w2)
                 if self.alg.ell(w) < -depth:
                     continue
-                bucket = self.weights.setdefault(w, [])
-                for i in range(model.dim(w1)):
-                    for j in range(module.dim(w2)):
-                        bucket.append((w1, i, w2, j))
-        self._blocks: dict = {}
-        for w, b in self.weights.items():
-            b.sort()
-            self._blocks[w] = {w1: (start, w2) for start, (w1, i, w2, j) in enumerate(b) if i == j == 0}
+                blocks = self._blocks.setdefault(w, {})
+                start = self.weights.setdefault(w, 0)
+                size = model.dim(w1) * module.dim(w2)
+                if size:
+                    blocks[w1] = (start, w2)
+                    self.weights[w] = start + size
 
     def dim(self, w):
-        return len(self.weights.get(tuple(w), ()))
+        return self.weights.get(tuple(w), 0)
 
     def action(self, xi: int, w) -> SparseMatrix:
         """The diagonal action: xi acting as -(right multiplication) on US

@@ -87,6 +87,7 @@ class GradedLieAlgebra:
         # semi-infinite form monomials per ell, built once (see forms._forms_at)
         self._form_index: dict = {}
         self._tail_counts: dict = {}  # see forms._tail_above
+        self._row_terms: dict = {}  # see forms._row_terms
 
     # -- materialization ---------------------------------------------------
 
@@ -444,6 +445,7 @@ class SubalgebraSpec:
         self._member = member
         self._form_index: dict = {}
         self._tail_counts: dict = {}  # see forms._tail_above
+        self._row_terms: dict = {}  # see forms._row_terms
 
     def is_member(self, eid: int) -> bool:
         return self._member(eid)

@@ -9,6 +9,7 @@ import pytest
 from semiflex.forms import (
     AnomalyError,
     SemiInfComplex,
+    _active_weights,
     _tail_above,
     contract,
     differential,
@@ -20,7 +21,8 @@ from semiflex.forms import (
 )
 from semiflex.induction import universal_semijective, wakimoto
 from semiflex.liealg import build_affine_sl2, build_test_algebra, load_algebra, subalgebra, wt_add, wt_sub, wt_zero
-from semiflex.modules import direct_sum, trivial_module, verma
+from semiflex.linalg import SparseMatrix
+from semiflex.modules import coverma, direct_sum, trivial_module, verma
 
 
 def test_vacuum_invariants(abelian):
@@ -271,8 +273,6 @@ def test_wakimoto_restriction_cohomology(sl2, lam01):
 
 def test_d_squared_zero_affine_sl2_wakimoto(sl2, lam01):
     """The full anomaly test: the affine complex with Wakimoto coefficients."""
-    from semiflex.forms import _active_weights
-
     W = wakimoto(sl2, lam01, 3)
     for w in sorted(_active_weights(sl2, W, 3)):
         cx = SemiInfComplex(sl2, W, w)
@@ -398,7 +398,202 @@ def test_charged_slot_of_nonzero_weight_is_named():
             "beta": [{"label": "x", "num": 1}],
         }
     )
+    M = trivial_module(toy, depth=2)
+    message = "degree-0 slot x of nonzero weight (0, 1) carries charge 1 at weight (-1, 0), ghost 0"
     with pytest.raises(AnomalyError) as exc:
-        semiinf_cohomology(toy, trivial_module(toy, depth=2), 2)
+        semiinf_cohomology(toy, M, 2)
     assert (exc.value.weight, exc.value.ghost) == ((-1, 0), 0)
-    assert str(exc.value) == "degree-0 slot x of nonzero weight (0, 1) carries charge 1 at weight (-1, 0), ghost 0"
+    assert str(exc.value) == message
+    # the row-term memo holds the charge, not the verdict: filled at weights
+    # where x is removed (no charge), and with the charged row itself, the
+    # table still fails at the same cell
+    assert not SemiInfComplex(toy, M, (-1, 1)).matrix(-1).nnz
+    SemiInfComplex(toy, M, (0, 1)).matrix(-2)
+    e, x = toy.by_label("e"), toy.by_label("x")
+    charged = [t for t in toy._row_terms[((e,), ())][2].values() if t[4]]
+    assert [(y, charge) for y, _s, _sub, _mu2, charge in charged] == [(x, 1)]
+    assert len(toy._row_terms) > 1
+    with pytest.raises(AnomalyError) as exc:
+        semiinf_cohomology(toy, M, 2)
+    assert (exc.value.weight, exc.value.ghost) == ((-1, 0), 0)
+    assert str(exc.value) == message
+
+
+# -- the row-term memo against the per-row loop it replaced ----------------------------
+
+
+def _reference_removals(alg, mono, mu, lmax):
+    """(y, contraction sign, monomial minus y) for every occupied y whose
+    removal lands in the complex, recomputed per row."""
+    added, removed = mono
+    out = [(y, *contract(alg, y, mono)) for y in added]
+    for d in range(max(alg.ell(mu) - lmax, -2 * lmax - 4), 1):
+        out.extend((y, *contract(alg, y, mono)) for y in alg.elements_of_degree(d) if y not in removed)
+    return out
+
+
+def _reference_pair_terms(alg, mono):
+    """The normally ordered bracket term of one row, recomputed per row and
+    cut to the current window."""
+    added, removed = mono
+    maxdeg_occ = max([alg.degree(e) for e in added] + [0])
+    dmin_b = min([alg.degree(e) for e in removed] + [1])
+    cands = list(added)
+    for d in range(max(dmin_b - maxdeg_occ, alg.window()[0]), 1):
+        cands.extend(y for y in alg.elements_of_degree(d) if y not in removed)
+    cands.sort(key=alg.key, reverse=True)
+    out = []
+    for ii, yi in enumerate(cands):
+        for yj in cands[ii + 1 :]:
+            dsum = alg.degree(yi) + alg.degree(yj)
+            terms = alg.bracket_ids(yi, yj) if alg.in_window(dsum) else {}
+            if not terms:
+                continue
+            s1, m1 = contract(alg, yi, mono)
+            s2, m2 = contract(alg, yj, m1)
+            for z, cf in terms.items():
+                if dsum <= 0 and z in (yi, yj):
+                    continue
+                res = wedge(alg, z, m2)
+                if res is not None:
+                    out.append((-(s1 * s2 * res[0]) * cf, res[1]))
+    return out
+
+
+def _reference_matrix(cx, n):
+    """The differential C^n_w -> C^{n+1}_w as it was built row by row before
+    the row-term memo: contractions, charges and pair terms recomputed for
+    every row of every weight."""
+    alg, module, w = cx.alg, cx.module, cx.w
+    rows, cols = cx.basis(n + 1), cx.basis(n)
+    mat = SparseMatrix(len(rows), len(cols))
+    for (mono, mu, b), r in rows.items():
+        for y, s, sub in _reference_removals(alg, mono, mu, cx.lmax):
+            mu2 = wt_sub(mu, alg.weight(y))
+            for bb, v in module.action(y, wt_add(w, mu2)).rows[b].items():
+                c = cols.get((sub, mu2, bb))
+                if c is not None:
+                    mat.add(r, c, s * v)
+            if alg.degree(y) == 0:
+                charge = alg.beta_value(y) + sum(alg.bracket_ids(y, rem).get(rem, 0) for rem in mono[1])
+                if charge:
+                    assert alg.weight(y) == wt_zero(alg.rank)
+                    c = cols.get((sub, mu, b))
+                    if c is not None:
+                        mat.add(r, c, s * charge)
+        for coeff, sub in _reference_pair_terms(alg, mono):
+            c = cols.get((sub, mu, b))
+            if c is not None:
+                mat.add(r, c, coeff)
+    return mat
+
+
+def _matches_reference(alg, module, depth):
+    """Every differential of the table to ``depth`` equals the reference
+    loop entry by entry; returns {(w, n): its nonzero count}."""
+    nnz = {}
+    for w in sorted(_active_weights(alg, module, depth)):
+        cx = SemiInfComplex(alg, module, w)
+        ns = cx.ghost_range()
+        for n in range(min(ns, default=0) - 1, max(ns, default=-1) + 1):
+            got, want = cx.matrix(n), _reference_matrix(cx, n)
+            assert (got.nrows, got.ncols) == (want.nrows, want.ncols), (w, n)
+            assert got.rows == want.rows, (w, n)
+            nnz[(w, n)] = got.nnz
+    return nnz
+
+
+def _lam(h, k):
+    return {"1⊗h": Fraction(h), "K": Fraction(k), "d": Fraction(0)}
+
+
+def test_memoised_differentials_match_the_reference_over_a():
+    a = build_test_algebra("loop-nilpotent-a")
+    assert any(_matches_reference(a, universal_semijective(a, 5).left, 5).values())
+    for lam in (_lam("2/3", "1/2"), _lam(0, 1)):
+        g = build_affine_sl2()
+        assert any(_matches_reference(subalgebra(g, "a"), wakimoto(g, lam, 4), 4).values())
+
+
+def test_memoised_differentials_match_the_reference_as_the_window_grows():
+    """W over all of affine sl2: the pair terms are cached without the
+    window, and a wider window changes neither them nor the reference."""
+    g = build_affine_sl2()
+    W = wakimoto(g, _lam(0, 1), 3)
+    first = _matches_reference(g, W, 3)
+    assert any(first.values())
+    memo = {mono: (list(pairs), dict(lists), dict(slots)) for mono, (pairs, lists, slots) in g._row_terms.items()}
+    lo, hi = g.window()
+    g.ensure_window(lo - 6, hi + 6)
+    assert _matches_reference(g, W, 3) == first
+    assert g._row_terms == memo
+
+
+def test_memoised_ce_differentials_match_the_reference(sl2, lam01):
+    cases = [
+        (subalgebra(sl2, "gplus"), coverma(sl2, lam01, 4)),
+        (subalgebra(sl2, "g_below_zero"), verma(sl2, lam01, 4)),
+    ]
+    for part, module in cases:
+        assert any(_matches_reference(part, module, 4).values()), part.name
+
+
+def test_memoised_differentials_match_the_reference_on_small_algebras():
+    abelian = build_test_algebra("abelian")
+    assert not any(_matches_reference(abelian, trivial_module(abelian, depth=4), 4).values())
+    toy = _finite_sl2(2)
+    for module in (verma(toy, {"h": Fraction(3)}, 3), trivial_module(toy, depth=3)):
+        assert any(_matches_reference(toy, module, 3).values())
+    # the charge path: beta(h) = 2 gives occupied h slots a nonzero charge
+    h = toy.by_label("h")
+    charges = {t[4] for _pairs, _lists, slots in toy._row_terms.values() for t in slots.values() if t[0] == h}
+    assert 0 in charges and any(charges)
+
+
+def test_row_terms_built_once_per_key(monkeypatch):
+    """Over a whole table each pair-term list, slot term and slot list is
+    built once per key, and a second table over the same algebra builds
+    nothing."""
+    from semiflex import forms
+
+    builds = {"pairs": [], "slot": [], "list": []}
+
+    def counting(name, real, key):
+        def build(*args):
+            builds[name].append(key(*args))
+            return real(*args)
+
+        return build
+
+    monkeypatch.setattr(forms, "_pair_terms", counting("pairs", forms._pair_terms, lambda alg, mono: mono))
+    monkeypatch.setattr(forms, "_slot_term", counting("slot", forms._slot_term, lambda alg, mono, mu, y: (mono, y)))
+    monkeypatch.setattr(forms, "_occupied", counting("list", forms._occupied, lambda alg, mono, dmin: (mono, dmin)))
+    a = build_test_algebra("loop-nilpotent-a")
+    us = universal_semijective(a, 6).left
+    table = semiinf_cohomology(a, us, 6)
+    memo = a._row_terms
+    assert sorted(builds["pairs"]) == sorted(memo)
+    assert sorted(builds["slot"]) == sorted((mono, y) for mono, entry in memo.items() for y in entry[2])
+    assert sorted(builds["list"]) == sorted((mono, dmin) for mono, entry in memo.items() for dmin in entry[1])
+    # the same monomial comes back at other weights and with other dmin
+    assert len(builds["list"]) > len(builds["pairs"]) and len(builds["slot"]) > len(builds["pairs"])
+    counts = {name: len(keys) for name, keys in builds.items()}
+    again = semiinf_cohomology(a, universal_semijective(a, 6).left, 6)
+    assert {name: len(keys) for name, keys in builds.items()} == counts
+    assert again.rows() == table.rows()
+
+
+def test_row_terms_are_kept_per_algebra_and_view(lam01):
+    """A view's slots are its members only, so it keeps its own memo: the
+    view first, then the parent, each reading and filling only its own."""
+    g = build_affine_sl2()
+    W = wakimoto(g, lam01, 2)
+    a = subalgebra(g, "a")
+    semiinf_cohomology(a, W, 2)
+    assert a._row_terms and not g._row_terms
+    view_memo = dict(a._row_terms)
+    semiinf_cohomology(g, W, 2)
+    assert a._row_terms == view_memo
+    shared = set(view_memo) & set(g._row_terms)
+    assert shared
+    assert any(view_memo[mono][2] != g._row_terms[mono][2] for mono in shared)

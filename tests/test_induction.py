@@ -405,14 +405,28 @@ def test_universal_property_cases(loop_a, abelian):
     assert check_universal_property(loop_a, N, 3).passed
 
 
-def _row_scan_action(space, xi, w, ops):
+def _tensor_basis(space, w):
+    """The basis quadruples (w1, i, w2, j) of US ⊗ M at w, sorted: basis
+    vector i of US at w1 and j of M at w2 = w - w1, built from the factors."""
+    w = tuple(w)
+    if space.alg.ell(w) < -space.depth:
+        return []
+    model, module = space.model, space.module
+    quads = []
+    for w1 in model.weights:
+        w2 = wt_sub(w, w1)
+        quads.extend((w1, i, w2, j) for i in range(model.dim(w1)) for j in range(module.dim(w2)))
+    return sorted(quads)
+
+
+def _row_scan_action(alg, basis, xi, w, ops):
     """The tensor action as it was first written: fetch the factor matrix
     once per basis column and scan every row of it for that column, each
-    target quadruple looked up in an index of ``space.weights``."""
+    target quadruple looked up in an index of ``basis(target weight)``."""
     w = tuple(w)
-    shift = space.alg.weight(xi)
-    rows = {t: i for i, t in enumerate(space.weights.get(wt_add(w, shift), []))}
-    cols = space.weights.get(w, [])
+    shift = alg.weight(xi)
+    rows = {t: i for i, t in enumerate(basis(wt_add(w, shift)))}
+    cols = basis(w)
     mat = SparseMatrix(len(rows), len(cols))
     for ci, (w1, i, w2, j) in enumerate(cols):
         for slot, op in enumerate(ops):
@@ -456,15 +470,40 @@ def test_tensor_action_reads_columns_like_the_row_scan(loop_a, abelian):
         for module in _tensor_modules(alg):
             space = _TensorSpace(us, module, 4)
             diag_ops = ((us.right.action, True), (module.action, False))
+
+            def basis(w):
+                return _tensor_basis(space, w)
+
             checked = errors = 0
             for w in space.weights:
                 for xi in alg.elements_in_degrees(-4, 4):
                     got = _outcome(space.action, xi, w)
-                    assert got == _outcome(_row_scan_action, space, xi, w, diag_ops), (module.name, w, xi)
-                    assert _outcome(space.left, xi, w) == _outcome(_row_scan_action, space, xi, w, left_ops), (w, xi)
+                    assert got == _outcome(_row_scan_action, alg, basis, xi, w, diag_ops), (module.name, w, xi)
+                    assert _outcome(space.left, xi, w) == _outcome(_row_scan_action, alg, basis, xi, w, left_ops), (w, xi)
                     checked += not isinstance(got, str) and any(got)
                     errors += isinstance(got, str)
             assert checked and errors, (alg.name, module.name)
+
+
+def test_tensor_space_blocks_are_the_sorted_quadruples(loop_a, abelian):
+    """The per-weight dimensions and block starts, summed without building a
+    basis, are the ones read off the sorted quadruples: every weight that
+    some factor pair reaches within the depth, and one
+    block per nonempty factor pair at the position of its (w1, 0, w2, 0)."""
+    for alg in (loop_a, abelian):
+        us = universal_semijective(alg, 4)
+        for module in _tensor_modules(alg):
+            space = _TensorSpace(us, module, 4)
+            reached = {wt_add(w1, w2) for w1 in us.weights for w2 in module.weights}
+            assert set(space.weights) == {w for w in reached if alg.ell(w) >= -4}
+            assert set(space._blocks) == set(space.weights)
+            for w in space.weights:
+                quads = _tensor_basis(space, w)
+                assert space.dim(w) == len(quads), (module.name, w)
+                starts = {w1: (start, w2) for start, (w1, i, w2, j) in enumerate(quads) if i == j == 0}
+                assert space._blocks[w] == starts, (module.name, w)
+                assert list(space._blocks[w]) == sorted(starts), (module.name, w)
+            assert any(space.dim(w) for w in space.weights)
 
 
 def test_tensor_action_reads_each_factor_once_per_block(loop_a, monkeypatch):
@@ -490,7 +529,7 @@ def test_tensor_action_reads_each_factor_once_per_block(loop_a, monkeypatch):
     monkeypatch.setattr(SparseMatrix, "transpose", no_transpose)
     built = 0
     for w in space.weights:
-        blocks = sorted({(w1, w2) for w1, _i, w2, _j in space.weights[w]})
+        blocks = sorted({(w1, w2) for w1, _i, w2, _j in _tensor_basis(space, w)})
         for xi in loop_a.elements_in_degrees(-2, 2):
             for fn, sides in ((space.action, ("us", "m")), (space.left, ("us",))):
                 del reads[:]
@@ -526,11 +565,14 @@ class _ModuleFirstSpace:
     def dim(self, w):
         return len(self.weights.get(tuple(w), ()))
 
+    def basis(self, w):
+        return self.weights.get(tuple(w), [])
+
     def action(self, xi, w):
-        return _row_scan_action(self, xi, w, self._diag_ops)
+        return _row_scan_action(self.alg, self.basis, xi, w, self._diag_ops)
 
     def left(self, xi, w):
-        return _row_scan_action(self, xi, w, self._left_ops)
+        return _row_scan_action(self.alg, self.basis, xi, w, self._left_ops)
 
 
 def _module_first_outcome(alg, module, depth):
