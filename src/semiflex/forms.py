@@ -462,7 +462,7 @@ def semiinf_cohomology(alg, module, depth: int, weights=None) -> CohomologyTable
         mats = {n: cx.matrix(n) for n in range(min(ns) - 1, max(ns) + 1)}
         ints = {n: cleared(mat) for n, mat in mats.items()}
         for n in range(min(ns) - 1, max(ns)):
-            nnz = residual_nnz([(1, ints[n + 1], ints[n])])
+            nnz = residual_nnz([(1, ints[n + 1], ints[n])], mats[n].ncols)
             if nnz:
                 raise AnomalyError(w, n, f"differential does not square to zero (residual has {nnz} nonzero entries)")
         ranks = {n: mat.rank() for n, mat in mats.items()}

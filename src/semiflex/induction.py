@@ -170,8 +170,8 @@ class _PairSpace:
         for bucket in self.weights.values():
             bucket.sort()
         self._index = {w: {pair: i for i, pair in enumerate(b)} for w, b in self.weights.items()}
-        # dual monomial q -> (the qtab object q, its weight, its ell)
-        self._duals = {q: (q, qw, alg.ell(qw)) for qw, qs in self.qtab.items() for q in qs}
+        # dual monomial q -> (the qtab object q, its weight)
+        self._duals = {q: (q, qw) for qw, qs in self.qtab.items() for q in qs}
         self._words: dict = {}
         self._zq: dict = {}
         self._peels: dict = {}
@@ -238,22 +238,15 @@ class _PairSpace:
         Row (q', m) of the target takes -c * c2 for every term (p, word, c)
         of z·q' whose p is the dual part q0 of a column (q0, m0) and every
         (m, c2) of the word peeled off m0.  So only the distinct q' of the
-        target weight's basis are visited, and of those only the q' within
-        the ell bound below; every other q' would only miss its row lookup,
-        so the matrix is the same exact sum."""
-        alg = self.alg
-        target = wt_add(w, alg.weight(z))
+        target weight's basis are visited."""
+        target = wt_add(w, self.alg.weight(z))
         rows = self._index.get(target, {})
         cols = self.basis(w)
         mat = SparseMatrix(len(rows), len(cols))
         by_q0: dict = {}
         for ci, (q0, m0) in enumerate(cols):
             by_q0.setdefault(q0, []).append((ci, m0))
-        # z·q' has a positive part of ell at least ell(q') + ell(z)
-        bound = max((self._duals[q0][2] for q0 in by_q0), default=0) - alg.ell(alg.weight(z))
         for qprime in dict.fromkeys(q for q, _m in rows):
-            if self._duals[qprime][2] > bound:
-                continue
             for p, word, c in self._zq_terms(z, qprime):
                 for ci, m0 in by_q0.get(p, ()):
                     for m, c2 in self._peeled(word, m0):

@@ -18,8 +18,11 @@ dependency, so every derived quantity is exact.
 
 Sums of products are checked on cleared integers too: ``residual_nnz``
 brings every term of sum(c * A * B) to one common denominator and sums each
-output row in int arithmetic, so neither the commutator oracle nor the
-d^2 = 0 check builds a Fraction per entry.  Matrix-vector images run on the
+output row in int arithmetic into a dense row accumulator (the "SPA" of
+Gilbert, Moler and Schreiber, SIAM J. Matrix Anal. Appl. 13, 1992), so
+neither the commutator oracle nor the d^2 = 0 check builds a Fraction or
+pays a dict lookup per product term; the trade-off for very wide, sparse
+rows is stated at the function.  Matrix-vector images run on the
 same cleared rows: ``SparseMatrix.images`` clears the matrix once for a whole
 batch of vectors, scales each vector by the lcm of its denominators, sums
 each row in int arithmetic and divides each nonzero sum once.
@@ -32,7 +35,7 @@ from math import gcd, lcm
 
 from ._kernels import row_echelon_int
 
-__all__ = ["SparseMatrix", "Subspace", "cleared", "residual_nnz", "solve_in_span"]
+__all__ = ["SparseMatrix", "Subspace", "cleared", "exact_quotient", "residual_nnz", "solve_in_span"]
 
 
 class SparseMatrix:
@@ -123,7 +126,7 @@ class SparseMatrix:
                 image.append(s)
             den = d * dv
             if den != 1:
-                image = [_exact_quotient(s, den) if s else 0 for s in image]
+                image = [exact_quotient(s, den) if s else 0 for s in image]
             out.append(image)
         return out
 
@@ -181,14 +184,22 @@ def cleared(m: SparseMatrix):
     return d, [{c: v.numerator * (d // v.denominator) for c, v in row.items()} for row in m.rows]
 
 
-def residual_nnz(terms) -> int:
+def residual_nnz(terms, ncols: int) -> int:
     """The number of nonzero entries of sum(c * A * B) over ``terms``, exactly.
 
     Each term is (c, A, B) with c an exact scalar (int or Fraction) and A, B
     cleared matrices as ``cleared`` returns them, B None for the term c * A.
     Every term is scaled to the common denominator L of all of them, so row
     i of L times the sum is summed in int arithmetic.  The terms share the
-    shape of the result, A's rows by B's (or A's) columns.
+    shape of the result, A's rows by ``ncols`` columns.
+
+    Each output row of Gustavson's row-by-row product is summed into a
+    dense accumulator of ``ncols`` ints and its nonzeros are counted in one
+    pass (``ncols - acc.count(0)``), so no product term pays a dict lookup;
+    memory stays O(ncols).  The O(ncols) per row loses to a dict only on
+    rows far wider than their products, a handful of products in thousands
+    of columns; the oracle's rows (at most 87 wide at depth 11) and the
+    d^2 check's (at most 661 wide over affine sl2 at D=7) are not.
     """
     den = 1
     for c, (da, _), b in terms:
@@ -199,22 +210,25 @@ def residual_nnz(terms) -> int:
         scaled.append((den // (c.denominator * da * db) * c.numerator, arows, brows))
     count = 0
     for i in range(len(terms[0][1][1])):
-        acc: dict = {}
+        acc = [0] * ncols
         for f, arows, brows in scaled:
             if brows is None:
                 for j, v in arows[i].items():
-                    acc[j] = acc.get(j, 0) + f * v
+                    acc[j] += f * v
                 continue
             for k, v in arows[i].items():
                 fv = f * v
                 for j, w in brows[k].items():
-                    acc[j] = acc.get(j, 0) + fv * w
-        count += sum(map(bool, acc.values()))
+                    acc[j] += fv * w
+        count += ncols - acc.count(0)
     return count
 
 
-def _exact_quotient(s: int, den: int):
-    """s / den as an int when it is integral, else a Fraction."""
+def exact_quotient(s, den: int):
+    """s / den (s an int or a Fraction) as an int when it is integral, else a
+    Fraction; an int s that den divides takes no Fraction."""
+    if type(s) is int and s % den == 0:
+        return s // den
     q = Fraction(s, den)
     return q.numerator if q.denominator == 1 else q
 
@@ -344,5 +358,5 @@ def solve_in_span(span: Subspace, targets):
         if rest:
             return None
         c = _fold(steps)
-        out.append([_exact_quotient(c[i], scale) if i in c else 0 for i in range(len(span))])
+        out.append([exact_quotient(c[i], scale) if i in c else 0 for i in range(len(span))])
     return out

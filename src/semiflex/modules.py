@@ -10,10 +10,12 @@ algebra for coverma's right module), with a memo per module; it is the
 recursion that multiplies in U(g), and this module has none of its own.
 The character of the inducing datum enters only through the scalars
 lambda(label) on the degree-0 basis, where the recursion reaches the top
-vector.  Matrix entries are exact: an int wherever the value is integral,
-a Fraction otherwise.  The constructors turn lambda into such values once
-per module, so an integral lambda (given as int or Fraction) yields
-all-int matrices.
+vector.  Each module clears lambda once: the recursion runs on q times its
+values, q the lcm of their denominators, so over integral structure
+constants it is int arithmetic at any lambda, and the rule divides each
+entry of an element outside the free part by q once.  Matrix entries are
+exact: an int wherever the value is integral, a Fraction otherwise, so an
+integral lambda (given as int or Fraction) yields all-int matrices.
 
 Every action matrix in the package, the left and right actions of US and
 the left action of the Wakimoto quotient included, is read through
@@ -31,9 +33,11 @@ b = model.right, s = 0).  With a = b it skips the mirrored pairs
 and the pairs x = y, a tautology since [x, x] = 0.  It clears each action
 matrix of its denominators once per check, dropped after the last weight
 that reads it, and tests the sum of the three terms for zero in exact
-integers (linalg.residual_nnz), so a non-integral lambda adds no Fraction
-arithmetic to the check; the matrices themselves keep their entries and
-types.  The test suite exercises it relentlessly.
+integers (linalg.residual_nnz).  So a non-integral lambda adds no
+Fraction arithmetic to the oracle at either end: the recursion that builds
+the matrices is integer, and the check sums cleared ints; the matrices
+themselves keep their exact entries, an int wherever integral.  The test
+suite exercises it relentlessly.
 
 Chevalley-Eilenberg (co)homology has no complex of its own: it is the
 semi-infinite complex (forms.semiinf_cohomology) of a strictly positive or
@@ -43,9 +47,11 @@ relabelled to CE degrees.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .forms import CohomologyTable, semiinf_cohomology
 from .liealg import WindowError, exact, subalgebra, wt_add, wt_neg, wt_zero
-from .linalg import SparseMatrix, cleared, residual_nnz
+from .linalg import SparseMatrix, cleared, exact_quotient, residual_nnz
 from .pbw import canonical_order, descending_order, enumerate_pbw_weights, induced_action, monomial_label
 
 __all__ = [
@@ -148,30 +154,47 @@ def _induced_module(alg, name, tab, values, depth, right=False) -> WeightModule:
     negative part, increasing in the canonical order}.  With ``right``, the
     monomials span the strictly positive part, listed at negated weights,
     and the module is the dual of C_values ⊗ U(alg): row p of the matrix of
-    z holds p·z in the column basis."""
+    z holds p·z in the column basis.
+
+    The recursion runs on q times the values, q the lcm of their
+    denominators, and the rule divides each entry of a non-free element by
+    q once."""
     labels = {w: [monomial_label(alg, m) + ("*" if right else "") for m in mons] for w, mons in tab.items()}
+    q = lcm(*(v.denominator for v in values.values() if type(v) is not int))
+    values = {e: int(q * v) for e, v in values.items()}
     if right:
         # the right module runs the recursion in the opposite algebra, on reversed monomials
         tab = {w: [m[::-1] for m in mons] for w, mons in tab.items()}
-        act = induced_action(alg, lambda e: alg.degree(e) > 0, descending_order(alg), values, -1, {})
+        order, sign = descending_order(alg), -1
     else:
-        act = induced_action(alg, lambda e: alg.degree(e) < 0, canonical_order(alg), values, 1, {})
+        order, sign = canonical_order(alg), 1
+
+    def free(e) -> bool:
+        return sign * alg.degree(e) < 0
+
+    act = induced_action(alg, free, order, values, sign, {}, q)
     index = {w: {m: i for i, m in enumerate(mons)} for w, mons in tab.items()}
 
     def rule(eid, w):
         target = wt_add(w, alg.weight(eid))
         mat = SparseMatrix(len(tab.get(target, ())), len(tab.get(w, ())))
+        rows = mat.rows
         at, to = (target, w) if right else (w, target)
         to_index = index.get(to, {})
+        scale = 1 if free(eid) else q
+        # the monomials act returns are distinct and the index is a bijection,
+        # so each (row, column) is written once
         for i, mon in enumerate(tab.get(at, ())):
             for out, coeff in act(eid, mon).items():
                 j = to_index.get(out)
                 if j is None:
                     raise ModuleError(f"{name}: {alg.label(eid)} from weight {w} to weight {target} leaves the basis")
+                if scale != 1 or type(coeff) is not int:
+                    coeff = exact_quotient(coeff, scale)
                 if right:
-                    mat.add(i, j, coeff)
+                    rows[i][j] = coeff
                 else:
-                    mat.add(j, i, coeff)
+                    rows[j][i] = coeff
         return mat
 
     return WeightModule(alg, name, labels, rule, depth)
@@ -331,7 +354,7 @@ def _commutator_failures(a: WeightModule, gen_window: tuple, weights=None, b=Non
 
     failures = []
     for i, w in enumerate(weights):
-        shift = shifted[i]
+        shift, ncols = shifted[i], a.dim(w)
         floor = -depth - alg.ell(w)  # ell(w + v) < -depth iff ell(v) < floor
         for x in gens:
             for y in gens:
@@ -340,7 +363,7 @@ def _commutator_failures(a: WeightModule, gen_window: tuple, weights=None, b=Non
                 terms = [(1, clear(a, x, shift[y]), clear(b, y, w)), (-1, clear(b, y, shift[x]), clear(a, x, w))]
                 if sign:
                     terms += [(-sign * cf, clear(b, k, w), None) for k, cf in alg.bracket_ids(x, y).items()]
-                if residual_nnz(terms):
+                if residual_nnz(terms, ncols):
                     failures.append((alg.label(x), alg.label(y), w))
         for v in [v for v in memo if last[v] == i]:
             del memo[v]

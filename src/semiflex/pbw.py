@@ -8,9 +8,16 @@ coefficient an int).  Every product is one recursion, ``induced_action``,
 on the PBW basis vectors of an induced module.  U(g) is induced from the
 zero subalgebra, so ``multiplier`` gives e·mon in U(g), memoized per
 (algebra, order), and a word straightens as a right-to-left fold of it;
-the Verma-type modules of ``modules`` run it with a character.  The PBW
-form is unique, which the tests check against two straighteners that
-rewrite whole words.
+the Verma-type modules of ``modules`` run it with a character.  A
+character with denominators is cleared once: the recursion runs on q
+times its values, q the lcm of their denominators, and then returns q
+times the true result for every element outside the free part.  That is
+exact because the free part is closed under brackets (the strictly
+negative part for a Verma module, the strictly positive part for a
+contragredient one), so only a bracket from outside the free part into it
+needs the factor q; with q = 1 (an integral character, U(g) itself) the
+recursion is the plain one.  The PBW form is unique, which the tests
+check against two straighteners that rewrite whole words.
 
 Orders: the canonical order (degree, weight, index) from the algebra and
 its reverse (positive part first); any Order(tag, key) works, as the
@@ -143,7 +150,7 @@ def add_scaled(acc: dict, terms: dict, c) -> None:
 # -- the product recursion ----------------------------------------------------------
 
 
-def induced_action(alg, free, order: Order, values: dict, sign: int, memo: dict):
+def induced_action(alg, free, order: Order, values: dict, sign: int, memo: dict, scale: int = 1):
     """Memoized act(e, mon) -> {mon': coeff}: the basis element ``e`` on the
     basis vector mon·v of U(g) ⊗ C_values, ``mon`` a PBW monomial of the
     free part, increasing in ``order``.
@@ -154,6 +161,16 @@ def induced_action(alg, free, order: Order, values: dict, sign: int, memo: dict)
     2008, §1.3), down to v: e·v for a free e, values[e]·v otherwise.  Sign -1
     runs in the opposite algebra.  The recursion is one frame per factor
     deep, and ``memo`` is keyed by (e, mon).
+
+    ``values`` may be a character cleared of its denominators: ``scale``
+    times it, so that integral structure constants keep every coefficient
+    an int.  Then act(e, mon) is ``scale`` times the true result for a
+    non-free e and the true result for a free one, and the bracket term of
+    a non-free e is multiplied by ``scale`` where [e, y] is free.  This is
+    exact when the free part is closed under brackets (a free e has a free
+    [e, y], since y is free): the strictly negative part of a Verma module
+    and the strictly positive part of a contragredient one are.  Scale 1
+    is the plain recursion.
     """
     key = order.key
 
@@ -161,15 +178,16 @@ def induced_action(alg, free, order: Order, values: dict, sign: int, memo: dict)
         res = memo.get((e, mon))
         if res is not None:
             return res
+        free_e = free is None or free(e)
         if not mon:
-            if free is None or free(e):
+            if free_e:
                 res = {((e, 1),): 1}
             else:
                 v = values.get(e)
                 res = {EMPTY: v} if v else {}
         else:
             y, a = mon[0]
-            if (free is None or free(e)) and key(e) <= key(y):
+            if free_e and key(e) <= key(y):
                 res = {((e, a + 1),) + mon[1:] if e == y else ((e, 1),) + mon: 1}
             else:
                 rest = ((y, a - 1),) + mon[1:] if a > 1 else mon[1:]
@@ -177,6 +195,8 @@ def induced_action(alg, free, order: Order, values: dict, sign: int, memo: dict)
                 for m, c in act(e, rest).items():
                     add_scaled(res, act(y, m), c)
                 for k, c in alg.bracket_ids(e, y).items():
+                    if scale != 1 and not free_e and free(k):
+                        c *= scale
                     add_scaled(res, act(k, rest), sign * c)
         memo[(e, mon)] = res
         return res

@@ -6,7 +6,7 @@ from fractions import Fraction
 from semiflex.induction import wakimoto
 from semiflex.liealg import WindowError, exact, load_algebra, subalgebra
 from semiflex.linalg import SparseMatrix
-from semiflex.modules import verma
+from semiflex.modules import coverma, verma
 
 
 def entry_types(module, gen_window=(-2, 2)):
@@ -72,6 +72,36 @@ def test_matrix_entries_stay_int_for_integral_data(sl2):
     # W's entries are span-solve coordinates: integral ones come back as int
     w01 = wakimoto(sl2, {"1⊗h": Fraction(0), "K": Fraction(1), "d": Fraction(0)}, 3)
     assert entry_types(w01) == {int}
+
+
+def integral_fractions(module, gen_window=(-2, 2)):
+    """(label, weight, value) of every action entry of ``module`` that is a
+    Fraction with denominator 1."""
+    alg = module.alg
+    found = []
+    for w in module.weights_list():
+        for z in alg.elements_in_degrees(*gen_window):
+            try:
+                mat = module.action(z, w)
+            except WindowError:
+                continue
+            found += [(alg.label(z), w, v) for row in mat.rows for v in row.values() if type(v) is Fraction and v.denominator == 1]
+    return found
+
+
+def test_no_action_entry_is_an_integral_fraction(sl2):
+    """An integral value is an int in every action matrix, also where lambda
+    is not integral: 1⊗e at weight (-6, 0) of V(h=1/2, K=1) is -27."""
+    v = verma(sl2, {"1⊗h": Fraction(1, 2), "K": Fraction(1)}, 6)
+    assert v.action(sl2.by_label("1⊗e"), (-6, 0)).rows[0][0] == -27
+    lams = [(Fraction(1, 2), Fraction(1), 0), (Fraction(2, 3), Fraction(1, 2), 0), (Fraction(-1, 3), Fraction(1), Fraction(1, 5))]
+    for h, k, d in lams:
+        lam = {"1⊗h": h, "K": k, "d": d}
+        for ctor in (verma, coverma):
+            module = ctor(sl2, lam, 6)
+            assert entry_types(module) == {int, Fraction}, (ctor.__name__, lam)
+            assert integral_fractions(module) == [], (ctor.__name__, lam)
+    assert integral_fractions(wakimoto(sl2, {"1⊗h": Fraction(1, 2), "K": Fraction(1), "d": Fraction(0)}, 3)) == []
 
 
 def test_images_of_an_integral_fraction_sum_are_ints():

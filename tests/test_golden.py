@@ -43,6 +43,9 @@ JOBS = [
     (["character", "--module", "verma", "--depth", "6", "--out", "character_verma.csv"], ["character_verma.csv"]),
     (["lie-cohomology", "--depth", "4", "--out", "lie_cohomology.csv"], ["lie_cohomology.csv"]),
     (["lie-cohomology", "--which", "homology", "--depth", "4", "--out", "lie_homology.csv"], ["lie_homology.csv"]),
+    # a non-integral lambda: the coverma and Verma recursions run on lambda cleared of its denominators
+    (["lie-cohomology", "--lambda", "h=2/3,K=1/2,d=0", "--depth", "4", "--out", "lie_cohomology_fractional.csv"], ["lie_cohomology_fractional.csv"]),
+    (["lie-cohomology", "--which", "homology", "--lambda", "h=2/3,K=1/2,d=0", "--depth", "4", "--out", "lie_homology_fractional.csv"], ["lie_homology_fractional.csv"]),
     # trivial coefficients: empty degrees are listed as rows of dimension 0
     (["lie-cohomology", "--algebra", "abelian", "--module", "trivial", "--depth", "5", "--out", "lie_cohomology_abelian.csv"], ["lie_cohomology_abelian.csv"]),
 ]

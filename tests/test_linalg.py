@@ -212,7 +212,57 @@ def test_residual_nnz_is_the_nnz_of_the_fraction_sum():
         if trial % 3 == 0:
             terms.append((Fraction(-1, 3), cleared(SparseMatrix.from_rows([{j: 3 * v for j, v in row.items()} for row in dense_sum.rows], m)), None))
             dense_sum = SparseMatrix(n, m)
-        assert residual_nnz(terms) == dense_sum.nnz, trial
+        assert residual_nnz(terms, m) == dense_sum.nnz, trial
+
+
+def fraction_sum_nnz(terms, nrows, ncols):
+    """nnz of sum(c * A * B) (B None for c * A) summed with matmul in
+    Fraction arithmetic: the reference for ``residual_nnz``."""
+    total = SparseMatrix(nrows, ncols)
+    for c, a, b in terms:
+        for i, row in enumerate((a if b is None else a.matmul(b)).rows):
+            for j, v in row.items():
+                total.add(i, j, c * v)
+    return total.nnz
+
+
+def cleared_terms(terms):
+    return [(c, cleared(a), None if b is None else cleared(b)) for c, a, b in terms]
+
+
+def test_residual_nnz_on_wide_sparse_rows():
+    """Rows of a few products spread over 400 columns: the dense row
+    accumulator is as wide as the result, the products are not."""
+    rng = random.Random(2611)
+    n, k, m = 6, 5, 400
+    for trial in range(10):
+        a = SparseMatrix.from_rows([{rng.randrange(k): Fraction(rng.randint(1, 5), rng.randint(1, 3))} for _ in range(n)], k)
+        b = SparseMatrix.from_rows([{rng.randrange(m): rng.randint(-4, 4) or 1 for _ in range(2)} for _ in range(k)], m)
+        single = SparseMatrix.from_rows([{rng.randrange(m): Fraction(1, 2)} if i % 2 else {} for i in range(n)], m)
+        terms = [(1, a, b), (Fraction(-2, 3), single, None)]
+        assert residual_nnz(cleared_terms(terms), m) == fraction_sum_nnz(terms, n, m), trial
+
+
+def test_residual_nnz_without_entries():
+    """No rows at all, and rows that are all empty: nothing to count."""
+    assert residual_nnz(cleared_terms([(1, SparseMatrix(0, 3), SparseMatrix(3, 4))]), 4) == 0
+    assert residual_nnz(cleared_terms([(1, SparseMatrix(0, 4), None)]), 4) == 0
+    empty = [(Fraction(1, 2), SparseMatrix(3, 2), SparseMatrix(2, 5)), (-1, SparseMatrix(3, 5), None)]
+    assert residual_nnz(cleared_terms(empty), 5) == 0
+
+
+def test_residual_nnz_of_a_sum_that_cancels_but_in_one_column():
+    """A * B minus the same product written out in Fractions, but for one
+    entry: exactly one nonzero is left, whichever row and column it is."""
+    a = matrix([[1, Fraction(1, 2), 0], [0, 3, Fraction(-2, 3)]])
+    b = matrix([[2, 0, 1, Fraction(1, 3)], [Fraction(4, 5), 1, 0, 0], [0, 6, 1, 2]])
+    prod = a.matmul(b)
+    for i in range(prod.nrows):
+        for j in range(prod.ncols):
+            rest = SparseMatrix.from_rows([dict(row) for row in prod.rows], prod.ncols)
+            rest.add(i, j, Fraction(7, 3))
+            terms = [(3, a, b), (-3, rest, None)]
+            assert residual_nnz(cleared_terms(terms), 4) == fraction_sum_nnz(terms, 2, 4) == 1, (i, j)
 
 
 # -- the sparse kernel against the dense Bareiss it replaced -----------------------

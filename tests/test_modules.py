@@ -15,7 +15,7 @@ from conftest import (
     reference_verma,
 )
 from semiflex.forms import AnomalyError, semiinf_cohomology
-from semiflex.liealg import WindowError, exact, load_algebra, subalgebra, wt_add, wt_neg
+from semiflex.liealg import WindowError, check_jacobi, exact, load_algebra, subalgebra, wt_add, wt_neg
 from semiflex.linalg import SparseMatrix
 from semiflex import modules
 from semiflex.pbw import canonical_order, enumerate_pbw_weights
@@ -399,7 +399,8 @@ def test_one_check_clears_each_matrix_once_and_skips_x_with_itself(sl2, monkeypa
     is read at several outer weights: a fractional Verma module at depth 5,
     window (-2, 2), its matrices fetched by a first check and counted by
     identity in a second.  The mirrored check never hands residual_nnz an
-    (x, x) pair, read off the first term a(x, w + wt y) b(y, w)."""
+    (x, x) pair, read off the first term a(x, w + wt y) b(y, w), and gives
+    it the result's width, dim w."""
     V = verma(sl2, {"1⊗h": Fraction(2, 3), "K": Fraction(1, 2)}, 5)
     assert check_commutators(V, (-2, 2)) == []
     key_of = {id(m): key for key, m in V._cache.items()}
@@ -412,10 +413,12 @@ def test_one_check_clears_each_matrix_once_and_skips_x_with_itself(sl2, monkeypa
         forms[id(form)] = (key_of[id(m)], form)  # the form is kept alive, so its id stays its own
         return form
 
-    def recording_residual(terms):
+    def recording_residual(terms, ncols):
         _, a_form, b_form = terms[0]
-        pairs.append((forms[id(a_form)][0][0], forms[id(b_form)][0][0]))
-        return real_residual(terms)
+        (x, _), (y, w) = forms[id(a_form)][0], forms[id(b_form)][0]
+        pairs.append((x, y))
+        assert ncols == V.dim(w)  # the shape of a(x) b(y) on the source weight w
+        return real_residual(terms, ncols)
 
     monkeypatch.setattr(modules, "cleared", counting_cleared)
     monkeypatch.setattr(modules, "residual_nnz", recording_residual)
@@ -494,9 +497,10 @@ def test_check_commutators_lets_a_window_error_through(sl2, lam01):
         check_commutators(M, (-1, 1))
 
 
-def _actions(module, window):
+def _actions(module, window, entry=lambda v: v):
     """Every action matrix of the window's generators as rows of {col: (type,
-    value)}, or the class of the error it raises."""
+    value)}, each entry passed through ``entry`` first, or the class of the
+    error it raises."""
     out = {}
     for w in module.weights_list():
         for e in module.alg.elements_in_degrees(*window):
@@ -505,7 +509,8 @@ def _actions(module, window):
             except (WindowError, ModuleError) as exc:
                 out[e, w] = type(exc)
             else:
-                out[e, w] = (mat.nrows, mat.ncols, [{c: (type(v), v) for c, v in row.items()} for row in mat.rows])
+                rows = [{c: entry(v) for c, v in row.items()} for row in mat.rows]
+                out[e, w] = (mat.nrows, mat.ncols, [{c: (type(v), v) for c, v in row.items()} for row in rows])
     return out
 
 
@@ -517,8 +522,11 @@ def _actions(module, window):
 )
 def test_induced_actions_match_straightening(case, sl2, loop_a):
     """The Verma recursion gives the matrices of straightening the whole word
-    in U(g): rows, values, int/Fraction types and raised errors, at depth 6
-    on the generators of degrees -3..3 (K = -2 is the critical level)."""
+    in U(g): rows, values and raised errors, at depth 6 on the generators of
+    degrees -3..3 (K = -2 is the critical level).  Types are pinned too:
+    the recursion's entries are exact, an int wherever the value is
+    integral, and so are the reference's once passed through exact (the
+    reference straightens in Fractions at a fractional lambda)."""
     depth = 6
     if case == "verma over a":
         got, ref = verma(loop_a, {}, depth), reference_verma(loop_a, {}, depth)
@@ -532,7 +540,108 @@ def test_induced_actions_match_straightening(case, sl2, loop_a):
         ctor, reference = (verma, reference_verma) if kind == "verma" else (coverma, reference_coverma)
         got, ref = ctor(sl2, lam, depth), reference(sl2, lam, depth)
     assert got.weights.keys() == ref.weights.keys()
-    assert _actions(got, (-3, 3)) == _actions(ref, (-3, 3))
+    assert _actions(got, (-3, 3)) == _actions(ref, (-3, 3), exact)
+
+
+def rational_sl3():
+    """sl3 on a rescaled Chevalley basis, principal grading: E23 doubled and
+    E13 tripled, so [E12, E23] = 2/3 E13 and [E21, E13] = 3/2 E23 carry
+    denominators that no clearing of lambda removes."""
+    scale = {(0, 1): 1, (1, 2): 2, (0, 2): 3, (1, 0): 1, (2, 1): 1, (2, 0): 1}
+
+    def unit(i, j, c=1):
+        m = [[Fraction(0)] * 3 for _ in range(3)]
+        m[i][j] = Fraction(c)
+        return m
+
+    basis = [(f"E{i + 1}{j + 1}", unit(i, j, c)) for (i, j), c in scale.items()]
+    basis += [("H1", [[1, 0, 0], [0, -1, 0], [0, 0, 0]]), ("H2", [[0, 0, 0], [0, 1, 0], [0, 0, -1]])]
+    # e_1, e_2, e_3 in simple-root coordinates (shifted so e_2 = 0): E_ij has weight e_i - e_j
+    simple = {0: (1, 0), 1: (0, 0), 2: (0, -1)}
+
+    def weight(label):
+        if label[0] == "H":
+            return [0, 0]
+        i, j = int(label[1]) - 1, int(label[2]) - 1
+        return [a - b for a, b in zip(simple[i], simple[j])]
+
+    def coords(m):
+        # off-diagonal (i, j) -> the rescaled unit; diag(a, b, c) = a H1 - c H2
+        out = {pos: m[i][j] / c for pos, ((i, j), c) in enumerate(scale.items()) if m[i][j]}
+        for pos, v in ((6, m[0][0]), (7, -m[2][2])):
+            if v:
+                out[pos] = v
+        return out
+
+    def product(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+
+    brackets = []
+    for i, (_, a) in enumerate(basis):
+        for j in range(i + 1, len(basis)):
+            b = basis[j][1]
+            ab, ba = product(a, b), product(b, a)
+            terms = coords([[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)])
+            if terms:
+                brackets.append({"i": i, "j": j, "terms": [{"k": k, "num": v.numerator, "den": v.denominator} for k, v in terms.items()]})
+    return load_algebra(
+        {
+            "name": "sl3q",
+            "grading": {"rank": 2, "degree_functional": [1, 1]},
+            "basis": [{"label": lab, "weight": weight(lab), "index": 0 if lab != "H2" else 1} for lab, _ in basis],
+            "brackets": brackets,
+            "beta": [],
+        }
+    )
+
+
+# lambda with three denominators on affine sl2 (q = 30), and on sl3 with
+# rational structure constants (q = 35), where Fractions survive the clearing
+SCALED = {
+    "affine sl2": ("sl2", {"1⊗h": Fraction(2, 3), "K": Fraction(1, 2), "d": Fraction(1, 5)}, 5, (-2, 2)),
+    "rational sl3": ("sl3", {"H1": Fraction(1, 5), "H2": Fraction(-3, 7)}, 4, (-2, 2)),
+}
+
+
+@pytest.mark.parametrize("kind", ["verma", "coverma"])
+@pytest.mark.parametrize("case", sorted(SCALED))
+def test_scaled_recursion_matches_straightening(case, kind, sl2):
+    """The recursion on lambda cleared once gives the reference's matrices
+    entry by entry (the reference's integral Fractions passed through
+    exact), and the module passes the commutator oracle."""
+    name, lam, depth, window = SCALED[case]
+    alg = sl2 if name == "sl2" else rational_sl3()
+    assert check_jacobi(alg, -4, 4).passed
+    ctor, reference = (verma, reference_verma) if kind == "verma" else (coverma, reference_coverma)
+    got, ref = ctor(alg, lam, depth), reference(alg, lam, depth)
+    assert got.weights.keys() == ref.weights.keys()
+    actions = _actions(got, window)
+    assert actions == _actions(ref, window, exact)
+    matrices = [m for m in actions.values() if isinstance(m, tuple)]
+    assert {t for m in matrices for row in m[2] for t, _v in row.values()} == {int, Fraction}
+    assert check_commutators(got, window) == []
+
+
+@pytest.mark.parametrize("kind", ["verma", "coverma"])
+def test_fractional_recursion_memo_holds_only_ints(kind, sl2, monkeypatch):
+    """Over affine sl2 (integral structure constants) the recursion of a
+    module at a fractional lambda runs in ints: every coefficient in its
+    memo is one, and only the matrices carry Fractions."""
+    memos = []
+    real = modules.induced_action
+
+    def recording(alg, free, order, values, sign, memo, scale):
+        memos.append((values, memo, scale))
+        return real(alg, free, order, values, sign, memo, scale)
+
+    monkeypatch.setattr(modules, "induced_action", recording)
+    name, lam, depth, window = SCALED["affine sl2"]
+    module = (verma if kind == "verma" else coverma)(sl2, lam, depth)
+    _actions(module, window)
+    ((values, memo, scale),) = memos
+    assert scale == 30 and values and {type(v) for v in values.values()} == {int}
+    assert len(memo) > 100
+    assert {type(c) for res in memo.values() for c in res.values()} == {int}
 
 
 @pytest.mark.parametrize("right", [False, True])
