@@ -205,10 +205,11 @@ def _run(spec: JobSpec) -> int:
         module = _build_module(alg, lam, spec)
         if spec.module == "wakimoto" and spec.algebra in A_ALIASES:
             alg = subalgebra(alg, "a")
-        table = semiinf_cohomology(alg, module, spec.depth)
+        bases = {} if spec.dump else None
+        table = semiinf_cohomology(alg, module, spec.depth, bases=bases)
         _emit(spec, alg, output.table_rows(table))
         if spec.dump:
-            output.dump_forms_jsonl(spec.dump, alg, table, module)
+            output.dump_forms_jsonl(spec.dump, alg, bases)
         _table_summary(table)
         return 0
 

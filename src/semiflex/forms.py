@@ -435,12 +435,15 @@ class CohomologyTable:
         return f"CohomologyTable({self.kind}, {len(nz)} nonzero cells)"
 
 
-def semiinf_cohomology(alg, module, depth: int, weights=None) -> CohomologyTable:
+def semiinf_cohomology(alg, module, depth: int, weights=None, bases=None) -> CohomologyTable:
     """Exact cohomology of the standard complex per (weight, ghost degree).
 
     Raises AnomalyError when d^2 != 0 on some cell (reporting the cell), as
     happens for inconsistent user-supplied beta data, and WindowError for a
-    requested weight w with ell(w) < -depth.
+    requested weight w with ell(w) < -depth.  Each weight's complex is built
+    once and dropped with its weight; if ``bases`` is a dict, it receives
+    ``bases[w] = {n: basis}`` from that complex for every cell of the table
+    (the CLI's forms dump reads them).
     """
     if depth > getattr(module, "depth", depth):
         raise WindowError(
@@ -469,6 +472,8 @@ def semiinf_cohomology(alg, module, depth: int, weights=None) -> CohomologyTable
         for n in ns:
             cdim = len(cx.basis(n))
             table.set(w, n, cdim - ranks[n] - ranks[n - 1], cdim)
+        if bases is not None:
+            bases[w] = {n: cx.basis(n) for n in ns}
     return table
 
 
@@ -510,18 +515,41 @@ def semiinvariants(alg, module, depth: int) -> SemiInvariants:
 
     ``module`` is anything with ``action``, ``weights``, ``dim`` and
     ``depth``: a weight module, or US ⊗ M under the diagonal action (which
-    is how semi-induction calls it).  Invariants: common kernel of the
-    positive elements of degree at most -ell(w) (beta vanishes there);
-    coinvariants: quotient by the images of xi + beta(xi) from source
-    weights with -module.depth <= ell <= 0.  The image at w is
-    ``Subspace(relations).extend(kernel)``: the kernel vectors independent
-    modulo the relations, first ones first, on one echelon that
-    ``solve_in_span`` later reads image coordinates from.
+    is how semi-induction calls it).  Coinvariants: quotient by the images
+    of xi + beta(xi) from source weights with -module.depth <= ell <= 0.
+    The image at w is ``Subspace(relations).extend(kernel)``: the kernel
+    vectors independent modulo the relations, first ones first, on one
+    echelon that ``solve_in_span`` later reads image coordinates from.
+
+    Invariants at w: the vectors that every positive element of degree at
+    most b = -ell(w) kills (beta vanishes there, and one of higher degree
+    lands above the top).  They are computed as an exact kernel of only the
+    conditions that can bind:
+
+    - a generating set of g_+ (``_positive_generators``): per degree, the
+      elements outside the span of the brackets of positive elements and of
+      the elements kept before them;
+    - of those, only the ones whose target w + wt(eta) has a nonzero
+      dimension: an action into an empty weight has no rows.  Every target
+      has ell in [ell(w), 0], so no WindowError is skipped.
+
+    Exactness, given that ``module`` is a module (the commutator oracle is
+    how semiflex certifies one): if every kept element of degree at most b
+    kills v, so does every positive element of degree at most b, by
+    induction on degree, since a non-kept element of degree d is a
+    combination of kept ones of degree d and brackets [x, y] of positive
+    x, y of lower degrees, and [x, y]v = x(yv) - y(xv) = 0.  The identity
+    holds on the truncated US ⊗ M too: x and y raise ell, so every weight
+    they pass through lies between w and the top, where US (pairs with
+    ell(wt m - wt q) >= -depth) and M are complete.  So the kernel is the
+    same subspace as that of every positive element, and since
+    ``SparseMatrix.nullspace`` is a function of the kernel alone, so are
+    the kernel vectors and every image.
     """
     if depth > module.depth:
         raise WindowError(f"semiinvariants to depth {depth} exceeds module depth {module.depth}")
     alg.ensure_window(-2 * depth - 4, 2 * depth + 4)
-    hplus = alg.elements_in_degrees(1, depth)
+    hplus = _positive_generators(alg, depth)
     hminus = alg.elements_in_degrees(-depth, 0)
     images = {}
     for w in sorted(module.weights):
@@ -531,7 +559,7 @@ def semiinvariants(alg, module, depth: int) -> SemiInvariants:
         budget = -alg.ell(w)
         inv_rows = []
         for eta in hplus:
-            if alg.degree(eta) <= budget:
+            if alg.degree(eta) <= budget and module.dim(wt_add(w, alg.weight(eta))):
                 inv_rows.extend(module.action(eta, w).rows)
         kernel = SparseMatrix.from_rows(inv_rows, dim_w).nullspace()
         relations = []
@@ -550,3 +578,23 @@ def semiinvariants(alg, module, depth: int) -> SemiInvariants:
                 relations.append(rel)
         images[w] = Subspace(relations).extend(kernel)
     return SemiInvariants(images)
+
+
+def _positive_generators(alg, depth: int) -> list:
+    """A generating set of the positive part of ``alg`` (a view too) up to
+    ``depth``: for each degree d, in the algebra's order, every element
+    outside the span of the brackets [x, y] of positive x, y with
+    deg x + deg y = d and of the elements kept in degree d before it, which
+    is the greedy basis of one ``Subspace`` per degree, the brackets as its
+    relations."""
+    kept = []
+    for d in range(1, depth + 1):
+        brackets = [
+            alg.bracket_ids(x, y)
+            for dx in range(1, d // 2 + 1)
+            for x in alg.elements_of_degree(dx)
+            for y in alg.elements_of_degree(d - dx)
+        ]
+        span = Subspace(brackets).extend({e: 1} for e in alg.elements_of_degree(d))
+        kept.extend(min(unit) for unit in span.basis)
+    return kept

@@ -24,10 +24,11 @@ visits only the q' of its target weight's basis: a row (q', m) can take a
 term of z·q' only for such a q'.
 
 Semi-induction takes semi-invariants of US ⊗ M under h(u ⊗ m) = -u h ⊗ m +
-u ⊗ h m (forms.semiinvariants on the tensor space): invariants are an exact
-kernel, coinvariants an exact quotient, and the image at each weight is a
-``linalg.Subspace`` of the kernel modulo the relations.  The left action
-descends to it.  At each weight w the tensor space's basis is a run of
+u ⊗ h m (forms.semiinvariants on the tensor space): the invariants are an
+exact kernel of a generating set of h₊, coinvariants an exact quotient, and
+the image at each weight is a ``linalg.Subspace`` of the kernel modulo the
+relations.  The left action descends to it.  At each weight w the tensor
+space's basis is a run of
 blocks US_{w1} ⊗ M_{w-w1}, one per w1 in increasing order, each row-major;
 an action of xi reads rho_US(xi) and rho_M(xi) once per block and writes
 rho(xi) ⊗ 1 and 1 ⊗ rho(xi) from their rows into the target's blocks by

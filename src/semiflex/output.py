@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import json
 
-from .forms import SemiInfComplex, monomial_str
+from .forms import monomial_str
 from .liealg import WindowError
 
 
@@ -85,15 +85,14 @@ def dump_module_jsonl(path, module, gen_window):
             )
 
 
-def dump_forms_jsonl(path, alg, table, module):
-    """Optional basis dump for cohomology tables: monomial labels per cell."""
+def dump_forms_jsonl(path, alg, bases):
+    """Basis dump for cohomology tables: monomial labels per cell, read from
+    ``bases`` as ``forms.semiinf_cohomology`` fills it, {w: {n: basis}}."""
     with open(path, "w") as fh:
-        weights = sorted({w for (w, _n) in table.cells})
-        for w in weights:
-            cx = SemiInfComplex(alg, module, w)
-            for n in sorted({n for (ww, n) in table.cells if ww == w}):
+        for w in sorted(bases):
+            for n in sorted(bases[w]):
                 basis = [
                     {"monomial": monomial_str(alg, mono), "weight": list(mu), "module_index": b}
-                    for (mono, mu, b) in cx.basis(n)
+                    for (mono, mu, b) in bases[w][n]
                 ]
                 fh.write(json.dumps({"weight": list(w), "ghost": n, "basis": basis}) + "\n")

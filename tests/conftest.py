@@ -3,8 +3,9 @@ from weakref import WeakKeyDictionary
 
 import pytest
 
-from semiflex.liealg import build_affine_sl2, build_test_algebra, exact, subalgebra, wt_add, wt_neg
-from semiflex.linalg import SparseMatrix
+from semiflex.forms import SemiInvariants
+from semiflex.liealg import build_affine_sl2, build_test_algebra, exact, load_algebra, subalgebra, wt_add, wt_neg, wt_sub, wt_zero
+from semiflex.linalg import SparseMatrix, Subspace
 from semiflex.modules import ModuleError, WeightModule
 from semiflex.pbw import add_scaled, canonical_order, compress, enumerate_pbw_weights, evaluate, flatten, split
 
@@ -234,3 +235,104 @@ def reference_coverma(alg, lam, depth):
 
 def reference_free_negative_module(sub, depth):
     return _reference_induced(sub, enumerate_pbw_weights(sub, depth, canonical_order(sub)), {}, depth, False)
+
+
+# -- an algebra with rational structure constants ----------------------------------
+
+
+def rational_sl3():
+    """sl3 on a rescaled Chevalley basis, principal grading: E23 doubled and
+    E13 tripled, so [E12, E23] = 2/3 E13 and [E21, E13] = 3/2 E23 carry
+    denominators that no clearing of lambda removes."""
+    scale = {(0, 1): 1, (1, 2): 2, (0, 2): 3, (1, 0): 1, (2, 1): 1, (2, 0): 1}
+
+    def unit(i, j, c=1):
+        m = [[Fraction(0)] * 3 for _ in range(3)]
+        m[i][j] = Fraction(c)
+        return m
+
+    basis = [(f"E{i + 1}{j + 1}", unit(i, j, c)) for (i, j), c in scale.items()]
+    basis += [("H1", [[1, 0, 0], [0, -1, 0], [0, 0, 0]]), ("H2", [[0, 0, 0], [0, 1, 0], [0, 0, -1]])]
+    # e_1, e_2, e_3 in simple-root coordinates (shifted so e_2 = 0): E_ij has weight e_i - e_j
+    simple = {0: (1, 0), 1: (0, 0), 2: (0, -1)}
+
+    def weight(label):
+        if label[0] == "H":
+            return [0, 0]
+        i, j = int(label[1]) - 1, int(label[2]) - 1
+        return [a - b for a, b in zip(simple[i], simple[j])]
+
+    def coords(m):
+        # off-diagonal (i, j) -> the rescaled unit; diag(a, b, c) = a H1 - c H2
+        out = {pos: m[i][j] / c for pos, ((i, j), c) in enumerate(scale.items()) if m[i][j]}
+        for pos, v in ((6, m[0][0]), (7, -m[2][2])):
+            if v:
+                out[pos] = v
+        return out
+
+    def product(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+
+    brackets = []
+    for i, (_, a) in enumerate(basis):
+        for j in range(i + 1, len(basis)):
+            b = basis[j][1]
+            ab, ba = product(a, b), product(b, a)
+            terms = coords([[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)])
+            if terms:
+                brackets.append({"i": i, "j": j, "terms": [{"k": k, "num": v.numerator, "den": v.denominator} for k, v in terms.items()]})
+    return load_algebra(
+        {
+            "name": "sl3q",
+            "grading": {"rank": 2, "degree_functional": [1, 1]},
+            "basis": [{"label": lab, "weight": weight(lab), "index": 0 if lab != "H2" else 1} for lab, _ in basis],
+            "brackets": brackets,
+            "beta": [],
+        }
+    )
+
+
+# -- semi-invariants under every positive element ----------------------------------
+# An independent reference for forms.semiinvariants: at each weight w it
+# imposes the diagonal action of every positive eta of degree at most
+# -ell(w), into empty weights too, and takes one nullspace of the stacked
+# rows.  The coinvariant side is the package's, unchanged.
+
+
+def reference_semiinvariants(alg, module, depth):
+    alg.ensure_window(-2 * depth - 4, 2 * depth + 4)
+    hplus = alg.elements_in_degrees(1, depth)
+    hminus = alg.elements_in_degrees(-depth, 0)
+    images = {}
+    for w in sorted(module.weights):
+        dim_w = module.dim(w)
+        if not -depth <= alg.ell(w) <= 0 or dim_w == 0:
+            continue
+        inv_rows = []
+        for eta in hplus:
+            if alg.degree(eta) <= -alg.ell(w):
+                inv_rows.extend(module.action(eta, w).rows)
+        kernel = SparseMatrix.from_rows(inv_rows, dim_w).nullspace()
+        relations = []
+        for xi in hminus:
+            if alg.degree(xi) < alg.ell(w):
+                continue
+            src = wt_sub(w, alg.weight(xi))
+            if alg.ell(src) > 0 or alg.ell(src) < -module.depth or module.dim(src) == 0:
+                continue
+            bv = alg.beta_value(xi)
+            for col, rel in enumerate(module.action(xi, src).transpose().rows):
+                if bv and alg.weight(xi) == wt_zero(alg.rank):
+                    rel[col] = rel.get(col, 0) + bv
+                relations.append(rel)
+        images[w] = Subspace(relations).extend(kernel)
+    return SemiInvariants(images)
+
+
+def assert_same_semiinvariants(got, ref):
+    """The package's semi-invariants against the reference's, weight by
+    weight: the same weights, image bases and dimensions."""
+    assert got.images.keys() == ref.images.keys()
+    for w, span in ref.images.items():
+        assert got.images[w].basis == span.basis, w
+    assert got.dims == ref.dims

@@ -1,9 +1,11 @@
 """The command-line driver: parsing, outputs, exit codes, determinism."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import semiflex
-from semiflex import cli, output
+from semiflex import cli, forms, output
 from semiflex.cli import JobSpec, main, run_job
 from semiflex.induction import InductionError
 from semiflex.liealg import build_affine_sl2, dump_algebra, load_algebra
@@ -309,6 +311,29 @@ def test_dump_flags(runner, tmp_path):
     assert res2.exit_code == 0, res2.output
     lines = [json.loads(line) for line in fdump.read_text().strip().splitlines()]
     assert all({"weight", "ghost", "basis"} <= set(e) for e in lines)
+
+
+@pytest.mark.parametrize("dump", [False, True], ids=["table", "dump"])
+def test_forms_dump_builds_each_complex_once(runner, tmp_path, monkeypatch, dump):
+    """US(a) cohomology at depth 6 builds one complex per weight, 28 in
+    all, with or without --dump: the dump reads the bases of the complexes
+    the table was computed from.  No complex outlives its job."""
+    built = []
+    init = forms.SemiInfComplex.__init__
+
+    def counting_init(self, *args):
+        init(self, *args)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(forms.SemiInfComplex, "__init__", counting_init)
+    argv = ["semiinf-cohomology", "--algebra", "a", "--module", "us", "--depth", "6"]
+    if dump:
+        argv += ["--dump", str(tmp_path / "f.jsonl")]
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 0, res.output
+    assert len(built) == 28
+    gc.collect()
+    assert not [ref for ref in built if ref() is not None]
 
 
 def test_dump_raises_construction_errors(sl2, tmp_path):

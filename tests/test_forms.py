@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import assert_same_semiinvariants, rational_sl3, reference_semiinvariants
 from semiflex.forms import (
     AnomalyError,
     SemiInfComplex,
     _active_weights,
+    _positive_generators,
     _tail_above,
     contract,
     differential,
@@ -318,6 +320,43 @@ def test_semiinvariants_match_degree_zero_cohomology(loop_a):
     for w in us.weights:
         if loop_a.ell(w) >= -3:
             assert si.dim(w) == table.dim(w, 0), w
+
+
+@pytest.mark.parametrize("hk", [(0, 1), (Fraction(2, 3), Fraction(1, 2))], ids=["0,1", "2/3,1/2"])
+def test_semiinvariants_of_wakimoto_match_every_positive_element(sl2, hk):
+    """W over the a view of affine sl2: invariance under the generating set,
+    into nonzero weights only, gives the kernel of every positive element."""
+    lam = {"1⊗h": Fraction(hk[0]), "K": Fraction(hk[1]), "d": Fraction(0)}
+    W = wakimoto(sl2, lam, 4)
+    a = subalgebra(sl2, "a")
+    assert_same_semiinvariants(semiinvariants(a, W, 4), reference_semiinvariants(a, W, 4))
+
+
+def test_generating_set_of_a():
+    """The z^n⊗f with n >= 2 are brackets -[z^(n-1)⊗h, z⊗f] / 2; the z^n⊗h
+    are no brackets at all, since [z^m⊗f, z^k⊗f] = 0.  The a view of
+    affine sl2 keeps the same elements."""
+    want = ["z⊗f", "z⊗h", "z^2⊗h", "z^3⊗h", "z^4⊗h"]
+    a = load_algebra("subalgebra_a")
+    a.ensure_window(-22, 22)
+    assert [a.label(e) for e in _positive_generators(a, 9)] == want
+    view = subalgebra(build_affine_sl2(), "a")
+    view.ensure_window(-22, 22)
+    assert [view.label(e) for e in _positive_generators(view, 9)] == want
+
+
+def test_generating_set_of_an_abelian_algebra_is_every_element(abelian):
+    assert _positive_generators(abelian, 6) == abelian.elements_in_degrees(1, 6)
+
+
+def test_generating_set_with_rational_structure_constants():
+    """sl3 with [E12, E23] = 2/3 E13: degree 1 keeps both simple root
+    vectors, and degree 2 keeps nothing, E13 being in the bracket span."""
+    alg = rational_sl3()
+    alg.ensure_window(-6, 6)
+    assert _positive_generators(alg, 4) == alg.elements_of_degree(1)
+    assert sorted(alg.label(e) for e in alg.elements_of_degree(1)) == ["E12", "E23"]
+    assert [alg.label(e) for e in alg.elements_in_degrees(2, 4)] == ["E13"]
 
 
 def test_euler_consistency_everywhere(sl2, lam01):

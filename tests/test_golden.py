@@ -1,6 +1,7 @@
 """Golden outputs: CLI jobs (with the summary lines of the two
-semi-infinite cohomology jobs, and three Wakimoto dumps, one of them at a
-lambda where the invariant completion runs) and three module dumps (S-ind,
+semi-infinite cohomology jobs, a forms dump, and three Wakimoto dumps, one
+of them at a lambda where the invariant completion runs) and three module
+dumps (S-ind,
 Verma and contragredient Verma) compared byte for byte with the fixtures in
 tests/golden/, and the benchmark's US(a) depth-9 job with
 perfbench/golden/uscoh_cli.csv.
@@ -40,6 +41,12 @@ JOBS = [
     (["verify-univ", "--algebra", "a", "--module", "induced", "--depth", "3", "--out", "verify_univ.json"], ["verify_univ.json"]),
     (["verify-us", "--algebra", "a", "--depth", "3", "--out", "verify_us.json"], ["verify_us.json"]),
     (["verify-shapiro", "--algebra", "a", "--depth", "3", "--out", "verify_shapiro.json"], ["verify_shapiro.json"]),
+    # deep enough that the semi-invariants meet elements outside the generating set of the positive part
+    (["verify-univ", "--algebra", "a", "--module", "induced", "--depth", "5", "--out", "verify_univ_depth5.json"], ["verify_univ_depth5.json"]),
+    (["verify-shapiro", "--algebra", "a", "--depth", "5", "--out", "verify_shapiro_depth5.json"], ["verify_shapiro_depth5.json"]),
+    (["verify-univ", "--algebra", "abelian", "--depth", "3", "--out", "verify_univ_abelian.json"], ["verify_univ_abelian.json"]),
+    # the forms dump reads the bases of the complexes the table was computed from
+    (["semiinf-cohomology", "--algebra", "a", "--module", "us", "--depth", "4", "--dump", "semiinf_us_forms.jsonl"], ["semiinf_us_forms.jsonl"]),
     (["character", "--module", "verma", "--depth", "6", "--out", "character_verma.csv"], ["character_verma.csv"]),
     (["lie-cohomology", "--depth", "4", "--out", "lie_cohomology.csv"], ["lie_cohomology.csv"]),
     (["lie-cohomology", "--which", "homology", "--depth", "4", "--out", "lie_homology.csv"], ["lie_homology.csv"]),

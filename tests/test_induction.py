@@ -7,7 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import reference_apply, reference_bimodule, reference_check_commutators, reference_right_oracle, straighten
+from conftest import (
+    assert_same_semiinvariants,
+    reference_apply,
+    reference_bimodule,
+    reference_check_commutators,
+    reference_right_oracle,
+    reference_semiinvariants,
+    straighten,
+)
 from semiflex.forms import semiinf_cohomology, semiinvariants
 from semiflex import induction, linalg
 from semiflex.cli import JobSpec, run_job
@@ -626,6 +634,63 @@ def test_universal_property_matches_the_module_first_order(loop_a, abelian, dept
             got = _universal_property_outcome(alg, module, depth)
             assert got == _module_first_outcome(alg, module, depth), (alg.name, module.name)
             assert got == ({}, [])
+
+
+# -- semi-invariants under a generating set, against every positive element ------------
+
+
+@pytest.mark.parametrize("depth", [3, 4, 5, 6])
+@pytest.mark.parametrize("name", ["loop_a", "abelian"])
+def test_tensor_semiinvariants_match_every_positive_element(name, depth, request):
+    """US ⊗ trivial and US ⊗ Verma, the spaces the universal property takes
+    semi-invariants of: the same image bases as under every positive element."""
+    alg = request.getfixturevalue(name)
+    for module in (trivial_module(alg, depth), verma(alg, {}, depth)):
+        space = _TensorSpace(universal_semijective(alg, depth), module, depth)
+        assert_same_semiinvariants(semiinvariants(alg, space, depth), reference_semiinvariants(alg, space, depth))
+
+
+SHAPIRO_SUBS = ["gminus", "gplus", "g_below_zero", "loop-nminus"]
+SHAPIRO_MODULES = {"trivial": trivial_module, "verma": lambda sub, d: verma(sub, {}, d), "coverma": lambda sub, d: coverma(sub, {}, d)}
+
+
+@pytest.mark.parametrize("kind", sorted(SHAPIRO_MODULES))
+@pytest.mark.parametrize("subname", SHAPIRO_SUBS)
+@pytest.mark.parametrize("name", ["loop_a", "abelian"])
+def test_shapiro_semiinvariants_match_every_positive_element(name, subname, kind, request):
+    """The 24 Shapiro cases at depth 5: S-ind from each subalgebra of each
+    module takes the same semi-invariants as under every positive element
+    of the subalgebra."""
+    alg, depth = request.getfixturevalue(name), 5
+    sub = subalgebra(alg, subname)
+    space = _TensorSpace(universal_semijective(alg, depth), SHAPIRO_MODULES[kind](sub, depth), depth)
+    assert_same_semiinvariants(semiinvariants(sub, space, depth), reference_semiinvariants(sub, space, depth))
+
+
+def _positive_actions(alg, run, monkeypatch):
+    """The number of diagonal tensor actions of positive elements that
+    ``run()`` builds."""
+    built = []
+    original = _TensorSpace.action
+
+    def action(self, xi, w):
+        built.append(xi)
+        return original(self, xi, w)
+
+    monkeypatch.setattr(_TensorSpace, "action", action)
+    run()
+    monkeypatch.undo()
+    return sum(1 for xi in built if alg.degree(xi) > 0)
+
+
+def test_univ_job_imposes_only_conditions_that_can_bind(loop_a, monkeypatch):
+    """One depth-9 universal-property job over a builds 115 positive
+    invariance actions: 204 of the reference's 330 are left by the
+    generating set, and 89 of those go into an empty weight."""
+    N = verma(loop_a, {}, 9)
+    assert _positive_actions(loop_a, lambda: check_universal_property(loop_a, N, 9), monkeypatch) == 115
+    space = _TensorSpace(universal_semijective(loop_a, 9), N, 9)
+    assert _positive_actions(loop_a, lambda: reference_semiinvariants(loop_a, space, 9), monkeypatch) == 330
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (
     kostant_count,
+    rational_sl3,
     reference_check_commutators,
     reference_coverma,
     reference_free_negative_module,
@@ -541,58 +542,6 @@ def test_induced_actions_match_straightening(case, sl2, loop_a):
         got, ref = ctor(sl2, lam, depth), reference(sl2, lam, depth)
     assert got.weights.keys() == ref.weights.keys()
     assert _actions(got, (-3, 3)) == _actions(ref, (-3, 3), exact)
-
-
-def rational_sl3():
-    """sl3 on a rescaled Chevalley basis, principal grading: E23 doubled and
-    E13 tripled, so [E12, E23] = 2/3 E13 and [E21, E13] = 3/2 E23 carry
-    denominators that no clearing of lambda removes."""
-    scale = {(0, 1): 1, (1, 2): 2, (0, 2): 3, (1, 0): 1, (2, 1): 1, (2, 0): 1}
-
-    def unit(i, j, c=1):
-        m = [[Fraction(0)] * 3 for _ in range(3)]
-        m[i][j] = Fraction(c)
-        return m
-
-    basis = [(f"E{i + 1}{j + 1}", unit(i, j, c)) for (i, j), c in scale.items()]
-    basis += [("H1", [[1, 0, 0], [0, -1, 0], [0, 0, 0]]), ("H2", [[0, 0, 0], [0, 1, 0], [0, 0, -1]])]
-    # e_1, e_2, e_3 in simple-root coordinates (shifted so e_2 = 0): E_ij has weight e_i - e_j
-    simple = {0: (1, 0), 1: (0, 0), 2: (0, -1)}
-
-    def weight(label):
-        if label[0] == "H":
-            return [0, 0]
-        i, j = int(label[1]) - 1, int(label[2]) - 1
-        return [a - b for a, b in zip(simple[i], simple[j])]
-
-    def coords(m):
-        # off-diagonal (i, j) -> the rescaled unit; diag(a, b, c) = a H1 - c H2
-        out = {pos: m[i][j] / c for pos, ((i, j), c) in enumerate(scale.items()) if m[i][j]}
-        for pos, v in ((6, m[0][0]), (7, -m[2][2])):
-            if v:
-                out[pos] = v
-        return out
-
-    def product(a, b):
-        return [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
-
-    brackets = []
-    for i, (_, a) in enumerate(basis):
-        for j in range(i + 1, len(basis)):
-            b = basis[j][1]
-            ab, ba = product(a, b), product(b, a)
-            terms = coords([[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)])
-            if terms:
-                brackets.append({"i": i, "j": j, "terms": [{"k": k, "num": v.numerator, "den": v.denominator} for k, v in terms.items()]})
-    return load_algebra(
-        {
-            "name": "sl3q",
-            "grading": {"rank": 2, "degree_functional": [1, 1]},
-            "basis": [{"label": lab, "weight": weight(lab), "index": 0 if lab != "H2" else 1} for lab, _ in basis],
-            "brackets": brackets,
-            "beta": [],
-        }
-    )
 
 
 # lambda with three denominators on affine sl2 (q = 30), and on sl3 with
