@@ -1,4 +1,4 @@
-"""Golden outputs: CLI jobs (with the summary lines of the two
+"""Golden outputs: CLI jobs (with the summary lines of the three
 semi-infinite cohomology jobs, a forms dump, and three Wakimoto dumps, one
 of them at a lambda where the invariant completion runs) and three module
 dumps (S-ind,
@@ -33,6 +33,11 @@ BENCH_GOLDEN = Path(__file__).parent.parent / "perfbench" / "golden" / "uscoh_cl
 JOBS = [
     (["semiinf-cohomology", "--algebra", "a", "--module", "us", "--depth", "4", "--out", "semiinf_us.csv"], ["semiinf_us.csv"]),
     (["semiinf-cohomology", "--algebra", "a", "--module", "wakimoto", "--depth", "4", "--out", "semiinf_wakimoto.csv"], ["semiinf_wakimoto.csv"]),
+    # over all of affine sl2: degree-0 slots with charges, and a tail of negative slots
+    (
+        ["semiinf-cohomology", "--algebra", "affine_sl2", "--module", "wakimoto", "--lambda", "h=-4,K=-4,d=0", "--depth", "4", "--out", "semiinf_affine.csv"],
+        ["semiinf_affine.csv"],
+    ),
     (["wakimoto", "--lambda", "h=1/2,K=1,d=0", "--depth", "4", "--out", "wakimoto.csv", "--dump", "wakimoto.jsonl"], ["wakimoto.csv", "wakimoto.jsonl"]),
     # integral lambda: every entry is an int, still written as "n/1"
     (["wakimoto", "--lambda", "h=2,K=1,d=0", "--depth", "4", "--dump", "wakimoto_integral.jsonl"], ["wakimoto_integral.jsonl"]),
@@ -58,7 +63,11 @@ JOBS = [
 ]
 
 # jobs whose stdout (the summary lines) is pinned too: first output file -> stdout fixture
-SUMMARIES = {"semiinf_us.csv": "semiinf_us.stdout", "semiinf_wakimoto.csv": "semiinf_wakimoto.stdout"}
+SUMMARIES = {
+    "semiinf_us.csv": "semiinf_us.stdout",
+    "semiinf_wakimoto.csv": "semiinf_wakimoto.stdout",
+    "semiinf_affine.csv": "semiinf_affine.stdout",
+}
 
 S_IND_DUMP = "s_ind_loop_nminus.jsonl"
 # a non-integral lambda, so every straightened coefficient meets a Fraction
