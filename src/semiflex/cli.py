@@ -338,8 +338,7 @@ def lie_cohomology(which, module, **opts):
     default="affine_sl2",
     show_default=True,
     help="builtin name or JSON path. With --module wakimoto, a is the complex the paper's checks use, and "
-    "affine_sl2 is all of affine sl2: measured at K=1, that gave 0 nonzero cells at depths 4-6, took "
-    "2-3 s at depth 6 and had not finished after 6 minutes at depth 10",
+    "affine_sl2 is all of affine sl2, whose complexes grow much faster with depth (timings in the README)",
 )
 @_format_option
 @_lambda_option

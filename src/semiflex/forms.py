@@ -8,7 +8,12 @@ deleted from the tail.  Slots are ordered by descending canonical key (the
 added part on top, then the whole nonpositive part of the algebra); moving
 an operator past k occupied slots costs (-1)^k, which fixes every sign.
 The monomials of each ell(mu) come from a per-(algebra, ell) index, built
-once from the PBW monomial enumerator with exponents capped at 1.
+once from the PBW monomial enumerator with exponents capped at 1.  The
+complex at total weight w reads its cells off that index alone: every mu
+with 0 <= ell(mu) <= -ell(w) and M_{w+mu} nonzero.  Each ghost degree is
+laid out once as a run of (monomial, mu) blocks in sorted order, each
+dim M_{w+mu} wide (the layout semi-induction uses for US ⊗ M), so a
+differential finds the columns of a term with one lookup per row block.
 
 The differential has two terms.  The single-slot term removes an occupied
 slot y with its position sign and applies the module action of y plus, for
@@ -199,13 +204,17 @@ def enumerate_forms(alg, mu, n: int) -> list:
 class SemiInfComplex:
     """The standard complex at one total weight, all ghost degrees.
 
-    Cochains at (w, n) are indexed by pairs (monomial at mu, module basis b
-    at w+mu) over the finitely many contributing relative weights mu.  A row
-    of the differential reads its form side from the algebra's row-term memo
-    ``alg._row_terms`` (see ``_row_terms``): the pair terms keyed by the
-    monomial, each single-slot term by (monomial, slot), and a row's list of
-    slots by (monomial, dmin) with dmin = ell(mu) - lmax.  Only the module
-    action and the column lookups are read per weight, and an anomalous
+    Its cells are read off the form index: every relative weight mu with
+    0 <= ell(mu) <= lmax = -ell(w) and M_{w+mu} nonzero.  Each ghost degree
+    is laid out once as a run of (monomial, mu) blocks, mu then monomial in
+    sorted order, each dim M_{w+mu} wide: basis vector b of a block sits at
+    its start plus b, and ``basis(n)`` lists the keys (monomial, mu, b) in
+    that order.  A row block of the differential reads its form side from
+    the algebra's row-term memo ``alg._row_terms`` (see ``_row_terms``): the
+    pair terms keyed by the monomial, each single-slot term by (monomial,
+    slot), and a row's list of slots by (monomial, dmin) with
+    dmin = ell(mu) - lmax.  Per weight it looks up one column block per term
+    and writes the module action's rows at that block's start; an anomalous
     charge is raised at this complex's own (w, n).
     """
 
@@ -215,35 +224,33 @@ class SemiInfComplex:
         self.w = tuple(w)
         self.lmax = -alg.ell(w)
         alg.ensure_window(-2 * self.lmax - 4, 2 * self.lmax + 4)
-        self._mus = []
-        for nu in module.weights:
-            mu = wt_sub(nu, self.w)
-            if 0 <= alg.ell(mu) <= self.lmax and module.dim(nu) > 0:
-                self._mus.append(mu)
-        self._mus.sort()
-        self._bases: dict | None = None
+        self._widths: dict = {}  # {mu: dim M_{w+mu}}, nonzero widths only
+        self._starts: dict = {}  # {n: {(monomial, mu): start}}
+        self._dims: dict = {}
+        for mu in sorted(mu for ell in range(self.lmax + 1) for mu in _forms_at(alg, ell)):
+            width = module.dim(wt_add(self.w, mu))
+            if not width:
+                continue
+            self._widths[mu] = width
+            for n in _forms_at(alg, alg.ell(mu))[mu]:
+                starts, start = self._starts.setdefault(n, {}), self._dims.get(n, 0)
+                for mono in enumerate_forms(alg, mu, n):
+                    starts[(mono, mu)] = start
+                    start += width
+                self._dims[n] = start
         self._mats: dict = {}
 
-    def _all_bases(self) -> dict:
-        """{n: {(monomial, mu, b): index}} for every nonempty ghost degree,
-        built in one pass over each mu's cells, mu in sorted order."""
-        if self._bases is None:
-            bases: dict = {}
-            for mu in self._mus:
-                dim = self.module.dim(wt_add(self.w, mu))
-                for n in _forms_at(self.alg, self.alg.ell(mu)).get(mu, ()):
-                    basis = bases.setdefault(n, [])
-                    for mono in enumerate_forms(self.alg, mu, n):
-                        basis.extend((mono, mu, b) for b in range(dim))
-            self._bases = {n: {t: i for i, t in enumerate(basis)} for n, basis in bases.items()}
-        return self._bases
+    def dim(self, n: int) -> int:
+        return self._dims.get(n, 0)
 
     def basis(self, n: int) -> dict:
-        return self._all_bases().get(n, {})
+        """{(monomial, mu, b): index} in layout order."""
+        starts = self._starts.get(n, {})
+        return {(mono, mu, b): start + b for (mono, mu), start in starts.items() for b in range(self._widths[mu])}
 
     def ghost_range(self):
         """Ghost degrees with a nonempty basis, in increasing order."""
-        return sorted(self._all_bases())
+        return sorted(self._dims)
 
     def matrix(self, n: int) -> SparseMatrix:
         """The differential C^n_w -> C^{n+1}_w."""
@@ -251,37 +258,32 @@ class SemiInfComplex:
         if got is not None:
             return got
         alg, module, w = self.alg, self.module, self.w
-        rows = self.basis(n + 1)
-        cols = self.basis(n)
-        mat = SparseMatrix(len(rows), len(cols))
-        row_monos = {}
-        for (mono, mu, b), r in rows.items():
-            row_monos.setdefault((mono, mu), []).append((b, r))
-        for (mono, mu), brs in row_monos.items():
+        cols = self._starts.get(n, {})
+        mat = SparseMatrix(self.dim(n + 1), self.dim(n))
+        for (mono, mu), r0 in self._starts.get(n + 1, {}).items():
+            width = self._widths[mu]
             slots, pairs = _row_terms(alg, mono, mu, alg.ell(mu) - self.lmax)
             # single-slot term: (y + charge(y)) phi(iota_y omega)
             for y, s, sub, mu2, charge in slots:
-                act = module.action(y, wt_add(w, mu2))
-                for b, r in brs:
-                    for bb, v in act.rows[b].items():
-                        c = cols.get((sub, mu2, bb))
-                        if c is not None:
-                            mat.add(r, c, s * v)
+                if charge and alg.weight(y) != wt_zero(alg.rank):
+                    raise AnomalyError(
+                        w, n, f"degree-0 slot {alg.label(y)} of nonzero weight {alg.weight(y)} carries charge {charge}"
+                    )
+                c0 = cols.get((sub, mu2))
+                if c0 is None:
+                    continue  # M_{w+mu2} = 0: no cells, and the action would be zero
+                for b, row in enumerate(module.action(y, wt_add(w, mu2)).rows):
+                    for bb, v in row.items():
+                        mat.add(r0 + b, c0 + bb, s * v)
                 if charge:
-                    if alg.weight(y) != wt_zero(alg.rank):
-                        raise AnomalyError(
-                            w, n, f"degree-0 slot {alg.label(y)} of nonzero weight {alg.weight(y)} carries charge {charge}"
-                        )
-                    for b, r in brs:
-                        c = cols.get((sub, mu, b))
-                        if c is not None:
-                            mat.add(r, c, s * charge)
+                    for b in range(width):
+                        mat.add(r0 + b, c0 + b, s * charge)
             # pair term: -phi(:[y_i,y_j]: ^ iota_j iota_i omega)
             for coeff, sub in pairs:
-                for b, r in brs:
-                    c = cols.get((sub, mu, b))
-                    if c is not None:
-                        mat.add(r, c, coeff)
+                c0 = cols.get((sub, mu))
+                if c0 is not None:
+                    for b in range(width):
+                        mat.add(r0 + b, c0 + b, coeff)
         self._mats[n] = mat
         return mat
 
@@ -470,7 +472,7 @@ def semiinf_cohomology(alg, module, depth: int, weights=None, bases=None) -> Coh
                 raise AnomalyError(w, n, f"differential does not square to zero (residual has {nnz} nonzero entries)")
         ranks = {n: mat.rank() for n, mat in mats.items()}
         for n in ns:
-            cdim = len(cx.basis(n))
+            cdim = cx.dim(n)
             table.set(w, n, cdim - ranks[n] - ranks[n - 1], cdim)
         if bases is not None:
             bases[w] = {n: cx.basis(n) for n in ns}

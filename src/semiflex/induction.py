@@ -300,14 +300,14 @@ class SemiregularModel(_PairSpace):
     """US(g) on pair coordinates; ``left`` and ``right`` are its two actions
     as weight modules (the right one as r_z, not as the left module -r_z)."""
 
-    def __init__(self, alg, depth: int, order: Order | None = None):
+    def __init__(self, alg, depth: int):
         alg.ensure_window(-2 * depth - 4, 2 * depth + 4)
         if alg.elements_of_degree(0):
             raise InductionError(
                 f"{alg.name}: universal semijective materialization needs a vanishing "
                 "degree-0 part; use the staged semi-induction constructors instead"
             )
-        super().__init__(alg, f"US({alg.name})", depth, order or descending_order(alg), subalgebra(alg, "gminus"))
+        super().__init__(alg, f"US({alg.name})", depth, descending_order(alg), subalgebra(alg, "gminus"))
         self.right = WeightModule(alg, f"US({alg.name}) right", self.weights, self.right_matrix, depth)
 
     # the builders sit in each class's own dict, where perfbench/spans.py wraps them

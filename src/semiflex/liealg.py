@@ -403,9 +403,17 @@ class UserAlgebra(GradedLieAlgebra):
         self._table: dict[int, list] = {}
         self._given_basis = basis
         self._given_brackets = brackets
+        labels, keys = set(), set()
         for b in basis:
             if len(b["weight"]) != rank:
                 raise AlgebraError(f"element {b['label']}: weight {b['weight']} does not have rank {rank}")
+            if b["label"] in labels:
+                raise AlgebraError(f"label {b['label']!r} is given to two basis elements")
+            key = (tuple(b["weight"]), b["index"])
+            if key in keys:
+                raise AlgebraError(f"element {b['label']}: weight {b['weight']} and index {b['index']} are taken")
+            labels.add(b["label"])
+            keys.add(key)
         degs = [self.ell(tuple(b["weight"])) for b in basis]
         for deg, b in zip(degs, basis):
             self._table.setdefault(deg, []).append((tuple(b["weight"]), b["index"], b["label"]))
@@ -422,7 +430,12 @@ class UserAlgebra(GradedLieAlgebra):
         for entry in brackets:
             i, j = element(entry, "i"), element(entry, "j")
             terms = {element(t, "k"): _coefficient(t) for t in entry["terms"]}
+            pair = f"[{self.label(i)}, {self.label(j)}]"
+            if i == j and any(terms.values()):
+                raise AlgebraError(f"bracket {pair} of an element with itself is nonzero")
             lo, hi = (i, j) if i < j else (j, i)
+            if (lo, hi) in self._rules:
+                raise AlgebraError(f"bracket {pair} is given twice")
             self._rules[(lo, hi)] = terms if (lo, hi) == (i, j) else {k: -v for k, v in terms.items()}
         for entry in beta:
             self._beta[self.by_label(entry["label"])] = _coefficient(entry)

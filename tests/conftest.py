@@ -3,7 +3,7 @@ from weakref import WeakKeyDictionary
 
 import pytest
 
-from semiflex.forms import SemiInvariants
+from semiflex.forms import SemiInvariants, enumerate_forms
 from semiflex.liealg import build_affine_sl2, build_test_algebra, exact, load_algebra, subalgebra, wt_add, wt_neg, wt_sub, wt_zero
 from semiflex.linalg import SparseMatrix, Subspace
 from semiflex.modules import ModuleError, WeightModule
@@ -55,6 +55,40 @@ def kostant_count(roots, ell, target):
         return total
 
     return rec(0, tuple(target))
+
+
+# -- malformed user algebras ------------------------------------------------------
+
+
+def sl2_toy(basis=(), brackets=()):
+    """sl2 on e, h, f in degrees 1, 0, -1, with basis entries and bracket
+    entries appended."""
+    return {
+        "grading": {"rank": 1, "degree_functional": [1]},
+        "basis": [
+            {"label": "e", "weight": [1], "index": 0},
+            {"label": "h", "weight": [0], "index": 0},
+            {"label": "f", "weight": [-1], "index": 0},
+            *basis,
+        ],
+        "brackets": [
+            {"i": 0, "j": 1, "terms": [{"k": 0, "num": -2}]},
+            {"i": 0, "j": 2, "terms": [{"k": 1, "num": 1}]},
+            {"i": 1, "j": 2, "terms": [{"k": 2, "num": -2}]},
+            *brackets,
+        ],
+    }
+
+
+MALFORMED_TOYS = {
+    # a degree-0 e next to the degree-1 one: by_label would keep only one of them
+    "duplicate-label": (sl2_toy(basis=[{"label": "e", "weight": [0], "index": 1}]), "label 'e' is given to two"),
+    # one canonical key (degree, weight, index) for h and h2
+    "duplicate-key": (sl2_toy(basis=[{"label": "h2", "weight": [0], "index": 0}]), "element h2: weight [0] and index 0"),
+    "self-bracket": (sl2_toy(brackets=[{"i": 1, "j": 1, "terms": [{"k": 1, "num": 1}]}]), "bracket [h, h] of an element"),
+    # [f, e] = -h restates [e, f] = h
+    "pair-twice": (sl2_toy(brackets=[{"i": 2, "j": 0, "terms": [{"k": 1, "num": -1}]}]), "bracket [f, e] is given twice"),
+}
 
 
 # -- matrix times vector in Fraction arithmetic ----------------------------------------
@@ -290,6 +324,28 @@ def rational_sl3():
             "beta": [],
         }
     )
+
+
+# -- the cells of a semi-infinite complex, by a scan of the module ---------------
+# An independent reference for SemiInfComplex's layout: it finds the relative
+# weights mu by scanning every weight of the module, then lists each mu's
+# form monomials tensored with M_{w+mu}, mu in sorted order.
+
+
+def reference_complex_cells(alg, module, w):
+    """{n: {(monomial, mu, b): index}} for every nonempty ghost degree of
+    the complex at total weight w."""
+    w = tuple(w)
+    lmax = -alg.ell(w)
+    alg.ensure_window(-2 * lmax - 4, 2 * lmax + 4)
+    mus = sorted(wt_sub(nu, w) for nu in module.weights if 0 <= alg.ell(wt_sub(nu, w)) <= lmax and module.dim(nu) > 0)
+    bases: dict = {}
+    for mu in mus:
+        dim = module.dim(wt_add(w, mu))
+        for n in range(-len(alg.elements_in_degrees(-lmax, 0)), lmax + 1):
+            for mono in enumerate_forms(alg, mu, n):
+                bases.setdefault(n, []).extend((mono, mu, b) for b in range(dim))
+    return {n: {key: i for i, key in enumerate(basis)} for n, basis in sorted(bases.items())}
 
 
 # -- semi-invariants under every positive element ----------------------------------

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from conftest import MALFORMED_TOYS
 import semiflex
 from semiflex import cli, forms, output
 from semiflex.cli import JobSpec, main, run_job
@@ -102,6 +103,16 @@ def test_lambda_outside_degree_zero_or_repeated_exits_two(argv, why, runner):
     assert res.exit_code == 2
     (line,) = res.stderr.splitlines()
     assert line.startswith("error: ") and why in line
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TOYS))
+def test_malformed_user_algebra_exits_two(case, runner, tmp_path):
+    data, why = MALFORMED_TOYS[case]
+    path = tmp_path / "toy.json"
+    path.write_text(json.dumps(data))
+    res = runner.invoke(main, ["character", "--algebra", str(path), "--module", "verma", "--depth", "2"])
+    assert res.exit_code == 2
+    assert why in res.stderr
 
 
 @pytest.mark.parametrize("command", ["character", "lie-cohomology", "semiinf-cohomology", "wakimoto"])

@@ -1,12 +1,13 @@
 """Clifford operators, the semi-infinite differential, cohomology tables,
 and the semi-invariants functor."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import assert_same_semiinvariants, rational_sl3, reference_semiinvariants
+from conftest import assert_same_semiinvariants, rational_sl3, reference_complex_cells, reference_semiinvariants
 from semiflex.forms import (
     AnomalyError,
     SemiInfComplex,
@@ -456,6 +457,82 @@ def test_charged_slot_of_nonzero_weight_is_named():
         semiinf_cohomology(toy, M, 2)
     assert (exc.value.weight, exc.value.ghost) == ((-1, 0), 0)
     assert str(exc.value) == message
+
+
+# -- the cells of each complex against a scan of the module's weights ----------------
+
+
+def _complex_cases():
+    """(name, algebra, module, depth) for the cell checks: US(a), W over a
+    and over affine sl2, a Verma module at a fractional lambda, both CE
+    complexes, and two small algebras."""
+    a = build_test_algebra("loop-nilpotent-a")
+    yield "us-a", a, universal_semijective(a, 5).left, 5
+    for hk in ((0, 1), (-4, -4)):
+        g = build_affine_sl2()
+        W = wakimoto(g, _lam(*hk), 4)
+        yield f"wakimoto-a-{hk}", subalgebra(g, "a"), W, 4
+        yield f"wakimoto-sl2-{hk}", g, W, 4
+    g = build_affine_sl2()
+    yield "verma-sl2", g, verma(g, _lam("2/3", "1/2"), 3), 3
+    yield "ce-gplus", subalgebra(g, "gplus"), coverma(g, _lam(0, 1), 4), 4
+    yield "ce-g_below_zero", subalgebra(g, "g_below_zero"), verma(g, _lam(0, 1), 4), 4
+    abelian = build_test_algebra("abelian")
+    yield "abelian-trivial", abelian, trivial_module(abelian, depth=4), 4
+    toy = _finite_sl2(2)
+    yield "sl2-toy-verma", toy, verma(toy, {"h": Fraction(3)}, 3), 3
+    yield "sl2-toy-trivial", toy, trivial_module(toy, depth=3), 3
+
+
+def _nearby_weights(alg, active, depth):
+    """Weights with -depth <= ell <= 0 next to the active ones (each
+    coordinate moved by at most one), whether active or not."""
+    near = set()
+    for w in active:
+        for step in itertools.product((-1, 0, 1), repeat=alg.rank):
+            v = wt_add(w, step)
+            if -depth <= alg.ell(v) <= 0:
+                near.add(v)
+    return near
+
+
+def test_complex_cells_match_a_scan_of_the_module():
+    """At every active weight, and at nearby weights where the complex may
+    be empty, the layout lists the cells the module scan finds, in the same
+    order, with the same indices."""
+    empty = 0
+    for name, alg, module, depth in _complex_cases():
+        active = _active_weights(alg, module, depth)
+        for w in sorted(active | _nearby_weights(alg, active, depth)):
+            cx = SemiInfComplex(alg, module, w)
+            ref = reference_complex_cells(alg, module, w)
+            assert cx.ghost_range() == sorted(ref), (name, w)
+            assert (w in active) or not ref, (name, w)
+            empty += not ref
+            for n in range(min(ref, default=0) - 1, max(ref, default=0) + 2):
+                assert list(cx.basis(n).items()) == list(ref.get(n, {}).items()), (name, w, n)
+                assert cx.dim(n) == len(ref.get(n, {})), (name, w, n)
+    assert empty
+
+
+class _Unscanned(dict):
+    """A module's weight table that answers lookups but fails any scan."""
+
+    def _scan(self, *args):
+        raise AssertionError("the module's weights were scanned")
+
+    __iter__ = keys = values = items = _scan
+
+
+def test_building_a_complex_never_scans_the_module_weights():
+    g = build_affine_sl2()
+    W = wakimoto(g, _lam(0, 1), 4)
+    weights = sorted(_active_weights(g, W, 4))
+    W.weights = _Unscanned(W.weights)
+    for w in weights:
+        cx = SemiInfComplex(g, W, w)
+        for n in cx.ghost_range():
+            cx.matrix(n)
 
 
 # -- the row-term memo against the per-row loop it replaced ----------------------------

@@ -1,12 +1,14 @@
 """Algebra constructors, brackets, windows, splittings, beta, file format."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import MALFORMED_TOYS, sl2_toy
 from semiflex.liealg import (
     AlgebraError,
     WindowError,
@@ -266,6 +268,14 @@ def test_malformed_file_raises(tmp_path):
         path.write_text(json.dumps(data))
         with pytest.raises(AlgebraError):
             load_algebra(str(path))
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TOYS))
+def test_malformed_basis_or_brackets_are_named(case):
+    load_algebra(sl2_toy())  # the unmodified table is well formed
+    data, why = MALFORMED_TOYS[case]
+    with pytest.raises(AlgebraError, match=re.escape(why)):
+        load_algebra(data)
 
 
 def test_unknown_selector(sl2, abelian):
