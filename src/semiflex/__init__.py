@@ -57,11 +57,9 @@ from .forms import (
 from .induction import (
     SemiregularModel,
     Verdict,
-    bimodule_commutes,
-    check_prop_iso,
-    check_prop_iso1,
     check_shapiro,
     check_universal_property,
+    check_us,
     s_ind,
     universal_semijective,
     wakimoto,

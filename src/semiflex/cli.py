@@ -224,8 +224,7 @@ def _run(spec: JobSpec) -> int:
         return 0
 
     if spec.command == "verify-shapiro":
-        subname = spec.sub or "loop-nminus"
-        sub = subalgebra(alg, "gminus") if subname == "self" else subalgebra(alg, subname)
+        sub = subalgebra(alg, spec.sub or "loop-nminus")
         module = trivial_module(alg, depth=spec.depth)
         verdict, th, tg = check_shapiro(alg, sub, module, spec.depth)
         click.echo(f"H(h, M) nonzero cells: {len(th.nonzero())}; H(g, S-ind M): {len(tg.nonzero())}")
@@ -364,7 +363,7 @@ def wakimoto_cmd(**opts):
 @main.command("verify-shapiro")
 @_common
 @_algebra_option
-@click.option("--sub", default="loop-nminus", show_default=True, help="subalgebra selector (or 'self')")
+@click.option("--sub", default="loop-nminus", show_default=True, help="subalgebra selector")
 def verify_shapiro(**opts):
     """Per-cell equality of H(h, M) and H(g, S-ind M)."""
     sys.exit(run_job(JobSpec("verify-shapiro", **opts)))

@@ -361,15 +361,13 @@ def _pair_terms(alg, mono):
                 cands.append(y)
     cands.sort(key=alg.key, reverse=True)  # descending: slot order
     out = []
-    for ii in range(len(cands)):
-        yi = cands[ii]
-        for jj in range(ii + 1, len(cands)):
-            yj = cands[jj]
+    for ii, yi in enumerate(cands):
+        s1, m1 = contract(alg, yi, mono)
+        for yj in cands[ii + 1 :]:
             terms = alg.bracket_ids(yi, yj)
             if not terms:
                 continue
             dsum = alg.degree(yi) + alg.degree(yj)
-            s1, m1 = contract(alg, yi, mono)
             s2, m2 = contract(alg, yj, m1)
             for z, cf in terms.items():
                 if dsum <= 0 and (z == yi or z == yj):

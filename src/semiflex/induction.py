@@ -8,8 +8,10 @@ presentation of U(g+)* ⊗_{g+} U(g) they carry the right action (right
 multiplication, with the positive factor slid onto the dual side through the
 antipode), and as equivariant values f(q) ∈ U(g-) ⊗ L_{-beta} they carry the
 left action (z·f)(q) = f(-z q), the negative factors peeled off the right of
-the argument by f(u y) = -y·f(u) + beta(y) f(u).  Left and right actions
-commute; the test suite checks this together with both module oracles.
+the argument by f(u y) = -y·f(u) + beta(y) f(u).  Semi-induction reads the
+right action only as the left module z -> -r_z, so that is what
+``model.right`` holds: both actions are left modules, each checked by the
+one commutator oracle, and the bimodule check is that they commute.
 Each action is a ``WeightModule`` (``model.left``, ``model.right``, and
 the left action ``left`` of the Wakimoto quotient Q below), so every
 action matrix has one cache and one depth guard: it is built once per
@@ -24,7 +26,8 @@ visits only the q' of its target weight's basis: a row (q', m) can take a
 term of z·q' only for such a q'.
 
 Semi-induction takes semi-invariants of US ⊗ M under h(u ⊗ m) = -u h ⊗ m +
-u ⊗ h m (forms.semiinvariants on the tensor space): the invariants are an
+u ⊗ h m (forms.semiinvariants on the tensor space), which is
+``model.right`` on US plus the action on M: the invariants are an
 exact kernel of a generating set of h₊, coinvariants an exact quotient, and
 the image at each weight is a ``linalg.Subspace`` of the kernel modulo the
 relations.  The left action descends to it.  At each weight w the tensor
@@ -54,7 +57,7 @@ from fractions import Fraction
 from .forms import semiinf_cohomology, semiinvariants
 from .liealg import SubalgebraSpec, exact, subalgebra, wt_add, wt_sub, wt_zero
 from .linalg import SparseMatrix, Subspace, solve_in_span
-from .modules import WeightModule, _commutator_failures, _lam_str, _pbw_dims, check_commutators, product_formula_character
+from .modules import WeightModule, _lam_str, _pbw_dims, check_commutators, product_formula_character
 from .pbw import (
     Order,
     add_scaled,
@@ -74,10 +77,7 @@ __all__ = [
     "universal_semijective",
     "s_ind",
     "wakimoto",
-    "check_prop_iso",
-    "check_prop_iso1",
     "check_us",
-    "bimodule_commutes",
     "check_universal_property",
     "check_shapiro",
     "Verdict",
@@ -298,7 +298,8 @@ class _PairSpace:
 
 class SemiregularModel(_PairSpace):
     """US(g) on pair coordinates; ``left`` and ``right`` are its two actions
-    as weight modules (the right one as r_z, not as the left module -r_z)."""
+    as weight modules, the right one as the left module z -> -r_z, so both
+    satisfy the representation property."""
 
     def __init__(self, alg, depth: int):
         alg.ensure_window(-2 * depth - 4, 2 * depth + 4)
@@ -314,7 +315,8 @@ class SemiregularModel(_PairSpace):
     left_matrix = _PairSpace.left_matrix
 
     def right_matrix(self, z: int, w) -> SparseMatrix:
-        """Matrix of the right multiplication by z on weight w, built afresh."""
+        """Matrix of -r_z, minus the right multiplication by z, on weight w,
+        built afresh."""
         rows = self._index.get(wt_add(w, self.alg.weight(z)), {})
         cols = self.basis(w)
         mat = SparseMatrix(len(rows), len(cols))
@@ -322,21 +324,12 @@ class SemiregularModel(_PairSpace):
             for q, m, c in self._right_terms(q0, m0, z):
                 r = rows.get((q, m))
                 if r is not None:
-                    mat.add(r, ci, c)
+                    mat.add(r, ci, -c)
         return mat
-
-    def right_oracle_failures(self, gen_window, weights=None) -> list:
-        """Right-module property: r_x r_y = r_y r_x - r_[x,y]."""
-        return _commutator_failures(self.right, gen_window, weights, sign=-1)
 
 
 def universal_semijective(alg, depth: int) -> SemiregularModel:
     return SemiregularModel(alg, depth)
-
-
-def bimodule_commutes(model: SemiregularModel, gen_window, weights=None) -> list:
-    """[left_x, right_y] = 0 failures on materialized weights, every ordered pair."""
-    return _commutator_failures(model.left, gen_window, weights, model.right, sign=0)
 
 
 # -- structural checks for US ---------------------------------------------------------
@@ -361,38 +354,22 @@ def _dim_diffs(model: SemiregularModel) -> dict:
     return {w: (got.get(w, 0), expected.get(w, 0)) for w in set(got) | set(expected) if got.get(w, 0) != expected.get(w, 0)}
 
 
-def check_prop_iso(alg, depth: int) -> Verdict:
-    """Right-module model: graded dims of U(g+)* ⊗ U(g-) and the right oracle."""
-    return _prop_iso(universal_semijective(alg, depth))
-
-
-def check_prop_iso1(alg, depth: int) -> Verdict:
-    """Left-module model: graded dims of Hom(U(g+), U(g-)) and the left oracle."""
-    return _prop_iso1(universal_semijective(alg, depth))
-
-
 def check_us(alg, depth: int) -> tuple[Verdict, Verdict]:
-    """``check_prop_iso`` and ``check_prop_iso1`` on one model, so the
-    bimodule check reads the right-action matrices the right oracle built."""
+    """The verdicts "prop-iso" and "prop-iso-1" on one US(alg) model.
+
+    Both compare the graded dimensions with those of U(g+)* ⊗ U(g-)
+    (``_dim_diffs``, computed once).  "prop-iso" adds the oracle of the
+    right action, "prop-iso-1" that of the left action and the bimodule
+    check, that the two actions commute."""
     model = universal_semijective(alg, depth)
-    return _prop_iso(model), _prop_iso1(model)
-
-
-def _prop_iso(model: SemiregularModel) -> Verdict:
     diffs = _dim_diffs(model)
-    lo, hi = -min(model.depth, 3), min(model.depth, 3)
-    oracle = model.right_oracle_failures((lo, hi))
-    passed = not diffs and not oracle
-    return Verdict("prop-iso", passed, {"dim_diffs": diffs, "oracle_failures": oracle})
-
-
-def _prop_iso1(model: SemiregularModel) -> Verdict:
-    diffs = _dim_diffs(model)
-    lo, hi = -min(model.depth, 3), min(model.depth, 3)
-    oracle = check_commutators(model.left, (lo, hi))
-    commute = bimodule_commutes(model, (lo, hi))
-    passed = not diffs and not oracle and not commute
-    return Verdict("prop-iso-1", passed, {"dim_diffs": diffs, "oracle_failures": oracle, "bimodule_failures": commute})
+    window = (-min(depth, 3), min(depth, 3))
+    right = check_commutators(model.right, window)
+    left = check_commutators(model.left, window)
+    commute = check_commutators(model.left, window, b=model.right)
+    iso = Verdict("prop-iso", not diffs and not right, {"dim_diffs": diffs, "oracle_failures": right})
+    details = {"dim_diffs": diffs, "oracle_failures": left, "bimodule_failures": commute}
+    return iso, Verdict("prop-iso-1", not diffs and not left and not commute, details)
 
 
 # -- semi-induction --------------------------------------------------------------------
@@ -429,21 +406,20 @@ class _TensorSpace:
 
     def action(self, xi: int, w) -> SparseMatrix:
         """The diagonal action: xi acting as -(right multiplication) on US
-        plus rho_M(xi) on M."""
-        return self._action(xi, w, (self.model.right.action, True), self.module.action)
+        (``model.right``) plus rho_M(xi) on M."""
+        return self._action(xi, w, self.model.right.action, self.module.action)
 
     def left(self, xi: int, w) -> SparseMatrix:
         """The left action of xi on the US factor."""
-        return self._action(xi, w, (self.model.left.action, False), None)
+        return self._action(xi, w, self.model.left.action, None)
 
     def _action(self, xi: int, w, us_op, module_op) -> SparseMatrix:
-        """rho(xi) ⊗ 1 (negated if asked) plus, unless ``module_op`` is None,
-        1 ⊗ rho(xi), written block by block.  ``us_op`` is (matrix_of,
-        negate) for US.  Each source block reads its US factor matrix once
-        and then its M factor matrix once, in block order, and writes it
-        from the factor's rows into the target blocks US_{w1+wt} ⊗ M_{w2}
-        and US_{w1} ⊗ M_{w2+wt}; a factor whose target block is missing
-        (below the depth) adds nothing.  The two target blocks are distinct,
+        """``us_op``(xi) ⊗ 1 plus, unless ``module_op`` is None,
+        1 ⊗ ``module_op``(xi), written block by block.  Each source block
+        reads its US factor matrix once and then its M factor matrix once,
+        in block order, and writes it from the factor's rows into the target
+        blocks US_{w1+wt} ⊗ M_{w2} and US_{w1} ⊗ M_{w2+wt}; a factor whose
+        target block is missing (below the depth) adds nothing.  The two target blocks are distinct,
         since US has no degree-0 part and so wt(xi) is never 0: every entry
         is written once."""
         w = tuple(w)
@@ -452,11 +428,10 @@ class _TensorSpace:
         t_blocks = self._blocks.get(target, {})
         mat = SparseMatrix(self.dim(target), self.dim(w))
         rows = mat.rows
-        us_of, negate = us_op
         us_dim, m_dim = self.model.dim, self.module.dim
         for w1, (start, w2) in self._blocks.get(w, {}).items():
             d2 = m_dim(w2)
-            factor = us_of(xi, w1)
+            factor = us_op(xi, w1)
             block = t_blocks.get(wt_add(w1, shift))
             if block is not None:
                 # (w1, i, w2, j) -> (w1 + wt, r, w2, j): the same width d2
@@ -464,7 +439,6 @@ class _TensorSpace:
                 for r, row in enumerate(factor.rows):
                     out = rows[t_start + r * d2 : t_start + (r + 1) * d2]
                     for i, v in row.items():
-                        v = -v if negate else v
                         for c, out_row in enumerate(out, start + i * d2):
                             out_row[c] = v
             if module_op is None:
@@ -681,7 +655,8 @@ def _truncated_x_basis(space, w, tail_len: int):
 
 
 def _right_action_rows(space, eta, xbasis):
-    """Rows of -r_eta on the truncated X, exact conditions.
+    """Rows of r_eta on the truncated X, exact conditions.  Invariance is
+    the kernel of -r_eta, which is the kernel of r_eta.
 
     The action may lengthen the abar tail by bounded amounts; output
     coordinates are indexed on the fly so the conditions stay exact.

@@ -24,19 +24,21 @@ weight), and one depth guard, a WindowError for any action that leaves the
 materialized depth.
 
 The correctness oracle for every constructor is the representation property
-(commutator of action matrices = action of the bracket).  One loop checks
-a(x) b(y) = b(y) a(x) + s * b([x, y]) on the action matrices of two modules
-a and b over one weight space and serves three uses: check_commutators
-(a = b = the module, s = +1), the right-module check of US (a = b =
-model.right, s = -1) and the bimodule check of US (a = model.left,
-b = model.right, s = 0).  With a = b it skips the mirrored pairs
-and the pairs x = y, a tautology since [x, x] = 0.  It clears each action
-matrix of its denominators once per check, dropped after the last weight
-that reads it, and tests the sum of the three terms for zero in exact
-integers (linalg.residual_nnz).  So a non-integral lambda adds no
-Fraction arithmetic to the oracle at either end: the recursion that builds
-the matrices is integer, and the check sums cleared ints; the matrices
-themselves keep their exact entries, an int wherever integral.  The test
+(commutator of action matrices = action of the bracket), and
+check_commutators is its one loop.  It has two uses.  Given one module a,
+it checks a(x) a(y) - a(y) a(x) = a([x, y]) on the pairs x < y: the
+mirrored pairs are the same identity, and x = y is a tautology, since
+[x, x] = 0.  Every module in the package is a left module, both actions of
+US included (its right action enters as z -> -r_z), so this one check
+serves them all.  Given a second module b on the same weight space (US's
+left and right actions), it checks that a(x) and b(y) commute, on every
+ordered pair.  It clears each action matrix of its denominators once per
+check, dropped after the last weight that reads it, and tests the sum of
+the terms for zero in exact integers (linalg.residual_nnz).  So a
+non-integral lambda adds no Fraction arithmetic to the oracle at either
+end: the recursion that builds the matrices is integer, and the check sums
+cleared ints; the matrices themselves keep their exact entries, an int
+wherever integral.  The test
 suite exercises it relentlessly.
 
 Chevalley-Eilenberg (co)homology has no complex of its own: it is the
@@ -305,28 +307,24 @@ def direct_sum(m1: WeightModule, m2: WeightModule) -> WeightModule:
 # -- oracle ----------------------------------------------------------------------
 
 
-def check_commutators(module: WeightModule, gen_window: tuple, weights=None) -> list:
-    """Representation-property failures [(x, y, weight)] on materialized data:
-    the one oracle with the module action on both sides and sign +1."""
-    return _commutator_failures(module, gen_window, weights)
+def check_commutators(a: WeightModule, gen_window: tuple, weights=None, b=None) -> list:
+    """Failures [(x, y, weight)] of the commutator oracle.
 
-
-def _commutator_failures(a: WeightModule, gen_window: tuple, weights=None, b=None, sign: int = 1) -> list:
-    """Failures [(x, y, weight)] of a(x) b(y) = b(y) a(x) + sign * b([x, y]).
-
-    ``a`` and ``b`` are modules over one algebra on one weight space (US
-    with its left and right actions, say), read through ``action``.  b
-    defaults to a, and then only pairs (x, y) with x < y are checked: y < x
-    is the same identity mirrored, and x = y a tautology, since [x, x] = 0.
+    Without ``b``: the representation property a(x) a(y) - a(y) a(x) =
+    a([x, y]), on pairs x < y only (y < x is the same identity mirrored,
+    and x = y a tautology, since [x, x] = 0).  With ``b``, a module over the
+    same algebra on the same weight space (US's right action beside its
+    left one, say): a(x) b(y) = b(y) a(x), on every ordered pair.  Both
+    modules are read through ``action``.
     Checked for every weight in ``weights`` (default: all of a's, sorted)
     and generator pair in the degree window whose three intermediate
     weights lie within a's depth or above the top (ell is linear, so
     ell(w + wt x + wt y) = ell(w) + ell(wt x) + ell(wt y)).  Each matrix is
     cleared of its denominators once per check (linalg.cleared) and dropped
-    after the last weight that reads it, and linalg.residual_nnz sums
-    a(x) b(y) - b(y) a(x) - sign * b([x, y]) in exact integers: a pair
-    fails when the residual has a nonzero entry.  A WindowError from an
-    action propagates: skipping the pair would report an unchecked pass.
+    after the last weight that reads it, and linalg.residual_nnz sums the
+    residual in exact integers: a pair fails when it has a nonzero entry.
+    A WindowError from an action propagates: skipping the pair would
+    report an unchecked pass.
     """
     alg, depth = a.alg, a.depth
     lo, hi = gen_window
@@ -361,8 +359,8 @@ def _commutator_failures(a: WeightModule, gen_window: tuple, weights=None, b=Non
                 if mirrored and y <= x or min(ells[x], ells[y], ells[x] + ells[y]) < floor:
                     continue
                 terms = [(1, clear(a, x, shift[y]), clear(b, y, w)), (-1, clear(b, y, shift[x]), clear(a, x, w))]
-                if sign:
-                    terms += [(-sign * cf, clear(b, k, w), None) for k, cf in alg.bracket_ids(x, y).items()]
+                if mirrored:
+                    terms += [(-cf, clear(a, k, w), None) for k, cf in alg.bracket_ids(x, y).items()]
                 if residual_nnz(terms, ncols):
                     failures.append((alg.label(x), alg.label(y), w))
         for v in [v for v in memo if last[v] == i]:

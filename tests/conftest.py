@@ -108,10 +108,10 @@ def reference_apply(m, vec):
 
 
 # -- the commutator checks as three separate loops ---------------------------------
-# An independent reference for the single oracle behind check_commutators,
-# bimodule_commutes and the US right oracle: each builds XY - YX and the
-# bracket action as separate matrices, and the right oracle checks the left
-# module z -> -r_z.  Both US loops read model.left and model.right.
+# An independent reference for the two uses of check_commutators, the
+# representation property of one module and the bimodule check of US
+# (model.left against model.right): each builds XY - YX and the bracket
+# action as separate matrices.
 
 
 def reference_check_commutators(module, gen_window, weights=None):
@@ -149,15 +149,6 @@ def reference_check_commutators(module, gen_window, weights=None):
                 if comm.rows != expected.rows:
                     failures.append((alg.label(x), alg.label(y), w))
     return failures
-
-
-def reference_right_oracle(model, gen_window, weights=None):
-    def rule(z, w):
-        mat = model.right.action(z, w)
-        return SparseMatrix.from_rows([{c: -v for c, v in row.items()} for row in mat.rows], mat.ncols)
-
-    labels = {w: [str(i) for i in range(len(b))] for w, b in model.weights.items()}
-    return reference_check_commutators(WeightModule(model.alg, "US^op", labels, rule, model.depth), gen_window, weights)
 
 
 def reference_bimodule(model, gen_window, weights=None):

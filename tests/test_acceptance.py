@@ -13,11 +13,9 @@ import pytest
 
 from semiflex.forms import SemiInfComplex, semiinf_cohomology
 from semiflex.induction import (
-    bimodule_commutes,
-    check_prop_iso,
-    check_prop_iso1,
     check_shapiro,
     check_universal_property,
+    check_us,
     s_ind,
     universal_semijective,
     wakimoto,
@@ -142,12 +140,11 @@ def test_criterion_5_cohomological_characterizations(g):
 def test_criterion_6_us_structure(a_alg):
     start = time.time()
     depth = 3
-    v_iso = check_prop_iso(a_alg, depth)
-    v_iso1 = check_prop_iso1(a_alg, depth)
+    v_iso, v_iso1 = check_us(a_alg, depth)
     assert v_iso.passed, v_iso.details
     assert v_iso1.passed, v_iso1.details
     us = universal_semijective(a_alg, depth)
-    assert bimodule_commutes(us, (-3, 3)) == []
+    assert check_commutators(us.left, (-3, 3), b=us.right) == []
     neg = load_algebra(
         {
             "name": "negheis",

@@ -67,6 +67,16 @@ def test_parse_job_defaults_lambda_with_warning(runner, built_specs):
     assert "warning: no --lambda given" in res.stderr
 
 
+def test_verify_shapiro_has_no_self_selector(runner, tmp_path):
+    """--sub self is an unknown selector, not another name for gminus: the
+    job exits 2, names it, and writes no verdict."""
+    out = tmp_path / "v.json"
+    res = runner.invoke(main, ["verify-shapiro", "--algebra", "a", "--sub", "self", "--depth", "3", "--out", str(out)])
+    assert res.exit_code == 2
+    assert res.stderr == "error: unknown subalgebra selector 'self'\n"
+    assert not out.exists()
+
+
 def test_parse_job_rejects_unknown(runner):
     assert runner.invoke(main, ["frobnicate"]).exit_code == 2
     assert runner.invoke(main, ["wakimoto", "--no-such-flag", "1"]).exit_code == 2

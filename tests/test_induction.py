@@ -12,7 +12,6 @@ from conftest import (
     reference_apply,
     reference_bimodule,
     reference_check_commutators,
-    reference_right_oracle,
     reference_semiinvariants,
     straighten,
 )
@@ -29,11 +28,9 @@ from semiflex.induction import (
     _invariant_completion,
     _right_action_rows,
     _truncated_x_basis,
-    bimodule_commutes,
-    check_prop_iso,
-    check_prop_iso1,
     check_shapiro,
     check_universal_property,
+    check_us,
     s_ind,
     universal_semijective,
     wakimoto,
@@ -127,8 +124,8 @@ def test_us_dims_pair_count(loop_a):
 def test_us_left_right_oracles_and_bimodule(loop_a):
     us = universal_semijective(loop_a, 3)
     assert check_commutators(us.left, (-3, 3)) == []
-    assert us.right_oracle_failures((-3, 3)) == []
-    assert bimodule_commutes(us, (-3, 3)) == []
+    assert check_commutators(us.right, (-3, 3)) == []
+    assert check_commutators(us.left, (-3, 3), b=us.right) == []
 
 
 def _corrupted_us(alg, side: str):
@@ -149,35 +146,72 @@ def _corrupted_us(alg, side: str):
     return us
 
 
+# the pairs whose products read the right action of 1⊗f at the vacuum weight
+CORRUPTED_RIGHT_FAILURES = [
+    ("1⊗f", "z⊗h", (0, -1)),
+    ("z⊗h", "z^-1⊗f", (0, 0)),
+    ("1⊗f", "z⊗f", (1, -1)),
+]
+# every ordered pair: x = y = 1⊗f is checked, and the right factor is y
+CORRUPTED_BIMODULE_FAILURES = [
+    ("z⊗h", "1⊗f", (0, -1)),
+    ("1⊗f", "1⊗f", (0, 0)),
+    ("z⊗f", "1⊗f", (1, -1)),
+]
+
+
 def test_us_oracles_report_a_corrupted_right_action(loop_a):
     """r_{1⊗f} at the vacuum weight off by one: the right oracle and the
     bimodule check each report exactly the pairs whose products use it."""
     us = _corrupted_us(loop_a, "right")
-    assert us.right_oracle_failures((-3, 3)) == [
-        ("1⊗f", "z⊗h", (0, -1)),
-        ("z⊗h", "z^-1⊗f", (0, 0)),
-        ("1⊗f", "z⊗f", (1, -1)),
-    ]
-    # every ordered pair: x = y = 1⊗f is checked, and the right factor is y
-    assert bimodule_commutes(us, (-3, 3)) == [
-        ("z⊗h", "1⊗f", (0, -1)),
-        ("1⊗f", "1⊗f", (0, 0)),
-        ("z⊗f", "1⊗f", (1, -1)),
-    ]
+    assert check_commutators(us.right, (-3, 3)) == CORRUPTED_RIGHT_FAILURES
+    assert check_commutators(us.left, (-3, 3), b=us.right) == CORRUPTED_BIMODULE_FAILURES
     assert check_commutators(us.left, (-3, 3)) == []
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_check_us_and_verify_us_fail_on_a_corrupted_builder(loop_a, side, monkeypatch):
+    """Entry (0, 0) of 1⊗f at the vacuum weight raised by one in the US
+    builder of either action: check_us fails the verdicts that read that
+    action, with the failures the oracles report on it, and verify-us
+    exits 1."""
+    name = f"{side}_matrix"
+    real = SemiregularModel.__dict__[name]
+
+    def corrupted(self, z, w):
+        mat = real(self, z, w)
+        if self.alg.label(z) == "1⊗f" and tuple(w) == (0, 0):
+            mat.add(0, 0, 1)
+        return mat
+
+    monkeypatch.setattr(SemiregularModel, name, corrupted)
+    iso, iso1 = check_us(loop_a, 3)
+    assert not iso1.passed
+    if side == "right":
+        assert not iso.passed
+        assert iso.details["oracle_failures"] == CORRUPTED_RIGHT_FAILURES
+        assert iso1.details["oracle_failures"] == []
+        assert iso1.details["bimodule_failures"] == CORRUPTED_BIMODULE_FAILURES
+    else:
+        assert iso.passed
+        assert iso1.details["oracle_failures"]
+    assert run_job(JobSpec("verify-us", algebra="a", depth=3)) == 1
 
 
 @pytest.mark.parametrize("side", [None, "left", "right"])
 def test_us_oracles_match_the_reference_loops(loop_a, side):
-    """Left, right and bimodule failures equal those of the separate loops
-    (the right one on the left module z -> -r_z), on a correct US model and
-    on one with either action corrupted."""
+    """Left, right and bimodule failures equal those of the separate loops,
+    on a correct US model and on one with either action corrupted."""
     us = universal_semijective(loop_a, 3) if side is None else _corrupted_us(loop_a, side)
     window = (-3, 3)
-    got = (check_commutators(us.left, window), us.right_oracle_failures(window), bimodule_commutes(us, window))
+    got = (
+        check_commutators(us.left, window),
+        check_commutators(us.right, window),
+        check_commutators(us.left, window, b=us.right),
+    )
     want = (
         reference_check_commutators(us.left, window),
-        reference_right_oracle(us, window),
+        reference_check_commutators(us.right, window),
         reference_bimodule(us, window),
     )
     assert got == want
@@ -203,16 +237,15 @@ def test_us_left_action_hand_values(loop_a):
 
 
 def test_prop_iso_checks(loop_a, abelian):
-    assert check_prop_iso(loop_a, 3).passed
-    assert check_prop_iso1(loop_a, 3).passed
-    assert check_prop_iso(abelian, 3).passed
-    assert check_prop_iso1(abelian, 3).passed
+    for alg in (loop_a, abelian):
+        iso, iso1 = check_us(alg, 3)
+        assert iso.passed and iso1.passed
 
 
 def test_verify_us_builds_one_model(loop_a, monkeypatch, tmp_path):
-    """verify-us gives both verdicts of the separate checks from one US
-    model, so no right-action matrix is built twice."""
-    alone = [check_prop_iso(loop_a, 3).to_json(), check_prop_iso1(loop_a, 3).to_json()]
+    """verify-us writes both verdicts of check_us from one US model, so no
+    right-action matrix is built twice."""
+    alone = [verdict.to_json() for verdict in check_us(loop_a, 3)]
     models, builds = [], Counter()
     real_model, real_right = induction.universal_semijective, SemiregularModel.right_matrix
 
@@ -232,14 +265,14 @@ def test_verify_us_builds_one_model(loop_a, monkeypatch, tmp_path):
     assert json.loads(out.read_text()) == json.loads(json.dumps(alone))
 
 
-@pytest.mark.parametrize("check", [check_prop_iso, check_prop_iso1])
+@pytest.mark.parametrize("index", [0, 1], ids=["check_prop-iso", "check_prop-iso-1"])
 @pytest.mark.parametrize("name", ["loop_a", "abelian"])
-def test_prop_iso_dims_are_counted_apart_from_the_monomial_tables(name, check, request, monkeypatch):
+def test_prop_iso_dims_are_counted_apart_from_the_monomial_tables(name, index, request, monkeypatch):
     """The expected graded dimensions come from the bases of g+ and g-, not
     from the PBW tables the pair space is built from: a U(g-) table short
     of its deepest monomial fails the verdict, in its dimensions."""
     alg = request.getfixturevalue(name)
-    assert check(alg, 3).details["dim_diffs"] == {}
+    assert check_us(alg, 3)[index].details["dim_diffs"] == {}
     real = induction.enumerate_pbw_weights
 
     def short_of_the_deepest(sub, depth, order=None):
@@ -250,7 +283,7 @@ def test_prop_iso_dims_are_counted_apart_from_the_monomial_tables(name, check, r
         return table
 
     monkeypatch.setattr(induction, "enumerate_pbw_weights", short_of_the_deepest)
-    verdict = check(alg, 3)
+    verdict = check_us(alg, 3)[index]
     assert not verdict.passed
     assert verdict.details["dim_diffs"]
 
@@ -260,7 +293,7 @@ def test_us_purely_negative_is_enveloping():
     us = universal_semijective(neg, 3)
     tab = enumerate_pbw_weights(subalgebra(neg, "gminus"), 3)
     assert {w: len(b) for w, b in us.weights.items()} == {w: len(m) for w, m in tab.items()}
-    assert check_prop_iso(neg, 3).passed and check_prop_iso1(neg, 3).passed
+    assert all(verdict.passed for verdict in check_us(neg, 3))
     # left action = left multiplication: U(g) is generated from the pair (1*, 1)
     L = us.left
     assert check_commutators(L, (-3, -1)) == []
@@ -272,7 +305,7 @@ def test_us_purely_positive_is_dual():
     tab = enumerate_pbw_weights(subalgebra(pos, "gplus"), 3)
     expected = {tuple(-x for x in w): len(m) for w, m in tab.items()}
     assert {w: len(b) for w, b in us.weights.items()} == expected
-    assert check_prop_iso(pos, 3).passed and check_prop_iso1(pos, 3).passed
+    assert all(verdict.passed for verdict in check_us(pos, 3))
 
 
 def test_s_ind_degenerates_to_induction():
@@ -440,15 +473,14 @@ def _row_scan_action(alg, basis, xi, w, ops):
         for slot, op in enumerate(ops):
             if op is None:
                 continue
-            matrix_of, negate = op
             wf, k = (w1, i) if slot == 0 else (w2, j)
             tw = wt_add(wf, shift)
-            for r, row in enumerate(matrix_of(xi, wf).rows):
+            for r, row in enumerate(op(xi, wf).rows):
                 v = row.get(k)
                 if v:
                     rr = rows.get((tw, r, w2, j) if slot == 0 else (w1, i, tw, r))
                     if rr is not None:
-                        mat.add(rr, ci, -v if negate else v)
+                        mat.add(rr, ci, v)
     return mat
 
 
@@ -474,10 +506,10 @@ def _tensor_modules(alg):
 def test_tensor_action_reads_columns_like_the_row_scan(loop_a, abelian):
     for alg in (loop_a, abelian):
         us = universal_semijective(alg, 4)
-        left_ops = ((us.left.action, False), None)
+        left_ops = (us.left.action, None)
         for module in _tensor_modules(alg):
             space = _TensorSpace(us, module, 4)
-            diag_ops = ((us.right.action, True), (module.action, False))
+            diag_ops = (us.right.action, module.action)
 
             def basis(w):
                 return _tensor_basis(space, w)
@@ -567,8 +599,8 @@ class _ModuleFirstSpace:
                     bucket.extend((w1, i, w2, j) for i in range(module.dim(w1)) for j in range(us.dim(w2)))
         for b in self.weights.values():
             b.sort()
-        self._diag_ops = ((module.action, False), (us.right.action, True))
-        self._left_ops = (None, (us.left.action, False))
+        self._diag_ops = (module.action, us.right.action)
+        self._left_ops = (None, us.left.action)
 
     def dim(self, w):
         return len(self.weights.get(tuple(w), ()))
@@ -789,7 +821,7 @@ def _uncached_right_matrix(model, z, w):
         for q, m, c in _uncached_right_terms(model, q0, m0, z):
             r = rows.get((q, m))
             if r is not None:
-                mat.add(r, ci, c)
+                mat.add(r, ci, -c)
     return mat
 
 
@@ -1034,8 +1066,8 @@ def test_each_action_matrix_is_built_once(sl2, loop_a, lam01, monkeypatch):
         monkeypatch.setattr(cls, name, counting(cls.__dict__[name]))
     us = universal_semijective(loop_a, 3)
     assert check_commutators(us.left, (-3, 3)) == []
-    assert us.right_oracle_failures((-3, 3)) == []
-    assert bimodule_commutes(us, (-3, 3)) == []
+    assert check_commutators(us.right, (-3, 3)) == []
+    assert check_commutators(us.left, (-3, 3), b=us.right) == []
     assert check_commutators(s_ind(loop_a, subalgebra(loop_a, "loop-nminus"), trivial_module(loop_a, 3), 3), (-3, 3)) == []
     assert check_commutators(wakimoto(sl2, lam01, 4), (-3, 3)) == []
     for module in (us.left, us.right):

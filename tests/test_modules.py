@@ -21,7 +21,6 @@ from semiflex.linalg import SparseMatrix
 from semiflex import modules
 from semiflex.pbw import canonical_order, enumerate_pbw_weights
 from semiflex.modules import (
-    _commutator_failures,
     _induced_module,
     ModuleError,
     WeightModule,
@@ -429,9 +428,9 @@ def test_one_check_clears_each_matrix_once_and_skips_x_with_itself(sl2, monkeypa
 
 
 def test_a_two_sided_check_keeps_x_with_itself(abelian):
-    """With b given (a != b, sign 0), a(x) b(x) = b(x) a(x) is a real
-    identity.  A and B act on the chain t -> u -> v by x_1 alone and differ
-    only on u, so (x_1, x_1) at t is the one failure; A on its own passes."""
+    """With b given, a(x) b(x) = b(x) a(x) is a real identity.  A and B
+    act on the chain t -> u -> v by x_1 alone and differ only on u, so
+    (x_1, x_1) at t is the one failure; A on its own passes."""
     weights = {(0,): ["v"], (-1,): ["u"], (-2,): ["t"]}
     x1 = abelian.by_label("x_1")
 
@@ -445,7 +444,7 @@ def test_a_two_sided_check_keeps_x_with_itself(abelian):
         return WeightModule(abelian, f"chain({on_u})", weights, rule, 2)
 
     A, B = chain(1), chain(2)
-    assert _commutator_failures(A, (-2, 2), None, B, sign=0) == [("x_1", "x_1", (-2,))]
+    assert check_commutators(A, (-2, 2), b=B) == [("x_1", "x_1", (-2,))]
     assert check_commutators(A, (-2, 2)) == []
 
 
