@@ -162,8 +162,10 @@ def _run(spec: JobSpec) -> int:
         raise InputError(f"depth must be positive, got {spec.depth}")
 
     if spec.command == "algebra-check":
-        alg = _load_algebra(spec.algebra)
         lo, hi = spec.window or (-6, 6)
+        if lo > hi:
+            raise InputError(f"algebra-check window [{lo}, {hi}] is empty: lo must not exceed hi")
+        alg = _load_algebra(spec.algebra)
         clo, chi = alg.content_window() if alg.window()[1] - alg.window()[0] > 10**6 else (lo, hi)
         lo, hi = max(lo, clo - 1), min(hi, chi + 1)
         report = check_jacobi(alg, lo, hi)

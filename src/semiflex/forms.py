@@ -238,7 +238,6 @@ class SemiInfComplex:
                     starts[(mono, mu)] = start
                     start += width
                 self._dims[n] = start
-        self._mats: dict = {}
 
     def dim(self, n: int) -> int:
         return self._dims.get(n, 0)
@@ -253,10 +252,7 @@ class SemiInfComplex:
         return sorted(self._dims)
 
     def matrix(self, n: int) -> SparseMatrix:
-        """The differential C^n_w -> C^{n+1}_w."""
-        got = self._mats.get(n)
-        if got is not None:
-            return got
+        """The differential C^n_w -> C^{n+1}_w, built afresh on each call."""
         alg, module, w = self.alg, self.module, self.w
         cols = self._starts.get(n, {})
         mat = SparseMatrix(self.dim(n + 1), self.dim(n))
@@ -284,7 +280,6 @@ class SemiInfComplex:
                 if c0 is not None:
                     for b in range(width):
                         mat.add(r0 + b, c0 + b, coeff)
-        self._mats[n] = mat
         return mat
 
 

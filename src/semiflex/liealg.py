@@ -10,8 +10,10 @@ built-in structure constant and beta value), a Fraction otherwise; mixed
 int/Fraction arithmetic stays exact and never produces a float.
 
 Built-in constructors: the untwisted affine algebra of sl2 (with its central
-element K, derivation d, affine cocycle and the functional beta), the abelian
-test algebra, and the loop-nilpotent subalgebra "a" of affine sl2.
+element K, derivation d, affine cocycle and the functional beta) and the
+abelian test algebra.  The built-in "subalgebra_a" is the loop-nilpotent
+subalgebra a of affine sl2 (basis z^n⊗f for all n and z^n⊗h for n >= 1), held
+as the view ``subalgebra(build_affine_sl2(), "a")`` of a fresh parent.
 """
 
 from __future__ import annotations
@@ -350,43 +352,6 @@ class AbelianTestAlgebra(GradedLieAlgebra):
         return [((d,), 0, f"x_{d}")]
 
 
-class LoopNilpotentA(GradedLieAlgebra):
-    """The subalgebra a of affine sl2 as a standalone algebra.
-
-    Basis z^n⊗f (all n) and z^n⊗h (n >= 1) with the inherited brackets; the
-    affine cocycle never contributes (K is not a member and no pairing of
-    members hits it).  Degree-0 component is zero; beta = 0.
-    """
-
-    def __init__(self):
-        super().__init__("subalgebra_a", 2, (1, 2))
-
-    def _realize(self, d):
-        out = []
-        if d % 2:
-            n = (d + 1) // 2
-            out.append(((-1, n), 0, _loop_label("f", n)))
-        elif d >= 2:
-            n = d // 2
-            out.append(((0, n), 0, _loop_label("h", n)))
-        return out
-
-    def _bracket_rule(self, i, j):
-        ai, ni = self.weights[i]
-        aj, nj = self.weights[j]
-        if ai == 0 and aj == -1:
-            target = self.eid_by_weight_index((-1, ni + nj), 0)
-            if target is None:
-                raise WindowError(f"subalgebra_a: z^{ni+nj}⊗f not materialized")
-            return {target: -2}
-        if ai == -1 and aj == 0:
-            target = self.eid_by_weight_index((-1, ni + nj), 0)
-            if target is None:
-                raise WindowError(f"subalgebra_a: z^{ni+nj}⊗f not materialized")
-            return {target: 2}
-        return {}
-
-
 def _coefficient(entry):
     """The exact value num/den of a file entry (den defaults to 1)."""
     den = entry.get("den", 1)
@@ -448,38 +413,47 @@ class UserAlgebra(GradedLieAlgebra):
 
 
 class SubalgebraSpec:
-    """A graded subalgebra view sharing the parent's basis element ids."""
+    """A graded subalgebra view sharing the parent's basis element ids.
+
+    The view reads everything but membership off the parent: its degree,
+    weight, label, key and window queries are the parent's own methods, and
+    its memos are the parent's.  Each degree's member list is kept once the
+    parent has materialized that degree (a materialized degree never
+    changes).  The built-in subalgebra a of affine sl2 is such a view,
+    ``subalgebra(build_affine_sl2(), "a")``.
+    """
 
     def __init__(self, parent, name, member):
         self.parent = parent
         self.name = f"{parent.name}:{name}"
         self.rank = parent.rank
         self.degree_functional = parent.degree_functional
-        self._member = member
+        self.is_member = member
+        self.window = parent.window
+        self.content_window = parent.content_window
+        self.in_window = parent.in_window
+        self.ell = parent.ell
+        self.degree = parent.degree
+        self.weight = parent.weight
+        self.label = parent.label
+        self.key = parent.key
+        self.beta_value = parent.beta_value
+        self._memos = parent._memos
+        self._by_degree: dict[int, list[int]] = {}
         self._form_index: dict = {}
         self._tail_counts: dict = {}  # see forms._tail_above
         self._row_terms: dict = {}  # see forms._row_terms
 
-    def is_member(self, eid: int) -> bool:
-        return self._member(eid)
-
+    # a method, not a bound copy: a profiler that wraps the parent class's
+    # ensure_window after this view was made must still see every call
     def ensure_window(self, lo, hi):
         self.parent.ensure_window(lo, hi)
 
-    def window(self):
-        return self.parent.window()
-
-    def content_window(self):
-        return self.parent.content_window()
-
-    def in_window(self, d):
-        return self.parent.in_window(d)
-
-    def ell(self, weight):
-        return self.parent.ell(weight)
-
     def elements_of_degree(self, d):
-        return [e for e in self.parent.elements_of_degree(d) if self._member(e)]
+        lst = self._by_degree.get(d)
+        if lst is None:
+            lst = self._by_degree[d] = [e for e in self.parent.elements_of_degree(d) if self.is_member(e)]
+        return lst
 
     def elements_in_degrees(self, lo, hi):
         out = []
@@ -487,44 +461,25 @@ class SubalgebraSpec:
             out.extend(self.elements_of_degree(d))
         return out
 
-    def degree(self, eid):
-        return self.parent.degree(eid)
-
-    def weight(self, eid):
-        return self.parent.weight(eid)
-
-    def label(self, eid):
-        return self.parent.label(eid)
-
-    def key(self, eid):
-        return self.parent.key(eid)
-
     def by_label(self, label):
         eid = self.parent.by_label(label)
-        if not self._member(eid):
+        if not self.is_member(eid):
             raise AlgebraError(f"{label!r} is not a member of {self.name}")
         return eid
 
-    def beta_value(self, eid):
-        return self.parent.beta_value(eid)
-
     def beta_items(self):
         items = self.parent.beta_items()
-        return {lbl: v for lbl, v in items.items() if self._member(self.parent.by_label(lbl))}
+        return {lbl: v for lbl, v in items.items() if self.is_member(self.parent.by_label(lbl))}
 
     def bracket_ids(self, i, j):
         res = self.parent.bracket_ids(i, j)
         for k in res:
-            if not self._member(k):
+            if not self.is_member(k):
                 raise AlgebraError(
                     f"{self.name}: bracket of {self.parent.label(i)}, {self.parent.label(j)} "
                     f"leaves the subalgebra (term {self.parent.label(k)})"
                 )
         return res
-
-    @property
-    def _memos(self):
-        return self.parent._memos
 
 
 # -- constructors and selectors ------------------------------------------------
@@ -536,13 +491,13 @@ def build_affine_sl2() -> AffineSL2:
     return alg
 
 
-def build_test_algebra(kind: str) -> GradedLieAlgebra:
-    if kind == "abelian":
-        alg = AbelianTestAlgebra()
-    elif kind in ("loop-nilpotent-a", "subalgebra_a"):
-        alg = LoopNilpotentA()
-    else:
+def build_test_algebra(kind: str):
+    """The abelian test algebra, or the subalgebra a of a fresh affine sl2."""
+    if kind in ("loop-nilpotent-a", "subalgebra_a"):
+        return subalgebra(build_affine_sl2(), "a")
+    if kind != "abelian":
         raise AlgebraError(f"unknown test algebra kind {kind!r}")
+    alg = AbelianTestAlgebra()
     alg.ensure_window(-2, 2)
     return alg
 
@@ -668,7 +623,7 @@ def check_jacobi(alg, lo: int, hi: int) -> JacobiReport:
 BUILTINS = {
     "affine_sl2": build_affine_sl2,
     "abelian": lambda: build_test_algebra("abelian"),
-    "subalgebra_a": lambda: build_test_algebra("loop-nilpotent-a"),
+    "subalgebra_a": lambda: subalgebra(build_affine_sl2(), "a"),
 }
 
 

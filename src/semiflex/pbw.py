@@ -303,6 +303,14 @@ def enumerate_pbw_weights(sub, depth: int, order: Order | None = None) -> dict:
 
     For a strictly negative subalgebra this is every weight with
     -depth <= ell(weight) <= 0 (mirrored for strictly positive ones).
+
+    Each weight's monomials are sorted as tuples of basis ids, and ids
+    follow the order in which the algebra first materialized its degrees.
+    So the same algebra can list a basis in another order after an earlier,
+    wider ``ensure_window``: ``verma(g, lam, 5)`` on a fresh affine sl2 and
+    on one that first ran ``g.ensure_window(-3, 3)`` order the bases at
+    weights (-1, -2), (1, -3) and (0, -2) differently (the Wakimoto
+    module's action matrices at depth 5 are still equal).
     """
     if order is None:
         order = canonical_order(sub)

@@ -293,6 +293,14 @@ def test_algebra_check_pass_and_fail(runner, tmp_path):
     assert "FAIL" in res2.output
 
 
+def test_algebra_check_rejects_an_inverted_window(runner):
+    """A window with lo > hi holds no triples; it is an input error, not a pass."""
+    res = runner.invoke(main, ["algebra-check", "--window", "6", "-6"])
+    assert res.exit_code == 2
+    assert res.stderr == "error: algebra-check window [6, -6] is empty: lo must not exceed hi\n"
+    assert "pass" not in res.stdout
+
+
 def test_malformed_file_exits_two(runner, tmp_path):
     bad = tmp_path / "garbage.json"
     bad.write_text("{not json")

@@ -1,8 +1,8 @@
 """Golden outputs: CLI jobs (with the summary lines of the three
-semi-infinite cohomology jobs, a forms dump, and three Wakimoto dumps, one
-of them at a lambda where the invariant completion runs) and three module
-dumps (S-ind,
-Verma and contragredient Verma) compared byte for byte with the fixtures in
+semi-infinite cohomology jobs, two forms dumps, and three Wakimoto dumps, one
+of them at a lambda where the invariant completion runs) and four module
+dumps (S-ind, Verma and contragredient Verma on affine sl2, and Verma on a)
+compared byte for byte with the fixtures in
 tests/golden/, and the benchmark's US(a) depth-9 job with
 perfbench/golden/uscoh_cli.csv.
 
@@ -60,6 +60,13 @@ JOBS = [
     (["lie-cohomology", "--which", "homology", "--lambda", "h=2/3,K=1/2,d=0", "--depth", "4", "--out", "lie_homology_fractional.csv"], ["lie_homology_fractional.csv"]),
     # trivial coefficients: empty degrees are listed as rows of dimension 0
     (["lie-cohomology", "--algebra", "abelian", "--module", "trivial", "--depth", "5", "--out", "lie_cohomology_abelian.csv"], ["lie_cohomology_abelian.csv"]),
+    # over a: the induced-module recursion on a's Verma module, and its semi-infinite complex
+    (["lie-cohomology", "--algebra", "a", "--depth", "5", "--out", "lie_cohomology_a.csv"], ["lie_cohomology_a.csv"]),
+    (["lie-cohomology", "--algebra", "a", "--which", "homology", "--depth", "5", "--out", "lie_homology_a.csv"], ["lie_homology_a.csv"]),
+    (
+        ["semiinf-cohomology", "--algebra", "a", "--module", "verma", "--depth", "4", "--out", "semiinf_verma_a.csv", "--dump", "semiinf_verma_a_forms.jsonl"],
+        ["semiinf_verma_a.csv", "semiinf_verma_a_forms.jsonl"],
+    ),
 ]
 
 # jobs whose stdout (the summary lines) is pinned too: first output file -> stdout fixture
@@ -73,6 +80,7 @@ S_IND_DUMP = "s_ind_loop_nminus.jsonl"
 # a non-integral lambda, so every straightened coefficient meets a Fraction
 LAMBDA = {"1⊗h": Fraction(2, 3), "K": Fraction(1, 2), "d": Fraction(0)}
 VERMA_DUMPS = {"verma_affine_sl2.jsonl": verma, "coverma_affine_sl2.jsonl": coverma}
+VERMA_A_DUMP = "verma_a.jsonl"
 
 
 def run_cli(argv, cwd):
@@ -95,6 +103,11 @@ def dump_s_ind(path):
 def dump_verma_type(path, ctor):
     """Basis and action matrices of verma or coverma on affine sl2 at LAMBDA, depth 4."""
     output.dump_module_jsonl(path, ctor(build_affine_sl2(), LAMBDA, 4), (-4, 4))
+
+
+def dump_verma_a(path):
+    """Basis and action matrices of the Verma module over a at lambda = 0, depth 5."""
+    output.dump_module_jsonl(path, verma(load_algebra("subalgebra_a"), {}, 5), (-5, 5))
 
 
 @pytest.mark.parametrize("argv,files", JOBS, ids=[f[0] for _a, f in JOBS])
@@ -128,6 +141,11 @@ def test_verma_type_dump_matches_golden(name, tmp_path):
     assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
+def test_verma_a_dump_matches_golden(tmp_path):
+    dump_verma_a(tmp_path / VERMA_A_DUMP)
+    assert (tmp_path / VERMA_A_DUMP).read_bytes() == (GOLDEN / VERMA_A_DUMP).read_bytes()
+
+
 def regenerate(dest=GOLDEN):
     dest.mkdir(parents=True, exist_ok=True)
     for argv, files in JOBS:
@@ -139,6 +157,7 @@ def regenerate(dest=GOLDEN):
     dump_s_ind(dest / S_IND_DUMP)
     for name, ctor in VERMA_DUMPS.items():
         dump_verma_type(dest / name, ctor)
+    dump_verma_a(dest / VERMA_A_DUMP)
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MALFORMED_TOYS, sl2_toy
+from semiflex.induction import universal_semijective
 from semiflex.liealg import (
     AlgebraError,
     WindowError,
@@ -110,12 +111,56 @@ def test_jacobi_perturbed_fails_and_names_triple():
     assert all(len(t) == 3 for t in report.failures)
 
 
-def test_subalgebra_a_matches_standalone(sl2, loop_a):
-    view = subalgebra(sl2, "a")
-    for d in range(-6, 7):
-        assert [sl2.label(e) for e in view.elements_of_degree(d)] == [
-            loop_a.label(e) for e in loop_a.elements_of_degree(d)
-        ]
+def _a_reference_label(d):
+    """The one member of a in degree d: z^n⊗f (deg 2n-1) or z^n⊗h (deg 2n, n >= 1)."""
+    if d % 2:
+        n, x = (d + 1) // 2, "f"
+    elif d >= 2:
+        n, x = d // 2, "h"
+    else:
+        return None
+    return {0: f"1⊗{x}", 1: f"z⊗{x}"}.get(n, f"z^{n}⊗{x}")
+
+
+def test_a_brackets_match_the_loop_rule():
+    """The view a against its bracket rule written out by hand over degrees -9..9:
+    [z^m⊗h, z^n⊗f] = -2 z^(m+n)⊗f, and every other bracket of members is 0."""
+    a = load_algebra("subalgebra_a")
+    a.ensure_window(-9, 9)
+    assert a.name == "affine_sl2:a"
+    for d in range(-9, 10):
+        want = _a_reference_label(d)
+        assert [a.label(e) for e in a.elements_of_degree(d)] == ([want] if want else [])
+    members = a.elements_in_degrees(-9, 9)
+    checked = 0
+    for i in members:
+        for j in members:
+            if not -9 <= a.degree(i) + a.degree(j) <= 9:
+                continue
+            (xi, m), (xj, n) = a.weight(i), a.weight(j)
+            if (xi, xj) == (0, -1):
+                want = {(-1, m + n): -2}
+            elif (xi, xj) == (-1, 0):
+                want = {(-1, m + n): 2}
+            else:
+                want = {}
+            assert {a.weight(k): v for k, v in a.bracket_ids(i, j).items()} == want, (a.label(i), a.label(j))
+            checked += bool(want)
+    assert checked
+
+
+def test_each_load_of_a_has_a_fresh_parent():
+    a1, a2 = load_algebra("subalgebra_a"), load_algebra("subalgebra_a")
+    assert a1.parent is not a2.parent and a1._memos is not a2._memos
+    assert universal_semijective(a1, 4).weights == universal_semijective(a2, 4).weights
+
+
+def test_a_caches_no_degree_outside_its_window():
+    a = load_algebra("subalgebra_a")
+    with pytest.raises(WindowError):
+        a.elements_of_degree(5)
+    a.ensure_window(-5, 5)
+    assert [a.label(e) for e in a.elements_of_degree(5)] == ["z^3⊗f"]
 
 
 def test_a_degree_zero_is_empty(loop_a):
