@@ -349,12 +349,7 @@ def _pair_terms(alg, mono):
     dmin_b = 1
     if removed:
         dmin_b = min(dmin_b, min(alg.degree(e) for e in removed))
-    cands = list(added)
-    for d in range(dmin_b - maxdeg_occ, 1):
-        for y in alg.elements_of_degree(d):
-            if y not in removed:
-                cands.append(y)
-    cands.sort(key=alg.key, reverse=True)  # descending: slot order
+    cands = sorted(_occupied(alg, mono, dmin_b - maxdeg_occ), key=alg.key, reverse=True)  # descending: slot order
     out = []
     for ii, yi in enumerate(cands):
         s1, m1 = contract(alg, yi, mono)

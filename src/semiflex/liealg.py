@@ -9,11 +9,20 @@ Coefficients are exact: an int wherever the value is integral (every
 built-in structure constant and beta value), a Fraction otherwise; mixed
 int/Fraction arithmetic stays exact and never produces a float.
 
+An algebra's window is the set of degrees it has materialized, and
+``ensure_window`` grows it.  A finite algebra starts at the degrees its basis
+occupies and grows by empty degrees on demand.
+
 Built-in constructors: the untwisted affine algebra of sl2 (with its central
 element K, derivation d, affine cocycle and the functional beta) and the
-abelian test algebra.  The built-in "subalgebra_a" is the loop-nilpotent
-subalgebra a of affine sl2 (basis z^n⊗f for all n and z^n⊗h for n >= 1), held
-as the view ``subalgebra(build_affine_sl2(), "a")`` of a fresh parent.
+abelian test algebra.  Affine sl2 reads every element off its (weight,
+index): z^n⊗e, z^n⊗h and z^n⊗f are the weights (1, n), (0, n) and (-1, n) at
+index 0, and K and d are the weight (0, 0) at indices 1 and 2.  Its
+loop-nilpotent subalgebra a (basis z^n⊗f for all n and z^n⊗h for n >= 1) is
+the weight test alpha = -1, or alpha = 0 with n >= 1; the twisted Borel
+subalgebra abar is the complement of a, so a ⊕ abar is the whole algebra.  The
+built-in "subalgebra_a" is the view ``subalgebra(build_affine_sl2(), "a")`` of
+a fresh parent.
 """
 
 from __future__ import annotations
@@ -22,8 +31,6 @@ import json
 from fractions import Fraction
 
 Weight = tuple  # integer coordinate tuples
-
-BIG = 10**9  # window bound used by finite user-defined algebras
 
 
 class WindowError(Exception):
@@ -81,7 +88,6 @@ class GradedLieAlgebra:
         self._by_wi: dict[tuple, int] = {}
         self._by_label: dict[str, int] = {}
         self._brackets: dict[tuple, dict] = {}
-        self.central: set[int] = set()
         self._beta: dict = {}
         self._win_lo = 0
         self._win_hi = -1  # empty window
@@ -134,13 +140,6 @@ class GradedLieAlgebra:
     def window(self) -> tuple:
         return (self._win_lo, self._win_hi)
 
-    def content_window(self) -> tuple:
-        """Degree range that can actually hold basis elements (finite)."""
-        degs = [d for d, lst in self._by_degree.items() if lst]
-        if not degs:
-            return (0, 0)
-        return (min(degs), max(degs))
-
     def in_window(self, d: int) -> bool:
         return self._win_lo <= d <= self._win_hi
 
@@ -150,13 +149,9 @@ class GradedLieAlgebra:
         return sum(a * b for a, b in zip(self.degree_functional, weight))
 
     def elements_of_degree(self, d: int) -> list[int]:
-        if not self.in_window(d):
-            raise WindowError(f"{self.name}: degree {d} outside window {self.window()}")
         lst = self._by_degree.get(d)
         if lst is None:
-            # declared window wider than the materialized table (finite algebras)
-            self._materialize_degree(d)
-            lst = self._by_degree[d]
+            raise WindowError(f"{self.name}: degree {d} outside window {self.window()}")
         return lst
 
     def elements_in_degrees(self, lo: int, hi: int) -> list[int]:
@@ -221,9 +216,6 @@ class GradedLieAlgebra:
             return {k: -v for k, v in res.items()}
         return res
 
-    def eid_by_weight_index(self, weight: Weight, index: int):
-        return self._by_wi.get((tuple(weight), index))
-
 
 def bracket(alg, x: dict, y: dict) -> dict:
     """Bracket of two linear combinations {eid: coeff}; bilinear expansion."""
@@ -246,15 +238,10 @@ def bracket(alg, x: dict, y: dict) -> dict:
 
 # -- built-in algebras -------------------------------------------------------
 
-_SL2_BRACKET = {
-    ("e", "f"): {"h": 1},
-    ("f", "e"): {"h": -1},
-    ("h", "e"): {"e": 2},
-    ("e", "h"): {"e": -2},
-    ("h", "f"): {"f": -2},
-    ("f", "h"): {"f": 2},
-}
-_SL2_FORM = {("e", "f"): 1, ("f", "e"): 1, ("h", "h"): 2}
+# sl2's bracket [x, y] = c (x+y) and invariant form <x, y>, keyed by the
+# alpha-coordinates of x and y (e = 1, h = 0, f = -1)
+_SL2_BRACKET = {(1, -1): 1, (-1, 1): -1, (0, 1): 2, (1, 0): -2, (0, -1): -2, (-1, 0): 2}
+_SL2_FORM = {(1, -1): 1, (-1, 1): 1, (0, 0): 2}
 
 
 def _loop_label(x: str, n: int) -> str:
@@ -268,15 +255,16 @@ def _loop_label(x: str, n: int) -> str:
 class AffineSL2(GradedLieAlgebra):
     """Affine sl2: loop algebra plus central K and derivation d.
 
-    Weights are (alpha-coordinate, delta-coordinate); deg z = 2, deg e = 1,
-    deg f = -1, so deg(z^n e) = 2n+1, deg(z^n h) = 2n, deg(z^n f) = 2n-1.
-    Normalization: <e,f> = 1, <h,h> = 2; beta(1⊗h) = 2, beta(K) = 4,
-    beta(d) = 1 (values 2ρ, 2h∨ and 1 for sl2).
+    Every element is read off its (weight, index).  Weights are
+    (alpha-coordinate, delta-coordinate): z^n⊗e, z^n⊗h and z^n⊗f are (1, n),
+    (0, n) and (-1, n) at index 0, and K and d are (0, 0) at indices 1 and 2.
+    deg z = 2, deg e = 1, deg f = -1, so deg(z^n e) = 2n+1, deg(z^n h) = 2n,
+    deg(z^n f) = 2n-1.  Normalization: <e,f> = 1, <h,h> = 2; beta(1⊗h) = 2,
+    beta(K) = 4, beta(d) = 1 (values 2ρ, 2h∨ and 1 for sl2).
     """
 
     def __init__(self):
         super().__init__("affine_sl2", 2, (1, 2))
-        self.meta: list[tuple] = []
 
     def _realize(self, d):
         out = []
@@ -295,49 +283,26 @@ class AffineSL2(GradedLieAlgebra):
         return out
 
     def _materialize_degree(self, d):
-        start = len(self.weights)
         super()._materialize_degree(d)
-        for eid in range(start, len(self.weights)):
-            a, n = self.weights[eid]
-            if self.degrees[eid] == 0 and self.indices[eid] == 1:
-                self.meta.append(("K",))
-                self.central.add(eid)
-                self._beta[eid] = 4
-            elif self.degrees[eid] == 0 and self.indices[eid] == 2:
-                self.meta.append(("d",))
-                self._beta[eid] = 1
-            else:
-                x = {1: "e", 0: "h", -1: "f"}[a]
-                self.meta.append(("loop", x, n))
-                if x == "h" and n == 0:
-                    self._beta[eid] = 2
+        if d == 0:  # 1⊗h, K, d
+            self._beta.update(zip(self._by_degree[0], (2, 4, 1)))
 
     def _bracket_rule(self, i, j):
-        mi, mj = self.meta[i], self.meta[j]
-        if mi[0] == "K" or mj[0] == "K":
+        (a, m), (b, n) = self.weights[i], self.weights[j]
+        if self.indices[i] == 1 or self.indices[j] == 1:  # K is central
             return {}
-        if mi[0] == "d" or mj[0] == "d":
-            sign = 1 if mi[0] == "d" else -1
-            other = j if mi[0] == "d" else i
-            n = self.meta[other][2]
-            return {other: sign * n} if n else {}
-        _, x, m = mi
-        _, y, n = mj
-        out: dict = {}
-        for zsym, c in _SL2_BRACKET.get((x, y), {}).items():
-            eid = self.eid_by_weight_index(self._loop_weight(zsym, m + n), 0)
-            if eid is None:
-                raise WindowError(f"affine_sl2: z^{m+n}⊗{zsym} not materialized")
-            out[eid] = out.get(eid, 0) + c
-        pairing = _SL2_FORM.get((x, y))
+        if self.indices[i] == 2:  # [d, x] = n x on the delta-coordinate n of x
+            return {j: n} if n else {}
+        if self.indices[j] == 2:
+            return {i: -m} if m else {}
+        out = {}
+        c = _SL2_BRACKET.get((a, b))
+        if c:
+            out[self._by_wi[((a + b, m + n), 0)]] = c
+        pairing = _SL2_FORM.get((a, b))
         if pairing and m + n == 0 and m:
-            k_eid = self.eid_by_weight_index((0, 0), 1)
-            out[k_eid] = out.get(k_eid, 0) + m * pairing
-        return {k: v for k, v in out.items() if v}
-
-    @staticmethod
-    def _loop_weight(x: str, n: int) -> Weight:
-        return ({"e": 1, "h": 0, "f": -1}[x], n)
+            out[self._by_wi[((0, 0), 1)]] = m * pairing
+        return out
 
 
 class AbelianTestAlgebra(GradedLieAlgebra):
@@ -384,7 +349,6 @@ class UserAlgebra(GradedLieAlgebra):
             self._table.setdefault(deg, []).append((tuple(b["weight"]), b["index"], b["label"]))
         self._rules: dict[tuple, dict] = {}
         self.ensure_window(min(degs, default=0), max(degs, default=0))
-        self._win_lo, self._win_hi = -BIG, BIG
 
         def element(entry, key):
             pos = entry[key]
@@ -430,7 +394,6 @@ class SubalgebraSpec:
         self.degree_functional = parent.degree_functional
         self.is_member = member
         self.window = parent.window
-        self.content_window = parent.content_window
         self.in_window = parent.in_window
         self.ell = parent.ell
         self.degree = parent.degree
@@ -518,19 +481,13 @@ def subalgebra(alg, selector, custom=None) -> SubalgebraSpec:
     if selector in ("a", "abar"):
         if not isinstance(alg, AffineSL2):
             raise AlgebraError(f"selector {selector!r} requires the affine sl2 algebra")
-        meta = alg.meta
-        if selector == "a":
-            return SubalgebraSpec(
-                alg,
-                "a",
-                lambda e: meta[e][0] == "loop" and (meta[e][1] == "f" or (meta[e][1] == "h" and meta[e][2] >= 1)),
-            )
-        return SubalgebraSpec(
-            alg,
-            "abar",
-            lambda e: meta[e][0] in ("K", "d")
-            or (meta[e][0] == "loop" and (meta[e][1] == "e" or (meta[e][1] == "h" and meta[e][2] <= 0))),
-        )
+        weights = alg.weights
+
+        def in_a(e):  # z^n⊗f for all n, z^n⊗h for n >= 1
+            alpha, n = weights[e]
+            return alpha == -1 or (alpha == 0 and n >= 1)
+
+        return SubalgebraSpec(alg, selector, in_a if selector == "a" else lambda e: not in_a(e))
     if selector == "loop-nminus":
         # the abelian loop algebra of the lowering root vectors: alpha-coordinate -1
         if alg.rank < 1:
@@ -539,9 +496,7 @@ def subalgebra(alg, selector, custom=None) -> SubalgebraSpec:
     if selector == "custom":
         members = set(custom or [])
         view = SubalgebraSpec(alg, "custom", lambda e: e in members)
-        wlo, whi = alg.window()
-        clo, chi = alg.content_window()
-        check_closure(view, max(wlo, clo), min(whi, chi))
+        check_closure(view, *alg.window())
         return view
     raise AlgebraError(f"unknown subalgebra selector {selector!r}")
 
@@ -658,12 +613,7 @@ def load_algebra(source) -> GradedLieAlgebra:
 
 def dump_algebra(alg, basis_window=None) -> dict:
     """Serialize a (window of a) materialized algebra to the file schema."""
-    if basis_window:
-        lo, hi = basis_window
-    else:
-        wlo, whi = alg.window()
-        clo, chi = alg.content_window()
-        lo, hi = max(wlo, clo), min(whi, chi)
+    lo, hi = basis_window or alg.window()
     eids = alg.elements_in_degrees(lo, hi)
     pos_of = {e: i for i, e in enumerate(eids)}
     basis = [{"label": alg.label(e), "weight": list(alg.weight(e)), "index": alg.key(e)[2]} for e in eids]

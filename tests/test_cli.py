@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from conftest import MALFORMED_TOYS
+from conftest import MALFORMED_TOYS, sl2_toy
 import semiflex
 from semiflex import cli, forms, output
 from semiflex.cli import JobSpec, main, run_job
@@ -299,6 +299,22 @@ def test_algebra_check_rejects_an_inverted_window(runner):
     assert res.exit_code == 2
     assert res.stderr == "error: algebra-check window [6, -6] is empty: lo must not exceed hi\n"
     assert "pass" not in res.stdout
+
+
+@pytest.mark.parametrize("window,code", [((5, 8), 2), ((-6, 6), 0)])
+def test_algebra_check_on_a_finite_algebra_checks_the_window_as_given(window, code, runner, tmp_path):
+    """The sl2 toy (degrees -1..1) is checked on the window the user gave; a
+    window that holds no triple of its basis is an input error, not a pass."""
+    path = tmp_path / "toy.json"
+    path.write_text(json.dumps(sl2_toy()))
+    lo, hi = window
+    res = runner.invoke(main, ["algebra-check", "--algebra", str(path), "--window", str(lo), str(hi)])
+    assert res.exit_code == code, res.output
+    if code:
+        assert f"window [{lo}, {hi}]" in res.stderr
+        assert "pass" not in res.stdout
+    else:
+        assert res.stdout.endswith(f"triples in window [{lo}, {hi}]\npass\n")
 
 
 def test_malformed_file_exits_two(runner, tmp_path):

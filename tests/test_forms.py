@@ -669,10 +669,11 @@ def test_memoised_differentials_match_the_reference_on_small_algebras():
 def test_row_terms_built_once_per_key(monkeypatch):
     """Over a whole table each pair-term list, slot term and slot list is
     built once per key, and a second table over the same algebra builds
-    nothing."""
+    nothing.  A pair-term list walks the occupied slots once for its
+    candidates; that walk is counted apart from the slot lists."""
     from semiflex import forms
 
-    builds = {"pairs": [], "slot": [], "list": []}
+    builds = {"pairs": [], "slot": [], "list": [], "candidates": []}
 
     def counting(name, real, key):
         def build(*args):
@@ -681,7 +682,16 @@ def test_row_terms_built_once_per_key(monkeypatch):
 
         return build
 
-    monkeypatch.setattr(forms, "_pair_terms", counting("pairs", forms._pair_terms, lambda alg, mono: mono))
+    def pair_terms(alg, mono):
+        builds["pairs"].append(mono)
+        start = len(builds["list"])
+        out = real_pair_terms(alg, mono)
+        builds["candidates"].extend(builds["list"][start:])
+        del builds["list"][start:]
+        return out
+
+    real_pair_terms = forms._pair_terms
+    monkeypatch.setattr(forms, "_pair_terms", pair_terms)
     monkeypatch.setattr(forms, "_slot_term", counting("slot", forms._slot_term, lambda alg, mono, mu, y: (mono, y)))
     monkeypatch.setattr(forms, "_occupied", counting("list", forms._occupied, lambda alg, mono, dmin: (mono, dmin)))
     a = build_test_algebra("loop-nilpotent-a")
@@ -689,6 +699,7 @@ def test_row_terms_built_once_per_key(monkeypatch):
     table = semiinf_cohomology(a, us, 6)
     memo = a._row_terms
     assert sorted(builds["pairs"]) == sorted(memo)
+    assert [mono for mono, _dmin in builds["candidates"]] == builds["pairs"]
     assert sorted(builds["slot"]) == sorted((mono, y) for mono, entry in memo.items() for y in entry[2])
     assert sorted(builds["list"]) == sorted((mono, dmin) for mono, entry in memo.items() for dmin in entry[1])
     # the same monomial comes back at other weights and with other dmin

@@ -1,8 +1,9 @@
 """Golden outputs: CLI jobs (with the summary lines of the three
 semi-infinite cohomology jobs, two forms dumps, and three Wakimoto dumps, one
-of them at a lambda where the invariant completion runs) and four module
+of them at a lambda where the invariant completion runs), four module
 dumps (S-ind, Verma and contragredient Verma on affine sl2, and Verma on a)
-compared byte for byte with the fixtures in
+and affine sl2's structure constants on degrees -8..8, compared byte for
+byte with the fixtures in
 tests/golden/, and the benchmark's US(a) depth-9 job with
 perfbench/golden/uscoh_cli.csv.
 
@@ -11,6 +12,7 @@ Regenerate the fixtures (only from a commit whose outputs are trusted) with
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import json
 import os
 import sys
 from fractions import Fraction
@@ -22,7 +24,7 @@ from click.testing import CliRunner
 from semiflex import output
 from semiflex.cli import main
 from semiflex.induction import s_ind
-from semiflex.liealg import build_affine_sl2, load_algebra, subalgebra
+from semiflex.liealg import build_affine_sl2, dump_algebra, load_algebra, subalgebra
 from semiflex.modules import coverma, trivial_module, verma
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -81,6 +83,7 @@ S_IND_DUMP = "s_ind_loop_nminus.jsonl"
 LAMBDA = {"1⊗h": Fraction(2, 3), "K": Fraction(1, 2), "d": Fraction(0)}
 VERMA_DUMPS = {"verma_affine_sl2.jsonl": verma, "coverma_affine_sl2.jsonl": coverma}
 VERMA_A_DUMP = "verma_a.jsonl"
+ALGEBRA_DUMP = "affine_sl2_algebra.json"
 
 
 def run_cli(argv, cwd):
@@ -108,6 +111,14 @@ def dump_verma_type(path, ctor):
 def dump_verma_a(path):
     """Basis and action matrices of the Verma module over a at lambda = 0, depth 5."""
     output.dump_module_jsonl(path, verma(load_algebra("subalgebra_a"), {}, 5), (-5, 5))
+
+
+def dump_affine_sl2(path):
+    """Basis, brackets and beta of a fresh affine sl2 on degrees -8..8."""
+    g = build_affine_sl2()
+    g.ensure_window(-8, 8)
+    text = json.dumps(dump_algebra(g, basis_window=(-8, 8)), indent=1, sort_keys=True, ensure_ascii=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 @pytest.mark.parametrize("argv,files", JOBS, ids=[f[0] for _a, f in JOBS])
@@ -146,6 +157,11 @@ def test_verma_a_dump_matches_golden(tmp_path):
     assert (tmp_path / VERMA_A_DUMP).read_bytes() == (GOLDEN / VERMA_A_DUMP).read_bytes()
 
 
+def test_affine_sl2_algebra_dump_matches_golden(tmp_path):
+    dump_affine_sl2(tmp_path / ALGEBRA_DUMP)
+    assert (tmp_path / ALGEBRA_DUMP).read_bytes() == (GOLDEN / ALGEBRA_DUMP).read_bytes()
+
+
 def regenerate(dest=GOLDEN):
     dest.mkdir(parents=True, exist_ok=True)
     for argv, files in JOBS:
@@ -158,6 +174,7 @@ def regenerate(dest=GOLDEN):
     for name, ctor in VERMA_DUMPS.items():
         dump_verma_type(dest / name, ctor)
     dump_verma_a(dest / VERMA_A_DUMP)
+    dump_affine_sl2(dest / ALGEBRA_DUMP)
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from semiflex.liealg import (
     beta_functional,
     bracket,
     build_affine_sl2,
+    check_closure,
     check_jacobi,
     dump_algebra,
     load_algebra,
@@ -183,11 +184,15 @@ def test_abar_plus_is_nonneg_loop_e(sl2):
 
 
 def test_a_plus_abar_span_every_degree(sl2):
+    """a and abar are disjoint and together hold each degree's basis, and abar is bracket-closed."""
     a = subalgebra(sl2, "a")
     abar = subalgebra(sl2, "abar")
-    for d in range(-6, 7):
-        total = len(sl2.elements_of_degree(d))
-        assert len(a.elements_of_degree(d)) + len(abar.elements_of_degree(d)) == total
+    for d in range(-8, 9):
+        basis = sl2.elements_of_degree(d)
+        in_a, in_abar = set(a.elements_of_degree(d)), set(abar.elements_of_degree(d))
+        assert not in_a & in_abar
+        assert in_a | in_abar == set(basis)
+    check_closure(abar, -8, 8)
 
 
 def test_g_below_zero_abelian(abelian):
