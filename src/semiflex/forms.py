@@ -108,35 +108,21 @@ def _slots_above(alg, mono, x) -> int:
     return above
 
 
-def _insert(tup, x):
-    lst = list(tup)
-    for i, e in enumerate(lst):
-        if x < e:
-            lst.insert(i, x)
-            break
-    else:
-        lst.append(x)
-    return tuple(lst)
-
-
-def _delete(tup, x):
-    return tuple(e for e in tup if e != x)
-
-
 def _flip(alg, x, mono, create: bool):
     """Clifford creation (wedge) or annihilation (contract) at the slot of x:
     (sign, monomial), or None when the slot is already full, resp. empty.
     A positive slot is occupied when x is added, a nonpositive one unless x
-    is removed; the sign counts the occupied slots above x."""
+    is removed; the sign counts the occupied slots above x.  Either part
+    gains or loses x and stays sorted by id."""
     added, removed = mono
     if alg.degree(x) > 0:
         if (x in added) == create:
             return None
-        added = _insert(added, x) if create else _delete(added, x)
+        added = tuple(sorted(set(added) ^ {x}))
     else:
         if (x in removed) != create:
             return None
-        removed = _delete(removed, x) if create else _insert(removed, x)
+        removed = tuple(sorted(set(removed) ^ {x}))
     return (-1) ** _slots_above(alg, mono, x), (added, removed)
 
 
@@ -163,7 +149,7 @@ def _build_forms(alg, ell: int) -> dict:
     """ell(mu) = total degree of the added part + total |degree| of the
     removed part, so both subset tables are exact under the budget ell
     (degree-0 removals are free).  The parts are wedges, exponents capped at
-    1; monomials keep them sorted by id, as _insert does."""
+    1; monomials keep them sorted by id, as ``_flip`` does."""
     alg.ensure_window(-ell - 1, ell + 1)
     pos = monomials_by_weight(alg, sorted(alg.elements_in_degrees(1, ell), key=alg.key), ell, 1)
     neg = monomials_by_weight(alg, sorted(alg.elements_in_degrees(-ell, 0), key=alg.key), ell, 1)

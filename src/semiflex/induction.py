@@ -53,6 +53,7 @@ once and sums in exact integers.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from .forms import semiinf_cohomology, semiinvariants
 from .liealg import SubalgebraSpec, exact, subalgebra, wt_add, wt_sub, wt_zero
@@ -508,10 +509,8 @@ class WakimotoSpace(_PairSpace):
 
     def __init__(self, alg, lam: dict, depth: int):
         alg.ensure_window(-2 * depth - 4, 2 * depth + 4)
-        a_view = subalgebra(alg, "a")
-        abar_view = subalgebra(alg, "abar")
-        self.a_view = a_view
-        self.abar_view = abar_view
+        a_view = self.a_view = subalgebra(alg, "a")
+        self.abar_view = subalgebra(alg, "abar")
 
         def block(e):
             if alg.degree(e) > 0:
@@ -524,10 +523,8 @@ class WakimotoSpace(_PairSpace):
 
         aminus = SubalgebraSpec(alg, "aminus", lambda e: a_view.is_member(e) and alg.degree(e) <= 0)
         super().__init__(alg, f"Q({_lam_str(lam)})", depth, Order("wak", key), aminus)
-        self._lam_tilde = {}
-        for e in alg.elements_in_degrees(-2 * depth - 4, 0):
-            if abar_view.is_member(e):
-                self._lam_tilde[e] = exact(lam.get(alg.label(e), 0)) + alg.beta_value(e)
+        # lambda and beta vanish off degree 0, and abar holds all of degree 0
+        self._lam_tilde = {e: exact(lam.get(alg.label(e), 0)) + alg.beta_value(e) for e in alg.elements_of_degree(0)}
 
     def reduce_m(self, mon) -> tuple:
         """Class of a U(g-) monomial (a- block then abar- block) in the
@@ -586,9 +583,13 @@ def _invariant_completion(space, w, span, want):
     basis first and adds the independent projections after it.
 
     X is spanned by triples (q, m_a, m_abar); the truncation bounds the
-    abar- tail length.  Invariance under every relevant positive abar
-    element is imposed exactly (conditions land in a once-extended
-    truncation), so every solution projects into the Wakimoto subspace.
+    abar- tail length.  A triple projects to Q as the pair space reduces
+    a peeled monomial: ``reduce_m`` of m_a·m_abar evaluates lambda-tilde on
+    the tail.  Each projection is a dense vector over Q's basis at w, which
+    is what the span and ``SparseMatrix.images`` read.  Invariance under
+    every relevant positive abar element is imposed exactly (conditions
+    land in a once-extended truncation), so every solution projects into
+    the Wakimoto subspace.
     A tail's kernel holds every shorter tail's kernel, so the projections a
     short tail adds stay in the span that a longer one reaches.  Raises
     InductionError when tails of length _TAIL_CAP still fall short.
@@ -606,15 +607,14 @@ def _invariant_completion(space, w, span, want):
         kernel = SparseMatrix.from_rows(cond_rows, len(xbasis)).nullspace()
         if not kernel:
             continue
+        index = space._index[w]
         for k in kernel:
             vec = [0] * space.dim(w)
-            for idx, c in enumerate(k):
-                if not c:
-                    continue
-                q, ma, mbar = xbasis[idx]
-                coeff = evaluate(space._lam_tilde, mbar)
-                if coeff:
-                    vec[space._index[w][(q, ma)]] += c * coeff
+            for c, (q, ma, mbar) in zip(k, xbasis):
+                if c:
+                    coeff, m = space.reduce_m(ma + mbar)
+                    if coeff:
+                        vec[index[(q, m)]] += c * coeff
             span.extend([vec])  # a zero projection is dropped
         if len(span) >= want:
             return
@@ -626,23 +626,23 @@ def _invariant_completion(space, w, span, want):
 
 def _truncated_x_basis(space, w, tail_len: int):
     """Sorted triples (q, m_a, m_abar) of weight w with abar- tail of
-    length at most ``tail_len``."""
+    length at most ``tail_len``.
+
+    The tails are the multisets of abar- elements of each length 0..tail_len,
+    not ``monomials_by_weight``'s table: a length cap is not a degree budget.
+    The degree-0 elements 1⊗h, K and d cost no degree, so a degree-budget
+    superset cut down by length would enumerate far more monomials than it
+    keeps."""
     alg = space.alg
     abar_neg = sorted(
         (e for e in alg.elements_in_degrees(-space.depth, 0) if space.abar_view.is_member(e)),
         key=space.order.key,
     )
-    tails_by_weight = {wt_zero(alg.rank): [()]}
-    frontier = [((), wt_zero(alg.rank))]
-    for _ in range(tail_len):
-        new = []
-        for t, tw in frontier:
-            start = abar_neg.index(t[-1]) if t else 0
-            for e in abar_neg[start:]:
-                new.append((t + (e,), wt_add(tw, alg.weight(e))))
-        for t, tw in new:
-            tails_by_weight.setdefault(tw, []).append(compress(t))
-        frontier = new
+    tails_by_weight: dict = {}
+    for n in range(tail_len + 1):
+        for word in combinations_with_replacement(abar_neg, n):
+            tail = compress(word)
+            tails_by_weight.setdefault(monomial_weight(alg, tail), []).append(tail)
     out = set()
     for qw, qs in space.qtab.items():
         for mw, ms in space.mtab.items():
@@ -658,20 +658,16 @@ def _right_action_rows(space, eta, xbasis):
     """Rows of r_eta on the truncated X, exact conditions.  Invariance is
     the kernel of -r_eta, which is the kernel of r_eta.
 
-    The action may lengthen the abar tail by bounded amounts; output
-    coordinates are indexed on the fly so the conditions stay exact.
+    The action may lengthen the abar tail by bounded amounts, so rows are
+    keyed by the target pair (q, m) as it turns up, in first-seen order;
+    the kernel depends only on the row space.
     """
-    out_index: dict = {}
-    rows_by_out: dict = {}
+    rows: dict = {}
     for ci, (q0, ma, mbar) in enumerate(xbasis):
         for q, m, c in space._right_terms(q0, ma + mbar, eta):
-            r = out_index.setdefault((q, m), len(out_index))
-            row = rows_by_out.setdefault(r, {})
+            row = rows.setdefault((q, m), {})
             row[ci] = row.get(ci, 0) + c
-    return [
-        {c: v for c, v in row.items() if v}
-        for _, row in sorted(rows_by_out.items())
-    ]
+    return [{c: v for c, v in row.items() if v} for row in rows.values()]
 
 
 # -- the big verification routines ---------------------------------------------------

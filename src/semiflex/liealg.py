@@ -331,8 +331,6 @@ class UserAlgebra(GradedLieAlgebra):
     def __init__(self, name, rank, degree_functional, basis, brackets, beta):
         super().__init__(name, rank, degree_functional)
         self._table: dict[int, list] = {}
-        self._given_basis = basis
-        self._given_brackets = brackets
         labels, keys = set(), set()
         for b in basis:
             if len(b["weight"]) != rank:

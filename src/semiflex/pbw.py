@@ -25,10 +25,12 @@ Wakimoto block order in induction does.  An order caches its key per basis
 id.
 
 ``monomials_by_weight`` is the one monomial enumerator (PBW monomials, and
-wedges with exponents capped at 1).  Two monomial operations serve the
-pair spaces of semi-induction: ``split`` cuts a straightened monomial at a
-block boundary of the order, and ``evaluate`` applies a character to the
-part split off.
+wedges with exponents capped at 1).  It walks the elements in the order's
+key order, so each weight's list comes out in that order, whatever the
+algebra materialized before; ``enumerate_pbw_weights`` returns it as it is.
+Two monomial operations serve the pair spaces of semi-induction: ``split``
+cuts a straightened monomial at a block boundary of the order, and
+``evaluate`` applies a character to the part split off.
 """
 
 from __future__ import annotations
@@ -260,7 +262,9 @@ def monomials_by_weight(alg, elems, budget: int, max_exp=None) -> dict:
     """{weight: [monomials]} of the products of ``elems``, in the given order,
     with total |degree| at most ``budget`` and no exponent above ``max_exp``
     (None for PBW monomials, 1 for wedges; a degree-0 element costs nothing,
-    so it needs the cap).  Lists are in enumeration order."""
+    so it needs the cap).  Each list is lexicographic in the factors'
+    positions in ``elems`` and then their exponents: with ``elems`` sorted by
+    an order's key, that is the order's key order."""
     table: dict = {wt_zero(alg.rank): [EMPTY]}
 
     def rec(idx, acc, w, budget):
@@ -304,13 +308,10 @@ def enumerate_pbw_weights(sub, depth: int, order: Order | None = None) -> dict:
     For a strictly negative subalgebra this is every weight with
     -depth <= ell(weight) <= 0 (mirrored for strictly positive ones).
 
-    Each weight's monomials are sorted as tuples of basis ids, and ids
-    follow the order in which the algebra first materialized its degrees.
-    So the same algebra can list a basis in another order after an earlier,
-    wider ``ensure_window``: ``verma(g, lam, 5)`` on a fresh affine sl2 and
-    on one that first ran ``g.ensure_window(-3, 3)`` order the bases at
-    weights (-1, -2), (1, -3) and (0, -2) differently (the Wakimoto
-    module's action matrices at depth 5 are still equal).
+    Each weight's monomials come out in the order's key order, compared as
+    tuples of (key, exponent) pairs.  Keys do not depend on basis ids, so a
+    basis lists the same way however much of the algebra an earlier call
+    materialized.
     """
     if order is None:
         order = canonical_order(sub)
@@ -328,10 +329,7 @@ def enumerate_pbw_weights(sub, depth: int, order: Order | None = None) -> dict:
     if depth <= 0 or not (has_pos or has_nonpos):
         return {wt_zero(sub.rank): [EMPTY]}
     elems = sub.elements_in_degrees(1, depth) if has_pos else sub.elements_in_degrees(-depth, -1)
-    table = monomials_by_weight(sub, sorted(elems, key=order.key), depth)
-    for mons in table.values():
-        mons.sort()
-    return table
+    return monomials_by_weight(sub, sorted(elems, key=order.key), depth)
 
 
 # -- restricted duals ---------------------------------------------------------------

@@ -5,7 +5,9 @@ dumps (S-ind, Verma and contragredient Verma on affine sl2, and Verma on a)
 and affine sl2's structure constants on degrees -8..8, compared byte for
 byte with the fixtures in
 tests/golden/, and the benchmark's US(a) depth-9 job with
-perfbench/golden/uscoh_cli.csv.
+perfbench/golden/uscoh_cli.csv.  Module and forms dumps are also compared
+with themselves across materialization histories: a basis lists the same
+way whatever degrees the algebra materialized first.
 
 Regenerate the fixtures (only from a commit whose outputs are trusted) with
 
@@ -23,7 +25,8 @@ from click.testing import CliRunner
 
 from semiflex import output
 from semiflex.cli import main
-from semiflex.induction import s_ind
+from semiflex.forms import semiinf_cohomology
+from semiflex.induction import s_ind, universal_semijective, wakimoto
 from semiflex.liealg import build_affine_sl2, dump_algebra, load_algebra, subalgebra
 from semiflex.modules import coverma, trivial_module, verma
 
@@ -160,6 +163,51 @@ def test_verma_a_dump_matches_golden(tmp_path):
 def test_affine_sl2_algebra_dump_matches_golden(tmp_path):
     dump_affine_sl2(tmp_path / ALGEBRA_DUMP)
     assert (tmp_path / ALGEBRA_DUMP).read_bytes() == (GOLDEN / ALGEBRA_DUMP).read_bytes()
+
+
+# lambda = (0, 1, 0) is reducible: W's invariant completion runs at depth 5
+HISTORY_LAMBDA = {"1⊗h": 0, "K": 1, "d": 0}
+
+
+def _a():
+    return load_algebra("subalgebra_a")
+
+
+# (fresh algebra, dump, module built on it): module dumps list bases and
+# actions at D=5, forms dumps the bases of the module's complex over the
+# same algebra at D=4
+HISTORY_DUMPS = {
+    "verma": (build_affine_sl2, "module", lambda g: verma(g, HISTORY_LAMBDA, 5)),
+    "coverma": (build_affine_sl2, "module", lambda g: coverma(g, HISTORY_LAMBDA, 5)),
+    "wakimoto": (build_affine_sl2, "module", lambda g: wakimoto(g, HISTORY_LAMBDA, 5)),
+    "s_ind": (_a, "module", lambda a: s_ind(a, subalgebra(a, "loop-nminus"), trivial_module(a, 5), 5)),
+    "US(a) forms": (_a, "forms", lambda a: universal_semijective(a, 4).left),
+    "verma over a forms": (_a, "forms", lambda a: verma(a, {}, 4)),
+    "M(-4, -4, 0) forms": (build_affine_sl2, "forms", lambda g: verma(g, {"1⊗h": -4, "K": -4, "d": 0}, 4)),
+}
+
+
+@pytest.mark.parametrize("name", list(HISTORY_DUMPS))
+def test_dumps_do_not_depend_on_what_was_materialized_before(name, tmp_path):
+    """The same dump on a fresh algebra and on algebras that first
+    materialized degrees -3..3 or -7..7 (which renumbers the basis ids) is
+    the same file, byte for byte."""
+    fresh, kind, build = HISTORY_DUMPS[name]
+    texts = []
+    for window in (None, 3, 7):
+        g = fresh()
+        if window:
+            g.ensure_window(-window, window)
+        path = tmp_path / f"{window}.jsonl"
+        if kind == "module":
+            output.dump_module_jsonl(path, build(g), (-5, 5))
+        else:
+            bases: dict = {}
+            semiinf_cohomology(g, build(g), 4, bases=bases)
+            output.dump_forms_jsonl(path, g, bases)
+        texts.append(path.read_bytes())
+    assert texts[1] == texts[0]
+    assert texts[2] == texts[0]
 
 
 def regenerate(dest=GOLDEN):

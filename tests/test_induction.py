@@ -439,6 +439,17 @@ def test_invariant_completion_names_weight_and_cap_when_it_runs_out(sl2, lam01):
         _invariant_completion(space, w, Subspace(), want)
 
 
+def test_invariant_completion_projects_to_dense_vectors(sl2):
+    """At lambda = (1, -1/2) the completion fills weight (1, -2), and a
+    deeper lowering then takes that vector's images: the span and
+    ``SparseMatrix.images`` read each projection as a dense vector over
+    Q's basis."""
+    lam = {"1⊗h": 1, "K": Fraction(-1, 2), "d": 0}
+    W = wakimoto(sl2, lam, 6)
+    assert character(W, 6) == product_formula_character(sl2, 6)
+    assert check_commutators(W, (-2, 2)) == []
+
+
 def test_universal_property_cases(loop_a, abelian):
     assert check_universal_property(loop_a, trivial_module(loop_a, 3), 3).passed
     assert check_universal_property(abelian, trivial_module(abelian, 3), 3).passed

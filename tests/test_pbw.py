@@ -209,7 +209,8 @@ def test_degree_zero_tower_rejected(sl2):
 
 def target_weight_pbw(sub, weight, order):
     """Independent enumeration: spend the remaining weight factor by factor
-    (the recursion enumerate_pbw used before it read the weight table)."""
+    (the recursion enumerate_pbw used before it read the weight table),
+    listed in the order's key order."""
     ell = sub.ell(weight)
     elems = sorted(sub.elements_in_degrees(1, ell) if ell > 0 else sub.elements_in_degrees(ell, -1), key=order.key)
     out = []
@@ -233,7 +234,7 @@ def target_weight_pbw(sub, weight, order):
                 acc.pop()
 
     rec(0, [], tuple(weight))
-    return sorted(out)
+    return sorted(out, key=lambda m: tuple((order.key(e), k) for e, k in m))
 
 
 @pytest.mark.parametrize("which", ["aminus", "gplus of a"])
