@@ -4,17 +4,19 @@ Matrices are sparse dict-of-column rows of exact entries, stored as given:
 an int wherever the value is integral, a fractions.Fraction otherwise.
 ``cleared`` is the one way from such a matrix to integers: it scales the
 matrix once by the lcm of its denominators into sparse int rows (an all-int
-matrix is used as it is, rows and all).  Rank and pivot columns run the
-sparse fraction-free integer kernel (semiflex._kernels) on those rows, so
-elimination never visits a zero entry; the kernel rewrites its list but
-never a row dict, so it may be handed a matrix's own rows.
+matrix is used as it is, rows and all).
 
-Every basis choice and every coordinate read goes through one span layer,
-``Subspace``, a sparse fraction-free echelon built once and read many
-times: it picks bases, ``solve_in_span`` reads coordinates off it, and
-``SparseMatrix.nullspace`` reads kernel vectors off the same reduction of
-the matrix's columns.  Scaling and row operations change no column
-dependency, so every derived quantity is exact.
+All elimination is one sparse fraction-free integer reduction
+(semiflex._kernels), which never visits a zero entry and never mutates a
+row dict, so it may be handed a matrix's own rows.  Rank and pivot
+columns run it on the cleared rows, sparsest first.  Every basis choice
+and every coordinate read goes through one span layer, ``Subspace``, an
+echelon of that reduction built once and read many times, its vectors
+reduced in the order given: it picks bases, ``solve_in_span`` reads
+coordinates off it, and ``SparseMatrix.nullspace`` reads kernel vectors
+off the same reduction of the matrix's columns.  Scaling and row
+operations change no column dependency, so every derived quantity is
+exact.
 
 Sums of products are checked on cleared integers too: ``residual_nnz``
 brings every term of sum(c * A * B) to one common denominator and sums each
@@ -31,9 +33,9 @@ each row in int arithmetic and divides each nonzero sum once.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
-from ._kernels import row_echelon_int
+from ._kernels import reduce_row, row_echelon_int, store_row
 
 __all__ = ["SparseMatrix", "Subspace", "cleared", "exact_quotient", "residual_nnz", "solve_in_span"]
 
@@ -133,18 +135,16 @@ class SparseMatrix:
     # -- echelon-backed queries ------------------------------------------
 
     def rank(self) -> int:
-        if self.ncols == 0 or self.nrows == 0:
-            return 0
+        """The rank, from ``row_echelon_int`` on the cleared rows."""
         r, _ = row_echelon_int(list(cleared(self)[1]), self.ncols)
         return r
 
     def pivot_columns(self) -> list[int]:
-        """Indices of a maximal independent set of columns (image basis).
+        """Indices of a maximal independent set of columns (image basis):
+        the pivot columns of ``row_echelon_int`` on the cleared rows.
 
         The package picks bases with ``Subspace``; this stays as the tests'
         reference for it and as a benchmark trace target."""
-        if self.ncols == 0 or self.nrows == 0:
-            return []
         _, pivots = row_echelon_int(list(cleared(self)[1]), self.ncols)
         return pivots
 
@@ -250,12 +250,10 @@ class Subspace:
     Vectors are dense sequences or sparse ``{index: value}`` dicts of ints
     and Fractions; no input is mutated.  ``extend`` clears each vector of
     its denominators and reduces it, in order, against the rows built so
-    far, and keeps it in ``basis`` (as given) only if a remainder is left:
-    the greedy first-independent subset, so ``basis`` is what
-    ``SparseMatrix.pivot_columns`` picks from the vectors as columns.  A
-    remainder becomes a row, divided by its content, with its smallest
-    index as pivot.  It is zero at every earlier pivot, so reducing against
-    the rows in the order they were stored clears every pivot for good.  A
+    far (``_kernels.reduce_row``), and keeps it in ``basis`` (as given) only
+    if a remainder is left: the greedy first-independent subset, so
+    ``basis`` is what ``SparseMatrix.pivot_columns`` picks from the vectors
+    as columns.  A remainder becomes a row (``_kernels.store_row``).  A
     kept vector's row carries its integer combination of the ``basis``
     vectors, modulo the relations; relation rows carry none.  The
     combination is folded only when a vector is kept or solved, never for a
@@ -268,7 +266,7 @@ class Subspace:
         for vec in relations:
             _scale, rest, _steps = self._reduce(vec)
             if rest:
-                self._store(rest, None)
+                store_row(self._rows, rest, None)
 
     def __len__(self) -> int:
         return len(self.basis)
@@ -287,48 +285,20 @@ class Subspace:
             return scale, steps
         comb = {i: -c for i, c in _fold(steps).items()}
         comb[len(self.basis)] = scale
-        self._store(rest, comb)
+        store_row(self._rows, rest, comb)
         self.basis.append(vec)
 
     def _reduce(self, vec):
         """(s, rest, steps) with rest = s * vec minus a combination of the
-        rows, zero at every pivot: each step is rest <- a * rest - b * row,
-        recorded as (a, b, the row's combination)."""
+        rows, zero at every pivot (``_kernels.reduce_row``)."""
         rest = {i: v for i, v in (vec.items() if isinstance(vec, dict) else enumerate(vec)) if v}
         scale = 1
         dens = {v.denominator for v in rest.values() if type(v) is not int}
         if dens:
             scale = lcm(*dens)
             rest = {i: v.numerator * (scale // v.denominator) for i, v in rest.items()}
-        steps = []
-        for p, (row, comb) in self._rows.items():
-            f = rest.get(p)
-            if f is None:
-                continue
-            piv = row[p]
-            g = gcd(piv, f)
-            a, b = piv // g, f // g
-            if a != 1:
-                scale *= a
-                for i in rest:
-                    rest[i] *= a
-            for i, v in row.items():  # index p cancels exactly and is dropped here
-                w = rest.get(i, 0) - b * v
-                if w:
-                    rest[i] = w
-                else:
-                    del rest[i]
-            steps.append((a, b, comb))
-            if not rest:
-                break
-        return scale, rest, steps
-
-    def _store(self, row, comb) -> None:
-        content = gcd(*row.values(), *(comb or {}).values())
-        if content != 1:
-            row = {i: v // content for i, v in row.items()}
-            comb = comb and {i: v // content for i, v in comb.items()}
-        self._rows[min(row)] = (row, comb)
+        steps = reduce_row(rest, self._rows)
+        return scale * prod(a for a, _b, _comb in steps), rest, steps
 
 
 def _fold(steps) -> dict:

@@ -1,4 +1,4 @@
-"""Golden outputs: CLI jobs (with the summary lines of the three
+"""Golden outputs: CLI jobs (with the summary lines of the four
 semi-infinite cohomology jobs, two forms dumps, and three Wakimoto dumps, one
 of them at a lambda where the invariant completion runs), four module
 dumps (S-ind, Verma and contragredient Verma on affine sl2, and Verma on a)
@@ -43,6 +43,11 @@ JOBS = [
         ["semiinf-cohomology", "--algebra", "affine_sl2", "--module", "wakimoto", "--lambda", "h=-4,K=-4,d=0", "--depth", "4", "--out", "semiinf_affine.csv"],
         ["semiinf_affine.csv"],
     ),
+    # the Verma module over all of affine sl2 at depth 5: ranks over g-hat deeper than the Wakimoto job above
+    (
+        ["semiinf-cohomology", "--algebra", "affine_sl2", "--module", "verma", "--lambda", "h=-4,K=-4,d=0", "--depth", "5", "--out", "semiinf_verma_affine.csv"],
+        ["semiinf_verma_affine.csv"],
+    ),
     (["wakimoto", "--lambda", "h=1/2,K=1,d=0", "--depth", "4", "--out", "wakimoto.csv", "--dump", "wakimoto.jsonl"], ["wakimoto.csv", "wakimoto.jsonl"]),
     # integral lambda: every entry is an int, still written as "n/1"
     (["wakimoto", "--lambda", "h=2,K=1,d=0", "--depth", "4", "--dump", "wakimoto_integral.jsonl"], ["wakimoto_integral.jsonl"]),
@@ -79,6 +84,7 @@ SUMMARIES = {
     "semiinf_us.csv": "semiinf_us.stdout",
     "semiinf_wakimoto.csv": "semiinf_wakimoto.stdout",
     "semiinf_affine.csv": "semiinf_affine.stdout",
+    "semiinf_verma_affine.csv": "semiinf_verma_affine.stdout",
 }
 
 S_IND_DUMP = "s_ind_loop_nminus.jsonl"

@@ -1094,8 +1094,9 @@ def test_each_action_matrix_is_built_once(sl2, loop_a, lam01, monkeypatch):
 @pytest.mark.parametrize("hk", [(0, 1), (Fraction(2, 3), Fraction(1, 2))], ids=["0,1", "2/3,1/2"])
 def test_wakimoto_runs_no_elimination_kernel(sl2, monkeypatch, hk):
     """W's spans, its invariant completion (which runs at (0, 1)) and every
-    action matrix in degrees -2..2 go through linalg.Subspace: the bucket
-    kernel behind rank and pivot_columns is never called."""
+    action matrix in degrees -2..2 go through linalg.Subspace: the
+    sparsest-first row_echelon_int behind rank and pivot_columns is never
+    called."""
     lam = _lam(*hk)
     assert bool(_completion_weights(monkeypatch, sl2, lam, 5)) == (hk == (0, 1))
     calls = []

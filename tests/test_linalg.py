@@ -4,9 +4,15 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
+
 from conftest import reference_apply
 from semiflex._kernels import row_echelon_int
+from semiflex.forms import semiinf_cohomology
+from semiflex.induction import universal_semijective
+from semiflex.liealg import build_affine_sl2, load_algebra
 from semiflex.linalg import SparseMatrix, Subspace, cleared, residual_nnz, solve_in_span
+from semiflex.modules import verma
 
 
 def matrix(dense):
@@ -364,17 +370,69 @@ def sparse_rows(dense):
     return [{c: v for c, v in enumerate(row) if v} for row in dense]
 
 
+def assert_kernel_matches_dense_bareiss(rows, ncols, name):
+    """row_echelon_int on ``rows`` (sparse int rows) returns dense_bareiss's
+    (rank, pivots), leaves echelon rows in pivot order and then empty rows,
+    and mutates no input dict."""
+    dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+    given = [dict(row) for row in rows]
+    work = list(rows)
+    rank, pivots = row_echelon_int(work, ncols)
+    assert (rank, pivots) == dense_bareiss(dense, ncols), name
+    assert rows == given, name
+    assert len(work) == len(rows) and not any(work[rank:]), name
+    for row, p in zip(work[:rank], pivots):
+        assert min(row) == p and all(isinstance(v, int) and v for v in row.values()), name
+
+
 def test_sparse_kernel_matches_dense_bareiss():
     for name, dense in kernel_cases():
-        ncols = len(dense[0])
-        want = dense_bareiss([list(row) for row in dense], ncols)
-        rows = sparse_rows(dense)
-        got = row_echelon_int(rows, ncols)
-        assert got == want, name
-        rank, pivots = got
-        assert len(rows) == len(dense) and not any(rows[rank:]), name
-        for row, p in zip(rows[:rank], pivots):
-            assert min(row) == p and all(isinstance(v, int) and v for v in row.values()), name
+        assert_kernel_matches_dense_bareiss(sparse_rows(dense), len(dense[0]), name)
+
+
+def recorded_differentials(monkeypatch, alg, module, depth):
+    """(cleared int rows, ncols) of every nonempty differential that
+    semiinf_cohomology ranks for ``module`` to ``depth``."""
+    mats = []
+    rank = SparseMatrix.rank
+
+    def recording(self):
+        mats.append(self)
+        return rank(self)
+
+    monkeypatch.setattr(SparseMatrix, "rank", recording)
+    semiinf_cohomology(alg, module, depth)
+    monkeypatch.undo()
+    return [(cleared(m)[1], m.ncols) for m in mats if m.nrows and m.ncols]
+
+
+def _verma_differentials(monkeypatch):
+    g = build_affine_sl2()
+    return recorded_differentials(monkeypatch, g, verma(g, {"1⊗h": -4, "K": -4, "d": 0}, 3), 3)
+
+
+def _us_differentials(monkeypatch):
+    a = load_algebra("subalgebra_a")
+    return recorded_differentials(monkeypatch, a, universal_semijective(a, 7).left, 7)
+
+
+@pytest.mark.parametrize(
+    "record,count",
+    [(_verma_differentials, 54), (_us_differentials, 84)],
+    ids=["M(-4,-4,0) over affine sl2 at D=3", "US(a) at D=7"],
+)
+def test_kernel_on_recorded_differentials_in_any_row_order(monkeypatch, record, count):
+    """Rank and pivot columns of real differentials (up to 50 x 50) do not
+    depend on the order the rows come in: as given, reversed and shuffled,
+    each matches dense_bareiss."""
+    mats = record(monkeypatch)
+    assert len(mats) == count
+    rng = random.Random(33)
+    for k, (rows, ncols) in enumerate(mats):
+        shuffled = list(rows)
+        rng.shuffle(shuffled)
+        for order, permuted in [("given", rows), ("reversed", rows[::-1]), ("shuffled", shuffled)]:
+            assert_kernel_matches_dense_bareiss(permuted, ncols, f"differential {k}, {order}")
 
 
 def test_empty_shapes():
