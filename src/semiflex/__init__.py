@@ -8,14 +8,11 @@ from .liealg import (
     GradedLieAlgebra,
     SubalgebraSpec,
     WindowError,
-    beta_functional,
     bracket,
     build_affine_sl2,
-    build_test_algebra,
     check_jacobi,
     dump_algebra,
     load_algebra,
-    split_semiinfinite,
     subalgebra,
 )
 from .pbw import (
@@ -23,10 +20,8 @@ from .pbw import (
     canonical_order,
     descending_order,
     dual_pair,
-    enumerate_pbw,
     enumerate_pbw_weights,
     multiply,
-    normal_order,
 )
 from .modules import (
     Character,
@@ -38,20 +33,16 @@ from .modules import (
     check_commutators,
     coverma,
     direct_sum,
-    free_negative_module,
     product_formula_character,
-    trivial_module,
     verma,
 )
 from .forms import (
     AnomalyError,
     CohomologyTable,
     contract,
-    differential,
     enumerate_forms,
     semiinf_cohomology,
     semiinvariants,
-    vacuum,
     wedge,
 )
 from .induction import (

@@ -29,16 +29,16 @@ from .modules import (
     ce_cohomology,
     ce_homology,
     character,
+    character_module,
     coverma,
     product_formula_character,
-    trivial_module,
     verma,
 )
 from .pbw import InfiniteEnumerationError
 
 LAMBDA_KEYS = {"h": "1⊗h", "K": "K", "d": "d"}
 DEFAULT_LAMBDA = "h=0,K=1,d=0"
-A_ALIASES = ("a", "subalgebra_a", "loop-nilpotent-a")
+A_ALIASES = ("a", "subalgebra_a")
 US_COMMANDS = ("verify-shapiro", "verify-us", "verify-univ")  # plus any job with --module us
 NO_LAMBDA_MODULES = ("product", "trivial", "us")  # modules that take no λ
 
@@ -125,7 +125,7 @@ def _build_module(alg, lam, spec: JobSpec):
         ctor = verma if kind == "verma" else coverma
         return ctor(alg, lam, spec.depth)
     if kind == "trivial":
-        return trivial_module(alg, depth=spec.depth)
+        return character_module(alg, {}, spec.depth)
     if kind == "us":
         return universal_semijective(alg, spec.depth).left
     if kind == "wakimoto":
@@ -216,7 +216,7 @@ def _run(spec: JobSpec) -> int:
 
     if spec.command == "wakimoto":
         module = wakimoto(alg, lam, spec.depth)
-        rows = output.module_rows(module)
+        rows = output.character_rows(alg, character(module))
         _emit(spec, alg, rows)
         if spec.dump:
             output.dump_module_jsonl(spec.dump, module, (-spec.depth, spec.depth))
@@ -226,7 +226,7 @@ def _run(spec: JobSpec) -> int:
 
     if spec.command == "verify-shapiro":
         sub = subalgebra(alg, spec.sub or "loop-nminus")
-        module = trivial_module(alg, depth=spec.depth)
+        module = character_module(alg, {}, spec.depth)
         verdict, th, tg = check_shapiro(alg, sub, module, spec.depth)
         click.echo(f"H(h, M) nonzero cells: {len(th.nonzero())}; H(g, S-ind M): {len(tg.nonzero())}")
         return _verdict_exit(spec, verdict)
@@ -244,7 +244,7 @@ def _run(spec: JobSpec) -> int:
         if spec.module == "induced":
             module = verma(alg, {}, spec.depth)
         else:
-            module = trivial_module(alg, depth=spec.depth)
+            module = character_module(alg, {}, spec.depth)
         verdict = check_universal_property(alg, module, spec.depth)
         return _verdict_exit(spec, verdict)
 

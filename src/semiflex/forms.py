@@ -44,16 +44,15 @@ modules.ce_homology are this complex, so d^2 = 0 is checked there too.
 
 from __future__ import annotations
 
-from .liealg import WindowError, wt_add, wt_sub, wt_zero
+from .liealg import AlgebraError, WindowError, same_root, wt_add, wt_sub, wt_zero
 from .linalg import SparseMatrix, Subspace, cleared, residual_nnz
 from .pbw import monomials_by_weight
 
 __all__ = [
-    "vacuum",
+    "VACUUM",
     "wedge",
     "contract",
     "enumerate_forms",
-    "differential",
     "semiinf_cohomology",
     "semiinvariants",
     "AnomalyError",
@@ -71,10 +70,6 @@ class AnomalyError(Exception):
         self.weight = weight
         self.ghost = ghost
         super().__init__(f"{problem} at weight {weight}, ghost {ghost}")
-
-
-def vacuum(alg=None):
-    return VACUUM
 
 
 def monomial_str(alg, mono) -> str:
@@ -356,12 +351,6 @@ def _pair_terms(alg, mono):
     return out
 
 
-def differential(alg, module, w, n: int):
-    """Matrix of d at (total weight w, ghost degree n) plus the two bases."""
-    cx = SemiInfComplex(alg, module, w)
-    return cx.matrix(n), cx.basis(n), cx.basis(n + 1)
-
-
 class CohomologyTable:
     """Dimensions of (co)homology per (weight, degree) with Euler metadata."""
 
@@ -414,13 +403,16 @@ class CohomologyTable:
 def semiinf_cohomology(alg, module, depth: int, weights=None, bases=None) -> CohomologyTable:
     """Exact cohomology of the standard complex per (weight, ghost degree).
 
-    Raises AnomalyError when d^2 != 0 on some cell (reporting the cell), as
-    happens for inconsistent user-supplied beta data, and WindowError for a
+    Raises AlgebraError when the module's algebra numbers its basis apart
+    from ``alg`` (see ``_check_same_root``), AnomalyError when d^2 != 0 on
+    some cell (reporting the cell), as happens for inconsistent
+    user-supplied beta data, and WindowError for a
     requested weight w with ell(w) < -depth.  Each weight's complex is built
     once and dropped with its weight; if ``bases`` is a dict, it receives
     ``bases[w] = {n: basis}`` from that complex for every cell of the table
     (the CLI's forms dump reads them).
     """
+    _check_same_root(alg, module)
     if depth > getattr(module, "depth", depth):
         raise WindowError(
             f"semiinf_cohomology to depth {depth} needs the module materialized "
@@ -453,6 +445,16 @@ def semiinf_cohomology(alg, module, depth: int, weights=None, bases=None) -> Coh
     return table
 
 
+def _check_same_root(alg, module) -> None:
+    """A complex reads the module's actions by ``alg``'s basis ids, which
+    mean the same elements only over one root algebra."""
+    if not same_root(alg, module.alg):
+        raise AlgebraError(
+            f"{alg.name} and the module's algebra {module.alg.name} are not one algebra "
+            "or views of one, so their basis ids name different elements"
+        )
+
+
 def _active_weights(alg, module, depth: int):
     alg.ensure_window(-depth - 1, depth + 1)
     mus = [mu for ell in range(depth + 1) for mu in _forms_at(alg, ell)]
@@ -468,30 +470,16 @@ def _active_weights(alg, module, depth: int):
 # -- semi-invariants -------------------------------------------------------------------
 
 
-class SemiInvariants:
-    """Per-weight image of invariants inside coinvariants of M ⊗ L_beta.
-
-    ``images[w]`` is a ``linalg.Subspace``: the image basis modulo the
-    coinvariant relations; ``dims`` reads off its length."""
-
-    def __init__(self, images: dict):
-        self.images = images
-        self.dims = {w: len(span) for w, span in images.items()}
-
-    def dim(self, w) -> int:
-        return self.dims.get(tuple(w), 0)
-
-    def items(self):
-        return sorted(self.dims.items())
-
-
-def semiinvariants(alg, module, depth: int) -> SemiInvariants:
+def semiinvariants(alg, module, depth: int) -> dict:
     """Image of the g_+-invariants of M ⊗ L_beta in the g_--coinvariants, at
-    every weight w of M with -depth <= ell(w) <= 0 and M_w nonzero.
+    every weight w of M with -depth <= ell(w) <= 0 and M_w nonzero, as
+    {w: linalg.Subspace}: the image basis modulo the coinvariant relations,
+    whose length is the dimension at w.
 
-    ``module`` is anything with ``action``, ``weights``, ``dim`` and
-    ``depth``: a weight module, or US ⊗ M under the diagonal action (which
-    is how semi-induction calls it).  Coinvariants: quotient by the images
+    ``module`` is anything with ``alg``, ``action``, ``weights``, ``dim``
+    and ``depth``, over an algebra that numbers its basis as ``alg`` does
+    (AlgebraError otherwise): a weight module, or US ⊗ M under the
+    diagonal action (which is how semi-induction calls it).  Coinvariants: quotient by the images
     of xi + beta(xi) from source weights with -module.depth <= ell <= 0.
     The image at w is ``Subspace(relations).extend(kernel)``: the kernel
     vectors independent modulo the relations, first ones first, on one
@@ -522,6 +510,7 @@ def semiinvariants(alg, module, depth: int) -> SemiInvariants:
     ``SparseMatrix.nullspace`` is a function of the kernel alone, so are
     the kernel vectors and every image.
     """
+    _check_same_root(alg, module)
     if depth > module.depth:
         raise WindowError(f"semiinvariants to depth {depth} exceeds module depth {module.depth}")
     alg.ensure_window(-2 * depth - 4, 2 * depth + 4)
@@ -553,7 +542,7 @@ def semiinvariants(alg, module, depth: int) -> SemiInvariants:
                     rel[col] = rel.get(col, 0) + bv
                 relations.append(rel)
         images[w] = Subspace(relations).extend(kernel)
-    return SemiInvariants(images)
+    return images
 
 
 def _positive_generators(alg, depth: int) -> list:

@@ -56,9 +56,9 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .forms import semiinf_cohomology, semiinvariants
-from .liealg import SubalgebraSpec, exact, subalgebra, wt_add, wt_sub, wt_zero
+from .liealg import SubalgebraSpec, subalgebra, wt_add, wt_sub, wt_zero
 from .linalg import SparseMatrix, Subspace, solve_in_span
-from .modules import WeightModule, _lam_str, _pbw_dims, check_commutators, product_formula_character
+from .modules import WeightModule, _lam_str, _lambda_values, _pbw_dims, check_commutators, product_formula_character
 from .pbw import (
     Order,
     add_scaled,
@@ -494,7 +494,7 @@ def s_ind(alg, sub, module: WeightModule, depth: int) -> WeightModule:
     vanishing degree-0 part (the affine case goes through ``wakimoto``).
     """
     space = _TensorSpace(universal_semijective(alg, depth), module, depth)
-    images = semiinvariants(sub, space, depth).images
+    images = semiinvariants(sub, space, depth)
     escaped = "s_ind: left action left the semi-invariant subspace at weight"
     name = f"S-ind[{sub.name}]({module.name})"
     return _descended_module(alg, name, "s", images, space.left, escaped, depth)
@@ -509,6 +509,7 @@ class WakimotoSpace(_PairSpace):
 
     def __init__(self, alg, lam: dict, depth: int):
         alg.ensure_window(-2 * depth - 4, 2 * depth + 4)
+        values = _lambda_values(alg, lam)
         a_view = self.a_view = subalgebra(alg, "a")
         self.abar_view = subalgebra(alg, "abar")
 
@@ -524,7 +525,7 @@ class WakimotoSpace(_PairSpace):
         aminus = SubalgebraSpec(alg, "aminus", lambda e: a_view.is_member(e) and alg.degree(e) <= 0)
         super().__init__(alg, f"Q({_lam_str(lam)})", depth, Order("wak", key), aminus)
         # lambda and beta vanish off degree 0, and abar holds all of degree 0
-        self._lam_tilde = {e: exact(lam.get(alg.label(e), 0)) + alg.beta_value(e) for e in alg.elements_of_degree(0)}
+        self._lam_tilde = {e: values.get(e, 0) + alg.beta_value(e) for e in alg.elements_of_degree(0)}
 
     def reduce_m(self, mon) -> tuple:
         """Class of a U(g-) monomial (a- block then abar- block) in the

@@ -310,6 +310,7 @@ class AbelianTestAlgebra(GradedLieAlgebra):
 
     def __init__(self):
         super().__init__("abelian", 1, (1,))
+        self.ensure_window(-2, 2)
 
     def _realize(self, d):
         if d == 0:
@@ -452,22 +453,6 @@ def build_affine_sl2() -> AffineSL2:
     return alg
 
 
-def build_test_algebra(kind: str):
-    """The abelian test algebra, or the subalgebra a of a fresh affine sl2."""
-    if kind in ("loop-nilpotent-a", "subalgebra_a"):
-        return subalgebra(build_affine_sl2(), "a")
-    if kind != "abelian":
-        raise AlgebraError(f"unknown test algebra kind {kind!r}")
-    alg = AbelianTestAlgebra()
-    alg.ensure_window(-2, 2)
-    return alg
-
-
-def split_semiinfinite(alg) -> tuple:
-    """(g_plus, g_minus) by the sign of the degree; both closed under bracket."""
-    return subalgebra(alg, "gplus"), subalgebra(alg, "gminus")
-
-
 def subalgebra(alg, selector, custom=None) -> SubalgebraSpec:
     """Named subalgebras; 'a' and 'abar' require the affine sl2 constructor."""
     if selector == "gplus":
@@ -499,6 +484,19 @@ def subalgebra(alg, selector, custom=None) -> SubalgebraSpec:
     raise AlgebraError(f"unknown subalgebra selector {selector!r}")
 
 
+def same_root(a, b) -> bool:
+    """Whether ``a`` and ``b`` (algebras or views) number one basis: views
+    use their parent's ids, so each is followed up its ``.parent`` chain
+    and the two ends must be one algebra."""
+
+    def root(alg):
+        while isinstance(alg, SubalgebraSpec):
+            alg = alg.parent
+        return alg
+
+    return root(a) is root(b)
+
+
 def check_closure(view: SubalgebraSpec, lo: int, hi: int) -> None:
     """Raise if the view is not bracket-closed within the window."""
     for d1 in range(lo, hi + 1):
@@ -508,11 +506,6 @@ def check_closure(view: SubalgebraSpec, lo: int, hi: int) -> None:
                     continue
                 for j in view.elements_of_degree(d2):
                     view.bracket_ids(i, j)
-
-
-def beta_functional(alg) -> dict:
-    """beta as {label: exact value} on the degree-0 basis."""
-    return alg.beta_items()
 
 
 class JacobiReport:
@@ -575,7 +568,7 @@ def check_jacobi(alg, lo: int, hi: int) -> JacobiReport:
 
 BUILTINS = {
     "affine_sl2": build_affine_sl2,
-    "abelian": lambda: build_test_algebra("abelian"),
+    "abelian": AbelianTestAlgebra,
     "subalgebra_a": lambda: subalgebra(build_affine_sl2(), "a"),
 }
 

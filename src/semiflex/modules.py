@@ -3,14 +3,17 @@ classical Lie algebra (co)homology.
 
 Module weights are stored relative to the highest weight: integer lattice
 tuples w with ell(w) <= 0, the highest weight itself sitting at the zero
-tuple.  The induced modules (verma, coverma, free_negative_module) act on
-their PBW basis vectors by pbw.induced_action, the Verma recursion
+tuple.  The induced modules (verma, coverma) act on their PBW basis
+vectors by pbw.induced_action, the Verma recursion
 x·(y·u) = y·(x·u) + [x, y]·u on the first factor y (run in the opposite
 algebra for coverma's right module), with a memo per module; it is the
 recursion that multiplies in U(g), and this module has none of its own.
 The character of the inducing datum enters only through the scalars
 lambda(label) on the degree-0 basis, where the recursion reaches the top
-vector.  Each module clears lambda once: the recursion runs on q times its
+vector.  One reader, _lambda_values, turns lambda into those scalars for
+every constructor here and for the Wakimoto module, and raises
+AlgebraError for a key that is not the label of a degree-0 element.
+Each module clears lambda once: the recursion runs on q times its
 values, q the lcm of their denominators, so over integral structure
 constants it is int arithmetic at any lambda, and the rule divides each
 entry of an element outside the free part by q once.  Matrix entries are
@@ -52,7 +55,7 @@ from __future__ import annotations
 from math import lcm
 
 from .forms import CohomologyTable, semiinf_cohomology
-from .liealg import WindowError, exact, subalgebra, wt_add, wt_neg, wt_zero
+from .liealg import AlgebraError, WindowError, exact, same_root, subalgebra, wt_add, wt_neg, wt_zero
 from .linalg import SparseMatrix, cleared, exact_quotient, residual_nnz
 from .pbw import canonical_order, descending_order, enumerate_pbw_weights, induced_action, monomial_label
 
@@ -66,9 +69,7 @@ __all__ = [
     "product_formula_character",
     "ce_cohomology",
     "ce_homology",
-    "trivial_module",
     "character_module",
-    "free_negative_module",
     "direct_sum",
     "check_commutators",
 ]
@@ -101,15 +102,6 @@ class WeightModule:
     def dim(self, w) -> int:
         return len(self.weights.get(tuple(w), ()))
 
-    def basis_labels(self, w) -> list:
-        return self.weights.get(tuple(w), [])
-
-    def weights_list(self) -> list:
-        return sorted(self.weights)
-
-    def ell(self, w) -> int:
-        return self.alg.ell(w)
-
     def in_depth(self, w) -> bool:
         return -self.depth <= self.alg.ell(w) <= 0
 
@@ -140,15 +132,19 @@ class WeightModule:
 # -- constructors ---------------------------------------------------------------
 
 
-def _exact_lambda(lam: dict) -> dict:
-    return {label: exact(v) for label, v in lam.items()}
-
-
 def _lambda_values(alg, lam: dict) -> dict:
-    """lambda as {degree-0 eid: exact nonzero value}: evaluating it on a
-    factor of nonzero degree gives 0."""
-    values = {e: exact(lam.get(alg.label(e), 0)) for e in alg.elements_of_degree(0)}
-    return {e: v for e, v in values.items() if v}
+    """lambda as {degree-0 eid: exact nonzero value}, the one reader of a
+    lambda: each key must be the label of a degree-0 element of ``alg`` (a
+    member, for a view), and an AlgebraError names any other key.
+    Evaluating lambda on a factor of nonzero degree gives 0."""
+    values = {}
+    for label, v in lam.items():
+        e = alg.by_label(label)
+        if alg.degree(e) != 0:
+            raise AlgebraError(f"{alg.name}: lambda key {label!r} has degree {alg.degree(e)}, not 0")
+        if v := exact(v):
+            values[e] = v
+    return values
 
 
 def _induced_module(alg, name, tab, values, depth, right=False) -> WeightModule:
@@ -212,10 +208,10 @@ def verma(alg, lam: dict, depth: int) -> WeightModule:
     factor, x·(y·u) = y·(x·u) + [x, y]·u, down to x·v, which is x·v itself
     for negative x, lambda(x) v in degree 0 and 0 for positive x.
     """
-    lam = _exact_lambda(lam)
     alg.ensure_window(-2 * depth - 4, 2 * depth + 4)
+    values = _lambda_values(alg, lam)
     tab = enumerate_pbw_weights(subalgebra(alg, "g_below_zero"), depth, canonical_order(alg))
-    return _induced_module(alg, f"V({_lam_str(lam)})", tab, _lambda_values(alg, lam), depth)
+    return _induced_module(alg, f"V({_lam_str(lam)})", tab, values, depth)
 
 
 def coverma(alg, lam: dict, depth: int) -> WeightModule:
@@ -227,28 +223,15 @@ def coverma(alg, lam: dict, depth: int) -> WeightModule:
     down to v·z, which is v·z for positive z, lambda(z) v in degree 0 and 0
     for negative z.
     """
-    lam = _exact_lambda(lam)
     alg.ensure_window(-2 * depth - 4, 2 * depth + 4)
+    values = _lambda_values(alg, lam)
     ptab = enumerate_pbw_weights(subalgebra(alg, "gplus"), depth, canonical_order(alg))
     tab = {wt_neg(w): mons for w, mons in ptab.items()}
-    return _induced_module(alg, f"V*({_lam_str(lam)})", tab, _lambda_values(alg, lam), depth, right=True)
+    return _induced_module(alg, f"V*({_lam_str(lam)})", tab, values, depth, right=True)
 
 
 def _lam_str(lam: dict) -> str:
-    if not lam:
-        return "0"
-    return ",".join(f"{k}={v}" for k, v in sorted(lam.items()))
-
-
-def trivial_module(alg, depth: int = 0) -> WeightModule:
-    """The one-dimensional trivial module: every element acts by zero."""
-    weights = {wt_zero(alg.rank): ["1"]}
-
-    def rule(eid, w):
-        target = wt_add(w, alg.weight(eid))
-        return SparseMatrix(len(weights.get(target, ())), len(weights.get(tuple(w), ())))
-
-    return WeightModule(alg, "C", weights, rule, depth)
+    return ",".join(f"{k}={exact(v)}" for k, v in sorted(lam.items())) or "0"
 
 
 def character_module(alg, lam: dict, depth: int = 0) -> WeightModule:
@@ -257,35 +240,27 @@ def character_module(alg, lam: dict, depth: int = 0) -> WeightModule:
     Degree-0 members act by lambda, everything else by zero; the caller is
     responsible for lambda vanishing on brackets (checked by the oracle).
     """
-    lam = _exact_lambda(lam)
+    values = _lambda_values(alg, lam)
     zero = wt_zero(alg.rank)
 
     def rule(eid, w):
         target = wt_add(w, alg.weight(eid))
         mat = SparseMatrix(1 if target == zero else 0, 1 if tuple(w) == zero else 0)
-        if target == zero and tuple(w) == zero:
-            v = lam.get(alg.label(eid), 0)
-            if v:
-                mat.add(0, 0, v)
+        if target == zero and tuple(w) == zero and eid in values:
+            mat.add(0, 0, values[eid])
         return mat
 
     return WeightModule(alg, f"C_({_lam_str(lam)})", {zero: ["1"]}, rule, depth)
 
 
-def free_negative_module(sub, depth: int) -> WeightModule:
-    """U(sub) as a module over sub by left multiplication (sub strictly negative)."""
-    tab = enumerate_pbw_weights(sub, depth, canonical_order(sub))
-    return _induced_module(sub, f"U({sub.name})", tab, {}, depth)
-
-
 def direct_sum(m1: WeightModule, m2: WeightModule) -> WeightModule:
-    if m1.alg is not m2.alg and getattr(m1.alg, "parent", m1.alg) is not getattr(m2.alg, "parent", m2.alg):
+    if not same_root(m1.alg, m2.alg):
         raise ModuleError("direct sum needs modules over the same algebra")
     depth = min(m1.depth, m2.depth)
     weights: dict = {}
     for w in set(m1.weights) | set(m2.weights):
         if m1.alg.ell(w) >= -depth:
-            weights[w] = [f"L:{b}" for b in m1.basis_labels(w)] + [f"R:{b}" for b in m2.basis_labels(w)]
+            weights[w] = [f"L:{b}" for b in m1.weights.get(w, [])] + [f"R:{b}" for b in m2.weights.get(w, [])]
 
     def rule(eid, w):
         target = wt_add(w, m1.alg.weight(eid))

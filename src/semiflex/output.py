@@ -10,7 +10,6 @@ import csv
 import json
 
 from .forms import monomial_str
-from .liealg import WindowError
 
 
 def character_rows(alg, char):
@@ -24,13 +23,6 @@ def table_rows(table):
     rows = []
     for (w, n) in sorted(table.cells):
         rows.append(list(w) + [n, table.cells[(w, n)]])
-    return rows
-
-
-def module_rows(module):
-    rows = []
-    for w in module.weights_list():
-        rows.append(list(w) + [module.alg.ell(w), module.dim(w)])
     return rows
 
 
@@ -53,18 +45,20 @@ def write_jsonl(path, rows, rank: int):
 
 
 def dump_module_jsonl(path, module, gen_window):
-    """Per-weight basis labels and sparse action matrices (JSON-lines)."""
+    """Per-weight basis labels and sparse action matrices (JSON-lines).
+
+    A generator whose target weight lies below the module's depth is
+    skipped; every error of an action that is read propagates."""
     alg = module.alg
     lo, hi = gen_window
     gens = alg.elements_in_degrees(lo, hi)
     with open(path, "w") as fh:
-        for w in module.weights_list():
+        for w in sorted(module.weights):
             actions = {}
             for z in gens:
-                try:
-                    mat = module.action(z, w)
-                except WindowError:
-                    continue  # the target weight lies beyond the module's depth
+                if alg.ell(w) + alg.degree(z) < -module.depth:
+                    continue
+                mat = module.action(z, w)
                 entries = [
                     [r, c, f"{v.numerator}/{v.denominator}"]
                     for r, row in enumerate(mat.rows)
@@ -77,7 +71,7 @@ def dump_module_jsonl(path, module, gen_window):
                     {
                         "weight": list(w),
                         "dim": module.dim(w),
-                        "basis": module.basis_labels(w),
+                        "basis": module.weights[w],
                         "actions": actions,
                     }
                 )

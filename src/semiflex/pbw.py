@@ -35,7 +35,7 @@ cuts a straightened monomial at a block boundary of the order, and
 
 from __future__ import annotations
 
-from .liealg import exact, wt_zero
+from .liealg import wt_zero
 
 EMPTY = ()
 
@@ -232,13 +232,6 @@ def normal_order_word(alg, word: tuple, order: Order) -> dict:
     return _fold(multiplier(alg, order), word, {EMPTY: 1})
 
 
-def normal_order(alg, word, order: Order | None = None) -> dict:
-    """Public entry point; ``word`` is a sequence of basis ids."""
-    if order is None:
-        order = canonical_order(alg)
-    return normal_order_word(alg, tuple(word), order)
-
-
 def multiply(alg, a: dict, b: dict, order: Order | None = None) -> dict:
     """Product in U(g) of two PBW-form elements, result in PBW form."""
     if order is None:
@@ -248,11 +241,6 @@ def multiply(alg, a: dict, b: dict, order: Order | None = None) -> dict:
     for ma, ca in a.items():
         add_scaled(out, _fold(act, flatten(ma), b), ca)
     return out
-
-
-def scalar(c) -> dict:
-    c = exact(c)
-    return {EMPTY: c} if c else {}
 
 
 # -- enumeration -------------------------------------------------------------------
@@ -286,20 +274,6 @@ def monomials_by_weight(alg, elems, budget: int, max_exp=None) -> dict:
 
     rec(0, [], wt_zero(alg.rank), budget)
     return table
-
-
-def enumerate_pbw(sub, weight, order: Order | None = None) -> list:
-    """All PBW monomials of the subalgebra with the given total weight.
-
-    Requires a strictly positively or strictly negatively graded subalgebra
-    (the mixed case can be infinite and is rejected); a weight on a side of
-    zero where the subalgebra has no elements has none.
-    """
-    ell = sub.ell(weight)
-    sub.ensure_window(-abs(ell), abs(ell))
-    if ell > 0 and not sub.elements_in_degrees(1, ell):
-        return []
-    return enumerate_pbw_weights(sub, abs(ell), order).get(tuple(weight), [])
 
 
 def enumerate_pbw_weights(sub, depth: int, order: Order | None = None) -> dict:

@@ -17,7 +17,7 @@ import semiflex
 from semiflex import cli, forms, output
 from semiflex.cli import JobSpec, main, run_job
 from semiflex.induction import InductionError
-from semiflex.liealg import build_affine_sl2, dump_algebra, load_algebra
+from semiflex.liealg import WindowError, build_affine_sl2, dump_algebra, load_algebra
 from semiflex.modules import WeightModule, character, verma
 
 
@@ -388,6 +388,24 @@ def test_dump_raises_construction_errors(sl2, tmp_path):
     broken = WeightModule(sl2, "broken", {(0, 0): ["v"]}, rule, 2)
     with pytest.raises(InductionError):
         output.dump_module_jsonl(tmp_path / "m.jsonl", broken, (-2, 2))
+
+
+def test_dump_propagates_a_rules_window_error(tmp_path):
+    """The dump skips a generator by depth alone (its target below the
+    module's depth), so a WindowError raised for any other reason inside a
+    rule propagates instead of dropping 1⊗f from the (0, 0) line."""
+    g = build_affine_sl2()
+    V = verma(g, {"K": 1}, 3)
+    f = g.by_label("1⊗f")
+
+    def rule(eid, w):
+        if eid == f and w == (0, 0):
+            g.elements_of_degree(99)
+        return V.action(eid, w)
+
+    wrapped = WeightModule(g, "V, faulty at 1⊗f", V.weights, rule, V.depth)
+    with pytest.raises(WindowError, match="degree 99"):
+        output.dump_module_jsonl(tmp_path / "m.jsonl", wrapped, (-3, 3))
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ def entry_types(module, gen_window=(-2, 2)):
     """The set of types of every action-matrix entry of ``module``."""
     alg = module.alg
     types = set()
-    for w in module.weights_list():
+    for w in sorted(module.weights):
         for z in alg.elements_in_degrees(*gen_window):
             try:
                 mat = module.action(z, w)
@@ -79,7 +79,7 @@ def integral_fractions(module, gen_window=(-2, 2)):
     Fraction with denominator 1."""
     alg = module.alg
     found = []
-    for w in module.weights_list():
+    for w in sorted(module.weights):
         for z in alg.elements_in_degrees(*gen_window):
             try:
                 mat = module.action(z, w)

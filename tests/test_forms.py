@@ -14,22 +14,21 @@ from semiflex.forms import (
     _active_weights,
     _positive_generators,
     _tail_above,
+    VACUUM,
     contract,
-    differential,
     enumerate_forms,
     semiinf_cohomology,
     semiinvariants,
-    vacuum,
     wedge,
 )
 from semiflex.induction import universal_semijective, wakimoto
-from semiflex.liealg import build_affine_sl2, build_test_algebra, load_algebra, subalgebra, wt_add, wt_sub, wt_zero
+from semiflex.liealg import AlgebraError, build_affine_sl2, load_algebra, subalgebra, wt_add, wt_sub, wt_zero
 from semiflex.linalg import SparseMatrix
-from semiflex.modules import coverma, direct_sum, trivial_module, verma
+from semiflex.modules import character_module, coverma, direct_sum, verma
 
 
 def test_vacuum_invariants(abelian):
-    om = vacuum(abelian)
+    om = VACUUM
     assert om == ((), ())
     x1 = abelian.by_label("x_1")
     xm1 = abelian.by_label("x_-1")
@@ -44,7 +43,7 @@ def test_vacuum_invariants(abelian):
 
 def test_repeated_wedge_vanishes(abelian):
     x1 = abelian.by_label("x_1")
-    _, m = wedge(abelian, x1, vacuum(abelian))
+    _, m = wedge(abelian, x1, VACUUM)
     assert wedge(abelian, x1, m) is None
 
 
@@ -68,7 +67,7 @@ def test_clifford_relations(sl2):
     """wedge(x) contract(y*) + contract(y*) wedge(x) = delta_{xy} id."""
     rng = random.Random(11)
     elems = sl2.elements_in_degrees(-3, 3)
-    monos = [vacuum(sl2)]
+    monos = [VACUUM]
     for mu_ell in range(0, 3):
         for mu in {tuple(sl2.weight(e)) for e in elems}:
             if sl2.ell(mu) == mu_ell:
@@ -171,7 +170,7 @@ def test_form_index_built_once_per_ell(monkeypatch):
         return real(alg, elems, budget, max_exp)
 
     monkeypatch.setattr(forms, "monomials_by_weight", counting)
-    alg = build_test_algebra("loop-nilpotent-a")
+    alg = load_algebra("subalgebra_a")
     cells = [((-1, k), n) for k in range(1, 5) for n in range(-3, 4)]
     first = [enumerate_forms(alg, mu, n) for mu, n in cells]
     assert [enumerate_forms(alg, mu, n) for mu, n in cells] == first
@@ -188,7 +187,7 @@ def test_tail_counts_are_cached_per_algebra_and_view():
 
     g = build_affine_sl2()
     g.ensure_window(-8, 8)
-    a = build_test_algebra("loop-nilpotent-a")
+    a = load_algebra("subalgebra_a")
     a.ensure_window(-8, 8)
     # the parent first: a view must not read the parent's counts
     for alg in (g, a, subalgebra(g, "a"), subalgebra(g, "g_below_zero")):
@@ -201,15 +200,15 @@ def test_tail_counts_are_cached_per_algebra_and_view():
 
 
 def test_abelian_trivial_differential_vanishes(abelian):
-    M = trivial_module(abelian, depth=3)
+    M = character_module(abelian, {}, 3)
     for w in [(-2,), (-1,), (0,)]:
+        cx = SemiInfComplex(abelian, M, w)
         for n in (-2, -1, 0, 1):
-            mat, _cb, _rb = differential(abelian, M, w, n)
-            assert mat.nnz == 0
+            assert cx.matrix(n).nnz == 0
 
 
 def test_differential_raises_ghost_by_one(abelian):
-    M = trivial_module(abelian, depth=3)
+    M = character_module(abelian, {}, 3)
     cx = SemiInfComplex(abelian, M, (-1,))
     mat = cx.matrix(0)
     assert mat.nrows == len(cx.basis(1))
@@ -261,7 +260,7 @@ def test_zero_algebra_edge_case():
             "beta": [],
         }
     )
-    M = trivial_module(zero, depth=2)
+    M = character_module(zero, {}, 2)
     table = semiinf_cohomology(zero, M, 2)
     assert table.nonzero() == [((0,), 0, 1)]
 
@@ -289,19 +288,19 @@ def test_d_squared_zero_affine_sl2_wakimoto(sl2, lam01):
 
 
 def test_semiinvariants_trivial_abelian(abelian):
-    M = trivial_module(abelian, depth=2)
+    M = character_module(abelian, {}, 2)
     si = semiinvariants(abelian, M, 2)
-    assert si.dim((0,)) == 1
+    assert len(si[(0,)]) == 1
 
 
 def test_semiinvariants_wakimoto_over_a(sl2, lam01):
     W = wakimoto(sl2, lam01, 3)
     a = subalgebra(sl2, "a")
     si = semiinvariants(a, W, 3)
-    assert si.dim((0, 0)) == 1
+    assert len(si[(0, 0)]) == 1
     for w in W.weights:
         if w != (0, 0) and sl2.ell(w) >= -3:
-            assert si.dim(w) == 0, w
+            assert len(si.get(w, ())) == 0, w
 
 
 def test_semiinvariants_additive(sl2, lam01):
@@ -309,8 +308,8 @@ def test_semiinvariants_additive(sl2, lam01):
     V = verma(sl2, lam01, 3)
     si1 = semiinvariants(a, V, 3)
     si2 = semiinvariants(a, direct_sum(V, V), 3)
-    for w in set(si1.dims) | set(si2.dims):
-        assert si2.dim(w) == 2 * si1.dim(w)
+    for w in set(si1) | set(si2):
+        assert len(si2.get(w, ())) == 2 * len(si1.get(w, ())), w
 
 
 def test_semiinvariants_match_degree_zero_cohomology(loop_a):
@@ -320,7 +319,7 @@ def test_semiinvariants_match_degree_zero_cohomology(loop_a):
     table = semiinf_cohomology(loop_a, us, 3)
     for w in us.weights:
         if loop_a.ell(w) >= -3:
-            assert si.dim(w) == table.dim(w, 0), w
+            assert len(si.get(w, ())) == table.dim(w, 0), w
 
 
 @pytest.mark.parametrize("hk", [(0, 1), (Fraction(2, 3), Fraction(1, 2))], ids=["0,1", "2/3,1/2"])
@@ -414,7 +413,7 @@ def test_finite_sl2_toy_differential_squares_to_zero():
     V = verma(toy, {"h": Fraction(3)}, 3)
     table = semiinf_cohomology(toy, V, 3)  # raises AnomalyError if d^2 != 0
     assert table.euler_consistent()
-    semiinf_cohomology(toy, trivial_module(toy, depth=3), 3)
+    semiinf_cohomology(toy, character_module(toy, {}, 3), 3)
 
 
 def test_finite_sl2_toy_wrong_beta_diagnosed():
@@ -438,7 +437,7 @@ def test_charged_slot_of_nonzero_weight_is_named():
             "beta": [{"label": "x", "num": 1}],
         }
     )
-    M = trivial_module(toy, depth=2)
+    M = character_module(toy, {}, 2)
     message = "degree-0 slot x of nonzero weight (0, 1) carries charge 1 at weight (-1, 0), ghost 0"
     with pytest.raises(AnomalyError) as exc:
         semiinf_cohomology(toy, M, 2)
@@ -466,7 +465,7 @@ def _complex_cases():
     """(name, algebra, module, depth) for the cell checks: US(a), W over a
     and over affine sl2, a Verma module at a fractional lambda, both CE
     complexes, and two small algebras."""
-    a = build_test_algebra("loop-nilpotent-a")
+    a = load_algebra("subalgebra_a")
     yield "us-a", a, universal_semijective(a, 5).left, 5
     for hk in ((0, 1), (-4, -4)):
         g = build_affine_sl2()
@@ -477,11 +476,11 @@ def _complex_cases():
     yield "verma-sl2", g, verma(g, _lam("2/3", "1/2"), 3), 3
     yield "ce-gplus", subalgebra(g, "gplus"), coverma(g, _lam(0, 1), 4), 4
     yield "ce-g_below_zero", subalgebra(g, "g_below_zero"), verma(g, _lam(0, 1), 4), 4
-    abelian = build_test_algebra("abelian")
-    yield "abelian-trivial", abelian, trivial_module(abelian, depth=4), 4
+    abelian = load_algebra("abelian")
+    yield "abelian-trivial", abelian, character_module(abelian, {}, 4), 4
     toy = _finite_sl2(2)
     yield "sl2-toy-verma", toy, verma(toy, {"h": Fraction(3)}, 3), 3
-    yield "sl2-toy-trivial", toy, trivial_module(toy, depth=3), 3
+    yield "sl2-toy-trivial", toy, character_module(toy, {}, 3), 3
 
 
 def _nearby_weights(alg, active, depth):
@@ -624,7 +623,7 @@ def _lam(h, k):
 
 
 def test_memoised_differentials_match_the_reference_over_a():
-    a = build_test_algebra("loop-nilpotent-a")
+    a = load_algebra("subalgebra_a")
     assert any(_matches_reference(a, universal_semijective(a, 5).left, 5).values())
     for lam in (_lam("2/3", "1/2"), _lam(0, 1)):
         g = build_affine_sl2()
@@ -655,10 +654,10 @@ def test_memoised_ce_differentials_match_the_reference(sl2, lam01):
 
 
 def test_memoised_differentials_match_the_reference_on_small_algebras():
-    abelian = build_test_algebra("abelian")
-    assert not any(_matches_reference(abelian, trivial_module(abelian, depth=4), 4).values())
+    abelian = load_algebra("abelian")
+    assert not any(_matches_reference(abelian, character_module(abelian, {}, 4), 4).values())
     toy = _finite_sl2(2)
-    for module in (verma(toy, {"h": Fraction(3)}, 3), trivial_module(toy, depth=3)):
+    for module in (verma(toy, {"h": Fraction(3)}, 3), character_module(toy, {}, 3)):
         assert any(_matches_reference(toy, module, 3).values())
     # the charge path: beta(h) = 2 gives occupied h slots a nonzero charge
     h = toy.by_label("h")
@@ -694,7 +693,7 @@ def test_row_terms_built_once_per_key(monkeypatch):
     monkeypatch.setattr(forms, "_pair_terms", pair_terms)
     monkeypatch.setattr(forms, "_slot_term", counting("slot", forms._slot_term, lambda alg, mono, mu, y: (mono, y)))
     monkeypatch.setattr(forms, "_occupied", counting("list", forms._occupied, lambda alg, mono, dmin: (mono, dmin)))
-    a = build_test_algebra("loop-nilpotent-a")
+    a = load_algebra("subalgebra_a")
     us = universal_semijective(a, 6).left
     table = semiinf_cohomology(a, us, 6)
     memo = a._row_terms
@@ -724,3 +723,18 @@ def test_row_terms_are_kept_per_algebra_and_view(lam01):
     shared = set(view_memo) & set(g._row_terms)
     assert shared
     assert any(view_memo[mono][2] != g._row_terms[mono][2] for mono in shared)
+
+
+@pytest.mark.parametrize("window", [12, 3])
+def test_a_complex_over_an_algebra_with_other_basis_ids_raises(window):
+    """The view a2 of its own affine sl2 and a module over another affine
+    sl2: the two number their bases differently once the windows differ, so
+    the complex and the semi-invariants raise an AlgebraError naming both
+    algebras, not a false anomaly at weight (-1, -1) (window 12) or a
+    WindowError about z^-5⊗h, which the module never used (window 3)."""
+    a2 = load_algebra("subalgebra_a")
+    a2.parent.ensure_window(-window, window)
+    module = verma(build_affine_sl2(), {"K": 1}, 3)
+    for compute in (semiinf_cohomology, semiinvariants):
+        with pytest.raises(AlgebraError, match="affine_sl2:a and the module's algebra affine_sl2"):
+            compute(a2, module, 3)

@@ -28,7 +28,7 @@ from semiflex.cli import main
 from semiflex.forms import semiinf_cohomology
 from semiflex.induction import s_ind, universal_semijective, wakimoto
 from semiflex.liealg import build_affine_sl2, dump_algebra, load_algebra, subalgebra
-from semiflex.modules import coverma, trivial_module, verma
+from semiflex.modules import character_module, coverma, verma
 
 GOLDEN = Path(__file__).parent / "golden"
 # read-only: owned by the benchmark, regenerated only with it
@@ -108,7 +108,7 @@ def run_cli(argv, cwd):
 def dump_s_ind(path):
     """Basis and action matrices of S-ind from loop-nminus of the trivial module."""
     a = load_algebra("subalgebra_a")
-    module = s_ind(a, subalgebra(a, "loop-nminus"), trivial_module(a, 6), 6)
+    module = s_ind(a, subalgebra(a, "loop-nminus"), character_module(a, {}, 6), 6)
     output.dump_module_jsonl(path, module, (-6, 6))
 
 
@@ -186,7 +186,7 @@ HISTORY_DUMPS = {
     "verma": (build_affine_sl2, "module", lambda g: verma(g, HISTORY_LAMBDA, 5)),
     "coverma": (build_affine_sl2, "module", lambda g: coverma(g, HISTORY_LAMBDA, 5)),
     "wakimoto": (build_affine_sl2, "module", lambda g: wakimoto(g, HISTORY_LAMBDA, 5)),
-    "s_ind": (_a, "module", lambda a: s_ind(a, subalgebra(a, "loop-nminus"), trivial_module(a, 5), 5)),
+    "s_ind": (_a, "module", lambda a: s_ind(a, subalgebra(a, "loop-nminus"), character_module(a, {}, 5), 5)),
     "US(a) forms": (_a, "forms", lambda a: universal_semijective(a, 4).left),
     "verma over a forms": (_a, "forms", lambda a: verma(a, {}, 4)),
     "M(-4, -4, 0) forms": (build_affine_sl2, "forms", lambda g: verma(g, {"1⊗h": -4, "K": -4, "d": 0}, 4)),

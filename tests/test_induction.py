@@ -41,11 +41,11 @@ from semiflex.modules import (
     WeightModule,
     ce_cohomology,
     character,
+    character_module,
     check_commutators,
     coverma,
     direct_sum,
     product_formula_character,
-    trivial_module,
     verma,
 )
 from semiflex.pbw import compress, enumerate_pbw_weights, flatten, monomial_weight, multiplier, normal_order_word, split
@@ -311,7 +311,7 @@ def test_us_purely_positive_is_dual():
 def test_s_ind_degenerates_to_induction():
     neg = load_algebra(NEG_HEIS)
     h = subalgebra(neg, "custom", custom=[neg.by_label("b"), neg.by_label("c")])
-    S = s_ind(neg, h, trivial_module(neg, 3), 3)
+    S = s_ind(neg, h, character_module(neg, {}, 3), 3)
     # classical induction: U(g) ⊗_h C has the a-power transversal
     assert {w: S.dim(w) for w in S.weights} == {(0, 0): 1, (-1, 0): 1, (-2, 0): 1, (-3, 0): 1}
     assert check_commutators(S, (-3, -1)) == []
@@ -320,18 +320,18 @@ def test_s_ind_degenerates_to_induction():
 def test_s_ind_degenerates_to_coinduction():
     pos = load_algebra(POS_HEIS)
     h = subalgebra(pos, "custom", custom=[pos.by_label("y"), pos.by_label("z")])
-    S = s_ind(pos, h, trivial_module(pos, 3), 3)
+    S = s_ind(pos, h, character_module(pos, {}, 3), 3)
     assert {w: S.dim(w) for w in S.weights} == {(0, 0): 1, (-1, 0): 1, (-2, 0): 1, (-3, 0): 1}
     assert check_commutators(S, (1, 3)) == []
     # cross-check against classical Lie algebra cohomology (Shapiro, degenerate)
-    th = ce_cohomology(subalgebra(pos, "custom", custom=[pos.by_label("y"), pos.by_label("z")]), trivial_module(pos, 3), 3)
+    th = ce_cohomology(subalgebra(pos, "custom", custom=[pos.by_label("y"), pos.by_label("z")]), character_module(pos, {}, 3), 3)
     tg = ce_cohomology(subalgebra(pos, "gplus"), S, 3)
     assert th.same_dims(tg)[0]
 
 
 def test_s_ind_from_zero_subalgebra_is_us(loop_a):
     h = subalgebra(loop_a, "custom", custom=[])
-    S = s_ind(loop_a, h, trivial_module(loop_a, 3), 3)
+    S = s_ind(loop_a, h, character_module(loop_a, {}, 3), 3)
     us = universal_semijective(loop_a, 3)
     assert {w: S.dim(w) for w in S.weights} == {w: len(b) for w, b in us.weights.items()}
     assert check_commutators(S, (-2, 2)) == []
@@ -339,13 +339,13 @@ def test_s_ind_from_zero_subalgebra_is_us(loop_a):
 
 def test_s_ind_oracle_loop_nminus(loop_a):
     h = subalgebra(loop_a, "loop-nminus")
-    S = s_ind(loop_a, h, trivial_module(loop_a, 3), 3)
+    S = s_ind(loop_a, h, character_module(loop_a, {}, 3), 3)
     assert check_commutators(S, (-3, 3)) == []
 
 
 def test_shapiro_main_case(loop_a):
     h = subalgebra(loop_a, "loop-nminus")
-    M = trivial_module(loop_a, depth=3)
+    M = character_module(loop_a, {}, 3)
     verdict, th, tg = check_shapiro(loop_a, h, M, 3)
     assert verdict.passed
     assert len(th.nonzero()) >= 4  # genuinely nontrivial tables
@@ -357,7 +357,7 @@ def test_shapiro_identity_case(loop_a):
 
     # h = g as a (full) subalgebra view: S-ind M is isomorphic to M
     h = SubalgebraSpec(loop_a, "all", lambda e: True)
-    M = trivial_module(loop_a, depth=2)
+    M = character_module(loop_a, {}, 2)
     verdict, th, tg = check_shapiro(loop_a, h, M, 2)
     assert verdict.passed
 
@@ -408,7 +408,7 @@ def test_wakimoto_level_zero_and_rational(sl2):
 
 def test_shapiro_depth_four(loop_a):
     h = subalgebra(loop_a, "loop-nminus")
-    verdict, th, tg = check_shapiro(loop_a, h, trivial_module(loop_a, depth=4), 4)
+    verdict, th, tg = check_shapiro(loop_a, h, character_module(loop_a, {}, 4), 4)
     assert verdict.passed
     assert len(th.nonzero()) >= 8
 
@@ -451,8 +451,8 @@ def test_invariant_completion_projects_to_dense_vectors(sl2):
 
 
 def test_universal_property_cases(loop_a, abelian):
-    assert check_universal_property(loop_a, trivial_module(loop_a, 3), 3).passed
-    assert check_universal_property(abelian, trivial_module(abelian, 3), 3).passed
+    assert check_universal_property(loop_a, character_module(loop_a, {}, 3), 3).passed
+    assert check_universal_property(abelian, character_module(abelian, {}, 3), 3).passed
     N = verma(loop_a, {}, 3)  # induced module over a at depth 3
     assert check_universal_property(loop_a, N, 3).passed
 
@@ -509,7 +509,7 @@ def _tensor_modules(alg):
     return [
         verma(alg, {}, 3),
         coverma(alg, {}, 3),
-        trivial_module(alg, 3),
+        character_module(alg, {}, 3),
         direct_sum(verma(alg, {}, 3), coverma(alg, {}, 3)),
     ]
 
@@ -631,7 +631,7 @@ def _module_first_outcome(alg, module, depth):
     the error it raises as (type, message)."""
     space = _ModuleFirstSpace(module, universal_semijective(alg, depth), depth)
     try:
-        images = semiinvariants(alg, space, depth).images
+        images = semiinvariants(alg, space, depth)
         escaped = "s_ind: left action left the semi-invariant subspace at weight"
         residual = _descended_module(alg, "N⊗US", "u", images, space.left, escaped, depth)
         dims = {w: len(span) for w, span in images.items() if span}
@@ -673,7 +673,7 @@ def test_universal_property_matches_the_module_first_order(loop_a, abelian, dept
     """US ⊗ N (through s_ind) and N ⊗ US are intertwined by the factor swap:
     the same dimension diffs and the same equivariance failures."""
     for alg in (loop_a, abelian):
-        for module in (trivial_module(alg, depth), verma(alg, {}, depth)):
+        for module in (character_module(alg, {}, depth), verma(alg, {}, depth)):
             got = _universal_property_outcome(alg, module, depth)
             assert got == _module_first_outcome(alg, module, depth), (alg.name, module.name)
             assert got == ({}, [])
@@ -688,13 +688,13 @@ def test_tensor_semiinvariants_match_every_positive_element(name, depth, request
     """US ⊗ trivial and US ⊗ Verma, the spaces the universal property takes
     semi-invariants of: the same image bases as under every positive element."""
     alg = request.getfixturevalue(name)
-    for module in (trivial_module(alg, depth), verma(alg, {}, depth)):
+    for module in (character_module(alg, {}, depth), verma(alg, {}, depth)):
         space = _TensorSpace(universal_semijective(alg, depth), module, depth)
         assert_same_semiinvariants(semiinvariants(alg, space, depth), reference_semiinvariants(alg, space, depth))
 
 
 SHAPIRO_SUBS = ["gminus", "gplus", "g_below_zero", "loop-nminus"]
-SHAPIRO_MODULES = {"trivial": trivial_module, "verma": lambda sub, d: verma(sub, {}, d), "coverma": lambda sub, d: coverma(sub, {}, d)}
+SHAPIRO_MODULES = {"trivial": lambda sub, d: character_module(sub, {}, d), "verma": lambda sub, d: verma(sub, {}, d), "coverma": lambda sub, d: coverma(sub, {}, d)}
 
 
 @pytest.mark.parametrize("kind", sorted(SHAPIRO_MODULES))
@@ -958,7 +958,7 @@ def _typed_action_entries(module, depth):
     ``module`` that stays inside its depth."""
     alg = module.alg
     out = {}
-    for w in module.weights_list():
+    for w in sorted(module.weights):
         for z in alg.elements_in_degrees(-depth, depth):
             try:
                 rows = module.action(z, w).rows
@@ -1079,7 +1079,7 @@ def test_each_action_matrix_is_built_once(sl2, loop_a, lam01, monkeypatch):
     assert check_commutators(us.left, (-3, 3)) == []
     assert check_commutators(us.right, (-3, 3)) == []
     assert check_commutators(us.left, (-3, 3), b=us.right) == []
-    assert check_commutators(s_ind(loop_a, subalgebra(loop_a, "loop-nminus"), trivial_module(loop_a, 3), 3), (-3, 3)) == []
+    assert check_commutators(s_ind(loop_a, subalgebra(loop_a, "loop-nminus"), character_module(loop_a, {}, 3), 3), (-3, 3)) == []
     assert check_commutators(wakimoto(sl2, lam01, 4), (-3, 3)) == []
     for module in (us.left, us.right):
         for w in us.weights:

@@ -13,14 +13,12 @@ from semiflex.induction import universal_semijective
 from semiflex.liealg import (
     AlgebraError,
     WindowError,
-    beta_functional,
     bracket,
     build_affine_sl2,
     check_closure,
     check_jacobi,
     dump_algebra,
     load_algebra,
-    split_semiinfinite,
     subalgebra,
     wt_add,
 )
@@ -73,7 +71,7 @@ def test_graded_dimensions_match_hand_count(sl2):
 
 
 def test_gplus_contains_zf(sl2):
-    gplus, gminus = split_semiinfinite(sl2)
+    gplus, gminus = subalgebra(sl2, "gplus"), subalgebra(sl2, "gminus")
     assert gplus.is_member(B(sl2, "z⊗f"))
     assert sl2.degree(B(sl2, "z⊗f")) == 1
     assert gminus.is_member(B(sl2, "1⊗f"))
@@ -81,7 +79,7 @@ def test_gplus_contains_zf(sl2):
 
 
 def test_splitting_closure(sl2):
-    gplus, gminus = split_semiinfinite(sl2)
+    gplus, gminus = subalgebra(sl2, "gplus"), subalgebra(sl2, "gminus")
     for view in (gplus, gminus):
         for i in view.elements_in_degrees(-3, 3):
             for j in view.elements_in_degrees(-3, 3):
@@ -205,19 +203,19 @@ def test_abelian_brackets_vanish(abelian):
     x1 = abelian.by_label("x_1")
     xm1 = abelian.by_label("x_-1")
     assert abelian.bracket_ids(x1, xm1) == {}
-    _gplus, gminus = split_semiinfinite(abelian)
+    gminus = subalgebra(abelian, "gminus")
     members = [abelian.label(e) for e in gminus.elements_in_degrees(-2, 0)]
     assert members == ["x_-2", "x_-1"]  # no degree-0 part
 
 
 def test_beta_values(sl2, loop_a, abelian):
-    assert beta_functional(sl2) == {
+    assert sl2.beta_items() == {
         "1⊗h": Fraction(2),
         "K": Fraction(4),
         "d": Fraction(1),
     }
-    assert beta_functional(loop_a) == {}
-    assert beta_functional(abelian) == {}
+    assert loop_a.beta_items() == {}
+    assert abelian.beta_items() == {}
 
 
 def test_beta_vanishes_off_degree_zero(sl2):

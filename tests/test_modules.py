@@ -12,11 +12,11 @@ from conftest import (
     rational_sl3,
     reference_check_commutators,
     reference_coverma,
-    reference_free_negative_module,
     reference_verma,
 )
 from semiflex.forms import AnomalyError, semiinf_cohomology
-from semiflex.liealg import WindowError, check_jacobi, exact, load_algebra, subalgebra, wt_add, wt_neg
+from semiflex.induction import wakimoto
+from semiflex.liealg import AlgebraError, WindowError, build_affine_sl2, check_jacobi, exact, load_algebra, subalgebra, wt_add, wt_neg
 from semiflex.linalg import SparseMatrix
 from semiflex import modules
 from semiflex.pbw import canonical_order, enumerate_pbw_weights
@@ -31,9 +31,7 @@ from semiflex.modules import (
     check_commutators,
     coverma,
     direct_sum,
-    free_negative_module,
     product_formula_character,
-    trivial_module,
     verma,
 )
 
@@ -147,6 +145,35 @@ def test_lambda_values_enter_scalars(sl2):
     assert mk.get(0, 0) == 7
 
 
+LAMBDA_KEY_ERRORS = {
+    # h is the CLI's shorthand for 1⊗h, not a label
+    "shorthand": (lambda g: verma(g, {"h": 1, "K": 1}, 3), "labelled 'h'"),
+    "nonzero degree": (lambda g: wakimoto(g, {"z⊗e": 5, "K": 1}, 3), "'z⊗e' has degree 3, not 0"),
+    "unknown": (lambda g: character_module(g, {"typo": 3}), "labelled 'typo'"),
+    # a view reads only its own members: K is not in a
+    "outside the view": (lambda g: coverma(subalgebra(g, "a"), {"K": 1}, 2), "'K' is not a member of affine_sl2:a"),
+}
+
+
+@pytest.mark.parametrize("case", list(LAMBDA_KEY_ERRORS))
+def test_lambda_keys_the_algebra_cannot_read_raise(case):
+    """Each key of lambda must label a degree-0 element of the algebra; any
+    other key raises an AlgebraError that names it, instead of building a
+    module on which the key acts by 0."""
+    build, message = LAMBDA_KEY_ERRORS[case]
+    with pytest.raises(AlgebraError, match=message):
+        build(build_affine_sl2())
+
+
+def test_modules_over_algebras_with_other_basis_ids_do_not_add():
+    """Two affine sl2 number their bases apart; a view and its parent do not."""
+    g, other = build_affine_sl2(), build_affine_sl2()
+    with pytest.raises(ModuleError, match="same algebra"):
+        direct_sum(verma(g, {}, 2), verma(other, {}, 2))
+    a = subalgebra(g, "a")
+    assert direct_sum(character_module(a, {}, 2), verma(g, {}, 2)).dim((0, 0)) == 2
+
+
 def test_ce_cohomology_one_dim_abelian():
     toy = load_algebra(
         {
@@ -157,7 +184,7 @@ def test_ce_cohomology_one_dim_abelian():
             "beta": [],
         }
     )
-    table = ce_cohomology(subalgebra(toy, "gplus"), trivial_module(toy, depth=4), 3)
+    table = ce_cohomology(subalgebra(toy, "gplus"), character_module(toy, {}, 4), 3)
     assert table.nonzero() == [((-1,), 1, 1), ((0,), 0, 1)]
     assert table.euler_consistent()
 
@@ -175,7 +202,7 @@ def test_ce_cohomology_two_dim_abelian():
             "beta": [],
         }
     )
-    table = ce_cohomology(subalgebra(toy, "gplus"), trivial_module(toy, depth=4), 3)
+    table = ce_cohomology(subalgebra(toy, "gplus"), character_module(toy, {}, 4), 3)
     by_degree = {}
     for (_w, n), d in table.cells.items():
         by_degree[n] = by_degree.get(n, 0) + d
@@ -206,13 +233,13 @@ def test_ce_homology_one_dim_abelian():
             "beta": [],
         }
     )
-    table = ce_homology(subalgebra(toy, "g_below_zero"), trivial_module(toy, depth=4), 3)
+    table = ce_homology(subalgebra(toy, "g_below_zero"), character_module(toy, {}, 4), 3)
     assert table.nonzero() == [((-1,), 1, 1), ((0,), 0, 1)]
 
 
 def test_free_module_homology(loop_a):
     aminus = subalgebra(loop_a, "g_below_zero")
-    F = free_negative_module(aminus, 3)
+    F = verma(aminus, {}, 3)
     assert check_commutators(F, (-3, -1)) == []
     table = ce_homology(aminus, F, 3)
     assert table.nonzero() == [((0, 0), 0, 1)]
@@ -232,7 +259,7 @@ def test_ce_rejects_members_of_the_wrong_sign(sl2, lam01, abelian):
         ce_homology(subalgebra(sl2, "loop-nminus"), verma(sl2, lam01, 3), 3)
     view = subalgebra(abelian, "custom", custom=[abelian.by_label("x_1"), abelian.by_label("x_-2")])
     with pytest.raises(ModuleError, match="strictly positively"):
-        ce_cohomology(view, trivial_module(abelian, 3), 3)
+        ce_cohomology(view, character_module(abelian, {}, 3), 3)
 
 
 def test_requested_weights_below_the_depth_are_an_error(sl2, lam01):
@@ -248,7 +275,7 @@ def test_requested_weights_below_the_depth_are_an_error(sl2, lam01):
 
 
 def test_requested_weight_without_cochains_is_a_zero_row(sl2):
-    table = ce_cohomology(subalgebra(sl2, "gplus"), trivial_module(sl2, 3), 3, weights=[(5, -3), (0, 0)])
+    table = ce_cohomology(subalgebra(sl2, "gplus"), character_module(sl2, {}, 3), 3, weights=[(5, -3), (0, 0)])
     assert table.rows() == [((0, 0), 0, 1, 1), ((5, -3), 0, 0, 0)]
 
 
@@ -502,7 +529,7 @@ def _actions(module, window, entry=lambda v: v):
     value)}, each entry passed through ``entry`` first, or the class of the
     error it raises."""
     out = {}
-    for w in module.weights_list():
+    for w in sorted(module.weights):
         for e in module.alg.elements_in_degrees(*window):
             try:
                 mat = module.action(e, w)
@@ -532,7 +559,7 @@ def test_induced_actions_match_straightening(case, sl2, loop_a):
         got, ref = verma(loop_a, {}, depth), reference_verma(loop_a, {}, depth)
     elif case == "free negative":
         sub = subalgebra(sl2, "g_below_zero")
-        got, ref = free_negative_module(sub, depth), reference_free_negative_module(sub, depth)
+        got, ref = verma(sub, {}, depth), reference_verma(sub, {}, depth)
     else:
         kind, pair = case.split()
         h, k = (Fraction(x) for x in pair.strip("()").split(","))

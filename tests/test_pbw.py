@@ -14,14 +14,11 @@ from semiflex.pbw import (
     compress,
     descending_order,
     dual_pair,
-    enumerate_pbw,
     enumerate_pbw_weights,
     flatten,
     monomial_label,
     multiply,
-    normal_order,
     normal_order_word,
-    scalar,
 )
 
 
@@ -54,23 +51,23 @@ def slow_straighten(alg, word, order):
 def test_straightening_examples_descending(sl2):
     f, e = sl2.by_label("1⊗f"), sl2.by_label("1⊗e")
     dso = descending_order(sl2)
-    got = labelled(sl2, normal_order(sl2, [f, e], dso))
+    got = labelled(sl2, normal_order_word(sl2, (f, e), dso))
     assert got == {"1⊗e·1⊗f": 1, "1⊗h": -1}
     zmf, ze = sl2.by_label("z^-1⊗f"), sl2.by_label("z⊗e")
-    got2 = labelled(sl2, normal_order(sl2, [zmf, ze], dso))
+    got2 = labelled(sl2, normal_order_word(sl2, (zmf, ze), dso))
     assert got2 == {"z⊗e·z^-1⊗f": 1, "1⊗h": -1, "K": -1}
 
 
 def test_already_ordered_word_is_monomial(sl2):
     e = sl2.by_label("1⊗e")
-    assert normal_order(sl2, [e, e]) == {((e, 2),): Fraction(1)}
+    assert normal_order_word(sl2, (e, e), canonical_order(sl2)) == {((e, 2),): Fraction(1)}
 
 
 def test_idempotent_on_pbw_input(sl2):
     f, e, h = (sl2.by_label(x) for x in ("1⊗f", "1⊗e", "1⊗h"))
-    out = normal_order(sl2, [e, h, f])
+    out = normal_order_word(sl2, (e, h, f), canonical_order(sl2))
     for mon in out:
-        again = normal_order(sl2, flatten(mon))
+        again = normal_order_word(sl2, flatten(mon), canonical_order(sl2))
         assert again == {mon: Fraction(1)}
 
 
@@ -82,7 +79,7 @@ def test_confluence_against_independent_strategy(sl2):
         word = tuple(rng.choice(elems) for _ in range(rng.randint(1, 5)))
         if not sl2.in_window(sum(sl2.degree(x) for x in word)):
             continue
-        fast = normal_order(sl2, word, order)
+        fast = normal_order_word(sl2, word, order)
         slow = slow_straighten(sl2, word, order)
         assert fast == slow
 
@@ -122,9 +119,9 @@ def test_confluence_permutations_agree_after_straightening(sl2):
     # explicitly computable bracket terms; spot check full consistency by
     # multiplying in two different associations
     e, h, f = (sl2.by_label(x) for x in ("1⊗e", "1⊗h", "1⊗f"))
-    a = normal_order(sl2, [e])
-    b = normal_order(sl2, [h])
-    c = normal_order(sl2, [f])
+    a = normal_order_word(sl2, (e,), canonical_order(sl2))
+    b = normal_order_word(sl2, (h,), canonical_order(sl2))
+    c = normal_order_word(sl2, (f,), canonical_order(sl2))
     left = multiply(sl2, multiply(sl2, a, b), c)
     right = multiply(sl2, a, multiply(sl2, b, c))
     assert left == right
@@ -134,12 +131,12 @@ def test_multiply_unit_and_associativity_random(sl2):
     rng = random.Random(4242)
     order = descending_order(sl2)
     elems = sl2.elements_in_degrees(-3, 3)
-    one = scalar(1)
+    one = {EMPTY: 1}
     for _ in range(40):
         xs = [rng.choice(elems) for _ in range(3)]
         if not all(sl2.in_window(sum(sl2.degree(x) for x in xs[:k])) for k in (1, 2, 3)):
             continue
-        a, b, c = (normal_order(sl2, [x], order) for x in xs)
+        a, b, c = (normal_order_word(sl2, (x,), order) for x in xs)
         assert multiply(sl2, a, one, order) == a
         lhs = multiply(sl2, multiply(sl2, a, b, order), c, order)
         rhs = multiply(sl2, a, multiply(sl2, b, c, order), order)
@@ -150,7 +147,7 @@ def test_weight_additivity_of_products(sl2):
     from semiflex.pbw import monomial_weight
 
     e, zf = sl2.by_label("1⊗e"), sl2.by_label("z⊗f")
-    prod = multiply(sl2, normal_order(sl2, [e]), normal_order(sl2, [zf]))
+    prod = multiply(sl2, normal_order_word(sl2, (e,), canonical_order(sl2)), normal_order_word(sl2, (zf,), canonical_order(sl2)))
     want = tuple(a + b for a, b in zip(sl2.weight(e), sl2.weight(zf)))
     for mon in prod:
         assert monomial_weight(sl2, mon) == want
@@ -159,11 +156,11 @@ def test_weight_additivity_of_products(sl2):
 def test_enumerate_pbw_aminus(sl2):
     a = subalgebra(sl2, "a")
     aminus = subalgebra(sl2, "custom", custom=[e for e in sl2.elements_in_degrees(-9, -1) if a.is_member(e)])
-    mons = enumerate_pbw(aminus, (-2, -1))
-    assert [monomial_label(sl2, m) for m in mons] == ["z^-1⊗f·1⊗f"]
-    assert enumerate_pbw(aminus, (0, 0)) == [EMPTY]
-    assert [monomial_label(sl2, m) for m in enumerate_pbw(aminus, (-1, -1))] == ["z^-1⊗f"]
-    assert enumerate_pbw(aminus, (1, 0)) == []
+    table = enumerate_pbw_weights(aminus, 4)  # ell(-2, -1) = -4
+    assert [monomial_label(sl2, m) for m in table[(-2, -1)]] == ["z^-1⊗f·1⊗f"]
+    assert table[(0, 0)] == [EMPTY]
+    assert [monomial_label(sl2, m) for m in table[(-1, -1)]] == ["z^-1⊗f"]
+    assert (1, 0) not in table
 
 
 def test_enumeration_counts_match_generating_function(sl2):
@@ -193,24 +190,21 @@ def test_enumeration_counts_match_generating_function(sl2):
 
 def test_mixed_grading_rejected(sl2):
     with pytest.raises(InfiniteEnumerationError):
-        enumerate_pbw(subalgebra(sl2, "a"), (0, 0))
+        enumerate_pbw_weights(subalgebra(sl2, "a"), 0)
 
 
 def test_degree_zero_tower_rejected(sl2):
     gminus = subalgebra(sl2, "gminus")
-    for weight in ((0, -1), (0, 0)):
+    for depth in (0, 1, 2):
         with pytest.raises(InfiniteEnumerationError):
-            enumerate_pbw(gminus, weight)
-    with pytest.raises(InfiniteEnumerationError):
-        enumerate_pbw_weights(gminus, 0)
-    # nothing on the positive side, whatever sits at degree 0
-    assert enumerate_pbw(gminus, (1, 0)) == []
+            enumerate_pbw_weights(gminus, depth)
+    # without degree 0 the negative part enumerates, and nothing on the positive side
+    assert (1, 0) not in enumerate_pbw_weights(subalgebra(sl2, "g_below_zero"), 2)
 
 
 def target_weight_pbw(sub, weight, order):
-    """Independent enumeration: spend the remaining weight factor by factor
-    (the recursion enumerate_pbw used before it read the weight table),
-    listed in the order's key order."""
+    """Independent enumeration: spend the remaining weight factor by factor,
+    with no weight table, listed in the order's key order."""
     ell = sub.ell(weight)
     elems = sorted(sub.elements_in_degrees(1, ell) if ell > 0 else sub.elements_in_degrees(ell, -1), key=order.key)
     out = []
@@ -249,12 +243,13 @@ def test_enumerate_pbw_matches_target_weight_recursion(sl2, which):
     alg.ensure_window(-14, 14)
     depth = 6
     for order in (canonical_order(alg), descending_order(alg)):
+        table = enumerate_pbw_weights(sub, depth, order)
         nonempty = 0
         for weight in product(range(-depth, depth + 1), repeat=alg.rank):
             ell = alg.ell(weight)
             if not ell or abs(ell) > depth:
                 continue
-            got = enumerate_pbw(sub, weight, order)
+            got = table.get(weight, [])
             assert got == target_weight_pbw(sub, weight, order), weight
             nonempty += bool(got)
         assert nonempty > 10
