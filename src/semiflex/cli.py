@@ -1,5 +1,15 @@
 """Command-line driver.
 
+A job is a ``JobSpec``, whose defaults are the console's, and ``MODULES``
+lists each command's module kinds, its default first.  The click options
+read their defaults and choices from these two declarations, and ``_run``
+resolves the rest in one place: the module kind (``lie-cohomology``
+defaults to coverma, or verma with ``--which homology``), the algebra the
+module is built on (the Wakimoto module: the root of ``--algebra``, affine
+sl2) and λ (DEFAULT_LAMBDA on affine sl2 for a kind that reads one).  So
+``run_job(JobSpec(...))`` runs the job the console runs with the same
+options.
+
 Exit code contract: 0 = all checks pass, 1 = a mathematical check failed
 (Jacobi failure, anomaly, verdict failure), 2 = input or window error.
 Outputs are deterministic: identical jobs yield byte-identical files.
@@ -24,8 +34,9 @@ from .induction import (
     universal_semijective,
     wakimoto,
 )
-from .liealg import AlgebraError, WindowError, check_jacobi, load_algebra, subalgebra
+from .liealg import AlgebraError, WindowError, check_jacobi, load_algebra, root_algebra, subalgebra
 from .modules import (
+    _lambda_values,
     ce_cohomology,
     ce_homology,
     character,
@@ -38,20 +49,32 @@ from .pbw import InfiniteEnumerationError
 
 LAMBDA_KEYS = {"h": "1⊗h", "K": "K", "d": "d"}
 DEFAULT_LAMBDA = "h=0,K=1,d=0"
-A_ALIASES = ("a", "subalgebra_a")
+MODULES = {  # each command's module kinds, its default first
+    "algebra-check": (),
+    "character": ("verma", "coverma", "wakimoto", "product"),
+    "lie-cohomology": ("coverma", "verma", "trivial"),
+    "semiinf-cohomology": ("trivial", "verma", "coverma", "us", "wakimoto"),
+    "wakimoto": ("wakimoto",),
+    "verify-shapiro": ("trivial",),
+    "verify-us": (),
+    "verify-univ": ("trivial", "induced"),
+}
+LAMBDA_MODULES = ("verma", "coverma", "wakimoto")  # the kinds that read λ
 US_COMMANDS = ("verify-shapiro", "verify-us", "verify-univ")  # plus any job with --module us
-NO_LAMBDA_MODULES = ("product", "trivial", "us")  # modules that take no λ
 
 
 @dataclass
 class JobSpec:
+    """One job.  ``module`` None is the command's default kind, and an empty
+    ``lam`` (the --lambda text) is the default λ of ``_run``."""
+
     command: str
     algebra: str = "affine_sl2"
-    sub: str | None = None
+    sub: str = "loop-nminus"
     module: str | None = None
-    lam: str = ""  # the --lambda text; see _module_algebra for the default
+    lam: str = ""
     depth: int = 4
-    window: tuple | None = None
+    window: tuple = (-6, 6)
     which: str = "cohomology"
     out: str | None = None
     fmt: str = "csv"
@@ -63,24 +86,17 @@ class InputError(Exception):
     pass
 
 
-def parse_lambda(text: str, alg) -> dict:
-    """λ as {label: value}; every key must name a distinct degree-0 element of ``alg``
-    by its label (on affine sl2, h, K and d are shorthand for 1⊗h, K and d)."""
+def parse_lambda(text: str, shorthand: bool) -> dict:
+    """The --lambda text as {label: Fraction}; with ``shorthand`` (on affine
+    sl2), h, K and d stand for 1⊗h, K and d.  The labels are checked where
+    λ is read, by modules._lambda_values."""
     lam = {}
-    if not text:
-        return lam
-    for part in text.split(","):
-        if "=" not in part:
+    for part in text.split(",") if text else ():
+        key, eq, val = part.partition("=")
+        if not eq:
             raise InputError(f"malformed lambda entry {part!r} (expected key=value)")
-        key, val = part.split("=", 1)
         key = key.strip()
-        label = LAMBDA_KEYS.get(key, key) if alg.name == "affine_sl2" else key
-        try:
-            eid = alg.by_label(label)
-        except AlgebraError as exc:
-            raise InputError(str(exc)) from exc
-        if alg.degree(eid) != 0:
-            raise InputError(f"lambda key {key!r}: {label!r} has degree {alg.degree(eid)}, not 0")
+        label = LAMBDA_KEYS.get(key, key) if shorthand else key
         if label in lam:
             raise InputError(f"lambda key {key!r} given twice")
         try:
@@ -92,45 +108,17 @@ def parse_lambda(text: str, alg) -> dict:
 
 def _load_algebra(name: str):
     try:
-        return load_algebra("subalgebra_a" if name in A_ALIASES else name)
+        return load_algebra("subalgebra_a" if name == "a" else name)
     except (OSError, json.JSONDecodeError, AlgebraError) as exc:
         raise InputError(f"cannot load algebra {name!r}: {exc}") from exc
 
 
-def _module_algebra(spec: JobSpec):
-    """``(alg, lam)``: the algebra the job's module is built on, with λ parsed against it.
-
-    An empty ``spec.lam`` means DEFAULT_LAMBDA on affine sl2 and no λ elsewhere;
-    a λ given to a module that takes none is an input error.
-    The Wakimoto module always lives on affine sl2; ``--algebra`` then only
-    picks the complex (all of affine sl2, or its subalgebra a)."""
-    if "wakimoto" not in (spec.command, spec.module):
-        alg = _load_algebra(spec.algebra)
-    elif spec.algebra in ("affine_sl2",) + A_ALIASES:
-        alg = _load_algebra("affine_sl2")
-    else:
-        raise InputError(f"the Wakimoto module is built on affine_sl2; --algebra must be affine_sl2 or a, not {spec.algebra!r}")
-    lam = parse_lambda(spec.lam or (DEFAULT_LAMBDA if alg.name == "affine_sl2" else ""), alg)
-    if spec.lam and spec.module in NO_LAMBDA_MODULES:
-        raise InputError(f"{spec.command} --module {spec.module} takes no --lambda")
-    if (spec.command in US_COMMANDS or spec.module == "us") and alg.elements_of_degree(0):
-        job = f"{spec.command} --module us" if spec.module == "us" else spec.command
-        raise InputError(f"{job} needs an algebra with vanishing degree-0 part; {alg.name} has one")
-    return alg, lam
-
-
-def _build_module(alg, lam, spec: JobSpec):
-    kind = spec.module or "verma"
-    if kind in ("verma", "coverma"):
-        ctor = verma if kind == "verma" else coverma
-        return ctor(alg, lam, spec.depth)
-    if kind == "trivial":
-        return character_module(alg, {}, spec.depth)
+def _build_module(kind: str, alg, lam: dict, depth: int):
+    """The one module dispatch; ``lam`` is {} for a kind outside LAMBDA_MODULES."""
     if kind == "us":
-        return universal_semijective(alg, spec.depth).left
-    if kind == "wakimoto":
-        return wakimoto(alg, lam, spec.depth)
-    raise InputError(f"unknown module kind {kind!r}")
+        return universal_semijective(alg, depth).left
+    build = {"verma": verma, "induced": verma, "coverma": coverma, "trivial": character_module, "wakimoto": wakimoto}
+    return build[kind](alg, lam, depth)
 
 
 def run_job(spec: JobSpec) -> int:
@@ -160,12 +148,20 @@ def _emit(spec: JobSpec, alg, rows):
 def _run(spec: JobSpec) -> int:
     if spec.depth < 1:
         raise InputError(f"depth must be positive, got {spec.depth}")
+    if spec.command not in MODULES:
+        raise InputError(f"unknown command {spec.command!r}")
+    kinds = MODULES[spec.command]
+    if spec.module is not None and spec.module not in kinds:
+        raise InputError(f"unknown module kind {spec.module!r} for {spec.command} (choose from {', '.join(kinds) or 'none'})")
+    homology = spec.command == "lie-cohomology" and spec.which == "homology"
+    kind = spec.module or ("verma" if homology else kinds[0] if kinds else None)
+    alg = _load_algebra(spec.algebra)
 
     if spec.command == "algebra-check":
-        lo, hi = spec.window or (-6, 6)
+        lo, hi = spec.window
         if lo > hi:
             raise InputError(f"algebra-check window [{lo}, {hi}] is empty: lo must not exceed hi")
-        report = check_jacobi(_load_algebra(spec.algebra), lo, hi)
+        report = check_jacobi(alg, lo, hi)
         if not report.checked:
             raise InputError(f"algebra-check window [{lo}, {hi}] holds no basis triple whose degree sums stay in it")
         click.echo(f"jacobi: checked {report.checked} triples in window [{lo}, {hi}]")
@@ -176,36 +172,38 @@ def _run(spec: JobSpec) -> int:
         click.echo("pass")
         return 0
 
-    alg, lam = _module_algebra(spec)
+    base = root_algebra(alg) if kind == "wakimoto" else alg  # the algebra the module is built on
+    affine = base.name == "affine_sl2"
+    if kind == "wakimoto" and not affine:
+        raise InputError(f"the Wakimoto module is built on affine_sl2; --algebra must be affine_sl2 or a, not {spec.algebra!r}")
+    lam = parse_lambda(spec.lam or (DEFAULT_LAMBDA if affine and kind in LAMBDA_MODULES else ""), affine)
+    _lambda_values(base, lam)  # a bad key is named even where the kind reads no λ
+    if spec.lam and kind not in LAMBDA_MODULES:
+        raise InputError(f"{spec.command} --module {kind} takes no --lambda" if kind else f"{spec.command} takes no --lambda")
+    if (spec.command in US_COMMANDS or kind == "us") and alg.elements_of_degree(0):
+        job = f"{spec.command} --module us" if kind == "us" else spec.command
+        raise InputError(f"{job} needs an algebra with vanishing degree-0 part; {alg.name} has one")
+    module = None if kind in (None, "product") else _build_module(kind, base, lam, spec.depth)
 
     if spec.command == "character":
-        if spec.module == "product":
-            char = product_formula_character(alg, spec.depth)
-        else:
-            char = character(_build_module(alg, lam, spec), spec.depth)
-        rows = output.character_rows(alg, char)
-        _emit(spec, alg, rows)
+        char = product_formula_character(base, spec.depth) if module is None else character(module, spec.depth)
+        rows = output.character_rows(base, char)
+        _emit(spec, base, rows)
         click.echo(f"character: {len(rows)} weights to depth {spec.depth}")
         for row in rows[:6]:
             click.echo(f"  weight {tuple(row[:-2])}  mult {row[-1]}")
         return 0
 
     if spec.command == "lie-cohomology":
-        module = _build_module(alg, lam, spec)
-        if spec.which == "homology":
-            part = subalgebra(alg, "g_below_zero")
-            table = ce_homology(part, module, spec.depth)
+        if homology:
+            table = ce_homology(subalgebra(alg, "g_below_zero"), module, spec.depth)
         else:
-            part = subalgebra(alg, "gplus")
-            table = ce_cohomology(part, module, spec.depth)
+            table = ce_cohomology(subalgebra(alg, "gplus"), module, spec.depth)
         _emit(spec, alg, output.table_rows(table))
         _table_summary(table)
         return 0
 
     if spec.command == "semiinf-cohomology":
-        module = _build_module(alg, lam, spec)
-        if spec.module == "wakimoto" and spec.algebra in A_ALIASES:
-            alg = subalgebra(alg, "a")
         bases = {} if spec.dump else None
         table = semiinf_cohomology(alg, module, spec.depth, bases=bases)
         _emit(spec, alg, output.table_rows(table))
@@ -215,9 +213,8 @@ def _run(spec: JobSpec) -> int:
         return 0
 
     if spec.command == "wakimoto":
-        module = wakimoto(alg, lam, spec.depth)
-        rows = output.character_rows(alg, character(module))
-        _emit(spec, alg, rows)
+        rows = output.character_rows(base, character(module))
+        _emit(spec, base, rows)
         if spec.dump:
             output.dump_module_jsonl(spec.dump, module, (-spec.depth, spec.depth))
         total = sum(module.dim(w) for w in module.weights)
@@ -225,9 +222,7 @@ def _run(spec: JobSpec) -> int:
         return 0
 
     if spec.command == "verify-shapiro":
-        sub = subalgebra(alg, spec.sub or "loop-nminus")
-        module = character_module(alg, {}, spec.depth)
-        verdict, th, tg = check_shapiro(alg, sub, module, spec.depth)
+        verdict, th, tg = check_shapiro(alg, subalgebra(alg, spec.sub), module, spec.depth)
         click.echo(f"H(h, M) nonzero cells: {len(th.nonzero())}; H(g, S-ind M): {len(tg.nonzero())}")
         return _verdict_exit(spec, verdict)
 
@@ -240,15 +235,7 @@ def _run(spec: JobSpec) -> int:
                 json.dump([v1.to_json(), v2.to_json()], fh, indent=1, sort_keys=True)
         return 0 if (v1.passed and v2.passed) else 1
 
-    if spec.command == "verify-univ":
-        if spec.module == "induced":
-            module = verma(alg, {}, spec.depth)
-        else:
-            module = character_module(alg, {}, spec.depth)
-        verdict = check_universal_property(alg, module, spec.depth)
-        return _verdict_exit(spec, verdict)
-
-    raise InputError(f"unknown command {spec.command!r}")
+    return _verdict_exit(spec, check_universal_property(alg, module, spec.depth))  # verify-univ
 
 
 def _table_summary(table):
@@ -280,80 +267,83 @@ def main():
     """Exact semi-infinite cohomology workbench."""
 
 
-def _common(fn):
-    fn = click.option("--depth", default=4, show_default=True, type=int)(fn)
-    fn = click.option("--out", default=None, type=click.Path(), help="write the result here")(fn)
-    return fn
+def _option(flag, field=None, **kw):
+    """``--flag``, filling JobSpec's ``field`` (the flag's name by default), whose default it shows."""
+    field = field or flag
+    kw.setdefault("show_default", True)
+    return click.option(f"--{flag}", field, default=getattr(JobSpec, field), **kw)
 
 
-def _algebra_option(fn):
-    return click.option("--algebra", default="affine_sl2", show_default=True, help="builtin name or JSON path")(fn)
+def _module_option(command, rule=None):
+    """``--module``, choosing among MODULES[command], the first by default;
+    given a ``rule``, --help shows it and _run applies it."""
+    kinds = MODULES[command]
+    return click.option("--module", type=click.Choice(kinds), default=None if rule else kinds[0], show_default=rule or True)
 
 
-def _format_option(fn):
-    return click.option("--format", "fmt", default="csv", type=click.Choice(["csv", "jsonl"]), show_default=True)(fn)
-
-
-def _lambda_option(fn):
-    return click.option("--lambda", "lam", default="", help="e.g. h=0,K=1,d=0")(fn)
+OUT = _option("out", type=click.Path(), help="write the result here")
+DEPTH = _option("depth", type=int)
+ALGEBRA = _option("algebra", help="builtin name or JSON path")
+FORMAT = _option("format", "fmt", type=click.Choice(["csv", "jsonl"]))
+LAMBDA = _option("lambda", "lam", help="degree-0 label=value pairs", show_default=f"{DEFAULT_LAMBDA} on affine_sl2")
 
 
 @main.command("algebra-check")
-@click.option("--algebra", default="affine_sl2", show_default=True)
-@click.option("--window", nargs=2, type=int, default=(-6, 6), show_default=True)
-def algebra_check(algebra, window):
+@ALGEBRA
+@_option("window", nargs=2, type=int)
+def algebra_check(**opts):
     """Exhaustive antisymmetry + Jacobi check on a degree window."""
-    sys.exit(run_job(JobSpec("algebra-check", algebra=algebra, window=tuple(window), depth=4)))
+    sys.exit(run_job(JobSpec("algebra-check", **opts)))
 
 
 @main.command("character")
-@_common
-@_algebra_option
-@_format_option
-@_lambda_option
-@click.option("--module", default="verma", type=click.Choice(["verma", "coverma", "wakimoto", "product"]), show_default=True)
+@OUT
+@DEPTH
+@ALGEBRA
+@FORMAT
+@LAMBDA
+@_module_option("character")
 def character_cmd(**opts):
     """Formal character of a highest-weight module (or the product formula)."""
     sys.exit(run_job(JobSpec("character", **opts)))
 
 
 @main.command("lie-cohomology")
-@_common
-@_algebra_option
-@_format_option
-@_lambda_option
-@click.option("--which", default="cohomology", type=click.Choice(["cohomology", "homology"]), show_default=True)
-@click.option("--module", default=None, type=click.Choice(["verma", "coverma", "trivial"]))
-def lie_cohomology(which, module, **opts):
+@OUT
+@DEPTH
+@ALGEBRA
+@FORMAT
+@LAMBDA
+@_option("which", type=click.Choice(["cohomology", "homology"]))
+@_module_option("lie-cohomology", "coverma; verma with --which homology")
+def lie_cohomology(**opts):
     """Classical Lie algebra (co)homology of the positive/negative part."""
-    if module is None:
-        module = "coverma" if which == "cohomology" else "verma"
-    sys.exit(run_job(JobSpec("lie-cohomology", which=which, module=module, **opts)))
+    sys.exit(run_job(JobSpec("lie-cohomology", **opts)))
 
 
 @main.command("semiinf-cohomology")
-@_common
-@click.option(
-    "--algebra",
-    default="affine_sl2",
-    show_default=True,
+@OUT
+@DEPTH
+@_option(
+    "algebra",
     help="builtin name or JSON path. With --module wakimoto, a is the complex the paper's checks use, and "
     "affine_sl2 is all of affine sl2, whose complexes grow much faster with depth (timings in the README)",
 )
-@_format_option
-@_lambda_option
-@click.option("--module", default="trivial", type=click.Choice(["trivial", "verma", "coverma", "us", "wakimoto"]), show_default=True)
-@click.option("--dump", default=None, type=click.Path(), help="basis dump (JSON-lines)")
+@FORMAT
+@LAMBDA
+@_module_option("semiinf-cohomology")
+@_option("dump", type=click.Path(), help="basis dump (JSON-lines)")
 def semiinf_cohomology_cmd(**opts):
     """Semi-infinite cohomology table per (weight, ghost degree)."""
     sys.exit(run_job(JobSpec("semiinf-cohomology", **opts)))
 
 
 @main.command("wakimoto")
-@_common
-@_format_option
-@_lambda_option
-@click.option("--dump", default=None, type=click.Path(), help="module dump (JSON-lines)")
+@OUT
+@DEPTH
+@FORMAT
+@LAMBDA
+@_option("dump", type=click.Path(), help="module dump (JSON-lines)")
 def wakimoto_cmd(**opts):
     """Construct the Wakimoto module over affine sl2 and emit its weight-space dimensions."""
     if not opts["lam"]:
@@ -362,26 +352,29 @@ def wakimoto_cmd(**opts):
 
 
 @main.command("verify-shapiro")
-@_common
-@_algebra_option
-@click.option("--sub", default="loop-nminus", show_default=True, help="subalgebra selector")
+@OUT
+@DEPTH
+@ALGEBRA
+@_option("sub", help="subalgebra selector")
 def verify_shapiro(**opts):
     """Per-cell equality of H(h, M) and H(g, S-ind M)."""
     sys.exit(run_job(JobSpec("verify-shapiro", **opts)))
 
 
 @main.command("verify-us")
-@_common
-@_algebra_option
+@OUT
+@DEPTH
+@ALGEBRA
 def verify_us(**opts):
     """Graded dimensions and module oracles of the semiregular bimodule."""
     sys.exit(run_job(JobSpec("verify-us", **opts)))
 
 
 @main.command("verify-univ")
-@_common
-@_algebra_option
-@click.option("--module", "module", default="trivial", type=click.Choice(["trivial", "induced"]), show_default=True)
+@OUT
+@DEPTH
+@ALGEBRA
+@_module_option("verify-univ")
 def verify_univ(**opts):
     """Semi-invariants of N ⊗ US reproduce N (graded dims + equivariance)."""
     sys.exit(run_job(JobSpec("verify-univ", **opts)))

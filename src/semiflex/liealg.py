@@ -484,17 +484,17 @@ def subalgebra(alg, selector, custom=None) -> SubalgebraSpec:
     raise AlgebraError(f"unknown subalgebra selector {selector!r}")
 
 
+def root_algebra(alg):
+    """The algebra at the end of ``alg``'s ``.parent`` chain (``alg`` itself if it is no view)."""
+    while isinstance(alg, SubalgebraSpec):
+        alg = alg.parent
+    return alg
+
+
 def same_root(a, b) -> bool:
     """Whether ``a`` and ``b`` (algebras or views) number one basis: views
-    use their parent's ids, so each is followed up its ``.parent`` chain
-    and the two ends must be one algebra."""
-
-    def root(alg):
-        while isinstance(alg, SubalgebraSpec):
-            alg = alg.parent
-        return alg
-
-    return root(a) is root(b)
+    use their parent's ids, so the two roots must be one algebra."""
+    return root_algebra(a) is root_algebra(b)
 
 
 def check_closure(view: SubalgebraSpec, lo: int, hi: int) -> None:
@@ -578,8 +578,13 @@ def load_algebra(source) -> GradedLieAlgebra:
     if isinstance(source, str):
         if source in BUILTINS:
             return BUILTINS[source]()
-        with open(source) as fh:
-            data = json.load(fh)
+        try:
+            with open(source) as fh:
+                data = json.load(fh)
+        except FileNotFoundError:
+            raise AlgebraError(
+                f"{source!r} is neither a built-in algebra ({', '.join(BUILTINS)}) nor an algebra file"
+            ) from None
     else:
         data = source
     if "builtin" in data:

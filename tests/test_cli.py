@@ -432,6 +432,58 @@ def test_options_a_command_ignores_are_rejected(argv, runner, built_specs):
     assert built_specs == []
 
 
+@pytest.mark.parametrize(
+    "command,fields",
+    [
+        ("algebra-check", {}),
+        ("character", {}),
+        ("lie-cohomology", {}),
+        ("lie-cohomology", {"which": "homology"}),
+        ("semiinf-cohomology", {}),
+        ("wakimoto", {}),
+        ("verify-shapiro", {"algebra": "a"}),
+        ("verify-us", {"algebra": "a"}),
+        ("verify-univ", {"algebra": "a"}),
+    ],
+    ids=lambda p: p if isinstance(p, str) else " ".join(f"--{k} {v}" for k, v in p.items()) or "defaults",
+)
+def test_run_job_and_the_console_run_the_same_job(command, fields, runner, tmp_path, capsys):
+    """JobSpec's defaults are the console's: a JobSpec and the console
+    given the same options (--depth 3 --out, besides algebra-check's
+    defaults) agree in exit code, stdout and output bytes."""
+    ran = {}
+    for how in ("spec", "console"):
+        out = tmp_path / f"{how}.out"
+        opts = fields if command == "algebra-check" else {**fields, "depth": 3, "out": str(out)}
+        if how == "spec":
+            code, stdout = run_job(JobSpec(command, **opts)), capsys.readouterr().out
+        else:
+            res = runner.invoke(main, [command] + [f"--{k}={v}" for k, v in opts.items()])
+            code, stdout = res.exit_code, res.stdout
+        ran[how] = code, stdout, out.read_bytes() if out.exists() else None
+    assert ran["spec"][0] == 0
+    assert ran["spec"] == ran["console"]
+
+
+@pytest.mark.parametrize(
+    "command,module,algebra",
+    [("lie-cohomology", "wakimoto", "affine_sl2"), ("verify-univ", "bogus", "a")],
+)
+def test_run_job_rejects_a_module_kind_outside_its_commands_choice(command, module, algebra, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run_job(JobSpec(command, algebra=algebra, module=module, depth=2, out=str(out))) == 2
+    assert f"error: unknown module kind {module!r} for {command}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_unknown_algebra_name_lists_the_builtins(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    res = runner.invoke(main, ["verify-us", "--algebra", "affine-sl2", "--depth", "2"])
+    assert res.exit_code == 2
+    why = "'affine-sl2' is neither a built-in algebra (affine_sl2, abelian, subalgebra_a) nor an algebra file"
+    assert res.stderr == f"error: cannot load algebra 'affine-sl2': {why}\n"
+
+
 def test_wakimoto_complex_needs_affine_sl2_or_a(runner):
     argv = ["semiinf-cohomology", "--algebra", "abelian", "--module", "wakimoto", "--depth", "2"]
     res = runner.invoke(main, argv)

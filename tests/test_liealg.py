@@ -318,6 +318,14 @@ def test_malformed_file_raises(tmp_path):
             load_algebra(str(path))
 
 
+def test_a_name_that_is_no_builtin_and_no_file_lists_the_builtins(tmp_path, monkeypatch):
+    """A mistyped built-in is named as such, not reported as a missing file."""
+    monkeypatch.chdir(tmp_path)
+    why = "'affine-sl2' is neither a built-in algebra (affine_sl2, abelian, subalgebra_a) nor an algebra file"
+    with pytest.raises(AlgebraError, match=re.escape(why)):
+        load_algebra("affine-sl2")
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_TOYS))
 def test_malformed_basis_or_brackets_are_named(case):
     load_algebra(sl2_toy())  # the unmodified table is well formed
