@@ -18,6 +18,7 @@ Outputs are deterministic: identical jobs yield byte-identical files.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +35,7 @@ from .induction import (
     universal_semijective,
     wakimoto,
 )
-from .liealg import AlgebraError, WindowError, check_jacobi, load_algebra, root_algebra, subalgebra
+from .liealg import BUILTINS, AlgebraError, WindowError, check_jacobi, load_algebra, root_algebra, subalgebra
 from .modules import (
     _lambda_values,
     ce_cohomology,
@@ -107,8 +108,12 @@ def parse_lambda(text: str, shorthand: bool) -> dict:
 
 
 def _load_algebra(name: str):
+    source = "subalgebra_a" if name == "a" else name
+    if source not in BUILTINS and not os.path.exists(source):
+        names = ", ".join([*BUILTINS, "a"])
+        raise InputError(f"cannot load algebra {name!r}: neither a built-in algebra ({names}) nor an algebra file")
     try:
-        return load_algebra("subalgebra_a" if name == "a" else name)
+        return load_algebra(source)
     except (OSError, json.JSONDecodeError, AlgebraError) as exc:
         raise InputError(f"cannot load algebra {name!r}: {exc}") from exc
 

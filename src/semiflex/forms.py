@@ -31,8 +31,9 @@ single-slot list also on the lowest slot degree the complex reaches; it is
 built once per algebra (or view) in a memo next to the form index and read
 at every weight where the monomial comes back.  d^2 = 0 is checked cell
 by cell in exact integers (linalg.residual_nnz on the differentials, each
-cleared once per weight), and a failure is reported as a structured
-AnomalyError carrying the offending (weight, ghost) cell, not an assertion.
+cleared once per weight and ranked on those rows), and a failure is
+reported as a structured AnomalyError carrying the offending (weight,
+ghost) cell, not an assertion.
 
 Over a one-sided algebra the complex is classical: a strictly positive
 algebra has no tail, so the forms are wedges of members and the complex is
@@ -430,13 +431,12 @@ def semiinf_cohomology(alg, module, depth: int, weights=None, bases=None) -> Coh
         ns = cx.ghost_range()
         if not ns:
             continue
-        mats = {n: cx.matrix(n) for n in range(min(ns) - 1, max(ns) + 1)}
-        ints = {n: cleared(mat) for n, mat in mats.items()}
+        ints = {n: cleared(cx.matrix(n)) for n in range(min(ns) - 1, max(ns) + 1)}
         for n in range(min(ns) - 1, max(ns)):
-            nnz = residual_nnz([(1, ints[n + 1], ints[n])], mats[n].ncols)
+            nnz = residual_nnz([(1, ints[n + 1], ints[n])], cx.dim(n))
             if nnz:
                 raise AnomalyError(w, n, f"differential does not square to zero (residual has {nnz} nonzero entries)")
-        ranks = {n: mat.rank() for n, mat in mats.items()}
+        ranks = {n: SparseMatrix.from_cleared(d, rows, cx.dim(n)).rank() for n, (d, rows) in ints.items()}
         for n in ns:
             cdim = cx.dim(n)
             table.set(w, n, cdim - ranks[n] - ranks[n - 1], cdim)

@@ -190,16 +190,17 @@ class GradedLieAlgebra:
     # -- bracket -------------------------------------------------------------
 
     def bracket_ids(self, i: int, j: int) -> dict:
-        """Structure constants [x_i, x_j] as {eid: coefficient}."""
+        """Structure constants [x_i, x_j] as {eid: coefficient}, cached per
+        ordered pair (i > j as the negation of [x_j, x_i]); callers share
+        the cached dicts read-only."""
         if i == j:
             return {}
-        flip = False
+        res = self._brackets.get((i, j))
+        if res is not None:
+            return res
         if i > j:
-            i, j = j, i
-            flip = True
-        key = (i, j)
-        res = self._brackets.get(key)
-        if res is None:
+            res = {k: -v for k, v in self.bracket_ids(j, i).items()}
+        else:
             dtot = self.degrees[i] + self.degrees[j]
             if not self.in_window(dtot):
                 raise WindowError(
@@ -211,9 +212,7 @@ class GradedLieAlgebra:
             for k in res:
                 if self.weights[k] != wtarget:
                     raise AlgebraError("bracket violates weight additivity")
-            self._brackets[key] = res
-        if flip:
-            return {k: -v for k, v in res.items()}
+        self._brackets[i, j] = res
         return res
 
 

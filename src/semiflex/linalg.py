@@ -2,9 +2,14 @@
 
 Matrices are sparse dict-of-column rows of exact entries, stored as given:
 an int wherever the value is integral, a fractions.Fraction otherwise.
-``cleared`` is the one way from such a matrix to integers: it scales the
-matrix once by the lcm of its denominators into sparse int rows (an all-int
-matrix is used as it is, rows and all).
+``cleared`` is the one way from such a matrix to integers, (d, int rows)
+with d a common denominator: it scales the matrix once by the lcm of its
+denominators into sparse int rows (an all-int matrix is used as it is,
+rows and all).  A matrix built ``SparseMatrix.from_cleared`` (the induced
+modules' action matrices, the ranked differentials) holds that pair, and
+``cleared`` returns it with no scan and no copy; its exact entries are made
+once, on the first read of ``rows``, and the pair is dropped then, so the
+integers never go stale.
 
 All elimination is one sparse fraction-free integer reduction
 (semiflex._kernels), which never visits a zero entry and never mutates a
@@ -33,6 +38,7 @@ each row in int arithmetic and divides each nonzero sum once.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm, prod
 
 from ._kernels import reduce_row, row_echelon_int, store_row
@@ -47,6 +53,14 @@ class SparseMatrix:
         self.nrows = nrows
         self.ncols = ncols
         self.rows: list[dict] = [{} for _ in range(nrows)]
+
+    @staticmethod
+    def from_cleared(d: int, rows, ncols) -> "SparseMatrix":
+        """The matrix rows / d, held in that form: ``rows`` are sparse int
+        rows, taken as they are (no zero entries), and d > 0 an int."""
+        m = _HeldMatrix.__new__(_HeldMatrix)
+        m.nrows, m.ncols, m._held = len(rows), ncols, (d, rows)
+        return m
 
     @classmethod
     def from_rows(cls, rows, ncols):
@@ -80,7 +94,8 @@ class SparseMatrix:
 
     @property
     def nnz(self) -> int:
-        return sum(len(r) for r in self.rows)
+        held = self.__dict__.get("_held")  # counted without making the exact entries
+        return sum(len(r) for r in (held[1] if held else self.rows))
 
     def transpose(self) -> "SparseMatrix":
         m = SparseMatrix(self.ncols, self.nrows)
@@ -136,7 +151,7 @@ class SparseMatrix:
 
     def rank(self) -> int:
         """The rank, from ``row_echelon_int`` on the cleared rows."""
-        r, _ = row_echelon_int(list(cleared(self)[1]), self.ncols)
+        r, _ = row_echelon_int(list(_int_rows(self)), self.ncols)
         return r
 
     def pivot_columns(self) -> list[int]:
@@ -145,7 +160,7 @@ class SparseMatrix:
 
         The package picks bases with ``Subspace``; this stays as the tests'
         reference for it and as a benchmark trace target."""
-        _, pivots = row_echelon_int(list(cleared(self)[1]), self.ncols)
+        _, pivots = row_echelon_int(list(_int_rows(self)), self.ncols)
         return pivots
 
     def nullspace(self) -> list[tuple[int, ...]]:
@@ -172,16 +187,45 @@ class SparseMatrix:
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
 
 
+class _HeldMatrix(SparseMatrix):
+    """A matrix built ``SparseMatrix.from_cleared``.  Its lazy ``rows`` lives
+    on this subclass: a class-level descriptor named ``rows`` on
+    SparseMatrix would keep CPython from specializing every other matrix's
+    ``.rows`` reads."""
+
+    @cached_property
+    def rows(self) -> list[dict]:
+        """The exact entries, made on the first read; the held pair is
+        dropped then (d = 1: the held rows themselves)."""
+        d, rows = self.__dict__.pop("_held")
+        if d == 1:
+            return rows
+        return [{c: exact_quotient(v, d) for c, v in row.items()} for row in rows]
+
+
 def cleared(m: SparseMatrix):
-    """(d, rows): d the lcm of the denominators of ``m``'s entries and rows
-    its rows scaled by d, sparse ints, so m = rows / d.  An all-int matrix
-    is returned as it is (d = 1, its own rows, no copy); any Fraction entry,
-    integral or not, makes a copy of int rows."""
+    """(d, rows): d a common denominator of ``m``'s entries and rows its rows
+    scaled by d, sparse ints, so m = rows / d.  A matrix that holds its
+    cleared form (``SparseMatrix.from_cleared``, ``rows`` not read yet)
+    returns that pair as it is, whose d need not be the lcm (the induced
+    modules keep their recursion's scale).  Otherwise d is the lcm: an
+    all-int matrix is returned as it is (d = 1, its own rows, no copy), and
+    any Fraction entry, integral or not, makes a copy of int rows."""
+    held = m.__dict__.get("_held")
+    if held is not None:
+        return held
     dens = {v.denominator for row in m.rows for v in row.values() if type(v) is not int}
     if not dens:
         return 1, m.rows
     d = lcm(*dens)
     return d, [{c: v.numerator * (d // v.denominator) for c, v in row.items()} for row in m.rows]
+
+
+def _int_rows(m: SparseMatrix):
+    """Int rows with the column dependencies of ``m``: the held ones, or the
+    rows of ``cleared``."""
+    held = m.__dict__.get("_held")
+    return held[1] if held is not None else cleared(m)[1]
 
 
 def residual_nnz(terms, ncols: int) -> int:

@@ -15,10 +15,14 @@ every constructor here and for the Wakimoto module, and raises
 AlgebraError for a key that is not the label of a degree-0 element.
 Each module clears lambda once: the recursion runs on q times its
 values, q the lcm of their denominators, so over integral structure
-constants it is int arithmetic at any lambda, and the rule divides each
-entry of an element outside the free part by q once.  Matrix entries are
-exact: an int wherever the value is integral, a Fraction otherwise, so an
-integral lambda (given as int or Fraction) yields all-int matrices.
+constants it is int arithmetic at any lambda.  The rule hands the
+recursion's integers over as they are, in a matrix that holds them over
+the denominator q for an element outside the free part and 1 for a free
+one (linalg.SparseMatrix.from_cleared; rational structure constants are
+cleared into the same form).  The exact entries, an int wherever the value
+is integral and a Fraction otherwise, are made in linalg, on the first
+read of the matrix's rows, so an integral lambda (given as int or
+Fraction) yields all-int matrices.
 
 Every action matrix in the package, the left and right actions of US and
 the left action of the Wakimoto quotient included, is read through
@@ -35,14 +39,14 @@ mirrored pairs are the same identity, and x = y is a tautology, since
 US included (its right action enters as z -> -r_z), so this one check
 serves them all.  Given a second module b on the same weight space (US's
 left and right actions), it checks that a(x) and b(y) commute, on every
-ordered pair.  It clears each action matrix of its denominators once per
-check, dropped after the last weight that reads it, and tests the sum of
-the terms for zero in exact integers (linalg.residual_nnz).  So a
-non-integral lambda adds no Fraction arithmetic to the oracle at either
-end: the recursion that builds the matrices is integer, and the check sums
-cleared ints; the matrices themselves keep their exact entries, an int
-wherever integral.  The test
-suite exercises it relentlessly.
+ordered pair.  It reads each action matrix's cleared form once per check
+(linalg.cleared, which returns an induced module's held integers with no
+scan or copy), dropped after the last weight that reads it, and tests the
+sum of the terms for zero in exact integers (linalg.residual_nnz).  So a
+non-integral lambda makes no Fraction in the oracle at either end: the
+recursion that builds the matrices is integer, and the check sums the
+integers the rule wrote; no exact entry is made unless a matrix's rows
+are read.  The test suite exercises it relentlessly.
 
 Chevalley-Eilenberg (co)homology has no complex of its own: it is the
 semi-infinite complex (forms.semiinf_cohomology) of a strictly positive or
@@ -56,7 +60,7 @@ from math import lcm
 
 from .forms import CohomologyTable, semiinf_cohomology
 from .liealg import AlgebraError, WindowError, exact, same_root, subalgebra, wt_add, wt_neg, wt_zero
-from .linalg import SparseMatrix, cleared, exact_quotient, residual_nnz
+from .linalg import SparseMatrix, cleared, residual_nnz
 from .pbw import canonical_order, descending_order, enumerate_pbw_weights, induced_action, monomial_label
 
 __all__ = [
@@ -155,8 +159,10 @@ def _induced_module(alg, name, tab, values, depth, right=False) -> WeightModule:
     z holds p·z in the column basis.
 
     The recursion runs on q times the values, q the lcm of their
-    denominators, and the rule divides each entry of a non-free element by
-    q once."""
+    denominators, and the rule returns its integers as they are: a matrix
+    built ``SparseMatrix.from_cleared`` over q for a non-free element and 1
+    for a free one, times the lcm of the coefficients' denominators where
+    the structure constants are rational."""
     labels = {w: [monomial_label(alg, m) + ("*" if right else "") for m in mons] for w, mons in tab.items()}
     q = lcm(*(v.denominator for v in values.values() if type(v) is not int))
     values = {e: int(q * v) for e, v in values.items()}
@@ -175,11 +181,10 @@ def _induced_module(alg, name, tab, values, depth, right=False) -> WeightModule:
 
     def rule(eid, w):
         target = wt_add(w, alg.weight(eid))
-        mat = SparseMatrix(len(tab.get(target, ())), len(tab.get(w, ())))
-        rows = mat.rows
+        rows = [{} for _ in tab.get(target, ())]
         at, to = (target, w) if right else (w, target)
         to_index = index.get(to, {})
-        scale = 1 if free(eid) else q
+        dens = set()
         # the monomials act returns are distinct and the index is a bijection,
         # so each (row, column) is written once
         for i, mon in enumerate(tab.get(at, ())):
@@ -187,13 +192,17 @@ def _induced_module(alg, name, tab, values, depth, right=False) -> WeightModule:
                 j = to_index.get(out)
                 if j is None:
                     raise ModuleError(f"{name}: {alg.label(eid)} from weight {w} to weight {target} leaves the basis")
-                if scale != 1 or type(coeff) is not int:
-                    coeff = exact_quotient(coeff, scale)
+                if type(coeff) is not int:
+                    dens.add(coeff.denominator)
                 if right:
                     rows[i][j] = coeff
                 else:
                     rows[j][i] = coeff
-        return mat
+        d = 1
+        if dens:  # rational structure constants: clear the coefficients into the same form
+            d = lcm(*dens)
+            rows = [{c: int(v * d) for c, v in row.items()} for row in rows]
+        return SparseMatrix.from_cleared(d * (1 if free(eid) else q), rows, len(tab.get(w, ())))
 
     return WeightModule(alg, name, labels, rule, depth)
 

@@ -477,10 +477,12 @@ def test_run_job_rejects_a_module_kind_outside_its_commands_choice(command, modu
 
 
 def test_an_unknown_algebra_name_lists_the_builtins(runner, tmp_path, monkeypatch):
+    """The message names the string once and lists every name --algebra
+    accepts, a included."""
     monkeypatch.chdir(tmp_path)
     res = runner.invoke(main, ["verify-us", "--algebra", "affine-sl2", "--depth", "2"])
     assert res.exit_code == 2
-    why = "'affine-sl2' is neither a built-in algebra (affine_sl2, abelian, subalgebra_a) nor an algebra file"
+    why = "neither a built-in algebra (affine_sl2, abelian, subalgebra_a, a) nor an algebra file"
     assert res.stderr == f"error: cannot load algebra 'affine-sl2': {why}\n"
 
 

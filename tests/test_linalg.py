@@ -166,6 +166,22 @@ def test_cleared_scales_by_the_lcm_and_leaves_int_matrices_alone():
     assert all(type(v) is int for row in rows for v in row.values())
 
 
+def test_a_held_cleared_form_is_read_until_its_entries_are():
+    """``from_cleared`` holds (d, int rows): ``cleared`` returns that pair,
+    nnz and rank read it, and ``rows`` makes the exact entries on first
+    read (an int where integral) and drops the pair, so a later write shows
+    in ``cleared``.  At d = 1 the held rows are ``rows`` themselves."""
+    ints = [{0: 12, 1: 3}, {}]
+    m = SparseMatrix.from_cleared(6, ints, 2)
+    assert cleared(m)[1] is ints and (m.nrows, m.ncols, m.nnz, m.rank()) == (2, 2, 2, 1)
+    assert "rows" not in vars(m)
+    assert [[(type(v), v) for v in row.values()] for row in m.rows] == [[(int, 2), (Fraction, Fraction(1, 2))], []]
+    m.add(1, 0, Fraction(1, 3))
+    assert cleared(m) == (6, [{0: 12, 1: 3}, {0: 2}]) and ints == [{0: 12, 1: 3}, {}]
+    one = SparseMatrix.from_cleared(1, ints, 2)
+    assert one.rows is ints and cleared(one)[1] is ints
+
+
 def test_echelon_queries_leave_an_int_matrix_as_it_was():
     """The kernel gets an all-int matrix's own row dicts, three of them
     leading at column 0, and must not rewrite them."""

@@ -17,7 +17,7 @@ from conftest import (
 from semiflex.forms import AnomalyError, semiinf_cohomology
 from semiflex.induction import wakimoto
 from semiflex.liealg import AlgebraError, WindowError, build_affine_sl2, check_jacobi, exact, load_algebra, subalgebra, wt_add, wt_neg
-from semiflex.linalg import SparseMatrix
+from semiflex.linalg import SparseMatrix, cleared
 from semiflex import modules
 from semiflex.pbw import canonical_order, enumerate_pbw_weights
 from semiflex.modules import (
@@ -574,8 +574,23 @@ def test_induced_actions_match_straightening(case, sl2, loop_a):
 # rational structure constants (q = 35), where Fractions survive the clearing
 SCALED = {
     "affine sl2": ("sl2", {"1⊗h": Fraction(2, 3), "K": Fraction(1, 2), "d": Fraction(1, 5)}, 5, (-2, 2)),
+    "affine sl2 at (2/3, 1/2)": ("sl2", {"1⊗h": Fraction(2, 3), "K": Fraction(1, 2)}, 5, (-2, 2)),
     "rational sl3": ("sl3", {"H1": Fraction(1, 5), "H2": Fraction(-3, 7)}, 4, (-2, 2)),
 }
+
+
+def _cleared_actions(module, window):
+    """Every action matrix of the window's generators as ``cleared`` gives
+    it, read back as rows of Fractions."""
+    out = {}
+    for w in sorted(module.weights):
+        for e in module.alg.elements_in_degrees(*window):
+            try:
+                d, rows = cleared(module.action(e, w))
+            except (WindowError, ModuleError):
+                continue
+            out[e, w] = [{c: Fraction(v, d) for c, v in row.items()} for row in rows]
+    return out
 
 
 @pytest.mark.parametrize("kind", ["verma", "coverma"])
@@ -583,18 +598,42 @@ SCALED = {
 def test_scaled_recursion_matches_straightening(case, kind, sl2):
     """The recursion on lambda cleared once gives the reference's matrices
     entry by entry (the reference's integral Fractions passed through
-    exact), and the module passes the commutator oracle."""
+    exact), and the module passes the commutator oracle.  Each matrix holds
+    the recursion's integers until its entries are read: ``cleared`` gives
+    the same rational matrix before and after."""
     name, lam, depth, window = SCALED[case]
     alg = sl2 if name == "sl2" else rational_sl3()
     assert check_jacobi(alg, -4, 4).passed
     ctor, reference = (verma, reference_verma) if kind == "verma" else (coverma, reference_coverma)
     got, ref = ctor(alg, lam, depth), reference(alg, lam, depth)
+    held = _cleared_actions(got, window)
     assert got.weights.keys() == ref.weights.keys()
     actions = _actions(got, window)
     assert actions == _actions(ref, window, exact)
     matrices = [m for m in actions.values() if isinstance(m, tuple)]
     assert {t for m in matrices for row in m[2] for t, _v in row.values()} == {int, Fraction}
+    assert _cleared_actions(got, window) == held
     assert check_commutators(got, window) == []
+
+
+@pytest.mark.parametrize("write", ["rows", "add"])
+def test_a_write_through_rows_reaches_the_oracle(write, sl2):
+    """An action matrix of a Verma module at lambda = (2/3, 1/2) holds its
+    recursion's integers, scale q = 6, until its entries are read.  An entry
+    corrupted in place through ``rows`` (or ``add``, which writes there),
+    after a passing check has cleared the matrix, is what the next check
+    sees: no stale integer copy survives the write."""
+    window = (-2, 2)
+    V = verma(sl2, {"1⊗h": Fraction(2, 3), "K": Fraction(1, 2)}, 3)
+    assert check_commutators(V, window) == []
+    mat = V.action(sl2.by_label("1⊗e"), (-1, 0))
+    assert cleared(mat)[0] == 6
+    if write == "rows":
+        mat.rows[0][0] = exact(mat.get(0, 0) + Fraction(1, 3))
+    else:
+        mat.add(0, 0, Fraction(1, 3))
+    got = check_commutators(V, window)
+    assert got and got == reference_check_commutators(V, window, None)
 
 
 @pytest.mark.parametrize("kind", ["verma", "coverma"])
