@@ -331,8 +331,8 @@ def lie_cohomology(**opts):
 @DEPTH
 @_option(
     "algebra",
-    help="builtin name or JSON path. With --module wakimoto, a is the complex the paper's checks use, and "
-    "affine_sl2 is all of affine sl2, whose complexes grow much faster with depth (timings in the README)",
+    help="builtin name or JSON path. With --module wakimoto, W = S-ind(affine_sl2, abar, C_lambda); a is the paper's "
+    "complex; over affine_sl2 its table is H(abar, C_lambda)'s (Shapiro) and complexes grow much faster (README)",
 )
 @FORMAT
 @LAMBDA

@@ -1,53 +1,57 @@
-"""The universal semijective (semiregular) bimodule, semi-infinite induction,
-the Wakimoto construction, and the verification routines built on them.
+"""The universal semijective (semiregular) bimodule, semi-infinite induction
+(the Wakimoto module is one of its values), and the verification routines
+built on them.
 
-The bimodule US(g) (g with vanishing degree-0 part) is materialized per
-weight on pairs (dual PBW monomial of U(g+), PBW monomial of U(g-)).  The
-same pair coordinates serve both structure models: as the quotient
+One pair space serves every construction: for a subalgebra h holding g's
+degree-0 part, with complement c, it is the quotient Q = US(g) ⊗_{U(h≤0)}
+C_{lambda+beta}, materialized per weight on pairs (dual PBW monomial of
+U(g+), PBW monomial of U(c≤0)).  US(g) itself (g with vanishing degree-0
+part) is this space with h = 0, on pairs with a PBW monomial of U(g-).  The
+same pair coordinates serve both structure models of US: as the quotient
 presentation of U(g+)* ⊗_{g+} U(g) they carry the right action (right
 multiplication, with the positive factor slid onto the dual side through the
 antipode), and as equivariant values f(q) ∈ U(g-) ⊗ L_{-beta} they carry the
 left action (z·f)(q) = f(-z q), the negative factors peeled off the right of
-the argument by f(u y) = -y·f(u) + beta(y) f(u).  Semi-induction reads the
-right action only as the left module z -> -r_z, so that is what
-``model.right`` holds: both actions are left modules, each checked by the
-one commutator oracle, and the bimodule check is that they commute.
-Each action is a ``WeightModule`` (``model.left``, ``model.right``, and
-the left action ``left`` of the Wakimoto quotient Q below), so every
-action matrix has one cache and one depth guard: it is built once per
+the argument by f(u y) = -y·f(u) + beta(y) f(u), and on Q reduced to c≤0
+monomials by lambda+beta on the h≤0 tail.  Semi-induction reads the right
+action only as the left module z -> -r_z, so that is what ``model.right``
+holds: both actions are left modules, each checked by the one commutator
+oracle, and the bimodule check is that they commute.  Each action is a
+``WeightModule`` (``model.left``, ``model.right``, and Q's ``left``), so
+every action matrix has one cache and one depth guard: it is built once per
 (element, weight), and an action whose target lies below the depth raises
 WindowError on US and Q alike.  Each pair space multiplies, splits, peels
-and pairs once per key (z·q', a negative word on m0, m0·z, and q0 against
-a positive p), so building an action matrix only joins cached terms and
-looks up rows; an entry is the same exact sum in another order, so every
-matrix is unchanged.  z·q' and each peeled y·m are one call of the pair
-space's multiplier, the product recursion of ``pbw``.  A left action
-visits only the q' of its target weight's basis: a row (q', m) can take a
-term of z·q' only for such a q'.
+and pairs once per key (z·q', a negative word on m0, m0·z, and q0 against a
+positive p), so building an action matrix only joins cached terms and looks
+up rows; an entry is the same exact sum in another order, so every matrix is
+unchanged.  z·q' and each peeled y·m are one call of the pair space's
+multiplier, the product recursion of ``pbw``.  A left action visits only the
+q' of its target weight's basis: a row (q', m) can take a term of z·q' only
+for such a q'.
 
-Semi-induction takes semi-invariants of US ⊗ M under h(u ⊗ m) = -u h ⊗ m +
-u ⊗ h m (forms.semiinvariants on the tensor space), which is
-``model.right`` on US plus the action on M: the invariants are an
-exact kernel of a generating set of h₊, coinvariants an exact quotient, and
-the image at each weight is a ``linalg.Subspace`` of the kernel modulo the
+Semi-induction ``s_ind`` takes semi-invariants of US ⊗ M under h(u ⊗ m) =
+-u h ⊗ m + u ⊗ h m (forms.semiinvariants on the tensor space), which is
+``model.right`` on US plus the action on M: the invariants are an exact
+kernel of a generating set of h₊, coinvariants an exact quotient, and the
+image at each weight is a ``linalg.Subspace`` of the kernel modulo the
 relations.  The left action descends to it.  At each weight w the tensor
-space's basis is a run of
-blocks US_{w1} ⊗ M_{w-w1}, one per w1 in increasing order, each row-major;
-an action of xi reads rho_US(xi) and rho_M(xi) once per block and writes
-rho(xi) ⊗ 1 and 1 ⊗ rho(xi) from their rows into the target's blocks by
-index arithmetic.  The universal property is the case h = g, checked on S-ind
-from g to g of N.  The Wakimoto module (over the affine algebra, whose
-degree-0 part is not zero) is carved out of the per-weight-finite quotient
-Q = US ⊗_{abar-} C_lambda: the submodule generated by the top vector is
-spanned first, and any missing directions are recovered as exact
-finitely-supported abar+-invariants found by an expanding truncation solve;
-the result is validated against the product-formula character and the
-commutator oracle.  Both constructions build one Subspace per weight: it
-picks the basis, and the descended action reads every image coordinate off
-the same echelon with ``solve_in_span``.  Both the span loop and the
-descended action take images of a whole batch of vectors under one action
-matrix in a single ``SparseMatrix.images`` call, which clears the matrix
-once and sums in exact integers.
+space's basis is a run of blocks US_{w1} ⊗ M_{w-w1}, one per w1 in
+increasing order, each row-major; an action of xi reads rho_US(xi) and
+rho_M(xi) once per block and writes rho(xi) ⊗ 1 and 1 ⊗ rho(xi) from their
+rows into the target's blocks by index arithmetic.  The universal property
+is the case h = g, checked on S-ind from g to g of N.  Over an algebra whose
+degree-0 part is not zero (affine sl2), US is not finite per weight, and
+``s_ind`` of a one-dimensional C_lambda from h is carved out of Q instead:
+the submodule generated by the top vector is spanned first, and any missing
+directions are recovered as exact finitely-supported h+-invariants found by
+an expanding truncation solve; the result is validated against the
+product-formula character and the commutator oracle.  The Wakimoto module is
+S-ind(g, ā, C_lambda).  Both routes build one Subspace per weight: it picks
+the basis, and the descended action reads every image coordinate off the
+same echelon with ``solve_in_span``.  Both the span loop and the descended
+action take images of a whole batch of vectors under one action matrix in a
+single ``SparseMatrix.images`` call, which clears the matrix once and sums
+in exact integers.
 """
 
 from __future__ import annotations
@@ -56,14 +60,13 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .forms import semiinf_cohomology, semiinvariants
-from .liealg import SubalgebraSpec, subalgebra, wt_add, wt_sub, wt_zero
+from .liealg import AlgebraError, SubalgebraSpec, check_closure, subalgebra, wt_add, wt_sub, wt_zero
 from .linalg import SparseMatrix, Subspace, solve_in_span
-from .modules import WeightModule, _lam_str, _lambda_values, _pbw_dims, check_commutators, product_formula_character
+from .modules import WeightModule, _lam_str, _pbw_dims, character_module, check_commutators, product_formula_character
 from .pbw import (
     Order,
     add_scaled,
     compress,
-    descending_order,
     enumerate_pbw_weights,
     evaluate,
     flatten,
@@ -119,11 +122,17 @@ def _jsonable(x):
 
 
 class _PairSpace:
-    """Pairs (q, m) of a dual PBW monomial of U(g+) and a PBW monomial of a
-    negative part, bucketed by weight wt(m) - wt(q) to the given depth, with
-    the left action on equivariant values and the right action through the
-    antipode.  US takes the whole negative part; Q (the Wakimoto quotient)
-    takes a- and reduces the peeled abar- factors to scalars (``reduce_m``).
+    """The quotient Q = US(g) ⊗_{U(h≤0)} C_{lambda+beta} on pairs (q, m) of a
+    dual PBW monomial of U(g+) and a PBW monomial of c≤0, bucketed by weight
+    wt(m) - wt(q) to the given depth, for a subalgebra h holding g's degree-0
+    part, its complement c and lambda, h's values {degree-0 eid: value}.
+    Monomials are PBW in the block order (positive | c | h), descending
+    within each block, so a peeled monomial of U(g≤0) is a c≤0 part and an
+    h≤0 tail, and ``reduce_m`` evaluates lambda+beta on the tail.  US(g) is
+    this space with h = 0 (``h`` None): every nonpositive element is in c,
+    the block order is the descending one and the tail is always empty.
+    The left action is on equivariant values, US's right action goes
+    through the antipode.
 
     Every product the two actions need is computed once per key and kept,
     as tuples sharing their objects, for the life of the instance:
@@ -141,10 +150,10 @@ class _PairSpace:
 
     z ranges over the generators asked for, q', q0 over ``qtab`` and m0
     over the negative monomials of the pair space (and of the truncated
-    invariant space of the Wakimoto completion), so each cache is bounded
-    by the space it serves.  A matrix entry is the same exact sum of the
-    same terms as without the caches, added in another order, so every
-    matrix is unchanged.
+    invariant space of the completion), so each cache is bounded by the
+    space it serves.  A matrix entry is the same exact sum of the same
+    terms as without the caches, added in another order, so every matrix
+    is unchanged.
 
     ``left_matrix`` (and US's ``right_matrix``) builds one matrix and keeps
     none: the space's ``left`` (and US's ``right``) is the ``WeightModule``
@@ -152,13 +161,19 @@ class _PairSpace:
     raises WindowError for an action that leaves the depth.  Every reader
     goes through their ``action``."""
 
-    def __init__(self, alg, name: str, depth: int, order: Order, negative):
-        self.alg = alg
-        self.depth = depth
-        self.order = order
-        self._mul = multiplier(alg, order)
-        self.qtab = enumerate_pbw_weights(subalgebra(alg, "gplus"), depth, order)
-        self.mtab = enumerate_pbw_weights(negative, depth, order)
+    def __init__(self, alg, name: str, depth: int, h=None, lam=None):
+        self.alg, self.depth = alg, depth
+        in_h = self.in_h = h.is_member if h is not None else lambda e: False
+
+        def key(e):
+            d, wgt, i = alg.key(e)
+            return (0 if d > 0 else 2 if in_h(e) else 1, (-d, tuple(-x for x in wgt), -i))
+
+        self.order = Order(key)
+        self._mul = multiplier(alg, self.order)
+        self.qtab = enumerate_pbw_weights(subalgebra(alg, "gplus"), depth, self.order)
+        self.cminus = SubalgebraSpec(alg, "cminus", lambda e: alg.degree(e) <= 0 and not in_h(e))
+        self.mtab = enumerate_pbw_weights(self.cminus, depth, self.order)
         self.weights: dict = {}
         for qw, qs in self.qtab.items():
             for mw, ms in self.mtab.items():
@@ -174,6 +189,8 @@ class _PairSpace:
         self._index = {w: {pair: i for i, pair in enumerate(b)} for w, b in self.weights.items()}
         # dual monomial q -> (the qtab object q, its weight)
         self._duals = {q: (q, qw) for qw, qs in self.qtab.items() for q in qs}
+        # lambda and beta vanish off degree 0, and h holds all of degree 0
+        self._lam_tilde = {e: (lam or {}).get(e, 0) + alg.beta_value(e) for e in alg.elements_of_degree(0)}
         self._words: dict = {}
         self._zq: dict = {}
         self._peels: dict = {}
@@ -191,8 +208,10 @@ class _PairSpace:
         return self.weights.get(tuple(w), [])
 
     def reduce_m(self, mon) -> tuple:
-        """(coefficient, basis monomial) of a peeled monomial: the identity on US."""
-        return 1, mon
+        """Class of a peeled U(g≤0) monomial (a c≤0 part, then an h≤0 tail)
+        in the quotient: (lambda+beta of the tail, the c≤0 part)."""
+        mc, tail = split(mon, self.cminus.is_member)
+        return evaluate(self._lam_tilde, tail), mc
 
     def _peel(self, word, vec: dict) -> dict:
         """Apply f(u y) = -y f(u) + beta(y) f(u) across a negative word."""
@@ -306,10 +325,10 @@ class SemiregularModel(_PairSpace):
         alg.ensure_window(-2 * depth - 4, 2 * depth + 4)
         if alg.elements_of_degree(0):
             raise InductionError(
-                f"{alg.name}: universal semijective materialization needs a vanishing "
-                "degree-0 part; use the staged semi-induction constructors instead"
+                f"{alg.name}: universal semijective materialization needs a vanishing degree-0 part; over one, "
+                "s_ind induces a one-dimensional module from a subalgebra holding it, on US's quotient by its nonpositive part"
             )
-        super().__init__(alg, f"US({alg.name})", depth, descending_order(alg), subalgebra(alg, "gminus"))
+        super().__init__(alg, f"US({alg.name})", depth)
         self.right = WeightModule(alg, f"US({alg.name}) right", self.weights, self.right_matrix, depth)
 
     # the builders sit in each class's own dict, where perfbench/spans.py wraps them
@@ -490,75 +509,61 @@ def s_ind(alg, sub, module: WeightModule, depth: int) -> WeightModule:
     subalgebra action, carrying the left action of the big algebra.
 
     ``sub`` is a subalgebra view of ``alg`` (inherited splitting and beta);
-    ``module`` is a weight module over the view.  The big algebra must have a
-    vanishing degree-0 part (the affine case goes through ``wakimoto``).
+    ``module`` is a weight module over the view.  Over an algebra with a
+    nonzero degree-0 part, ``sub`` must hold that part, its complement must
+    be a subalgebra and ``module`` must be one-dimensional: the module is
+    then built in the quotient of US (``_quotient_s_ind``).
     """
+    alg.ensure_window(-2 * depth - 4, 2 * depth + 4)
+    name = f"S-ind[{sub.name}]({module.name})"
+    if alg.elements_of_degree(0):
+        return _quotient_s_ind(alg, sub, module, depth, name, "s")
     space = _TensorSpace(universal_semijective(alg, depth), module, depth)
     images = semiinvariants(sub, space, depth)
     escaped = "s_ind: left action left the semi-invariant subspace at weight"
-    name = f"S-ind[{sub.name}]({module.name})"
     return _descended_module(alg, name, "s", images, space.left, escaped, depth)
 
 
-# -- Wakimoto ---------------------------------------------------------------------------
-
-
 class WakimotoSpace(_PairSpace):
-    """Q = US(g) ⊗_{U(abar-)} C_{lambda+beta} on pairs (q, m_a); ``left`` is
-    the descended left action of the affine algebra."""
-
-    def __init__(self, alg, lam: dict, depth: int):
-        alg.ensure_window(-2 * depth - 4, 2 * depth + 4)
-        values = _lambda_values(alg, lam)
-        a_view = self.a_view = subalgebra(alg, "a")
-        self.abar_view = subalgebra(alg, "abar")
-
-        def block(e):
-            if alg.degree(e) > 0:
-                return 0
-            return 1 if a_view.is_member(e) else 2
-
-        def key(e):
-            d, wgt, i = alg.key(e)
-            return (block(e), (-d, tuple(-x for x in wgt), -i))
-
-        aminus = SubalgebraSpec(alg, "aminus", lambda e: a_view.is_member(e) and alg.degree(e) <= 0)
-        super().__init__(alg, f"Q({_lam_str(lam)})", depth, Order("wak", key), aminus)
-        # lambda and beta vanish off degree 0, and abar holds all of degree 0
-        self._lam_tilde = {e: values.get(e, 0) + alg.beta_value(e) for e in alg.elements_of_degree(0)}
-
-    def reduce_m(self, mon) -> tuple:
-        """Class of a U(g-) monomial (a- block then abar- block) in the
-        lambda-tilde quotient: (coefficient, a- part monomial)."""
-        ma, tail = split(mon, self.a_view.is_member)
-        return evaluate(self._lam_tilde, tail), ma
+    """Q = US(g) ⊗_{U(h≤0)} C_{lambda+beta} for a subalgebra h holding the
+    degree-0 part (ā for the Wakimoto module); ``left`` is the left action
+    of g that S-ind descends."""
 
     left_matrix = _PairSpace.left_matrix
 
 
-def wakimoto(alg, lam: dict, depth: int) -> WeightModule:
-    """The semi-induced module from the twisted Borel subalgebra.
-
-    Constructed inside the quotient Q (pairs of a dual positive monomial and
-    an a- monomial): the span of the top vector under the big algebra is
-    built first; weights still short of the product-formula character are
-    completed with exact finitely-supported abar+ invariants found by a
-    truncation solve.  Dimensions are certified against the character and
-    the action against the commutator oracle by the callers/tests.
-    """
-    space = WakimotoSpace(alg, lam, depth)
-    target_char = product_formula_character(alg, depth)
+def _quotient_s_ind(alg, sub, module, depth, name, prefix) -> WeightModule:
+    """S-ind of C_lambda from ``sub`` = h, built inside Q (pairs of a dual
+    positive monomial and a c≤0 monomial), lambda read off the module's
+    degree-0 action.  The span of the top vector under g is built first;
+    weights still short of the product-formula character are completed
+    with exact finitely-supported h+ invariants found by a truncation
+    solve.  Dimensions are certified against the character and the action
+    against the commutator oracle by the callers/tests."""
     zero = wt_zero(alg.rank)
+    where = f"s_ind over {alg.name}, whose degree-0 part is not zero"
+    if not isinstance(sub, SubalgebraSpec):
+        raise InductionError(f"{where}: S-ind from {sub.name} to itself is not built; sub must be a subalgebra view")
+    missing = [alg.label(e) for e in alg.elements_of_degree(0) if not sub.is_member(e)]
+    if missing:
+        raise InductionError(f"{where}: {sub.name} must hold that part, and misses {', '.join(missing)}")
+    if list(module.weights) != [zero] or module.dim(zero) != 1:
+        raise InductionError(f"{where}: the module must be one-dimensional at weight 0, and {module.name} is not")
+    try:
+        check_closure(SubalgebraSpec(alg, "complement", lambda e: not sub.is_member(e)), -depth, depth)
+    except AlgebraError as err:
+        raise InductionError(f"{where}: the complement of {sub.name} must be a subalgebra: {err}") from err
+    lam = {e: module.action(e, zero).get(0, 0) for e in alg.elements_of_degree(0)}
+    space = WakimotoSpace(alg, f"Q[{sub.name}]({module.name})", depth, sub, lam)
+    target_char = product_formula_character(alg, depth)
     spans = {zero: Subspace().extend([[int(pair == ((), ())) for pair in space.basis(zero)]])}
-    lowering = [e for e in alg.elements_in_degrees(-depth, -1)]
-    order_weights = sorted(space.weights, key=lambda w: -alg.ell(w))
-    for w in order_weights:
+    for w in sorted(space.weights, key=lambda w: -alg.ell(w)):
         if w == zero:
             continue
         # one echelon per weight: it picks the basis here and reads every
         # image coordinate of the descended action later
         span = Subspace()
-        for z in lowering:
+        for z in alg.elements_in_degrees(-depth, -1):  # the lowering operators
             src = wt_sub(w, alg.weight(z))
             if src in spans:
                 span.extend(space.left.action(z, src).images(spans[src].basis))
@@ -566,38 +571,46 @@ def wakimoto(alg, lam: dict, depth: int) -> WeightModule:
         if len(span) < want:
             _invariant_completion(space, w, span, want)
         if len(span) != want:
-            raise InductionError(f"wakimoto: weight {w}: spanned {len(span)} of {want} expected dimensions")
+            raise InductionError(f"{name}: weight {w}: spanned {len(span)} of {want} expected dimensions")
         if span:
             spans[w] = span
-    escaped = "wakimoto: action escaped the constructed submodule at"
-    return _descended_module(alg, f"W({_lam_str(lam)})", "w", spans, space.left.action, escaped, depth)
+    escaped = f"{name}: action escaped the constructed submodule at"
+    return _descended_module(alg, name, prefix, spans, space.left.action, escaped, depth)
 
 
-# longest abar- tail the invariant completion tries before giving up
+def wakimoto(alg, lam: dict, depth: int) -> WeightModule:
+    """The Wakimoto module W(lambda) = S-ind(g, ā, C_lambda), with W's name
+    and ``w`` labels."""
+    alg.ensure_window(-2 * depth - 4, 2 * depth + 4)
+    abar = subalgebra(alg, "abar")
+    return _quotient_s_ind(alg, abar, character_module(abar, lam, depth), depth, f"W({_lam_str(lam)})", "w")
+
+
+# longest h≤0 tail the invariant completion tries before giving up
 _TAIL_CAP = 3
 
 
 def _invariant_completion(space, w, span, want):
     """Extend ``span``, the Subspace of Q at weight w, to at least ``want``
-    vectors with projections of exact finitely-supported abar+ invariants
+    vectors with projections of exact finitely-supported h+ invariants
     of US ⊗ C_lambda (expanding truncation solve).  The span keeps its
     basis first and adds the independent projections after it.
 
-    X is spanned by triples (q, m_a, m_abar); the truncation bounds the
-    abar- tail length.  A triple projects to Q as the pair space reduces
-    a peeled monomial: ``reduce_m`` of m_a·m_abar evaluates lambda-tilde on
+    X is spanned by triples (q, m_c, m_h); the truncation bounds the
+    h≤0 tail length.  A triple projects to Q as the pair space reduces
+    a peeled monomial: ``reduce_m`` of m_c·m_h evaluates lambda+beta on
     the tail.  Each projection is a dense vector over Q's basis at w, which
     is what the span and ``SparseMatrix.images`` read.  Invariance under
-    every relevant positive abar element is imposed exactly (conditions
+    every relevant positive element of h is imposed exactly (conditions
     land in a once-extended truncation), so every solution projects into
-    the Wakimoto subspace.
+    the semi-induced subspace.
     A tail's kernel holds every shorter tail's kernel, so the projections a
     short tail adds stay in the span that a longer one reaches.  Raises
     InductionError when tails of length _TAIL_CAP still fall short.
     """
     alg = space.alg
     budget = -alg.ell(w)
-    etas = [e for e in alg.elements_in_degrees(1, max(budget, 1)) if space.abar_view.is_member(e)]
+    etas = [e for e in alg.elements_in_degrees(1, max(budget, 1)) if space.in_h(e)]
     for tail_len in range(1, _TAIL_CAP + 1):
         xbasis = _truncated_x_basis(space, w, tail_len)
         if not xbasis:
@@ -611,37 +624,34 @@ def _invariant_completion(space, w, span, want):
         index = space._index[w]
         for k in kernel:
             vec = [0] * space.dim(w)
-            for c, (q, ma, mbar) in zip(k, xbasis):
+            for c, (q, mc, mh) in zip(k, xbasis):
                 if c:
-                    coeff, m = space.reduce_m(ma + mbar)
+                    coeff, m = space.reduce_m(mc + mh)
                     if coeff:
                         vec[index[(q, m)]] += c * coeff
             span.extend([vec])  # a zero projection is dropped
         if len(span) >= want:
             return
     raise InductionError(
-        f"wakimoto: weight {w}: invariant completion spans {len(span)} of {want} dimensions "
-        f"with abar- tails up to the cap of length {_TAIL_CAP}"
+        f"s_ind: weight {w}: invariant completion spans {len(span)} of {want} dimensions "
+        f"with h≤0 tails up to the cap of length {_TAIL_CAP}"
     )
 
 
 def _truncated_x_basis(space, w, tail_len: int):
-    """Sorted triples (q, m_a, m_abar) of weight w with abar- tail of
-    length at most ``tail_len``.
+    """Sorted triples (q, m_c, m_h) of weight w with h≤0 tail of length at
+    most ``tail_len``.
 
-    The tails are the multisets of abar- elements of each length 0..tail_len,
+    The tails are the multisets of h≤0 elements of each length 0..tail_len,
     not ``monomials_by_weight``'s table: a length cap is not a degree budget.
     The degree-0 elements 1⊗h, K and d cost no degree, so a degree-budget
     superset cut down by length would enumerate far more monomials than it
     keeps."""
     alg = space.alg
-    abar_neg = sorted(
-        (e for e in alg.elements_in_degrees(-space.depth, 0) if space.abar_view.is_member(e)),
-        key=space.order.key,
-    )
+    h_neg = sorted((e for e in alg.elements_in_degrees(-space.depth, 0) if space.in_h(e)), key=space.order.key)
     tails_by_weight: dict = {}
     for n in range(tail_len + 1):
-        for word in combinations_with_replacement(abar_neg, n):
+        for word in combinations_with_replacement(h_neg, n):
             tail = compress(word)
             tails_by_weight.setdefault(monomial_weight(alg, tail), []).append(tail)
     out = set()
@@ -659,13 +669,13 @@ def _right_action_rows(space, eta, xbasis):
     """Rows of r_eta on the truncated X, exact conditions.  Invariance is
     the kernel of -r_eta, which is the kernel of r_eta.
 
-    The action may lengthen the abar tail by bounded amounts, so rows are
+    The action may lengthen the h≤0 tail by bounded amounts, so rows are
     keyed by the target pair (q, m) as it turns up, in first-seen order;
     the kernel depends only on the row space.
     """
     rows: dict = {}
-    for ci, (q0, ma, mbar) in enumerate(xbasis):
-        for q, m, c in space._right_terms(q0, ma + mbar, eta):
+    for ci, (q0, mc, mh) in enumerate(xbasis):
+        for q, m, c in space._right_terms(q0, mc + mh, eta):
             row = rows.setdefault((q, m), {})
             row[ci] = row.get(ci, 0) + c
     return [{c: v for c, v in row.items() if v} for row in rows.values()]

@@ -91,7 +91,6 @@ class GradedLieAlgebra:
         self._beta: dict = {}
         self._win_lo = 0
         self._win_hi = -1  # empty window
-        self._memos: dict = {}
         # semi-infinite form monomials per ell, built once (see forms._forms_at)
         self._form_index: dict = {}
         self._tail_counts: dict = {}  # see forms._tail_above
@@ -378,11 +377,10 @@ class SubalgebraSpec:
     """A graded subalgebra view sharing the parent's basis element ids.
 
     The view reads everything but membership off the parent: its degree,
-    weight, label, key and window queries are the parent's own methods, and
-    its memos are the parent's.  Each degree's member list is kept once the
-    parent has materialized that degree (a materialized degree never
-    changes).  The built-in subalgebra a of affine sl2 is such a view,
-    ``subalgebra(build_affine_sl2(), "a")``.
+    weight, label, key and window queries are the parent's own methods.
+    Each degree's member list is kept once the parent has materialized that
+    degree (a materialized degree never changes).  The built-in subalgebra
+    a of affine sl2 is such a view, ``subalgebra(build_affine_sl2(), "a")``.
     """
 
     def __init__(self, parent, name, member):
@@ -399,7 +397,6 @@ class SubalgebraSpec:
         self.label = parent.label
         self.key = parent.key
         self.beta_value = parent.beta_value
-        self._memos = parent._memos
         self._by_degree: dict[int, list[int]] = {}
         self._form_index: dict = {}
         self._tail_counts: dict = {}  # see forms._tail_above

@@ -7,7 +7,7 @@ a Fraction otherwise (integral structure constants keep every straightened
 coefficient an int).  Every product is one recursion, ``induced_action``,
 on the PBW basis vectors of an induced module.  U(g) is induced from the
 zero subalgebra, so ``multiplier`` gives e·mon in U(g), memoized per
-(algebra, order), and a word straightens as a right-to-left fold of it;
+order, and a word straightens as a right-to-left fold of it;
 the Verma-type modules of ``modules`` run it with a character.  A
 character with denominators is cleared once: the recursion runs on q
 times its values, q the lcm of their denominators, and then returns q
@@ -20,9 +20,10 @@ recursion is the plain one.  The PBW form is unique, which the tests
 check against two straighteners that rewrite whole words.
 
 Orders: the canonical order (degree, weight, index) from the algebra and
-its reverse (positive part first); any Order(tag, key) works, as the
-Wakimoto block order in induction does.  An order caches its key per basis
-id.
+its reverse (positive part first); any Order(key) works, as the block
+order of induction's pair spaces does.  An order caches its key per basis
+id and keeps the product memo of ``multiplier``: two orders never share
+products, whatever their keys.
 
 ``monomials_by_weight`` is the one monomial enumerator (PBW monomials, and
 wedges with exponents capped at 1).  It walks the elements in the order's
@@ -56,11 +57,12 @@ class _KeyCache(dict):
 
 
 class Order:
-    """Total order on basis elements: sort key plus a memoization tag."""
+    """Total order on the basis elements of one algebra: its sort key, and
+    the memo of products straightened in it."""
 
-    def __init__(self, tag: str, key):
-        self.tag = tag
+    def __init__(self, key):
         self.key = _KeyCache(key).__getitem__
+        self.memo: dict = {}
 
 
 def canonical_order(alg) -> Order:
@@ -69,7 +71,7 @@ def canonical_order(alg) -> Order:
     This is the factorization order U = U(g_{<0}) U(g_0) U(g_+) behind Verma
     and contragredient Verma modules.
     """
-    return Order("canon", alg.key)
+    return Order(alg.key)
 
 
 def descending_order(alg) -> Order:
@@ -83,7 +85,7 @@ def descending_order(alg) -> Order:
         d, w, i = alg.key(e)
         return (-d, tuple(-x for x in w), -i)
 
-    return Order("desc", key)
+    return Order(key)
 
 
 # -- monomial helpers ----------------------------------------------------------
@@ -207,9 +209,9 @@ def induced_action(alg, free, order: Order, values: dict, sign: int, memo: dict,
 
 
 def multiplier(alg, order: Order):
-    """act(e, mon) = e·mon in U(g), PBW form in ``order``, memoized per
-    (algebra, order) in ``alg._memos``."""
-    return induced_action(alg, None, order, {}, 1, alg._memos.setdefault(("no", order.tag), {}))
+    """act(e, mon) = e·mon in U(g), PBW form in ``order``, memoized in
+    ``order.memo``."""
+    return induced_action(alg, None, order, {}, 1, order.memo)
 
 
 def _fold(act, word, vec: dict) -> dict:

@@ -174,7 +174,7 @@ def reference_bimodule(model, gen_window, weights=None):
 # An independent reference for the product recursion behind normal_order_word,
 # the pair spaces of induction and the induced modules: it rewrites the
 # leftmost out-of-order adjacent pair x·y -> y·x + [x, y] of a whole word,
-# memoized per (algebra, order) on every intermediate word.  test_pbw's
+# memoized per order on every intermediate word.  test_pbw's
 # slow_straighten rewrites the rightmost pair first.
 
 _STRAIGHTEN_MEMOS: WeakKeyDictionary = WeakKeyDictionary()
@@ -182,7 +182,7 @@ _STRAIGHTEN_MEMOS: WeakKeyDictionary = WeakKeyDictionary()
 
 def straighten(alg, word, order):
     """PBW form {monomial: coefficient} of a word of basis ids in ``order``."""
-    memo = _STRAIGHTEN_MEMOS.setdefault(alg, {}).setdefault(order.tag, {})
+    memo = _STRAIGHTEN_MEMOS.setdefault(order, {})
     return _straighten(alg, tuple(word), order.key, memo)
 
 

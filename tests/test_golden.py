@@ -27,7 +27,7 @@ from semiflex import output
 from semiflex.cli import main
 from semiflex.forms import semiinf_cohomology
 from semiflex.induction import s_ind, universal_semijective, wakimoto
-from semiflex.liealg import build_affine_sl2, dump_algebra, load_algebra, subalgebra
+from semiflex.liealg import SubalgebraSpec, build_affine_sl2, dump_algebra, load_algebra, subalgebra
 from semiflex.modules import character_module, coverma, verma
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -179,6 +179,11 @@ def _a():
     return load_algebra("subalgebra_a")
 
 
+def _s_ind_affine(sub):
+    """S-ind(ĝ, sub, C_lambda) at HISTORY_LAMBDA, D=5, built on sub's algebra."""
+    return s_ind(sub.parent, sub, character_module(sub, HISTORY_LAMBDA, 5), 5)
+
+
 # (fresh algebra, dump, module built on it): module dumps list bases and
 # actions at D=5, forms dumps the bases of the module's complex over the
 # same algebra at D=4
@@ -187,6 +192,8 @@ HISTORY_DUMPS = {
     "coverma": (build_affine_sl2, "module", lambda g: coverma(g, HISTORY_LAMBDA, 5)),
     "wakimoto": (build_affine_sl2, "module", lambda g: wakimoto(g, HISTORY_LAMBDA, 5)),
     "s_ind": (_a, "module", lambda a: s_ind(a, subalgebra(a, "loop-nminus"), character_module(a, {}, 5), 5)),
+    "S-ind from abar": (build_affine_sl2, "module", lambda g: _s_ind_affine(subalgebra(g, "abar"))),
+    "S-ind from b": (build_affine_sl2, "module", lambda g: _s_ind_affine(SubalgebraSpec(g, "b", lambda e: g.degree(e) >= 0))),
     "US(a) forms": (_a, "forms", lambda a: universal_semijective(a, 4).left),
     "verma over a forms": (_a, "forms", lambda a: verma(a, {}, 4)),
     "M(-4, -4, 0) forms": (build_affine_sl2, "forms", lambda g: verma(g, {"1⊗h": -4, "K": -4, "d": 0}, 4)),

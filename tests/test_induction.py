@@ -35,10 +35,11 @@ from semiflex.induction import (
     universal_semijective,
     wakimoto,
 )
-from semiflex.liealg import WindowError, load_algebra, subalgebra, wt_add, wt_sub, wt_zero
+from semiflex.liealg import SubalgebraSpec, WindowError, load_algebra, subalgebra, wt_add, wt_sub, wt_zero
 from semiflex.linalg import SparseMatrix, Subspace
 from semiflex.modules import (
     WeightModule,
+    _lambda_values,
     ce_cohomology,
     character,
     character_module,
@@ -102,7 +103,7 @@ def test_descended_action_reads_image_coordinates_and_detects_escapes():
 
 
 def test_us_requires_vanishing_degree_zero(sl2):
-    with pytest.raises(InductionError):
+    with pytest.raises(InductionError, match="vanishing degree-0 part; over one, s_ind induces"):
         universal_semijective(sl2, 2)
 
 
@@ -353,8 +354,6 @@ def test_shapiro_main_case(loop_a):
 
 
 def test_shapiro_identity_case(loop_a):
-    from semiflex.liealg import SubalgebraSpec
-
     # h = g as a (full) subalgebra view: S-ind M is isomorphic to M
     h = SubalgebraSpec(loop_a, "all", lambda e: True)
     M = character_module(loop_a, {}, 2)
@@ -422,6 +421,84 @@ def test_shapiro_with_induced_coefficients(loop_a):
     assert verdict.passed
 
 
+# lambda = (h, K, d) -> the one weight of H(ā, C_lambda)'s cells and its
+# ghost degrees, each block with dims 1, 3, 3, 1 (None: no cells), at D=4
+SHAPIRO_CELLS = {
+    (-4, -4, 0): ((1, -1), range(-4, 0)),
+    (0, -4, -1): ((-1, 0), range(-2, 2)),
+    (2, -4, 0): ((-2, -1), range(-1, 3)),
+    (0, 1, 0): None,
+    (0, -2, 0): None,
+}
+
+
+def _hkd(hkd):
+    return dict(zip(("1⊗h", "K", "d"), hkd))
+
+
+def _borel(g):
+    return SubalgebraSpec(g, "b", lambda e: g.degree(e) >= 0)
+
+
+@pytest.mark.parametrize("hkd", list(SHAPIRO_CELLS), ids=str)
+def test_shapiro_over_affine_sl2_from_abar_is_the_wakimoto_table(sl2, hkd):
+    """Shapiro's lemma over all of affine sl2: S-ind from ā of C_lambda is
+    W(lambda), through s_ind with no dispatch, and its ĝ table is H(ā, C_lambda)."""
+    lam, abar = _hkd(hkd), subalgebra(sl2, "abar")
+    verdict, table_h, table_g = check_shapiro(sl2, abar, character_module(abar, lam, 4), 4)
+    assert verdict.passed
+    assert table_g.same_dims(semiinf_cohomology(sl2, wakimoto(sl2, lam, 4), 4))[0]
+    cells = SHAPIRO_CELLS[hkd]
+    want = [] if cells is None else [(cells[0], n, dim) for n, dim in zip(cells[1], (1, 3, 3, 1))]
+    assert table_h.nonzero() == want
+
+
+@pytest.mark.parametrize("hkd", list(SHAPIRO_CELLS), ids=str)
+def test_shapiro_over_affine_sl2_from_b_and_b_minus(sl2, hkd):
+    """S-ind from b = ĝ≥0 has the Verma module's ĝ table and from b₋ =
+    ĝ≤0 the contragredient one's; both pass Shapiro, and S-ind from b the
+    commutator oracle."""
+    lam = _hkd(hkd)
+    for sub, module in ((_borel(sl2), verma), (subalgebra(sl2, "gminus"), coverma)):
+        verdict, _th, table_g = check_shapiro(sl2, sub, character_module(sub, lam, 4), 4)
+        assert verdict.passed
+        assert table_g.same_dims(semiinf_cohomology(sl2, module(sl2, lam, 4), 4))[0]
+    b = _borel(sl2)
+    assert check_commutators(s_ind(sl2, b, character_module(b, lam, 4), 4), (-2, 2)) == []
+
+
+def test_shapiro_over_affine_sl2_tells_w_from_verma_types(sl2):
+    """Controls: H(ā, C_lambda) is not M(lambda)'s ĝ table at (-4, -4, 0),
+    nor M(lambda)^∨'s at (0, -4, -1)."""
+    abar = subalgebra(sl2, "abar")
+    for hkd, module in (((-4, -4, 0), verma), ((0, -4, -1), coverma)):
+        lam = _hkd(hkd)
+        table_h = semiinf_cohomology(abar, character_module(abar, lam, 4), 4)
+        assert not table_h.same_dims(semiinf_cohomology(sl2, module(sl2, lam, 4), 4))[0]
+
+
+S_IND_PRECONDITIONS = {
+    "sub misses degree 0 (gplus)": (lambda g: subalgebra(g, "gplus"), character_module, r"affine_sl2:gplus must hold that part, and misses 1⊗h, K, d"),
+    "sub misses degree 0 (loop-nminus)": (lambda g: subalgebra(g, "loop-nminus"), character_module, r"affine_sl2:loop-nminus must hold that part"),
+    "module not one-dimensional": (lambda g: subalgebra(g, "abar"), verma, r"the module must be one-dimensional at weight 0, and V\(.*\) is not"),
+    "sub is the whole algebra": (lambda g: g, character_module, r"S-ind from affine_sl2 to itself is not built"),
+    # e and f lie in the complement of the Heisenberg part, [e, f] = h does not
+    "complement not closed": (
+        lambda g: SubalgebraSpec(g, "heis", lambda e: g.weight(e)[0] == 0),
+        character_module,
+        r"the complement of affine_sl2:heis must be a subalgebra: .* leaves the subalgebra",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(S_IND_PRECONDITIONS))
+def test_s_ind_over_a_degree_zero_part_names_its_precondition(sl2, case):
+    pick, build, message = S_IND_PRECONDITIONS[case]
+    sub = pick(sl2)
+    with pytest.raises(InductionError, match=r"s_ind over affine_sl2, whose degree-0 part is not zero: " + message):
+        s_ind(sl2, sub, build(sub, {}, 3), 3)
+
+
 def test_wakimoto_critical_level(sl2):
     lam = {"1⊗h": Fraction(0), "K": Fraction(-4), "d": Fraction(0)}
     W = wakimoto(sl2, lam, 4)
@@ -432,7 +509,7 @@ def test_wakimoto_critical_level(sl2):
 
 
 def test_invariant_completion_names_weight_and_cap_when_it_runs_out(sl2, lam01):
-    space = WakimotoSpace(sl2, lam01, 3)
+    space = _wakimoto_space(sl2, lam01, 3)
     w = (2, -2)  # where the co-singular direction of lambda = (0, 1) is completed
     want = space.dim(w) + 1
     with pytest.raises(InductionError, match=rf"weight \(2, -2\): .* of {want} dimensions .*cap of length 3"):
@@ -850,7 +927,7 @@ def _uncached_truncated_x_basis(space, w, tail_len):
     re-summed for every (q, m) weight pair."""
     alg = space.alg
     abar_neg = sorted(
-        (e for e in alg.elements_in_degrees(-space.depth, 0) if space.abar_view.is_member(e)),
+        (e for e in alg.elements_in_degrees(-space.depth, 0) if space.in_h(e)),
         key=space.order.key,
     )
     tails = [()]
@@ -882,6 +959,12 @@ def _lam(h, k):
     return {"1⊗h": Fraction(h), "K": Fraction(k), "d": Fraction(0)}
 
 
+def _wakimoto_space(alg, lam, depth):
+    """The quotient Q that ``wakimoto`` builds: h = ā, lambda on its degree-0 part."""
+    alg.ensure_window(-2 * depth - 4, 2 * depth + 4)
+    return WakimotoSpace(alg, "Q", depth, subalgebra(alg, "abar"), _lambda_values(alg, lam))
+
+
 def _completion_weights(monkeypatch, alg, lam, depth):
     """Weights at which wakimoto(alg, lam, depth) runs the invariant completion."""
     fired = []
@@ -911,9 +994,9 @@ def _assert_caches_bounded(space):
     for word, m0 in space._peels:
         assert space._words[word] is word and m0 in mons
     for m0, _z in space._mz:
-        if m0 not in mons:  # a triple (q, m_a, m_abar) of the completion's X
-            ma, tail = split(m0, space.a_view.is_member)
-            assert ma in mons and all(space.abar_view.is_member(e) and alg.degree(e) <= 0 for e, _k in tail)
+        if m0 not in mons:  # a triple (q, m_c, m_h) of the completion's X
+            ma, tail = split(m0, lambda e: not space.in_h(e))
+            assert ma in mons and all(space.in_h(e) and alg.degree(e) <= 0 for e, _k in tail)
     for q0, p in space._pairings:
         assert q0 in space._duals and p and all(alg.degree(e) > 0 for e, _k in p)
 
@@ -941,7 +1024,7 @@ def test_us_actions_match_the_uncached_loops(loop_a):
 
 @pytest.mark.parametrize("lam", [_lam(Fraction(2, 3), Fraction(1, 2)), _lam(0, 1)], ids=["2/3,1/2", "0,1"])
 def test_wakimoto_left_action_matches_the_uncached_loop(sl2, lam):
-    space = WakimotoSpace(sl2, lam, 5)
+    space = _wakimoto_space(sl2, lam, 5)
     left = _uncached_module(space.left, lambda z, w: _uncached_left_action(space, z, w, space.reduce_m))
     checked = 0
     for w in space.weights:
@@ -989,9 +1072,9 @@ def test_truncated_x_basis_and_right_rows_match_the_uncached_loops(sl2, monkeypa
     lam = _lam(*hk)
     weights = _completion_weights(monkeypatch, sl2, lam, 6)
     assert weights
-    space = WakimotoSpace(sl2, lam, 6)
+    space = _wakimoto_space(sl2, lam, 6)
     for w in weights:
-        etas = [e for e in sl2.elements_in_degrees(1, -sl2.ell(w)) if space.abar_view.is_member(e)]
+        etas = [e for e in sl2.elements_in_degrees(1, -sl2.ell(w)) if space.in_h(e)]
         for tail_len in (1, 2, 3):
             xbasis = _truncated_x_basis(space, w, tail_len)
             assert xbasis == _uncached_truncated_x_basis(space, w, tail_len), (w, tail_len)
@@ -1023,7 +1106,7 @@ def test_left_action_straightens_nothing_it_has_seen(sl2, monkeypatch):
 
     monkeypatch.setattr(induction, "normal_order_word", counting)
     monkeypatch.setattr(induction, "multiplier", counting_multiplier)
-    space = WakimotoSpace(sl2, _lam(Fraction(2, 3), Fraction(1, 2)), 5)
+    space = _wakimoto_space(sl2, _lam(Fraction(2, 3), Fraction(1, 2)), 5)
     z = sl2.by_label("z^-1⊗f")
     ell_z = sl2.ell(sl2.weight(z))
     # the weights whose image under z stays within the depth
@@ -1049,7 +1132,7 @@ def test_pair_space_actions_below_the_depth_are_errors(sl2, loop_a, lam01):
     """An action whose target lies below the depth raises WindowError on US
     (left and right) and on the Wakimoto quotient Q alike; Q used to return
     the matrix with every row of the target cut off."""
-    us, q = universal_semijective(loop_a, 3), WakimotoSpace(sl2, lam01, 3)
+    us, q = universal_semijective(loop_a, 3), _wakimoto_space(sl2, lam01, 3)
     for module, dim in ((us.left, 1), (us.right, 1), (q.left, 4)):
         alg = module.alg
         z = alg.by_label("z^-1⊗f")

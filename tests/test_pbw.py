@@ -10,6 +10,7 @@ from semiflex.liealg import SubalgebraSpec, WindowError, build_affine_sl2, load_
 from semiflex.pbw import (
     EMPTY,
     InfiniteEnumerationError,
+    Order,
     canonical_order,
     compress,
     descending_order,
@@ -58,6 +59,26 @@ def test_straightening_examples_descending(sl2):
     assert got2 == {"z⊗e·z^-1⊗f": 1, "1⊗h": -1, "K": -1}
 
 
+@pytest.mark.parametrize("first", [0, 1], ids=["key first", "opposite first"])
+def test_orders_over_one_algebra_keep_their_own_products(first):
+    """Two orders over one algebra, with opposite keys, each straighten
+    f·e to their own PBW form, whichever straightens first: the product
+    memo belongs to the order."""
+    alg = build_affine_sl2()
+    f, e, h = (alg.by_label(x) for x in ("1⊗f", "1⊗e", "1⊗h"))
+
+    def opposite(x):
+        d, w, i = alg.key(x)
+        return (-d, tuple(-c for c in w), -i)
+
+    # the algebra's key has f < e, the opposite one e < f
+    orders = [Order(alg.key), Order(opposite)]
+    want = [{((f, 1), (e, 1)): 1}, {((e, 1), (f, 1)): 1, ((h, 1),): -1}]
+    for i in (first, 1 - first):
+        assert normal_order_word(alg, (f, e), orders[i]) == want[i]
+        assert multiply(alg, {((f, 1),): 1}, {((e, 1),): 1}, orders[i]) == want[i]
+
+
 def test_already_ordered_word_is_monomial(sl2):
     e = sl2.by_label("1⊗e")
     assert normal_order_word(sl2, (e, e), canonical_order(sl2)) == {((e, 2),): Fraction(1)}
@@ -100,7 +121,7 @@ def test_a_long_reversed_word_straightens():
     order = canonical_order(alg)
     got = normal_order_word(alg, word, order)
     assert got == {tuple((e, 1) for e in reversed(word)): 1}
-    memo = alg._memos[("no", order.tag)]
+    memo = order.memo
     assert memo
     for key in memo:
         eid, mon = key
