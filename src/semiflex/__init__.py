@@ -34,6 +34,7 @@ from .modules import (
     coverma,
     direct_sum,
     product_formula_character,
+    tensor,
     verma,
 )
 from .forms import (

@@ -478,9 +478,10 @@ def semiinvariants(alg, module, depth: int) -> dict:
 
     ``module`` is anything with ``alg``, ``action``, ``weights``, ``dim``
     and ``depth``, over an algebra that numbers its basis as ``alg`` does
-    (AlgebraError otherwise): a weight module, or US ⊗ M under the
-    diagonal action (which is how semi-induction calls it).  Coinvariants: quotient by the images
-    of xi + beta(xi) from source weights with -module.depth <= ell <= 0.
+    (AlgebraError otherwise): a weight module, such as the tensor product
+    US ⊗ M under the diagonal action that semi-induction passes.
+    Coinvariants: quotient by the images of xi + beta(xi) from source
+    weights with -module.depth <= ell <= 0.
     The image at w is ``Subspace(relations).extend(kernel)``: the kernel
     vectors independent modulo the relations, first ones first, on one
     echelon that ``solve_in_span`` later reads image coordinates from.

@@ -30,16 +30,13 @@ q' of its target weight's basis: a row (q', m) can take a term of z·q' only
 for such a q'.
 
 Semi-induction ``s_ind`` takes semi-invariants of US ⊗ M under h(u ⊗ m) =
--u h ⊗ m + u ⊗ h m (forms.semiinvariants on the tensor space), which is
-``model.right`` on US plus the action on M: the invariants are an exact
-kernel of a generating set of h₊, coinvariants an exact quotient, and the
-image at each weight is a ``linalg.Subspace`` of the kernel modulo the
-relations.  The left action descends to it.  At each weight w the tensor
-space's basis is a run of blocks US_{w1} ⊗ M_{w-w1}, one per w1 in
-increasing order, each row-major; an action of xi reads rho_US(xi) and
-rho_M(xi) once per block and writes rho(xi) ⊗ 1 and 1 ⊗ rho(xi) from their
-rows into the target's blocks by index arithmetic.  The universal property
-is the case h = g, checked on S-ind from g to g of N.  Over an algebra whose
+-u h ⊗ m + u ⊗ h m (forms.semiinvariants on ``modules.tensor`` of
+``model.right`` and M): the invariants are an exact kernel of a generating
+set of h₊, coinvariants an exact quotient, and the image at each weight is
+a ``linalg.Subspace`` of the kernel modulo the relations.  The left action
+descends to it from the tensor of ``model.left`` and M's weight spaces
+with the zero action, which has the same basis.  The universal property is
+the case h = g, checked on S-ind from g to g of N.  Over an algebra whose
 degree-0 part is not zero (affine sl2), US is not finite per weight, and
 ``s_ind`` of a one-dimensional C_lambda from h is carved out of Q instead:
 the submodule generated by the top vector is spanned first, and any missing
@@ -62,7 +59,7 @@ from itertools import combinations_with_replacement
 from .forms import semiinf_cohomology, semiinvariants
 from .liealg import AlgebraError, SubalgebraSpec, check_closure, subalgebra, wt_add, wt_sub, wt_zero
 from .linalg import SparseMatrix, Subspace, solve_in_span
-from .modules import WeightModule, _lam_str, _pbw_dims, character_module, check_commutators, product_formula_character
+from .modules import WeightModule, _lam_str, _pbw_dims, character_module, check_commutators, product_formula_character, tensor
 from .pbw import (
     Order,
     add_scaled,
@@ -355,34 +352,37 @@ def universal_semijective(alg, depth: int) -> SemiregularModel:
 # -- structural checks for US ---------------------------------------------------------
 
 
-def _dim_diffs(model: SemiregularModel) -> dict:
-    """{w: (got, expected)} wherever the pair space's graded dimensions
-    differ from those of U(g+)* (at negated weights) ⊗ U(g-): each factor is
-    expanded by PBW from the basis of g+ or g- (``_pbw_dims``, independent
-    of the monomial tables the pair space is built from), and the expected
-    dimension at w sums the products at wt(m) - wt(q) = w."""
-    alg, depth = model.alg, model.depth
+def _dim_diffs(got: dict, expected: dict) -> dict:
+    """{w: (got, expected)} wherever two graded dimensions differ, a
+    missing weight counting as 0."""
+    return {w: (got.get(w, 0), expected.get(w, 0)) for w in set(got) | set(expected) if got.get(w, 0) != expected.get(w, 0)}
+
+
+def _us_dims(alg, depth: int) -> dict:
+    """The graded dimensions of U(g+)* (at negated weights) ⊗ U(g-): each
+    factor is expanded by PBW from the basis of g+ or g- (``_pbw_dims``,
+    independent of the monomial tables the pair space is built from), and
+    the dimension at w sums the products at wt(m) - wt(q) = w."""
     plus = _pbw_dims(alg, [alg.weight(e) for e in alg.elements_in_degrees(1, depth)], depth)
     minus = _pbw_dims(alg, [alg.weight(e) for e in alg.elements_in_degrees(-depth, -1)], depth)
-    expected: dict = {}
+    dims: dict = {}
     for qw, qdim in plus.items():
         for mw, mdim in minus.items():
             w = wt_sub(mw, qw)
             if alg.ell(w) >= -depth:
-                expected[w] = expected.get(w, 0) + qdim * mdim
-    got = {w: len(b) for w, b in model.weights.items()}
-    return {w: (got.get(w, 0), expected.get(w, 0)) for w in set(got) | set(expected) if got.get(w, 0) != expected.get(w, 0)}
+                dims[w] = dims.get(w, 0) + qdim * mdim
+    return dims
 
 
 def check_us(alg, depth: int) -> tuple[Verdict, Verdict]:
     """The verdicts "prop-iso" and "prop-iso-1" on one US(alg) model.
 
     Both compare the graded dimensions with those of U(g+)* ⊗ U(g-)
-    (``_dim_diffs``, computed once).  "prop-iso" adds the oracle of the
+    (``_us_dims``, compared once).  "prop-iso" adds the oracle of the
     right action, "prop-iso-1" that of the left action and the bimodule
     check, that the two actions commute."""
     model = universal_semijective(alg, depth)
-    diffs = _dim_diffs(model)
+    diffs = _dim_diffs({w: len(b) for w, b in model.weights.items()}, _us_dims(alg, depth))
     window = (-min(depth, 3), min(depth, 3))
     right = check_commutators(model.right, window)
     left = check_commutators(model.left, window)
@@ -395,99 +395,16 @@ def check_us(alg, depth: int) -> tuple[Verdict, Verdict]:
 # -- semi-induction --------------------------------------------------------------------
 
 
-class _TensorSpace:
-    """US ⊗ M for the US model and a weight module M, materialized per
-    weight w as a run of blocks US_{w1} ⊗ M_{w2}, w2 = w - w1, one per w1
-    in increasing order, each row-major in (i, j) for basis vector i of US
-    at w1 and j of M at w2: (i, j) sits at start + i * dim M_{w2} + j.
-    ``_blocks[w]`` maps each w1 to (start, w2) and ``weights[w]`` is the
-    dimension at w."""
+def _descended_module(alg, name, prefix, spans, ambient, escaped, depth) -> WeightModule:
+    """Descend the action of the weight module ``ambient`` to per-weight
+    subquotients.
 
-    def __init__(self, model, module, depth: int):
-        self.model, self.module = model, module
-        self.alg = model.alg
-        self.depth = depth
-        self.weights: dict = {}
-        self._blocks: dict = {}
-        for w1 in sorted(model.weights):
-            for w2 in module.weights:
-                w = wt_add(w1, w2)
-                if self.alg.ell(w) < -depth:
-                    continue
-                blocks = self._blocks.setdefault(w, {})
-                start = self.weights.setdefault(w, 0)
-                size = model.dim(w1) * module.dim(w2)
-                if size:
-                    blocks[w1] = (start, w2)
-                    self.weights[w] = start + size
-
-    def dim(self, w):
-        return self.weights.get(tuple(w), 0)
-
-    def action(self, xi: int, w) -> SparseMatrix:
-        """The diagonal action: xi acting as -(right multiplication) on US
-        (``model.right``) plus rho_M(xi) on M."""
-        return self._action(xi, w, self.model.right.action, self.module.action)
-
-    def left(self, xi: int, w) -> SparseMatrix:
-        """The left action of xi on the US factor."""
-        return self._action(xi, w, self.model.left.action, None)
-
-    def _action(self, xi: int, w, us_op, module_op) -> SparseMatrix:
-        """``us_op``(xi) ⊗ 1 plus, unless ``module_op`` is None,
-        1 ⊗ ``module_op``(xi), written block by block.  Each source block
-        reads its US factor matrix once and then its M factor matrix once,
-        in block order, and writes it from the factor's rows into the target
-        blocks US_{w1+wt} ⊗ M_{w2} and US_{w1} ⊗ M_{w2+wt}; a factor whose
-        target block is missing (below the depth) adds nothing.  The two target blocks are distinct,
-        since US has no degree-0 part and so wt(xi) is never 0: every entry
-        is written once."""
-        w = tuple(w)
-        shift = self.alg.weight(xi)
-        target = wt_add(w, shift)
-        t_blocks = self._blocks.get(target, {})
-        mat = SparseMatrix(self.dim(target), self.dim(w))
-        rows = mat.rows
-        us_dim, m_dim = self.model.dim, self.module.dim
-        for w1, (start, w2) in self._blocks.get(w, {}).items():
-            d2 = m_dim(w2)
-            factor = us_op(xi, w1)
-            block = t_blocks.get(wt_add(w1, shift))
-            if block is not None:
-                # (w1, i, w2, j) -> (w1 + wt, r, w2, j): the same width d2
-                t_start = block[0]
-                for r, row in enumerate(factor.rows):
-                    out = rows[t_start + r * d2 : t_start + (r + 1) * d2]
-                    for i, v in row.items():
-                        for c, out_row in enumerate(out, start + i * d2):
-                            out_row[c] = v
-            if module_op is None:
-                continue
-            factor = module_op(xi, w2)
-            block = t_blocks.get(w1)
-            if block is not None:
-                # (w1, i, w2, j) -> (w1, i, w2 + wt, r): width d2 to width td2
-                t_start, t2 = block
-                td2 = m_dim(t2)
-                for i in range(us_dim(w1)):
-                    base = start + i * d2
-                    for r, row in enumerate(factor.rows, t_start + i * td2):
-                        out_row = rows[r]
-                        for j, v in row.items():
-                            out_row[base + j] = v
-        return mat
-
-
-def _descended_module(alg, name, prefix, spans, left, escaped, depth) -> WeightModule:
-    """Descend a left action to per-weight subquotients.
-
-    ``spans[w]`` is a ``linalg.Subspace``: the basis of the subquotient at w,
-    modulo its relations; ``left(z, w)`` acts on the ambient coordinates.
-    The images of a weight's basis vectors are read off the target weight's
-    span in one ``solve_in_span`` call, which reduces each image against the
-    echelon that span built once, and their coordinates are the matrix
-    columns.  Any image outside that span raises
-    InductionError("<escaped> <w>").
+    ``spans[w]`` is a ``linalg.Subspace`` of ``ambient`` at w: the basis of
+    the subquotient at w, modulo its relations.  The images of a weight's
+    basis vectors are read off the target weight's span in one
+    ``solve_in_span`` call, which reduces each image against the echelon
+    that span built once, and their coordinates are the matrix columns.
+    Any image outside that span raises InductionError("<escaped> <w>").
     """
 
     def rule(z, w):
@@ -495,7 +412,7 @@ def _descended_module(alg, name, prefix, spans, left, escaped, depth) -> WeightM
         span, t_span = spans.get(w, ()), spans.get(wt_add(w, alg.weight(z)), ())
         if not span or not t_span:
             return SparseMatrix(len(t_span), len(span))
-        solved = solve_in_span(t_span, left(z, w).images(span.basis))
+        solved = solve_in_span(t_span, ambient.action(z, w).images(span.basis))
         if solved is None:
             raise InductionError(f"{escaped} {w}")
         return SparseMatrix.from_columns(solved)
@@ -518,10 +435,16 @@ def s_ind(alg, sub, module: WeightModule, depth: int) -> WeightModule:
     name = f"S-ind[{sub.name}]({module.name})"
     if alg.elements_of_degree(0):
         return _quotient_s_ind(alg, sub, module, depth, name, "s")
-    space = _TensorSpace(universal_semijective(alg, depth), module, depth)
-    images = semiinvariants(sub, space, depth)
+    model = universal_semijective(alg, depth)
+    images = semiinvariants(sub, tensor(model.right, module, depth), depth)
+
+    def inert(eid, w):
+        return SparseMatrix(module.dim(wt_add(w, alg.weight(eid))), module.dim(w))
+
+    # g acts on US only: on M's weight spaces with the zero action
+    left = tensor(model.left, WeightModule(alg, f"{module.name}⁰", module.weights, inert, module.depth), depth)
     escaped = "s_ind: left action left the semi-invariant subspace at weight"
-    return _descended_module(alg, name, "s", images, space.left, escaped, depth)
+    return _descended_module(alg, name, "s", images, left, escaped, depth)
 
 
 class WakimotoSpace(_PairSpace):
@@ -575,7 +498,7 @@ def _quotient_s_ind(alg, sub, module, depth, name, prefix) -> WeightModule:
         if span:
             spans[w] = span
     escaped = f"{name}: action escaped the constructed submodule at"
-    return _descended_module(alg, name, prefix, spans, space.left.action, escaped, depth)
+    return _descended_module(alg, name, prefix, spans, space.left, escaped, depth)
 
 
 def wakimoto(alg, lam: dict, depth: int) -> WeightModule:
@@ -694,11 +617,7 @@ def check_universal_property(alg, module: WeightModule, depth: int) -> Verdict:
     """
     residual = s_ind(alg, alg, module, depth)
     ndims = {w: module.dim(w) for w in module.weights if alg.ell(w) >= -depth}
-    dim_diffs = {
-        w: (residual.dim(w), ndims.get(w, 0))
-        for w in set(residual.weights) | set(ndims)
-        if residual.dim(w) != ndims.get(w, 0)
-    }
+    dim_diffs = _dim_diffs({w: len(b) for w, b in residual.weights.items()}, ndims)
     gen_bound = min(depth, 2)
     equi_failures = check_commutators(residual, (-gen_bound, gen_bound))
     passed = not dim_diffs and not equi_failures

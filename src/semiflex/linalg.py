@@ -151,7 +151,7 @@ class SparseMatrix:
 
     def rank(self) -> int:
         """The rank, from ``row_echelon_int`` on the cleared rows."""
-        r, _ = row_echelon_int(list(_int_rows(self)), self.ncols)
+        r, _ = row_echelon_int(list(cleared(self)[1]), self.ncols)
         return r
 
     def pivot_columns(self) -> list[int]:
@@ -160,7 +160,7 @@ class SparseMatrix:
 
         The package picks bases with ``Subspace``; this stays as the tests'
         reference for it and as a benchmark trace target."""
-        _, pivots = row_echelon_int(list(_int_rows(self)), self.ncols)
+        _, pivots = row_echelon_int(list(cleared(self)[1]), self.ncols)
         return pivots
 
     def nullspace(self) -> list[tuple[int, ...]]:
@@ -219,13 +219,6 @@ def cleared(m: SparseMatrix):
         return 1, m.rows
     d = lcm(*dens)
     return d, [{c: v.numerator * (d // v.denominator) for c, v in row.items()} for row in m.rows]
-
-
-def _int_rows(m: SparseMatrix):
-    """Int rows with the column dependencies of ``m``: the held ones, or the
-    rows of ``cleared``."""
-    held = m.__dict__.get("_held")
-    return held[1] if held is not None else cleared(m)[1]
 
 
 def residual_nnz(terms, ncols: int) -> int:

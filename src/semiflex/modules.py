@@ -24,11 +24,13 @@ is integral and a Fraction otherwise, are made in linalg, on the first
 read of the matrix's rows, so an integral lambda (given as int or
 Fraction) yields all-int matrices.
 
-Every action matrix in the package, the left and right actions of US and
-the left action of the Wakimoto quotient included, is read through
-WeightModule.action: one cache per module, built once per (element,
-weight), and one depth guard, a WindowError for any action that leaves the
-materialized depth.
+Every action matrix in the package, the left and right actions of US, the
+left action of the Wakimoto quotient and the tensor products included, is
+read through WeightModule.action: one cache per module, built once per
+(element, weight), and one depth guard, a WindowError for any action that
+leaves the materialized depth.  ``tensor`` is the one tensor product of two
+modules, xi acting as a(xi) ⊗ 1 + 1 ⊗ b(xi); semi-induction takes the
+semi-invariants of US ⊗ M with it.
 
 The correctness oracle for every constructor is the representation property
 (commutator of action matrices = action of the bracket), and
@@ -75,6 +77,7 @@ __all__ = [
     "ce_homology",
     "character_module",
     "direct_sum",
+    "tensor",
     "check_commutators",
 ]
 
@@ -116,9 +119,10 @@ class WeightModule:
         m = self._cache.get(key)
         if m is None:
             target = wt_add(w, self.alg.weight(eid))
-            if self.alg.ell(target) > 0 or self.dim(w) == 0:
+            top = self.alg.ell(target)
+            if top > 0 or self.dim(w) == 0:
                 m = SparseMatrix(self.dim(target), self.dim(w))
-            elif not self.in_depth(target) or not self.in_depth(w):
+            elif top < -self.depth or not self.in_depth(w):
                 raise WindowError(
                     f"{self.name}: action of {self.alg.label(eid)} at weight {w} "
                     f"needs weights outside depth {self.depth}"
@@ -243,7 +247,7 @@ def _lam_str(lam: dict) -> str:
     return ",".join(f"{k}={exact(v)}" for k, v in sorted(lam.items())) or "0"
 
 
-def character_module(alg, lam: dict, depth: int = 0) -> WeightModule:
+def character_module(alg, lam: dict, depth: int) -> WeightModule:
     """One-dimensional module C_lambda over an algebra or subalgebra view.
 
     Degree-0 members act by lambda, everything else by zero; the caller is
@@ -286,6 +290,73 @@ def direct_sum(m1: WeightModule, m2: WeightModule) -> WeightModule:
         return mat
 
     return WeightModule(m1.alg, f"{m1.name}⊕{m2.name}", weights, rule, depth)
+
+
+def tensor(a: WeightModule, b: WeightModule, depth: int) -> WeightModule:
+    """a ⊗ b to ``depth``, xi acting as a(xi) ⊗ 1 + 1 ⊗ b(xi).
+
+    At each weight w the basis is a run of blocks a_{w1} ⊗ b_{w2}, w2 =
+    w - w1, one per w1 in increasing order, each row-major in the label
+    pairs (x, y): (i, j) sits at start + i * dim b_{w2} + j.  An action
+    reads a(xi) at w1 and then b(xi) at w2 once per source block and writes
+    both from the factors' rows into the target blocks a_{w1+wt} ⊗ b_{w2}
+    and a_{w1} ⊗ b_{w2+wt}; a target block below the depth takes nothing.
+    Only one source block writes into each column, and its two target
+    blocks coincide when wt(xi) = 0, so the second factor's entries are
+    added to the first's."""
+    if not same_root(a.alg, b.alg):
+        raise ModuleError("tensor product needs modules over the same algebra")
+    alg = a.alg
+    ells = {w2: alg.ell(w2) for w2 in b.weights}
+    weights: dict = {}
+    blocks: dict = {}  # w -> {w1: (start, w2, dim a_{w1}, dim b_{w2})}
+    for w1 in sorted(a.weights):
+        l1, xs = alg.ell(w1), a.weights[w1]
+        for w2, ys in b.weights.items():
+            if l1 + ells[w2] < -depth:
+                continue
+            w = wt_add(w1, w2)
+            basis = weights.setdefault(w, [])
+            blocks.setdefault(w, {})[w1] = (len(basis), w2, len(xs), len(ys))
+            basis.extend([(x, y) for x in xs for y in ys])
+
+    def rule(xi, w):
+        shift = alg.weight(xi)
+        target = wt_add(w, shift)
+        t_blocks = blocks.get(target, {})
+        mat = SparseMatrix(len(weights.get(target, ())), len(weights[w]))
+        rows = mat.rows
+        for w1, (start, w2, d1, d2) in blocks[w].items():
+            factor = a.action(xi, w1)
+            block = t_blocks.get(wt_add(w1, shift))
+            if block is not None:
+                # (w1, i, w2, j) -> (w1 + wt, r, w2, j): the same width d2
+                t_start = block[0]
+                for r, row in enumerate(factor.rows):
+                    out = rows[t_start + r * d2 : t_start + (r + 1) * d2]
+                    for i, v in row.items():
+                        for c, out_row in enumerate(out, start + i * d2):
+                            out_row[c] = v
+            factor = b.action(xi, w2)
+            block = t_blocks.get(w1)
+            if block is None:
+                continue
+            # (w1, i, w2, j) -> (w1, i, w2 + wt, r): width d2 to width td2
+            t_start, td2 = block[0], block[3]
+            for r, row in enumerate(factor.rows):
+                if not row:
+                    continue
+                for i in range(d1):
+                    out_row, base = rows[t_start + i * td2 + r], start + i * d2
+                    for j, v in row.items():
+                        v += out_row.get(base + j, 0)
+                        if v:
+                            out_row[base + j] = v
+                        else:
+                            del out_row[base + j]
+        return mat
+
+    return WeightModule(alg, f"{a.name}⊗{b.name}", weights, rule, depth)
 
 
 # -- oracle ----------------------------------------------------------------------

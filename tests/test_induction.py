@@ -23,7 +23,6 @@ from semiflex.induction import (
     InductionError,
     SemiregularModel,
     WakimotoSpace,
-    _TensorSpace,
     _descended_module,
     _invariant_completion,
     _right_action_rows,
@@ -47,6 +46,7 @@ from semiflex.modules import (
     coverma,
     direct_sum,
     product_formula_character,
+    tensor,
     verma,
 )
 from semiflex.pbw import compress, enumerate_pbw_weights, flatten, monomial_weight, multiplier, normal_order_word, split
@@ -90,7 +90,8 @@ def test_descended_action_reads_image_coordinates_and_detects_escapes():
 
     def descend(images):
         left = SparseMatrix.from_columns(images)
-        return _descended_module(neg, "toy", "t", spans, lambda z, w: left, "escaped at", 2).action(a, src)
+        ambient = WeightModule(neg, "ambient", {src: "uv", tgt: "wxyz"}, lambda z, w: left, 2)
+        return _descended_module(neg, "toy", "t", spans, ambient, "escaped at", 2).action(a, src)
 
     # e0 -> 1 rel + 2 img0, e1 -> 4 rel + 5 img1: only image coordinates land
     mat = descend([(3, 2, 0, 0), (4, 0, 5, 0)])
@@ -534,17 +535,16 @@ def test_universal_property_cases(loop_a, abelian):
     assert check_universal_property(loop_a, N, 3).passed
 
 
-def _tensor_basis(space, w):
-    """The basis quadruples (w1, i, w2, j) of US ⊗ M at w, sorted: basis
-    vector i of US at w1 and j of M at w2 = w - w1, built from the factors."""
+def _tensor_basis(a, b, depth, w):
+    """The basis quadruples (w1, i, w2, j) of a ⊗ b at w, sorted: basis
+    vector i of a at w1 and j of b at w2 = w - w1, built from the factors."""
     w = tuple(w)
-    if space.alg.ell(w) < -space.depth:
+    if a.alg.ell(w) < -depth:
         return []
-    model, module = space.model, space.module
     quads = []
-    for w1 in model.weights:
+    for w1 in a.weights:
         w2 = wt_sub(w, w1)
-        quads.extend((w1, i, w2, j) for i in range(model.dim(w1)) for j in range(module.dim(w2)))
+        quads.extend((w1, i, w2, j) for i in range(a.dim(w1)) for j in range(b.dim(w2)))
     return sorted(quads)
 
 
@@ -579,6 +579,17 @@ def _outcome(fn, *args):
         return str(exc)
 
 
+def _inert(module, depth):
+    """``module``'s weight spaces with the zero action, to ``depth``: what
+    ``s_ind`` tensors with US's left action."""
+    alg = module.alg
+
+    def rule(e, w):
+        return SparseMatrix(module.dim(wt_add(w, alg.weight(e))), module.dim(w))
+
+    return WeightModule(alg, f"{module.name}⁰", module.weights, rule, depth)
+
+
 def _tensor_modules(alg):
     """Verma, coverma, trivial and direct-sum modules over ``alg``, each one
     step shallower than the US model, so targets below the module's depth
@@ -592,53 +603,55 @@ def _tensor_modules(alg):
 
 
 def test_tensor_action_reads_columns_like_the_row_scan(loop_a, abelian):
+    """US ⊗ M under the diagonal action and under US's left action alone (M
+    inert) against the row scan.  Where both raise WindowError only the type
+    is compared: the tensor's own depth guard names the tensor."""
     for alg in (loop_a, abelian):
         us = universal_semijective(alg, 4)
-        left_ops = (us.left.action, None)
         for module in _tensor_modules(alg):
-            space = _TensorSpace(us, module, 4)
-            diag_ops = (us.right.action, module.action)
+            cases = [
+                (tensor(us.right, module, 4), (us.right.action, module.action)),
+                (tensor(us.left, _inert(module, 4), 4), (us.left.action, None)),
+            ]
 
             def basis(w):
-                return _tensor_basis(space, w)
+                return _tensor_basis(us.right, module, 4, w)
 
             checked = errors = 0
-            for w in space.weights:
+            for w in cases[0][0].weights:
                 for xi in alg.elements_in_degrees(-4, 4):
-                    got = _outcome(space.action, xi, w)
-                    assert got == _outcome(_row_scan_action, alg, basis, xi, w, diag_ops), (module.name, w, xi)
-                    assert _outcome(space.left, xi, w) == _outcome(_row_scan_action, alg, basis, xi, w, left_ops), (w, xi)
-                    checked += not isinstance(got, str) and any(got)
-                    errors += isinstance(got, str)
+                    for space, ops in cases:
+                        got = _outcome(space.action, xi, w)
+                        want = _outcome(_row_scan_action, alg, basis, xi, w, ops)
+                        assert got == want or isinstance(got, str) and isinstance(want, str), (module.name, w, xi)
+                        checked += not isinstance(got, str) and any(got)
+                        errors += isinstance(got, str)
             assert checked and errors, (alg.name, module.name)
 
 
 def test_tensor_space_blocks_are_the_sorted_quadruples(loop_a, abelian):
-    """The per-weight dimensions and block starts, summed without building a
-    basis, are the ones read off the sorted quadruples: every weight that
-    some factor pair reaches within the depth, and one
-    block per nonempty factor pair at the position of its (w1, 0, w2, 0)."""
+    """The tensor's weights are every weight that some factor pair reaches
+    within the depth, and its basis at each is the label pairs (x, y) of
+    the sorted quadruples (w1, i, w2, j): blocks in increasing w1, each
+    row-major."""
     for alg in (loop_a, abelian):
         us = universal_semijective(alg, 4)
         for module in _tensor_modules(alg):
-            space = _TensorSpace(us, module, 4)
+            space = tensor(us.right, module, 4)
             reached = {wt_add(w1, w2) for w1 in us.weights for w2 in module.weights}
             assert set(space.weights) == {w for w in reached if alg.ell(w) >= -4}
-            assert set(space._blocks) == set(space.weights)
-            for w in space.weights:
-                quads = _tensor_basis(space, w)
-                assert space.dim(w) == len(quads), (module.name, w)
-                starts = {w1: (start, w2) for start, (w1, i, w2, j) in enumerate(quads) if i == j == 0}
-                assert space._blocks[w] == starts, (module.name, w)
-                assert list(space._blocks[w]) == sorted(starts), (module.name, w)
+            for w, basis in space.weights.items():
+                quads = _tensor_basis(us.right, module, 4, w)
+                assert basis == [(us.weights[w1][i], module.weights[w2][j]) for w1, i, w2, j in quads], (module.name, w)
             assert any(space.dim(w) for w in space.weights)
 
 
 def test_tensor_action_reads_each_factor_once_per_block(loop_a, monkeypatch):
     """Each source block US_{w1} ⊗ M_{w2} reads rho_US(xi) at w1 once and
-    then rho_M(xi) at w2 once, in block order, and no matrix is transposed."""
+    then rho_M(xi) at w2 once, in block order, and no matrix is transposed;
+    an action into a weight above the top reads nothing."""
     us, module = universal_semijective(loop_a, 4), verma(loop_a, {}, 4)
-    space = _TensorSpace(us, module, 4)
+    inert = _inert(module, 4)
     reads = []
 
     def counting(side, action):
@@ -651,22 +664,23 @@ def test_tensor_action_reads_each_factor_once_per_block(loop_a, monkeypatch):
     def no_transpose(self):
         raise AssertionError("transpose called")
 
-    monkeypatch.setattr(us.right, "action", counting("us", us.right.action))
-    monkeypatch.setattr(us.left, "action", counting("us", us.left.action))
-    monkeypatch.setattr(module, "action", counting("m", module.action))
+    for side, factor in (("us", us.right), ("us", us.left), ("m", module), ("m", inert)):
+        monkeypatch.setattr(factor, "action", counting(side, factor.action))
     monkeypatch.setattr(SparseMatrix, "transpose", no_transpose)
+    spaces = (tensor(us.right, module, 4), tensor(us.left, inert, 4))
     built = 0
-    for w in space.weights:
-        blocks = sorted({(w1, w2) for w1, _i, w2, _j in _tensor_basis(space, w)})
+    for w in spaces[0].weights:
+        blocks = sorted({(w1, w2) for w1, _i, w2, _j in _tensor_basis(us.right, module, 4, w)})
         for xi in loop_a.elements_in_degrees(-2, 2):
-            for fn, sides in ((space.action, ("us", "m")), (space.left, ("us",))):
+            above = loop_a.ell(wt_add(w, loop_a.weight(xi))) > 0
+            for space in spaces:
                 del reads[:]
                 try:
-                    fn(xi, w)
+                    space.action(xi, w)
                 except WindowError:
                     continue
-                built += 1
-                wanted = [(side, xi, w1 if side == "us" else w2) for w1, w2 in blocks for side in sides]
+                built += not above
+                wanted = [] if above else [(side, xi, w1 if side == "us" else w2) for w1, w2 in blocks for side in ("us", "m")]
                 assert reads == wanted, (w, xi)
     assert built
 
@@ -674,9 +688,10 @@ def test_tensor_action_reads_each_factor_once_per_block(loop_a, monkeypatch):
 class _ModuleFirstSpace:
     """N ⊗ US, the factor order the universal property was first checked
     in: basis quadruples (w1, i, w2, j) with i a basis vector of N at w1 and
-    j one of US at w2, both actions by the row scan."""
+    j one of US at w2, acted on by the row scan over ``ops``, the two
+    factors' actions (None for a factor that is not acted on)."""
 
-    def __init__(self, module, us, depth):
+    def __init__(self, module, us, depth, ops):
         self.alg, self.depth = us.alg, depth
         self.weights = {}
         for w1 in module.weights:
@@ -687,8 +702,7 @@ class _ModuleFirstSpace:
                     bucket.extend((w1, i, w2, j) for i in range(module.dim(w1)) for j in range(us.dim(w2)))
         for b in self.weights.values():
             b.sort()
-        self._diag_ops = (module.action, us.right.action)
-        self._left_ops = (None, us.left.action)
+        self._ops = ops
 
     def dim(self, w):
         return len(self.weights.get(tuple(w), ()))
@@ -697,20 +711,19 @@ class _ModuleFirstSpace:
         return self.weights.get(tuple(w), [])
 
     def action(self, xi, w):
-        return _row_scan_action(self.alg, self.basis, xi, w, self._diag_ops)
-
-    def left(self, xi, w):
-        return _row_scan_action(self.alg, self.basis, xi, w, self._left_ops)
+        return _row_scan_action(self.alg, self.basis, xi, w, self._ops)
 
 
 def _module_first_outcome(alg, module, depth):
     """(dim_diffs, equivariance) of the universal property over N ⊗ US, or
     the error it raises as (type, message)."""
-    space = _ModuleFirstSpace(module, universal_semijective(alg, depth), depth)
+    us = universal_semijective(alg, depth)
+    space = _ModuleFirstSpace(module, us, depth, (module.action, us.right.action))
+    left = _ModuleFirstSpace(module, us, depth, (None, us.left.action))
     try:
         images = semiinvariants(alg, space, depth)
         escaped = "s_ind: left action left the semi-invariant subspace at weight"
-        residual = _descended_module(alg, "N⊗US", "u", images, space.left, escaped, depth)
+        residual = _descended_module(alg, "N⊗US", "u", images, left, escaped, depth)
         dims = {w: len(span) for w, span in images.items() if span}
         ndims = {w: module.dim(w) for w in module.weights if alg.ell(w) >= -depth}
         dim_diffs = {
@@ -766,7 +779,7 @@ def test_tensor_semiinvariants_match_every_positive_element(name, depth, request
     semi-invariants of: the same image bases as under every positive element."""
     alg = request.getfixturevalue(name)
     for module in (character_module(alg, {}, depth), verma(alg, {}, depth)):
-        space = _TensorSpace(universal_semijective(alg, depth), module, depth)
+        space = tensor(universal_semijective(alg, depth).right, module, depth)
         assert_same_semiinvariants(semiinvariants(alg, space, depth), reference_semiinvariants(alg, space, depth))
 
 
@@ -783,34 +796,44 @@ def test_shapiro_semiinvariants_match_every_positive_element(name, subname, kind
     of the subalgebra."""
     alg, depth = request.getfixturevalue(name), 5
     sub = subalgebra(alg, subname)
-    space = _TensorSpace(universal_semijective(alg, depth), SHAPIRO_MODULES[kind](sub, depth), depth)
+    space = tensor(universal_semijective(alg, depth).right, SHAPIRO_MODULES[kind](sub, depth), depth)
     assert_same_semiinvariants(semiinvariants(sub, space, depth), reference_semiinvariants(sub, space, depth))
 
 
-def _positive_actions(alg, run, monkeypatch):
-    """The number of diagonal tensor actions of positive elements that
-    ``run()`` builds."""
-    built = []
-    original = _TensorSpace.action
+def _counting_positive(alg, module, built):
+    """``module``, its ``action`` appending each positive element it is
+    asked for to ``built``."""
+    action = module.action
 
-    def action(self, xi, w):
-        built.append(xi)
-        return original(self, xi, w)
+    def counted(xi, w):
+        if alg.degree(xi) > 0:
+            built.append(xi)
+        return action(xi, w)
 
-    monkeypatch.setattr(_TensorSpace, "action", action)
-    run()
-    monkeypatch.undo()
-    return sum(1 for xi in built if alg.degree(xi) > 0)
+    module.action = counted
+    return module
 
 
 def test_univ_job_imposes_only_conditions_that_can_bind(loop_a, monkeypatch):
     """One depth-9 universal-property job over a builds 115 positive
-    invariance actions: 204 of the reference's 330 are left by the
-    generating set, and 89 of those go into an empty weight."""
+    invariance actions of the diagonal tensor US ⊗ N: 204 of the
+    reference's 330 are left by the generating set, and 89 of those go into
+    an empty weight."""
     N = verma(loop_a, {}, 9)
-    assert _positive_actions(loop_a, lambda: check_universal_property(loop_a, N, 9), monkeypatch) == 115
-    space = _TensorSpace(universal_semijective(loop_a, 9), N, 9)
-    assert _positive_actions(loop_a, lambda: reference_semiinvariants(loop_a, space, 9), monkeypatch) == 330
+    built = []
+
+    def counted_tensor(a, b, depth):
+        space = tensor(a, b, depth)
+        return _counting_positive(loop_a, space, built) if b is N else space
+
+    monkeypatch.setattr(induction, "tensor", counted_tensor)
+    check_universal_property(loop_a, N, 9)
+    monkeypatch.undo()
+    assert len(built) == 115
+    del built[:]
+    space = _counting_positive(loop_a, tensor(universal_semijective(loop_a, 9).right, N, 9), built)
+    reference_semiinvariants(loop_a, space, 9)
+    assert len(built) == 330
 
 
 @pytest.mark.parametrize(

@@ -32,6 +32,7 @@ from semiflex.modules import (
     coverma,
     direct_sum,
     product_formula_character,
+    tensor,
     verma,
 )
 
@@ -149,7 +150,7 @@ LAMBDA_KEY_ERRORS = {
     # h is the CLI's shorthand for 1⊗h, not a label
     "shorthand": (lambda g: verma(g, {"h": 1, "K": 1}, 3), "labelled 'h'"),
     "nonzero degree": (lambda g: wakimoto(g, {"z⊗e": 5, "K": 1}, 3), "'z⊗e' has degree 3, not 0"),
-    "unknown": (lambda g: character_module(g, {"typo": 3}), "labelled 'typo'"),
+    "unknown": (lambda g: character_module(g, {"typo": 3}, 2), "labelled 'typo'"),
     # a view reads only its own members: K is not in a
     "outside the view": (lambda g: coverma(subalgebra(g, "a"), {"K": 1}, 2), "'K' is not a member of affine_sl2:a"),
 }
@@ -170,8 +171,41 @@ def test_modules_over_algebras_with_other_basis_ids_do_not_add():
     g, other = build_affine_sl2(), build_affine_sl2()
     with pytest.raises(ModuleError, match="same algebra"):
         direct_sum(verma(g, {}, 2), verma(other, {}, 2))
+    with pytest.raises(ModuleError, match="same algebra"):
+        tensor(verma(g, {}, 2), verma(other, {}, 2), 2)
     a = subalgebra(g, "a")
     assert direct_sum(character_module(a, {}, 2), verma(g, {}, 2)).dim((0, 0)) == 2
+    assert tensor(character_module(a, {}, 2), verma(g, {}, 2), 2).dim((0, 0)) == 1
+
+
+def test_tensor_adds_both_terms_at_weight_zero(sl2):
+    """Over ĝ an element of weight 0 sends a(xi) ⊗ 1 and 1 ⊗ b(xi) into one
+    block, so the tensor's entries are sums: K acts on M(λ) ⊗ M(μ)^∨ by
+    K_λ + K_μ, and 1⊗h at the top by h_λ + h_μ."""
+    T = tensor(verma(sl2, {"1⊗h": 2, "K": 1}, 3), coverma(sl2, {"1⊗h": -2, "K": 3}, 3), 3)
+    h, K = sl2.by_label("1⊗h"), sl2.by_label("K")
+    for w in T.weights:
+        assert T.action(K, w).rows == [{i: 4} for i in range(T.dim(w))]
+    assert T.action(h, (0, 0)).rows == [{}]
+
+
+# λ, μ on (1⊗h, K, d) with λ + μ + β = 0 on ĝ₀ (β = (2, 4, 1))
+PAIRING_CASES = [
+    ((0, 1, 0), (-2, -5, -1)),
+    ((-4, -4, 0), (2, 0, -1)),
+    ((1, -3, 2), (-3, -1, -3)),
+    ((Fraction(1, 2), Fraction(-7, 3), 0), (Fraction(-5, 2), Fraction(-5, 3), -1)),
+]
+
+
+@pytest.mark.parametrize("lam, mu", PAIRING_CASES, ids=[" ".join(",".join(map(str, v)) for v in case) for case in PAIRING_CASES])
+def test_verma_tensor_coverma_over_g_hat(sl2, lam, mu):
+    """M(λ) ⊗ M(μ)^∨ over ĝ at D=3 is a module, and its semi-infinite
+    cohomology is Λ•(ĝ₀*) at weight 0: cells 1, 3, 3, 1 in ghosts −3..0."""
+    labels = ("1⊗h", "K", "d")
+    T = tensor(verma(sl2, dict(zip(labels, lam)), 3), coverma(sl2, dict(zip(labels, mu)), 3), 3)
+    assert check_commutators(T, (-1, 1)) == []
+    assert semiinf_cohomology(sl2, T, 3).nonzero() == [((0, 0), -3, 1), ((0, 0), -2, 3), ((0, 0), -1, 3), ((0, 0), 0, 1)]
 
 
 def test_ce_cohomology_one_dim_abelian():
