@@ -191,7 +191,7 @@ def _run(spec: JobSpec) -> int:
     module = None if kind in (None, "product") else _build_module(kind, base, lam, spec.depth)
 
     if spec.command == "character":
-        char = product_formula_character(base, spec.depth) if module is None else character(module, spec.depth)
+        char = product_formula_character(base, spec.depth) if module is None else character(module)
         rows = output.character_rows(base, char)
         _emit(spec, base, rows)
         click.echo(f"character: {len(rows)} weights to depth {spec.depth}")

@@ -414,7 +414,7 @@ def semiinf_cohomology(alg, module, depth: int, weights=None, bases=None) -> Coh
     (the CLI's forms dump reads them).
     """
     _check_same_root(alg, module)
-    if depth > getattr(module, "depth", depth):
+    if depth > module.depth:
         raise WindowError(
             f"semiinf_cohomology to depth {depth} needs the module materialized "
             f"to at least that depth (have {module.depth})"

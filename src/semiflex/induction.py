@@ -35,7 +35,9 @@ Semi-induction ``s_ind`` takes semi-invariants of US ⊗ M under h(u ⊗ m) =
 set of h₊, coinvariants an exact quotient, and the image at each weight is
 a ``linalg.Subspace`` of the kernel modulo the relations.  The left action
 descends to it from the tensor of ``model.left`` and M's weight spaces
-with the zero action, which has the same basis.  The universal property is
+with the zero action, which has the same basis.  A tensor is as deep as
+its shallower factor, so an M shallower than the requested depth fails
+semiinvariants' depth check.  The universal property is
 the case h = g, checked on S-ind from g to g of N.  Over an algebra whose
 degree-0 part is not zero (affine sl2), US is not finite per weight, and
 ``s_ind`` of a one-dimensional C_lambda from h is carved out of Q instead:
@@ -395,9 +397,9 @@ def check_us(alg, depth: int) -> tuple[Verdict, Verdict]:
 # -- semi-induction --------------------------------------------------------------------
 
 
-def _descended_module(alg, name, prefix, spans, ambient, escaped, depth) -> WeightModule:
+def _descended_module(name, prefix, spans, ambient, escaped) -> WeightModule:
     """Descend the action of the weight module ``ambient`` to per-weight
-    subquotients.
+    subquotients, over its algebra and to its depth.
 
     ``spans[w]`` is a ``linalg.Subspace`` of ``ambient`` at w: the basis of
     the subquotient at w, modulo its relations.  The images of a weight's
@@ -406,6 +408,7 @@ def _descended_module(alg, name, prefix, spans, ambient, escaped, depth) -> Weig
     that span built once, and their coordinates are the matrix columns.
     Any image outside that span raises InductionError("<escaped> <w>").
     """
+    alg = ambient.alg
 
     def rule(z, w):
         w = tuple(w)
@@ -418,7 +421,7 @@ def _descended_module(alg, name, prefix, spans, ambient, escaped, depth) -> Weig
         return SparseMatrix.from_columns(solved)
 
     weights = {w: [f"{prefix}{i}" for i in range(len(span))] for w, span in spans.items()}
-    return WeightModule(alg, name, weights, rule, depth)
+    return WeightModule(alg, name, weights, rule, ambient.depth)
 
 
 def s_ind(alg, sub, module: WeightModule, depth: int) -> WeightModule:
@@ -436,15 +439,15 @@ def s_ind(alg, sub, module: WeightModule, depth: int) -> WeightModule:
     if alg.elements_of_degree(0):
         return _quotient_s_ind(alg, sub, module, depth, name, "s")
     model = universal_semijective(alg, depth)
-    images = semiinvariants(sub, tensor(model.right, module, depth), depth)
+    images = semiinvariants(sub, tensor(model.right, module), depth)
 
     def inert(eid, w):
         return SparseMatrix(module.dim(wt_add(w, alg.weight(eid))), module.dim(w))
 
     # g acts on US only: on M's weight spaces with the zero action
-    left = tensor(model.left, WeightModule(alg, f"{module.name}⁰", module.weights, inert, module.depth), depth)
+    left = tensor(model.left, WeightModule(alg, f"{module.name}⁰", module.weights, inert, module.depth))
     escaped = "s_ind: left action left the semi-invariant subspace at weight"
-    return _descended_module(alg, name, "s", images, left, escaped, depth)
+    return _descended_module(name, "s", images, left, escaped)
 
 
 class WakimotoSpace(_PairSpace):
@@ -498,7 +501,7 @@ def _quotient_s_ind(alg, sub, module, depth, name, prefix) -> WeightModule:
         if span:
             spans[w] = span
     escaped = f"{name}: action escaped the constructed submodule at"
-    return _descended_module(alg, name, prefix, spans, space.left, escaped, depth)
+    return _descended_module(name, prefix, spans, space.left, escaped)
 
 
 def wakimoto(alg, lam: dict, depth: int) -> WeightModule:

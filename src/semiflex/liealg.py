@@ -570,7 +570,8 @@ BUILTINS = {
 
 
 def load_algebra(source) -> GradedLieAlgebra:
-    """Load an algebra from a builtin name, a JSON file path, or a dict."""
+    """Load an algebra from a builtin name, or a definition from a JSON file
+    path or a dict."""
     if isinstance(source, str):
         if source in BUILTINS:
             return BUILTINS[source]()
@@ -583,11 +584,6 @@ def load_algebra(source) -> GradedLieAlgebra:
             ) from None
     else:
         data = source
-    if "builtin" in data:
-        name = data["builtin"]
-        if name not in BUILTINS:
-            raise AlgebraError(f"unknown builtin algebra {name!r}")
-        return BUILTINS[name]()
     try:
         grading = data["grading"]
         alg = UserAlgebra(

@@ -30,7 +30,9 @@ read through WeightModule.action: one cache per module, built once per
 (element, weight), and one depth guard, a WindowError for any action that
 leaves the materialized depth.  ``tensor`` is the one tensor product of two
 modules, xi acting as a(xi) ⊗ 1 + 1 ⊗ b(xi); semi-induction takes the
-semi-invariants of US ⊗ M with it.
+semi-invariants of US ⊗ M with it.  A module built from modules (direct_sum,
+tensor, a descended module) is as deep as its shallowest input, and code
+that holds a module reads its depth off the module.
 
 The correctness oracle for every constructor is the representation property
 (commutator of action matrices = action of the bracket), and
@@ -43,7 +45,7 @@ serves them all.  Given a second module b on the same weight space (US's
 left and right actions), it checks that a(x) and b(y) commute, on every
 ordered pair.  It reads each action matrix's cleared form once per check
 (linalg.cleared, which returns an induced module's held integers with no
-scan or copy), dropped after the last weight that reads it, and tests the
+scan or copy), in one memo kept for the whole check, and tests the
 sum of the terms for zero in exact integers (linalg.residual_nnz).  So a
 non-integral lambda makes no Fraction in the oracle at either end: the
 recursion that builds the matrices is integer, and the check sums the
@@ -292,8 +294,9 @@ def direct_sum(m1: WeightModule, m2: WeightModule) -> WeightModule:
     return WeightModule(m1.alg, f"{m1.name}⊕{m2.name}", weights, rule, depth)
 
 
-def tensor(a: WeightModule, b: WeightModule, depth: int) -> WeightModule:
-    """a ⊗ b to ``depth``, xi acting as a(xi) ⊗ 1 + 1 ⊗ b(xi).
+def tensor(a: WeightModule, b: WeightModule) -> WeightModule:
+    """a ⊗ b, as deep as its shallower factor, xi acting as a(xi) ⊗ 1 +
+    1 ⊗ b(xi).
 
     At each weight w the basis is a run of blocks a_{w1} ⊗ b_{w2}, w2 =
     w - w1, one per w1 in increasing order, each row-major in the label
@@ -306,7 +309,7 @@ def tensor(a: WeightModule, b: WeightModule, depth: int) -> WeightModule:
     added to the first's."""
     if not same_root(a.alg, b.alg):
         raise ModuleError("tensor product needs modules over the same algebra")
-    alg = a.alg
+    alg, depth = a.alg, min(a.depth, b.depth)
     ells = {w2: alg.ell(w2) for w2 in b.weights}
     weights: dict = {}
     blocks: dict = {}  # w -> {w1: (start, w2, dim a_{w1}, dim b_{w2})}
@@ -375,8 +378,8 @@ def check_commutators(a: WeightModule, gen_window: tuple, weights=None, b=None) 
     and generator pair in the degree window whose three intermediate
     weights lie within a's depth or above the top (ell is linear, so
     ell(w + wt x + wt y) = ell(w) + ell(wt x) + ell(wt y)).  Each matrix is
-    cleared of its denominators once per check (linalg.cleared) and dropped
-    after the last weight that reads it, and linalg.residual_nnz sums the
+    cleared of its denominators once per check (linalg.cleared, one memo
+    for the whole check), and linalg.residual_nnz sums the
     residual in exact integers: a pair fails when it has a nonzero entry.
     A WindowError from an action propagates: skipping the pair would
     report an unchecked pass.
@@ -391,23 +394,18 @@ def check_commutators(a: WeightModule, gen_window: tuple, weights=None, b=None) 
     if mirrored:
         b = a
     ells = {g: alg.ell(alg.weight(g)) for g in gens}
-    # outer weight i reads matrices at weights[i] and at shifted[i][g] = weights[i] + wt(g)
-    shifted = [{g: wt_add(w, alg.weight(g)) for g in gens} for w in weights]
-    last = {v: i for i, w in enumerate(weights) for v in (w, *shifted[i].values())}
-    memo: dict = {}  # source weight v -> {(module, eid): cleared matrix}, dropped after outer weight last[v]
+    memo: dict = {}  # (module, eid, weight) -> cleared matrix
 
     def clear(module, eid, v):
-        at = memo.get(v)
-        if at is None:
-            at = memo[v] = {}
-        m = at.get((module, eid))
+        key = (module, eid, v)
+        m = memo.get(key)
         if m is None:
-            m = at[module, eid] = cleared(module.action(eid, v))
+            m = memo[key] = cleared(module.action(eid, v))
         return m
 
     failures = []
-    for i, w in enumerate(weights):
-        shift, ncols = shifted[i], a.dim(w)
+    for w in weights:
+        shift, ncols = {g: wt_add(w, alg.weight(g)) for g in gens}, a.dim(w)
         floor = -depth - alg.ell(w)  # ell(w + v) < -depth iff ell(v) < floor
         for x in gens:
             for y in gens:
@@ -418,8 +416,6 @@ def check_commutators(a: WeightModule, gen_window: tuple, weights=None, b=None) 
                     terms += [(-cf, clear(a, k, w), None) for k, cf in alg.bracket_ids(x, y).items()]
                 if residual_nnz(terms, ncols):
                     failures.append((alg.label(x), alg.label(y), w))
-        for v in [v for v in memo if last[v] == i]:
-            del memo[v]
     return failures
 
 
@@ -446,17 +442,9 @@ class Character:
         return f"Character(depth={self.depth}, {len(self.coefficients)} weights)"
 
 
-def character(module: WeightModule, depth: int | None = None) -> Character:
-    if depth is None:
-        depth = module.depth
-    if depth > module.depth:
-        raise WindowError(f"character to depth {depth} needs module depth >= {depth}")
-    coeffs = {
-        w: len(basis)
-        for w, basis in module.weights.items()
-        if module.alg.ell(w) >= -depth
-    }
-    return Character(depth, coeffs)
+def character(module: WeightModule) -> Character:
+    """The module's weight multiplicities, to its depth."""
+    return Character(module.depth, {w: len(basis) for w, basis in module.weights.items()})
 
 
 def product_formula_character(alg, depth: int) -> Character:

@@ -58,9 +58,9 @@ def a_alg():
 def test_criterion_1_character_triple_identity(g):
     start = time.time()
     depth = 6
-    chv = character(verma(g, LAM, depth), depth)
-    chvs = character(coverma(g, LAM, depth), depth)
-    chw = character(wakimoto(g, LAM, depth), depth)
+    chv = character(verma(g, LAM, depth))
+    chvs = character(coverma(g, LAM, depth))
+    chw = character(wakimoto(g, LAM, depth))
     pf = product_formula_character(g, depth)
     assert chv == chvs == chw == pf
     assert pf.coefficient((0, 0)) == 1

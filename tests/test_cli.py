@@ -17,7 +17,7 @@ import semiflex
 from semiflex import cli, forms, output
 from semiflex.cli import JobSpec, main, run_job
 from semiflex.induction import InductionError
-from semiflex.liealg import WindowError, build_affine_sl2, dump_algebra, load_algebra
+from semiflex.liealg import AlgebraError, WindowError, build_affine_sl2, dump_algebra, load_algebra
 from semiflex.modules import WeightModule, character, verma
 
 
@@ -336,6 +336,18 @@ def test_inconsistent_algebra_file_exits_two(runner, tmp_path):
     res = runner.invoke(main, ["algebra-check", "--algebra", str(bad)])
     assert res.exit_code == 2, res.output
     assert "basis position" in res.output
+
+
+def test_a_builtin_is_named_only_by_its_name(runner, tmp_path):
+    """A file naming a built-in is no algebra definition: a built-in is
+    named by --algebra <name> alone."""
+    path = tmp_path / "alias.json"
+    path.write_text(json.dumps({"builtin": "abelian"}))
+    with pytest.raises(AlgebraError, match="malformed algebra definition"):
+        load_algebra(str(path))
+    res = runner.invoke(main, ["algebra-check", "--algebra", str(path)])
+    assert res.exit_code == 2
+    assert "malformed algebra definition" in res.stderr
 
 
 def test_run_job_bad_depth_exits_two():

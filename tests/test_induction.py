@@ -91,7 +91,7 @@ def test_descended_action_reads_image_coordinates_and_detects_escapes():
     def descend(images):
         left = SparseMatrix.from_columns(images)
         ambient = WeightModule(neg, "ambient", {src: "uv", tgt: "wxyz"}, lambda z, w: left, 2)
-        return _descended_module(neg, "toy", "t", spans, ambient, "escaped at", 2).action(a, src)
+        return _descended_module("toy", "t", spans, ambient, "escaped at").action(a, src)
 
     # e0 -> 1 rel + 2 img0, e1 -> 4 rel + 5 img1: only image coordinates land
     mat = descend([(3, 2, 0, 0), (4, 0, 5, 0)])
@@ -373,9 +373,9 @@ def test_wakimoto_dims_and_top(sl2, lam01):
 
 def test_wakimoto_character_triple(sl2, lam01):
     for depth in (4, 6):
-        chw = character(wakimoto(sl2, lam01, depth), depth)
-        chv = character(verma(sl2, lam01, depth), depth)
-        chvs = character(coverma(sl2, lam01, depth), depth)
+        chw = character(wakimoto(sl2, lam01, depth))
+        chv = character(verma(sl2, lam01, depth))
+        chvs = character(coverma(sl2, lam01, depth))
         pf = product_formula_character(sl2, depth)
         assert chw == chv == chvs == pf
 
@@ -400,7 +400,7 @@ def test_wakimoto_level_zero_and_rational(sl2):
         {"1⊗h": Fraction(-1, 2), "K": Fraction(1, 3), "d": Fraction(5)},
     ):
         W = wakimoto(sl2, lam, 3)
-        assert character(W, 3) == product_formula_character(sl2, 3)
+        assert character(W) == product_formula_character(sl2, 3)
         assert check_commutators(W, (-2, 2)) == []
         table = semiinf_cohomology(subalgebra(sl2, "a"), W, 3)
         assert table.nonzero() == [((0, 0), 0, 1)]
@@ -503,7 +503,7 @@ def test_s_ind_over_a_degree_zero_part_names_its_precondition(sl2, case):
 def test_wakimoto_critical_level(sl2):
     lam = {"1⊗h": Fraction(0), "K": Fraction(-4), "d": Fraction(0)}
     W = wakimoto(sl2, lam, 4)
-    assert character(W, 4) == product_formula_character(sl2, 4)
+    assert character(W) == product_formula_character(sl2, 4)
     assert check_commutators(W, (-3, 3)) == []
     table = semiinf_cohomology(subalgebra(sl2, "a"), W, 4)
     assert table.nonzero() == [((0, 0), 0, 1)]
@@ -524,7 +524,7 @@ def test_invariant_completion_projects_to_dense_vectors(sl2):
     Q's basis."""
     lam = {"1⊗h": 1, "K": Fraction(-1, 2), "d": 0}
     W = wakimoto(sl2, lam, 6)
-    assert character(W, 6) == product_formula_character(sl2, 6)
+    assert character(W) == product_formula_character(sl2, 6)
     assert check_commutators(W, (-2, 2)) == []
 
 
@@ -579,21 +579,21 @@ def _outcome(fn, *args):
         return str(exc)
 
 
-def _inert(module, depth):
-    """``module``'s weight spaces with the zero action, to ``depth``: what
+def _inert(module):
+    """``module``'s weight spaces with the zero action, at its depth: what
     ``s_ind`` tensors with US's left action."""
     alg = module.alg
 
     def rule(e, w):
         return SparseMatrix(module.dim(wt_add(w, alg.weight(e))), module.dim(w))
 
-    return WeightModule(alg, f"{module.name}⁰", module.weights, rule, depth)
+    return WeightModule(alg, f"{module.name}⁰", module.weights, rule, module.depth)
 
 
 def _tensor_modules(alg):
     """Verma, coverma, trivial and direct-sum modules over ``alg``, each one
-    step shallower than the US model, so targets below the module's depth
-    raise where US's do not."""
+    step shallower than the US model, so their tensor with US is at their
+    depth, 3."""
     return [
         verma(alg, {}, 3),
         coverma(alg, {}, 3),
@@ -604,46 +604,79 @@ def _tensor_modules(alg):
 
 def test_tensor_action_reads_columns_like_the_row_scan(loop_a, abelian):
     """US ⊗ M under the diagonal action and under US's left action alone (M
-    inert) against the row scan.  Where both raise WindowError only the type
-    is compared: the tensor's own depth guard names the tensor."""
+    inert) against the row scan at M's depth.  Every read that raises
+    WindowError is the tensor's own depth guard: no factor read raises."""
     for alg in (loop_a, abelian):
         us = universal_semijective(alg, 4)
         for module in _tensor_modules(alg):
             cases = [
-                (tensor(us.right, module, 4), (us.right.action, module.action)),
-                (tensor(us.left, _inert(module, 4), 4), (us.left.action, None)),
+                (tensor(us.right, module), (us.right.action, module.action)),
+                (tensor(us.left, _inert(module)), (us.left.action, None)),
             ]
+            assert [space.depth for space, _ops in cases] == [3, 3]
 
             def basis(w):
-                return _tensor_basis(us.right, module, 4, w)
+                return _tensor_basis(us.right, module, 3, w)
 
             checked = errors = 0
             for w in cases[0][0].weights:
                 for xi in alg.elements_in_degrees(-4, 4):
                     for space, ops in cases:
                         got = _outcome(space.action, xi, w)
-                        want = _outcome(_row_scan_action, alg, basis, xi, w, ops)
-                        assert got == want or isinstance(got, str) and isinstance(want, str), (module.name, w, xi)
-                        checked += not isinstance(got, str) and any(got)
-                        errors += isinstance(got, str)
+                        if isinstance(got, str):
+                            assert got.startswith(f"{space.name}: "), (module.name, w, xi, got)
+                            errors += 1
+                        else:
+                            assert got == _row_scan_action(alg, basis, xi, w, ops).rows, (module.name, w, xi)
+                            checked += any(got)
             assert checked and errors, (alg.name, module.name)
 
 
 def test_tensor_space_blocks_are_the_sorted_quadruples(loop_a, abelian):
     """The tensor's weights are every weight that some factor pair reaches
-    within the depth, and its basis at each is the label pairs (x, y) of
-    the sorted quadruples (w1, i, w2, j): blocks in increasing w1, each
-    row-major."""
+    within the shallower factor's depth, and its basis at each is the label
+    pairs (x, y) of the sorted quadruples (w1, i, w2, j): blocks in
+    increasing w1, each row-major."""
     for alg in (loop_a, abelian):
         us = universal_semijective(alg, 4)
         for module in _tensor_modules(alg):
-            space = tensor(us.right, module, 4)
+            space = tensor(us.right, module)
             reached = {wt_add(w1, w2) for w1 in us.weights for w2 in module.weights}
-            assert set(space.weights) == {w for w in reached if alg.ell(w) >= -4}
+            assert set(space.weights) == {w for w in reached if alg.ell(w) >= -3}
             for w, basis in space.weights.items():
-                quads = _tensor_basis(us.right, module, 4, w)
+                quads = _tensor_basis(us.right, module, 3, w)
                 assert basis == [(us.weights[w1][i], module.weights[w2][j]) for w1, i, w2, j in quads], (module.name, w)
             assert any(space.dim(w) for w in space.weights)
+
+
+def test_tensor_is_as_deep_as_its_shallower_factor(loop_a, abelian):
+    """US to depth 4 tensored with a depth-3 module is the depth-3 US
+    tensor: the same weights, bases and dims.  Every WindowError a read
+    raises is the tensor's own guard, never a factor's."""
+    for alg in (loop_a, abelian):
+        us4, us3 = universal_semijective(alg, 4), universal_semijective(alg, 3)
+        for module in _tensor_modules(alg)[:3]:
+            space = tensor(us4.right, module)
+            assert space.depth == 3
+            assert space.weights == tensor(us3.right, module).weights, (alg.name, module.name)
+            errors = 0
+            for w in space.weights:
+                for xi in alg.elements_in_degrees(-4, 4):
+                    try:
+                        space.action(xi, w)
+                    except WindowError as exc:
+                        assert str(exc).startswith(f"{space.name}: "), (alg.name, module.name, str(exc))
+                        errors += 1
+            assert errors, (alg.name, module.name)
+
+
+def test_s_ind_of_a_shallower_module_stops_at_the_semiinvariants(loop_a):
+    """A module one step shallower than the requested depth makes
+    tensors at its own depth, which semiinvariants refuses, instead of a
+    module that claims the requested depth with too few vectors."""
+    gplus = subalgebra(loop_a, "gplus")
+    with pytest.raises(WindowError, match="semiinvariants to depth 4 exceeds module depth 3"):
+        s_ind(loop_a, gplus, coverma(gplus, {}, 3), 4)
 
 
 def test_tensor_action_reads_each_factor_once_per_block(loop_a, monkeypatch):
@@ -651,7 +684,7 @@ def test_tensor_action_reads_each_factor_once_per_block(loop_a, monkeypatch):
     then rho_M(xi) at w2 once, in block order, and no matrix is transposed;
     an action into a weight above the top reads nothing."""
     us, module = universal_semijective(loop_a, 4), verma(loop_a, {}, 4)
-    inert = _inert(module, 4)
+    inert = _inert(module)
     reads = []
 
     def counting(side, action):
@@ -667,7 +700,7 @@ def test_tensor_action_reads_each_factor_once_per_block(loop_a, monkeypatch):
     for side, factor in (("us", us.right), ("us", us.left), ("m", module), ("m", inert)):
         monkeypatch.setattr(factor, "action", counting(side, factor.action))
     monkeypatch.setattr(SparseMatrix, "transpose", no_transpose)
-    spaces = (tensor(us.right, module, 4), tensor(us.left, inert, 4))
+    spaces = (tensor(us.right, module), tensor(us.left, inert))
     built = 0
     for w in spaces[0].weights:
         blocks = sorted({(w1, w2) for w1, _i, w2, _j in _tensor_basis(us.right, module, 4, w)})
@@ -723,7 +756,7 @@ def _module_first_outcome(alg, module, depth):
     try:
         images = semiinvariants(alg, space, depth)
         escaped = "s_ind: left action left the semi-invariant subspace at weight"
-        residual = _descended_module(alg, "N⊗US", "u", images, left, escaped, depth)
+        residual = _descended_module("N⊗US", "u", images, left, escaped)
         dims = {w: len(span) for w, span in images.items() if span}
         ndims = {w: module.dim(w) for w in module.weights if alg.ell(w) >= -depth}
         dim_diffs = {
@@ -779,7 +812,7 @@ def test_tensor_semiinvariants_match_every_positive_element(name, depth, request
     semi-invariants of: the same image bases as under every positive element."""
     alg = request.getfixturevalue(name)
     for module in (character_module(alg, {}, depth), verma(alg, {}, depth)):
-        space = tensor(universal_semijective(alg, depth).right, module, depth)
+        space = tensor(universal_semijective(alg, depth).right, module)
         assert_same_semiinvariants(semiinvariants(alg, space, depth), reference_semiinvariants(alg, space, depth))
 
 
@@ -796,7 +829,7 @@ def test_shapiro_semiinvariants_match_every_positive_element(name, subname, kind
     of the subalgebra."""
     alg, depth = request.getfixturevalue(name), 5
     sub = subalgebra(alg, subname)
-    space = tensor(universal_semijective(alg, depth).right, SHAPIRO_MODULES[kind](sub, depth), depth)
+    space = tensor(universal_semijective(alg, depth).right, SHAPIRO_MODULES[kind](sub, depth))
     assert_same_semiinvariants(semiinvariants(sub, space, depth), reference_semiinvariants(sub, space, depth))
 
 
@@ -822,8 +855,8 @@ def test_univ_job_imposes_only_conditions_that_can_bind(loop_a, monkeypatch):
     N = verma(loop_a, {}, 9)
     built = []
 
-    def counted_tensor(a, b, depth):
-        space = tensor(a, b, depth)
+    def counted_tensor(a, b):
+        space = tensor(a, b)
         return _counting_positive(loop_a, space, built) if b is N else space
 
     monkeypatch.setattr(induction, "tensor", counted_tensor)
@@ -831,7 +864,7 @@ def test_univ_job_imposes_only_conditions_that_can_bind(loop_a, monkeypatch):
     monkeypatch.undo()
     assert len(built) == 115
     del built[:]
-    space = _counting_positive(loop_a, tensor(universal_semijective(loop_a, 9).right, N, 9), built)
+    space = _counting_positive(loop_a, tensor(universal_semijective(loop_a, 9).right, N), built)
     reference_semiinvariants(loop_a, space, 9)
     assert len(built) == 330
 

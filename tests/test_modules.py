@@ -112,15 +112,15 @@ def test_coverma_top_vector_killed_by_raising(sl2, lam01):
 
 def test_characters_agree_with_product_formula(sl2, lam01):
     for depth in (4, 6):
-        chv = character(verma(sl2, lam01, depth), depth)
-        chvs = character(coverma(sl2, lam01, depth), depth)
+        chv = character(verma(sl2, lam01, depth))
+        chvs = character(coverma(sl2, lam01, depth))
         pf = product_formula_character(sl2, depth)
         assert chv == pf
         assert chvs == pf
 
 
 def test_character_spot_coefficients(sl2, lam01):
-    ch = character(verma(sl2, lam01, 6), 6)
+    ch = character(verma(sl2, lam01, 6))
     assert ch.coefficient((0, 0)) == 1
     assert ch.coefficient((0, -1)) == 2
     assert ch.coefficient((-1, -1)) == 3
@@ -172,17 +172,17 @@ def test_modules_over_algebras_with_other_basis_ids_do_not_add():
     with pytest.raises(ModuleError, match="same algebra"):
         direct_sum(verma(g, {}, 2), verma(other, {}, 2))
     with pytest.raises(ModuleError, match="same algebra"):
-        tensor(verma(g, {}, 2), verma(other, {}, 2), 2)
+        tensor(verma(g, {}, 2), verma(other, {}, 2))
     a = subalgebra(g, "a")
     assert direct_sum(character_module(a, {}, 2), verma(g, {}, 2)).dim((0, 0)) == 2
-    assert tensor(character_module(a, {}, 2), verma(g, {}, 2), 2).dim((0, 0)) == 1
+    assert tensor(character_module(a, {}, 2), verma(g, {}, 2)).dim((0, 0)) == 1
 
 
 def test_tensor_adds_both_terms_at_weight_zero(sl2):
     """Over ĝ an element of weight 0 sends a(xi) ⊗ 1 and 1 ⊗ b(xi) into one
     block, so the tensor's entries are sums: K acts on M(λ) ⊗ M(μ)^∨ by
     K_λ + K_μ, and 1⊗h at the top by h_λ + h_μ."""
-    T = tensor(verma(sl2, {"1⊗h": 2, "K": 1}, 3), coverma(sl2, {"1⊗h": -2, "K": 3}, 3), 3)
+    T = tensor(verma(sl2, {"1⊗h": 2, "K": 1}, 3), coverma(sl2, {"1⊗h": -2, "K": 3}, 3))
     h, K = sl2.by_label("1⊗h"), sl2.by_label("K")
     for w in T.weights:
         assert T.action(K, w).rows == [{i: 4} for i in range(T.dim(w))]
@@ -203,7 +203,7 @@ def test_verma_tensor_coverma_over_g_hat(sl2, lam, mu):
     """M(λ) ⊗ M(μ)^∨ over ĝ at D=3 is a module, and its semi-infinite
     cohomology is Λ•(ĝ₀*) at weight 0: cells 1, 3, 3, 1 in ghosts −3..0."""
     labels = ("1⊗h", "K", "d")
-    T = tensor(verma(sl2, dict(zip(labels, lam)), 3), coverma(sl2, dict(zip(labels, mu)), 3), 3)
+    T = tensor(verma(sl2, dict(zip(labels, lam)), 3), coverma(sl2, dict(zip(labels, mu)), 3))
     assert check_commutators(T, (-1, 1)) == []
     assert semiinf_cohomology(sl2, T, 3).nonzero() == [((0, 0), -3, 1), ((0, 0), -2, 3), ((0, 0), -1, 3), ((0, 0), 0, 1)]
 
